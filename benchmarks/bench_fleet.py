@@ -4,11 +4,11 @@ Standalone harness (``make fleet-smoke`` runs the short mode) writing
 ``BENCH_fleet.json`` with the three acceptance criteria of the
 coordinator/worker fleet:
 
-* **canonical identity** — the scaled corpus scanned serially, through
-  the ``scan --backend process`` pool, and through the fleet
-  coordinator produces byte-identical canonical JSON under **both**
-  points-to kernels (``REPRO_PTA_KERNEL=legacy|flat``).  This is a
-  hard gate: any divergence fails the run.
+* **canonical identity** — the scaled corpus scanned serially and
+  through the fleet coordinator (the path ``scan --parallel`` takes)
+  produces byte-identical canonical JSON under **both** points-to
+  kernels (``REPRO_PTA_KERNEL=legacy|flat``).  This is a hard gate:
+  any divergence fails the run.
 * **throughput scaling** — regions/second through the coordinator at
   1 worker vs ``min(4, cpu_count)`` workers, measured over warmed
   workers (the adoption LRU primed, so the numbers isolate shard
@@ -47,7 +47,7 @@ from repro.bench.scale import build_scaled
 from repro.client import AnalyzeClient, ClientError
 from repro.core.scan import scan_all_loops
 from repro.pta.kernel import KERNEL_ENV
-from repro.server import create_server
+from repro.server.app import create_server
 from repro.server.coordinator import Coordinator
 from repro.server.worker import reset_worker_state
 
@@ -58,8 +58,7 @@ def _fleet_json(program, workers, kernel):
     """Canonical scan JSON through a fresh process-transport fleet.
 
     A new coordinator per call so its worker pool forks *after* the
-    kernel env is set (workers inherit the selection at fork time,
-    like the scan backend's pool does).
+    kernel env is set (workers inherit the selection at fork time).
     """
     coordinator = Coordinator(workers, transport="process")
     try:
@@ -69,7 +68,7 @@ def _fleet_json(program, workers, kernel):
 
 
 def run_identity(factor, workers):
-    """Serial vs process scan backend vs fleet, under both kernels."""
+    """Serial vs fleet, under both kernels."""
     section = {"factor": factor, "workers": workers, "kernels": {}}
     ok = True
     for kernel in KERNELS:
@@ -77,14 +76,10 @@ def run_identity(factor, workers):
         try:
             program = build_scaled("memocache", factor=factor).program
             serial = scan_all_loops(program).to_json(canonical=True)
-            process = scan_all_loops(
-                program, parallel=True, backend="process", max_workers=workers
-            ).to_json(canonical=True)
             fleet = _fleet_json(program, workers, kernel)
         finally:
             del os.environ[KERNEL_ENV]
         entry = {
-            "process_matches_serial": process == serial,
             "fleet_matches_serial": fleet == serial,
             "bytes": len(serial),
         }

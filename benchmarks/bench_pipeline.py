@@ -7,7 +7,7 @@ benchmarks measure that directly on the largest subject and keep the
 parallel scan mode honest about overhead on small programs.
 """
 
-from repro.core.pipeline import AnalysisSession, check_regions_parallel
+from repro.core.pipeline import AnalysisSession
 from repro.core.scan import scan_all_loops
 
 
@@ -60,16 +60,19 @@ def test_parallel_scan_shared_session(benchmark, apps):
 
 def test_parallel_check_all_bench_regions(benchmark, apps):
     """Cross-app sanity load: each app's region through the parallel
-    helper on its own session."""
+    scan on its own session."""
 
     def sweep():
         count = 0
         for app in apps.values():
-            session = AnalysisSession(app.program, app.config)
-            entries = check_regions_parallel(
-                session, [app.region], max_workers=2
+            result = scan_all_loops(
+                app.program,
+                session=AnalysisSession(app.program, app.config),
+                specs=[app.region],
+                parallel=True,
+                max_workers=2,
             )
-            count += len(entries)
+            count += len(result.entries)
         return count
 
     assert benchmark(sweep) == len(apps)

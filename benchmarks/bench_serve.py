@@ -19,7 +19,7 @@ import pytest
 
 from repro.bench.apps import build_app
 from repro.client import AnalyzeClient
-from repro.server import create_server
+from repro.server.app import create_server
 
 SUBJECT = "mysql-connector-j"
 

@@ -165,8 +165,8 @@ def _cmd_scan(args):
             file=sys.stderr,
         )
         return 2
-    # Shared with the parallel backends and serve --workers: an invalid
-    # count raises AnalysisError, which main() renders as exit 2.
+    # Shared with the library's max_workers and serve --workers: an
+    # invalid count raises AnalysisError, which main() renders as exit 2.
     validate_workers(args.jobs, flag="--jobs")
     if args.auto_regions and (args.ranked or args.region):
         print(
@@ -235,7 +235,6 @@ def _cmd_scan(args):
             limit=args.limit,
             parallel=args.parallel,
             max_workers=args.jobs,
-            backend=args.backend,
             cache=cache,
             session=session,
             specs=specs,
@@ -451,7 +450,7 @@ def _cmd_run(args):
 
 
 def _cmd_serve(args):
-    from repro.server import create_server, run_server
+    from repro.server.app import create_server, run_server
 
     if args.workers:
         validate_workers(args.workers, flag="--workers")
@@ -718,21 +717,14 @@ def build_parser():
     scan.add_argument(
         "--parallel",
         action="store_true",
-        help="check loops concurrently (identical output to serial)",
+        help="check loops concurrently on worker processes "
+        "(identical output to serial)",
     )
     scan.add_argument(
         "--jobs",
         type=int,
         default=None,
         help="workers for --parallel (default: min(4, loops)); must be >= 1",
-    )
-    scan.add_argument(
-        "--backend",
-        choices=["thread", "process"],
-        default="thread",
-        help="--parallel execution backend: 'thread' shares one session "
-        "under the GIL; 'process' fans out over a process pool whose "
-        "workers hydrate the substrate from a snapshot (true parallelism)",
     )
     add_detector_flags(scan)
     scan.set_defaults(func=_cmd_scan)

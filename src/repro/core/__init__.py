@@ -16,11 +16,7 @@ from repro.core.effects import (
     ReleaseEffect,
     StoreEffect,
 )
-from repro.core.pipeline import (
-    AnalysisSession,
-    PipelineStats,
-    check_regions_parallel,
-)
+from repro.core.pipeline import AnalysisSession, PipelineStats
 from repro.core.era import (
     BOT,
     CUR,
@@ -112,7 +108,6 @@ __all__ = [
     "candidate_loops",
     "check_component",
     "check_program",
-    "check_regions_parallel",
     "detect_leaks",
     "diff_reports",
     "flows_in_pairs",

@@ -1,8 +1,8 @@
 """Worker-side snapshot adoption: from a parent's artifacts to a live session.
 
-Every multi-process execution path in the system — the ``scan
---backend process`` worker pool and the ``repro serve`` analysis fleet
-— faces the same hand-off problem: a parent holds a warmed
+Every multi-process execution path in the system — the fleet behind
+``repro serve --workers`` and ``scan --parallel`` — faces the same
+hand-off problem: a parent holds a warmed
 :class:`~repro.core.pipeline.session.AnalysisSession` and a worker in
 another process must answer region checks against *exactly* that
 state without re-solving it.  The currency is the plain-data snapshot
@@ -18,18 +18,19 @@ This module is the one place that protocol lives:
 * :func:`share_snapshot` — parent side: pack a snapshot into a fresh
   shared-memory block (or report that the platform cannot);
 * :func:`attach_shared` — worker side: attach to a named block and
-  keep it alive past the resource tracker's misplaced cleanup;
+  keep it alive past the worker's own resource tracker's cleanup;
 * :func:`adopt_session` — worker side, one call: program blob +
   config + (shm name | snapshot dict | nothing) → a ready
   ``AnalysisSession``, hydrated when state was handed off, cold-built
   as the sound fallback when not.
 
-Both the scan process pool (:mod:`repro.core.pipeline.parallel`) and
-the fleet worker (:mod:`repro.server.worker`) build on these; keeping
-them here means the cache layer owns every producer *and* consumer of
-its snapshot encoding.
+The fleet coordinator (:mod:`repro.server.coordinator`) and its worker
+(:mod:`repro.server.worker`) build on these; keeping them here means
+the cache layer owns every producer *and* consumer of its snapshot
+encoding.
 """
 
+import os
 import pickle
 
 
@@ -69,20 +70,30 @@ def attach_shared(shm_name):
     ``SharedMemory`` handle, which must stay referenced for as long as
     any session decoded from it answers queries (the mask table holds
     memoryviews into its buffer)."""
-    from multiprocessing import shared_memory
+    from multiprocessing import resource_tracker, shared_memory
 
     shm = shared_memory.SharedMemory(name=shm_name)
+    # Attaching registered the segment with the resource tracker, but the
+    # creator owns its lifetime: a tracker this process launched must
+    # forget it, while a tracker shared with the creator must keep it, or
+    # the creator's unlink() makes that tracker raise KeyError.
     try:
-        # Attaching registered the segment with this process's resource
-        # tracker (on platforms that track shared memory), which would
-        # unlink it when *this* process exits — but the creator owns the
-        # segment's lifetime.  Unregister; best-effort by design.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
+        if _runs_own_tracker(resource_tracker._resource_tracker):
+            resource_tracker.unregister(shm._name, "shared_memory")
     except Exception:
-        pass
+        pass  # best-effort by design
     return shm
+
+
+def _runs_own_tracker(tracker):
+    """Whether ``tracker`` is a child of this process."""
+    if tracker._pid is None:
+        return False  # handed the parent's tracker at spawn
+    try:
+        os.waitpid(tracker._pid, os.WNOHANG)
+    except ChildProcessError:
+        return False  # forked after the parent launched it
+    return True
 
 
 def adopt_session(
@@ -91,7 +102,6 @@ def adopt_session(
     shm_name=None,
     snapshot=None,
     program_digest=None,
-    cache=None,
 ):
     """Build a worker-local session adopting the parent's state.
 
@@ -99,9 +109,8 @@ def adopt_session(
     parent's ``config.describe()``.  State arrives, in preference
     order, as ``shm_name`` (a packed snapshot in shared memory),
     ``snapshot`` (the plain dict), or neither — in which case the
-    session is built cold (optionally hydrating from ``cache``, an
-    :class:`~repro.core.cache.store.ArtifactCache`) and warmed, the
-    sound fallback for a worker that missed every hand-off.
+    session is built cold and warmed, the sound fallback for a worker
+    that missed every hand-off.
 
     Returns ``(session, shm)``; ``shm`` is the attached segment (or
     ``None``) and must be kept referenced alongside the session.
@@ -141,6 +150,6 @@ def adopt_session(
             except OSError:
                 pass
         raise
-    session = AnalysisSession(program, config, cache=cache)
+    session = AnalysisSession(program, config)
     session.warm()
     return session, shm

@@ -6,10 +6,9 @@ what an earlier run, a concurrent worker, or a persistent cache already
 computed (a warm store-edge index answers with hits where a cold one
 counts misses).  Canonicalization zeroes the timings and drops the
 cache-dependent counters, leaving exactly the run-independent content —
-the representation under which serial, thread-parallel,
-process-parallel and cache-hydrated runs of the same program are
-byte-identical, and which the golden regression corpus
-(``tests/golden/``) stores.
+the representation under which serial, fanned-out and cache-hydrated
+runs of the same program are byte-identical, and which the golden
+regression corpus (``tests/golden/``) stores.
 """
 
 import json

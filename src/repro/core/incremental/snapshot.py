@@ -50,9 +50,9 @@ def snapshot_scan(program, config, result, session=None):
     """Encode a finished scan as a snapshot payload dict.
 
     ``session`` supplies region footprints (memoized pipeline
-    artifacts); scans run on a process-pool backend leave the parent
-    session's region cache cold, so footprint capture re-runs those
-    pipelines — an accepted one-time cost of writing a snapshot.
+    artifacts); a scan that fanned out over worker processes left the
+    parent session's region cache cold, so footprint capture re-runs
+    those pipelines — an accepted one-time cost of writing a snapshot.
     """
     from repro.core.pipeline.session import AnalysisSession
 

@@ -7,9 +7,11 @@ Stage modules (one per stage, in execution order):
 ``postpasses`` (pivot)
 
 :mod:`~repro.core.pipeline.session` orchestrates them over memoized
-program-level artifacts; :mod:`~repro.core.pipeline.parallel` fans
-independent regions out over a thread pool; :mod:`~repro.core.pipeline.
-stats` carries per-stage timings and work counters.
+program-level artifacts; :mod:`~repro.core.pipeline.sharding` splits a
+region list into the shards a parallel scan fans out (over the fleet
+coordinator, :mod:`repro.server.coordinator`);
+:mod:`~repro.core.pipeline.stats` carries per-stage timings and work
+counters.
 """
 
 from repro.core.pipeline.artifacts import (
@@ -23,7 +25,6 @@ from repro.core.pipeline.artifacts import (
     StoreEdgeArtifact,
     Verdict,
 )
-from repro.core.pipeline.parallel import check_regions_parallel
 from repro.core.pipeline.session import AnalysisSession, SharedArtifacts
 from repro.core.pipeline.stats import PipelineStats, stats_from_report
 
@@ -40,6 +41,5 @@ __all__ = [
     "StoreEdge",
     "StoreEdgeArtifact",
     "Verdict",
-    "check_regions_parallel",
     "stats_from_report",
 ]

@@ -19,9 +19,9 @@ each stage consuming/producing artifact dataclasses
 ``LeakReport.stats["stages"] / ["counters"]``.
 
 Sessions are thread-compatible: the shared caches are only ever filled
-with idempotently recomputable values, so the parallel scan mode
-(:mod:`repro.core.pipeline.parallel`) can run regions concurrently and
-still produce reports identical to a serial scan.
+with idempotently recomputable values, so concurrent region checks on
+one session (the daemon's request threads) produce reports identical
+to a serial scan.
 """
 
 import threading
@@ -329,11 +329,12 @@ class AnalysisSession:
         return self.shared.thread_subclasses()
 
     def warm(self):
-        """Precompute the shared lazy artifacts before a parallel scan,
-        so worker threads never duplicate the heavy one-time work."""
+        """Precompute the shared lazy artifacts before a parallel scan
+        snapshots them for its workers, so no worker repeats the heavy
+        one-time work."""
         self.points_to.andersen  # force the whole-program solve
         if summaries_enabled():
-            # Parallel workers and cache snapshots also share the
+            # Fleet workers and cache snapshots also share the
             # composed summaries (schema v5 carries the intra payloads).
             self.shared.summaries()
         self.shared.size_counts()

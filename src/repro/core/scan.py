@@ -12,9 +12,11 @@ AnalysisSession`, so program-level artifacts (call graph, points-to,
 per-method statement and store-edge indexes, library visibility) are
 built once and shared by every region; region inference reuses the same
 cached call graph, so it adds one CFG sweep on top of a warm session.
-With ``parallel=True`` the independent regions fan out over a worker
-pool (``backend="thread"`` or ``"process"``); the resulting entries are
-identical to a serial scan in both content and order.  With ``cache=``
+With ``parallel=True`` the independent regions fan out over worker
+processes through the fleet coordinator
+(:class:`repro.server.coordinator.Coordinator`), the same path the
+daemon's ``/analyze-batch`` takes; the resulting entries are identical
+to a serial scan in both content and order.  With ``cache=``
 (an :class:`~repro.core.cache.store.ArtifactCache`) the session
 hydrates its program-level artifacts from disk when a prior run left
 them there, and persists them after the scan — repeated scans of the
@@ -25,12 +27,12 @@ Scan results carry a deterministic severity triage of every finding
 gating in CI.
 """
 
-from repro.core.pipeline.parallel import check_regions_parallel
 from repro.core.pipeline.session import AnalysisSession
 from repro.core.pipeline.sharding import check_spec_list
 from repro.core.pipeline.stats import PipelineStats, stats_from_report
 from repro.core.ranking import rank_loops
 from repro.core.regions import candidate_loops, region_text
+from repro.core.workers import resolve_workers
 
 
 class ScanResult:
@@ -172,7 +174,6 @@ def scan_all_loops(
     limit=None,
     parallel=False,
     max_workers=None,
-    backend="thread",
     session=None,
     cache=None,
     specs=None,
@@ -196,16 +197,16 @@ def scan_all_loops(
 
     A program with no candidate regions yields an empty
     :class:`ScanResult` (zero regions, zero findings) rather than an
-    error.  ``parallel=True`` checks regions concurrently
-    (``max_workers`` workers on ``backend``, ``"thread"`` or
-    ``"process"``) with output identical to the serial scan; ``session``
-    lets callers bring their own warmed :class:`AnalysisSession`;
-    ``cache`` hydrates/persists the program-level artifacts through a
-    persistent :class:`~repro.core.cache.store.ArtifactCache`;
-    ``deadline`` (a :class:`repro.pta.queries.Deadline`) bounds the
-    serial scan's demand-driven query work — past it, queries degrade
-    to the Andersen fallback (ignored by the parallel backends, which
-    never run deadline-bounded).
+    error.  ``parallel=True`` checks regions on ``max_workers`` worker
+    processes (default ``min(4, regions)``) with output identical to the
+    serial scan; with one worker or one region it *is* the serial scan.
+    ``session`` lets callers bring their own warmed
+    :class:`AnalysisSession`; ``cache`` hydrates/persists the
+    program-level artifacts through a persistent
+    :class:`~repro.core.cache.store.ArtifactCache`; ``deadline`` (a
+    :class:`repro.pta.queries.Deadline`) bounds the serial scan's
+    demand-driven query work — past it, queries degrade to the Andersen
+    fallback (a scan that fans out runs without one).
     """
     session = session or AnalysisSession(program, config, cache=cache)
     infer_counters = {}
@@ -224,10 +225,9 @@ def scan_all_loops(
         specs = candidate_loops(program)
     if limit is not None:
         specs = specs[:limit]
-    if parallel:
-        entries = check_regions_parallel(
-            session, specs, max_workers=max_workers, backend=backend
-        )
+    workers = resolve_workers(max_workers, len(specs) or 1) if parallel else 1
+    if workers > 1 and len(specs) > 1:
+        entries = _fan_out(session, specs, workers)
     else:
         # The serial path is the fleet worker's shard loop run over the
         # whole list (repro.core.pipeline.sharding) — one code path,
@@ -241,3 +241,22 @@ def scan_all_loops(
         infer_counters=infer_counters,
         infer_seconds=infer_seconds,
     )
+
+
+def _fan_out(session, specs, workers):
+    """Check ``specs`` on ``workers`` processes that adopt ``session``'s
+    warmed substrate; a failing region raises
+    :class:`~repro.errors.RegionCheckError` with the worker traceback."""
+    from repro.core.cache.serialize import snapshot_shared
+    from repro.server.coordinator import Coordinator
+
+    session.warm()
+    coordinator = Coordinator(workers, config=session.config)
+    try:
+        return coordinator.scan_program(
+            session.program,
+            specs,
+            shared_snapshot=snapshot_shared(session.shared),
+        ).entries
+    finally:
+        coordinator.close()

@@ -2,11 +2,11 @@
 
 Three surfaces accept "how many workers" and must reject the same
 inputs with the same message: the CLI's ``scan --jobs``, the library's
-``max_workers`` argument (:func:`repro.core.pipeline.parallel.
-check_regions_parallel`), and the daemon's ``serve --workers`` fleet
-size.  Before this module each grew its own copy of the check and the
-exit-2 text drifted between the CLI print and the
-:class:`~repro.errors.AnalysisError` the parallel backend raised.
+``max_workers`` argument (:func:`repro.core.scan.scan_all_loops` with
+``parallel=True``), and the daemon's ``serve --workers`` fleet size.
+Before this module each grew its own copy of the check and the exit-2
+text drifted between the CLI print and the
+:class:`~repro.errors.AnalysisError` the library raised.
 
 :func:`validate_workers` is that single check.  It raises
 :class:`~repro.errors.AnalysisError` — a :class:`~repro.errors.
@@ -26,8 +26,8 @@ def validate_workers(value, flag="--jobs"):
 
     Raises :class:`AnalysisError` with the canonical one-line message —
     ``<flag> must be a positive worker count (got N)`` — the text the
-    CLI exit-2 path, the parallel scan backends and ``serve --workers``
-    all share.
+    CLI exit-2 path, the parallel scan and ``serve --workers`` all
+    share.
     """
     if value is None:
         return None

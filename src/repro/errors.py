@@ -60,23 +60,18 @@ class RegionCheckError(AnalysisError):
         region_desc,
         cause_text="",
         backend=None,
-        choices=(),
         substrate=None,
         summaries=None,
     ):
         self.region_desc = region_desc
         self.cause_text = cause_text
         self.backend = backend
-        self.choices = tuple(choices)
         self.substrate = None if substrate is None else tuple(substrate)
         self.summaries = summaries
         message = "region check failed for %s" % region_desc
         details = []
         if backend:
-            detail = "backend=%s" % backend
-            if self.choices:
-                detail += " of %s" % "/".join(self.choices)
-            details.append(detail)
+            details.append("backend=%s" % backend)
         if self.substrate is not None:
             details.append("substrate=%r" % (self.substrate,))
         if summaries is not None:
@@ -94,7 +89,6 @@ class RegionCheckError(AnalysisError):
                 self.region_desc,
                 self.cause_text,
                 self.backend,
-                self.choices,
                 self.substrate,
                 self.summaries,
             ),

@@ -24,9 +24,10 @@ called out by the ROADMAP:
 * **Flat serialization** — the solved bitsets serialize as one byte
   blob plus an offset table (:func:`snapshot_flat`), which the artifact
   cache stores directly and :func:`pack_snapshot` lays out in a single
-  buffer that ``scan --backend process`` workers attach to through
-  ``multiprocessing.shared_memory`` (:func:`attach_snapshot`) — masks
-  decode lazily per query, so per-worker warmup is near zero.
+  buffer that process fleet workers (``scan --parallel``, ``serve
+  --workers``) attach to through ``multiprocessing.shared_memory``
+  (:func:`attach_snapshot`) — masks decode lazily per query, so
+  per-worker warmup is near zero.
 
 The result type, :class:`FlatAndersenResult`, exposes the exact
 :class:`~repro.pta.andersen.AndersenResult` API (``pts``, ``field_pts``,
@@ -753,7 +754,8 @@ def attach_snapshot(buf):
 
     The mask blob is returned as a slice of ``buf`` — no copy — so the
     caller must keep the underlying segment alive for the lifetime of
-    the hydrated result (process workers pin the segment in a global).
+    the hydrated result (fleet workers keep it beside the session, in
+    :class:`repro.server.worker.AdoptedSessions`).
     """
     view = memoryview(buf)
     if bytes(view[: len(_SHM_MAGIC)]) != _SHM_MAGIC:

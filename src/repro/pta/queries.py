@@ -161,8 +161,8 @@ class PointsTo:
     def deadline_scope(self, deadline):
         """Bound the block's queries by ``deadline`` (a :class:`Deadline`
         or ``None``).  Not thread-isolated: deadline-bounded runs are
-        serial (the analysis server serializes requests per session);
-        parallel scans never install one."""
+        serial (the analysis server serializes requests per session,
+        and a fleet worker runs one shard at a time)."""
         previous = self.deadline
         self.deadline = deadline
         try:

@@ -6,30 +6,8 @@ snapshots via the incremental engine's fast path, admission control
 (:mod:`~repro.server.limits`) bounds concurrency and queueing, and
 :mod:`~repro.server.metrics` exposes counters and latency quantiles.
 See :mod:`~repro.server.app` for the endpoint contract.
+
+The package re-exports nothing: importing one module — ``scan
+--parallel`` imports :mod:`~repro.server.coordinator` — must not load
+the HTTP daemon and asyncio with it.
 """
-
-from repro.server.app import AnalysisServer, create_server, run_server
-from repro.server.coordinator import Coordinator
-from repro.server.limits import AdmissionControl, Deadline, QueueFull
-from repro.server.metrics import ServerMetrics
-from repro.server.pool import SessionPool
-from repro.server.transport import (
-    InlineTransport,
-    LocalProcessTransport,
-    make_transport,
-)
-
-__all__ = [
-    "AdmissionControl",
-    "AnalysisServer",
-    "Coordinator",
-    "Deadline",
-    "InlineTransport",
-    "LocalProcessTransport",
-    "QueueFull",
-    "ServerMetrics",
-    "SessionPool",
-    "create_server",
-    "make_transport",
-    "run_server",
-]

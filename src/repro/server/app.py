@@ -179,10 +179,11 @@ class AnalysisServer:
                 worker_hosts=worker_hosts,
                 metrics=self.metrics,
             )
-        # Bind only after the fleet forked: worker processes must not
-        # inherit the listening socket (or, worse, accepted connection
-        # descriptors — which is why the coordinator warms its pool in
-        # its constructor rather than on first use).
+            # Fork the fleet now and bind after: worker processes must
+            # not inherit the listening socket — nor, had the pool
+            # forked lazily at first submit, an accepted connection,
+            # which would keep its client waiting for EOF.
+            self.coordinator.transport.warm()
         self._sock = socket.create_server(address, reuse_port=False)
         self.server_address = self._sock.getsockname()
         # Enough threads that every admission slot, every queue

@@ -1,7 +1,10 @@
 """The fleet coordinator: shard region scans across a worker pool.
 
-One :class:`Coordinator` lives in the daemon (or a benchmark harness)
-and turns "scan these regions of this program" into shard tasks on a
+A :class:`Coordinator` is the one region fan-out path.  The daemon
+keeps one behind ``POST /analyze-batch``; ``scan --parallel``
+(:func:`repro.core.scan.scan_all_loops` with ``parallel=True``) builds
+a short-lived one per scan.  It turns "scan these regions of this
+program" into shard tasks on a
 :class:`~repro.server.transport.Transport`:
 
 * **program hand-off** — :meth:`ensure_program` warms a program once
@@ -16,8 +19,8 @@ and turns "scan these regions of this program" into shard tasks on a
   ``POST /analyze-batch``.  :meth:`scan_program` is the collecting
   form: outcomes reassembled in original spec order into a
   :class:`~repro.core.scan.ScanResult` whose canonical JSON is
-  byte-identical to a serial or process-backend scan of the same
-  specs (the fleet benchmark pins this);
+  byte-identical to a serial scan of the same specs (the fleet
+  benchmark pins this);
 * **fleet observability** — per-worker utilization, shard counts and
   errors, adoption mix, queue depth; scraped into ``/metrics`` and
   folded into the shard-latency quantiles when a
@@ -145,10 +148,6 @@ class Coordinator:
         }
         self._adoptions = {"lru": 0, "shm": 0, "snapshot": 0, "cold": 0}
         self._per_worker = {}
-        # Fork the fleet NOW, while the caller controls what descriptors
-        # and environment the workers inherit — a lazy first-submit fork
-        # would happen mid-request inside the daemon.
-        self.transport.warm()
 
     # -- program hand-off ----------------------------------------------------
 
@@ -292,8 +291,8 @@ class Coordinator:
         """The collecting form: a :class:`ScanResult` with entries in
         the request's spec order — canonically byte-identical to a
         serial scan of the same specs.  A region error raises
-        :class:`~repro.errors.RegionCheckError` naming the region, the
-        same contract as the process scan backend.
+        :class:`~repro.errors.RegionCheckError` naming the region, with
+        the worker traceback — what ``scan --parallel`` raises.
         """
         if specs is None:
             specs = candidate_loops(program)

@@ -393,7 +393,7 @@ class RemoteTransport(Transport):
 
     def warm(self):
         """Dial every worker once, eagerly — connection problems show
-        up at fleet construction, not mid-request.  Workers that are
+        up when the daemon starts, not mid-request.  Workers that are
         down stay owned by their serve threads' reconnect loops."""
         for link in self._links:
             self._try_connect(link)

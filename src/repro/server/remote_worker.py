@@ -38,11 +38,10 @@ import socket
 import subprocess
 import sys
 import threading
-from collections import OrderedDict
 
 from repro.core.regions import region_text
 from repro.server.remote import WIRE_VERSION, WireEOF, WireError, recv_frame, send_frame
-from repro.server.worker import MAX_ADOPTED, run_shard
+from repro.server.worker import MAX_ADOPTED, AdoptedSessions, run_shard
 
 #: Region spec texts that trigger a simulated worker death (comma-sep).
 FAIL_SHARD_ENV = "REPRO_REMOTE_FAIL_SHARD"
@@ -64,9 +63,10 @@ class RemoteWorkerServer:
     """One fleet worker: a TCP listener executing shards.
 
     Unlike the process-pool worker, session state is *instance*-level
-    (not the module-global LRU), so several servers can share a test
-    process — the "two hosts on localhost" CI harness — without
-    adopting through each other's state.
+    (its own :class:`~repro.server.worker.AdoptedSessions`, not the
+    module-global one), so several servers can share a test process —
+    the "two hosts on localhost" CI harness — without adopting through
+    each other's state.
     """
 
     def __init__(
@@ -84,13 +84,12 @@ class RemoteWorkerServer:
         if fail_times is None:
             fail_times = int(os.environ.get(FAIL_TIMES_ENV, "1"))
         self.cache_dir = str(cache_dir) if cache_dir else None
-        self.max_adopted = max(1, max_adopted)
         #: region text -> drops remaining (None = unlimited).
         self._fail_budget = {
             text: (None if fail_times == 0 else fail_times)
             for text in fail_regions
         }
-        self._sessions = OrderedDict()
+        self._sessions = AdoptedSessions(max_adopted)
         self._snapshots = {}
         self._lock = threading.Lock()
         self._run_lock = threading.Lock()
@@ -285,12 +284,10 @@ class RemoteWorkerServer:
         from repro.core.pipeline.session import AnalysisSession
         from repro.pta.kernel import attach_snapshot
 
-        key = (task["digest"], tuple(sorted(task["config_kwargs"].items())))
-        with self._lock:
-            hit = self._sessions.get(key)
-            if hit is not None:
-                self._sessions.move_to_end(key)
-                return hit, "lru", 0
+        key = AdoptedSessions.key(task)
+        hit = self._sessions.get(key)
+        if hit is not None:
+            return hit, "lru", 0
         program = _pickle.loads(task["program_blob"])
         config = DetectorConfig(**task["config_kwargs"])
         cache = ArtifactCache(self.cache_dir) if self.cache_dir else None
@@ -300,7 +297,7 @@ class RemoteWorkerServer:
             shared = cache.load(program, config)
             if shared is not None:
                 session = AnalysisSession(program, config, shared=shared)
-                self._remember(key, session)
+                self._sessions.put(key, session)
                 return session, "cache", failures
 
         with self._lock:
@@ -327,7 +324,7 @@ class RemoteWorkerServer:
                         cache.save(program, config, session.shared)
                     except Exception:  # noqa: BLE001 - cache is best-effort
                         pass
-                self._remember(key, session)
+                self._sessions.put(key, session)
                 return session, "wire", failures
 
         if not task.get("cold_ok") and failures == 0:
@@ -340,14 +337,8 @@ class RemoteWorkerServer:
                 cache.save(program, config, session.shared)
             except Exception:  # noqa: BLE001 - cache is best-effort
                 pass
-        self._remember(key, session)
+        self._sessions.put(key, session)
         return session, "cold", failures
-
-    def _remember(self, key, session):
-        with self._lock:
-            self._sessions[key] = session
-            while len(self._sessions) > self.max_adopted:
-                self._sessions.popitem(last=False)
 
     def __repr__(self):
         return "RemoteWorkerServer(%s, cache_dir=%r)" % (

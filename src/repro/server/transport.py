@@ -6,14 +6,15 @@ interface is deliberately tiny — submit a plain-data task, get a
 that is the whole contract a multi-host backend would need to honor:
 tasks and results are already picklable, program state already travels
 by digest + snapshot, and ordering is already reconstructed from
-indices on the coordinator side.  Today two transports exist:
+indices on the coordinator side.  Three transports exist:
 
-* :class:`LocalProcessTransport` — the production default: a
-  *persistent* ``ProcessPoolExecutor`` (workers survive across
-  requests and keep their adopted-session LRUs warm), shard hand-off
-  via shared-memory snapshots.  A broken pool (a worker killed
-  mid-task) is rebuilt once per incident rather than taking the
-  daemon down.
+* :class:`LocalProcessTransport` — the production default and the
+  engine of ``scan --parallel``: a ``ProcessPoolExecutor`` whose
+  workers keep their adopted-session LRUs warm for as long as the pool
+  lives (across requests in the daemon, one scan for ``scan
+  --parallel``), shard hand-off via shared-memory snapshots.  A broken
+  pool (a worker killed mid-task) is rebuilt once per incident rather
+  than taking the daemon down.
 * :class:`InlineTransport` — same code path, zero processes: shards
   run synchronously in the caller.  This is the deterministic
   harness for tests and the ``workers``-without-multiprocessing
@@ -148,7 +149,7 @@ class LocalProcessTransport(Transport):
         client waiting for EOF long after the response ended.  One
         sleeping task per worker forces the full spawn (the executor
         only reuses a process once it has finished a task), so the
-        coordinator can fork while no connection exists.
+        daemon can fork before it binds.
         """
         with self._lock:
             pool = self._ensure_pool()
@@ -159,10 +160,13 @@ class LocalProcessTransport(Transport):
             future.result()
 
     def close(self):
+        # Wait for the workers: a manager thread still running at
+        # interpreter exit can race concurrent.futures' exit hook into
+        # printing "OSError: [Errno 9] Bad file descriptor".
         with self._lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def make_transport(kind, workers, hosts=None):

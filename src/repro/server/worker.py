@@ -4,22 +4,24 @@ A worker process is long-lived and *program-agnostic*: every shard
 task names a program digest and carries the hand-off material — the
 pickled program, the detector config, and the parent's substrate
 snapshot as a shared-memory name (zero-copy, preferred) or a plain
-dict (fallback).  The worker keeps a small LRU of adopted sessions
-keyed by ``(digest, config)``; a repeat digest skips adoption
-entirely, a new digest hydrates through
-:func:`repro.core.cache.adopt.adopt_session` — the same protocol the
-``scan --backend process`` pool uses — so any worker can serve any
-pooled program warm, which is what lets the coordinator shard freely
-instead of pinning programs to workers.
+dict (fallback).  The worker keeps its adopted sessions in an
+:class:`AdoptedSessions` LRU keyed by ``(digest, config)``; a repeat
+digest skips adoption entirely, a new digest hydrates through
+:func:`repro.core.cache.adopt.adopt_session`, so any worker can serve
+any pooled program warm, which is what lets the coordinator shard
+freely instead of pinning programs to workers.  The remote worker
+server (:mod:`repro.server.remote_worker`) keeps its sessions in the
+same class.
 
 :func:`run_shard` is the single entry point, deliberately a top-level
 function of plain-data arguments so every transport can ship it: the
 in-process inline transport calls it directly, the local process pool
-submits it to a ``ProcessPoolExecutor``, and a future multi-host
-transport can wrap it behind an RPC without touching the analysis
-code.  Failures travel as data, per region: one dead region becomes an
-``error`` outcome while the rest of the shard still answers — the
-batch endpoint's partial-result contract depends on this.
+(the daemon's fleet and ``scan --parallel``) submits it to a
+``ProcessPoolExecutor``, and the remote worker server runs it behind
+the fleet wire.  Failures travel as data, per region: one dead region
+becomes an ``error`` outcome while the rest of the shard still
+answers — the batch endpoint's partial-result contract depends on
+this.
 
 ``REPRO_FLEET_FAIL_REGION=<Class.method[:LOOP]>`` is a test-only
 failpoint injecting a failure when the named region is checked; the
@@ -29,6 +31,7 @@ use it.
 
 import os
 import pickle
+import threading
 import time
 import traceback
 from collections import OrderedDict
@@ -42,8 +45,65 @@ FAILPOINT_ENV = "REPRO_FLEET_FAIL_REGION"
 #: Distinct (digest, config) sessions one worker keeps warm.
 MAX_ADOPTED = 4
 
-#: adoption key -> (AnalysisSession, SharedMemory-or-None), LRU order.
-_SESSIONS = OrderedDict()
+
+class AdoptedSessions:
+    """A worker's warm sessions: an LRU of at most ``capacity``, keyed
+    by (program digest, detector config).
+
+    The only code that evicts an adopted session and closes the shared
+    memory it was adopted from.  The session's masks view that segment,
+    and a viewed segment cannot close (``BufferError``): an evicted
+    handle closes once nothing views it, retried on every :meth:`put`
+    and :meth:`clear` until then.  Closing never raises.
+    """
+
+    def __init__(self, capacity=MAX_ADOPTED):
+        self.capacity = max(1, capacity)
+        self._lock = threading.Lock()
+        self._entries = OrderedDict()  # key -> (session, shm or None)
+        self._evicted = []  # handles of evicted sessions, still open
+
+    @staticmethod
+    def key(task):
+        return (task["digest"], tuple(sorted(task["config_kwargs"].items())))
+
+    def get(self, key):
+        """The session under ``key`` (now most recent), or ``None``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[0]
+            return None
+
+    def put(self, key, session, shm=None):
+        with self._lock:
+            replaced = self._entries.pop(key, None)
+            if replaced is not None:
+                self._evicted.append(replaced[1])
+            self._entries[key] = (session, shm)
+            self._evict(len(self._entries) - self.capacity)
+
+    def clear(self):
+        with self._lock:
+            self._evict(len(self._entries))
+
+    def _evict(self, count):
+        for _ in range(count):
+            self._evicted.append(self._entries.popitem(last=False)[1][1])
+        still_viewed = []
+        for shm in filter(None, self._evicted):
+            try:
+                shm.close()
+            except BufferError:
+                still_viewed.append(shm)
+            except OSError:
+                pass
+        self._evicted = still_viewed
+
+
+#: This process's adopted sessions (process and inline transports).
+_SESSIONS = AdoptedSessions()
 
 
 def make_task(
@@ -69,13 +129,6 @@ def make_task(
     }
 
 
-def _adoption_key(task):
-    return (
-        task["digest"],
-        tuple(sorted(task["config_kwargs"].items())),
-    )
-
-
 def _session_for(task):
     """This worker's session for the task's program: LRU hit or adopt.
 
@@ -90,11 +143,10 @@ def _session_for(task):
     """
     from repro.core.cache.adopt import adopt_session
 
-    key = _adoption_key(task)
+    key = AdoptedSessions.key(task)
     hit = _SESSIONS.get(key)
     if hit is not None:
-        _SESSIONS.move_to_end(key)
-        return hit[0], "lru", 0
+        return hit, "lru", 0
     failures = 0
     try:
         session, shm = adopt_session(
@@ -123,14 +175,7 @@ def _session_for(task):
             program_digest=task["digest"],
         )
         adoption = "cold"
-    _SESSIONS[key] = (session, shm)
-    while len(_SESSIONS) > MAX_ADOPTED:
-        _, (_, old_shm) = _SESSIONS.popitem(last=False)
-        if old_shm is not None:
-            try:
-                old_shm.close()
-            except OSError:
-                pass
+    _SESSIONS.put(key, session, shm)
     return session, adoption, failures
 
 
@@ -146,9 +191,9 @@ def run_shard(task, session_resolver=None):
     hand-offs failed to adopt (served by the cold fallback instead).
 
     ``session_resolver`` overrides the process-global adoption LRU —
-    the remote worker server keeps per-instance session state and
-    passes its own resolver; the inline and local-process transports
-    use the default.
+    the remote worker server keeps its own :class:`AdoptedSessions`
+    and passes its own resolver; the inline and local-process
+    transports use the default.
     """
     started = time.perf_counter()
     resolver = session_resolver or _session_for
@@ -188,10 +233,4 @@ def run_shard(task, session_resolver=None):
 
 def reset_worker_state():
     """Drop every adopted session (tests; harmless in production)."""
-    while _SESSIONS:
-        _, (_, shm) = _SESSIONS.popitem()
-        if shm is not None:
-            try:
-                shm.close()
-            except OSError:
-                pass
+    _SESSIONS.clear()

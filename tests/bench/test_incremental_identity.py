@@ -3,8 +3,7 @@
 The incremental engine's contract is absolute: whatever tier it picks
 (fast path, slow path, full fallback) the canonical JSON of a
 ``--changed-since`` scan equals the canonical JSON of a cold scan of
-the same program — across serial, thread-parallel and process-parallel
-cold baselines.
+the same program — against serial and parallel (fleet) cold baselines.
 """
 
 import pytest
@@ -42,28 +41,26 @@ def test_incremental_matches_cold_serial(name):
 
 
 @pytest.mark.parametrize("name", APPS)
-def test_incremental_matches_thread_parallel_cold(name):
+def test_incremental_matches_parallel_cold(name):
     app = build_app(name)
     _cold, payload = _cold_and_snapshot(app)
     reparsed = parse_program(app.source)
     result, _outcome = changed_scan(reparsed, payload, config=app.config)
-    threaded = scan_all_loops(
-        app.program, config=app.config, parallel=True, backend="thread"
+    fanned = scan_all_loops(
+        app.program, config=app.config, parallel=True, max_workers=2
     )
-    assert result.to_json(canonical=True) == threaded.to_json(canonical=True)
+    assert result.to_json(canonical=True) == fanned.to_json(canonical=True)
 
 
 def test_incremental_matches_process_parallel_cold():
-    # The process backend is slow to spin up; one subject suffices to
-    # pin the cross-backend identity.
+    # The process fleet is slow to spin up; one subject suffices to pin
+    # the identity with the pool sized by default (min(4, regions)).
     app = build_app("mysql-connector-j")
     _cold, payload = _cold_and_snapshot(app)
     result, _outcome = changed_scan(
         parse_program(app.source), payload, config=app.config
     )
-    proc = scan_all_loops(
-        app.program, config=app.config, parallel=True, backend="process"
-    )
+    proc = scan_all_loops(app.program, config=app.config, parallel=True)
     assert result.to_json(canonical=True) == proc.to_json(canonical=True)
 
 

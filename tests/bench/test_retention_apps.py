@@ -9,7 +9,7 @@ Three layers:
   an empty expectation), and the leaky variants score perfect
   precision/recall against their region-level ground truth;
 * **output identity** — each leaky app's canonical scan JSON is
-  byte-identical across serial/thread/process backends and cold/warm
+  byte-identical across serial and fanned-out scans and cold/warm
   artifact cache (the golden corpus stores one file per app, so every
   execution mode must reproduce it).
 """
@@ -21,6 +21,7 @@ import pytest
 
 from repro.bench.apps import build_retention, retention_names
 from repro.bench.metrics import precision_recall, run_app
+from repro.core.api import Analyzer
 from repro.core.regions import region_text
 from repro.core.report import HEAP_LEAK, RESOURCE_LEAK
 from repro.core.scan import scan_all_loops
@@ -128,28 +129,28 @@ class TestRegionTruth:
 
 
 class TestExecutionModeIdentity:
-    """Canonical scan output is byte-identical across backends and
-    cache temperature for every retention app."""
+    """Canonical scan output is byte-identical between serial and
+    fanned-out scans and across cache temperature for every retention
+    app."""
 
     @pytest.mark.parametrize("name", retention_names())
-    def test_thread_backend_matches_serial(self, name):
+    def test_parallel_matches_serial(self, name):
         app = build_retention(name, variant="leaky")
         serial = scan_all_loops(app.program, app.config).to_json(canonical=True)
-        threaded = scan_all_loops(
-            app.program, app.config, parallel=True, backend="thread",
-            max_workers=2,
+        fanned = scan_all_loops(
+            app.program, app.config, parallel=True, max_workers=2
         ).to_json(canonical=True)
-        assert threaded == serial
+        assert fanned == serial
 
     def test_process_backend_matches_serial(self):
+        # The same fan-out reached through the public Analyzer facade.
         # One representative app keeps the process-pool cost bounded;
         # the toy-program matrix in test_kernel_identity covers the
-        # backend machinery itself.
+        # fleet machinery itself.
         app = build_retention("resleak", variant="leaky")
         serial = scan_all_loops(app.program, app.config).to_json(canonical=True)
-        pooled = scan_all_loops(
-            app.program, app.config, parallel=True, backend="process",
-            max_workers=2,
+        pooled = Analyzer(app.program, app.config).analyze(
+            parallel=True, max_workers=2
         ).to_json(canonical=True)
         assert pooled == serial
 

@@ -7,8 +7,9 @@ zeroed, volatile counters and kernel observability dropped — see
 ``legacy`` and ``flat`` no matter how the scan runs.  This module pins
 that promise along every axis the ISSUE names:
 
-* execution backend — serial, thread pool, process pool (workers
-  inherit the kernel choice through the environment at fork time);
+* execution path — serial, and fanned out over the process fleet
+  (workers inherit the kernel choice through the environment at fork
+  time);
 * artifact cache — cold (compute + save) and warm (hydrate), with the
   kind-tagged andersen snapshot round-tripping through disk;
 * the eight bench-suite apps (the CI smoke invokes this module's
@@ -76,20 +77,11 @@ class TestBackendIdentity:
         assert text == reference
 
     @pytest.mark.parametrize("kernel", ["legacy", "flat"])
-    def test_thread_backend(self, kernel, monkeypatch, reference):
-        _, text = _scan_json(
-            kernel, monkeypatch, parallel=True, backend="thread", max_workers=2
-        )
-        assert text == reference
-
-    @pytest.mark.parametrize("kernel", ["legacy", "flat"])
     def test_process_backend(self, kernel, monkeypatch, reference):
         # Forked workers inherit os.environ, so the monkeypatched kernel
         # selection governs the pool too; under the flat kernel the
         # workers additionally attach the shared-memory snapshot.
-        _, text = _scan_json(
-            kernel, monkeypatch, parallel=True, backend="process", max_workers=2
-        )
+        _, text = _scan_json(kernel, monkeypatch, parallel=True, max_workers=2)
         assert text == reference
 
 
@@ -134,7 +126,7 @@ class TestSummaryModeIdentity:
     Summary mode replaces the whole-program solve with an escape
     pre-filter plus scoped sub-PAG solves, so its canonical output must
     match the reference along every axis the kernel identity is pinned
-    on: both kernels, every execution backend, and both cache
+    on: both kernels, serial and fanned-out scans, and both cache
     temperatures (process workers inherit the mode from the
     environment at fork time, exactly like the kernel choice)."""
 
@@ -146,26 +138,12 @@ class TestSummaryModeIdentity:
 
     @pytest.mark.parametrize("mode", ["on", "off"])
     @pytest.mark.parametrize("kernel", ["legacy", "flat"])
-    def test_thread_backend(self, kernel, mode, monkeypatch, reference):
-        _, text = _scan_json(
-            kernel,
-            monkeypatch,
-            summaries=mode,
-            parallel=True,
-            backend="thread",
-            max_workers=2,
-        )
-        assert text == reference
-
-    @pytest.mark.parametrize("mode", ["on", "off"])
-    @pytest.mark.parametrize("kernel", ["legacy", "flat"])
     def test_process_backend(self, kernel, mode, monkeypatch, reference):
         _, text = _scan_json(
             kernel,
             monkeypatch,
             summaries=mode,
             parallel=True,
-            backend="process",
             max_workers=2,
         )
         assert text == reference

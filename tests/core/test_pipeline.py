@@ -7,7 +7,6 @@ from repro.core.detector import LeakChecker
 from repro.core.pipeline import (
     AnalysisSession,
     PipelineStats,
-    check_regions_parallel,
     stats_from_report,
 )
 from repro.core.regions import LoopSpec, candidate_loops
@@ -223,20 +222,25 @@ class TestParallel:
         ]
 
     def test_parallel_helper_preserves_spec_order(self, figure1):
-        session = AnalysisSession(figure1)
-        specs = candidate_loops(figure1)
-        entries = check_regions_parallel(session, specs, max_workers=4)
-        assert [spec for spec, _ in entries] == specs
+        specs = list(reversed(candidate_loops(figure1)))
+        result = scan_all_loops(
+            figure1, specs=specs, parallel=True, max_workers=4
+        )
+        assert [spec for spec, _ in result.entries] == specs
 
     def test_empty_spec_list(self, figure1):
-        assert check_regions_parallel(AnalysisSession(figure1), []) == []
+        result = scan_all_loops(figure1, specs=[], parallel=True)
+        assert result.entries == []
 
-    def test_single_worker_falls_back_to_serial(self, figure1):
-        session = AnalysisSession(figure1)
-        entries = check_regions_parallel(
-            session, candidate_loops(figure1), max_workers=1
-        )
-        assert len(entries) == len(candidate_loops(figure1))
+    def test_single_worker_falls_back_to_serial(self, figure1, monkeypatch):
+        import repro.server.coordinator as coordinator
+
+        def no_fleet(*args, **kwargs):
+            raise AssertionError("one worker must not start a fleet")
+
+        monkeypatch.setattr(coordinator, "Coordinator", no_fleet)
+        result = scan_all_loops(figure1, parallel=True, max_workers=1)
+        assert len(result.entries) == len(candidate_loops(figure1))
 
 
 class TestFacade:

@@ -107,15 +107,16 @@ def test_parallel_scan_matches_serial_scan(name):
 
 @pytest.mark.parametrize("name", sorted(APPS))
 def test_parallel_region_check_matches_direct_check(name):
-    """Region checks routed through the parallel helper equal direct
+    """Region checks fanned out over worker processes equal direct
     session checks even for component regions (no labelled loops)."""
-    from repro.core.pipeline import check_regions_parallel
-
     app = APPS[name]
     direct = AnalysisSession(app.program, app.config).check(app.region)
-    session = AnalysisSession(app.program, app.config)
-    entries = check_regions_parallel(
-        session, [app.region, app.region], max_workers=2
+    result = scan_all_loops(
+        app.program,
+        session=AnalysisSession(app.program, app.config),
+        specs=[app.region, app.region],
+        parallel=True,
+        max_workers=2,
     )
-    for _spec, report in entries:
+    for _spec, report in result.entries:
         assert _report_key(report) == _report_key(direct)

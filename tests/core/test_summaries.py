@@ -236,14 +236,13 @@ class TestRegionCheckErrorContext:
         err = RegionCheckError(
             "Main.main:L1",
             "ValueError: boom",
-            backend="process",
-            choices=("thread", "process"),
+            backend="fleet",
             substrate=("rta", "flat"),
             summaries="on",
         )
         text = str(err)
         assert "Main.main:L1" in text
-        assert "backend=process" in text
+        assert "backend=fleet" in text
         assert "substrate=('rta', 'flat')" in text
         assert "summaries=on" in text
 
@@ -251,7 +250,7 @@ class TestRegionCheckErrorContext:
         import pickle
 
         err = RegionCheckError(
-            "r", "c", backend="thread", substrate=("k",), summaries="off"
+            "r", "c", backend="fleet", substrate=("k",), summaries="off"
         )
         clone = pickle.loads(pickle.dumps(err))
         assert clone.substrate == ("k",)

@@ -70,12 +70,12 @@ def test_catalog_scores_deterministic(source):
 def test_triage_identical_across_backends(source):
     program = parse_program(source)
     serial = scan_all_loops(program, auto_regions=True)
-    threaded = scan_all_loops(
+    fanned = scan_all_loops(
         parse_program(source), auto_regions=True, parallel=True, max_workers=2
     )
-    assert serial.to_json(canonical=True) == threaded.to_json(canonical=True)
+    assert serial.to_json(canonical=True) == fanned.to_json(canonical=True)
     assert [t.as_dict() for t in serial.triage()] == [
-        t.as_dict() for t in threaded.triage()
+        t.as_dict() for t in fanned.triage()
     ]
 
 
@@ -115,8 +115,8 @@ def test_triage_identical_across_hash_seeds():
 
 
 def test_triage_identical_across_process_backend():
-    """The process backend hydrates workers from a snapshot; its triage
-    must still match the serial scan byte for byte."""
+    """A fanned-out scan hydrates worker processes from a snapshot; its
+    triage must still match the serial scan byte for byte."""
     program = parse_program(FIGURE1_SOURCE)
     serial = scan_all_loops(program, auto_regions=True)
     process = scan_all_loops(
@@ -124,6 +124,5 @@ def test_triage_identical_across_process_backend():
         auto_regions=True,
         parallel=True,
         max_workers=2,
-        backend="process",
     )
     assert serial.to_json(canonical=True) == process.to_json(canonical=True)

@@ -1,6 +1,6 @@
-"""Differential testing of the scan backends on random programs.
+"""Differential testing of the scan execution paths on random programs.
 
-The persistent artifact cache and the parallel scan backends are pure
+The persistent artifact cache and the parallel (fleet) scan are pure
 plumbing: however the program-level artifacts reach a session — computed
 in place, hydrated from disk, or shipped to a worker process — the
 reports must be byte-identical (canonically: timings zeroed, volatile
@@ -72,16 +72,6 @@ def test_cached_scan_matches_serial(source):
     assert warm.cache_counters["artifact_cache_saves"] == 0
 
 
-@_SETTINGS
-@given(rich_loop_programs())
-def test_thread_parallel_scan_matches_serial(source):
-    _, serial = _canonical_scan(source)
-    _, threaded = _canonical_scan(
-        source, parallel=True, backend="thread", max_workers=2
-    )
-    assert threaded == serial
-
-
 @_PROCESS_SETTINGS
 @given(rich_loop_programs())
 def test_process_parallel_scan_matches_serial(source):
@@ -89,9 +79,7 @@ def test_process_parallel_scan_matches_serial(source):
     serialization the disk cache uses; the result must not depend on
     which process did the checking."""
     _, serial = _canonical_scan(source)
-    _, processed = _canonical_scan(
-        source, parallel=True, backend="process", max_workers=2
-    )
+    _, processed = _canonical_scan(source, parallel=True, max_workers=2)
     assert processed == serial
 
 

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core.config import DetectorConfig
-from repro.server import create_server
+from repro.server.app import create_server
 
 _LEAK = """
 entry Main.main;

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.server import create_server
+from repro.server.app import create_server
 from repro.server import schema
 from repro.server.worker import FAILPOINT_ENV, reset_worker_state
 

@@ -6,7 +6,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.client import AnalyzeClient, ClientError
-from repro.server import create_server
+from repro.server.app import create_server
 
 LEAK = """
 entry Main.main;

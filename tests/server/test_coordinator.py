@@ -287,3 +287,86 @@ class TestAdoptionFailures:
         assert stats["adoption_failures"] >= 1
         assert stats["adoptions"]["cold"] >= 1
         assert stats["adoptions"]["snapshot"] == 0
+
+
+class TestAdoptedSessions:
+    def test_worker_serves_more_programs_than_it_keeps(self):
+        """Regression: evicting a session adopted over shared memory
+        closed the segment while the session's masks still viewed it;
+        the BufferError failed every shard from the fifth program on."""
+        from repro.server.worker import MAX_ADOPTED
+
+        coordinator = Coordinator(1, transport="process")
+        try:
+            errors = []
+            for n in range(MAX_ADOPTED + 2):
+                distinct = parse_program(MULTI + "\nclass Extra%d { }" % n)
+                errors += [
+                    outcome
+                    for outcome in coordinator.scan_iter(distinct)
+                    if outcome.kind == "error"
+                ]
+            adoptions = coordinator.fleet_stats()["adoptions"]
+        finally:
+            coordinator.close()
+        assert [(o.region, o.cause) for o in errors] == []
+        assert adoptions["shm"] == MAX_ADOPTED + 2
+
+    def test_viewed_handle_closes_once_the_view_is_gone(self):
+        from multiprocessing import shared_memory
+
+        from repro.server.worker import AdoptedSessions
+
+        segment = shared_memory.SharedMemory(create=True, size=16)
+        try:
+            handle = shared_memory.SharedMemory(name=segment.name)
+            view = memoryview(handle.buf)[:4]  # what a mask table holds
+            sessions = AdoptedSessions(capacity=1)
+            sessions.put("a", object(), handle)
+            sessions.put("b", object())  # evicts "a" while it is viewed
+            view[0] = 7  # the segment is still mapped
+            assert segment.buf[0] == 7
+            del view
+            sessions.clear()
+            assert handle._mmap is None  # closed on the retry
+        finally:
+            segment.close()
+            segment.unlink()
+
+    def test_concurrent_use_keeps_capacity(self):
+        """A remote worker's connection threads share one instance:
+        concurrent put/get/clear must never raise nor overfill it."""
+        import sys
+        import threading
+
+        from repro.server.worker import AdoptedSessions
+
+        sessions = AdoptedSessions(capacity=2)
+        failures = []
+
+        def churn(offset):
+            try:
+                for n in range(3000):
+                    key = (offset + n) % 7
+                    sessions.put(key, object())
+                    sessions.get(key)
+                    if n % 97 == 0:
+                        sessions.clear()
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=churn, args=(i,)) for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(sessions._entries) <= sessions.capacity

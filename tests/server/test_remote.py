@@ -282,7 +282,7 @@ class TestBatchIntegration:
         return records
 
     def test_exhaustion_surfaces_as_error_record_stream_alive(self, tmp_path):
-        from repro.server import create_server
+        from repro.server.app import create_server
 
         worker = _worker(
             tmp_path, "a", fail_regions=["Main.main:L2"], fail_times=0
@@ -318,7 +318,7 @@ class TestBatchIntegration:
         assert records[-1]["errors"] == 1
 
     def test_metrics_export_remote_counters(self, tmp_path):
-        from repro.server import create_server
+        from repro.server.app import create_server
 
         worker = _worker(tmp_path, "a")
         transport = RemoteTransport(

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.server import create_server
+from repro.server.app import create_server
 from repro.server import schema
 
 LEAK = """

@@ -213,8 +213,6 @@ class TestScanAndRank:
                 "--json",
                 "--canonical",
                 "--parallel",
-                "--backend",
-                "process",
                 "--jobs",
                 "2",
             ]
@@ -524,13 +522,13 @@ class TestAutoRegions:
 
     def test_auto_regions_canonical_matches_backends(self, figure1_file, capsys):
         outputs = []
-        for extra in ([], ["--parallel"], ["--parallel", "--backend", "process"]):
+        for extra in ([], ["--parallel", "--jobs", "2"]):
             main(
                 ["scan", figure1_file, "--auto-regions", "--json", "--canonical"]
                 + extra
             )
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
 
 
 class TestRegionSuggestions:

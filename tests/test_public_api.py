@@ -100,3 +100,32 @@ def test_new_facade_exported_everywhere():
         module = importlib.import_module(name)
         assert "Analyzer" in module.__all__
         assert "analyze" in module.__all__
+
+
+def test_library_import_stays_light():
+    """Importing the scan library must not drag in the process-pool
+    machinery or the daemon; a fanned-out scan imports them on use."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    script = (
+        "import sys, repro.core.scan, repro.lang\n"
+        "heavy = ('multiprocessing', 'concurrent.futures', 'repro.server')\n"
+        "for name in sorted(sys.modules):\n"
+        "    if any(name == h or name.startswith(h + '.') for h in heavy):\n"
+        "        print(name)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=60,
+    )
+    assert proc.stdout.split() == []
