@@ -237,9 +237,7 @@ def run_remote(factor):
                         )
                         procs.append(proc)
                         addresses.append(address)
-                    coordinator = Coordinator(
-                        transport="remote", worker_hosts=addresses
-                    )
+                    coordinator = Coordinator(worker_hosts=addresses)
                     try:
                         fleet = coordinator.scan_program(program).to_json(
                             canonical=True

@@ -26,10 +26,6 @@ regions::
     report = analyzer.analyze("Main.main:L1")
     scan = analyzer.analyze(auto_regions=True)
 
-The historical entry points (``check_program``, ``analyze_loop``,
-``detect_leaks``, ``LoopSpec``) remain importable but are deprecated
-shims that forward to the surface above.
-
 Public surface:
 
 * :mod:`repro.lang` — frontend for the Java-like while language;
@@ -48,13 +44,9 @@ from repro.core import (
     Analyzer,
     DetectorConfig,
     LeakChecker,
-    LoopSpec,
     RegionSpec,
     analyze,
-    analyze_loop,
     candidate_loops,
-    check_program,
-    detect_leaks,
     inline_calls,
     resolve_region,
 )
@@ -69,14 +61,10 @@ __all__ = [
     "FixedSchedule",
     "Interpreter",
     "LeakChecker",
-    "LoopSpec",
     "RegionSpec",
     "analyze",
-    "analyze_loop",
     "analyze_trace",
     "candidate_loops",
-    "check_program",
-    "detect_leaks",
     "execute",
     "inline_calls",
     "parse_program",

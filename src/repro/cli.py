@@ -461,13 +461,6 @@ def _cmd_serve(args):
         worker_hosts = [
             "%s:%d" % pair for pair in parse_hosts(args.worker_hosts)
         ]
-    if args.fleet_transport == "remote" and not worker_hosts:
-        print(
-            "error: --fleet-transport remote needs --worker-hosts "
-            "(a comma-separated host:port per worker)",
-            file=sys.stderr,
-        )
-        return 2
     extra = {}
     if args.max_body is not None:
         extra["max_body"] = args.max_body
@@ -481,14 +474,13 @@ def _cmd_serve(args):
         cache=_cache_from(args),
         max_sessions=args.max_sessions,
         workers=args.workers,
-        transport=args.fleet_transport,
         worker_hosts=worker_hosts,
         **extra,
     )
     host, port = server.server_address[:2]
     fleet = (
         "hosts=%s" % ",".join(worker_hosts)
-        if args.fleet_transport == "remote"
+        if worker_hosts
         else "workers=%d" % args.workers
     )
     print(
@@ -844,22 +836,11 @@ def build_parser():
         "region scans (0 serves batches in-process)",
     )
     serve.add_argument(
-        "--fleet-transport",
-        "--transport",
-        dest="fleet_transport",
-        choices=("process", "inline", "remote"),
-        default="process",
-        help="how shard tasks reach fleet workers: 'process' forks a "
-        "local pool, 'inline' runs them in the daemon process (for "
-        "debugging), 'remote' dials the 'repro worker' endpoints "
-        "named by --worker-hosts",
-    )
-    serve.add_argument(
         "--worker-hosts",
         default=None,
         help="comma-separated host:port list of 'repro worker' "
-        "processes for --fleet-transport remote; the fleet sizes "
-        "itself to this list",
+        "processes to shard POST /analyze-batch over instead of local "
+        "workers; the fleet sizes itself to this list",
     )
     serve.add_argument(
         "--max-body",
@@ -873,7 +854,7 @@ def build_parser():
 
     worker = sub.add_parser(
         "worker",
-        help="run a fleet worker for 'serve --fleet-transport remote'",
+        help="run a fleet worker for 'serve --worker-hosts'",
         description="One multi-host fleet worker: listens for shard "
         "tasks over the versioned TCP wire protocol and executes them "
         "with the same code path as the local fleet, so results are "

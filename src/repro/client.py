@@ -7,14 +7,11 @@ service benchmarks, and the fleet benchmark all go through it, which
 means the protocol has exactly one client-side implementation to keep
 honest.
 
-The client defaults to wire version 1 (the enveloped dialect) and
-unwraps the envelope for you — :meth:`AnalyzeClient.analyze` returns
-the ``data`` object, not the transport framing.  Constructed with
-``api_version=0`` it speaks the deprecated dialect and returns the
-legacy top-level bodies verbatim, which is how the compatibility tests
-pin the old shapes.  Errors of either dialect raise
-:class:`ClientError` carrying the parsed machine-readable code,
-message, context, and (for 429) the server's ``Retry-After`` hint.
+The client unwraps the wire envelope for you —
+:meth:`AnalyzeClient.analyze` returns the ``data`` object, not the
+transport framing.  Error responses raise :class:`ClientError`
+carrying the parsed machine-readable code, message, context, and (for
+429) the server's ``Retry-After`` hint.
 
 ``POST /analyze-batch`` streams; :meth:`AnalyzeClient.analyze_batch`
 is accordingly a generator of decoded NDJSON records (``region``,
@@ -22,44 +19,22 @@ is accordingly a generator of decoded NDJSON records (``region``,
 """
 
 import json
-import os
 import urllib.error
 import urllib.request
 
 from repro.errors import ReproError
 from repro.server.schema import API_VERSION
 
-__all__ = ["AnalyzeClient", "ClientError", "default_api_version"]
-
-VERSION_ENV = "REPRO_API_VERSION"
-
-
-def default_api_version():
-    """The dialect a client speaks when none is requested explicitly.
-
-    ``REPRO_API_VERSION`` overrides the library default — this is how
-    the CI conformance matrix drives the same smoke flow through both
-    dialects without forking the harness.
-    """
-    raw = os.environ.get(VERSION_ENV)
-    if raw is None:
-        return API_VERSION
-    try:
-        return int(raw)
-    except ValueError:
-        raise ReproError(
-            "%s must be an integer api version (got %r)" % (VERSION_ENV, raw)
-        )
+__all__ = ["AnalyzeClient", "ClientError"]
 
 
 class ClientError(ReproError):
     """An HTTP error response, parsed into its wire-protocol parts.
 
-    ``status`` is the HTTP status code; ``code`` the machine-readable
-    error code (version-1 envelope) or legacy ``kind`` (version 0);
-    ``context`` the error's context object; ``retry_after`` the 429
-    back-off hint in seconds (``None`` otherwise); ``body`` the decoded
-    response body, whatever its dialect.
+    ``status`` is the HTTP status code; ``code`` the envelope's
+    machine-readable error code; ``context`` the error's context
+    object; ``retry_after`` the 429 back-off hint in seconds (``None``
+    otherwise); ``body`` the decoded response body, if it was JSON.
     """
 
     def __init__(self, status, message, code=None, context=None,
@@ -73,22 +48,18 @@ class ClientError(ReproError):
 
     @classmethod
     def from_http_error(cls, error):
-        """Parse a :class:`urllib.error.HTTPError` of either dialect."""
+        """Parse a :class:`urllib.error.HTTPError`."""
         raw = error.read()
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, ValueError):
             body = None
         message, code, context = raw.decode("utf-8", "replace"), None, {}
-        if isinstance(body, dict):
-            detail = body.get("error")
-            if isinstance(detail, dict):  # version >= 1 envelope
-                message = detail.get("message", message)
-                code = detail.get("code")
-                context = detail.get("context") or {}
-            elif isinstance(detail, str):  # version 0
-                message = detail
-                code = body.get("kind")
+        detail = body.get("error") if isinstance(body, dict) else None
+        if isinstance(detail, dict):
+            message = detail.get("message", message)
+            code = detail.get("code")
+            context = detail.get("context") or {}
         retry_after = _parse_retry_after(error.headers.get("Retry-After"))
         return cls(
             error.code,
@@ -123,24 +94,22 @@ def _parse_retry_after(raw):
 
 
 class AnalyzeClient:
-    """One analysis service, one wire dialect, typed entry points.
+    """One analysis service, typed entry points.
 
     ``base_url`` is the service root (``http://127.0.0.1:8427``); a
-    bare ``host:port`` or port number also works.  ``api_version``
-    selects the dialect for every call (1 by default;
-    ``REPRO_API_VERSION`` overrides when not passed explicitly).
+    bare ``host:port`` or port number also works.  Every request names
+    ``api_version`` 1, in the body and in the query string: a daemon
+    from before the single dialect answers its older shapes to requests
+    that omit it.
     """
 
-    def __init__(self, base_url, timeout=120, api_version=None):
-        if api_version is None:
-            api_version = default_api_version()
+    def __init__(self, base_url, timeout=120):
         if isinstance(base_url, int):
             base_url = "http://127.0.0.1:%d" % base_url
         if "://" not in base_url:
             base_url = "http://" + base_url
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self.api_version = api_version
 
     # -- endpoints -----------------------------------------------------------
 
@@ -148,8 +117,7 @@ class AnalyzeClient:
         """``POST /analyze``: the scan data for one program.
 
         Returns the data object — ``{"warm", "degraded",
-        "program_digest", "scan"}`` — regardless of dialect (version 0
-        responses inline the same fields, returned verbatim).
+        "program_digest", "scan"}``.
         """
         payload = {"program": program}
         if region is not None:
@@ -158,7 +126,7 @@ class AnalyzeClient:
             payload["deadline_ms"] = deadline_ms
         if javalib:
             payload["javalib"] = True
-        return self._unwrap(self._post_json("/analyze", payload))
+        return self._open_json(self._post("/analyze", payload))["data"]
 
     def diff(self, before, after, deadline_ms=None, javalib=False):
         """``POST /diff``: the finding-level delta of two programs."""
@@ -167,7 +135,7 @@ class AnalyzeClient:
             payload["deadline_ms"] = deadline_ms
         if javalib:
             payload["javalib"] = True
-        return self._unwrap(self._post_json("/diff", payload))
+        return self._open_json(self._post("/diff", payload))["data"]
 
     def analyze_batch(
         self,
@@ -187,18 +155,12 @@ class AnalyzeClient:
             {"program": entry} if isinstance(entry, str) else dict(entry)
             for entry in programs
         ]
-        payload = {"programs": entries, "api_version": self.api_version}
+        payload = {"programs": entries}
         if deadline_ms is not None:
             payload["deadline_ms"] = deadline_ms
         if include_reports:
             payload["include_reports"] = True
-        request = urllib.request.Request(
-            "%s/analyze-batch?api_version=%d"
-            % (self.base_url, self.api_version),
-            data=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
+        request = self._post("/analyze-batch", payload)
         try:
             response = urllib.request.urlopen(request, timeout=self.timeout)
         except urllib.error.HTTPError as error:
@@ -211,44 +173,31 @@ class AnalyzeClient:
 
     def healthz(self):
         """``GET /healthz``: liveness + occupancy data."""
-        return self._unwrap(self._get_json("/healthz"))
+        return self._get_json("/healthz")["data"]
 
     def metrics(self, prometheus=False):
         """``GET /metrics``: the JSON snapshot, or the Prometheus text
         exposition with ``prometheus=True``."""
         if prometheus:
             return self._get_text("/metrics?format=prometheus")
-        body = self._get_json("/metrics")
-        if self.api_version >= 1:
-            return body["data"]
-        return body  # version 0 /metrics was never enveloped
+        return self._get_json("/metrics")["data"]
 
     # -- plumbing ------------------------------------------------------------
 
-    def _unwrap(self, body):
-        if self.api_version >= 1:
-            return body["data"]
-        return body
-
-    def _post_json(self, path, payload):
-        payload = dict(payload)
-        payload["api_version"] = self.api_version
-        request = urllib.request.Request(
-            # The version rides in the query string too: errors raised
-            # before the body is read (413, bad Content-Length) still
-            # answer in the dialect this client speaks.
-            "%s%s?api_version=%d" % (self.base_url, path, self.api_version),
+    def _post(self, path, payload):
+        payload = dict(payload, api_version=API_VERSION)
+        return urllib.request.Request(
+            # The version rides in the query string too, so an older
+            # daemon answers even its pre-body errors (413, bad
+            # Content-Length) in the envelope.
+            "%s%s?api_version=%d" % (self.base_url, path, API_VERSION),
             data=json.dumps(payload).encode("utf-8"),
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        return self._open_json(request)
 
     def _get_json(self, path):
-        separator = "&" if "?" in path else "?"
-        url = "%s%s%sapi_version=%d" % (
-            self.base_url, path, separator, self.api_version
-        )
+        url = "%s%s?api_version=%d" % (self.base_url, path, API_VERSION)
         return self._open_json(urllib.request.Request(url))
 
     def _get_text(self, path):
@@ -270,7 +219,4 @@ class AnalyzeClient:
             raise ClientError.from_http_error(error)
 
     def __repr__(self):
-        return "AnalyzeClient(%r, api_version=%d)" % (
-            self.base_url,
-            self.api_version,
-        )
+        return "AnalyzeClient(%r)" % self.base_url

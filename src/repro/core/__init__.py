@@ -1,13 +1,7 @@
 """LeakChecker core: ERA abstraction, type and effect system, flow
 relations, and the interprocedural leak detector."""
 
-from repro.core.api import (
-    Analyzer,
-    analyze,
-    analyze_loop,
-    check_program,
-    detect_leaks,
-)
+from repro.core.api import Analyzer, analyze
 from repro.core.detector import DetectorConfig, LeakChecker
 from repro.core.effects import (
     AcquireEffect,
@@ -44,7 +38,6 @@ from repro.core.inline import inline_calls
 from repro.core.pivot import apply_pivot
 from repro.core.ranking import RankedLoop, rank_loops, structural_scores
 from repro.core.regions import (
-    LoopSpec,
     Region,
     RegionSpec,
     candidate_loops,
@@ -83,7 +76,6 @@ __all__ = [
     "LeakReport",
     "LeakVerdict",
     "LoadEffect",
-    "LoopSpec",
     "PipelineStats",
     "RESOURCE_LEAK",
     "R_HELD",
@@ -102,13 +94,10 @@ __all__ = [
     "TypeEffectResult",
     "ZERO",
     "analyze",
-    "analyze_loop",
     "apply_pivot",
     "bump_era",
     "candidate_loops",
     "check_component",
-    "check_program",
-    "detect_leaks",
     "diff_reports",
     "flows_in_pairs",
     "flows_out_pairs",

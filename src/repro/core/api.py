@@ -1,9 +1,6 @@
 """The public analysis facade: one class, one function.
 
-Historically the package grew three overlapping entry points —
-``check_program`` (program + region → report), ``analyze_loop`` (method
-+ loop label → raw type/effect result) and ``detect_leaks`` (raw result
-→ verdicts).  :class:`Analyzer` and :func:`analyze` subsume all three:
+:class:`Analyzer` and :func:`analyze` are the whole end-to-end surface:
 
 * ``analyze(program, "Main.main:L1")`` checks one region and returns a
   :class:`~repro.core.report.LeakReport`;
@@ -17,28 +14,17 @@ Regions are addressed by the canonical string form
 method as an artificial loop — see :meth:`RegionSpec.parse`) or by a
 ready-made :class:`~repro.core.regions.RegionSpec`.
 
-The old names remain importable from :mod:`repro` and
-:mod:`repro.core` as thin shims that emit :class:`DeprecationWarning`
-and forward; the underlying low-level phases keep their non-deprecated
-homes (:func:`repro.core.typestate.analyze_loop`,
-:func:`repro.core.flows.detect_leaks`) for callers that really want the
-raw type/effect machinery.
+Callers that want the raw intraprocedural type/effect machinery use
+the low-level phases directly: :func:`repro.core.typestate.analyze_loop`
+and :func:`repro.core.flows.detect_leaks`.
 """
 
-import warnings
-
 from repro.core.pipeline.session import AnalysisSession
-from repro.core.regions import Region, RegionSpec, resolve_region
+from repro.core.regions import Region, resolve_region
 from repro.core.scan import scan_all_loops
 from repro.pta.queries import Deadline
 
-__all__ = [
-    "Analyzer",
-    "analyze",
-    "analyze_loop",
-    "check_program",
-    "detect_leaks",
-]
+__all__ = ["Analyzer", "analyze"]
 
 
 class Analyzer:
@@ -137,52 +123,3 @@ def analyze(program, region=None, *, config=None, cache=None, deadline_ms=None):
         region, deadline_ms=deadline_ms
     )
 
-
-def _deprecated(old, new):
-    warnings.warn(
-        "%s is deprecated; use %s" % (old, new),
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def check_program(program, region, config=None):
-    """Deprecated: use :func:`analyze`."""
-    _deprecated("repro.check_program()", "repro.analyze(program, region)")
-    from repro.core.detector import check_program as _impl
-
-    return _impl(program, region, config)
-
-
-def analyze_loop(
-    method, loop_label, initial_state=None, max_iterations=100, strong_updates=False
-):
-    """Deprecated: use :func:`analyze` for end-to-end detection, or
-    :func:`repro.core.typestate.analyze_loop` for the raw type/effect
-    phase."""
-    _deprecated(
-        "repro.analyze_loop()",
-        "repro.analyze(program, region) or repro.core.typestate.analyze_loop",
-    )
-    from repro.core.typestate import analyze_loop as _impl
-
-    return _impl(
-        method,
-        loop_label,
-        initial_state=initial_state,
-        max_iterations=max_iterations,
-        strong_updates=strong_updates,
-    )
-
-
-def detect_leaks(result):
-    """Deprecated: use :func:`analyze` for end-to-end detection, or
-    :func:`repro.core.flows.detect_leaks` for raw Definition-3
-    matching."""
-    _deprecated(
-        "repro.detect_leaks()",
-        "repro.analyze(program, region) or repro.core.flows.detect_leaks",
-    )
-    from repro.core.flows import detect_leaks as _impl
-
-    return _impl(result)

@@ -33,7 +33,7 @@ per-stage timings and counters through ``LeakReport.stats``.
 from repro.core.config import DetectorConfig
 from repro.core.pipeline.session import AnalysisSession
 
-__all__ = ["DetectorConfig", "LeakChecker", "check_program"]
+__all__ = ["DetectorConfig", "LeakChecker"]
 
 
 class LeakChecker:
@@ -67,7 +67,3 @@ class LeakChecker:
         """
         return self.session.flow_relations(region)
 
-
-def check_program(program, region, config=None):
-    """One-call convenience: build a detector and check ``region``."""
-    return LeakChecker(program, config=config).check(region)

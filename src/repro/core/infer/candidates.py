@@ -4,14 +4,15 @@
 (:mod:`~repro.core.infer.classify`) into a scored catalog of checkable
 regions:
 
-* every labelled loop becomes a :class:`~repro.core.regions.LoopSpec`
-  candidate (so the catalog is always a superset of any hand-labelled
-  region a user could name);
-* component entry methods become :class:`~repro.core.regions.RegionSpec`
-  candidates — allocation-bearing, non-library methods that are either
-  invoked directly from the program entry (the "driver calls the
-  component once" shape of the paper's Eclipse case studies) or never
-  called at all (an entry the harness would drive).
+* every labelled loop becomes a loop
+  :class:`~repro.core.regions.RegionSpec` candidate (so the catalog is
+  always a superset of any hand-labelled region a user could name);
+* component entry methods become whole-method
+  :class:`~repro.core.regions.RegionSpec` candidates —
+  allocation-bearing, non-library methods that are either invoked
+  directly from the program entry (the "driver calls the component
+  once" shape of the paper's Eclipse case studies) or never called at
+  all (an entry the harness would drive).
 
 Scores are deterministic weighted sums of the classification features,
 so rankings are identical across runs, hash seeds, and scan backends.

@@ -13,12 +13,8 @@ every CLI ``--region`` flag and API entry point alike:
   loop is invisible (e.g. an Eclipse plugin's ``runCompare`` entry
   method).
 
-Both forms resolve to one class, :class:`RegionSpec`; the historical
-:class:`LoopSpec` remains as a deprecated alias that forwards to
-``RegionSpec(method_sig, loop_label)``.
+Both forms resolve to one class, :class:`RegionSpec`.
 """
-
-import warnings
 
 from repro.errors import ResolutionError
 from repro.ir.stmts import InvokeStmt, NewStmt, walk
@@ -141,24 +137,6 @@ class RegionSpec(Region):
         if self.is_loop:
             return "RegionSpec(%s, %s)" % (self.method_sig, self.loop_label)
         return "RegionSpec(%s)" % self.method_sig
-
-
-class LoopSpec(RegionSpec):
-    """Deprecated alias of :class:`RegionSpec` for labelled loops.
-
-    ``LoopSpec("Main.main", "L1")`` forwards to
-    ``RegionSpec("Main.main", "L1")``; new code should construct a
-    :class:`RegionSpec` or call ``RegionSpec.parse("Main.main:L1")``.
-    """
-
-    def __init__(self, method_sig, loop_label):
-        warnings.warn(
-            "LoopSpec is deprecated; use RegionSpec(method_sig, loop_label)"
-            " or RegionSpec.parse('Class.method:LABEL')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(method_sig, loop_label)
 
 
 def resolve_region(program, spec_text):

@@ -271,8 +271,8 @@ class IfStmt(Stmt):
 class LoopStmt(Stmt):
     """``while (cond) do body`` with a user-visible label.
 
-    Labels let users name the loop to check (``LoopSpec``), the central
-    input of LeakChecker.
+    Labels let users name the loop to check (a ``RegionSpec`` such as
+    ``"Main.main:L1"``), the central input of LeakChecker.
     """
 
     __slots__ = ("label", "cond", "body")

@@ -4,7 +4,6 @@ CFL-reachability with budgets, and calling-context (call string) support."""
 from repro.pta.andersen import AndersenResult, analyze, solve
 from repro.pta.cfl import CFLPointsTo
 from repro.pta.context import EMPTY, CallString, CtxSite
-from repro.pta.escape import EscapeResult, analyze_escape
 from repro.pta.pag import ENTER, EXIT, PAG, RETURN_VAR, VarNode
 from repro.pta.queries import PointsTo, build_points_to
 
@@ -16,13 +15,11 @@ __all__ = [
     "EMPTY",
     "ENTER",
     "EXIT",
-    "EscapeResult",
     "PAG",
     "PointsTo",
     "RETURN_VAR",
     "VarNode",
     "analyze",
-    "analyze_escape",
     "build_points_to",
     "solve",
 ]

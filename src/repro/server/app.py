@@ -34,11 +34,9 @@ Endpoints (see ``docs/api.md`` for the full wire reference and
   per-worker utilization, adoption mix, and queue depth.  JSON by
   default, Prometheus text with ``?format=prometheus``.
 
-Responses are versioned (:mod:`repro.server.schema`): ``api_version``
-in a POST body or as a query parameter selects the dialect — 1 is the
-uniform envelope, 0 the deprecated pre-envelope shapes (still the
-default on the endpoints that predate versioning, served with a
-``Deprecation`` header).
+Every JSON response is the wire-version-1 envelope of
+:mod:`repro.server.schema`.  A request may name ``api_version`` in a
+POST body or as a query parameter; any value other than 1 is a ``400``.
 
 Status codes: ``400`` malformed request, ``404`` unknown path, ``405``
 wrong method (with ``Allow``), ``413`` oversized body, ``422`` the
@@ -83,17 +81,9 @@ DEFAULT_MAX_BODY = 8 * 1024 * 1024
 #: well-behaved clients that already sent it get the response parsed.
 _DRAIN_LIMIT = 1024 * 1024
 
-#: Endpoint -> wire version assumed when the request names none.
-#: ``/analyze-batch`` postdates the envelope and never had a version-0
-#: shape; everything else defaults to the deprecated dialect until
-#: clients migrate.
-_DEFAULT_VERSIONS = {
-    "analyze": 0,
-    "diff": 0,
-    "healthz": 0,
-    "metrics": 0,
-    "batch": 1,
-}
+#: Most header lines a request may carry, as in :mod:`http.client`;
+#: one more is answered ``400`` before any of them is kept.
+MAX_HEADERS = 100
 
 _ROUTES = {
     ("GET", "/healthz"): "healthz",
@@ -125,11 +115,11 @@ class _Response:
 
     __slots__ = ("status", "body", "content_type", "headers")
 
-    def __init__(self, status, body, content_type, headers=None):
+    def __init__(self, status, body, content_type):
         self.status = status
         self.body = body
         self.content_type = content_type
-        self.headers = dict(headers or {})
+        self.headers = {}
 
 
 class AnalysisServer:
@@ -172,7 +162,7 @@ class AnalysisServer:
             from repro.server.coordinator import Coordinator
 
             self.coordinator = Coordinator(
-                workers or len(worker_hosts or ()),
+                workers,
                 config=self.pool.config,
                 cache=cache,
                 transport=transport,
@@ -296,29 +286,24 @@ class AnalysisServer:
         if not request_line:
             return
         parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            await self._send(
-                writer,
-                _Response(400, b'{"ok": false}', "application/json"),
-            )
+        try:
+            if len(parts) < 2:
+                raise BadRequest("malformed request line")
+            headers = await _read_headers(reader)
+        except BadRequest as exc:
+            self.metrics.count("requests_total")
+            self.metrics.count("client_errors")
+            await self._send(writer, self._error_response(400, str(exc)))
             return
         method, target = parts[0], parts[1]
-        headers = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
         parsed = urlparse(target)
         path, query = parsed.path, parse_qs(parsed.query)
 
         endpoint = _ROUTES.get((method, path))
         if endpoint is None:
-            await self._send(writer, self._route_error(method, path, query))
+            await self._send(writer, self._route_error(method, path))
             return
         self._count(endpoint)
-        version = _DEFAULT_VERSIONS[endpoint]
 
         raw_body = b""
         if method == "POST":
@@ -327,21 +312,11 @@ class AnalysisServer:
             except PayloadTooLarge as exc:
                 self.metrics.count("payload_too_large")
                 self.metrics.count("client_errors")
-                await self._send(
-                    writer,
-                    self._error_response(
-                        self._query_version(query, version), 413, str(exc)
-                    ),
-                )
+                await self._send(writer, self._error_response(413, str(exc)))
                 return
             except BadRequest as exc:
                 self.metrics.count("client_errors")
-                await self._send(
-                    writer,
-                    self._error_response(
-                        self._query_version(query, version), 400, str(exc)
-                    ),
-                )
+                await self._send(writer, self._error_response(400, str(exc)))
                 return
 
         if endpoint == "batch":
@@ -389,70 +364,51 @@ class AnalysisServer:
         except asyncio.IncompleteReadError:
             raise BadRequest("request body shorter than Content-Length")
 
-    def _route_error(self, method, path, query):
+    def _route_error(self, method, path):
         self.metrics.count("requests_total")
         self.metrics.count("client_errors")
         allowed = _PATH_METHODS.get(path)
-        version = self._query_version(query, 0)
         if allowed is not None and allowed != method:
-            response = self._error_response(
-                version, 405, "method not allowed"
-            )
+            response = self._error_response(405, "method not allowed")
             response.headers["Allow"] = allowed
             return response
-        return self._error_response(version, 404, "unknown path")
-
-    @staticmethod
-    def _query_version(query, default):
-        """Best-effort version for errors raised before the body could
-        be read: the query parameter or the endpoint default."""
-        try:
-            return schema.requested_version(None, query, default=default)
-        except schema.SchemaError:
-            return default
+        return self._error_response(404, "unknown path")
 
     # -- plain endpoints (run on the executor) -------------------------------
 
     def _respond_plain(self, endpoint, raw_body, query, headers):
         started = time.perf_counter()
         timed = endpoint if endpoint in ("analyze", "diff") else None
-        version = _DEFAULT_VERSIONS[endpoint]
         try:
             payload = _decode_json(raw_body) if raw_body else None
-            version = schema.requested_version(
-                payload, query, default=_DEFAULT_VERSIONS[endpoint]
-            )
+            schema.requested_version(payload, query)
             if endpoint == "metrics":
-                response = self._metrics_endpoint(version, query, headers)
+                response = self._metrics_endpoint(query, headers)
             elif endpoint == "healthz":
-                response = self._healthz_endpoint(version)
+                response = self._healthz_endpoint()
             elif endpoint == "analyze":
-                response = self._analyze_endpoint(version, payload)
+                response = self._analyze_endpoint(payload)
             else:
-                response = self._diff_endpoint(version, payload)
+                response = self._diff_endpoint(payload)
             self.metrics.count("responses_ok")
         except QueueFull as exc:
             self.metrics.count("queue_rejections")
-            retry_after = self._retry_after(exc.depth)
-            response = self._error_response(
-                version, 429, str(exc), {"retry_after": retry_after}
-            )
-            response.headers["Retry-After"] = str(retry_after)
+            response = self._queue_full_response(exc)
         except (BadRequest, schema.SchemaError) as exc:
             self.metrics.count("client_errors")
-            response = self._error_response(version, 400, str(exc))
+            response = self._error_response(400, str(exc))
         except ReproError as exc:
             self.metrics.count("client_errors")
             self.metrics.count("analysis_errors")
-            response = self._error_response(version, 422, str(exc))
+            response = self._error_response(422, str(exc))
         except Exception as exc:  # noqa: BLE001 - last-resort boundary
             self.metrics.count("server_errors")
-            response = self._error_response(version, 500, str(exc))
+            response = self._error_response(500, str(exc))
         if timed is not None:
             self.metrics.observe_latency(timed, time.perf_counter() - started)
         return response
 
-    def _analyze_endpoint(self, version, payload):
+    def _analyze_endpoint(self, payload):
         if payload is None:
             raise BadRequest("request body required")
         program = _parse_program(payload)
@@ -473,9 +429,9 @@ class AnalysisServer:
             "program_digest": info["program_digest"],
             "scan": result.as_dict(),
         }
-        return self._success_response("analyze", version, data)
+        return self._success_response("analyze", data)
 
-    def _diff_endpoint(self, version, payload):
+    def _diff_endpoint(self, payload):
         if payload is None:
             raise BadRequest("request body required")
         before = _parse_program(payload, key="before")
@@ -507,9 +463,9 @@ class AnalysisServer:
                 "warm": after_info["warm"],
             },
         }
-        return self._success_response("diff", version, data)
+        return self._success_response("diff", data)
 
-    def _healthz_endpoint(self, version):
+    def _healthz_endpoint(self):
         inflight, queued = self.admission.occupancy()
         data = {
             "status": "ok",
@@ -520,9 +476,9 @@ class AnalysisServer:
         if self.coordinator is not None:
             data["pool"] = dict(data["pool"])
             data["pool"]["fleet_workers"] = self.coordinator.transport.workers
-        return self._success_response("healthz", version, data)
+        return self._success_response("healthz", data)
 
-    def _metrics_endpoint(self, version, query, headers):
+    def _metrics_endpoint(self, query, headers):
         wants_text = query.get("format", [""])[0] == "prometheus" or (
             "text/plain" in headers.get("accept", "")
         )
@@ -533,7 +489,7 @@ class AnalysisServer:
             ).encode("utf-8")
             return _Response(200, body, "text/plain; version=0.0.4")
         data = self.metrics.as_dict(self.gauges(), fleet=fleet)
-        return self._success_response("metrics", version, data)
+        return self._success_response("metrics", data)
 
     # -- the batch endpoint --------------------------------------------------
 
@@ -576,12 +532,9 @@ class AnalysisServer:
     def _run_batch(self, raw_body, query, emit):
         """The blocking half of ``/analyze-batch`` (executor thread)."""
         started = time.perf_counter()
-        version = _DEFAULT_VERSIONS["batch"]
         try:
             payload = _decode_json(raw_body) if raw_body else None
-            version = schema.requested_version(
-                payload, query, default=_DEFAULT_VERSIONS["batch"]
-            )
+            schema.requested_version(payload, query)
             entries = _batch_entries(payload)
             deadline_ms = self.effective_deadline_ms(
                 _optional_int(payload, "deadline_ms")
@@ -589,7 +542,7 @@ class AnalysisServer:
             include_reports = bool(payload.get("include_reports"))
         except (BadRequest, schema.SchemaError) as exc:
             self.metrics.count("client_errors")
-            emit("response", self._error_response(version, 400, str(exc)))
+            emit("response", self._error_response(400, str(exc)))
             return
         try:
             with self.admission.slot():
@@ -599,12 +552,7 @@ class AnalysisServer:
                 )
         except QueueFull as exc:
             self.metrics.count("queue_rejections")
-            retry_after = self._retry_after(exc.depth)
-            response = self._error_response(
-                version, 429, str(exc), {"retry_after": retry_after}
-            )
-            response.headers["Retry-After"] = str(retry_after)
-            emit("response", response)
+            emit("response", self._queue_full_response(exc))
             return
         except Exception as exc:  # noqa: BLE001 - emit, never hang the stream
             emit(
@@ -783,26 +731,23 @@ class AnalysisServer:
 
     # -- response construction -----------------------------------------------
 
-    def _success_response(self, endpoint, version, data):
-        body = schema.success_body(endpoint, version, data)
-        schema.validate_response(endpoint, version, body)
-        return _Response(
-            200,
-            json.dumps(body, sort_keys=True).encode("utf-8"),
-            "application/json",
-            schema.deprecation_headers(version),
-        )
+    def _success_response(self, endpoint, data):
+        body = schema.validate_response(endpoint, schema.success_body(data))
+        return _json_response(200, body)
 
-    def _error_response(self, version, status, message, context=None):
-        body = schema.error_body(version, status, message, context)
-        schema.validate_error(version, body)
-        headers = schema.deprecation_headers(version)
-        return _Response(
-            status,
-            json.dumps(body, sort_keys=True).encode("utf-8"),
-            "application/json",
-            headers,
+    def _error_response(self, status, message, context=None):
+        body = schema.validate_error(schema.error_body(status, message, context))
+        return _json_response(status, body)
+
+    def _queue_full_response(self, exc):
+        """The 429 for a full queue; its ``Retry-After`` header is
+        mirrored into the body's context."""
+        retry_after = self._retry_after(exc.depth)
+        response = self._error_response(
+            429, str(exc), {"retry_after": retry_after}
         )
+        response.headers["Retry-After"] = str(retry_after)
+        return response
 
     async def _send(self, writer, response):
         phrase = HTTPStatus(response.status).phrase
@@ -818,7 +763,28 @@ class AnalysisServer:
         await writer.drain()
 
 
-# -- request decoding (shared by every POST endpoint) -----------------------
+def _json_response(status, body):
+    return _Response(
+        status,
+        json.dumps(body, sort_keys=True).encode("utf-8"),
+        "application/json",
+    )
+
+
+# -- request decoding --------------------------------------------------------
+
+
+async def _read_headers(reader):
+    """The request's headers up to the blank line, names lowercased;
+    more than :data:`MAX_HEADERS` lines is a :class:`BadRequest`."""
+    headers = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raise BadRequest("more than %d header lines" % MAX_HEADERS)
 
 
 def _decode_json(raw):
@@ -899,9 +865,11 @@ def create_server(
     from ``server.server_address[1]``.  ``workers=N`` attaches an
     N-worker fleet coordinator, the sharded engine behind
     ``POST /analyze-batch``; ``workers=0`` (default) serves batches
-    through the in-process session pool.  ``worker_hosts`` (with
-    ``transport="remote"``) names the ``repro worker`` endpoints of a
-    multi-host fleet; the coordinator sizes itself to that list.
+    through the in-process session pool.  ``worker_hosts`` names the
+    ``repro worker`` endpoints of a multi-host fleet: given any, the
+    fleet is remote and sizes itself to that list.  ``transport`` picks
+    a local fleet's kind (``"process"`` or ``"inline"``) or passes a
+    ready :class:`~repro.server.transport.Transport`.
     """
     return AnalysisServer(
         (host, port),

@@ -125,7 +125,7 @@ class Coordinator:
     ):
         from repro.core.config import DetectorConfig
 
-        if transport == "remote" and worker_hosts:
+        if worker_hosts:
             # Remote fleets are sized by their host list, not --workers.
             workers = len(worker_hosts)
         validate_workers(workers, flag="--workers")

@@ -1,4 +1,4 @@
-"""The remote fleet transport: shard tasks over a TCP wire protocol.
+"""The remote transport: shard tasks to other hosts over a TCP wire protocol.
 
 This is the multi-host half of the transport seam
 (:mod:`repro.server.transport`): a :class:`RemoteTransport` connects to

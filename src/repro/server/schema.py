@@ -8,26 +8,19 @@ what actually came over the wire with the same functions.  A shape
 drift therefore fails loudly on both sides instead of silently
 breaking clients.
 
-Versioning
-----------
+The envelope
+------------
 
-``api_version`` is requested per call — a field in a POST body, a
-query parameter on GETs — and selects the response dialect:
+Every response is wire version 1, a uniform envelope.  Success is
+``{"api_version": 1, "ok": true, "data": {...}}``; every error — 400,
+404, 405, 413, 422, 429, 500 — is ``{"api_version": 1, "ok": false,
+"error": {"code", "message", "context"}}`` with ``code`` from
+:data:`ERROR_CODES`.  A 429's ``Retry-After`` header is mirrored into
+``error.context.retry_after``.
 
-* **version 1** (current): a uniform envelope.  Success is
-  ``{"api_version": 1, "ok": true, "data": {...}}``; every error —
-  400, 404, 405, 413, 422, 429, 500 — is ``{"api_version": 1, "ok":
-  false, "error": {"code", "message", "context"}}`` with ``code`` from
-  :data:`ERROR_CODES`.  A 429's ``Retry-After`` header is mirrored
-  into ``error.context.retry_after``.
-* **version 0** (deprecated): the pre-envelope bodies — ad-hoc
-  success fields at the top level, errors as ``{"ok": false, "error":
-  "<message>", "kind": "<legacy kind>"}``.  Every version-0 response
-  carries a ``Deprecation`` header (:func:`deprecation_headers`).
-
-Omitting ``api_version`` means 0 on the endpoints that predate the
-envelope (``/analyze``, ``/diff``, ``/healthz``, ``/metrics``) and 1
-on ``/analyze-batch``, which never had a version-0 shape.
+A request may name ``api_version`` (a field in a POST body, a query
+parameter on GETs); it is optional, and any value other than 1 is a
+400 (:func:`requested_version`).
 
 The NDJSON records of ``POST /analyze-batch`` (``region``, ``error``,
 ``summary``) are schema'd here too — :func:`validate_record`.
@@ -37,10 +30,7 @@ __all__ = [
     "API_VERSION",
     "BATCH_RECORDS",
     "ERROR_CODES",
-    "LEGACY_ERROR_KINDS",
-    "SUPPORTED_VERSIONS",
     "SchemaError",
-    "deprecation_headers",
     "error_body",
     "requested_version",
     "success_body",
@@ -50,32 +40,16 @@ __all__ = [
     "validate_response",
 ]
 
-#: The current wire version — what new clients should request and what
-#: :class:`repro.client.AnalyzeClient` speaks by default.
+#: The one wire version the server speaks.
 API_VERSION = 1
 
-#: Versions the server still answers.  0 is deprecated (responses say
-#: so in a ``Deprecation`` header) but not yet removed.
-SUPPORTED_VERSIONS = (0, 1)
-
-#: HTTP status -> stable machine-readable error code (version >= 1).
+#: HTTP status -> stable machine-readable error code.
 ERROR_CODES = {
     400: "bad_request",
     404: "not_found",
     405: "method_not_allowed",
     413: "payload_too_large",
     422: "analysis_error",
-    429: "queue_full",
-    500: "internal",
-}
-
-#: HTTP status -> the historical ``kind`` field (version 0 responses).
-LEGACY_ERROR_KINDS = {
-    400: "bad_request",
-    404: "not_found",
-    405: "method",
-    413: "too_large",
-    422: "analysis",
     429: "queue_full",
     500: "internal",
 }
@@ -171,30 +145,15 @@ _ERROR_OBJECT = {
     "additionalProperties": False,
 }
 
-ERROR_SCHEMAS = {
-    0: {
-        "type": "object",
-        "required": ["ok", "error", "kind"],
-        "properties": {
-            "ok": {"const": False},
-            "error": {"type": "string"},
-            "kind": {
-                "type": "string",
-                "enum": sorted(set(LEGACY_ERROR_KINDS.values())),
-            },
-            "retry_after": {"type": "integer"},
-        },
+ERROR_SCHEMA = {
+    "type": "object",
+    "required": ["api_version", "ok", "error"],
+    "properties": {
+        "api_version": {"const": API_VERSION},
+        "ok": {"const": False},
+        "error": _ERROR_OBJECT,
     },
-    1: {
-        "type": "object",
-        "required": ["api_version", "ok", "error"],
-        "properties": {
-            "api_version": {"const": 1},
-            "ok": {"const": False},
-            "error": _ERROR_OBJECT,
-        },
-        "additionalProperties": False,
-    },
+    "additionalProperties": False,
 }
 
 _DIGEST = {"type": "string"}
@@ -204,8 +163,7 @@ _SIDE = {
     "properties": {"program_digest": _DIGEST, "warm": {"type": "boolean"}},
 }
 
-#: endpoint -> schema of the *success data* (version-1 ``data`` field;
-#: version 0 inlines the same fields at the top level).
+#: endpoint -> schema of the success envelope's ``data`` field.
 DATA_SCHEMAS = {
     "analyze": {
         "type": "object",
@@ -315,13 +273,13 @@ RECORD_SCHEMAS = {
 # ---------------------------------------------------------------------------
 
 
-def requested_version(payload=None, query=None, default=0):
-    """The wire version a request asked for.
+def requested_version(payload=None, query=None):
+    """Reject a request that names a wire version other than 1.
 
     ``payload`` is the decoded POST body (or ``None``); ``query`` a
-    ``parse_qs`` dict.  A body field wins over a query parameter.
-    Raises :class:`SchemaError` for versions outside
-    :data:`SUPPORTED_VERSIONS` or non-integer values.
+    ``parse_qs`` dict.  A body field wins over a query parameter, and
+    naming no version at all is fine.  Raises :class:`SchemaError` for
+    non-integer values and for any version but :data:`API_VERSION`.
     """
     value = None
     if isinstance(payload, dict) and "api_version" in payload:
@@ -333,67 +291,30 @@ def requested_version(payload=None, query=None, default=0):
         except ValueError:
             raise SchemaError("api_version must be an integer, got %r" % raw)
     if value is None:
-        return default
+        return
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError("api_version must be an integer, got %r" % value)
-    if value not in SUPPORTED_VERSIONS:
+    if value != API_VERSION:
         raise SchemaError(
-            "unsupported api_version %d (supported: %s)"
-            % (value, ", ".join(str(v) for v in SUPPORTED_VERSIONS))
+            "unsupported api_version %d (supported: %d)" % (value, API_VERSION)
         )
-    return value
 
 
-def success_body(endpoint, api_version, data):
-    """A success response body for ``endpoint`` in the requested dialect.
-
-    Version 1 wraps ``data`` in the envelope; version 0 reproduces the
-    historical top-level shape (``/metrics`` never had an ``ok`` field,
-    the others did).
-    """
-    if api_version >= 1:
-        return {"api_version": api_version, "ok": True, "data": data}
-    if endpoint == "metrics":
-        return dict(data)
-    legacy = {"ok": True}
-    legacy.update(data)
-    return legacy
+def success_body(data):
+    """A success response body: ``data`` in the envelope."""
+    return {"api_version": API_VERSION, "ok": True, "data": data}
 
 
-def error_body(api_version, status, message, context=None):
-    """An error response body: uniform envelope on version >= 1, the
-    historical ``{ok, error, kind}`` on version 0.  A ``retry_after``
-    in ``context`` is mirrored top-level on version 0, so deprecated
-    clients see the 429 hint in the body too."""
-    context = dict(context or {})
-    if api_version >= 1:
-        return {
-            "api_version": api_version,
-            "ok": False,
-            "error": {
-                "code": ERROR_CODES.get(status, "internal"),
-                "message": message,
-                "context": context,
-            },
-        }
-    body = {
-        "ok": False,
-        "error": message,
-        "kind": LEGACY_ERROR_KINDS.get(status, "internal"),
-    }
-    if "retry_after" in context:
-        body["retry_after"] = context["retry_after"]
-    return body
-
-
-def deprecation_headers(api_version):
-    """Headers announcing a deprecated dialect: version-0 responses
-    carry ``Deprecation`` (draft RFC style) naming the successor."""
-    if api_version >= 1:
-        return {}
+def error_body(status, message, context=None):
+    """An error response body: the envelope with the status's code."""
     return {
-        "Deprecation": 'version="0"',
-        "X-Api-Successor-Version": str(API_VERSION),
+        "api_version": API_VERSION,
+        "ok": False,
+        "error": {
+            "code": ERROR_CODES.get(status, "internal"),
+            "message": message,
+            "context": dict(context or {}),
+        },
     }
 
 
@@ -402,41 +323,28 @@ def deprecation_headers(api_version):
 # ---------------------------------------------------------------------------
 
 
-def validate_response(endpoint, api_version, body):
+def validate_response(endpoint, body):
     """Assert ``body`` is a well-formed success response of
-    ``endpoint`` in dialect ``api_version``; returns ``body``."""
-    if api_version >= 1:
-        validate(
-            body,
-            {
-                "type": "object",
-                "required": ["api_version", "ok", "data"],
-                "properties": {
-                    "api_version": {"const": api_version},
-                    "ok": {"const": True},
-                    "data": DATA_SCHEMAS[endpoint],
-                },
-                "additionalProperties": False,
+    ``endpoint``; returns ``body``."""
+    validate(
+        body,
+        {
+            "type": "object",
+            "required": ["api_version", "ok", "data"],
+            "properties": {
+                "api_version": {"const": API_VERSION},
+                "ok": {"const": True},
+                "data": DATA_SCHEMAS[endpoint],
             },
-        )
-        return body
-    if endpoint == "metrics":
-        validate(body, DATA_SCHEMAS[endpoint])
-        return body
-    legacy = {
-        "type": "object",
-        "required": ["ok"] + list(DATA_SCHEMAS[endpoint].get("required", ())),
-        "properties": dict(
-            DATA_SCHEMAS[endpoint].get("properties", {}), ok={"const": True}
-        ),
-    }
-    validate(body, legacy)
+            "additionalProperties": False,
+        },
+    )
     return body
 
 
-def validate_error(api_version, body):
+def validate_error(body):
     """Assert ``body`` is a well-formed error response; returns it."""
-    validate(body, ERROR_SCHEMAS[1 if api_version >= 1 else 0])
+    validate(body, ERROR_SCHEMA)
     return body
 
 

@@ -22,8 +22,8 @@ indices on the coordinator side.  Three transports exist:
   verbatim, everything from adoption accounting to the failpoint
   behaves identically to the process fleet.
 * :class:`~repro.server.remote.RemoteTransport` (``kind="remote"``,
-  built by :func:`make_transport` from a ``host:port`` list) — workers
-  on other hosts reached over the length-prefixed JSON+blob wire
+  what :func:`make_transport` builds whenever it is given a
+  ``host:port`` list) — workers on other hosts reached over the length-prefixed JSON+blob wire
   protocol of :mod:`repro.server.remote`, with heartbeat liveness,
   automatic shard requeue onto surviving workers, and per-shard retry
   budgets.
@@ -36,7 +36,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.server.worker import run_shard
 
-TRANSPORTS = ("process", "inline", "remote")
+TRANSPORTS = ("process", "inline")
 
 
 class Transport:
@@ -170,27 +170,23 @@ class LocalProcessTransport(Transport):
 
 
 def make_transport(kind, workers, hosts=None):
-    """Build a transport by name (the ``serve`` wiring).
+    """Build a transport (the ``serve`` wiring).
 
-    ``hosts`` is the ``host:port`` worker list the remote transport
-    requires (``--worker-hosts``); the local transports ignore it.
+    A non-empty ``hosts`` (the ``host:port`` list of ``serve
+    --worker-hosts``) always means the remote transport; otherwise
+    ``kind`` names a local one from :data:`TRANSPORTS`.
     """
     if isinstance(kind, Transport):
         return kind
+    if hosts:
+        from repro.server.remote import RemoteTransport
+
+        return RemoteTransport(hosts)
     if kind == "process":
         return LocalProcessTransport(workers)
     if kind == "inline":
         return InlineTransport(workers)
-    if kind == "remote":
-        if not hosts:
-            raise ValueError(
-                "the remote fleet transport needs --worker-hosts "
-                "(a host:port per worker)"
-            )
-        from repro.server.remote import RemoteTransport
-
-        return RemoteTransport(hosts)
     raise ValueError(
-        "unknown fleet transport %r (choose from %s)"
+        "unknown transport kind %r (choose from %s)"
         % (kind, ", ".join(TRANSPORTS))
     )

@@ -53,11 +53,11 @@ class TestRoundTrip:
 
     def test_analysis_agrees_after_reload(self, figure1):
         """The leak report on the reloaded program is identical."""
-        from repro.core import LeakChecker, LoopSpec
+        from repro.core import LeakChecker, RegionSpec
 
         reloaded = _round_trip(figure1)
-        original = LeakChecker(figure1).check(LoopSpec("Main.main", "L1"))
-        again = LeakChecker(reloaded).check(LoopSpec("Main.main", "L1"))
+        original = LeakChecker(figure1).check(RegionSpec("Main.main", "L1"))
+        again = LeakChecker(reloaded).check(RegionSpec("Main.main", "L1"))
         assert original.leaking_site_labels == again.leaking_site_labels
         assert (
             original.findings[0].redundant_edges

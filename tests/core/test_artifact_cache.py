@@ -15,7 +15,7 @@ from repro.core.cache import (
 )
 from repro.core.detector import DetectorConfig
 from repro.core.pipeline.session import AnalysisSession
-from repro.core.regions import LoopSpec
+from repro.core.regions import RegionSpec
 from repro.core.scan import scan_all_loops
 from repro.errors import CacheError
 from repro.lang import parse_program
@@ -35,7 +35,7 @@ class Holder { field slot; }
 class Item { }
 """
 
-REGION = LoopSpec("Main.main", "L")
+REGION = RegionSpec("Main.main", "L")
 
 
 def _program():

@@ -2,28 +2,29 @@
 
 import pytest
 
-from repro.core.detector import DetectorConfig, LeakChecker, check_program
+from repro.core.api import analyze
+from repro.core.detector import DetectorConfig, LeakChecker
 from repro.core.era import FUT, TOP
-from repro.core.regions import LoopSpec, RegionSpec
+from repro.core.regions import RegionSpec
 from repro.errors import AnalysisError
 from repro.lang import parse_program
 from tests.conftest import SIMPLE_LEAK_SOURCE, SIMPLE_SHARED_SOURCE
 
 
 def _check(source, region, config=None):
-    return check_program(parse_program(source), region, config)
+    return analyze(parse_program(source), region, config=config)
 
 
 class TestBasicDetection:
     def test_simple_leak_reported(self):
-        report = _check(SIMPLE_LEAK_SOURCE, LoopSpec("Main.main", "L"))
+        report = _check(SIMPLE_LEAK_SOURCE, RegionSpec("Main.main", "L"))
         assert report.leaking_site_labels == ["item"]
         finding = report.findings[0]
         assert finding.era == TOP
         assert ("holder", "slot") in finding.redundant_edges
 
     def test_shared_object_not_reported(self):
-        report = _check(SIMPLE_SHARED_SOURCE, LoopSpec("Main.main", "L"))
+        report = _check(SIMPLE_SHARED_SOURCE, RegionSpec("Main.main", "L"))
         assert report.findings == []
 
     def test_iteration_local_not_reported(self):
@@ -33,13 +34,13 @@ class TestBasicDetection:
               loop L (*) { x = new Item @local; y = x; }
             } }
             class Item { }""",
-            LoopSpec("Main.main", "L"),
+            RegionSpec("Main.main", "L"),
         )
         assert report.findings == []
         assert report.stats["loop_alloc_sites"] == 1
 
     def test_figure1_order_leak(self, figure1):
-        report = LeakChecker(figure1).check(LoopSpec("Main.main", "L1"))
+        report = LeakChecker(figure1).check(RegionSpec("Main.main", "L1"))
         assert report.leaking_site_labels == ["a5"]
         finding = report.findings[0]
         assert finding.era == FUT  # flows back via curr
@@ -63,7 +64,7 @@ class TestBasicDetection:
             } }
             class Holder { field slot; }
             class Item { }""",
-            LoopSpec("Main.main", "L"),
+            RegionSpec("Main.main", "L"),
         )
         assert report.leaking_site_labels == ["item"]
         assert report.findings[0].redundant_edges == [("h2", "slot")]
@@ -84,7 +85,7 @@ class TestBasicDetection:
             } }
             class Holder { field slot; }
             class Item { }""",
-            LoopSpec("Main.main", "L"),
+            RegionSpec("Main.main", "L"),
         )
         assert report.leaking_site_labels == ["item"]
 
@@ -103,7 +104,7 @@ class TestInterprocedural:
             static method save(a, b) { a.slot = b; } }
             class Holder { field slot; }
             class Item { }""",
-            LoopSpec("Main.main", "L"),
+            RegionSpec("Main.main", "L"),
         )
         assert report.leaking_site_labels == ["item"]
 
@@ -119,7 +120,7 @@ class TestInterprocedural:
             static method mk(a) { x = new Item @item; a.slot = x; } }
             class Holder { field slot; }
             class Item { }""",
-            LoopSpec("Main.main", "L"),
+            RegionSpec("Main.main", "L"),
         )
         assert report.leaking_site_labels == ["item"]
         ctx = report.findings[0].creation_contexts
@@ -138,7 +139,7 @@ class TestInterprocedural:
             static method mk(a) { x = new Item @item; a.slot = x; } }
             class Holder { field slot; }
             class Item { }""",
-            LoopSpec("Main.main", "L"),
+            RegionSpec("Main.main", "L"),
         )
         assert report.findings[0].context_count == 2
         assert report.context_sensitive_count == 2
@@ -153,9 +154,11 @@ class TestInterprocedural:
         static method b(x) { i = new Item @item; x.slot = i; } }
         class Holder { field slot; }
         class Item { }"""
-        deep = _check(source, LoopSpec("Main.main", "L"))
+        deep = _check(source, RegionSpec("Main.main", "L"))
         shallow = _check(
-            source, LoopSpec("Main.main", "L"), DetectorConfig(context_depth=1)
+            source,
+            RegionSpec("Main.main", "L"),
+            DetectorConfig(context_depth=1),
         )
         assert deep.leaking_site_labels == ["item"]
         # with k=1 the allocation two calls deep is outside the horizon
@@ -175,7 +178,7 @@ class TestInterprocedural:
             } }
             class Holder { field slot; }
             class Item { }""",
-            LoopSpec("Main.main", "L"),
+            RegionSpec("Main.main", "L"),
         )
         assert report.leaking_site_labels == ["item"]
 
@@ -219,9 +222,9 @@ class TestConfig:
         class Holder { field slot; }
         class Node { field val; }
         class Item { }"""
-        with_pivot = _check(source, LoopSpec("Main.main", "L"))
+        with_pivot = _check(source, RegionSpec("Main.main", "L"))
         without = _check(
-            source, LoopSpec("Main.main", "L"), DetectorConfig(pivot=False)
+            source, RegionSpec("Main.main", "L"), DetectorConfig(pivot=False)
         )
         assert with_pivot.leaking_site_labels == ["node"]
         assert set(without.leaking_site_labels) == {"node", "item"}
@@ -230,7 +233,7 @@ class TestConfig:
         for kind in ("rta", "cha"):
             report = _check(
                 SIMPLE_LEAK_SOURCE,
-                LoopSpec("Main.main", "L"),
+                RegionSpec("Main.main", "L"),
                 DetectorConfig(callgraph=kind),
             )
             assert report.leaking_site_labels == ["item"]
@@ -238,7 +241,7 @@ class TestConfig:
     def test_demand_driven_mode(self):
         report = _check(
             SIMPLE_LEAK_SOURCE,
-            LoopSpec("Main.main", "L"),
+            RegionSpec("Main.main", "L"),
             DetectorConfig(demand_driven=True),
         )
         assert report.leaking_site_labels == ["item"]
@@ -248,11 +251,11 @@ class TestConfig:
             DetectorConfig(callgraph="magic")
 
     def test_stats_populated(self):
-        report = _check(SIMPLE_LEAK_SOURCE, LoopSpec("Main.main", "L"))
+        report = _check(SIMPLE_LEAK_SOURCE, RegionSpec("Main.main", "L"))
         for key in ("methods", "statements", "time_seconds", "loop_objects"):
             assert key in report.stats
 
     def test_report_format_mentions_redundant_edge(self):
-        report = _check(SIMPLE_LEAK_SOURCE, LoopSpec("Main.main", "L"))
+        report = _check(SIMPLE_LEAK_SOURCE, RegionSpec("Main.main", "L"))
         text = report.format()
         assert "redundant reference: holder.slot" in text

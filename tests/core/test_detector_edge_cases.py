@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.core.detector import DetectorConfig, LeakChecker, check_program
-from repro.core.regions import LoopSpec, RegionSpec
+from repro.core.api import analyze
+from repro.core.detector import DetectorConfig, LeakChecker
+from repro.core.regions import RegionSpec
 from repro.lang import parse_program
 
 
 def _check(source, region, config=None):
-    return check_program(parse_program(source), region, config)
+    return analyze(parse_program(source), region, config=config)
 
 
 class TestEdgeCases:
@@ -16,7 +17,7 @@ class TestEdgeCases:
         report = _check(
             """entry Main.main;
             class Main { static method main() { loop L (*) { } } }""",
-            LoopSpec("Main.main", "L"),
+            RegionSpec("Main.main", "L"),
         )
         assert report.findings == []
         assert report.stats["loop_objects"] == 0
@@ -32,7 +33,7 @@ class TestEdgeCases:
               loop L (*) { a.f = b; }
             } }
             class H { field f; }""",
-            LoopSpec("Main.main", "L"),
+            RegionSpec("Main.main", "L"),
         )
         assert report.findings == []
 
@@ -50,7 +51,7 @@ class TestEdgeCases:
             } }
             class H { field f; }
             class Item { }""",
-            LoopSpec("Main.main", "OUT"),
+            RegionSpec("Main.main", "OUT"),
         )
         assert report.leaking_site_labels == ["item"]
 
@@ -68,7 +69,7 @@ class TestEdgeCases:
             } }
             class H { field f; }
             class Item { }""",
-            LoopSpec("Main.main", "IN"),
+            RegionSpec("Main.main", "IN"),
         )
         assert report.leaking_site_labels == ["item"]
 
@@ -89,18 +90,18 @@ class TestEdgeCases:
         class Item { }""" % body
         report = _check(
             source,
-            LoopSpec("Main.main", "L"),
+            RegionSpec("Main.main", "L"),
             DetectorConfig(max_contexts_per_site=3),
         )
         assert report.findings[0].context_count == 3
-        full = _check(source, LoopSpec("Main.main", "L"))
+        full = _check(source, RegionSpec("Main.main", "L"))
         assert full.findings[0].context_count == 6
 
     def test_checker_reusable_across_regions(self, figure1):
         checker = LeakChecker(figure1)
-        first = checker.check(LoopSpec("Main.main", "L1"))
+        first = checker.check(RegionSpec("Main.main", "L1"))
         second = checker.check(RegionSpec("Transaction.process"))
-        third = checker.check(LoopSpec("Main.main", "L1"))
+        third = checker.check(RegionSpec("Main.main", "L1"))
         assert first.leaking_site_labels == third.leaking_site_labels
         assert second is not first
 
@@ -110,7 +111,9 @@ class TestEdgeCases:
 
     def test_flow_relations_api(self, figure1):
         checker = LeakChecker(figure1)
-        inside, outs, ins = checker.flow_relations(LoopSpec("Main.main", "L1"))
+        inside, outs, ins = checker.flow_relations(
+            RegionSpec("Main.main", "L1")
+        )
         assert "a5" in inside
         assert any(p.site == "a5" and p.base == "a34" for p in outs)
         assert any(p.site == "a5" and p.base == "a2" for p in ins)
@@ -126,7 +129,7 @@ class TestEdgeCases:
               }
             } }
             class Node { field next; }""",
-            LoopSpec("Main.main", "L"),
+            RegionSpec("Main.main", "L"),
         )
         assert report.findings == []
 
@@ -145,7 +148,7 @@ class TestEdgeCases:
             } }
             class H { field f; }
             class Node { field next; }""",
-            LoopSpec("Main.main", "L"),
+            RegionSpec("Main.main", "L"),
         )
         # mutually-contained leaking sites: pivot suppresses both in the
         # degenerate cycle, so run without pivot for the assertion
@@ -163,7 +166,7 @@ class TestEdgeCases:
             } }
             class H { field f; }
             class Node { field next; }""",
-            LoopSpec("Main.main", "L"),
+            RegionSpec("Main.main", "L"),
             DetectorConfig(pivot=False),
         )
         assert set(no_pivot.leaking_site_labels) == {"na", "nb"}

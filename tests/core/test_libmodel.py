@@ -7,7 +7,7 @@ from repro.core.libmodel import (
     library_visible_values,
     load_counts_as_flow_in,
 )
-from repro.core.regions import LoopSpec
+from repro.core.regions import RegionSpec
 from repro.javalib import with_javalib
 from repro.lang import parse_program
 from repro.pta.pag import PAG
@@ -143,7 +143,7 @@ class TestReturnChainVisibility:
 
     def test_retrieval_through_chain_cancels_the_leak(self):
         prog = parse_program(_RETURN_CHAIN)
-        report = LeakChecker(prog).check(LoopSpec("Main.main", "L"))
+        report = LeakChecker(prog).check(RegionSpec("Main.main", "L"))
         assert report.findings == []
 
 
@@ -153,12 +153,12 @@ class TestDetectorIntegration:
         though put internally READS the backing array — the stronger
         condition ignores that read."""
         prog = _program(_PUT_ONLY)
-        report = LeakChecker(prog).check(LoopSpec("Main.main", "L"))
+        report = LeakChecker(prog).check(RegionSpec("Main.main", "L"))
         assert report.leaking_site_labels == ["item"]
 
     def test_put_and_get_not_a_leak(self):
         prog = _program(_PUT_AND_GET)
-        report = LeakChecker(prog).check(LoopSpec("Main.main", "L"))
+        report = LeakChecker(prog).check(RegionSpec("Main.main", "L"))
         assert report.findings == []
 
     def test_disabling_condition_misses_the_leak(self):
@@ -167,12 +167,12 @@ class TestDetectorIntegration:
         Section 4 introduces the condition."""
         prog = _program(_PUT_ONLY)
         config = DetectorConfig(library_condition=False)
-        report = LeakChecker(prog, config).check(LoopSpec("Main.main", "L"))
+        report = LeakChecker(prog, config).check(RegionSpec("Main.main", "L"))
         assert report.findings == []
 
     def test_library_entry_sites_not_reported(self):
         """MapEntry allocations inside HashMap.put are library internals:
         the report points at the application site, not the entry site."""
         prog = _program(_PUT_ONLY)
-        report = LeakChecker(prog).check(LoopSpec("Main.main", "L"))
+        report = LeakChecker(prog).check(RegionSpec("Main.main", "L"))
         assert "HashMap:entry" not in report.leaking_site_labels

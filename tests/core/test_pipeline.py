@@ -9,7 +9,7 @@ from repro.core.pipeline import (
     PipelineStats,
     stats_from_report,
 )
-from repro.core.regions import LoopSpec, candidate_loops
+from repro.core.regions import RegionSpec, candidate_loops
 from repro.core.scan import scan_all_loops
 from repro.errors import AnalysisError
 from repro.lang import parse_program
@@ -91,12 +91,16 @@ class TestPipelineStats:
 
 class TestReportStats:
     def test_every_run_reports_stage_timings(self, simple_leak):
-        report = AnalysisSession(simple_leak).check(LoopSpec("Main.main", "L"))
+        report = AnalysisSession(simple_leak).check(
+            RegionSpec("Main.main", "L")
+        )
         for stage in CORE_STAGES:
             assert stage in report.stats["stages"], stage
 
     def test_every_run_reports_cfl_counters(self, simple_leak):
-        report = AnalysisSession(simple_leak).check(LoopSpec("Main.main", "L"))
+        report = AnalysisSession(simple_leak).check(
+            RegionSpec("Main.main", "L")
+        )
         counters = report.stats["counters"]
         for key in ("cfl_queries", "budget_exhaustions", "andersen_fallbacks"):
             assert key in counters, key
@@ -105,20 +109,22 @@ class TestReportStats:
         session = AnalysisSession(
             simple_leak, DetectorConfig(demand_driven=True)
         )
-        report = session.check(LoopSpec("Main.main", "L"))
+        report = session.check(RegionSpec("Main.main", "L"))
         assert report.stats["counters"]["cfl_queries"] > 0
 
     def test_tiny_budget_counts_fallbacks(self, figure1):
         session = AnalysisSession(
             figure1, DetectorConfig(demand_driven=True, budget=1)
         )
-        report = session.check(LoopSpec("Main.main", "L1"))
+        report = session.check(RegionSpec("Main.main", "L1"))
         counters = report.stats["counters"]
         assert counters["budget_exhaustions"] > 0
         assert counters["andersen_fallbacks"] == counters["budget_exhaustions"]
 
     def test_config_fully_recorded(self, simple_leak):
-        report = AnalysisSession(simple_leak).check(LoopSpec("Main.main", "L"))
+        report = AnalysisSession(simple_leak).check(
+            RegionSpec("Main.main", "L")
+        )
         assert report.stats["budget"] == 100_000
         assert report.stats["max_contexts_per_site"] == 64
 
@@ -132,7 +138,7 @@ class TestReportStats:
 class TestSessionCaching:
     def test_repeat_check_hits_region_cache(self, simple_leak):
         session = AnalysisSession(simple_leak)
-        spec = LoopSpec("Main.main", "L")
+        spec = RegionSpec("Main.main", "L")
         first = session.check(spec)
         before = session.points_to.totals.get("var_queries", 0)
         second = session.check(spec)
@@ -143,21 +149,21 @@ class TestSessionCaching:
 
     def test_distinct_spec_objects_share_cache_entry(self, simple_leak):
         session = AnalysisSession(simple_leak)
-        session.check(LoopSpec("Main.main", "L"))
-        session.check(LoopSpec("Main.main", "L"))
+        session.check(RegionSpec("Main.main", "L"))
+        session.check(RegionSpec("Main.main", "L"))
         assert session.stats.counters["region_cache_hits"] == 1
 
     def test_reuse_off_matches_reuse_on(self, figure1):
-        spec = LoopSpec("Main.main", "L1")
+        spec = RegionSpec("Main.main", "L1")
         cached = AnalysisSession(figure1).check(spec)
         rebuilt = AnalysisSession(figure1, reuse_artifacts=False).check(spec)
         assert _fingerprint(cached) == _fingerprint(rebuilt)
 
     def test_store_edges_resolved_once_across_regions(self, figure1):
         session = AnalysisSession(figure1)
-        session.check(LoopSpec("Main.main", "L1"))
-        session.check(LoopSpec("Transaction.txInit", "LC"))
-        report = session.check(LoopSpec("Transaction.txInit", "LC"))
+        session.check(RegionSpec("Main.main", "L1"))
+        session.check(RegionSpec("Transaction.txInit", "LC"))
+        report = session.check(RegionSpec("Transaction.txInit", "LC"))
         # cached rerun: edges come from the index, not points-to
         counters = report.stats["counters"]
         assert counters.get("store_edge_cache_misses", 0) >= 0
@@ -165,7 +171,7 @@ class TestSessionCaching:
 
     def test_flow_relations_uses_cached_artifacts(self, figure1):
         session = AnalysisSession(figure1)
-        spec = LoopSpec("Main.main", "L1")
+        spec = RegionSpec("Main.main", "L1")
         report = session.check(spec)
         inside, outs, ins = session.flow_relations(spec)
         assert session.stats.counters["region_cache_hits"] == 1
@@ -203,7 +209,7 @@ class TestFork:
     def test_forked_results_differ_by_config_only(self, figure1):
         base = AnalysisSession(figure1)
         sibling = base.fork(DetectorConfig(pivot=False))
-        spec = LoopSpec("Main.main", "L1")
+        spec = RegionSpec("Main.main", "L1")
         with_pivot = set(base.check(spec).leaking_site_labels)
         without = set(sibling.check(spec).leaking_site_labels)
         assert with_pivot <= without
@@ -253,7 +259,7 @@ class TestFacade:
         session = AnalysisSession(simple_leak)
         a = LeakChecker(simple_leak, session=session)
         b = LeakChecker(simple_leak, session=session)
-        spec = LoopSpec("Main.main", "L")
+        spec = RegionSpec("Main.main", "L")
         assert _fingerprint(a.check(spec)) == _fingerprint(b.check(spec))
         assert session.stats.counters["region_cache_hits"] == 1
 

@@ -1,14 +1,10 @@
 """Tests for checkable region specifications."""
 
-import warnings
-
 import pytest
 
 from repro.core.regions import (
-    LoopSpec,
     RegionSpec,
     candidate_loops,
-    region_text,
     resolve_region,
 )
 from repro.errors import ResolutionError
@@ -109,22 +105,6 @@ class TestResolveRegion:
         message = str(err.value)
         assert "Class.method:LABEL" in message
         assert "Class.method" in message
-
-
-class TestLoopSpecShim:
-    def test_is_deprecated_alias(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DeprecationWarning):
-                LoopSpec("Main.main", "L1")
-
-    def test_forwards_to_region_spec(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            spec = LoopSpec("Main.main", "L1")
-        assert isinstance(spec, RegionSpec)
-        assert spec == RegionSpec("Main.main", "L1")
-        assert region_text(spec) == "Main.main:L1"
 
 
 class TestCandidateLoops:

@@ -1,7 +1,7 @@
 """Tests for leak report formatting and accounting."""
 
 from repro.core.era import FUT, TOP
-from repro.core.regions import LoopSpec
+from repro.core.regions import RegionSpec
 from repro.core.report import LeakFinding, LeakReport
 from repro.ir.program import AllocSite
 from repro.ir.stmts import NewStmt
@@ -49,7 +49,9 @@ class TestLeakReport:
             _finding("s1", contexts=[EMPTY.push("a"), EMPTY.push("b")]),
             _finding("s2"),
         ]
-        return LeakReport(LoopSpec("Main.main", "L"), findings, {"methods": 3})
+        return LeakReport(
+            RegionSpec("Main.main", "L"), findings, {"methods": 3}
+        )
 
     def test_site_labels(self):
         assert self._report().leaking_site_labels == ["s1", "s2"]
@@ -63,6 +65,6 @@ class TestLeakReport:
         assert "methods: 3" in text
 
     def test_empty_report(self):
-        report = LeakReport(LoopSpec("Main.main", "L"), [], {})
+        report = LeakReport(RegionSpec("Main.main", "L"), [], {})
         assert "no leaks detected" in report.format()
         assert report.context_sensitive_count == 0

@@ -1,6 +1,6 @@
 """Tests for report diffing — the fix-verification workflow."""
 
-from repro.core import LeakChecker, LoopSpec, diff_reports
+from repro.core import LeakChecker, RegionSpec, diff_reports
 from repro.lang import parse_program
 
 _BUGGY = """
@@ -64,7 +64,7 @@ class Extra { }
 
 def _report(source):
     prog = parse_program(source)
-    return LeakChecker(prog).check(LoopSpec("Main.main", "L"))
+    return LeakChecker(prog).check(RegionSpec("Main.main", "L"))
 
 
 class TestDiffReports:

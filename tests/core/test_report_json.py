@@ -3,14 +3,14 @@
 import json
 
 from repro.core.detector import LeakChecker
-from repro.core.regions import LoopSpec
+from repro.core.regions import RegionSpec
 from repro.lang import parse_program
 from tests.conftest import FIGURE1_SOURCE, SIMPLE_LEAK_SOURCE
 
 
 def _report(source=SIMPLE_LEAK_SOURCE, region=None):
     prog = parse_program(source)
-    return LeakChecker(prog).check(region or LoopSpec("Main.main", "L"))
+    return LeakChecker(prog).check(region or RegionSpec("Main.main", "L"))
 
 
 class TestJson:
@@ -27,7 +27,7 @@ class TestJson:
         assert finding["type"] == "Item"
 
     def test_contexts_serialized_as_lists(self):
-        report = _report(FIGURE1_SOURCE, LoopSpec("Main.main", "L1"))
+        report = _report(FIGURE1_SOURCE, RegionSpec("Main.main", "L1"))
         data = report.as_dict()
         contexts = data["findings"][0]["contexts"]
         assert contexts == [[]]  # allocated lexically in the loop
@@ -38,7 +38,7 @@ class TestJson:
         assert data["region"].startswith("loop L")
 
     def test_escape_stores_reference_methods(self):
-        report = _report(FIGURE1_SOURCE, LoopSpec("Main.main", "L1"))
+        report = _report(FIGURE1_SOURCE, RegionSpec("Main.main", "L1"))
         stores = report.as_dict()["findings"][0]["escape_stores"]
         assert any(s["method"] == "Customer.addOrder" for s in stores)
 
@@ -49,7 +49,7 @@ class TestJson:
               loop L (*) { x = new Main @local; }
             } }"""
         )
-        report = LeakChecker(prog).check(LoopSpec("Main.main", "L"))
+        report = LeakChecker(prog).check(RegionSpec("Main.main", "L"))
         data = json.loads(report.to_json())
         assert data["findings"] == []
 

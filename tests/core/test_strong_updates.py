@@ -2,7 +2,7 @@
 
 from repro.core.detector import DetectorConfig, LeakChecker
 from repro.core.flows import detect_leaks
-from repro.core.regions import LoopSpec
+from repro.core.regions import RegionSpec
 from repro.core.typestate import analyze_loop
 from repro.lang import parse_program
 
@@ -58,25 +58,25 @@ class Item { }
 class TestDetectorStrongUpdates:
     def test_default_reports_nulled_slot(self):
         prog = parse_program(_NULLED)
-        report = LeakChecker(prog).check(LoopSpec("Main.main", "L"))
+        report = LeakChecker(prog).check(RegionSpec("Main.main", "L"))
         assert report.leaking_site_labels == ["item"]  # the documented FP
 
     def test_strong_updates_remove_fp(self):
         prog = parse_program(_NULLED)
         config = DetectorConfig(strong_updates=True)
-        report = LeakChecker(prog, config).check(LoopSpec("Main.main", "L"))
+        report = LeakChecker(prog, config).check(RegionSpec("Main.main", "L"))
         assert report.findings == []
 
     def test_true_leak_untouched(self):
         prog = parse_program(_NOT_NULLED)
         config = DetectorConfig(strong_updates=True)
-        report = LeakChecker(prog, config).check(LoopSpec("Main.main", "L"))
+        report = LeakChecker(prog, config).check(RegionSpec("Main.main", "L"))
         assert report.leaking_site_labels == ["item"]
 
     def test_only_the_cleared_edge_dropped(self):
         prog = parse_program(_PARTIAL)
         config = DetectorConfig(strong_updates=True)
-        report = LeakChecker(prog, config).check(LoopSpec("Main.main", "L"))
+        report = LeakChecker(prog, config).check(RegionSpec("Main.main", "L"))
         assert report.leaking_site_labels == ["item"]
         assert report.findings[0].redundant_edges == [("holder", "keep")]
 

@@ -2,7 +2,7 @@
 
 from repro.callgraph.rta import build_rta
 from repro.core.detector import DetectorConfig, LeakChecker
-from repro.core.regions import LoopSpec
+from repro.core.regions import RegionSpec
 from repro.core.threads import started_thread_sites
 from repro.javalib import with_javalib
 from repro.lang import parse_program
@@ -122,7 +122,7 @@ class TestBudgetExhaustedReceivers:
         config = DetectorConfig(
             model_threads=True, demand_driven=True, budget=0
         )
-        report = LeakChecker(prog, config).check(LoopSpec("Main.main", "L"))
+        report = LeakChecker(prog, config).check(RegionSpec("Main.main", "L"))
         assert report.leaking_site_labels == ["item"]
 
 
@@ -132,26 +132,26 @@ class TestDetectorIntegration:
         inside-to-inside and nothing is reported — the paper's first
         (failing) attempt on Mikou."""
         prog = _program(_THREAD_LEAK)
-        report = LeakChecker(prog).check(LoopSpec("Main.main", "L"))
+        report = LeakChecker(prog).check(RegionSpec("Main.main", "L"))
         assert report.findings == []
 
     def test_with_modeling_escape_reported(self):
         prog = _program(_THREAD_LEAK)
         config = DetectorConfig(model_threads=True)
-        report = LeakChecker(prog, config).check(LoopSpec("Main.main", "L"))
+        report = LeakChecker(prog, config).check(RegionSpec("Main.main", "L"))
         assert report.leaking_site_labels == ["item"]
         assert any("thread" in n for n in report.findings[0].notes)
 
     def test_thread_site_itself_not_reported(self):
         prog = _program(_THREAD_LEAK)
         config = DetectorConfig(model_threads=True)
-        report = LeakChecker(prog, config).check(LoopSpec("Main.main", "L"))
+        report = LeakChecker(prog, config).check(RegionSpec("Main.main", "L"))
         assert "worker" not in report.leaking_site_labels
 
     def test_unstarted_thread_is_ordinary_object(self):
         prog = _program(_NEVER_STARTED)
         config = DetectorConfig(model_threads=True)
-        report = LeakChecker(prog, config).check(LoopSpec("Main.main", "L"))
+        report = LeakChecker(prog, config).check(RegionSpec("Main.main", "L"))
         assert report.findings == []
 
     def test_loads_in_thread_run_do_not_cancel_reports(self):
@@ -179,5 +179,5 @@ class TestDetectorIntegration:
         """
         prog = _program(src)
         config = DetectorConfig(model_threads=True)
-        report = LeakChecker(prog, config).check(LoopSpec("Main.main", "L"))
+        report = LeakChecker(prog, config).check(RegionSpec("Main.main", "L"))
         assert report.leaking_site_labels == ["item"]

@@ -3,7 +3,7 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import DetectorConfig, LeakChecker, LoopSpec
+from repro.core import DetectorConfig, LeakChecker, RegionSpec
 
 _NO_PIVOT = DetectorConfig(pivot=False)
 from repro.ir.optimize import (
@@ -148,9 +148,9 @@ class TestOptimizeProgram:
         )
 
     def test_detector_report_unchanged(self, figure1):
-        before = LeakChecker(figure1).check(LoopSpec("Main.main", "L1"))
+        before = LeakChecker(figure1).check(RegionSpec("Main.main", "L1"))
         optimize_program(figure1)
-        after = LeakChecker(figure1).check(LoopSpec("Main.main", "L1"))
+        after = LeakChecker(figure1).check(RegionSpec("Main.main", "L1"))
         assert before.leaking_site_labels == after.leaking_site_labels
         assert (
             before.findings[0].redundant_edges
@@ -195,7 +195,7 @@ class TestOptimizeProgram:
         original = parse_program(source)
         optimized = parse_program(source)
         optimize_program(optimized)
-        spec = LoopSpec("Main.main", "L")
+        spec = RegionSpec("Main.main", "L")
         checker_a = LeakChecker(original, _NO_PIVOT)
         checker_b = LeakChecker(optimized, _NO_PIVOT)
         a = checker_a.check(spec)

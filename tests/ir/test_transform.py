@@ -52,7 +52,7 @@ class TestLink:
 
     def test_linked_program_analyzable(self):
         """Linking at IR level is equivalent to source concatenation."""
-        from repro.core import LeakChecker, LoopSpec
+        from repro.core import LeakChecker, RegionSpec
 
         app = parse_program(
             """entry Main.main;
@@ -69,7 +69,7 @@ class TestLink:
         )
         lib = parse_program("class Holder { field slot; }")
         linked = link_programs(app, lib)
-        report = LeakChecker(linked).check(LoopSpec("Main.main", "L"))
+        report = LeakChecker(linked).check(RegionSpec("Main.main", "L"))
         assert report.leaking_site_labels == ["item"]
 
     def test_empty_link_rejected(self):
@@ -128,11 +128,11 @@ class TestPrune:
         assert "Base" in pruned.classes
 
     def test_analysis_unchanged_by_pruning(self, figure1):
-        from repro.core import LeakChecker, LoopSpec
+        from repro.core import LeakChecker, RegionSpec
 
         pruned = prune_unreachable(figure1)
-        original = LeakChecker(figure1).check(LoopSpec("Main.main", "L1"))
-        after = LeakChecker(pruned).check(LoopSpec("Main.main", "L1"))
+        original = LeakChecker(figure1).check(RegionSpec("Main.main", "L1"))
+        after = LeakChecker(pruned).check(RegionSpec("Main.main", "L1"))
         assert original.leaking_site_labels == after.leaking_site_labels
 
     def test_requires_entry(self):

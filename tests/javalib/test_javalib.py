@@ -196,7 +196,7 @@ class TestConcreteBehaviour:
         """Objects only added to a HashSet (never iterated) leak; the
         internal membership probe must not mask that."""
         from repro.core.detector import LeakChecker
-        from repro.core.regions import LoopSpec
+        from repro.core.regions import RegionSpec
 
         prog = _full_program(
             """
@@ -215,7 +215,7 @@ class TestConcreteBehaviour:
             class Item { }
             """
         )
-        report = LeakChecker(prog).check(LoopSpec("App.main", "L"))
+        report = LeakChecker(prog).check(RegionSpec("App.main", "L"))
         assert report.leaking_site_labels == ["item"]
 
     def test_thread_start_invokes_run(self):

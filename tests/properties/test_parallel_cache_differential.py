@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core.cache.store import ArtifactCache
 from repro.core.detector import DetectorConfig
 from repro.core.pipeline.session import AnalysisSession
-from repro.core.regions import LoopSpec
+from repro.core.regions import RegionSpec
 from repro.core.scan import scan_all_loops
 from repro.lang import parse_program
 from repro.semantics.interp import RandomSchedule, execute
@@ -44,7 +44,7 @@ _PROCESS_SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-REGION = LoopSpec("Main.main", "L")
+REGION = RegionSpec("Main.main", "L")
 
 
 def _canonical_scan(source, **kwargs):

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.detector import DetectorConfig, LeakChecker
-from repro.core.regions import LoopSpec
+from repro.core.regions import RegionSpec
 from repro.core.typestate import analyze_loop
 from repro.errors import AnalysisError
 from repro.ir.printer import program_to_text
@@ -27,7 +27,7 @@ _SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-REGION = LoopSpec("Main.main", "L")
+REGION = RegionSpec("Main.main", "L")
 
 
 def _run_concrete(source, seed):

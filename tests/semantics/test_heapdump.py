@@ -44,7 +44,7 @@ class TestSnapshot:
         """The concrete retainers of the Order include exactly the
         redundant edge the static detector reports (a34.elem) — and the
         cleaned-up curr reference is NOT a retainer at the end."""
-        from repro.core import LeakChecker, LoopSpec
+        from repro.core import LeakChecker, RegionSpec
 
         trace = execute(
             figure1, schedule=FixedSchedule(trips_map={"L1": 4, "LC": 1})
@@ -53,7 +53,7 @@ class TestSnapshot:
         retainers = snap.retainers_of("a5")
         assert ("a34", "elem") in retainers
 
-        report = LeakChecker(figure1).check(LoopSpec("Main.main", "L1"))
+        report = LeakChecker(figure1).check(RegionSpec("Main.main", "L1"))
         for base, field in report.findings[0].redundant_edges:
             assert (base, field) in retainers
 

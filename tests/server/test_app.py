@@ -1,6 +1,7 @@
 """End-to-end tests for the HTTP analysis daemon."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -9,7 +10,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core.config import DetectorConfig
-from repro.server.app import create_server
+from repro.server.app import MAX_HEADERS, create_server
 
 _LEAK = """
 entry Main.main;
@@ -61,6 +62,7 @@ def _url(server, path):
 
 
 def _post(server, path, payload):
+    """POST ``payload``; returns the status and the envelope's ``data``."""
     request = urllib.request.Request(
         _url(server, path),
         data=json.dumps(payload).encode("utf-8"),
@@ -68,7 +70,9 @@ def _post(server, path, payload):
         method="POST",
     )
     with urllib.request.urlopen(request) as response:
-        return response.status, json.loads(response.read())
+        body = json.loads(response.read())
+    assert body["api_version"] == 1 and body["ok"] is True
+    return response.status, body["data"]
 
 
 def _get(server, path, headers=None):
@@ -89,7 +93,6 @@ class TestAnalyze:
         with _serving() as server:
             status, body = _post(server, "/analyze", {"program": _LEAK})
         assert status == 200
-        assert body["ok"] is True
         assert body["warm"] is False
         assert body["degraded"] is False
         assert body["scan"]["leaking_sites"] == ["item"]
@@ -173,7 +176,6 @@ class TestAnalyze:
                 server, "/analyze", {"program": source, "javalib": True}
             )
         for body in (cold, warm):
-            assert body["ok"] is True
             assert body["scan"]["leaking_sites"] == ["stream"]
             (entry,) = [
                 loop for loop in body["scan"]["loops"] if loop["loop"] == "L"
@@ -201,7 +203,6 @@ class TestDeadline:
                 server, "/analyze", {"program": _LEAK, "deadline_ms": 0}
             )
         assert status == 200
-        assert body["ok"] is True
         assert body["degraded"] is True
         counters = body["scan"]["profile"]["counters"]
         assert counters.get("deadline_expiries", 0) > 0
@@ -234,7 +235,7 @@ class TestDeadline:
                 )
             )
         assert code == 400
-        assert body["kind"] == "bad_request"
+        assert body["error"]["code"] == "bad_request"
 
 
 class TestBackpressure:
@@ -249,7 +250,7 @@ class TestBackpressure:
             finally:
                 slot.__exit__(None, None, None)
         assert code == 429
-        assert body["kind"] == "queue_full"
+        assert body["error"]["code"] == "queue_full"
         assert int(headers["Retry-After"]) >= 1
 
     def test_rejection_counted_in_metrics(self):
@@ -261,7 +262,7 @@ class TestBackpressure:
             finally:
                 slot.__exit__(None, None, None)
             _, text = _get(server, "/metrics")
-        counters = json.loads(text)["counters"]
+        counters = json.loads(text)["data"]["counters"]
         assert counters["queue_rejections"] == 1
 
 
@@ -291,7 +292,7 @@ class TestObservability:
     def test_healthz(self):
         with _serving() as server:
             status, text = _get(server, "/healthz")
-        body = json.loads(text)
+        body = json.loads(text)["data"]
         assert status == 200
         assert body["status"] == "ok"
         assert body["inflight"] == 0
@@ -302,7 +303,7 @@ class TestObservability:
             _post(server, "/analyze", {"program": _LEAK})
             _post(server, "/analyze", {"program": _LEAK})
             _, text = _get(server, "/metrics")
-        body = json.loads(text)
+        body = json.loads(text)["data"]
         assert body["counters"]["analyze_requests"] == 2
         assert body["counters"]["cold_misses"] == 1
         assert body["counters"]["warm_hits"] == 1
@@ -331,7 +332,7 @@ class TestErrors:
                 lambda: _post(server, "/analyze", {"program": "not a program"})
             )
         assert code == 422
-        assert body["kind"] == "analysis"
+        assert body["error"]["code"] == "analysis_error"
 
     def test_unknown_region_is_422(self):
         with _serving() as server:
@@ -350,7 +351,7 @@ class TestErrors:
                 lambda: _post(server, "/analyze", {"nope": 1})
             )
         assert code == 400
-        assert body["kind"] == "bad_request"
+        assert body["error"]["code"] == "bad_request"
 
     def test_invalid_json_is_400(self):
         with _serving() as server:
@@ -368,7 +369,7 @@ class TestErrors:
         with _serving() as server:
             code, _headers, body = _error(lambda: _get(server, "/nope"))
         assert code == 404
-        assert body["kind"] == "not_found"
+        assert body["error"]["code"] == "not_found"
 
     def test_wrong_method_is_405(self):
         with _serving() as server:
@@ -380,3 +381,57 @@ class TestErrors:
         assert headers["Allow"] == "POST"
         assert code2 == 405
         assert headers2["Allow"] == "GET"
+
+
+def _raw_request(server, head):
+    """Send ``head`` verbatim on a new connection; returns the status
+    and the decoded JSON body of the response."""
+    port = server.server_address[1]
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(head)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    status_line, _, rest = b"".join(chunks).partition(b"\r\n")
+    _, _, body = rest.partition(b"\r\n\r\n")
+    return int(status_line.split()[1]), json.loads(body)
+
+
+def _get_with_headers(count):
+    lines = ["GET /healthz HTTP/1.1", "Host: localhost"]
+    lines += ["X-Filler-%d: %d" % (n, n) for n in range(count - 1)]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+class TestRequestLimits:
+    def test_too_many_header_lines_is_400(self):
+        """One header line past the limit is refused with the envelope,
+        and the daemon keeps serving new connections."""
+        with _serving() as server:
+            status, body = _raw_request(
+                server, _get_with_headers(MAX_HEADERS + 1)
+            )
+            after, health = _raw_request(server, _get_with_headers(1))
+        assert status == 400
+        assert body["ok"] is False
+        assert body["error"]["code"] == "bad_request"
+        assert "header" in body["error"]["message"]
+        assert after == 200
+        assert health["data"]["status"] == "ok"
+
+    def test_header_limit_is_inclusive(self):
+        with _serving() as server:
+            status, body = _raw_request(
+                server, _get_with_headers(MAX_HEADERS)
+            )
+        assert status == 200
+        assert body["data"]["status"] == "ok"
+
+    def test_malformed_request_line_is_400_envelope(self):
+        with _serving() as server:
+            status, body = _raw_request(server, b"NONSENSE\r\n\r\n")
+        assert status == 400
+        assert body["error"]["code"] == "bad_request"

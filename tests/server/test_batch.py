@@ -294,7 +294,7 @@ class TestBatchRejections:
                 lambda: _stream(server, None, raw=b"this is not json")
             )
         assert code == 400
-        schema.validate_error(1, body)
+        schema.validate_error(body)
         assert body["error"]["code"] == "bad_request"
 
     def test_missing_programs_is_400(self):
@@ -303,14 +303,14 @@ class TestBatchRejections:
                 lambda: _stream(server, {"programs": []})
             )
         assert code == 400
-        schema.validate_error(1, body)
+        schema.validate_error(body)
 
     def test_oversized_body_is_413(self):
         with _serving(max_body=1024) as server:
             big = {"programs": [{"program": LEAK + "x" * 4096}]}
             code, _, body = self._http_error(lambda: _stream(server, big))
         assert code == 413
-        schema.validate_error(1, body)
+        schema.validate_error(body)
         assert body["error"]["code"] == "payload_too_large"
 
     def test_saturated_queue_is_429_with_retry_after(self):
@@ -326,7 +326,7 @@ class TestBatchRejections:
             finally:
                 slot.__exit__(None, None, None)
         assert code == 429
-        schema.validate_error(1, body)
+        schema.validate_error(body)
         assert body["error"]["code"] == "queue_full"
         assert int(headers["Retry-After"]) >= 1
         assert body["error"]["context"]["retry_after"] == int(

@@ -1,5 +1,6 @@
 """:class:`repro.client.AnalyzeClient` against a live server."""
 
+import json
 import threading
 from contextlib import contextmanager
 
@@ -27,14 +28,12 @@ FIXED = LEAK.replace("c.slot = x;", "")
 
 
 @contextmanager
-def _client(api_version=1, **server_kwargs):
+def _client(**server_kwargs):
     server = create_server(port=0, **server_kwargs)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield AnalyzeClient(
-            server.server_address[1], api_version=api_version
-        ), server
+        yield AnalyzeClient(server.server_address[1]), server
     finally:
         server.shutdown()
         server.server_close()
@@ -48,12 +47,6 @@ class TestAnalyze:
         assert data["warm"] is False
         assert data["scan"]["leaking_sites"] == ["item"]
         assert "api_version" not in data  # envelope stripped
-
-    def test_legacy_dialect_returns_body_verbatim(self):
-        with _client(api_version=0) as (client, _server):
-            data = client.analyze(LEAK)
-        assert data["ok"] is True  # the legacy top-level shape
-        assert data["scan"]["leaking_sites"] == ["item"]
 
     def test_region_and_deadline_forwarded(self):
         with _client() as (client, _server):
@@ -103,11 +96,6 @@ class TestObservability:
         assert snapshot["counters"]["analyze_requests"] == 1
         assert "# TYPE leakchecker_analyze_requests counter" in text
 
-    def test_legacy_metrics_unenveloped(self):
-        with _client(api_version=0) as (client, _server):
-            snapshot = client.metrics()
-        assert "counters" in snapshot
-
 
 class TestErrors:
     def test_analysis_error_carries_code(self):
@@ -117,27 +105,14 @@ class TestErrors:
         assert excinfo.value.status == 422
         assert excinfo.value.code == "analysis_error"
 
-    def test_legacy_error_parses_kind(self):
-        with _client(api_version=0) as (client, _server):
-            with pytest.raises(ClientError) as excinfo:
-                client.analyze("not a program")
-        assert excinfo.value.status == 422
-        assert excinfo.value.code == "analysis"
-
     def test_oversized_body_answers_in_client_dialect(self):
-        """413 fires before the body is parsed, so the version must
-        travel in the query string for the error to come back in the
-        dialect the client speaks (regression: v1 clients used to get
-        the endpoint-default v0 envelope)."""
+        """413 fires before the body is parsed and still answers in the
+        envelope, so the client parses its code."""
         with _client(max_body=512) as (client, _server):
             with pytest.raises(ClientError) as excinfo:
                 client.analyze(LEAK + "x" * 2048)
         assert excinfo.value.status == 413
         assert excinfo.value.code == "payload_too_large"
-        with _client(api_version=0, max_body=512) as (client, _server):
-            with pytest.raises(ClientError) as excinfo:
-                client.analyze(LEAK + "x" * 2048)
-        assert excinfo.value.code == "too_large"
 
     def test_queue_full_carries_retry_after(self):
         with _client(jobs=1, max_queue=0) as (client, server):
@@ -153,6 +128,36 @@ class TestErrors:
         assert error.code == "queue_full"
         assert error.retry_after >= 1
         assert error.context["retry_after"] == error.retry_after
+
+    def test_requests_name_version_one(self, monkeypatch):
+        """Body and query both say ``api_version=1``: a daemon from
+        before the single dialect answers its older shapes without it."""
+        import repro.client as client_module
+
+        sent = []
+
+        def fake_urlopen(request, timeout=None):
+            sent.append(request)
+            raise ClientError(599, "stop")
+
+        monkeypatch.setattr(
+            client_module.urllib.request, "urlopen", fake_urlopen
+        )
+        client = AnalyzeClient(9)
+        for call in (
+            lambda: client.analyze(LEAK),
+            lambda: client.diff(LEAK, FIXED),
+            lambda: list(client.analyze_batch([LEAK])),
+            client.healthz,
+            client.metrics,
+        ):
+            with pytest.raises(ClientError):
+                call()
+        for request in sent:
+            assert request.full_url.endswith("api_version=1")
+            if request.data is not None:
+                assert json.loads(request.data)["api_version"] == 1
+        assert len(sent) == 5
 
     def test_base_url_forms(self):
         assert AnalyzeClient(8421).base_url == "http://127.0.0.1:8421"

@@ -178,7 +178,7 @@ class TestConstruction:
             Coordinator(0, transport="inline")
 
     def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="unknown fleet transport"):
+        with pytest.raises(ValueError, match="unknown transport kind"):
             make_transport("carrier-pigeon", 2)
 
     def test_transport_instances_pass_through(self):

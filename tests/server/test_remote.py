@@ -343,8 +343,28 @@ class TestBatchIntegration:
             server.server_close()
             thread.join(timeout=5)
             worker.shutdown()
-        fleet = body["fleet"]  # version-0 /metrics is unenveloped
+        fleet = body["data"]["fleet"]
         assert fleet["remote_workers_alive"] == 1
         assert fleet["remote_snapshot_pushes"] >= 1
         assert fleet["remote_requeues"] == 0
         assert "leakchecker_fleet_remote_snapshot_pushes" in text
+
+
+class TestServeWiring:
+    def test_worker_hosts_alone_build_a_remote_fleet(self):
+        """Naming worker hosts is enough: the daemon's fleet dials them
+        instead of forking local workers, and sizes itself to them."""
+        from repro.server.app import create_server
+
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        closed = "127.0.0.1:%d" % probe.getsockname()[1]
+        probe.close()
+        server = create_server(port=0, worker_hosts=[closed])
+        try:
+            transport = server.coordinator.transport
+            assert transport.kind == "remote"
+            assert transport.workers == 1
+            assert server.coordinator.fleet_stats()["transport"] == "remote"
+        finally:
+            server.server_close()

@@ -1,10 +1,11 @@
 """The wire protocol, validated from both sides.
 
 Half of this file unit-tests :mod:`repro.server.schema` itself (the
-mini validator, version negotiation, body construction); the other
-half boots a real server and asserts that what actually comes over the
-wire — success and error, both dialects, every endpoint — conforms to
-the same schemas the handlers built it from.
+mini validator, the version check, body construction); the other half
+boots a real server and asserts that what actually comes over the
+wire — success and error, every endpoint, with and without
+``api_version`` — conforms to the same schemas the handlers built it
+from.
 """
 
 import json
@@ -111,18 +112,23 @@ class TestValidator:
 
 class TestVersionNegotiation:
     def test_body_field_wins_over_query(self):
-        assert schema.requested_version(
-            {"api_version": 1}, {"api_version": ["0"]}
-        ) == 1
+        schema.requested_version({"api_version": 1}, {"api_version": ["0"]})
+        with pytest.raises(schema.SchemaError):
+            schema.requested_version(
+                {"api_version": 0}, {"api_version": ["1"]}
+            )
 
     def test_query_parameter(self):
-        assert schema.requested_version(None, {"api_version": ["1"]}) == 1
+        schema.requested_version(None, {"api_version": ["1"]})
+        with pytest.raises(schema.SchemaError, match="unsupported"):
+            schema.requested_version(None, {"api_version": ["0"]})
 
     def test_default_applies(self):
-        assert schema.requested_version(None, {}) == 0
-        assert schema.requested_version(None, {}, default=1) == 1
+        """Naming no version is fine: every response is version 1."""
+        schema.requested_version(None, {})
+        schema.requested_version({"program": "x"}, None)
 
-    @pytest.mark.parametrize("bad", [2, -1, "one", True])
+    @pytest.mark.parametrize("bad", [0, 2, -1, "one", True])
     def test_unsupported_rejected(self, bad):
         with pytest.raises(schema.SchemaError):
             schema.requested_version({"api_version": bad}, {})
@@ -135,41 +141,17 @@ class TestVersionNegotiation:
 class TestBodyConstruction:
     def test_v1_success_envelope_validates(self):
         body = schema.success_body(
-            "healthz", 1,
             {"status": "ok", "inflight": 0, "queued": 0, "pool": {}},
         )
         assert body["api_version"] == 1 and body["ok"] is True
-        schema.validate_response("healthz", 1, body)
+        schema.validate_response("healthz", body)
 
-    def test_v0_success_is_legacy_shape(self):
-        body = schema.success_body(
-            "healthz", 0,
-            {"status": "ok", "inflight": 0, "queued": 0, "pool": {}},
-        )
-        assert body["ok"] is True and "data" not in body
-        schema.validate_response("healthz", 0, body)
-
-    def test_v0_metrics_has_no_ok_field(self):
-        body = schema.success_body(
-            "metrics", 0, {"counters": {}, "latency": {}, "gauges": {}}
-        )
-        assert "ok" not in body
-        schema.validate_response("metrics", 0, body)
-
-    def test_error_bodies_both_dialects(self):
-        v1 = schema.error_body(1, 429, "full", {"retry_after": 3})
-        schema.validate_error(1, v1)
-        assert v1["error"]["code"] == "queue_full"
-        assert v1["error"]["context"]["retry_after"] == 3
-        v0 = schema.error_body(0, 429, "full", {"retry_after": 3})
-        schema.validate_error(0, v0)
-        assert v0["kind"] == "queue_full"
-        assert v0["retry_after"] == 3
-
-    def test_deprecation_headers_only_on_v0(self):
-        assert schema.deprecation_headers(1) == {}
-        headers = schema.deprecation_headers(0)
-        assert headers["Deprecation"] == 'version="0"'
+    def test_error_body_carries_code_and_context(self):
+        body = schema.error_body(429, "full", {"retry_after": 3})
+        schema.validate_error(body)
+        assert body["api_version"] == 1
+        assert body["error"]["code"] == "queue_full"
+        assert body["error"]["context"]["retry_after"] == 3
 
     def test_record_validation_rejects_unknown_kind(self):
         with pytest.raises(schema.SchemaError, match="record"):
@@ -180,19 +162,17 @@ class TestWireConformance:
     """What the server actually sends conforms to the schemas."""
 
     def test_analyze_both_versions(self):
+        """Omitting ``api_version`` and naming 1 get the same envelope."""
         with _serving() as server:
             _, headers0, body0 = _post(server, "/analyze", {"program": LEAK})
             _, headers1, body1 = _post(
                 server, "/analyze", {"program": LEAK, "api_version": 1}
             )
-        schema.validate_response("analyze", 0, body0)
-        assert headers0.get("Deprecation") == 'version="0"'
-        schema.validate_response("analyze", 1, body1)
-        assert "Deprecation" not in headers1
-        # Same scan either way, just framed differently.
-        assert body1["data"]["scan"]["leaking_sites"] == body0["scan"][
-            "leaking_sites"
-        ]
+        for headers, body in ((headers0, body0), (headers1, body1)):
+            schema.validate_response("analyze", body)
+            assert "Deprecation" not in headers
+        assert body0["data"]["scan"]["leaking_sites"] == ["item"]
+        assert body1["data"]["scan"]["leaking_sites"] == ["item"]
 
     def test_diff_both_versions(self):
         fixed = LEAK.replace("c.slot = x;", "")
@@ -203,8 +183,9 @@ class TestWireConformance:
                 "/diff",
                 {"before": LEAK, "after": fixed, "api_version": 1},
             )
-        schema.validate_response("diff", 0, body0)
-        schema.validate_response("diff", 1, body1)
+        schema.validate_response("diff", body0)
+        schema.validate_response("diff", body1)
+        assert body0["data"]["diff"]["counts"]["fixed"] == 1
         assert body1["data"]["diff"]["counts"]["fixed"] == 1
 
     def test_healthz_and_metrics_query_versioning(self):
@@ -212,19 +193,52 @@ class TestWireConformance:
             _post(server, "/analyze", {"program": LEAK})
             _, h0, health0 = _get(server, "/healthz")
             _, h1, health1 = _get(server, "/healthz?api_version=1")
-            _, _, metrics0 = _get(server, "/metrics")
-            _, _, metrics1 = _get(server, "/metrics?api_version=1")
-        schema.validate_response("healthz", 0, health0)
-        assert h0.get("Deprecation") == 'version="0"'
-        schema.validate_response("healthz", 1, health1)
-        assert "Deprecation" not in h1
-        schema.validate_response("metrics", 0, metrics0)
-        schema.validate_response("metrics", 1, metrics1)
-        # Same snapshot, different framing.
-        assert set(metrics1["data"]) == set(metrics0)
+            _, m0, metrics0 = _get(server, "/metrics")
+            _, m1, metrics1 = _get(server, "/metrics?api_version=1")
+        schema.validate_response("healthz", health0)
+        schema.validate_response("healthz", health1)
+        schema.validate_response("metrics", metrics0)
+        schema.validate_response("metrics", metrics1)
+        for headers in (h0, h1, m0, m1):
+            assert "Deprecation" not in headers
+        assert set(metrics1["data"]) == set(metrics0["data"])
+
+    @pytest.mark.parametrize(
+        "path, where",
+        [
+            ("/analyze", "body"),
+            ("/analyze", "query"),
+            ("/diff", "body"),
+            ("/diff", "query"),
+            ("/healthz", "query"),
+            ("/metrics", "query"),
+        ],
+    )
+    def test_version_zero_is_400(self, path, where):
+        """The retired version-0 dialect is refused with the envelope,
+        whether the body or the query string asks for it."""
+        payload = {"program": LEAK, "before": LEAK, "after": LEAK}
+        if where == "body":
+            payload["api_version"] = 0
+        else:
+            path += "?api_version=0"
+        with _serving() as server:
+            if path.startswith(("/analyze", "/diff")):
+                code, headers, body = _error(
+                    lambda: _post(server, path, payload)
+                )
+            else:
+                code, headers, body = _error(lambda: _get(server, path))
+        assert code == 400
+        schema.validate_error(body)
+        assert body["error"]["code"] == "bad_request"
+        assert "api_version" in body["error"]["message"]
+        assert "Deprecation" not in headers
 
     @pytest.mark.parametrize("version", [0, 1])
     def test_error_envelope_conformance(self, version):
+        """An empty program (version 1) and a version-0 request are
+        both 400s in the one envelope."""
         with _serving() as server:
             code, _, body = _error(
                 lambda: _post(
@@ -234,14 +248,13 @@ class TestWireConformance:
                 )
             )
         assert code == 400
-        schema.validate_error(version, body)
-        if version == 1:
-            assert body["error"]["code"] == "bad_request"
-        else:
-            assert body["kind"] == "bad_request"
+        schema.validate_error(body)
+        assert body["error"]["code"] == "bad_request"
 
     @pytest.mark.parametrize("version", [0, 1])
     def test_422_envelope(self, version):
+        """A program that fails to parse is a 422 — unless the request
+        names version 0, which is refused before any analysis."""
         with _serving() as server:
             code, _, body = _error(
                 lambda: _post(
@@ -250,8 +263,8 @@ class TestWireConformance:
                     {"program": "not a program", "api_version": version},
                 )
             )
-        assert code == 422
-        schema.validate_error(version, body)
+        assert code == (422 if version == 1 else 400)
+        schema.validate_error(body)
 
     def test_unsupported_version_is_400(self):
         with _serving() as server:
@@ -261,6 +274,7 @@ class TestWireConformance:
                 )
             )
         assert code == 400
+        schema.validate_error(body)
 
     def test_429_mirrors_retry_after_into_body(self):
         with _serving(jobs=1, max_queue=0) as server:
@@ -268,16 +282,12 @@ class TestWireConformance:
             slot.__enter__()
             try:
                 code, headers, body = _error(
-                    lambda: _post(
-                        server,
-                        "/analyze",
-                        {"program": LEAK, "api_version": 1},
-                    )
+                    lambda: _post(server, "/analyze", {"program": LEAK})
                 )
             finally:
                 slot.__exit__(None, None, None)
         assert code == 429
-        schema.validate_error(1, body)
+        schema.validate_error(body)
         assert body["error"]["code"] == "queue_full"
         assert body["error"]["context"]["retry_after"] == int(
             headers["Retry-After"]
@@ -285,13 +295,33 @@ class TestWireConformance:
 
     def test_404_and_405_conform(self):
         with _serving() as server:
-            code404, _, body404 = _error(
-                lambda: _get(server, "/nope?api_version=1")
-            )
+            code404, _, body404 = _error(lambda: _get(server, "/nope"))
             code405, headers405, body405 = _error(
-                lambda: _get(server, "/analyze?api_version=1")
+                lambda: _get(server, "/analyze")
             )
         assert code404 == 404 and code405 == 405
-        schema.validate_error(1, body404)
-        schema.validate_error(1, body405)
+        schema.validate_error(body404)
+        schema.validate_error(body405)
         assert headers405["Allow"] == "POST"
+
+    def test_pre_body_errors_use_the_envelope(self):
+        """413 and a bad ``Content-Length`` are answered before the body
+        is read, in the same envelope as every other error."""
+        with _serving(max_body=64) as server:
+            code413, _, body413 = _error(
+                lambda: _post(server, "/analyze", {"program": LEAK})
+            )
+            request = urllib.request.Request(
+                _url(server, "/analyze"),
+                data=b"{}",
+                headers={"Content-Length": "x"},
+                method="POST",
+            )
+            code400, _, body400 = _error(
+                lambda: urllib.request.urlopen(request)
+            )
+        assert code413 == 413 and code400 == 400
+        schema.validate_error(body413)
+        schema.validate_error(body400)
+        assert body413["error"]["code"] == "payload_too_large"
+        assert body400["error"]["code"] == "bad_request"

@@ -1,18 +1,12 @@
-"""The deprecated API shims: warn once, answer identically.
-
-``check_program``/``analyze_loop``/``detect_leaks`` (and the
-``LoopSpec`` alias) stay importable from the package roots, emit one
-:class:`DeprecationWarning` per call site, and forward to the same
-implementations the new :class:`repro.Analyzer`/:func:`repro.analyze`
-facade uses — so migrating is a rename, never a behaviour change.
-"""
+"""The :class:`repro.Analyzer`/:func:`repro.analyze` facade, which
+replaced the removed ``check_program``/``analyze_loop``/``detect_leaks``
+entry points and the ``LoopSpec`` alias, answers without warnings."""
 
 import warnings
 
 import pytest
 
-import repro
-from repro import Analyzer, RegionSpec, analyze, parse_program
+from repro import Analyzer, analyze, parse_program
 from tests.conftest import SIMPLE_LEAK_SOURCE
 
 
@@ -29,72 +23,6 @@ def _catch(fn):
         w for w in caught if issubclass(w.category, DeprecationWarning)
     ]
     return value, deprecations
-
-
-class TestCheckProgramShim:
-    def test_warns_and_names_replacement(self, program):
-        region = RegionSpec("Main.main", "L")
-        _report, caught = _catch(lambda: repro.check_program(program, region))
-        assert len(caught) == 1
-        assert "repro.analyze" in str(caught[0].message)
-
-    def test_warns_once_per_call_site(self, program):
-        region = RegionSpec("Main.main", "L")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            for _ in range(3):
-                repro.check_program(program, region)
-        assert (
-            len([w for w in caught if w.category is DeprecationWarning]) == 1
-        )
-
-    def test_identical_report_to_new_api(self, program):
-        region = RegionSpec("Main.main", "L")
-        old, _ = _catch(lambda: repro.check_program(program, region))
-        new = analyze(program, "Main.main:L")
-        assert old.to_json(canonical=True) == new.to_json(canonical=True)
-
-
-class TestAnalyzeLoopShim:
-    def test_warns_and_matches_low_level_phase(self, program):
-        from repro.core.typestate import analyze_loop as low_level
-
-        method = program.method("Main.main")
-        old, caught = _catch(lambda: repro.analyze_loop(method, "L"))
-        assert len(caught) == 1
-        new = low_level(method, "L")
-        assert old.inside_sites == new.inside_sites
-
-
-class TestDetectLeaksShim:
-    def test_warns_and_matches_low_level_phase(self, program):
-        from repro.core.flows import detect_leaks as low_level
-        from repro.core.typestate import analyze_loop as low_level_analyze
-
-        result = low_level_analyze(program.method("Main.main"), "L")
-        old, caught = _catch(lambda: repro.detect_leaks(result))
-        assert len(caught) == 1
-        assert old.keys() == low_level(result).keys()
-
-
-class TestLoopSpecAlias:
-    def test_warns_and_is_a_region_spec(self):
-        from repro.core.regions import LoopSpec
-
-        spec, caught = _catch(lambda: LoopSpec("Main.main", "L"))
-        assert len(caught) == 1
-        assert isinstance(spec, RegionSpec)
-        assert spec == RegionSpec("Main.main", "L")
-
-    def test_old_and_new_spec_analyze_identically(self, program):
-        from repro.core.regions import LoopSpec
-
-        old_spec, _ = _catch(lambda: LoopSpec("Main.main", "L"))
-        analyzer = Analyzer(program)
-        assert (
-            analyzer.analyze(old_spec).to_json(canonical=True)
-            == analyzer.analyze("Main.main:L").to_json(canonical=True)
-        )
 
 
 class TestNewFacade:

@@ -33,11 +33,11 @@ def test_root_quickstart_surface():
 
     for attr in (
         "parse_program",
+        "Analyzer",
+        "analyze",
         "LeakChecker",
-        "LoopSpec",
         "RegionSpec",
         "DetectorConfig",
-        "analyze_loop",
         "analyze_trace",
         "execute",
         "inline_calls",
