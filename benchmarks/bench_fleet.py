@@ -5,8 +5,8 @@ Standalone harness (``make fleet-smoke`` runs the short mode) writing
 coordinator/worker fleet:
 
 * **canonical identity** — the scaled corpus scanned serially and
-  through the fleet coordinator (the path ``scan --parallel`` takes)
-  produces byte-identical canonical JSON under **both** points-to
+  through the fleet coordinator (the path ``POST /analyze-batch``
+  takes) produces byte-identical canonical JSON under **both** points-to
   kernels (``REPRO_PTA_KERNEL=legacy|flat``).  This is a hard gate:
   any divergence fails the run.
 * **throughput scaling** — regions/second through the coordinator at

@@ -95,10 +95,10 @@ def bench_stress():
 def bench_worker_warmup():
     """Time a worker's path to a queryable points-to result, both ways.
 
-    The shared-memory path is what process fleet workers (``scan
-    --parallel``, ``serve --workers``) now do: attach the packed block
-    and hydrate a :class:`FlatAndersenResult` whose mask table lazily
-    decodes straight out of the shared buffer.  The baseline is what every worker paid
+    The shared-memory path is what the daemon's process fleet workers
+    (``serve --workers``) now do: attach the packed block and hydrate a
+    :class:`FlatAndersenResult` whose mask table lazily decodes straight
+    out of the shared buffer.  The baseline is what every worker paid
     before the flat kernel existed: unpickle its own copy of the
     dict-kind snapshot and rebuild the per-node Python sets.
     """

@@ -1,10 +1,10 @@
-"""Pipeline benchmarks: session-level artifact reuse and parallel scan.
+"""Pipeline benchmarks: session-level artifact reuse.
 
 The staged pipeline's selling point is that program-level artifacts
 (call graph, points-to state, statement and store-edge indexes) are
 built once per session instead of once per region check.  These
-benchmarks measure that directly on the largest subject and keep the
-parallel scan mode honest about overhead on small programs.
+benchmarks measure that directly on the largest subject.  The fleet's
+fan-out is timed by ``bench_fleet.py`` and perfbench's ``fleet-warm``.
 """
 
 from repro.core.pipeline import AnalysisSession
@@ -43,36 +43,3 @@ def test_serial_scan_shared_session(benchmark, apps):
     session = AnalysisSession(app.program, app.config).warm()
     benchmark(scan_all_loops, app.program, app.config, session=session)
 
-
-def test_parallel_scan_shared_session(benchmark, apps):
-    app = apps["mikou"]
-    session = AnalysisSession(app.program, app.config).warm()
-    result = benchmark(
-        scan_all_loops,
-        app.program,
-        app.config,
-        parallel=True,
-        max_workers=2,
-        session=session,
-    )
-    assert len(result.entries) == 2
-
-
-def test_parallel_check_all_bench_regions(benchmark, apps):
-    """Cross-app sanity load: each app's region through the parallel
-    scan on its own session."""
-
-    def sweep():
-        count = 0
-        for app in apps.values():
-            result = scan_all_loops(
-                app.program,
-                session=AnalysisSession(app.program, app.config),
-                specs=[app.region],
-                parallel=True,
-                max_workers=2,
-            )
-            count += len(result.entries)
-        return count
-
-    assert benchmark(sweep) == len(apps)

@@ -95,7 +95,7 @@ def _resolve_targets(program, hierarchy, invoke):
 def build_cha(program, entries=None):
     """Build a CHA call graph starting from ``entries`` (default: the
     program entry point)."""
-    entry_sigs = entries or [program.entry]
+    entry_sigs = entries or [program.entry_method().sig]
     hierarchy = ClassHierarchy(program)
     graph = CallGraph(program, entry_sigs)
     # CHA edges do not depend on reachability; process every method so the

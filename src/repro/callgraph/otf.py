@@ -28,7 +28,7 @@ def build_otf(program, entries=None, max_rounds=10):
     which case the last sound graph is returned — each round only ever
     *shrinks* the RTA edge set, so every intermediate graph is safe).
     """
-    entry_sigs = entries or [program.entry]
+    entry_sigs = entries or [program.entry_method().sig]
     graph = build_rta(program, entries=entry_sigs)
 
     for _round in range(max_rounds):

@@ -12,7 +12,7 @@ from repro.ir.stmts import InvokeStmt, NewStmt
 
 def build_rta(program, entries=None):
     """Build an RTA call graph from ``entries`` (default: program entry)."""
-    entry_sigs = entries or [program.entry]
+    entry_sigs = entries or [program.entry_method().sig]
     graph = CallGraph(program, entry_sigs)
 
     instantiated = set()

@@ -154,20 +154,15 @@ def _cmd_scan(args):
     from repro.core.pipeline import AnalysisSession
     from repro.core.scan import scan_all_loops
 
-    if args.changed_since and (
-        args.parallel or args.ranked or args.limit is not None
-    ):
+    if args.changed_since and (args.ranked or args.limit is not None):
         print(
             "error: --changed-since is incompatible with "
-            "--parallel/--ranked/--limit (incremental scans serve "
+            "--ranked/--limit (incremental scans serve "
             "stored per-region reports; region selection comes from "
             "--region/--auto-regions or all labelled loops)",
             file=sys.stderr,
         )
         return 2
-    # Shared with the library's max_workers and serve --workers: an
-    # invalid count raises AnalysisError, which main() renders as exit 2.
-    validate_workers(args.jobs, flag="--jobs")
     if args.auto_regions and (args.ranked or args.region):
         print(
             "error: --auto-regions replaces --ranked/--region "
@@ -233,8 +228,6 @@ def _cmd_scan(args):
             config=config,
             ranked=args.ranked,
             limit=args.limit,
-            parallel=args.parallel,
-            max_workers=args.jobs,
             cache=cache,
             session=session,
             specs=specs,
@@ -453,7 +446,9 @@ def _cmd_serve(args):
     from repro.server.app import create_server, run_server
 
     if args.workers:
-        validate_workers(args.workers, flag="--workers")
+        # An invalid count raises AnalysisError, which main() renders
+        # as exit 2.
+        validate_workers(args.workers)
     worker_hosts = None
     if args.worker_hosts:
         from repro.server.remote import parse_hosts
@@ -555,7 +550,7 @@ def build_parser():
         action="store_true",
         help="with --json, emit canonical run-independent JSON "
         "(timings zeroed, cache counters dropped) — byte-stable "
-        "across repeated, parallel and incremental runs",
+        "across repeated, cache-hydrated and incremental runs",
     )
     out_group.add_argument(
         "--profile",
@@ -706,18 +701,6 @@ def build_parser():
         "value-flow graph, per-region reports) for later "
         "--changed-since runs",
     )
-    scan.add_argument(
-        "--parallel",
-        action="store_true",
-        help="check loops concurrently on worker processes "
-        "(identical output to serial)",
-    )
-    scan.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="workers for --parallel (default: min(4, loops)); must be >= 1",
-    )
     add_detector_flags(scan)
     scan.set_defaults(func=_cmd_scan)
 
@@ -820,7 +803,8 @@ def build_parser():
         "--max-sessions",
         type=int,
         default=8,
-        help="distinct programs kept warm before LRU eviction",
+        help="distinct programs kept warm before LRU eviction, "
+        "those sharded over the fleet included",
     )
     serve.add_argument(
         "--cache-dir",

@@ -49,8 +49,6 @@ class Analyzer:
         *,
         auto_regions=False,
         top=None,
-        parallel=False,
-        max_workers=None,
         deadline_ms=None,
     ):
         """Analyze one region, or scan the program's candidate regions.
@@ -63,16 +61,14 @@ class Analyzer:
         With ``region=None`` the call scans instead, returning a
         :class:`~repro.core.scan.ScanResult` over every labelled loop —
         or, with ``auto_regions=True``, the regions selected by static
-        inference (``top`` capping how many).  ``parallel`` and
-        ``max_workers`` fan the scan out over worker processes exactly
-        as :func:`repro.core.scan.scan_all_loops` does.
+        inference (``top`` capping how many).
 
         ``deadline_ms`` bounds the call's wall-clock analysis effort:
         past the deadline, demand-driven points-to refinement stops and
         queries answer from the sound whole-program fallback, so the
         call completes (degraded, never truncated).  The report's
         ``deadline_expiries`` counter records whether degradation
-        happened.  Ignored by a scan that fans out over workers.
+        happened.  It bounds a scan the same way.
         """
         deadline = Deadline.after_ms(deadline_ms)
         if region is not None:
@@ -83,8 +79,6 @@ class Analyzer:
             session=self.session,
             auto_regions=auto_regions,
             top=top,
-            parallel=parallel,
-            max_workers=max_workers,
             deadline=deadline,
         )
 

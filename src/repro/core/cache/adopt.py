@@ -1,11 +1,10 @@
 """Worker-side snapshot adoption: from a parent's artifacts to a live session.
 
-Every multi-process execution path in the system — the fleet behind
-``repro serve --workers`` and ``scan --parallel`` — faces the same
-hand-off problem: a parent holds a warmed
-:class:`~repro.core.pipeline.session.AnalysisSession` and a worker in
-another process must answer region checks against *exactly* that
-state without re-solving it.  The currency is the plain-data snapshot
+The multi-process execution path in the system — the fleet behind
+``repro serve --workers`` — faces one hand-off problem: a parent holds
+a program's warmed substrate and a worker in another process must
+answer region checks against *exactly* that state without re-solving
+it.  The currency is the plain-data snapshot
 (:func:`~repro.core.cache.serialize.snapshot_shared`), and the
 zero-copy transport is the flat kernel's packed form
 (:func:`~repro.pta.kernel.pack_snapshot`) in a read-only
@@ -20,14 +19,14 @@ This module is the one place that protocol lives:
 * :func:`attach_shared` — worker side: attach to a named block and
   keep it alive past the worker's own resource tracker's cleanup;
 * :func:`adopt_session` — worker side, one call: program blob +
-  config + (shm name | snapshot dict | nothing) → a ready
+  config + (shm name | packed bytes | nothing) → a ready
   ``AnalysisSession``, hydrated when state was handed off, cold-built
   as the sound fallback when not.
 
-The fleet coordinator (:mod:`repro.server.coordinator`) and its worker
-(:mod:`repro.server.worker`) build on these; keeping them here means
-the cache layer owns every producer *and* consumer of its snapshot
-encoding.
+The daemon's session pool (:mod:`repro.server.pool`) and the fleet
+worker (:mod:`repro.server.worker`) build on these; keeping them here
+means the cache layer owns every producer *and* consumer of its
+snapshot encoding.
 """
 
 import os
@@ -38,8 +37,8 @@ def share_snapshot(snapshot):
     """Pack ``snapshot`` into a shared-memory block.
 
     Returns ``(shm, name)``; ``(None, None)`` when shared memory is
-    unavailable on this platform (callers then ship the snapshot dict
-    itself).  The caller owns the segment: ``shm.close()`` +
+    unavailable on this platform (callers then ship the packed bytes
+    themselves).  The caller owns the segment: ``shm.close()`` +
     ``shm.unlink()`` when every worker is done with it.
     """
     from repro.pta.kernel import pack_snapshot
@@ -100,7 +99,7 @@ def adopt_session(
     program_blob,
     config_kwargs,
     shm_name=None,
-    snapshot=None,
+    packed=None,
     program_digest=None,
 ):
     """Build a worker-local session adopting the parent's state.
@@ -108,9 +107,9 @@ def adopt_session(
     ``program_blob`` is the pickled program and ``config_kwargs`` the
     parent's ``config.describe()``.  State arrives, in preference
     order, as ``shm_name`` (a packed snapshot in shared memory),
-    ``snapshot`` (the plain dict), or neither — in which case the
-    session is built cold and warmed, the sound fallback for a worker
-    that missed every hand-off.
+    ``packed`` (the same bytes, carried along), or neither — in which
+    case the session is built cold and warmed, the sound fallback for
+    a worker that missed every hand-off.
 
     Returns ``(session, shm)``; ``shm`` is the attached segment (or
     ``None``) and must be kept referenced alongside the session.
@@ -124,11 +123,12 @@ def adopt_session(
     shm = None
     try:
         if shm_name is not None:
+            shm = attach_shared(shm_name)
+            packed = shm.buf
+        if packed is not None:
             from repro.pta.kernel import attach_snapshot
 
-            shm = attach_shared(shm_name)
-            snapshot = attach_snapshot(shm.buf)
-        if snapshot is not None:
+            snapshot = attach_snapshot(packed)
             # The snapshot came straight from a live parent session, so
             # its recorded digest is trusted — no need to re-hash the
             # program.

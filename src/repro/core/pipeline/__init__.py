@@ -8,8 +8,7 @@ Stage modules (one per stage, in execution order):
 
 :mod:`~repro.core.pipeline.session` orchestrates them over memoized
 program-level artifacts; :mod:`~repro.core.pipeline.sharding` splits a
-region list into the shards a parallel scan fans out (over the fleet
-coordinator, :mod:`repro.server.coordinator`);
+region list into the shards the daemon's fleet fans out;
 :mod:`~repro.core.pipeline.stats` carries per-stage timings and work
 counters.
 """

@@ -329,9 +329,9 @@ class AnalysisSession:
         return self.shared.thread_subclasses()
 
     def warm(self):
-        """Precompute the shared lazy artifacts before a parallel scan
-        snapshots them for its workers, so no worker repeats the heavy
-        one-time work."""
+        """Precompute the shared lazy artifacts before they are
+        snapshotted for fleet workers or the cache, so no worker repeats
+        the heavy one-time work."""
         self.points_to.andersen  # force the whole-program solve
         if summaries_enabled():
             # Fleet workers and cache snapshots also share the

@@ -1,9 +1,8 @@
 """Shard planning for distributed region scans.
 
 A region scan is an embarrassingly parallel list of independent
-checks; the fleet coordinator (:mod:`repro.server.coordinator`), which
-runs every fanned-out scan, and the serial scan need the same two
-primitives:
+checks; the daemon's fleet coordinator (:mod:`repro.server.coordinator`)
+and the serial scan need the same two primitives:
 
 * :func:`plan_shards` — split a spec list into contiguous, ordered
   shards.  Contiguity matters: a shard is one worker task, and the

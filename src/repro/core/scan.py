@@ -12,15 +12,13 @@ AnalysisSession`, so program-level artifacts (call graph, points-to,
 per-method statement and store-edge indexes, library visibility) are
 built once and shared by every region; region inference reuses the same
 cached call graph, so it adds one CFG sweep on top of a warm session.
-With ``parallel=True`` the independent regions fan out over worker
-processes through the fleet coordinator
-(:class:`repro.server.coordinator.Coordinator`), the same path the
-daemon's ``/analyze-batch`` takes; the resulting entries are identical
-to a serial scan in both content and order.  With ``cache=``
-(an :class:`~repro.core.cache.store.ArtifactCache`) the session
-hydrates its program-level artifacts from disk when a prior run left
-them there, and persists them after the scan — repeated scans of the
-same program skip the warm-up entirely.
+A scan runs in the calling process; fanning regions out over worker
+processes is the daemon's job (``POST /analyze-batch`` behind ``repro
+serve --workers N``), where a warm worker pool pays back its start-up
+cost.  With ``cache=`` (an :class:`~repro.core.cache.store.
+ArtifactCache`) the session hydrates its program-level artifacts from
+disk when a prior run left them there, and persists them after the
+scan — repeated scans of the same program skip the warm-up entirely.
 
 Scan results carry a deterministic severity triage of every finding
 (:mod:`repro.core.infer.triage`), the input of suppression-baseline
@@ -32,7 +30,6 @@ from repro.core.pipeline.sharding import check_spec_list
 from repro.core.pipeline.stats import PipelineStats, stats_from_report
 from repro.core.ranking import rank_loops
 from repro.core.regions import candidate_loops, region_text
-from repro.core.workers import resolve_workers
 
 
 class ScanResult:
@@ -147,7 +144,7 @@ class ScanResult:
 
         ``canonical=True`` zeroes timings and drops run-dependent cache
         counters (:mod:`repro.core.canonical`) so equivalent runs —
-        serial, parallel, cache-hydrated — produce byte-identical text;
+        serial, fleet-sharded, cache-hydrated — produce byte-identical text;
         the golden regression corpus stores this form.
         """
         import json
@@ -172,8 +169,6 @@ def scan_all_loops(
     config=None,
     ranked=False,
     limit=None,
-    parallel=False,
-    max_workers=None,
     session=None,
     cache=None,
     specs=None,
@@ -197,16 +192,12 @@ def scan_all_loops(
 
     A program with no candidate regions yields an empty
     :class:`ScanResult` (zero regions, zero findings) rather than an
-    error.  ``parallel=True`` checks regions on ``max_workers`` worker
-    processes (default ``min(4, regions)``) with output identical to the
-    serial scan; with one worker or one region it *is* the serial scan.
-    ``session`` lets callers bring their own warmed
+    error.  ``session`` lets callers bring their own warmed
     :class:`AnalysisSession`; ``cache`` hydrates/persists the
     program-level artifacts through a persistent
     :class:`~repro.core.cache.store.ArtifactCache`; ``deadline`` (a
-    :class:`repro.pta.queries.Deadline`) bounds the serial scan's
-    demand-driven query work — past it, queries degrade to the Andersen
-    fallback (a scan that fans out runs without one).
+    :class:`repro.pta.queries.Deadline`) bounds the scan's demand-driven
+    query work — past it, queries degrade to the Andersen fallback.
     """
     session = session or AnalysisSession(program, config, cache=cache)
     infer_counters = {}
@@ -225,14 +216,10 @@ def scan_all_loops(
         specs = candidate_loops(program)
     if limit is not None:
         specs = specs[:limit]
-    workers = resolve_workers(max_workers, len(specs) or 1) if parallel else 1
-    if workers > 1 and len(specs) > 1:
-        entries = _fan_out(session, specs, workers)
-    else:
-        # The serial path is the fleet worker's shard loop run over the
-        # whole list (repro.core.pipeline.sharding) — one code path,
-        # whatever the process topology.
-        entries = check_spec_list(session, specs, deadline=deadline)
+    # The fleet worker's shard loop run over the whole list
+    # (repro.core.pipeline.sharding) — one code path, whatever the
+    # process topology.
+    entries = check_spec_list(session, specs, deadline=deadline)
     if session.cache is not None and not session.hydrated_from_cache:
         session.persist()
     return ScanResult(
@@ -242,21 +229,3 @@ def scan_all_loops(
         infer_seconds=infer_seconds,
     )
 
-
-def _fan_out(session, specs, workers):
-    """Check ``specs`` on ``workers`` processes that adopt ``session``'s
-    warmed substrate; a failing region raises
-    :class:`~repro.errors.RegionCheckError` with the worker traceback."""
-    from repro.core.cache.serialize import snapshot_shared
-    from repro.server.coordinator import Coordinator
-
-    session.warm()
-    coordinator = Coordinator(workers, config=session.config)
-    try:
-        return coordinator.scan_program(
-            session.program,
-            specs,
-            shared_snapshot=snapshot_shared(session.shared),
-        ).entries
-    finally:
-        coordinator.close()

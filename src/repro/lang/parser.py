@@ -25,6 +25,13 @@ from repro.lang import ast_nodes as A
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import EOF, IDENT, KEYWORD, PUNCT
 
+#: Deepest nesting of ``if``/``loop``/``while`` statements a program may
+#: use.  Lowering, validation and the analyses recurse over the same
+#: nesting, and each handles this depth, also on a thread's stack as the
+#: daemon runs them; past it the parser answers with a ``ParseError``
+#: instead of exhausting the interpreter's recursion limit.
+MAX_NESTING = 200
+
 
 class Parser:
     """Single-use parser over a token stream."""
@@ -32,6 +39,7 @@ class Parser:
     def __init__(self, source):
         self._tokens = tokenize(source)
         self._pos = 0
+        self._depth = 0
 
     # -- token helpers -----------------------------------------------------
 
@@ -156,10 +164,15 @@ class Parser:
 
     def _parse_stmt(self):
         tok = self._peek()
-        if tok.is_kw("if"):
-            return self._parse_if()
-        if tok.is_kw("loop") or tok.is_kw("while"):
-            return self._parse_loop()
+        if tok.is_kw("if") or tok.is_kw("loop") or tok.is_kw("while"):
+            if self._depth == MAX_NESTING:
+                self._error(
+                    "statements nested more than %d deep" % MAX_NESTING, tok
+                )
+            self._depth += 1
+            stmt = self._parse_if() if tok.is_kw("if") else self._parse_loop()
+            self._depth -= 1
+            return stmt
         stmt = self._parse_simple()
         self._expect_punct(";")
         return stmt

@@ -24,8 +24,8 @@ called out by the ROADMAP:
 * **Flat serialization** — the solved bitsets serialize as one byte
   blob plus an offset table (:func:`snapshot_flat`), which the artifact
   cache stores directly and :func:`pack_snapshot` lays out in a single
-  buffer that process fleet workers (``scan --parallel``, ``serve
-  --workers``) attach to through ``multiprocessing.shared_memory``
+  buffer that the daemon's process fleet workers (``serve --workers``)
+  attach to through ``multiprocessing.shared_memory``
   (:func:`attach_snapshot`) — masks decode lazily per query, so
   per-worker warmup is near zero.
 

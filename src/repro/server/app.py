@@ -163,8 +163,7 @@ class AnalysisServer:
 
             self.coordinator = Coordinator(
                 workers,
-                config=self.pool.config,
-                cache=cache,
+                pool=self.pool,
                 transport=transport,
                 worker_hosts=worker_hosts,
                 metrics=self.metrics,
@@ -222,11 +221,13 @@ class AnalysisServer:
                 pass  # loop already closed
 
     def server_close(self):
-        """Release every resource: executor, fleet — and the listening
-        socket, unless the accept loop ran (it closes its own)."""
+        """Release every resource: executor, fleet, the pool's shm
+        segments — and the listening socket, unless the accept loop ran
+        (it closes its own)."""
         self._executor.shutdown(wait=False, cancel_futures=True)
         if self.coordinator is not None:
             self.coordinator.close()
+        self.pool.close()
         if self._loop is None:
             try:
                 self._sock.close()
@@ -653,13 +654,35 @@ class AnalysisServer:
                 record["report"] = report.as_dict()
             return record
 
+        deadline = Deadline.after_ms(deadline_ms)
+        try:
+            if self.coordinator is not None:
+                outcomes = self.coordinator.scan_iter(
+                    program,
+                    specs=specs,
+                    deadline_ms=deadline_ms,
+                    digest=digest,
+                )
+            else:
+                result, info = self.pool.analyze(
+                    program, specs=specs, deadline=deadline
+                )
+        except ReproError as exc:
+            # The program cannot be analysed at all (warm-up failed):
+            # one record for it, and the batch goes on.
+            self.metrics.count("analysis_errors")
+            yield {
+                "record": "error",
+                "program_id": program_id,
+                "region": None,
+                "error": {
+                    "code": "analysis_error",
+                    "message": str(exc),
+                    "context": {},
+                },
+            }
+            return
         if self.coordinator is not None:
-            outcomes = self.coordinator.scan_iter(
-                program,
-                specs=specs,
-                deadline_ms=deadline_ms,
-                shared_snapshot=self.pool.shared_snapshot_for(digest),
-            )
             for outcome in outcomes:
                 if outcome.kind == "ok":
                     yield region_record(
@@ -679,24 +702,6 @@ class AnalysisServer:
                             "context": {"index": outcome.index},
                         },
                     }
-            return
-        deadline = Deadline.after_ms(deadline_ms)
-        try:
-            result, info = self.pool.analyze(
-                program, specs=specs, deadline=deadline
-            )
-        except ReproError as exc:
-            self.metrics.count("analysis_errors")
-            yield {
-                "record": "error",
-                "program_id": program_id,
-                "region": None,
-                "error": {
-                    "code": "analysis_error",
-                    "message": str(exc),
-                    "context": {},
-                },
-            }
             return
         degraded = bool(deadline is not None and deadline.was_exceeded)
         self._record_analysis(result, info, degraded)

@@ -21,47 +21,82 @@ Policy decisions, deliberately boring:
   broad one;
 * entries evict LRU once ``max_sessions`` distinct programs have been
   seen — a snapshot is all-we-need state, so eviction costs one cold
-  scan, nothing more;
+  scan, nothing more.  The bound covers every warm program, those only
+  the worker fleet has seen included: a program analysed through both
+  ``/analyze`` and ``/analyze-batch`` takes one slot;
 * a per-entry lock serializes same-digest requests (two concurrent
   cold scans of the same program would just waste CPU); distinct
   digests proceed in parallel under the admission layer's ``jobs`` cap.
+
+The pool is also the fleet's program store: :meth:`SessionPool.handoff`
+fills an entry with what a worker needs to serve the program warm (see
+:class:`PoolEntry`), and the pool's eviction is the one place that
+closes and unlinks a hand-off's shared-memory segment.
 
 An optional :class:`~repro.core.cache.store.ArtifactCache` additionally
 persists program-level artifacts across daemon restarts.
 """
 
+import pickle
 import threading
 from collections import OrderedDict
 
+from repro.core.cache.adopt import share_snapshot
 from repro.core.cache.digest import program_digest
 from repro.core.cache.serialize import snapshot_shared
 from repro.core.incremental.engine import changed_scan
 from repro.core.incremental.snapshot import snapshot_scan
 from repro.core.pipeline.session import AnalysisSession
 from repro.core.scan import scan_all_loops
+from repro.pta.kernel import pack_snapshot
 
 
 class PoolEntry:
-    """One pooled program: its snapshots and the lock that guards them.
+    """One pooled program: its warm state and the lock that guards it.
 
     ``snapshot`` is the per-region scan snapshot the incremental engine
     serves from; ``shared_snapshot`` is the program-level substrate
     (call graph + solved points-to in the kernel's flat encoding) that
     a warm request's re-check session hydrates from instead of
-    re-solving — the same payload process scan workers attach to.
+    re-solving.  Both are set by ``/analyze``.
+
+    The fleet hand-off, set by :meth:`SessionPool.handoff`:
+    ``program_blob`` is the pickled program, and the packed substrate
+    (:func:`~repro.pta.kernel.pack_snapshot`) lives in the shared-memory
+    segment ``shm`` when the transport wants one, else in ``packed``.
     """
 
     __slots__ = (
-        "digest", "snapshot", "shared_snapshot", "lock", "hits", "misses",
+        "digest", "snapshot", "shared_snapshot", "program_blob", "packed",
+        "shm", "closed", "lock", "hits", "misses",
     )
 
     def __init__(self, digest):
         self.digest = digest
         self.snapshot = None
         self.shared_snapshot = None
+        self.program_blob = None
+        self.packed = None
+        self.shm = None
+        self.closed = False
         self.lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+
+    def release(self):
+        """Close and unlink the hand-off segment (idempotent)."""
+        self.closed = True
+        shm, self.shm = self.shm, None
+        _unlink(shm)
+
+
+def _unlink(shm):
+    if shm is not None:
+        try:
+            shm.close()
+            shm.unlink()
+        except OSError:
+            pass
 
 
 class SessionPool:
@@ -144,16 +179,39 @@ class SessionPool:
             entry = self._entries.get(digest)
         return entry.snapshot if entry is not None else None
 
-    def shared_snapshot_for(self, digest):
-        """The stored substrate snapshot for a digest, or ``None``.
+    def handoff(self, program, digest=None, shm=False):
+        """``program``'s entry with its fleet hand-off filled, at most once.
 
-        The fleet coordinator donates this to its workers: a program
-        the pool already warmed hands its solved points-to straight to
-        the shard fan-out, with no second warm scan anywhere.
+        The substrate comes from the entry's ``shared_snapshot`` when
+        ``/analyze`` already built one, else from a warm session built
+        here and not kept: a program only the fleet has seen retains the
+        packed form alone.  With ``shm`` it is packed into a
+        shared-memory segment, falling back to ``packed`` bytes where
+        the platform has none.
         """
-        with self._lock:
-            entry = self._entries.get(digest)
-        return entry.shared_snapshot if entry is not None else None
+        entry = self._entry_for(digest or program_digest(program))
+        with entry.lock:
+            if entry.program_blob is not None:
+                return entry
+            snapshot = entry.shared_snapshot
+            if snapshot is None:
+                session = AnalysisSession(
+                    program, self.config, cache=self.cache
+                )
+                snapshot = snapshot_shared(session.warm().shared)
+            segment = share_snapshot(snapshot)[0] if shm else None
+            if segment is None:
+                entry.packed = pack_snapshot(snapshot)
+            else:
+                with self._lock:
+                    # Evicted while packing: nobody would unlink it later.
+                    if not entry.closed:
+                        entry.shm, segment = segment, None
+                _unlink(segment)
+            entry.program_blob = pickle.dumps(
+                program, protocol=pickle.HIGHEST_PROTOCOL
+            )
+            return entry
 
     def _entry_for(self, digest):
         with self._lock:
@@ -163,9 +221,16 @@ class SessionPool:
                 return entry
             entry = self._entries[digest] = PoolEntry(digest)
             while len(self._entries) > self.max_sessions:
-                self._entries.popitem(last=False)
+                self._entries.popitem(last=False)[1].release()
                 self.evicted += 1
             return entry
+
+    def close(self):
+        """Drop every entry, unlinking its hand-off segment."""
+        with self._lock:
+            for entry in self._entries.values():
+                entry.release()
+            self._entries.clear()
 
     def stats(self):
         """Gauge-ready occupancy numbers for ``/metrics``."""

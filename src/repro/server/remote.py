@@ -303,14 +303,14 @@ class RemoteTransport(Transport):
     One serve thread per worker pulls shards from a shared queue, so a
     dead worker's backlog drains onto the survivors automatically; a
     heartbeat thread keeps idle links honest.  Program hand-off is by
-    digest: the coordinator registers each packed snapshot via
-    :meth:`prepare_program`, and a worker that misses the digest (no
-    warm session, no cache entry of its own) asks for exactly one push.
+    digest: a shard frame carries the program but not its substrate,
+    and a worker that misses the digest (no warm session, no cache
+    entry of its own) asks for exactly one push of the packed snapshot
+    the shard task carries.
     """
 
     kind = "remote"
     wants_shm = False
-    wants_snapshot = False
 
     def __init__(
         self,
@@ -338,7 +338,6 @@ class RemoteTransport(Transport):
         self._links = [_Link(host, port) for host, port in parse_hosts(hosts)]
         self.workers = len(self._links)
         self._queue = queue.Queue()
-        self._snapshots = {}
         self._lock = threading.Lock()
         self._seq = itertools.count(1)
         self._counters = {
@@ -379,17 +378,6 @@ class RemoteTransport(Transport):
             return future
         self._queue.put(_Pending(task, future))
         return future
-
-    def prepare_program(self, digest, snapshot):
-        from repro.pta.kernel import pack_snapshot
-
-        packed = pack_snapshot(snapshot)
-        with self._lock:
-            self._snapshots[digest] = packed
-
-    def release_program(self, digest):
-        with self._lock:
-            self._snapshots.pop(digest, None)
 
     def warm(self):
         """Dial every worker once, eagerly — connection problems show
@@ -472,30 +460,21 @@ class RemoteTransport(Transport):
         with link.lock:
             reply, reply_blobs = link.request(header, blobs, self.shard_timeout)
             if reply.get("type") == "need-snapshot":
+                ack, _ = link.request(
+                    {"type": "snapshot", "digest": task["digest"]},
+                    [task["packed"]],
+                    self.shard_timeout,
+                )
+                if ack.get("type") != "snapshot-ok":
+                    raise _TaskRejected(
+                        "worker %s rejected the snapshot push: %r"
+                        % (link.address, ack)
+                    )
                 with self._lock:
-                    packed = self._snapshots.get(task["digest"])
-                if packed is None:
-                    # Evicted (or never prepared): the worker builds the
-                    # substrate itself — slower, never wrong.
-                    reply, reply_blobs = link.request(
-                        dict(header, cold_ok=True), blobs, self.shard_timeout
-                    )
-                else:
-                    ack, _ = link.request(
-                        {"type": "snapshot", "digest": task["digest"]},
-                        [packed],
-                        self.shard_timeout,
-                    )
-                    if ack.get("type") != "snapshot-ok":
-                        raise _TaskRejected(
-                            "worker %s rejected the snapshot push: %r"
-                            % (link.address, ack)
-                        )
-                    with self._lock:
-                        self._counters["snapshot_pushes"] += 1
-                    reply, reply_blobs = link.request(
-                        header, blobs, self.shard_timeout
-                    )
+                    self._counters["snapshot_pushes"] += 1
+                reply, reply_blobs = link.request(
+                    header, blobs, self.shard_timeout
+                )
         if reply.get("type") == "error":
             raise _TaskRejected(
                 "worker %s: %s" % (link.address, reply.get("message"))

@@ -19,8 +19,9 @@ Program hand-off degrades gracefully, warmest first:
 3. **wire** — answer ``need-snapshot``; the coordinator pushes the
    packed snapshot, the worker hydrates it *and saves it into its
    cache dir*, so the next miss on this host is a cache hit;
-4. **cold** — the coordinator's copy was evicted (``cold_ok``), or a
-   pushed snapshot failed to decode: rebuild from the program blob.
+4. **cold** — the shard frame says ``cold_ok`` (its sender has no
+   snapshot to push), or a pushed snapshot failed to decode: rebuild
+   from the program blob.
    Slower, never wrong; decode failures are counted as
    ``adoption_failures`` in the shard result.
 
@@ -219,7 +220,7 @@ class RemoteWorkerServer:
             "specs_blob": blobs[1],
             "indices": list(header.get("indices") or []),
             "shm_name": None,
-            "snapshot": None,
+            "packed": None,
             "deadline_ms": header.get("deadline_ms"),
             "cold_ok": bool(header.get("cold_ok")),
         }

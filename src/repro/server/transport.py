@@ -5,16 +5,15 @@ interface is deliberately tiny — submit a plain-data task, get a
 :class:`~concurrent.futures.Future` of a plain-data result — because
 that is the whole contract a multi-host backend would need to honor:
 tasks and results are already picklable, program state already travels
-by digest + snapshot, and ordering is already reconstructed from
+by digest + packed snapshot, and ordering is already reconstructed from
 indices on the coordinator side.  Three transports exist:
 
-* :class:`LocalProcessTransport` — the production default and the
-  engine of ``scan --parallel``: a ``ProcessPoolExecutor`` whose
-  workers keep their adopted-session LRUs warm for as long as the pool
-  lives (across requests in the daemon, one scan for ``scan
-  --parallel``), shard hand-off via shared-memory snapshots.  A broken
-  pool (a worker killed mid-task) is rebuilt once per incident rather
-  than taking the daemon down.
+* :class:`LocalProcessTransport` — the production default: a
+  ``ProcessPoolExecutor`` whose workers keep their adopted-session LRUs
+  warm across requests for as long as the daemon lives, shard hand-off
+  via shared-memory snapshots.  A broken pool (a worker killed
+  mid-task) is rebuilt once per incident rather than taking the daemon
+  down.
 * :class:`InlineTransport` — same code path, zero processes: shards
   run synchronously in the caller.  This is the deterministic
   harness for tests and the ``workers``-without-multiprocessing
@@ -41,27 +40,17 @@ TRANSPORTS = ("process", "inline")
 
 class Transport:
     """Submit shard tasks somewhere; the seam a multi-host fleet
-    implements.  ``wants_shm`` tells the coordinator whether packing
+    implements.  ``wants_shm`` tells the session pool whether packing
     snapshots into shared memory is worth it for this transport;
-    ``wants_snapshot`` whether the plain snapshot dict should ride
-    inside every shard task when shared memory is unavailable (the
-    remote transport answers no to both — it hands programs off through
-    :meth:`prepare_program` and its own wire/cache protocol instead)."""
+    otherwise the packed bytes ride inside every shard task (the remote
+    transport pushes them only to a worker that asks)."""
 
     kind = "abstract"
     wants_shm = False
-    wants_snapshot = True
     workers = 1
 
     def submit(self, task):  # pragma: no cover - interface
         raise NotImplementedError
-
-    def prepare_program(self, digest, snapshot):
-        """A program became fleet-ready; transports that manage their
-        own hand-off (remote) register the snapshot here."""
-
-    def release_program(self, digest):
-        """The coordinator evicted ``digest``; drop any hand-off state."""
 
     def stats(self):
         """Transport-level counters folded into the fleet snapshot."""

@@ -1,27 +1,26 @@
 """Fleet worker: execute one shard of region checks, warm on any digest.
 
 A worker process is long-lived and *program-agnostic*: every shard
-task names a program digest and carries the hand-off material — the
-pickled program, the detector config, and the parent's substrate
-snapshot as a shared-memory name (zero-copy, preferred) or a plain
-dict (fallback).  The worker keeps its adopted sessions in an
-:class:`AdoptedSessions` LRU keyed by ``(digest, config)``; a repeat
-digest skips adoption entirely, a new digest hydrates through
-:func:`repro.core.cache.adopt.adopt_session`, so any worker can serve
-any pooled program warm, which is what lets the coordinator shard
-freely instead of pinning programs to workers.  The remote worker
-server (:mod:`repro.server.remote_worker`) keeps its sessions in the
-same class.
+task names a program digest and carries the hand-off material of the
+daemon's session-pool entry — the pickled program, the detector config,
+and the packed substrate snapshot as a shared-memory name (zero-copy,
+preferred) or as bytes (fallback).  The worker keeps its adopted
+sessions in an :class:`AdoptedSessions` LRU keyed by ``(digest,
+config)``; a repeat digest skips adoption entirely, a new digest
+hydrates through :func:`repro.core.cache.adopt.adopt_session`, so any
+worker can serve any pooled program warm, which is what lets the
+coordinator shard freely instead of pinning programs to workers.  The
+remote worker server (:mod:`repro.server.remote_worker`) keeps its
+sessions in the same class.
 
 :func:`run_shard` is the single entry point, deliberately a top-level
 function of plain-data arguments so every transport can ship it: the
 in-process inline transport calls it directly, the local process pool
-(the daemon's fleet and ``scan --parallel``) submits it to a
-``ProcessPoolExecutor``, and the remote worker server runs it behind
-the fleet wire.  Failures travel as data, per region: one dead region
-becomes an ``error`` outcome while the rest of the shard still
-answers — the batch endpoint's partial-result contract depends on
-this.
+submits it to a ``ProcessPoolExecutor``, and the remote worker server
+runs it behind the fleet wire.  Failures travel as data, per region:
+one dead region becomes an ``error`` outcome while the rest of the
+shard still answers — the batch endpoint's partial-result contract
+depends on this.
 
 ``REPRO_FLEET_FAIL_REGION=<Class.method[:LOOP]>`` is a test-only
 failpoint injecting a failure when the named region is checked; the
@@ -113,7 +112,7 @@ def make_task(
     specs,
     indices,
     shm_name=None,
-    snapshot=None,
+    packed=None,
     deadline_ms=None,
 ):
     """Assemble one plain-data shard task (everything picklable)."""
@@ -124,7 +123,7 @@ def make_task(
         "specs_blob": pickle.dumps(list(specs), protocol=pickle.HIGHEST_PROTOCOL),
         "indices": list(indices),
         "shm_name": shm_name,
-        "snapshot": snapshot,
+        "packed": packed,
         "deadline_ms": deadline_ms,
     }
 
@@ -135,8 +134,9 @@ def _session_for(task):
     Returns ``(session, adoption, adoption_failures)`` where
     ``adoption`` names how the state arrived: ``"lru"`` (already warm
     here), ``"shm"`` (attached the packed snapshot), ``"snapshot"``
-    (hydrated the dict), or ``"cold"`` (no hand-off, or a hand-off that
-    failed to decode; built and warmed from the program alone).
+    (hydrated the packed bytes), or ``"cold"`` (no hand-off, or a
+    hand-off that failed to decode; built and warmed from the program
+    alone).
     ``adoption_failures`` is 1 when a hand-off was offered but could
     not be adopted — the sound cold rebuild served instead — so the
     coordinator can count decode failures without losing the shard.
@@ -153,17 +153,17 @@ def _session_for(task):
             task["program_blob"],
             task["config_kwargs"],
             shm_name=task["shm_name"],
-            snapshot=task["snapshot"],
+            packed=task["packed"],
             program_digest=task["digest"],
         )
         if task["shm_name"] is not None:
             adoption = "shm"
-        elif task["snapshot"] is not None:
+        elif task["packed"] is not None:
             adoption = "snapshot"
         else:
             adoption = "cold"
     except Exception:
-        if task["shm_name"] is None and task["snapshot"] is None:
+        if task["shm_name"] is None and task["packed"] is None:
             raise  # the cold path itself failed; nothing to fall back to
         # The hand-off was unusable (corrupt snapshot, vanished shm
         # segment).  adopt_session released the handle; rebuild cold —

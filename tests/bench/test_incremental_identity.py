@@ -3,7 +3,7 @@
 The incremental engine's contract is absolute: whatever tier it picks
 (fast path, slow path, full fallback) the canonical JSON of a
 ``--changed-since`` scan equals the canonical JSON of a cold scan of
-the same program — against serial and parallel (fleet) cold baselines.
+the same program — against serial and fleet-sharded cold baselines.
 """
 
 import pytest
@@ -41,26 +41,30 @@ def test_incremental_matches_cold_serial(name):
 
 
 @pytest.mark.parametrize("name", APPS)
-def test_incremental_matches_parallel_cold(name):
+def test_incremental_matches_parallel_cold(name, process_fleet):
     app = build_app(name)
     _cold, payload = _cold_and_snapshot(app)
     reparsed = parse_program(app.source)
     result, _outcome = changed_scan(reparsed, payload, config=app.config)
-    fanned = scan_all_loops(
-        app.program, config=app.config, parallel=True, max_workers=2
-    )
+    fanned = process_fleet(app.config).scan_program(app.program)
     assert result.to_json(canonical=True) == fanned.to_json(canonical=True)
 
 
-def test_incremental_matches_process_parallel_cold():
-    # The process fleet is slow to spin up; one subject suffices to pin
-    # the identity with the pool sized by default (min(4, regions)).
+def test_incremental_matches_process_parallel_cold(process_fleet):
+    # One shard per region on the module's workers: every region of the
+    # largest subject crosses a process boundary on its own.
+    from repro.server.coordinator import Coordinator
+
     app = build_app("mysql-connector-j")
     _cold, payload = _cold_and_snapshot(app)
     result, _outcome = changed_scan(
         parse_program(app.source), payload, config=app.config
     )
-    proc = scan_all_loops(app.program, config=app.config, parallel=True)
+    fleet = process_fleet(app.config)
+    per_region = Coordinator(
+        transport=fleet.transport, pool=fleet.pool, shard_size=1
+    )
+    proc = per_region.scan_program(app.program)
     assert result.to_json(canonical=True) == proc.to_json(canonical=True)
 
 

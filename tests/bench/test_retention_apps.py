@@ -134,25 +134,26 @@ class TestExecutionModeIdentity:
     app."""
 
     @pytest.mark.parametrize("name", retention_names())
-    def test_parallel_matches_serial(self, name):
+    def test_parallel_matches_serial(self, name, process_fleet):
         app = build_retention(name, variant="leaky")
         serial = scan_all_loops(app.program, app.config).to_json(canonical=True)
-        fanned = scan_all_loops(
-            app.program, app.config, parallel=True, max_workers=2
-        ).to_json(canonical=True)
+        fanned = process_fleet(app.config).scan_program(app.program).to_json(
+            canonical=True
+        )
         assert fanned == serial
 
-    def test_process_backend_matches_serial(self):
-        # The same fan-out reached through the public Analyzer facade.
-        # One representative app keeps the process-pool cost bounded;
-        # the toy-program matrix in test_kernel_identity covers the
-        # fleet machinery itself.
+    def test_process_backend_matches_serial(self, process_fleet):
+        # The public Analyzer facade against the fleet, on one
+        # representative app; the toy-program matrix in
+        # test_kernel_identity covers the fleet machinery itself.
         app = build_retention("resleak", variant="leaky")
-        serial = scan_all_loops(app.program, app.config).to_json(canonical=True)
-        pooled = Analyzer(app.program, app.config).analyze(
-            parallel=True, max_workers=2
-        ).to_json(canonical=True)
-        assert pooled == serial
+        facade = Analyzer(app.program, app.config).analyze().to_json(
+            canonical=True
+        )
+        pooled = process_fleet(app.config).scan_program(app.program).to_json(
+            canonical=True
+        )
+        assert pooled == facade
 
     @pytest.mark.parametrize("name", retention_names())
     def test_cold_and_warm_cache_match(self, name):

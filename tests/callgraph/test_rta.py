@@ -1,7 +1,10 @@
 """Tests for the RTA call-graph builder."""
 
+import pytest
+
 from repro.callgraph.cha import build_cha
 from repro.callgraph.rta import build_rta
+from repro.errors import ResolutionError
 from repro.ir.stmts import InvokeStmt
 from repro.lang import parse_program
 
@@ -84,3 +87,28 @@ class TestRTA:
         """
         graph = build_rta(parse_program(src))
         assert {m.sig for m in graph.reachable_methods()} == {"Main.main"}
+
+
+_NO_ENTRY = _SOURCE.replace("entry Main.main;", "")
+
+
+class TestProgramWithoutEntry:
+    """Validation accepts a program without an ``entry`` declaration;
+    the call-graph build is where it stops, with a typed error."""
+
+    @pytest.mark.parametrize("builder", ["rta", "cha", "otf"])
+    def test_builder_raises_resolution_error(self, builder):
+        from repro.callgraph.otf import build_otf
+
+        build = {"rta": build_rta, "cha": build_cha, "otf": build_otf}[builder]
+        with pytest.raises(ResolutionError, match="no entry point"):
+            build(parse_program(_NO_ENTRY))
+
+    def test_scan_raises_resolution_error(self):
+        from repro.core.scan import scan_all_loops
+
+        program = parse_program(
+            _NO_ENTRY.replace("call a.m() @c1;", "loop L (*) { }")
+        )
+        with pytest.raises(ResolutionError, match="no entry point"):
+            scan_all_loops(program)

@@ -147,3 +147,35 @@ def simple_leak():
 @pytest.fixture
 def simple_shared():
     return parse_program(SIMPLE_SHARED_SOURCE)
+
+
+@pytest.fixture(scope="module")
+def process_fleet():
+    """``process_fleet(config=None)``: a fleet Coordinator for ``config``
+    on the module's one two-worker process pool — the path
+    ``POST /analyze-batch`` takes under ``serve --workers 2``.
+
+    Each config gets its own session pool (a pool holds one config);
+    the worker processes are shared, and adopt per (digest, config).
+    """
+    from repro.core.config import DetectorConfig
+    from repro.server.coordinator import Coordinator
+    from repro.server.pool import SessionPool
+    from repro.server.transport import LocalProcessTransport
+
+    transport = LocalProcessTransport(2)
+    coordinators = {}
+
+    def fleet(config=None):
+        config = config or DetectorConfig()
+        key = tuple(sorted(config.describe().items()))
+        if key not in coordinators:
+            coordinators[key] = Coordinator(
+                transport=transport, pool=SessionPool(config)
+            )
+        return coordinators[key]
+
+    yield fleet
+    transport.close()
+    for coordinator in coordinators.values():
+        coordinator.pool.close()

@@ -7,15 +7,16 @@ zeroed, volatile counters and kernel observability dropped — see
 ``legacy`` and ``flat`` no matter how the scan runs.  This module pins
 that promise along every axis the ISSUE names:
 
-* execution path — serial, and fanned out over the process fleet
-  (workers inherit the kernel choice through the environment at fork
-  time);
+* execution path — serial, and fanned out over the daemon's process
+  fleet (workers inherit the kernel choice through the environment at
+  fork time);
 * artifact cache — cold (compute + save) and warm (hydrate), with the
   kind-tagged andersen snapshot round-tripping through disk;
 * the eight bench-suite apps (the CI smoke invokes this module's
   ``TestBenchAppIdentity``).
 """
 
+import os
 import shutil
 import tempfile
 
@@ -55,12 +56,40 @@ class Item { field next; }
 """
 
 
-def _scan_json(kernel, monkeypatch, summaries=None, **kwargs):
+def _scan_json(kernel, monkeypatch, summaries=None, fleets=None, **kwargs):
+    """Canonical scan JSON under ``kernel``/``summaries``: serial, or
+    through the process fleet ``fleets`` hands out for that environment."""
     monkeypatch.setenv(KERNEL_ENV, kernel)
     if summaries is not None:
         monkeypatch.setenv(SUMMARIES_ENV, summaries)
-    result = scan_all_loops(parse_program(_SOURCE), DetectorConfig(), **kwargs)
+    if fleets is not None:
+        result = fleets().scan_program(parse_program(_SOURCE))
+    else:
+        result = scan_all_loops(
+            parse_program(_SOURCE), DetectorConfig(), **kwargs
+        )
     return result, result.to_json(canonical=True)
+
+
+@pytest.fixture(scope="module")
+def fleets():
+    """One two-worker process fleet per (kernel, summaries) environment,
+    its workers forked while that environment is set: they read both
+    switches from the environment they inherit at fork time."""
+    from repro.server.coordinator import Coordinator
+
+    made = {}
+
+    def fleet():
+        key = (os.environ.get(KERNEL_ENV), os.environ.get(SUMMARIES_ENV))
+        if key not in made:
+            made[key] = Coordinator(2, transport="process")
+            made[key].transport.warm()
+        return made[key]
+
+    yield fleet
+    for coordinator in made.values():
+        coordinator.close()
 
 
 @pytest.fixture()
@@ -77,11 +106,11 @@ class TestBackendIdentity:
         assert text == reference
 
     @pytest.mark.parametrize("kernel", ["legacy", "flat"])
-    def test_process_backend(self, kernel, monkeypatch, reference):
+    def test_process_backend(self, kernel, monkeypatch, reference, fleets):
         # Forked workers inherit os.environ, so the monkeypatched kernel
-        # selection governs the pool too; under the flat kernel the
-        # workers additionally attach the shared-memory snapshot.
-        _, text = _scan_json(kernel, monkeypatch, parallel=True, max_workers=2)
+        # selection governs the pool too; the workers attach the
+        # shared-memory snapshot under either kernel.
+        _, text = _scan_json(kernel, monkeypatch, fleets=fleets)
         assert text == reference
 
 
@@ -138,13 +167,11 @@ class TestSummaryModeIdentity:
 
     @pytest.mark.parametrize("mode", ["on", "off"])
     @pytest.mark.parametrize("kernel", ["legacy", "flat"])
-    def test_process_backend(self, kernel, mode, monkeypatch, reference):
+    def test_process_backend(
+        self, kernel, mode, monkeypatch, reference, fleets
+    ):
         _, text = _scan_json(
-            kernel,
-            monkeypatch,
-            summaries=mode,
-            parallel=True,
-            max_workers=2,
+            kernel, monkeypatch, summaries=mode, fleets=fleets
         )
         assert text == reference
 

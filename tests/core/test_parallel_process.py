@@ -1,6 +1,7 @@
-"""Tests for the fanned-out scan (``parallel=True``) and its failure
-labelling.  The scan fans out over the fleet coordinator's process
-transport; with one worker or one region it is the serial scan."""
+"""Tests for the fanned-out scan — the fleet Coordinator on the process
+transport, the path ``POST /analyze-batch`` takes — and its failure
+labelling: output identical to a serial scan, failures naming their
+region, worker counts validated, shared memory cleaned up."""
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.core.regions import RegionSpec, candidate_loops, region_text
 from repro.core.scan import scan_all_loops
 from repro.errors import AnalysisError, RegionCheckError, ResolutionError
 from repro.lang import parse_program
+from repro.server.coordinator import Coordinator
 
 _THREE_LOOPS = """
 entry Main.main;
@@ -38,85 +40,72 @@ def _program():
 
 
 class TestProcessBackend:
-    def test_process_scan_matches_serial(self):
+    def test_process_scan_matches_serial(self, process_fleet):
         config = DetectorConfig()
         serial = scan_all_loops(_program(), config)
-        processed = scan_all_loops(
-            _program(), config, parallel=True, max_workers=2
-        )
+        processed = process_fleet(config).scan_program(_program())
         assert processed.to_json(canonical=True) == serial.to_json(canonical=True)
 
-    def test_process_entries_in_submission_order(self):
-        result = scan_all_loops(_program(), parallel=True, max_workers=2)
+    def test_process_entries_in_submission_order(self, process_fleet):
+        result = process_fleet().scan_program(_program())
         assert [spec.loop_label for spec, _ in result.entries] == ["A", "B", "C"]
-
-
-def _scan_with_workers(workers, specs=None):
-    program = _program()
-    return scan_all_loops(
-        program,
-        specs=candidate_loops(program) if specs is None else specs,
-        parallel=True,
-        max_workers=workers,
-    )
 
 
 class TestWorkerValidation:
     def test_zero_workers_rejected(self):
-        with pytest.raises(AnalysisError, match="--jobs"):
-            _scan_with_workers(0)
+        with pytest.raises(AnalysisError, match="--workers"):
+            Coordinator(0, transport="inline")
 
     def test_negative_workers_rejected(self):
         with pytest.raises(AnalysisError, match="-3"):
-            _scan_with_workers(-3)
+            Coordinator(-3, transport="inline")
 
-    def test_message_matches_cli_jobs_validation(self):
+    def test_message_matches_cli_workers_validation(self):
         """The library-level rejection renders exactly like the CLI's
-        ``--jobs`` guard, so both paths exit 2 with the same text."""
+        ``serve --workers`` guard, so both paths exit 2 with the same
+        text."""
         with pytest.raises(
             AnalysisError,
-            match=r"--jobs must be a positive worker count \(got 0\)",
+            match=r"--workers must be a positive worker count \(got 0\)",
         ):
-            _scan_with_workers(0)
+            Coordinator(0, transport="inline")
 
-    def test_invalid_workers_exit_2_via_cli(self, tmp_path, capsys):
+    def test_invalid_workers_exit_2_via_cli(self, capsys):
         from repro.cli import main
 
-        src = tmp_path / "prog.lk"
-        src.write_text(_THREE_LOOPS)
-        code = main(["scan", str(src), "--parallel", "--jobs", "0"])
+        code = main(["serve", "--port", "0", "--workers", "-1"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "--jobs must be a positive worker count (got 0)" in err
+        assert "--workers must be a positive worker count (got -1)" in err
 
 
 _BAD = RegionSpec("Main.main", "NO_SUCH_LOOP")
 
 
 class TestFailureLabelling:
-    def test_failure_names_region_process_backend(self):
+    def test_failure_names_region_process_backend(self, process_fleet):
         specs = candidate_loops(_program()) + [_BAD]
         with pytest.raises(RegionCheckError) as excinfo:
-            _scan_with_workers(2, specs)
+            process_fleet().scan_program(_program(), specs)
         assert "NO_SUCH_LOOP" in str(excinfo.value)
         assert "worker traceback" in str(excinfo.value)
 
-    def test_process_failure_names_backend(self):
+    def test_process_failure_names_backend(self, process_fleet):
         """A worker-side failure reports the fleet that ran it and the
         originating region."""
         specs = candidate_loops(_program()) + [_BAD]
         with pytest.raises(RegionCheckError) as excinfo:
-            _scan_with_workers(2, specs)
+            process_fleet().scan_program(_program(), specs)
         err = excinfo.value
         assert err.backend == "fleet"
         assert err.region_desc == region_text(_BAD)
         assert "backend=fleet" in str(err)
 
     def test_failure_names_region_serial_fallback(self):
-        """One worker is the serial scan: it raises what a serial scan
-        raises, and that error names the region too."""
+        """The serial scan raises what a region check raises, and that
+        error names the region too."""
         with pytest.raises(ResolutionError) as excinfo:
-            _scan_with_workers(1, [_BAD])
+            scan_all_loops(_program(), specs=[_BAD])
         assert not isinstance(excinfo.value, RegionCheckError)
         assert "NO_SUCH_LOOP" in str(excinfo.value)
 
@@ -141,10 +130,10 @@ class TestFailureLabelling:
 
 class TestSharedMemoryHygiene:
     def test_consecutive_scans_leave_tracker_and_shm_clean(self):
-        """Workers forked after the scan started the resource tracker
+        """Workers forked after the fleet started the resource tracker
         share it; attaching must not unregister the parent's segment
         there, or the parent's unlink makes the tracker print KeyError
-        tracebacks.  Every segment is unlinked when its scan ends."""
+        tracebacks.  Every segment is unlinked when its fleet closes."""
         import os
         import subprocess
         import sys
@@ -153,13 +142,15 @@ class TestSharedMemoryHygiene:
 
         script = (
             "import sys\n"
-            "from repro.core.scan import scan_all_loops\n"
             "from repro.lang import parse_program\n"
+            "from repro.server.coordinator import Coordinator\n"
             "source = sys.stdin.read()\n"
             "for _ in range(2):\n"
-            "    scan_all_loops(\n"
-            "        parse_program(source), parallel=True, max_workers=2\n"
-            "    )\n"
+            "    coordinator = Coordinator(2, transport='process')\n"
+            "    try:\n"
+            "        coordinator.scan_program(parse_program(source))\n"
+            "    finally:\n"
+            "        coordinator.close()\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 

@@ -1,4 +1,4 @@
-"""Tests for the staged pipeline: session caching, stats, parallel scan."""
+"""Tests for the staged pipeline: session caching, stats, fleet scan."""
 
 import pytest
 
@@ -216,9 +216,12 @@ class TestFork:
 
 
 class TestParallel:
-    def test_parallel_scan_identical_to_serial(self, figure1):
+    """The fleet scan (the daemon's ``/analyze-batch`` path) against the
+    serial scan."""
+
+    def test_parallel_scan_identical_to_serial(self, figure1, process_fleet):
         serial = scan_all_loops(figure1)
-        parallel = scan_all_loops(figure1, parallel=True, max_workers=4)
+        parallel = process_fleet().scan_program(figure1)
         assert [
             (s.method_sig, s.loop_label, _fingerprint(r))
             for s, r in serial.entries
@@ -227,26 +230,14 @@ class TestParallel:
             for s, r in parallel.entries
         ]
 
-    def test_parallel_helper_preserves_spec_order(self, figure1):
+    def test_parallel_helper_preserves_spec_order(self, figure1, process_fleet):
         specs = list(reversed(candidate_loops(figure1)))
-        result = scan_all_loops(
-            figure1, specs=specs, parallel=True, max_workers=4
-        )
+        result = process_fleet().scan_program(figure1, specs=specs)
         assert [spec for spec, _ in result.entries] == specs
 
-    def test_empty_spec_list(self, figure1):
-        result = scan_all_loops(figure1, specs=[], parallel=True)
+    def test_empty_spec_list(self, figure1, process_fleet):
+        result = process_fleet().scan_program(figure1, specs=[])
         assert result.entries == []
-
-    def test_single_worker_falls_back_to_serial(self, figure1, monkeypatch):
-        import repro.server.coordinator as coordinator
-
-        def no_fleet(*args, **kwargs):
-            raise AssertionError("one worker must not start a fleet")
-
-        monkeypatch.setattr(coordinator, "Coordinator", no_fleet)
-        result = scan_all_loops(figure1, parallel=True, max_workers=1)
-        assert len(result.entries) == len(candidate_loops(figure1))
 
 
 class TestFacade:

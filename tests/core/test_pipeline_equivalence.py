@@ -1,9 +1,10 @@
 """Pipeline-equivalence tests across the benchmark applications.
 
 The staged pipeline must be a pure refactoring of the seed detector:
-session-cached re-checks, cache-bypassing rebuilds, and the parallel
-scan path must all produce reports identical to a fresh serial run —
-same findings, same ERAs, same unmatched keys — on every bench app.
+session-cached re-checks, cache-bypassing rebuilds, and the fleet scan
+path (the daemon's ``/analyze-batch``) must all produce reports
+identical to a fresh serial run — same findings, same ERAs, same
+unmatched keys — on every bench app.
 """
 
 import pytest
@@ -86,14 +87,12 @@ def test_rebuild_path_matches_cached_path(name):
 
 
 @pytest.mark.parametrize("name", sorted(APPS))
-def test_parallel_scan_matches_serial_scan(name):
+def test_parallel_scan_matches_serial_scan(name, process_fleet):
     app = APPS[name]
     if not candidate_loops(app.program):
         pytest.skip("%s has no labelled loops to scan" % name)
     serial = scan_all_loops(app.program, app.config)
-    parallel = scan_all_loops(
-        app.program, app.config, parallel=True, max_workers=4
-    )
+    parallel = process_fleet(app.config).scan_program(app.program)
     serial_keys = [
         (spec.method_sig, spec.loop_label, _report_key(report))
         for spec, report in serial.entries
@@ -106,17 +105,13 @@ def test_parallel_scan_matches_serial_scan(name):
 
 
 @pytest.mark.parametrize("name", sorted(APPS))
-def test_parallel_region_check_matches_direct_check(name):
+def test_parallel_region_check_matches_direct_check(name, process_fleet):
     """Region checks fanned out over worker processes equal direct
     session checks even for component regions (no labelled loops)."""
     app = APPS[name]
     direct = AnalysisSession(app.program, app.config).check(app.region)
-    result = scan_all_loops(
-        app.program,
-        session=AnalysisSession(app.program, app.config),
-        specs=[app.region, app.region],
-        parallel=True,
-        max_workers=2,
+    result = process_fleet(app.config).scan_program(
+        app.program, specs=[app.region, app.region]
     )
     for _spec, report in result.entries:
         assert _report_key(report) == _report_key(direct)

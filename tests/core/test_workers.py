@@ -1,4 +1,4 @@
-"""Unit tests for the shared worker-count validator and shard planner."""
+"""Unit tests for the worker-count validator and the shard planner."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.core.pipeline.sharding import (
     auto_shard_size,
     plan_shards,
 )
-from repro.core.workers import DEFAULT_WORKERS, resolve_workers, validate_workers
+from repro.core.workers import validate_workers
 from repro.errors import AnalysisError
 
 
@@ -21,30 +21,14 @@ class TestValidateWorkers:
 
     @pytest.mark.parametrize("bad", [0, -1, -100])
     def test_non_positive_rejected(self, bad):
-        with pytest.raises(AnalysisError, match="--jobs"):
+        with pytest.raises(
+            AnalysisError, match=r"positive worker count \(got %d\)" % bad
+        ):
             validate_workers(bad)
 
     def test_flag_name_appears_in_message(self):
         with pytest.raises(AnalysisError, match="--workers"):
-            validate_workers(0, flag="--workers")
-
-
-class TestResolveWorkers:
-    def test_explicit_count_wins(self):
-        assert resolve_workers(3, task_count=100) == 3
-
-    def test_auto_caps_at_default(self):
-        assert resolve_workers(None, task_count=100) == DEFAULT_WORKERS
-
-    def test_auto_caps_at_task_count(self):
-        assert resolve_workers(None, task_count=2) == 2
-
-    def test_auto_floors_at_one(self):
-        assert resolve_workers(None, task_count=0) == 1
-
-    def test_explicit_zero_rejected(self):
-        with pytest.raises(AnalysisError):
-            resolve_workers(0, task_count=4)
+            validate_workers(0)
 
 
 class TestShardPlanning:

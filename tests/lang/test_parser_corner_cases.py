@@ -110,3 +110,72 @@ class TestCornerCases:
             if type(s).__name__ == "IfStmt"
         ]
         assert len(ifs) == 2
+
+
+def _nested_source(depth):
+    """A leaky loop wrapping ``depth - 1`` nested ifs: ``depth`` levels."""
+    return (
+        "entry Main.main;\n"
+        "class Main { static method main() {\n"
+        "h = new Holder @holder;\n"
+        "loop L (*) {\n"
+        + "if (*) {\n" * (depth - 1)
+        + "x = new Item @item;\nh.slot = x;\n"
+        + "}\n" * depth
+        + "} }\n"
+        "class Holder { field slot; }\nclass Item { }\n"
+    )
+
+
+class TestNestingLimit:
+    def test_program_at_the_limit_scans_in_a_worker_thread(self):
+        """The deepest program the parser accepts also survives lowering,
+        validation and the analysis on a thread's stack — where the
+        daemon runs them."""
+        import threading
+
+        from repro.core.scan import scan_all_loops
+        from repro.lang.parser import MAX_NESTING
+
+        outcome = {}
+
+        def run():
+            try:
+                program = parse_program(_nested_source(MAX_NESTING))
+                outcome["result"] = scan_all_loops(program)
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+        assert "error" not in outcome, outcome.get("error")
+        (entry,) = outcome["result"].entries
+        assert entry[1].leaking_site_labels == ["item"]
+
+    def test_one_level_more_is_a_parse_error_at_the_token(self):
+        from repro.lang.parser import MAX_NESTING
+
+        source = _nested_source(MAX_NESTING + 1)
+        with pytest.raises(ParseError, match="nested more than") as excinfo:
+            parse_program(source)
+        # The offending token: the innermost ``if``, on the last line
+        # that opens one.
+        line = 4 + MAX_NESTING
+        assert source.splitlines()[line - 1] == "if (*) {"
+        assert (excinfo.value.line, excinfo.value.column) == (line, 1)
+
+    def test_loops_count_toward_the_limit(self):
+        from repro.lang.parser import MAX_NESTING
+
+        def loops(depth):
+            return (
+                "class A { method m() {\n"
+                + "".join("loop L%d (*) {\n" % n for n in range(depth))
+                + "}\n" * depth
+                + "} }\n"
+            )
+
+        parse(loops(MAX_NESTING))
+        with pytest.raises(ParseError):
+            parse(loops(MAX_NESTING + 1))

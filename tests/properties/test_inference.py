@@ -6,9 +6,10 @@ Two guarantees back ``scan --auto-regions``:
   labelled loop a user could hand-name (so switching from ``--region``
   to ``--auto-regions`` never silently drops a region), and the default
   selection checks all of them;
-* **determinism** — the severity triage is byte-identical across scan
-  backends (serial, thread, process) and across interpreter hash seeds
-  (exercised via subprocess runs with different ``PYTHONHASHSEED``).
+* **determinism** — the severity triage is byte-identical between a
+  serial scan and the daemon's process fleet, and across interpreter
+  hash seeds (exercised via subprocess runs with different
+  ``PYTHONHASHSEED``).
 """
 
 import os
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.pipeline.session import AnalysisSession
 from repro.core.infer import infer_candidates
 from repro.core.regions import candidate_loops, region_text
-from repro.core.scan import scan_all_loops
+from repro.core.scan import ScanResult, scan_all_loops
 from repro.lang import parse_program
 
 from tests.conftest import FIGURE1_SOURCE
@@ -61,18 +62,30 @@ def test_catalog_scores_deterministic(source):
     ]
 
 
+def _fleet_auto_regions(coordinator, source, serial):
+    """``serial``'s inferred regions checked on the fleet.  Inference
+    runs where regions are chosen, in the caller, so its counters come
+    from there; the fleet checks the regions."""
+    fanned = coordinator.scan_program(
+        parse_program(source), specs=[spec for spec, _ in serial.entries]
+    )
+    return ScanResult(
+        fanned.entries,
+        infer_counters=serial.infer_counters,
+        infer_seconds=serial.infer_seconds,
+    )
+
+
 @given(source=inference_programs(max_body_stmts=4))
 @settings(
     max_examples=10,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_triage_identical_across_backends(source):
+def test_triage_identical_across_backends(source, process_fleet):
     program = parse_program(source)
     serial = scan_all_loops(program, auto_regions=True)
-    fanned = scan_all_loops(
-        parse_program(source), auto_regions=True, parallel=True, max_workers=2
-    )
+    fanned = _fleet_auto_regions(process_fleet(), source, serial)
     assert serial.to_json(canonical=True) == fanned.to_json(canonical=True)
     assert [t.as_dict() for t in serial.triage()] == [
         t.as_dict() for t in fanned.triage()
@@ -114,15 +127,10 @@ def test_triage_identical_across_hash_seeds():
     assert '"triage"' in outputs[0]
 
 
-def test_triage_identical_across_process_backend():
+def test_triage_identical_across_process_backend(process_fleet):
     """A fanned-out scan hydrates worker processes from a snapshot; its
     triage must still match the serial scan byte for byte."""
     program = parse_program(FIGURE1_SOURCE)
     serial = scan_all_loops(program, auto_regions=True)
-    process = scan_all_loops(
-        parse_program(FIGURE1_SOURCE),
-        auto_regions=True,
-        parallel=True,
-        max_workers=2,
-    )
+    process = _fleet_auto_regions(process_fleet(), FIGURE1_SOURCE, serial)
     assert serial.to_json(canonical=True) == process.to_json(canonical=True)

@@ -1,6 +1,6 @@
 """Differential testing of the scan execution paths on random programs.
 
-The persistent artifact cache and the parallel (fleet) scan are pure
+The persistent artifact cache and the daemon's fleet scan are pure
 plumbing: however the program-level artifacts reach a session — computed
 in place, hydrated from disk, or shipped to a worker process — the
 reports must be byte-identical (canonically: timings zeroed, volatile
@@ -35,9 +35,10 @@ _SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-# Each example spins up a real process pool; keep the count pinned low
-# regardless of profile — the equivalence being checked is per-program,
-# not per-schedule, so a handful of diverse programs suffices.
+# Each example ships a new program to real worker processes; keep the
+# count pinned low regardless of profile — the equivalence being checked
+# is per-program, not per-schedule, so a handful of diverse programs
+# suffices.
 _PROCESS_SETTINGS = settings(
     max_examples=5,
     deadline=None,
@@ -74,13 +75,13 @@ def test_cached_scan_matches_serial(source):
 
 @_PROCESS_SETTINGS
 @given(rich_loop_programs())
-def test_process_parallel_scan_matches_serial(source):
+def test_process_parallel_scan_matches_serial(process_fleet, source):
     """Worker processes hydrate their sessions from the same snapshot
     serialization the disk cache uses; the result must not depend on
     which process did the checking."""
     _, serial = _canonical_scan(source)
-    _, processed = _canonical_scan(source, parallel=True, max_workers=2)
-    assert processed == serial
+    processed = process_fleet().scan_program(parse_program(source))
+    assert processed.to_json(canonical=True) == serial
 
 
 @_SETTINGS

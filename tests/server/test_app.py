@@ -334,6 +334,41 @@ class TestErrors:
         assert code == 422
         assert body["error"]["code"] == "analysis_error"
 
+    def test_program_without_entry_is_422(self):
+        """A client's program error, not a server fault: 422, and no
+        ``server_errors`` counted."""
+        no_entry = _LEAK.replace("entry Main.main;", "")
+        with _serving() as server:
+            code, _headers, body = _error(
+                lambda: _post(server, "/analyze", {"program": no_entry})
+            )
+            server_errors = server.metrics.counters["server_errors"]
+        assert code == 422
+        assert body["error"]["code"] == "analysis_error"
+        assert "no entry point" in body["error"]["message"]
+        assert server_errors == 0
+
+    def test_nesting_past_the_limit_is_422(self):
+        from repro.lang.parser import MAX_NESTING
+
+        depth = MAX_NESTING + 1
+        deep = (
+            "entry Main.main;\nclass Main { static method main() {\n"
+            + "if (*) {\n" * depth
+            + "x = null;\n"
+            + "}\n" * depth
+            + "} }\n"
+        )
+        with _serving() as server:
+            code, _headers, body = _error(
+                lambda: _post(server, "/analyze", {"program": deep})
+            )
+            server_errors = server.metrics.counters["server_errors"]
+        assert code == 422
+        assert body["error"]["code"] == "analysis_error"
+        assert "nested more than %d" % MAX_NESTING in body["error"]["message"]
+        assert server_errors == 0
+
     def test_unknown_region_is_422(self):
         with _serving() as server:
             code, _headers, body = _error(

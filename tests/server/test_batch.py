@@ -74,6 +74,10 @@ class Temp { }
 """
 
 
+#: Parses and validates, but has nothing to build a call graph from.
+NO_ENTRY = TWO_LOOPS.replace("entry Main.main;", "")
+
+
 @contextmanager
 def _serving(**kwargs):
     server = create_server(port=0, **kwargs)
@@ -279,6 +283,107 @@ class TestBatchPartialFailure:
         assert summary["ok"] is False
         assert summary["errors"] == 1
         assert summary["regions"] == 2
+
+
+    @pytest.mark.parametrize(
+        "fleet",
+        [{"workers": 1, "transport": "inline"}, {"workers": 0}],
+        ids=["fleet", "pool"],
+    )
+    def test_program_that_cannot_warm_costs_only_itself(self, fleet):
+        """A program the analysis rejects outright (no entry point) is
+        one ``analysis_error`` record; the batch goes on, and the next
+        program's regions equal a serial scan."""
+        from repro.core.regions import region_text
+        from repro.core.scan import scan_all_loops
+        from repro.lang import parse_program
+
+        reset_worker_state()
+        try:
+            with _serving(**fleet) as server:
+                records = _stream(
+                    server,
+                    {
+                        "programs": [
+                            {"id": "no-entry", "program": NO_ENTRY},
+                            {"id": "good", "program": TWO_LOOPS},
+                        ]
+                    },
+                )
+                server_errors = server.metrics.counters["server_errors"]
+        finally:
+            reset_worker_state()
+        summary = _check_stream_shape(records)
+        (error,) = [r for r in records if r["record"] == "error"]
+        assert error["program_id"] == "no-entry"
+        assert error["error"]["code"] == "analysis_error"
+        assert "no entry point" in error["error"]["message"]
+        serial = scan_all_loops(parse_program(TWO_LOOPS))
+        regions = sorted(
+            (r["index"], r["region"], r["leaking_sites"], r["findings"])
+            for r in records
+            if r["record"] == "region"
+        )
+        assert regions == [
+            (
+                index,
+                region_text(spec),
+                list(report.leaking_site_labels),
+                len(report.findings),
+            )
+            for index, (spec, report) in enumerate(serial.entries)
+        ]
+        assert all(r["program_id"] == "good" for r in records[1:-1])
+        assert summary["errors"] == 1
+        assert summary["programs"] == 2
+        assert server_errors == 0
+
+
+def _segments():
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+class TestOneWarmStateStore:
+    """The session pool is the daemon's one per-program store: the
+    fleet's hand-off lives in its entries, under its bound."""
+
+    def test_batch_program_takes_one_pool_slot(self):
+        from repro.client import AnalyzeClient
+
+        with _serving(workers=1, transport="inline") as server:
+            _stream(server, {"programs": [{"id": "p", "program": LEAK}]})
+            after_batch = server.gauges()["pool_sessions"]
+            AnalyzeClient(server.server_address[1]).analyze(LEAK)
+            gauges = server.gauges()
+            fleet = server.fleet_snapshot()
+        reset_worker_state()
+        assert after_batch == 1
+        # Seen by both endpoints: still one slot.
+        assert gauges["pool_sessions"] == 1
+        assert "programs_cached" not in fleet
+        assert "programs_evicted" not in fleet
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
+    )
+    def test_pool_eviction_unlinks_the_fleet_segment(self):
+        before = _segments()
+        with _serving(workers=1, max_sessions=1) as server:
+            _stream(server, {"programs": [{"id": "a", "program": LEAK}]})
+            after_a = _segments() - before
+            _stream(server, {"programs": [{"id": "b", "program": CLEAN}]})
+            after_b = _segments() - before
+            again = _stream(
+                server, {"programs": [{"id": "a", "program": LEAK}]}
+            )
+            evicted = server.gauges()["pool_evicted"]
+        assert len(after_a) == 1
+        assert len(after_b) == 1 and not after_a & after_b
+        (region,) = [r for r in again if r["record"] == "region"]
+        assert region["leaking_sites"] == ["item"]
+        assert _check_stream_shape(again)["ok"] is True
+        assert evicted == 2
+        assert _segments() - before == set()
 
 
 class TestBatchRejections:

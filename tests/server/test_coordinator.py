@@ -9,6 +9,7 @@ from repro.core.scan import scan_all_loops
 from repro.errors import AnalysisError, RegionCheckError
 from repro.lang import parse_program
 from repro.server.coordinator import Coordinator
+from repro.server.pool import SessionPool
 from repro.server.transport import (
     InlineTransport,
     LocalProcessTransport,
@@ -94,25 +95,25 @@ class TestFanOut:
     def test_program_handle_reused_across_scans(self, program, inline):
         inline.scan_program(program)
         inline.scan_program(program)
-        stats = inline.fleet_stats()
-        assert stats["programs_cached"] == 1
+        assert inline.pool.stats()["pool_sessions"] == 1
         # Second scan adopts from the worker LRU, not a fresh hydration.
-        assert stats["adoptions"]["lru"] > 0
+        assert inline.fleet_stats()["adoptions"]["lru"] > 0
 
     def test_lru_evicts_old_programs(self, program):
-        coordinator = Coordinator(
-            1, transport="inline", max_programs=1
-        )
+        """The session pool's bound is the fleet's bound too."""
+        pool = SessionPool(max_sessions=1)
+        coordinator = Coordinator(1, transport="inline", pool=pool)
         try:
             other = parse_program(MULTI + "\nclass Extra { }")
             coordinator.scan_program(program)
             coordinator.scan_program(other)
-            stats = coordinator.fleet_stats()
+            stats = pool.stats()
         finally:
             coordinator.close()
+            pool.close()
             reset_worker_state()
-        assert stats["programs_cached"] == 1
-        assert stats["programs_evicted"] == 1
+        assert stats["pool_sessions"] == 1
+        assert stats["pool_evicted"] == 1
 
 
 class TestFailure:
@@ -276,8 +277,8 @@ class TestAdoptionFailures:
         try:
             reset_worker_state()
             serial = scan_all_loops(program).to_json(canonical=True)
-            handle = coordinator.ensure_program(program)
-            handle.snapshot = {"bogus": "not a snapshot"}
+            entry = coordinator.ensure_program(program)
+            entry.packed = b"not a packed snapshot"
             fleet = coordinator.scan_program(program).to_json(canonical=True)
             stats = coordinator.fleet_stats()
         finally:

@@ -1,5 +1,7 @@
 """Unit tests for the digest-keyed session pool."""
 
+import os
+
 import pytest
 
 from repro.core.config import DetectorConfig
@@ -134,3 +136,78 @@ class TestConfig:
             "pool_evicted": 0,
             "summaries_enabled": 1,
         }
+
+
+class TestFleetHandoff:
+    def test_handoff_reuses_the_analyze_substrate(self):
+        """A program ``/analyze`` warmed is packed from its stored
+        substrate, and both endpoints share one entry."""
+        pool = SessionPool()
+        program = parse_program(_LEAK)
+        pool.analyze(program)
+        entry = pool.handoff(program)
+        assert entry.shared_snapshot is not None
+        assert entry.packed is not None and entry.program_blob is not None
+        assert pool.handoff(program) is entry
+        assert pool.stats()["pool_sessions"] == 1
+
+    @pytest.mark.parametrize("shm", [False, True], ids=["bytes", "shm"])
+    def test_fleet_only_entry_keeps_the_packed_form_alone(self, shm):
+        """A program only the fleet has seen retains one packed copy of
+        its substrate — in a segment or as bytes — and no dict."""
+        pool = SessionPool()
+        entry = pool.handoff(parse_program(_LEAK), shm=shm)
+        try:
+            assert entry.shared_snapshot is None and entry.snapshot is None
+            if shm and os.path.isdir("/dev/shm"):
+                assert entry.shm is not None and entry.packed is None
+            else:
+                assert entry.shm is None and entry.packed is not None
+        finally:
+            pool.close()
+        assert entry.shm is None
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
+    )
+    def test_concurrent_handoff_and_eviction_leak_no_segment(self):
+        """Threads racing hand-offs of three programs through a
+        one-slot pool evict each other's entries mid-fill; every
+        segment is still unlinked exactly once the pool closes."""
+        import sys
+        import threading
+
+        def segments():
+            return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+        sources = [_LEAK, _OTHER, _LEAK.replace("@cache", "@store")]
+        before = segments()
+        pool = SessionPool(max_sessions=1)
+        failures = []
+
+        def churn(offset):
+            try:
+                for n in range(12):
+                    program = parse_program(sources[(offset + n) % 3])
+                    entry = pool.handoff(program, shm=True)
+                    assert entry.program_blob is not None
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=churn, args=(i,)) for i in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert pool.stats()["pool_sessions"] == 1
+        pool.close()
+        assert segments() - before == set()

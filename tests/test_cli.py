@@ -185,40 +185,29 @@ class TestScanAndRank:
         assert "flows_out" in out
         assert "var_queries" in out
 
-    def test_scan_parallel_matches_serial(self, two_loops_file, capsys):
+    def test_scan_parallel_matches_serial(
+        self, two_loops_file, capsys, process_fleet
+    ):
+        from repro.lang import parse_program
+
         assert main(["scan", two_loops_file]) == 1
         serial = capsys.readouterr().out
-        assert main(["scan", two_loops_file, "--parallel", "--jobs", "2"]) == 1
-        assert capsys.readouterr().out == serial
+        with open(two_loops_file) as handle:
+            program = parse_program(handle.read())
+        fanned = process_fleet().scan_program(program)
+        assert fanned.format() + "\n" == serial
 
-    def test_scan_jobs_zero_rejected(self, two_loops_file, capsys):
-        code = main(["scan", two_loops_file, "--parallel", "--jobs", "0"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--jobs" in err
-        assert "0" in err
+    def test_scan_process_backend_matches_serial(
+        self, two_loops_file, capsys, process_fleet
+    ):
+        from repro.lang import parse_program
 
-    def test_scan_jobs_negative_rejected(self, two_loops_file, capsys):
-        code = main(["scan", two_loops_file, "--parallel", "--jobs", "-2"])
-        assert code == 2
-        assert "--jobs" in capsys.readouterr().err
-
-    def test_scan_process_backend_matches_serial(self, two_loops_file, capsys):
         assert main(["scan", two_loops_file, "--json", "--canonical"]) == 1
         serial = capsys.readouterr().out
-        code = main(
-            [
-                "scan",
-                two_loops_file,
-                "--json",
-                "--canonical",
-                "--parallel",
-                "--jobs",
-                "2",
-            ]
-        )
-        assert code == 1
-        assert capsys.readouterr().out == serial
+        with open(two_loops_file) as handle:
+            program = parse_program(handle.read())
+        fanned = process_fleet().scan_program(program)
+        assert fanned.to_json(canonical=True) + "\n" == serial
 
     def test_scan_cache_dir_warm_hit(self, two_loops_file, tmp_path, capsys):
         import json
@@ -520,15 +509,24 @@ class TestAutoRegions:
         out = capsys.readouterr().out
         assert "scanned 1 regions" in out
 
-    def test_auto_regions_canonical_matches_backends(self, figure1_file, capsys):
-        outputs = []
-        for extra in ([], ["--parallel", "--jobs", "2"]):
-            main(
-                ["scan", figure1_file, "--auto-regions", "--json", "--canonical"]
-                + extra
-            )
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+    def test_auto_regions_canonical_matches_backends(
+        self, figure1_file, capsys, process_fleet
+    ):
+        from repro.core.scan import ScanResult, scan_all_loops
+        from repro.lang import parse_program
+
+        main(["scan", figure1_file, "--auto-regions", "--json", "--canonical"])
+        cli = capsys.readouterr().out
+        serial = scan_all_loops(parse_program(FIGURE1_SOURCE), auto_regions=True)
+        # Inference picks the regions in the caller; the fleet checks them.
+        fanned = process_fleet().scan_program(
+            parse_program(FIGURE1_SOURCE),
+            specs=[spec for spec, _ in serial.entries],
+        )
+        fanned = ScanResult(
+            fanned.entries, infer_counters=serial.infer_counters
+        )
+        assert fanned.to_json(canonical=True) + "\n" == cli
 
 
 class TestRegionSuggestions:
@@ -686,14 +684,14 @@ class TestIncrementalCLI:
         assert "warning" in captured.err
         assert "scanned 2 regions" in captured.out
 
-    def test_changed_since_rejects_parallel(self, two_region_file, capsys):
+    def test_changed_since_rejects_ranked(self, two_region_file, capsys):
         code = main(
             [
                 "scan",
                 two_region_file,
                 "--changed-since",
                 "x.snap",
-                "--parallel",
+                "--ranked",
             ]
         )
         assert code == 2

@@ -104,7 +104,7 @@ def test_new_facade_exported_everywhere():
 
 def test_library_import_stays_light():
     """Importing the scan library must not drag in the process-pool
-    machinery or the daemon; a fanned-out scan imports them on use."""
+    machinery or the daemon."""
     import os
     import subprocess
     import sys
@@ -129,3 +129,34 @@ def test_library_import_stays_light():
         timeout=60,
     )
     assert proc.stdout.split() == []
+
+
+def test_core_does_not_depend_on_server():
+    """No module under ``repro.core`` imports ``repro.server`` — at
+    module level or inside a function: the daemon builds on the
+    library, never the reverse."""
+    import ast
+    import pathlib
+
+    import repro.core
+
+    root = pathlib.Path(repro.core.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        package = ["repro", "core"] + list(path.relative_to(root).parts[:-1])
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = package[: len(package) - node.level + 1]
+                if not node.level:
+                    base = []
+                names = [".".join(base + [node.module or ""]).strip(".")]
+            else:
+                continue
+            offenders += [
+                "%s:%d %s" % (path.relative_to(root), node.lineno, name)
+                for name in names
+                if name == "repro.server" or name.startswith("repro.server.")
+            ]
+    assert offenders == []
