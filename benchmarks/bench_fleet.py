@@ -6,8 +6,7 @@ coordinator/worker fleet:
 
 * **canonical identity** — the scaled corpus scanned serially and
   through the fleet coordinator (the path ``POST /analyze-batch``
-  takes) produces byte-identical canonical JSON under **both** points-to
-  kernels (``REPRO_PTA_KERNEL=legacy|flat``).  This is a hard gate:
+  takes) produces byte-identical canonical JSON.  This is a hard gate:
   any divergence fails the run.
 * **throughput scaling** — regions/second through the coordinator at
   1 worker vs ``min(4, cpu_count)`` workers, measured over warmed
@@ -24,8 +23,7 @@ coordinator/worker fleet:
 * **remote fleet identity + requeue** — a two-"host" remote fleet
   (two ``repro worker`` subprocesses with *separate* artifact-cache
   directories on localhost, dialed over the TCP wire protocol) must
-  reproduce the serial scan byte-identically under both kernels: once
-  clean, and once with the ``REPRO_REMOTE_FAIL_SHARD`` failpoint
+  reproduce the serial scan byte-identically: once clean, and once with the ``REPRO_REMOTE_FAIL_SHARD`` failpoint
   killing a worker's connection mid-shard — the shard must requeue
   onto the survivor (``remote_requeues >= 1``) without exhausting any
   retry budget, and the result must *still* be byte-identical.
@@ -46,47 +44,27 @@ import time
 from repro.bench.scale import build_scaled
 from repro.client import AnalyzeClient, ClientError
 from repro.core.scan import scan_all_loops
-from repro.pta.kernel import KERNEL_ENV
 from repro.server.app import create_server
 from repro.server.coordinator import Coordinator
 from repro.server.worker import reset_worker_state
 
-KERNELS = ("legacy", "flat")
-
-
-def _fleet_json(program, workers, kernel):
-    """Canonical scan JSON through a fresh process-transport fleet.
-
-    A new coordinator per call so its worker pool forks *after* the
-    kernel env is set (workers inherit the selection at fork time).
-    """
-    coordinator = Coordinator(workers, transport="process")
-    try:
-        return coordinator.scan_program(program).to_json(canonical=True)
-    finally:
-        coordinator.close()
-
 
 def run_identity(factor, workers):
-    """Serial vs fleet, under both kernels."""
-    section = {"factor": factor, "workers": workers, "kernels": {}}
-    ok = True
-    for kernel in KERNELS:
-        os.environ[KERNEL_ENV] = kernel
-        try:
-            program = build_scaled("memocache", factor=factor).program
-            serial = scan_all_loops(program).to_json(canonical=True)
-            fleet = _fleet_json(program, workers, kernel)
-        finally:
-            del os.environ[KERNEL_ENV]
-        entry = {
-            "fleet_matches_serial": fleet == serial,
-            "bytes": len(serial),
-        }
-        ok = ok and all(v for v in entry.values() if isinstance(v, bool))
-        section["kernels"][kernel] = entry
-    section["ok"] = ok
-    return section
+    """Serial vs a fresh process-transport fleet."""
+    program = build_scaled("memocache", factor=factor).program
+    serial = scan_all_loops(program).to_json(canonical=True)
+    coordinator = Coordinator(workers, transport="process")
+    try:
+        fleet = coordinator.scan_program(program).to_json(canonical=True)
+    finally:
+        coordinator.close()
+    return {
+        "factor": factor,
+        "workers": workers,
+        "fleet_matches_serial": fleet == serial,
+        "bytes": len(serial),
+        "ok": fleet == serial,
+    }
 
 
 def run_scaling(factor, rounds, worker_ladder):
@@ -206,68 +184,53 @@ def run_remote(factor):
     from repro.core.regions import candidate_loops, region_text
     from repro.server.remote_worker import spawn_worker
 
-    section = {"factor": factor, "kernels": {}}
-    ok = True
-    for kernel in KERNELS:
-        os.environ[KERNEL_ENV] = kernel
+    program = build_scaled("memocache", factor=factor).program
+    serial = scan_all_loops(program).to_json(canonical=True)
+    fail_region = region_text(candidate_loops(program)[0])
+    section = {"factor": factor}
+    for phase, env in (
+        ("clean", {}),
+        (
+            "requeue",
+            {
+                "REPRO_REMOTE_FAIL_SHARD": fail_region,
+                "REPRO_REMOTE_FAIL_TIMES": "1",
+            },
+        ),
+    ):
+        procs = []
         try:
-            program = build_scaled("memocache", factor=factor).program
-            serial = scan_all_loops(program).to_json(canonical=True)
-            fail_region = region_text(candidate_loops(program)[0])
-            entry = {}
-            for phase, extra_env in (
-                ("clean", {}),
-                (
-                    "requeue",
-                    {
-                        "REPRO_REMOTE_FAIL_SHARD": fail_region,
-                        "REPRO_REMOTE_FAIL_TIMES": "1",
-                    },
-                ),
-            ):
-                env = dict(extra_env)
-                env[KERNEL_ENV] = kernel
-                procs = []
-                try:
-                    addresses = []
-                    for _ in range(2):
-                        cache_dir = tempfile.mkdtemp(prefix="fleet-host-")
-                        proc, address = spawn_worker(
-                            cache_dir=cache_dir, env=env
-                        )
-                        procs.append(proc)
-                        addresses.append(address)
-                    coordinator = Coordinator(worker_hosts=addresses)
-                    try:
-                        fleet = coordinator.scan_program(program).to_json(
-                            canonical=True
-                        )
-                        stats = coordinator.fleet_stats()
-                    finally:
-                        coordinator.close()
-                finally:
-                    for proc in procs:
-                        proc.kill()
-                        proc.wait(timeout=10)
-                entry[phase] = {
-                    "matches_serial": fleet == serial,
-                    "requeues": stats["remote_requeues"],
-                    "retry_exhaustions": stats["remote_retry_exhaustions"],
-                    "snapshot_pushes": stats["remote_snapshot_pushes"],
-                    "workers_alive": stats["remote_workers_alive"],
-                }
+            addresses = []
+            for _ in range(2):
+                cache_dir = tempfile.mkdtemp(prefix="fleet-host-")
+                proc, address = spawn_worker(cache_dir=cache_dir, env=env)
+                procs.append(proc)
+                addresses.append(address)
+            coordinator = Coordinator(worker_hosts=addresses)
+            try:
+                fleet = coordinator.scan_program(program).to_json(
+                    canonical=True
+                )
+                stats = coordinator.fleet_stats()
+            finally:
+                coordinator.close()
         finally:
-            del os.environ[KERNEL_ENV]
-        kernel_ok = (
-            entry["clean"]["matches_serial"]
-            and entry["requeue"]["matches_serial"]
-            and entry["requeue"]["requeues"] >= 1
-            and entry["requeue"]["retry_exhaustions"] == 0
-        )
-        entry["ok"] = kernel_ok
-        ok = ok and kernel_ok
-        section["kernels"][kernel] = entry
-    section["ok"] = ok
+            for proc in procs:
+                proc.kill()
+                proc.wait(timeout=10)
+        section[phase] = {
+            "matches_serial": fleet == serial,
+            "requeues": stats["remote_requeues"],
+            "retry_exhaustions": stats["remote_retry_exhaustions"],
+            "snapshot_pushes": stats["remote_snapshot_pushes"],
+            "workers_alive": stats["remote_workers_alive"],
+        }
+    section["ok"] = (
+        section["clean"]["matches_serial"]
+        and section["requeue"]["matches_serial"]
+        and section["requeue"]["requeues"] >= 1
+        and section["requeue"]["retry_exhaustions"] == 0
+    )
     return section
 
 
@@ -309,10 +272,7 @@ def main(argv=None):
     scaling = report["scaling"]
     saturation = report["saturation"]
     remote = report["remote"]
-    requeues = sum(
-        entry["requeue"]["requeues"]
-        for entry in remote["kernels"].values()
-    )
+    requeues = remote["requeue"]["requeues"]
     print(
         "fleet bench: identity %s | throughput %s regions/s best "
         "(x%.2f vs single, gate %s) | saturation %d served / %d rejected "

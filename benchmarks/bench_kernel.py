@@ -1,12 +1,14 @@
 """Points-to kernel benchmark: flat integer kernel vs the dict solver.
 
-Standalone harness (``make bench-kernel``) writing ``BENCH_kernel.json``
-with three measurements the ISSUE's acceptance criteria name:
+Standalone harness (``make bench-kernel``) writing ``BENCH_kernel.json``.
+The dict solver is the differential-test oracle
+(``tests/pta/andersen_oracle.py``); the ``legacy_*`` keys report it.
+Three measurements:
 
-* **cold solve** — per-app minimum-of-N Andersen solve time under both
-  kernels on the eight Table-1 app models, plus the points-to-dense
+* **cold solve** — per-app minimum-of-N Andersen solve time of both
+  solvers on the eight Table-1 app models, plus the points-to-dense
   stress workload (:mod:`repro.bench.stress`).  The app models carry
-  ~1-element points-to sets, so both kernels sit near parity there; the
+  ~1-element points-to sets, so both solvers sit near parity there; the
   stress program's heap-threaded copy cycles are the regime the rewrite
   targets, and where the >=10x headline is earned.
 * **per-worker warmup** — cost for a process-pool worker to obtain a
@@ -25,22 +27,28 @@ Usage::
 
 import argparse
 import json
+import os
 import pickle
+import sys
 import time
 import tracemalloc
 
-from repro.bench.apps import all_apps
-from repro.bench.stress import stress_program
-from repro.callgraph.rta import build_rta
-from repro.pta.andersen import solve as dict_solve
-from repro.pta.kernel import (
+# The oracle lives in the test tree, next to the differential tests.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from repro.bench.apps import all_apps  # noqa: E402
+from repro.bench.stress import stress_program  # noqa: E402
+from repro.callgraph.rta import build_rta  # noqa: E402
+from repro.pta.kernel import (  # noqa: E402
     attach_snapshot,
     hydrate_flat,
     pack_snapshot,
     snapshot_flat,
     solve_flat,
 )
-from repro.pta.pag import PAG
+from repro.pta.pag import PAG, VarNode  # noqa: E402
+from tests.pta.andersen_oracle import AndersenResult  # noqa: E402
+from tests.pta.andersen_oracle import solve as dict_solve  # noqa: E402
 
 REPEATS = 5
 
@@ -99,15 +107,23 @@ def bench_worker_warmup():
     (``serve --workers``) now do: attach the packed block and hydrate a
     :class:`FlatAndersenResult` whose mask table lazily decodes straight
     out of the shared buffer.  The baseline is what every worker paid
-    before the flat kernel existed: unpickle its own copy of the
-    dict-kind snapshot and rebuild the per-node Python sets.
+    before the flat kernel existed: unpickle its own copy of the dict
+    solver's sorted-lists snapshot and rebuild the per-node Python sets.
     """
-    from repro.core.cache.serialize import _hydrate_andersen, _snapshot_andersen
-
     program = stress_program()
     pag = _pag(program)
     flat_packed = pack_snapshot({"andersen": snapshot_flat(solve_flat(pag))})
-    dict_snapshot = {"andersen": _snapshot_andersen(dict_solve(_pag(program)))}
+    oracle = dict_solve(_pag(program))
+    dict_snapshot = {
+        "vars": sorted(
+            (node.method_sig, node.name, sorted(sites))
+            for node, sites in oracle._var_pts.items()
+        ),
+        "fields": sorted(
+            (site, field, sorted(targets))
+            for (site, field), targets in oracle._field_pts.items()
+        ),
+    }
     dict_pickled = pickle.dumps(dict_snapshot, protocol=pickle.HIGHEST_PROTOCOL)
 
     def attach_path():
@@ -116,7 +132,15 @@ def bench_worker_warmup():
 
     def rehydrate_path():
         copy = pickle.loads(dict_pickled)
-        return _hydrate_andersen(copy["andersen"])
+        var_pts = {
+            VarNode(sig, name): frozenset(sites)
+            for sig, name, sites in copy["vars"]
+        }
+        field_pts = {
+            (site, field): frozenset(targets)
+            for site, field, targets in copy["fields"]
+        }
+        return AndersenResult(None, var_pts, field_pts)
 
     attach = min(_timed(attach_path) for _ in range(REPEATS))
     rehydrate = min(_timed(rehydrate_path) for _ in range(REPEATS))

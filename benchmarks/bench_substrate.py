@@ -10,7 +10,7 @@ from repro.bench.apps import build_app
 from repro.callgraph import build_cha, build_rta
 from repro.ir.printer import program_to_text
 from repro.lang import parse_program
-from repro.pta.andersen import solve
+from repro.pta import solve
 from repro.pta.cfl import CFLPointsTo
 from repro.pta.pag import PAG, VarNode
 

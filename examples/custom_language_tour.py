@@ -10,8 +10,7 @@ for building *other* analyses over the same IR.
 from repro.callgraph import build_cha, build_rta, program_metrics
 from repro.cfg import build_cfg, find_loops, immediate_dominators
 from repro.ir import ProgramBuilder, program_to_text
-from repro.pta import CFLPointsTo, PAG, VarNode
-from repro.pta.andersen import solve
+from repro.pta import PAG, CFLPointsTo, VarNode, solve
 
 
 def build_program():

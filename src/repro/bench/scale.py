@@ -1,6 +1,6 @@
 """Deterministic tiling generator: scale a corpus app 10-100x.
 
-The summaries benchmark needs programs one to two orders of magnitude
+The scaling benchmarks need programs one to two orders of magnitude
 larger than the corpus models while keeping exact per-region ground
 truth.  :func:`build_scaled` produces one by *tiling*: the base app's
 source is tokenized (:mod:`repro.lang.lexer`) and every identifier --

@@ -16,7 +16,7 @@ where RTA merges two same-named methods and OTF keeps them apart.
 from repro.callgraph.cha import CallEdge, CallGraph
 from repro.callgraph.rta import build_rta
 from repro.ir.stmts import InvokeStmt
-from repro.pta.andersen import solve
+from repro.pta.kernel import solve_flat
 from repro.pta.pag import PAG
 
 
@@ -32,7 +32,7 @@ def build_otf(program, entries=None, max_rounds=10):
     graph = build_rta(program, entries=entry_sigs)
 
     for _round in range(max_rounds):
-        result = solve(PAG(program, graph))
+        result = solve_flat(PAG(program, graph))
         refined = CallGraph(program, entry_sigs)
         changed = False
         for method in graph.reachable_methods():

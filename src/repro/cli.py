@@ -85,11 +85,9 @@ def _config_from(args):
 
 def _print_profile(stats_dict):
     from repro.core.pipeline.stats import stats_from_report
-    from repro.core.summaries import SUMMARIES_ENV, summaries_mode
 
     print()
     print("-- pipeline profile --")
-    print("summaries: %s (%s)" % (summaries_mode(), SUMMARIES_ENV))
     print(stats_from_report(stats_dict).format())
 
 
@@ -253,11 +251,8 @@ def _cmd_scan(args):
     else:
         print(result.format())
         if args.profile:
-            from repro.core.summaries import SUMMARIES_ENV, summaries_mode
-
             print()
             print("-- pipeline profile (all regions) --")
-            print("summaries: %s (%s)" % (summaries_mode(), SUMMARIES_ENV))
             print(result.aggregate_stats().format())
     if args.write_baseline:
         count = write_baseline(args.baseline, result.triage())

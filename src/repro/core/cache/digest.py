@@ -31,9 +31,10 @@ from repro.ir.printer import program_to_text
 #: v4: integer-flat Andersen encoding (kind-tagged: flat arrays + one
 #: mask blob from the kernel, sorted lists from the legacy dict solver).
 #: v5: per-method summary payloads ("summaries": digest-keyed intra
-#: summaries from repro.core.summaries, reused across program versions
-#: when the per-method digest still matches).
-CACHE_SCHEMA_VERSION = 5
+#: summaries, reused across program versions when the per-method digest
+#: still matches).  v6: no summary payloads, and the flat encoding is
+#: the only Andersen encoding (reports lose the summary counters).
+CACHE_SCHEMA_VERSION = 6
 
 
 def program_digest(program):

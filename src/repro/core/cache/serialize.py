@@ -20,8 +20,7 @@ from repro.core.cache.digest import CACHE_SCHEMA_VERSION, program_digest
 from repro.core.pipeline.artifacts import StoreEdge
 from repro.core.pipeline.session import SharedArtifacts
 from repro.errors import CacheError
-from repro.pta.andersen import AndersenResult
-from repro.pta.kernel import FlatAndersenResult, hydrate_flat, snapshot_flat
+from repro.pta.kernel import hydrate_flat, snapshot_flat
 from repro.pta.pag import VarNode
 
 
@@ -33,6 +32,7 @@ def snapshot_shared(shared, program_dig=None):
     stay lazy after hydration.
     """
     callgraph = shared.callgraph
+    andersen = shared.points_to._andersen
     return {
         "schema": CACHE_SCHEMA_VERSION,
         "substrate_key": tuple(shared.substrate_key),
@@ -44,7 +44,9 @@ def snapshot_shared(shared, program_dig=None):
                 for e in callgraph.edges
             ),
         },
-        "andersen": _snapshot_andersen(shared.points_to._andersen),
+        # The flat kernel's arrays plus one mask blob: the payload the
+        # shared-memory attach protocol ships to fleet workers.
+        "andersen": None if andersen is None else snapshot_flat(andersen),
         "method_stmts": {
             sig: [s.uid for s in stmts]
             for sig, stmts in sorted(shared.method_stmts.items())
@@ -66,72 +68,7 @@ def snapshot_shared(shared, program_dig=None):
         if shared._size_counts is None
         else list(shared._size_counts),
         "infer_catalog": _snapshot_catalog(shared._infer_catalog),
-        "summaries": _snapshot_summaries(shared),
     }
-
-
-def _snapshot_summaries(shared):
-    """Digest-keyed intra-summary payloads (schema v5), or ``None``.
-
-    Composed summaries are *not* stored — they are cheap to re-derive
-    and depend on the call graph; the intra payloads are the per-method,
-    digest-keyed artifacts that survive edits (the incremental engine
-    salvages them from snapshots of earlier program versions)."""
-    summaries = shared._summaries
-    if summaries is not None:
-        return summaries.snapshot_intra()
-    if shared._summary_cache:
-        return {
-            "methods": {
-                sig: [digest, payload]
-                for sig, (digest, payload) in sorted(
-                    shared._summary_cache.items()
-                )
-            }
-        }
-    return None
-
-
-def _snapshot_andersen(andersen):
-    """Plain-data encoding of a whole-program points-to result.
-
-    The flat kernel's result serializes as its integer arrays plus one
-    mask blob (``kind: "flat"``) — the cheap path, and the payload the
-    shared-memory attach protocol ships to scan workers.  A legacy
-    dict-solver result keeps the sorted-lists encoding (``kind:
-    "dict"``), so ``REPRO_PTA_KERNEL=legacy`` round-trips through the
-    same cache.
-    """
-    if andersen is None:
-        return None
-    if isinstance(andersen, FlatAndersenResult):
-        return snapshot_flat(andersen)
-    return {
-        "kind": "dict",
-        "vars": sorted(
-            (node.method_sig, node.name, sorted(sites))
-            for node, sites in andersen._var_pts.items()
-        ),
-        "fields": sorted(
-            (site, field, sorted(targets))
-            for (site, field), targets in andersen._field_pts.items()
-        ),
-    }
-
-
-def _hydrate_andersen(data):
-    """Inverse of :func:`_snapshot_andersen` (``data`` is not ``None``)."""
-    if data.get("kind") == "flat":
-        return hydrate_flat(data)
-    var_pts = {
-        VarNode(sig, name): frozenset(sites)
-        for sig, name, sites in data["vars"]
-    }
-    field_pts = {
-        (site, field): frozenset(targets)
-        for site, field, targets in data["fields"]
-    }
-    return AndersenResult(None, var_pts, field_pts)
 
 
 def _snapshot_catalog(catalog):
@@ -218,9 +155,7 @@ def hydrate_shared(program, config, snapshot, program_dig=None):
     shared = SharedArtifacts(program, config, callgraph=graph)
 
     if snapshot["andersen"] is not None:
-        shared.points_to.adopt_andersen(
-            _hydrate_andersen(snapshot["andersen"])
-        )
+        shared.points_to.adopt_andersen(hydrate_flat(snapshot["andersen"]))
 
     shared.method_stmts.update(
         (sig, tuple(stmt_by_uid[uid] for uid in uids))
@@ -248,7 +183,4 @@ def hydrate_shared(program, config, snapshot, program_dig=None):
         shared._size_counts = tuple(snapshot["size_counts"])
     if snapshot["infer_catalog"] is not None:
         shared._infer_catalog = _hydrate_catalog(snapshot["infer_catalog"])
-    summaries = snapshot.get("summaries")
-    if summaries is not None:
-        shared.seed_summary_cache(summaries["methods"])
     return shared

@@ -27,13 +27,6 @@ VOLATILE_COUNTERS = (
     "store_edge_cache_hits",
     "store_edge_cache_misses",
     "region_cache_hits",
-    # Summary-mode bookkeeping: pre-filter discharges, scoped-slice
-    # queries and their whole-program fallbacks change how answers are
-    # produced (REPRO_PTA_SUMMARIES), never what they are.
-    "summary_prefilter_hits",
-    "summary_scoped_queries",
-    "summary_scope_fallbacks",
-    "summary_scoped_solves",
     "artifact_cache_hits",
     "artifact_cache_misses",
     "artifact_cache_saves",
@@ -49,31 +42,20 @@ VOLATILE_COUNTERS = (
 )
 
 
-#: Stages that only exist under a particular execution mode (the
-#: "summaries" stage appears iff REPRO_PTA_SUMMARIES is on) — like the
-#: kernel block, they describe how the run was produced, not what it
-#: found, so canonical output drops them.
-MODE_STAGES = ("summaries",)
-
-
 def _canonical_stats(stats):
     out = dict(stats)
     if "time_seconds" in out:
         out["time_seconds"] = 0.0
     if isinstance(out.get("stages"), dict):
-        out["stages"] = {
-            name: 0.0
-            for name in sorted(out["stages"])
-            if name not in MODE_STAGES
-        }
+        out["stages"] = {name: 0.0 for name in sorted(out["stages"])}
     if isinstance(out.get("counters"), dict):
         out["counters"] = {
             name: value
             for name, value in out["counters"].items()
             if name not in VOLATILE_COUNTERS
         }
-    # Solver-kernel observability: present under the flat kernel, absent
-    # under REPRO_PTA_KERNEL=legacy — never part of the result.
+    # The solver kernel's statistics are observability of how the
+    # points-to solve ran, not part of the result.
     out.pop("kernel", None)
     return out
 
@@ -105,11 +87,7 @@ def canonical_scan_dict(scan_dict):
     if isinstance(profile, dict):
         profile = dict(profile)
         if isinstance(profile.get("stages"), dict):
-            profile["stages"] = {
-                n: 0.0
-                for n in sorted(profile["stages"])
-                if n not in MODE_STAGES
-            }
+            profile["stages"] = {n: 0.0 for n in sorted(profile["stages"])}
         if isinstance(profile.get("counters"), dict):
             profile["counters"] = {
                 name: value

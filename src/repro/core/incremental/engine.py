@@ -167,17 +167,6 @@ def changed_scan(
             session = AnalysisSession(
                 program, config, cache=cache, shared=shared
             )
-            if shared is None and isinstance(shared_snapshot, dict):
-                # The snapshot belongs to an earlier program version, so
-                # its substrate is useless — but its per-method summary
-                # payloads are digest-keyed (schema v5): every method the
-                # edit did not touch hydrates its intra summary instead
-                # of recomputing it.
-                salvaged = shared_snapshot.get("summaries")
-                if salvaged and tuple(
-                    shared_snapshot.get("substrate_key", ())
-                ) == tuple(config.substrate_key()):
-                    session.shared.seed_summary_cache(salvaged["methods"])
         return session
 
     reason = _fallback_reason(snapshot, config)

@@ -17,19 +17,8 @@ from repro.ir.stmts import LoadStmt
 from repro.pta.pag import VarNode
 
 
-def compute_flows_in(session, context_art, region_stmts, stats, skip_all=False):
-    """Produce the :class:`FlowsInArtifact` for a region.
-
-    ``skip_all`` is set by the summary pre-filter when *every* inside
-    site is ``CAPTURED``: a flows-in pair needs an inside site in some
-    field's points-to slot, and a captured site occurs in none, so the
-    whole query loop is skipped with an identical (empty) result and an
-    identical canonical ``flow_pairs_in`` count.
-    """
-    if skip_all:
-        stats.count("flow_pairs_in", 0)
-        return FlowsInArtifact(pairs=set())
-
+def compute_flows_in(session, context_art, region_stmts, stats):
+    """Produce the :class:`FlowsInArtifact` for a region."""
     config = session.config
     program = session.program
     points_to = session.points_to

@@ -10,17 +10,11 @@ from repro.core.flows import FlowPair
 from repro.core.pipeline.artifacts import FlowsOutArtifact
 
 
-def compute_flows_out(context_art, store_art, stats, discharged=frozenset()):
+def compute_flows_out(context_art, store_art, stats):
     """Produce the :class:`FlowsOutArtifact` for a region.
 
     A site is outside when it is not an inside site (this includes
     forced-outside started-thread sites).
-
-    ``discharged`` holds inside sites the summary pre-filter proved
-    ``CAPTURED`` (never a store source anywhere): their BFS is skipped
-    because it cannot produce a pair — ``by_src`` has no entry for a
-    site with no outgoing store edge, so the result (and the canonical
-    ``flow_pairs_out`` counter) is identical with or without the skip.
     """
     inside_sites = context_art.inside_sites
     by_src = store_art.by_src
@@ -28,8 +22,6 @@ def compute_flows_out(context_art, store_art, stats, discharged=frozenset()):
     out_pairs = set()
     escape_stmts = {}
     for origin in inside_sites:
-        if origin in discharged:
-            continue
         seen = {origin}
         work = [origin]
         while work:

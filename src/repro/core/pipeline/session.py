@@ -48,12 +48,6 @@ from repro.core.pipeline.stats import PipelineStats
 from repro.core.pipeline.store_edges import extract_store_edges
 from repro.core.regions import RegionSpec
 from repro.core.report import RESOURCE_LEAK, LeakFinding, LeakReport
-from repro.core.summaries import (
-    ProgramSummaries,
-    RegionScoper,
-    region_prefilter,
-    summaries_enabled,
-)
 from repro.core.threads import started_thread_sites
 from repro.errors import AnalysisError
 from repro.ir.types import THREAD_CLASS
@@ -98,13 +92,6 @@ class SharedArtifacts:
         self._size_counts = None
         #: region-inference catalog (repro.core.infer), built on demand
         self._infer_catalog = None
-        #: composed per-method summaries (repro.core.summaries)
-        self._summaries = None
-        #: digest-keyed intra payloads hydrated from a cache snapshot
-        #: (possibly of an earlier program version), consumed by build
-        self._summary_cache = None
-        #: region scoper memoizing per-method-sig scoped solves
-        self._scoper = None
 
     def visible_values(self):
         if self._visible is None:
@@ -132,43 +119,6 @@ class SharedArtifacts:
                         self.program.subclasses(THREAD_CLASS)
                     )
         return self._thread_subclasses
-
-    def summaries(self):
-        """Composed per-method summaries of the program, built bottom-up
-        over the call-graph SCC condensation; digest-matching intra
-        payloads hydrated from a cache snapshot are reused."""
-        if self._summaries is None:
-            with self.lock:
-                if self._summaries is None:
-                    self._summaries = ProgramSummaries.build(
-                        self.program,
-                        self.callgraph,
-                        cached_intra=self._summary_cache,
-                    )
-        return self._summaries
-
-    def seed_summary_cache(self, methods):
-        """Install digest-keyed intra payloads (``{sig: [digest,
-        payload]}``) salvaged from a cache snapshot — possibly one of a
-        *different* program version: entries are only reused when the
-        per-method digest still matches."""
-        if methods:
-            with self.lock:
-                if self._summary_cache is None:
-                    self._summary_cache = {
-                        sig: (entry[0], entry[1])
-                        for sig, entry in methods.items()
-                    }
-
-    def region_scoper(self):
-        """The per-region-method scoped-solve factory (summary mode)."""
-        if self._scoper is None:
-            with self.lock:
-                if self._scoper is None:
-                    self._scoper = RegionScoper(
-                        self.points_to.pag, self.callgraph
-                    )
-        return self._scoper
 
     def size_counts(self):
         """(reachable method count, reachable simple-statement count)."""
@@ -333,10 +283,6 @@ class AnalysisSession:
         snapshotted for fleet workers or the cache, so no worker repeats
         the heavy one-time work."""
         self.points_to.andersen  # force the whole-program solve
-        if summaries_enabled():
-            # Fleet workers and cache snapshots also share the
-            # composed summaries (schema v5 carries the intra payloads).
-            self.shared.summaries()
         self.shared.size_counts()
         if self.config.library_condition:
             self.shared.visible_values()
@@ -384,24 +330,8 @@ class AnalysisSession:
         self.stats.merge(art.stats)
         return art
 
-    def _region_scope(self, region, stats):
-        """The scoped sub-PAG solve for ``region`` (summary mode), or
-        ``None`` when the whole-program solve is already materialized
-        (hydrated cache, prior fallback — then it is free and exact) or
-        the region carries no method signature to root a footprint."""
-        if self.points_to._andersen is not None:
-            return None
-        sig = getattr(region, "method_sig", None)
-        if sig is None:
-            return None
-        scope, fresh = self.shared.region_scoper().scope_for(sig)
-        if fresh:
-            stats.count("summary_scoped_solves")
-        return scope
-
     def _run_pipeline(self, region):
         stats = PipelineStats()
-        summaries_on = summaries_enabled()
         with self.points_to.recording(stats.counters):
             with stats.stage("contexts"):
                 context_art = enumerate_contexts(self, region, stats)
@@ -409,73 +339,49 @@ class AnalysisSession:
                 region_stmts = collect_region_statements(
                     self, region, context_art, stats
                 )
+            with stats.stage("store_edges"):
+                store_art = extract_store_edges(self, region_stmts, stats)
+            with stats.stage("flows_out"):
+                out_art = compute_flows_out(context_art, store_art, stats)
+            with stats.stage("flows_in"):
+                in_art = compute_flows_in(
+                    self, context_art, region_stmts, stats
+                )
 
-            discharged = frozenset()
-            scope = None
-            if summaries_on:
-                with stats.stage("summaries"):
-                    discharged = region_prefilter(
-                        self.shared.summaries(), context_art, stats
+            cleared = frozenset()
+            effective_out = out_art.pairs
+            if self.config.strong_updates:
+                with stats.stage("strong_updates"):
+                    cleared = cleared_slots(self, region_stmts, stats)
+                    effective_out = apply_strong_updates(
+                        out_art.pairs, cleared, stats
                     )
-                    scope = self._region_scope(region, stats)
-            # The pre-filter proved every inside site CAPTURED: the
-            # flows-in query loop cannot produce a pair, skip it whole.
-            skip_flows_in = summaries_on and not (
-                set(context_art.inside_sites) - discharged
+
+            with stats.stage("matching"):
+                match_art = match_pairs(
+                    context_art, effective_out, in_art.pairs, stats
+                )
+
+            leaking = sorted(
+                site for site, v in match_art.verdicts.items() if v.is_leak
             )
-
-            with self.points_to.scope(scope):
-                with stats.stage("store_edges"):
-                    store_art = extract_store_edges(self, region_stmts, stats)
-                with stats.stage("flows_out"):
-                    out_art = compute_flows_out(
-                        context_art, store_art, stats, discharged
+            if self.config.pivot:
+                with stats.stage("pivot"):
+                    leaking = pivot_roots(
+                        context_art, store_art, match_art, stats
                     )
-                with stats.stage("flows_in"):
-                    in_art = compute_flows_in(
+
+            resources = None
+            if self.config.model_resources:
+                with stats.stage("resources"):
+                    resources = compute_resources(
                         self,
+                        region,
                         context_art,
                         region_stmts,
+                        match_art,
                         stats,
-                        skip_all=skip_flows_in,
                     )
-
-                cleared = frozenset()
-                effective_out = out_art.pairs
-                if self.config.strong_updates:
-                    with stats.stage("strong_updates"):
-                        cleared = cleared_slots(self, region_stmts, stats)
-                        effective_out = apply_strong_updates(
-                            out_art.pairs, cleared, stats
-                        )
-
-                with stats.stage("matching"):
-                    match_art = match_pairs(
-                        context_art, effective_out, in_art.pairs, stats
-                    )
-
-                leaking = sorted(
-                    site
-                    for site, v in match_art.verdicts.items()
-                    if v.is_leak
-                )
-                if self.config.pivot:
-                    with stats.stage("pivot"):
-                        leaking = pivot_roots(
-                            context_art, store_art, match_art, stats
-                        )
-
-                resources = None
-                if self.config.model_resources:
-                    with stats.stage("resources"):
-                        resources = compute_resources(
-                            self,
-                            region,
-                            context_art,
-                            region_stmts,
-                            match_art,
-                            stats,
-                        )
         return RegionArtifacts(
             region=region,
             contexts=context_art,
@@ -521,9 +427,8 @@ class AnalysisSession:
         stats["counters"] = art.stats.counters_dict()
         kernel = self.points_to.kernel_stats()
         if kernel:
-            # Solver-kernel stats (flat kernel only).  Observability, not
-            # part of the result: canonical output strips the block so
-            # legacy/flat runs stay byte-identical.
+            # Solver-kernel stats: observability, not part of the result
+            # (canonical output drops the block).
             stats["kernel"] = kernel
         return LeakReport(region, findings, stats)
 

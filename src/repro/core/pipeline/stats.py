@@ -37,12 +37,6 @@ BASE_COUNTERS = (
     "flow_pairs_matched",
     "flow_pairs_unmatched",
     "region_cache_hits",
-    # summary-mode work (all volatile: whether queries were discharged,
-    # scoped, or fell back never changes what the region reports)
-    "summary_prefilter_hits",
-    "summary_scoped_queries",
-    "summary_scope_fallbacks",
-    "summary_scoped_solves",
     # persistent artifact cache traffic (session/scan-level bookkeeping,
     # folded in by AnalysisSession.cache_counters / ScanResult)
     "artifact_cache_hits",
@@ -68,11 +62,10 @@ class PipelineStats:
     """Timings and counters for one pipeline run (or an aggregate).
 
     ``kernel`` holds the points-to kernel's solve statistics (node
-    count, bitset bytes, SCCs collapsed, propagation rounds) when the
-    flat kernel produced the whole-program solution; empty under the
-    legacy dict solver.  It describes the one shared solve — not
-    per-region work — so merging keeps the maximum per key rather than
-    summing.
+    count, bitset bytes, SCCs collapsed, propagation rounds) once the
+    whole-program solve has run; empty before.  It describes the one
+    shared solve — not per-region work — so merging keeps the maximum
+    per key rather than summing.
     """
 
     __slots__ = ("stages", "counters", "kernel")

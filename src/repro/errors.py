@@ -48,34 +48,21 @@ class RegionCheckError(AnalysisError):
     error rendering (the original traceback cannot always cross a
     process boundary).
 
-    ``substrate`` (the active substrate key) and ``summaries`` (the
-    ``REPRO_PTA_SUMMARIES`` mode, ``"on"``/``"off"``) pin down *which*
-    analysis configuration the failing run was using — without them a
-    worker failure while summaries were toggled mid-run was
-    unattributable to a mode.
+    ``substrate`` (the active substrate key) pins down *which* analysis
+    configuration the failing run was using.
     """
 
-    def __init__(
-        self,
-        region_desc,
-        cause_text="",
-        backend=None,
-        substrate=None,
-        summaries=None,
-    ):
+    def __init__(self, region_desc, cause_text="", backend=None, substrate=None):
         self.region_desc = region_desc
         self.cause_text = cause_text
         self.backend = backend
         self.substrate = None if substrate is None else tuple(substrate)
-        self.summaries = summaries
         message = "region check failed for %s" % region_desc
         details = []
         if backend:
             details.append("backend=%s" % backend)
         if self.substrate is not None:
             details.append("substrate=%r" % (self.substrate,))
-        if summaries is not None:
-            details.append("summaries=%s" % summaries)
         if details:
             message += " [%s]" % " ".join(details)
         if cause_text:
@@ -85,13 +72,7 @@ class RegionCheckError(AnalysisError):
     def __reduce__(self):
         return (
             RegionCheckError,
-            (
-                self.region_desc,
-                self.cause_text,
-                self.backend,
-                self.substrate,
-                self.summaries,
-            ),
+            (self.region_desc, self.cause_text, self.backend, self.substrate),
         )
 
 

@@ -29,7 +29,7 @@ from repro.pta.kernel import (
     DIR_NONE,
     flatten,
     iter_bits,
-    solve_selected,
+    solve_flat,
 )
 from repro.pta.pag import VarNode
 
@@ -110,7 +110,7 @@ class CFLPointsTo:
 
     def fallback(self):
         if self._fallback is None:
-            self._fallback = solve_selected(self.pag)
+            self._fallback = solve_flat(self.pag)
         return self._fallback
 
     # -- traversal ---------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Integer-flat points-to kernel.
+"""Integer-flat points-to kernel: the whole-program Andersen solver.
 
-The object-graph Andersen solver (:mod:`repro.pta.andersen`) keeps its
-state in dicts of Python sets keyed by rich :class:`~repro.pta.pag.
-VarNode` objects.  That representation is convenient but dominates cold
-analysis cost on the bench apps.  This module is the raw-speed rewrite
-called out by the ROADMAP:
+A standard inclusion-based, flow-insensitive, field-sensitive solve over
+the PAG, and the sound baseline of this reproduction: the demand-driven
+CFL solver refines its answers and falls back to it when its work
+budget is exhausted.  Instead of dicts of Python sets keyed by rich
+:class:`~repro.pta.pag.VarNode` objects, the solver works on integers:
 
 * **Interning** — every variable node, allocation site, field name and
   call-site label is mapped to a dense integer id (:class:`FlatPAG`),
@@ -29,51 +29,20 @@ called out by the ROADMAP:
   (:func:`attach_snapshot`) — masks decode lazily per query, so
   per-worker warmup is near zero.
 
-The result type, :class:`FlatAndersenResult`, exposes the exact
-:class:`~repro.pta.andersen.AndersenResult` API (``pts``, ``field_pts``,
-``may_alias``, ``heap_points_to_pairs``), so every consumer — escape
-analysis, CFL reachability, the pipeline stages — works unchanged.
-
-``REPRO_PTA_KERNEL=legacy|flat`` selects the solver (default ``flat``);
-the dict solver remains the differential-test oracle.
+The result type, :class:`FlatAndersenResult`, answers ``pts``,
+``field_pts``, ``may_alias`` and ``heap_points_to_pairs``.  The plain
+dict-of-sets solver it replaced lives on under ``tests/`` as the
+differential-test oracle.
 """
 
-import os
 import pickle
 import struct
 
 from repro.errors import AnalysisError
-from repro.pta.pag import ENTER, VarNode
-
-#: Environment variable selecting the whole-program solver.
-KERNEL_ENV = "REPRO_PTA_KERNEL"
-KERNELS = ("flat", "legacy")
+from repro.pta.pag import ENTER, PAG, VarNode
 
 #: Assign-edge direction codes (CFL call parentheses).
 DIR_NONE, DIR_ENTER, DIR_EXIT = 0, 1, 2
-
-
-def selected_kernel():
-    """The solver selected by ``REPRO_PTA_KERNEL`` (default ``flat``)."""
-    value = os.environ.get(KERNEL_ENV)
-    if value is None or not value.strip():
-        return "flat"
-    value = value.strip().lower()
-    if value not in KERNELS:
-        raise AnalysisError(
-            "%s must be one of %s (got %r)"
-            % (KERNEL_ENV, ", ".join(KERNELS), value)
-        )
-    return value
-
-
-def solve_selected(pag):
-    """Solve ``pag`` with the kernel ``REPRO_PTA_KERNEL`` selects."""
-    if selected_kernel() == "flat":
-        return solve_flat(pag)
-    from repro.pta.andersen import solve
-
-    return solve(pag)
 
 
 # -- interning ---------------------------------------------------------------
@@ -666,6 +635,11 @@ def solve_flat(pag):
         slot_reps,
         stats=stats,
     )
+
+
+def analyze(program, callgraph):
+    """Build the PAG for ``program`` under ``callgraph`` and solve it."""
+    return solve_flat(PAG(program, callgraph))
 
 
 # -- serialization -----------------------------------------------------------

@@ -18,6 +18,7 @@ from contextlib import contextmanager
 
 from repro.errors import BudgetExhausted
 from repro.pta.cfl import CFLPointsTo
+from repro.pta.kernel import solve_flat
 from repro.pta.pag import PAG, VarNode
 
 
@@ -116,48 +117,6 @@ class PointsTo:
             self._active.sink = previous
 
     @contextmanager
-    def scope(self, region_scope):
-        """Answer this thread's queries from a region-scoped solve.
-
-        ``region_scope`` is a :class:`~repro.core.summaries.compose.RegionScope`
-        (or ``None`` for a no-op).  Covered variables and fields resolve
-        against the scoped sub-PAG solution — exact by construction — and
-        anything outside the slice falls back to the whole-program solve,
-        so correctness never depends on footprint completeness.  Thread-
-        local, like :meth:`recording`, so parallel region checks can each
-        install their own scope.
-        """
-        if region_scope is None:
-            yield None
-            return
-        previous = getattr(self._active, "scope", None)
-        self._active.scope = region_scope
-        try:
-            yield region_scope
-        finally:
-            self._active.scope = previous
-
-    def _resolve_pts(self, node):
-        """Whole-program variable answer, scoped when a scope covers it."""
-        scope = getattr(self._active, "scope", None)
-        if scope is not None and self._andersen is None:
-            if scope.covers_var(node):
-                self._bump("summary_scoped_queries")
-                return scope.result.pts(node)
-            self._bump("summary_scope_fallbacks")
-        return self.andersen.pts(node)
-
-    def _resolve_field_pts(self, site_label, field):
-        """Whole-program heap answer, scoped when a scope covers the field."""
-        scope = getattr(self._active, "scope", None)
-        if scope is not None and self._andersen is None:
-            if scope.covers_field(field):
-                self._bump("summary_scoped_queries")
-                return scope.result.field_pts(site_label, field)
-            self._bump("summary_scope_fallbacks")
-        return self.andersen.field_pts(site_label, field)
-
-    @contextmanager
     def deadline_scope(self, deadline):
         """Bound the block's queries by ``deadline`` (a :class:`Deadline`
         or ``None``).  Not thread-isolated: deadline-bounded runs are
@@ -208,9 +167,7 @@ class PointsTo:
         if self._andersen is None:
             with self._solve_lock:
                 if self._andersen is None:
-                    from repro.pta.kernel import solve_selected
-
-                    result = solve_selected(self.pag)
+                    result = solve_flat(self.pag)
                     if self._cfl is not None and self._cfl._fallback is None:
                         self._cfl._fallback = result
                     self._andersen = result
@@ -218,8 +175,7 @@ class PointsTo:
 
     def kernel_stats(self):
         """Solver-kernel statistics of the whole-program result, or
-        ``{}`` when the legacy dict solver produced it (it keeps no
-        counters) or no solve has happened yet."""
+        ``{}`` before the solve."""
         result = self._andersen
         return dict(getattr(result, "stats", None) or {})
 
@@ -251,15 +207,15 @@ class PointsTo:
                 # degrade to the sound whole-program answer.
                 self._bump("deadline_expiries")
                 self._bump("andersen_fallbacks")
-                return self._resolve_pts(node)
+                return self.andersen.pts(node)
             self._bump("cfl_queries")
             try:
                 return cfl.points_to_refined(node)
             except BudgetExhausted:
                 self._bump("budget_exhaustions")
                 self._bump("andersen_fallbacks")
-                return self._resolve_pts(node)
-        return self._resolve_pts(node)
+                return self.andersen.pts(node)
+        return self.andersen.pts(node)
 
     def field_pts(self, site_label, field):
         """Heap query: contents of ``field`` of objects from ``site_label``.
@@ -268,7 +224,7 @@ class PointsTo:
         driven mode still consults Andersen for these (sound and standard).
         """
         self._bump("heap_queries")
-        return self._resolve_field_pts(site_label, field)
+        return self.andersen.field_pts(site_label, field)
 
     def may_alias(self, sig_a, var_a, sig_b, var_b):
         return bool(self.pts(sig_a, var_a) & self.pts(sig_b, var_b))

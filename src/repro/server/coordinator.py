@@ -225,8 +225,6 @@ class Coordinator:
             program, specs=specs, deadline_ms=deadline_ms
         ):
             if outcome.kind == "error":
-                from repro.core.summaries import summaries_mode
-
                 cause = outcome.cause or "worker failure"
                 if outcome.worker_traceback:
                     cause += (
@@ -238,7 +236,6 @@ class Coordinator:
                     cause,
                     backend="fleet",
                     substrate=self.pool.config.substrate_key(),
-                    summaries=summaries_mode(),
                 )
             reports[outcome.index] = outcome.report
         return ScanResult(list(zip(specs, reports)))

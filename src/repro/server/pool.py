@@ -237,18 +237,12 @@ class SessionPool:
         with self._lock:
             entries = list(self._entries.values())
             kernel = dict(self.kernel_stats)
-        from repro.core.summaries import summaries_enabled
-
         gauges = {
             "pool_sessions": len(entries),
             "pool_warm": sum(1 for e in entries if e.snapshot is not None),
             "pool_hits": sum(e.hits for e in entries),
             "pool_misses": sum(e.misses for e in entries),
             "pool_evicted": self.evicted,
-            # 1 when the summary path (escape pre-filter + scoped
-            # solves) serves region checks, 0 when REPRO_PTA_SUMMARIES
-            # forces the whole-program path.
-            "summaries_enabled": 1 if summaries_enabled() else 0,
         }
         for name, value in sorted(kernel.items()):
             gauges["kernel_%s" % name] = value

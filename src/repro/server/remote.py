@@ -79,7 +79,7 @@ from repro.server.transport import Transport
 #: The wire protocol version; both ends check it at handshake and on
 #: every frame, so a skewed deployment fails loudly instead of
 #: misinterpreting payloads.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 _MAGIC = b"RFW1"
 _LEN = struct.Struct("<I")

@@ -17,13 +17,17 @@ Program hand-off degrades gracefully, warmest first:
    This is the shared-store story: any worker that ever saw the digest
    (or shares the directory) serves it warm without wire traffic;
 3. **wire** — answer ``need-snapshot``; the coordinator pushes the
-   packed snapshot, the worker hydrates it *and saves it into its
-   cache dir*, so the next miss on this host is a cache hit;
-4. **cold** — the shard frame says ``cold_ok`` (its sender has no
-   snapshot to push), or a pushed snapshot failed to decode: rebuild
-   from the program blob.
-   Slower, never wrong; decode failures are counted as
+   packed snapshot and re-sends the shard on the same connection, the
+   worker hydrates it *and saves it into its cache dir*, so the next
+   miss on this host is a cache hit;
+4. **cold** — the pushed snapshot failed to decode: rebuild from the
+   program blob.  Slower, never wrong; decode failures are counted as
    ``adoption_failures`` in the shard result.
+
+A pushed snapshot belongs to the connection it arrived on: it waits
+there for the next shard of its digest, and is dropped with the
+connection if none comes (a shard requeued to another worker, a
+coordinator that went away).
 
 Failpoints (CI's kill-a-worker harness): ``fail_regions`` names region
 spec texts whose arrival makes the server *drop the connection* before
@@ -91,7 +95,6 @@ class RemoteWorkerServer:
             for text in fail_regions
         }
         self._sessions = AdoptedSessions(max_adopted)
-        self._snapshots = {}
         self._lock = threading.Lock()
         self._run_lock = threading.Lock()
         self._closing = False
@@ -157,18 +160,20 @@ class RemoteWorkerServer:
         if self._thread is not None:
             self._thread.join(timeout=2.0)
         self._sessions.clear()
-        self._snapshots.clear()
 
     # -- the connection loop -------------------------------------------------
 
     def _serve_connection(self, conn):
+        #: digest -> packed snapshot pushed on this connection, waiting
+        #: for the re-sent shard; one at a time, gone with the link.
+        pushed = {}
         try:
             while not self._closing:
                 try:
                     header, blobs = recv_frame(conn)
                 except WireEOF:
                     return
-                reply = self._dispatch(header, blobs)
+                reply = self._dispatch(header, blobs, pushed)
                 if reply is None:
                     return  # simulated death: drop without answering
                 send_frame(conn, reply[0], reply[1])
@@ -182,7 +187,7 @@ class RemoteWorkerServer:
             except OSError:
                 pass
 
-    def _dispatch(self, header, blobs):
+    def _dispatch(self, header, blobs, pushed):
         kind = header.get("type")
         if kind == "hello":
             return {"type": "welcome", "pid": os.getpid(),
@@ -190,39 +195,41 @@ class RemoteWorkerServer:
         if kind == "ping":
             return {"type": "pong", "seq": header.get("seq")}, ()
         if kind == "snapshot":
-            return self._handle_snapshot(header, blobs)
+            return self._handle_snapshot(header, blobs, pushed)
         if kind == "shard":
-            return self._handle_shard(header, blobs)
+            return self._handle_shard(header, blobs, pushed)
         return {"type": "error", "code": "bad_request",
                 "message": "unknown message type %r" % kind}, ()
 
-    def _handle_snapshot(self, header, blobs):
+    def _handle_snapshot(self, header, blobs, pushed):
         digest = header.get("digest")
-        if not digest or not blobs:
+        if not isinstance(digest, str) or not digest or not blobs:
             return {"type": "error", "code": "bad_request",
                     "message": "snapshot push without digest or payload"}, ()
         with self._lock:
             self.counters["snapshot_pulls"] += 1
-            # Stored packed; decode is deferred to the shard that needs
-            # it, where the program blob required for hydration rides
-            # along and failures have a cold fallback.
-            self._snapshots[digest] = bytes(blobs[0])
+        # Kept packed; decode is deferred to the shard that needs it,
+        # where the program blob required for hydration rides along and
+        # failures have a cold fallback.
+        pushed.clear()
+        pushed[digest] = bytes(blobs[0])
         return {"type": "snapshot-ok", "digest": digest}, ()
 
-    def _handle_shard(self, header, blobs):
-        if len(blobs) != 2:
+    def _handle_shard(self, header, blobs, pushed):
+        digest = header.get("digest")
+        if len(blobs) != 2 or not isinstance(digest, str):
             return {"type": "error", "code": "bad_request",
-                    "message": "shard frame needs program and spec blobs"}, ()
+                    "message": "shard frame needs a digest, program and "
+                    "spec blobs"}, ()
         task = {
-            "digest": header.get("digest"),
+            "digest": digest,
             "program_blob": blobs[0],
             "config_kwargs": dict(header.get("config") or {}),
             "specs_blob": blobs[1],
             "indices": list(header.get("indices") or []),
             "shm_name": None,
-            "packed": None,
+            "packed": pushed.pop(digest, None),
             "deadline_ms": header.get("deadline_ms"),
-            "cold_ok": bool(header.get("cold_ok")),
         }
         if self._should_die(task["specs_blob"]):
             return None
@@ -276,7 +283,8 @@ class RemoteWorkerServer:
         Returns ``(session, adoption, adoption_failures)`` like the
         process worker's, with the remote-only adoption kinds
         ``"cache"`` (own artifact-cache directory) and ``"wire"``
-        (snapshot pushed by the coordinator this connection).
+        (snapshot pushed by the coordinator on this connection, carried
+        in the task as ``packed``).
         """
         import pickle as _pickle
 
@@ -301,8 +309,7 @@ class RemoteWorkerServer:
                 self._sessions.put(key, session)
                 return session, "cache", failures
 
-        with self._lock:
-            packed = self._snapshots.pop(task["digest"], None)
+        packed = task["packed"]
         if packed is not None:
             try:
                 from repro.core.cache.serialize import hydrate_shared
@@ -328,7 +335,7 @@ class RemoteWorkerServer:
                 self._sessions.put(key, session)
                 return session, "wire", failures
 
-        if not task.get("cold_ok") and failures == 0:
+        if failures == 0:
             raise _NeedSnapshot(task["digest"])
 
         session = AnalysisSession(program, config)

@@ -128,6 +128,28 @@ class TestFailureLabelling:
         assert str(clone) == str(err)
 
 
+class TestRegionCheckErrorContext:
+    def test_message_names_substrate(self):
+        err = RegionCheckError(
+            "Main.main:L1",
+            "ValueError: boom",
+            backend="fleet",
+            substrate=("rta", "flat"),
+        )
+        text = str(err)
+        assert "Main.main:L1" in text
+        assert "backend=fleet" in text
+        assert "substrate=('rta', 'flat')" in text
+
+    def test_reduce_round_trips_substrate(self):
+        import pickle
+
+        err = RegionCheckError("r", "c", backend="fleet", substrate=("k",))
+        clone = pickle.loads(pickle.dumps(err))
+        assert clone.substrate == ("k",)
+        assert str(clone) == str(err)
+
+
 class TestSharedMemoryHygiene:
     def test_consecutive_scans_leave_tracker_and_shm_clean(self):
         """Workers forked after the fleet started the resource tracker

@@ -44,15 +44,6 @@ def _report_key(report):
         "cfl_queries",
         "budget_exhaustions",
         "andersen_fallbacks",
-        # Whether a region check answers queries through a scoped
-        # sub-solve or the whole-program substrate depends on which
-        # artifacts are already materialized (the parallel backends
-        # ship a solved substrate to workers), so summary-path
-        # bookkeeping varies while findings stay identical.
-        "summary_prefilter_hits",
-        "summary_scoped_queries",
-        "summary_scope_fallbacks",
-        "summary_scoped_solves",
     ):
         counters.pop(volatile, None)
     return (

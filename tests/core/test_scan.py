@@ -1,5 +1,6 @@
 """Tests for whole-program loop scanning."""
 
+from repro.bench.apps import build_app
 from repro.core.detector import DetectorConfig
 from repro.core.scan import scan_all_loops
 from repro.lang import parse_program
@@ -50,6 +51,17 @@ class TestScan:
         result = scan_all_loops(prog, ranked=True, limit=1)
         assert len(result.entries) == 1
         assert result.total_findings() == 1
+
+    def test_reports_carry_kernel_stats(self):
+        """Every region check reads the whole-program solve, so each
+        report carries the points-to kernel's statistics."""
+        model = build_app("memocache")
+        result = scan_all_loops(
+            model.program, model.config or DetectorConfig()
+        )
+        assert result.entries
+        for _spec, report in result.entries:
+            assert report.stats["kernel"]["nodes"] > 0
 
     def test_config_respected(self):
         prog = parse_program(_TWO_LOOPS)

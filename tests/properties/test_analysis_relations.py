@@ -3,23 +3,18 @@ refinement orderings and monotonicity of the configuration knobs.
 """
 
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.callgraph.otf import build_otf
 from repro.callgraph.rta import build_rta
 from repro.core.detector import DetectorConfig, LeakChecker
 from repro.core.regions import RegionSpec
-from repro.core.summaries import ProgramSummaries
 from repro.errors import BudgetExhausted
 from repro.lang import parse_program
-from repro.pta.andersen import solve
+from repro.pta import solve
 from repro.pta.cfl import CFLPointsTo
 from repro.pta.pag import PAG
-from repro.semantics.interp import RandomSchedule, execute
-from repro.semantics.leaks import analyze_trace
 
 from tests.properties.strategies import loop_programs
-from tests.pta.escape_oracle import analyze_escape
 
 # Example count comes from the hypothesis profile (see conftest.py).
 _SETTINGS = settings(
@@ -78,31 +73,6 @@ def test_otf_reachable_subset_of_rta(source):
     rta_sigs = {m.sig for m in build_rta(program).reachable_methods()}
     otf_sigs = {m.sig for m in build_otf(program).reachable_methods()}
     assert otf_sigs <= rta_sigs
-
-
-@_SETTINGS
-@given(loop_programs(), st.integers(min_value=0, max_value=2**16))
-def test_captured_sites_never_leak_concretely(source, seed):
-    """An allocation site the summaries prove captured can never appear
-    in the concrete ground truth's escaping set."""
-    program = parse_program(source)
-    summaries = ProgramSummaries.build(program, build_rta(program))
-    captured = summaries.captured_sites()
-    trace = execute(program, schedule=RandomSchedule(seed=seed, max_trips=4))
-    truth = analyze_trace(trace, "L")
-    assert not (set(truth.escaping_sites()) & captured)
-
-
-@_SETTINGS
-@given(loop_programs())
-def test_escape_oracle_captured_subset_of_summaries(source):
-    """Summaries are at least as precise as the intraprocedural
-    method-escape closure: every site it proves captured, they do."""
-    program = parse_program(source)
-    callgraph = build_rta(program)
-    oracle = analyze_escape(program, PAG(program, callgraph))
-    captured = ProgramSummaries.build(program, callgraph).captured_sites()
-    assert oracle.captured <= captured
 
 
 @_SETTINGS

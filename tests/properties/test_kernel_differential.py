@@ -1,7 +1,7 @@
 """Differential pinning of the integer-flat kernel to the dict solver.
 
-The legacy dict-of-sets Andersen solver is this repo's oracle: simple
-enough to audit by eye.  On every generated program, the flat kernel's
+The dict-of-sets Andersen solver (:mod:`tests.pta.andersen_oracle`) is
+this repo's oracle: simple enough to audit by eye.  On every generated program, the flat kernel's
 :class:`~repro.pta.kernel.FlatAndersenResult` must agree with it on the
 entire public result API — ``pts``, ``field_pts``, ``may_alias`` and
 ``heap_points_to_pairs`` — and the agreement must survive a snapshot /
@@ -12,11 +12,11 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.callgraph.rta import build_rta
 from repro.lang import parse_program
-from repro.pta.andersen import solve as legacy_solve
 from repro.pta.kernel import hydrate_flat, snapshot_flat, solve_flat
 from repro.pta.pag import PAG
 
 from tests.properties.strategies import loop_programs
+from tests.pta.andersen_oracle import solve as oracle_solve
 
 _SETTINGS = settings(
     deadline=None,
@@ -43,39 +43,39 @@ def _all_var_nodes(pag):
     return nodes
 
 
-def _assert_equivalent(pag, legacy, flat):
+def _assert_equivalent(pag, oracle, flat):
     nodes = sorted(_all_var_nodes(pag), key=lambda n: (n.method_sig, n.name))
     for node in nodes:
-        assert flat.pts(node) == legacy.pts(node), node
+        assert flat.pts(node) == oracle.pts(node), node
 
-    legacy_heap = sorted(legacy.heap_points_to_pairs())
-    assert sorted(flat.heap_points_to_pairs()) == legacy_heap
+    oracle_heap = sorted(oracle.heap_points_to_pairs())
+    assert sorted(flat.heap_points_to_pairs()) == oracle_heap
 
-    slot_keys = {(base, field) for base, field, _ in legacy_heap}
+    slot_keys = {(base, field) for base, field, _ in oracle_heap}
     slot_keys |= set(flat._slot_reps)
-    slot_keys |= set(legacy._field_pts)
+    slot_keys |= set(oracle._field_pts)
     for base, field in sorted(slot_keys):
-        assert flat.field_pts(base, field) == legacy.field_pts(base, field)
+        assert flat.field_pts(base, field) == oracle.field_pts(base, field)
 
     # may_alias over a deterministic sample of node pairs.
     sample = nodes[:12]
     for a in sample:
         for b in sample:
-            assert flat.may_alias(a, b) == legacy.may_alias(a, b), (a, b)
+            assert flat.may_alias(a, b) == oracle.may_alias(a, b), (a, b)
 
 
 @_SETTINGS
 @given(loop_programs())
 def test_flat_kernel_matches_dict_solver(source):
     pag = _build_pag(source)
-    _assert_equivalent(pag, legacy_solve(pag), solve_flat(pag))
+    _assert_equivalent(pag, oracle_solve(pag), solve_flat(pag))
 
 
 @_SETTINGS
 @given(loop_programs(allow_nested_loops=True))
 def test_flat_kernel_matches_on_nested_loop_programs(source):
     pag = _build_pag(source)
-    _assert_equivalent(pag, legacy_solve(pag), solve_flat(pag))
+    _assert_equivalent(pag, oracle_solve(pag), solve_flat(pag))
 
 
 @_SETTINGS
@@ -83,6 +83,6 @@ def test_flat_kernel_matches_on_nested_loop_programs(source):
 def test_flat_snapshot_roundtrip_matches(source):
     """snapshot_flat -> hydrate_flat preserves every query answer."""
     pag = _build_pag(source)
-    legacy = legacy_solve(pag)
+    oracle = oracle_solve(pag)
     hydrated = hydrate_flat(snapshot_flat(solve_flat(pag)))
-    _assert_equivalent(pag, legacy, hydrated)
+    _assert_equivalent(pag, oracle, hydrated)

@@ -1,14 +1,30 @@
-"""Tests for the Andersen points-to solver."""
+"""Tests for the whole-program Andersen points-to solver.
+
+The assertions run against the production solver (:func:`repro.pta.
+analyze`, the flat kernel); every solve is also checked against the
+dict-solver oracle's heap.
+"""
 
 from repro.callgraph.rta import build_rta
 from repro.lang import parse_program
-from repro.pta.andersen import analyze
+from repro.pta import analyze
 from repro.pta.pag import VarNode
+
+from tests.pta import andersen_oracle
+
+
+def _analyze(prog, callgraph):
+    result = analyze(prog, callgraph)
+    oracle = andersen_oracle.analyze(prog, callgraph)
+    assert sorted(result.heap_points_to_pairs()) == sorted(
+        oracle.heap_points_to_pairs()
+    )
+    return result
 
 
 def _solve(source):
     prog = parse_program(source)
-    return analyze(prog, build_rta(prog))
+    return _analyze(prog, build_rta(prog))
 
 
 def _pts(result, sig, var):
@@ -180,7 +196,7 @@ class TestInterprocedural:
         assert not result.may_alias(VarNode("M.main", "a"), VarNode("M.main", "c"))
 
     def test_figure1_order_flow(self, figure1):
-        result = analyze(figure1, build_rta(figure1))
+        result = _analyze(figure1, build_rta(figure1))
         # the Order flows into Customer.addOrder's parameter
         assert "a5" in set(result.pts(VarNode("Customer.addOrder", "y")))
         # and into the orders array's elem slot

@@ -5,9 +5,10 @@ import pytest
 from repro.callgraph.rta import build_rta
 from repro.errors import BudgetExhausted
 from repro.lang import parse_program
-from repro.pta.andersen import analyze
 from repro.pta.cfl import CFLPointsTo
 from repro.pta.pag import PAG, VarNode
+
+from tests.pta.andersen_oracle import analyze
 
 
 def _setup(source):

@@ -3,8 +3,8 @@
 Covers the kernel-specific machinery the differential tests cannot see
 from the outside: node interning determinism, SCC collapse (plain copy
 cycles and cycles threaded through load/store edges share one
-representative bitset), the mask-table encoding, the shared-memory pack
-/ attach protocol, and the ``REPRO_PTA_KERNEL`` escape hatch.
+representative bitset), the mask-table encoding, and the shared-memory
+pack / attach protocol.
 """
 
 import pytest
@@ -12,20 +12,15 @@ import pytest
 from repro.callgraph.rta import build_rta
 from repro.errors import AnalysisError
 from repro.lang import parse_program
-from repro.pta.andersen import AndersenResult
 from repro.pta.kernel import (
-    KERNEL_ENV,
-    FlatAndersenResult,
     MaskTable,
     attach_snapshot,
     flatten,
     hydrate_flat,
     iter_bits,
     pack_snapshot,
-    selected_kernel,
     snapshot_flat,
     solve_flat,
-    solve_selected,
 )
 from repro.pta.pag import PAG, VarNode
 
@@ -182,35 +177,3 @@ class TestSnapshotProtocol:
         with pytest.raises(AnalysisError, match="magic"):
             attach_snapshot(b"NOPE" + b"\x00" * 16)
 
-
-class TestKernelSelection:
-    def test_default_is_flat(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert selected_kernel() == "flat"
-        assert isinstance(solve_selected(_pag(_COPY_CYCLE)), FlatAndersenResult)
-
-    def test_legacy_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "legacy")
-        assert selected_kernel() == "legacy"
-        result = solve_selected(_pag(_COPY_CYCLE))
-        assert isinstance(result, AndersenResult)
-        assert result.pts(VarNode("Main.main", "b")) == {"s1"}
-
-    def test_invalid_kernel_rejected(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "turbo")
-        with pytest.raises(AnalysisError, match="REPRO_PTA_KERNEL"):
-            selected_kernel()
-
-    def test_facade_dispatches_on_env(self, monkeypatch):
-        from repro.pta.queries import PointsTo
-
-        program = parse_program(_COPY_CYCLE)
-        monkeypatch.setenv(KERNEL_ENV, "legacy")
-        facade = PointsTo(program, build_rta(program))
-        assert isinstance(facade.andersen, AndersenResult)
-        assert facade.kernel_stats() == {}
-
-        monkeypatch.setenv(KERNEL_ENV, "flat")
-        facade = PointsTo(program, build_rta(program))
-        assert isinstance(facade.andersen, FlatAndersenResult)
-        assert facade.kernel_stats()["nodes"] > 0

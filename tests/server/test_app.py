@@ -311,6 +311,31 @@ class TestObservability:
         assert body["latency"]["analyze"]["count"] == 2
         assert body["gauges"]["pool_sessions"] == 1
 
+    def test_cold_analyze_exports_kernel_stats(self):
+        """A cold ``/analyze`` runs the whole-program points-to solve:
+        its kernel statistics reach ``/metrics`` and every report."""
+        from repro.bench.apps import build_app
+        from repro.ir.printer import program_to_text
+
+        source = program_to_text(build_app("memocache").program)
+        with _serving() as server:
+            _, body = _post(server, "/analyze", {"program": source})
+            _, text = _get(server, "/metrics")
+        gauges = json.loads(text)["data"]["gauges"]
+        assert {
+            "kernel_nodes",
+            "kernel_slot_nodes",
+            "kernel_sites",
+            "kernel_copy_edges",
+            "kernel_bitset_bytes",
+            "kernel_sccs_collapsed",
+            "kernel_rounds",
+        } <= set(gauges)
+        assert gauges["kernel_nodes"] > 0
+        loops = body["scan"]["loops"]
+        assert loops
+        assert all(entry["report"]["stats"]["kernel"] for entry in loops)
+
     def test_metrics_prometheus(self):
         with _serving() as server:
             _post(server, "/analyze", {"program": _LEAK})

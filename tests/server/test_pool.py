@@ -134,7 +134,6 @@ class TestConfig:
             "pool_hits": 0,
             "pool_misses": 0,
             "pool_evicted": 0,
-            "summaries_enabled": 1,
         }
 
 

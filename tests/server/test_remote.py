@@ -21,6 +21,7 @@ from repro.lang import parse_program
 from repro.server import schema
 from repro.server.coordinator import Coordinator
 from repro.server.remote import (
+    WIRE_VERSION,
     RemoteTransport,
     WireError,
     parse_hosts,
@@ -104,14 +105,14 @@ class TestWireFrames:
         header, blobs = recv_frame(right)
         assert header["type"] == "shard"
         assert header["digest"] == "d"
-        assert header["wire"] == 1
+        assert header["wire"] == WIRE_VERSION == 2
         assert blobs == [b"program", b"\x00" * 1000]
 
     def test_empty_blob_list(self):
         left, right = self._pair()
         send_frame(left, {"type": "ping", "seq": 7})
         header, blobs = recv_frame(right)
-        assert header == {"type": "ping", "seq": 7, "wire": 1, "blobs": []}
+        assert header == {"type": "ping", "seq": 7, "wire": 2, "blobs": []}
         assert blobs == []
 
     def test_version_mismatch_rejected(self):
@@ -177,15 +178,73 @@ class TestHandOff:
     ):
         worker = _worker(tmp_path, "a")
         fleet = _fleet(request, [worker])
-        # Pre-plant garbage under the digest the coordinator will use;
-        # the worker must rebuild cold and count the failure, never
-        # answer wrong.
-        from repro.core.cache.digest import program_digest
-
-        worker._snapshots[program_digest(program)] = b"not a snapshot"
+        # The coordinator pushes garbage for the program's digest; the
+        # worker must rebuild cold and count the failure, never answer
+        # wrong.
+        fleet.ensure_program(program).packed = b"not a snapshot"
         assert fleet.scan_program(program).to_json(canonical=True) == serial_json
         assert worker.counters["adoption_failures"] == 1
         assert fleet.fleet_stats()["adoption_failures"] == 1
+
+
+    def test_frames_without_a_string_digest_are_bad_requests(self, tmp_path):
+        """A digest keys the connection's pushed snapshot, so a frame
+        whose digest is not a string is refused, and the connection
+        keeps serving."""
+        worker = _worker(tmp_path, "a")
+        try:
+            with socket.create_connection(
+                (worker.host, worker.port), timeout=10
+            ) as conn:
+                for header, blobs in (
+                    ({"type": "snapshot", "digest": ["d"]}, [b"x"]),
+                    ({"type": "shard", "digest": ["d"]}, [b"p", b"s"]),
+                ):
+                    send_frame(conn, header, blobs)
+                    reply, _ = recv_frame(conn)
+                    assert reply["type"] == "error"
+                    assert reply["code"] == "bad_request"
+                send_frame(conn, {"type": "ping", "seq": 1})
+                assert recv_frame(conn)[0]["type"] == "pong"
+        finally:
+            worker.shutdown()
+
+    def test_unused_pushes_die_with_their_connections(self, tmp_path):
+        """A push belongs to its connection: 200 snapshot pushes of
+        64 KiB, each on its own connection and never followed by a
+        shard, leave nothing behind once the connections have closed."""
+        import gc
+        import time
+        import tracemalloc
+
+        worker = _worker(tmp_path, "a")
+        payload = b"\x00" * (64 * 1024)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(200):
+                with socket.create_connection(
+                    (worker.host, worker.port), timeout=10
+                ) as conn:
+                    send_frame(
+                        conn,
+                        {"type": "snapshot", "digest": "d%03d" % index},
+                        [payload],
+                    )
+                    reply, _ = recv_frame(conn)
+                    assert reply["type"] == "snapshot-ok"
+            for _ in range(250):  # the server notices each close
+                gc.collect()
+                retained = tracemalloc.get_traced_memory()[0] - before
+                if retained < 1024 * 1024:
+                    break
+                time.sleep(0.02)
+        finally:
+            tracemalloc.stop()
+            worker.shutdown()
+        assert worker.counters["snapshot_pulls"] == 200
+        # 200 kept pushes would be 12.5 MiB.
+        assert retained < 1024 * 1024
 
 
 # -- liveness, requeue, retry budgets ----------------------------------------

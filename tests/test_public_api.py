@@ -160,3 +160,24 @@ def test_core_does_not_depend_on_server():
                 if name == "repro.server" or name.startswith("repro.server.")
             ]
     assert offenders == []
+
+
+def test_library_reads_no_points_to_switch():
+    """No module under ``repro`` names a ``REPRO_PTA_*`` variable: the
+    flat kernel's whole-program solve is the one points-to path, with no
+    environment switch to pick another."""
+    import ast
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    offenders = [
+        "%s:%d %s" % (path.relative_to(root), node.lineno, node.value)
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.startswith("REPRO_PTA_")
+    ]
+    assert offenders == []
