@@ -23,8 +23,9 @@ coordinator/worker fleet:
 * **remote fleet identity + requeue** — a two-"host" remote fleet
   (two ``repro worker`` subprocesses with *separate* artifact-cache
   directories on localhost, dialed over the TCP wire protocol) must
-  reproduce the serial scan byte-identically: once clean, and once with the ``REPRO_REMOTE_FAIL_SHARD`` failpoint
-  killing a worker's connection mid-shard — the shard must requeue
+  reproduce the serial scan byte-identically: once clean, and once with
+  a ``drop`` failpoint (``REPRO_FAILPOINTS``) killing a worker's
+  connection mid-shard — the shard must requeue
   onto the survivor (``remote_requeues >= 1``) without exhausting any
   retry budget, and the result must *still* be byte-identical.
 
@@ -46,14 +47,13 @@ from repro.client import AnalyzeClient, ClientError
 from repro.core.scan import scan_all_loops
 from repro.server.app import create_server
 from repro.server.coordinator import Coordinator
-from repro.server.worker import reset_worker_state
 
 
 def run_identity(factor, workers):
-    """Serial vs a fresh process-transport fleet."""
+    """Serial vs a fresh fleet of forked local workers."""
     program = build_scaled("memocache", factor=factor).program
     serial = scan_all_loops(program).to_json(canonical=True)
-    coordinator = Coordinator(workers, transport="process")
+    coordinator = Coordinator(workers)
     try:
         fleet = coordinator.scan_program(program).to_json(canonical=True)
     finally:
@@ -73,7 +73,7 @@ def run_scaling(factor, rounds, worker_ladder):
     regions = len(app.regions)
     ladder = []
     for workers in worker_ladder:
-        coordinator = Coordinator(workers, transport="process")
+        coordinator = Coordinator(workers)
         try:
             coordinator.scan_program(app.program)  # fork + adopt + warm
             started = time.perf_counter()
@@ -190,13 +190,7 @@ def run_remote(factor):
     section = {"factor": factor}
     for phase, env in (
         ("clean", {}),
-        (
-            "requeue",
-            {
-                "REPRO_REMOTE_FAIL_SHARD": fail_region,
-                "REPRO_REMOTE_FAIL_TIMES": "1",
-            },
-        ),
+        ("requeue", {"REPRO_FAILPOINTS": "drop:%s*1" % fail_region}),
     ):
         procs = []
         try:
@@ -250,7 +244,6 @@ def main(argv=None):
     fleet_workers = min(4, cpus)
     ladder = [1] if fleet_workers == 1 else [1, fleet_workers]
 
-    reset_worker_state()
     report = {
         "mode": "short" if args.short else "full",
         "cpu_count": cpus,

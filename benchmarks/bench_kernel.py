@@ -11,11 +11,11 @@ Three measurements:
   ~1-element points-to sets, so both solvers sit near parity there; the
   stress program's heap-threaded copy cycles are the regime the rewrite
   targets, and where the >=10x headline is earned.
-* **per-worker warmup** — cost for a process-pool worker to obtain a
-  queryable points-to result: attaching the packed shared-memory
-  snapshot (flat kernel, zero-copy mask blob) vs unpickling and
-  re-hydrating a per-worker snapshot copy (the fallback every worker
-  paid before).
+* **per-worker warmup** — cost for a fleet worker to obtain a
+  queryable points-to result: decoding the packed snapshot bytes in
+  process (flat kernel, the mask blob viewed without a copy) vs
+  unpickling and re-hydrating the dict solver's snapshot (what every
+  worker paid before the flat kernel).
 * **peak memory** — tracemalloc peak of each solver on the stress
   workload (the flat kernel's bitsets + interning tables vs the dict
   solver's per-node Python sets).
@@ -103,12 +103,13 @@ def bench_stress():
 def bench_worker_warmup():
     """Time a worker's path to a queryable points-to result, both ways.
 
-    The shared-memory path is what the daemon's process fleet workers
-    (``serve --workers``) now do: attach the packed block and hydrate a
-    :class:`FlatAndersenResult` whose mask table lazily decodes straight
-    out of the shared buffer.  The baseline is what every worker paid
-    before the flat kernel existed: unpickle its own copy of the dict
-    solver's sorted-lists snapshot and rebuild the per-node Python sets.
+    The packed path is what a fleet worker (``serve --workers``) does
+    with the snapshot pushed to it: decode the :func:`pack_snapshot`
+    bytes in process and hydrate a :class:`FlatAndersenResult` whose
+    mask table decodes lazily out of those bytes.  No shared memory is
+    involved.  The baseline unpickles the dict solver oracle's
+    sorted-lists snapshot and rebuilds its per-node Python sets, which
+    is what a worker paid before the flat kernel existed.
     """
     program = stress_program()
     pag = _pag(program)
@@ -147,7 +148,7 @@ def bench_worker_warmup():
     return {
         "flat_packed_bytes": len(flat_packed),
         "dict_pickled_bytes": len(dict_pickled),
-        "shm_attach_ms": round(attach * 1e3, 3),
+        "packed_attach_ms": round(attach * 1e3, 3),
         "rehydrate_ms": round(rehydrate * 1e3, 3),
         "attach_fraction_of_rehydrate": round(attach / rehydrate, 3),
     }
@@ -203,8 +204,8 @@ def main(argv=None):
         )
     )
     print(
-        "worker warmup: shm attach %.3fms vs rehydrate %.3fms"
-        % (warm["shm_attach_ms"], warm["rehydrate_ms"])
+        "worker warmup: packed attach %.3fms vs rehydrate %.3fms"
+        % (warm["packed_attach_ms"], warm["rehydrate_ms"])
     )
     for row in doc["cold_solve_apps"]:
         print(

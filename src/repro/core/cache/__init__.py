@@ -13,8 +13,7 @@ makes that state durable:
 * :mod:`~repro.core.cache.serialize` — converts a
   :class:`~repro.core.pipeline.session.SharedArtifacts` to and from a
   plain-data snapshot (labels, signatures and statement uids only — no
-  live IR objects), also used to ship the substrate to process-pool
-  scan workers;
+  live IR objects), also used to ship the substrate to fleet workers;
 * :mod:`~repro.core.cache.store` — the :class:`ArtifactCache` directory
   store with atomic writes and fall-back-to-recompute semantics:
   corrupted or version-mismatched entries are evicted and recomputed,

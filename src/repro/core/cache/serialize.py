@@ -3,7 +3,7 @@
 A snapshot is a plain-data dict — labels, signatures, field names and
 statement uids only, no live IR objects — so it can be pickled to disk
 (the :class:`~repro.core.cache.store.ArtifactCache`) or shipped to a
-process-pool scan worker, and rehydrated against a structurally
+fleet worker, and rehydrated against a structurally
 identical program on the other side.
 
 Statement identity crosses the boundary through uids: the IR assigns
@@ -44,8 +44,8 @@ def snapshot_shared(shared, program_dig=None):
                 for e in callgraph.edges
             ),
         },
-        # The flat kernel's arrays plus one mask blob: the payload the
-        # shared-memory attach protocol ships to fleet workers.
+        # The flat kernel's arrays plus one mask blob: the payload
+        # pack_snapshot ships to fleet workers.
         "andersen": None if andersen is None else snapshot_flat(andersen),
         "method_stmts": {
             sig: [s.uid for s in stmts]
@@ -125,7 +125,7 @@ def hydrate_shared(program, config, snapshot, program_dig=None):
     Callers that must not fail (the cache store) catch both and
     recompute.  ``program_dig`` short-circuits re-hashing the program
     when the caller already holds its digest (the store keys entries by
-    it; process-pool workers trust the parent's snapshot).
+    it; fleet workers trust the coordinator's snapshot).
     """
     if snapshot.get("schema") != CACHE_SCHEMA_VERSION:
         raise CacheError(

@@ -24,10 +24,10 @@ budget is exhausted.  Instead of dicts of Python sets keyed by rich
 * **Flat serialization** — the solved bitsets serialize as one byte
   blob plus an offset table (:func:`snapshot_flat`), which the artifact
   cache stores directly and :func:`pack_snapshot` lays out in a single
-  buffer that the daemon's process fleet workers (``serve --workers``)
-  attach to through ``multiprocessing.shared_memory``
-  (:func:`attach_snapshot`) — masks decode lazily per query, so
-  per-worker warmup is near zero.
+  buffer that the daemon pushes to its fleet workers (``serve
+  --workers``), which decode it with :func:`attach_snapshot` — masks
+  stay undecoded until a query needs them, so per-worker warmup is
+  milliseconds.
 
 The result type, :class:`FlatAndersenResult`, answers ``pts``,
 ``field_pts``, ``may_alias`` and ``heap_points_to_pairs``.  The plain
@@ -211,7 +211,7 @@ class MaskTable:
 
     Solver-built tables hold live ints; hydrated/attached tables hold an
     ``(offsets, blob)`` pair — possibly a :class:`memoryview` into a
-    shared-memory segment — and decode each mask on first use, which is
+    packed snapshot — and decode each mask on first use, which is
     what makes worker warmup near zero: attaching never touches the
     blob, only queries do.
     """
@@ -649,7 +649,7 @@ def snapshot_flat(result):
     """Plain-data snapshot of a :class:`FlatAndersenResult`.
 
     The masks serialize as one blob + offset table — the artifact
-    cache's on-disk currency and the shared-memory payload.  ``vars``
+    cache's on-disk currency and the fleet's hand-off payload.  ``vars``
     is in vid order, so hydration rebuilds the same index.
     """
     offsets, blob = result._masks.encode()
@@ -673,7 +673,7 @@ def snapshot_flat(result):
 
 def hydrate_flat(data):
     """Rebuild a :class:`FlatAndersenResult` from :func:`snapshot_flat`
-    output (or its shared-memory attachment).  Masks stay undecoded
+    output (or its :func:`attach_snapshot` decoding).  Masks stay undecoded
     until queried."""
     var_index = {
         (sig, name): vid for vid, (sig, name) in enumerate(data["vars"])
@@ -695,10 +695,10 @@ def hydrate_flat(data):
     )
 
 
-# -- shared-memory attach protocol -------------------------------------------
+# -- packed snapshots --------------------------------------------------------
 
-_SHM_MAGIC = b"RPK1"
-_SHM_HEADER = struct.Struct("<Q")
+_PACK_MAGIC = b"RPK1"
+_PACK_HEADER = struct.Struct("<Q")
 
 
 def pack_snapshot(snapshot):
@@ -719,23 +719,23 @@ def pack_snapshot(snapshot):
         andersen["mask_blob_len"] = len(blob)
         header["andersen"] = andersen
     encoded = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
-    return b"".join((_SHM_MAGIC, _SHM_HEADER.pack(len(encoded)), encoded, blob))
+    return b"".join(
+        (_PACK_MAGIC, _PACK_HEADER.pack(len(encoded)), encoded, blob)
+    )
 
 
 def attach_snapshot(buf):
-    """Decode a :func:`pack_snapshot` buffer (bytes or a shared-memory
-    ``memoryview``) into a snapshot dict.
+    """Decode a :func:`pack_snapshot` buffer into a snapshot dict.
 
-    The mask blob is returned as a slice of ``buf`` — no copy — so the
-    caller must keep the underlying segment alive for the lifetime of
-    the hydrated result (fleet workers keep it beside the session, in
-    :class:`repro.server.worker.AdoptedSessions`).
+    The mask blob is returned as a memoryview slice of ``buf`` — no
+    copy — which keeps ``buf`` alive for as long as the hydrated result
+    holds it.
     """
     view = memoryview(buf)
-    if bytes(view[: len(_SHM_MAGIC)]) != _SHM_MAGIC:
+    if bytes(view[: len(_PACK_MAGIC)]) != _PACK_MAGIC:
         raise AnalysisError("not a packed kernel snapshot (bad magic)")
-    start = len(_SHM_MAGIC) + _SHM_HEADER.size
-    (header_len,) = _SHM_HEADER.unpack_from(view, len(_SHM_MAGIC))
+    start = len(_PACK_MAGIC) + _PACK_HEADER.size
+    (header_len,) = _PACK_HEADER.unpack_from(view, len(_PACK_MAGIC))
     snapshot = pickle.loads(view[start : start + header_len])
     andersen = snapshot.get("andersen")
     if isinstance(andersen, dict) and andersen.get("kind") == "flat":

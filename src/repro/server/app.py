@@ -146,7 +146,6 @@ class AnalysisServer:
         cache=None,
         max_sessions=8,
         workers=0,
-        transport="process",
         worker_hosts=None,
         max_body=DEFAULT_MAX_BODY,
     ):
@@ -164,14 +163,13 @@ class AnalysisServer:
             self.coordinator = Coordinator(
                 workers,
                 pool=self.pool,
-                transport=transport,
                 worker_hosts=worker_hosts,
                 metrics=self.metrics,
             )
-            # Fork the fleet now and bind after: worker processes must
-            # not inherit the listening socket — nor, had the pool
-            # forked lazily at first submit, an accepted connection,
-            # which would keep its client waiting for EOF.
+            # Local workers were forked above and remote ones are dialed
+            # here, all before binding.  A worker re-forked later,
+            # mid-request, closes the listener and the client
+            # connections it inherits before it serves.
             self.coordinator.transport.warm()
         self._sock = socket.create_server(address, reuse_port=False)
         self.server_address = self._sock.getsockname()
@@ -221,9 +219,9 @@ class AnalysisServer:
                 pass  # loop already closed
 
     def server_close(self):
-        """Release every resource: executor, fleet, the pool's shm
-        segments — and the listening socket, unless the accept loop ran
-        (it closes its own)."""
+        """Release every resource: executor, fleet, session pool — and
+        the listening socket, unless the accept loop ran (it closes its
+        own)."""
         self._executor.shutdown(wait=False, cancel_futures=True)
         if self.coordinator is not None:
             self.coordinator.close()
@@ -860,21 +858,18 @@ def create_server(
     cache=None,
     max_sessions=8,
     workers=0,
-    transport="process",
     worker_hosts=None,
     max_body=DEFAULT_MAX_BODY,
 ):
     """Build a ready-to-serve :class:`AnalysisServer`.
 
     ``port=0`` binds an ephemeral port (tests); read the actual one
-    from ``server.server_address[1]``.  ``workers=N`` attaches an
-    N-worker fleet coordinator, the sharded engine behind
+    from ``server.server_address[1]``.  ``workers=N`` attaches a fleet
+    coordinator with N forked local workers, the sharded engine behind
     ``POST /analyze-batch``; ``workers=0`` (default) serves batches
     through the in-process session pool.  ``worker_hosts`` names the
     ``repro worker`` endpoints of a multi-host fleet: given any, the
-    fleet is remote and sizes itself to that list.  ``transport`` picks
-    a local fleet's kind (``"process"`` or ``"inline"``) or passes a
-    ready :class:`~repro.server.transport.Transport`.
+    fleet is remote and sizes itself to that list.
     """
     return AnalysisServer(
         (host, port),
@@ -885,7 +880,6 @@ def create_server(
         cache=cache,
         max_sessions=max_sessions,
         workers=workers,
-        transport=transport,
         worker_hosts=worker_hosts,
         max_body=max_body,
     )

@@ -1,17 +1,18 @@
-"""The fleet coordinator: shard region scans across a worker pool.
+"""The fleet coordinator: shard region scans across a worker fleet.
 
 A :class:`Coordinator` is the one region fan-out path: the daemon keeps
 one behind ``POST /analyze-batch``, next to its
 :class:`~repro.server.pool.SessionPool`.  It turns "scan these regions
 of this program" into shard tasks on a
-:class:`~repro.server.transport.Transport`:
+:class:`~repro.server.remote.RemoteTransport`, whose workers are forked
+locally (``workers=N``) or dialed on other hosts (``worker_hosts``):
 
 * **program hand-off** — :meth:`ensure_program` has the session pool
   fill the program's entry once (:meth:`~repro.server.pool.SessionPool.
-  handoff`): the pickled program and the packed substrate, in a
-  shared-memory segment or as bytes.  Every shard task carries that
-  hand-off, so *any* worker can serve the digest warm, which is what
-  makes sharding free-form rather than program-pinned;
+  handoff`): the pickled program and the packed substrate.  Every shard
+  task carries that hand-off, so *any* worker can serve the digest
+  warm, which is what makes sharding free-form rather than
+  program-pinned;
 * **fan-out / fan-in** — :meth:`scan_iter` plans contiguous shards
   (:mod:`repro.core.pipeline.sharding`), submits them all, and yields
   per-region outcomes *as workers finish* — the streaming source of
@@ -25,12 +26,14 @@ of this program" into shard tasks on a
   folded into the shard-latency quantiles when a
   :class:`~repro.server.metrics.ServerMetrics` is attached.
 
-A worker that dies mid-shard degrades to per-region ``error``
-outcomes (the transport rebuilds its pool); a worker that finds a
+A worker that dies mid-shard costs a requeue onto a survivor (the
+transport re-forks a local one); a shard that exhausts its retry budget
+degrades to per-region ``error`` outcomes, and a worker that finds a
 region uncheckable reports *that region* failed and keeps going — the
 coordinator never turns one bad region into a dropped request.
 """
 
+import pickle
 import threading
 from concurrent.futures import as_completed
 
@@ -40,8 +43,7 @@ from repro.core.scan import ScanResult
 from repro.core.workers import validate_workers
 from repro.errors import RegionCheckError
 from repro.server.pool import SessionPool
-from repro.server.transport import make_transport
-from repro.server.worker import make_task
+from repro.server.remote import RemoteTransport
 
 
 class RegionOutcome:
@@ -78,7 +80,10 @@ class Coordinator:
     :class:`~repro.server.pool.SessionPool`: its config is the one the
     workers check under, its artifact cache warms new programs.
     Without one the coordinator keeps a private default pool and
-    closes it with itself.
+    closes it with itself.  The coordinator builds a transport that
+    forks ``workers`` local workers, or dials ``worker_hosts`` when
+    given any; ``transport`` passes a ready
+    :class:`~repro.server.remote.RemoteTransport` instead.
     """
 
     def __init__(
@@ -86,7 +91,7 @@ class Coordinator:
         workers=1,
         *,
         pool=None,
-        transport="process",
+        transport=None,
         worker_hosts=None,
         shard_size=None,
         metrics=None,
@@ -97,7 +102,9 @@ class Coordinator:
         validate_workers(workers)
         self._owns_pool = pool is None
         self.pool = SessionPool() if pool is None else pool
-        self.transport = make_transport(transport, workers, hosts=worker_hosts)
+        if transport is None:
+            transport = RemoteTransport(worker_hosts, workers=workers)
+        self.transport = transport
         self.shard_size = shard_size
         self.metrics = metrics
         self._lock = threading.Lock()
@@ -109,7 +116,7 @@ class Coordinator:
             "region_errors": 0,
             "adoption_failures": 0,
         }
-        self._adoptions = {"lru": 0, "shm": 0, "snapshot": 0, "cold": 0}
+        self._adoptions = {"lru": 0, "cache": 0, "wire": 0, "cold": 0}
         self._per_worker = {}
 
     # -- program hand-off ----------------------------------------------------
@@ -117,9 +124,7 @@ class Coordinator:
     def ensure_program(self, program, digest=None):
         """``program``'s pool entry, its fleet hand-off filled at most
         once; ``digest`` spares a second hash when the caller has one."""
-        return self.pool.handoff(
-            program, digest, shm=self.transport.wants_shm
-        )
+        return self.pool.handoff(program, digest)
 
     # -- fan-out / fan-in ----------------------------------------------------
 
@@ -145,19 +150,19 @@ class Coordinator:
             len(specs), self.transport.workers
         )
         config_kwargs = self.pool.config.describe()
-        shm = entry.shm
         futures = {}
         for start, shard_specs in plan_shards(specs, size):
-            task = make_task(
-                entry.digest,
-                entry.program_blob,
-                config_kwargs,
-                shard_specs,
-                range(start, start + len(shard_specs)),
-                shm_name=shm.name if shm is not None else None,
-                packed=entry.packed,
-                deadline_ms=deadline_ms,
-            )
+            task = {
+                "digest": entry.digest,
+                "program_blob": entry.program_blob,
+                "config_kwargs": config_kwargs,
+                "specs_blob": pickle.dumps(
+                    shard_specs, protocol=pickle.HIGHEST_PROTOCOL
+                ),
+                "indices": list(range(start, start + len(shard_specs))),
+                "packed": entry.packed,
+                "deadline_ms": deadline_ms,
+            }
             futures[self.transport.submit(task)] = (start, shard_specs)
         with self._lock:
             self._pending += len(futures)
@@ -279,15 +284,16 @@ class Coordinator:
             "per_worker": per_worker,
         }
         snapshot.update(counters)
-        # Transport-level robustness counters (the remote transport
-        # reports reconnects/requeues/retry exhaustions/liveness); the
-        # numeric entries flow into the Prometheus fleet section too.
+        # The transport's robustness counters (reconnects, requeues,
+        # retry exhaustions, liveness); the numeric entries flow into
+        # the Prometheus fleet section too.
         snapshot.update(self.transport.stats())
         return snapshot
 
     def close(self):
-        """Tear the fleet down: transport first, then a private pool's
-        shm segments (a shared pool's owner closes it)."""
+        """Tear the fleet down: the transport first, which kills and
+        reaps its local workers, then a private pool (a shared pool's
+        owner closes it)."""
         self.transport.close()
         if self._owns_pool:
             self.pool.close()

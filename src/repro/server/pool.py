@@ -30,8 +30,7 @@ Policy decisions, deliberately boring:
 
 The pool is also the fleet's program store: :meth:`SessionPool.handoff`
 fills an entry with what a worker needs to serve the program warm (see
-:class:`PoolEntry`), and the pool's eviction is the one place that
-closes and unlinks a hand-off's shared-memory segment.
+:class:`PoolEntry`), and the entry's eviction drops it.
 
 An optional :class:`~repro.core.cache.store.ArtifactCache` additionally
 persists program-level artifacts across daemon restarts.
@@ -41,7 +40,6 @@ import pickle
 import threading
 from collections import OrderedDict
 
-from repro.core.cache.adopt import share_snapshot
 from repro.core.cache.digest import program_digest
 from repro.core.cache.serialize import snapshot_shared
 from repro.core.incremental.engine import changed_scan
@@ -61,14 +59,13 @@ class PoolEntry:
     re-solving.  Both are set by ``/analyze``.
 
     The fleet hand-off, set by :meth:`SessionPool.handoff`:
-    ``program_blob`` is the pickled program, and the packed substrate
-    (:func:`~repro.pta.kernel.pack_snapshot`) lives in the shared-memory
-    segment ``shm`` when the transport wants one, else in ``packed``.
+    ``program_blob`` is the pickled program and ``packed`` the packed
+    substrate (:func:`~repro.pta.kernel.pack_snapshot`).
     """
 
     __slots__ = (
         "digest", "snapshot", "shared_snapshot", "program_blob", "packed",
-        "shm", "closed", "lock", "hits", "misses",
+        "lock", "hits", "misses",
     )
 
     def __init__(self, digest):
@@ -77,26 +74,9 @@ class PoolEntry:
         self.shared_snapshot = None
         self.program_blob = None
         self.packed = None
-        self.shm = None
-        self.closed = False
         self.lock = threading.Lock()
         self.hits = 0
         self.misses = 0
-
-    def release(self):
-        """Close and unlink the hand-off segment (idempotent)."""
-        self.closed = True
-        shm, self.shm = self.shm, None
-        _unlink(shm)
-
-
-def _unlink(shm):
-    if shm is not None:
-        try:
-            shm.close()
-            shm.unlink()
-        except OSError:
-            pass
 
 
 class SessionPool:
@@ -179,15 +159,13 @@ class SessionPool:
             entry = self._entries.get(digest)
         return entry.snapshot if entry is not None else None
 
-    def handoff(self, program, digest=None, shm=False):
+    def handoff(self, program, digest=None):
         """``program``'s entry with its fleet hand-off filled, at most once.
 
         The substrate comes from the entry's ``shared_snapshot`` when
         ``/analyze`` already built one, else from a warm session built
         here and not kept: a program only the fleet has seen retains the
-        packed form alone.  With ``shm`` it is packed into a
-        shared-memory segment, falling back to ``packed`` bytes where
-        the platform has none.
+        packed form alone.
         """
         entry = self._entry_for(digest or program_digest(program))
         with entry.lock:
@@ -199,15 +177,7 @@ class SessionPool:
                     program, self.config, cache=self.cache
                 )
                 snapshot = snapshot_shared(session.warm().shared)
-            segment = share_snapshot(snapshot)[0] if shm else None
-            if segment is None:
-                entry.packed = pack_snapshot(snapshot)
-            else:
-                with self._lock:
-                    # Evicted while packing: nobody would unlink it later.
-                    if not entry.closed:
-                        entry.shm, segment = segment, None
-                _unlink(segment)
+            entry.packed = pack_snapshot(snapshot)
             entry.program_blob = pickle.dumps(
                 program, protocol=pickle.HIGHEST_PROTOCOL
             )
@@ -221,15 +191,13 @@ class SessionPool:
                 return entry
             entry = self._entries[digest] = PoolEntry(digest)
             while len(self._entries) > self.max_sessions:
-                self._entries.popitem(last=False)[1].release()
+                self._entries.popitem(last=False)
                 self.evicted += 1
             return entry
 
     def close(self):
-        """Drop every entry, unlinking its hand-off segment."""
+        """Drop every entry."""
         with self._lock:
-            for entry in self._entries.values():
-                entry.release()
             self._entries.clear()
 
     def stats(self):

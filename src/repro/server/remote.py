@@ -1,11 +1,12 @@
-"""The remote transport: shard tasks to other hosts over a TCP wire protocol.
+"""The fleet transport: shard tasks to workers over a wire protocol.
 
-This is the multi-host half of the transport seam
-(:mod:`repro.server.transport`): a :class:`RemoteTransport` connects to
-``repro worker`` processes on other hosts (or other processes on this
-one — the "two-host" CI harness is two workers with separate cache
-directories on localhost) and drives shards over a small, versioned,
-length-prefixed wire protocol.
+A :class:`RemoteTransport` drives every fleet worker the same way, over
+a small, versioned, length-prefixed wire protocol.  Its *links* either
+fork local workers, one per socket pair (``serve --workers N``), or dial
+``repro worker`` processes on other hosts (``serve --worker-hosts``; the
+"two-host" CI harness is two workers with separate cache directories
+on localhost).  Either way the far end is a
+:class:`~repro.server.remote_worker.RemoteWorkerServer`.
 
 Wire protocol (version :data:`WIRE_VERSION`)
 --------------------------------------------
@@ -33,10 +34,10 @@ request/response on one coordinator-owned connection per worker:
 * ``snapshot`` -> ``snapshot-ok`` | ``error`` — hand the packed
   substrate snapshot (:func:`repro.pta.kernel.pack_snapshot`) to the
   worker, which hydrates it and saves it into its *own*
-  content-addressed artifact cache — so the next worker process on
-  that host (or the same one after a restart) serves the digest warm
-  from disk and hand-off degrades gracefully from wire push to
-  cache fetch.
+  content-addressed artifact cache, if it has one — so the next worker
+  process on that host (or the same one after a restart) serves the
+  digest warm from disk and hand-off degrades gracefully from wire
+  push to cache fetch.
 
 Robustness
 ----------
@@ -47,17 +48,18 @@ never has to care which worker ran a shard:
 * **liveness** — a heartbeat thread pings idle links every
   ``heartbeat_interval`` seconds; a failed ping (or any socket error
   mid-shard) marks the link down and its serve thread reconnects with
-  backoff.
+  backoff.  A local link's reconnect forks a fresh worker: failing the
+  link killed and reaped the old one.
 * **requeue** — a shard in flight on a dead link goes back on the
   shared queue, where any surviving worker picks it up; results are
   byte-identical wherever the shard lands because every worker runs
-  the same :func:`repro.server.worker.run_shard`.
+  the same shard code.
 * **retry budgets** — each shard may be requeued at most
-  ``retry_budget`` times (``REPRO_REMOTE_RETRY_BUDGET`` overrides);
-  exhaustion surfaces as :class:`RemoteShardError` on the shard's
-  future, which the coordinator degrades to per-region ``error``
-  outcomes — an ``/analyze-batch`` stream stays alive, it never turns
-  into a failed request.
+  ``retry_budget`` times; exhaustion surfaces as
+  :class:`RemoteShardError` on the shard's future, which the
+  coordinator degrades to per-region ``error`` outcomes — an
+  ``/analyze-batch`` stream stays alive, it never turns into a failed
+  request.
 * **observability** — reconnects, requeues, retry exhaustions,
   heartbeats and live-worker count are reported through
   :meth:`RemoteTransport.stats` into the fleet's ``/metrics`` section
@@ -69,12 +71,12 @@ import json
 import os
 import pickle
 import queue
+import signal
 import socket
 import struct
 import threading
 import time
-
-from repro.server.transport import Transport
+from concurrent.futures import Future
 
 #: The wire protocol version; both ends check it at handshake and on
 #: every frame, so a skewed deployment fails loudly instead of
@@ -95,9 +97,6 @@ DEFAULT_HEARTBEAT_INTERVAL = 5.0
 DEFAULT_CONNECT_TIMEOUT = 5.0
 DEFAULT_SHARD_TIMEOUT = 600.0
 DEFAULT_RECONNECT_BACKOFF = 0.25
-
-RETRY_BUDGET_ENV = "REPRO_REMOTE_RETRY_BUDGET"
-HEARTBEAT_ENV = "REPRO_REMOTE_HEARTBEAT_INTERVAL"
 
 
 class WireError(Exception):
@@ -237,10 +236,12 @@ class _Link:
     def address(self):
         return "%s:%d" % (self.host, self.port)
 
+    def _open(self, timeout):
+        return socket.create_connection((self.host, self.port), timeout=timeout)
+
     def connect(self, timeout):
-        """Dial and handshake; caller holds :attr:`lock`."""
-        sock = socket.create_connection((self.host, self.port), timeout=timeout)
-        self.sock = sock
+        """Open and handshake; caller holds :attr:`lock`."""
+        self.sock = self._open(timeout)
         try:
             reply, _ = self.request({"type": "hello"}, (), timeout)
         except _LinkFailure:
@@ -288,6 +289,33 @@ class _Link:
         self.fail()
 
 
+class _LocalLink(_Link):
+    """A worker this process forks (:func:`~repro.server.remote_worker.
+    fork_worker`): each connect forks a fresh one on a new socket pair,
+    and failing the link kills and reaps it, so the transport's
+    reconnect loop is also the respawn loop."""
+
+    def __init__(self, index):
+        super().__init__("local", index)
+        self._child = None
+
+    def _open(self, timeout):
+        from repro.server.remote_worker import fork_worker
+
+        self._child, sock = fork_worker()
+        return sock
+
+    def fail(self):
+        super().fail()
+        child, self._child = self._child, None
+        if child is not None:
+            try:
+                os.kill(child, signal.SIGKILL)
+                os.waitpid(child, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+
+
 class _Pending:
     __slots__ = ("task", "future", "failures")
 
@@ -297,45 +325,41 @@ class _Pending:
         self.failures = 0
 
 
-class RemoteTransport(Transport):
-    """Workers on other hosts behind the wire protocol above.
+class RemoteTransport:
+    """The fleet's one transport: shard tasks to workers over the wire.
 
-    One serve thread per worker pulls shards from a shared queue, so a
-    dead worker's backlog drains onto the survivors automatically; a
-    heartbeat thread keeps idle links honest.  Program hand-off is by
-    digest: a shard frame carries the program but not its substrate,
-    and a worker that misses the digest (no warm session, no cache
-    entry of its own) asks for exactly one push of the packed snapshot
-    the shard task carries.
+    ``hosts`` names ``repro worker`` endpoints to dial; without it, the
+    transport forks ``workers`` local workers.  One serve thread per
+    worker pulls shards from a shared queue, so a dead worker's backlog
+    drains onto the survivors automatically; a heartbeat thread keeps
+    idle links honest.  Program hand-off is by digest: a shard frame
+    carries the program but not its substrate, and a worker that misses
+    the digest (no warm session, no cache entry of its own) asks for
+    exactly one push of the packed snapshot the shard task carries.
     """
-
-    kind = "remote"
-    wants_shm = False
 
     def __init__(
         self,
-        hosts,
+        hosts=None,
         *,
-        retry_budget=None,
-        heartbeat_interval=None,
+        workers=1,
+        retry_budget=DEFAULT_RETRY_BUDGET,
+        heartbeat_interval=DEFAULT_HEARTBEAT_INTERVAL,
         connect_timeout=DEFAULT_CONNECT_TIMEOUT,
         shard_timeout=DEFAULT_SHARD_TIMEOUT,
         reconnect_backoff=DEFAULT_RECONNECT_BACKOFF,
     ):
-        if retry_budget is None:
-            retry_budget = int(
-                os.environ.get(RETRY_BUDGET_ENV, DEFAULT_RETRY_BUDGET)
-            )
-        if heartbeat_interval is None:
-            heartbeat_interval = float(
-                os.environ.get(HEARTBEAT_ENV, DEFAULT_HEARTBEAT_INTERVAL)
-            )
         self.retry_budget = max(0, retry_budget)
         self.heartbeat_interval = heartbeat_interval
         self.connect_timeout = connect_timeout
         self.shard_timeout = shard_timeout
         self.reconnect_backoff = reconnect_backoff
-        self._links = [_Link(host, port) for host, port in parse_hosts(hosts)]
+        if hosts:
+            self.kind = "remote"
+            self._links = [_Link(*address) for address in parse_hosts(hosts)]
+        else:
+            self.kind = "local"
+            self._links = [_LocalLink(n) for n in range(max(1, workers))]
         self.workers = len(self._links)
         self._queue = queue.Queue()
         self._lock = threading.Lock()
@@ -350,6 +374,10 @@ class RemoteTransport(Transport):
             "snapshot_pushes": 0,
         }
         self._closed = threading.Event()
+        if not hosts:
+            # Fork before this transport starts a thread of its own (in
+            # the daemon: while the process is still single-threaded).
+            self.warm()
         self._threads = [
             threading.Thread(
                 target=self._serve_link,
@@ -367,11 +395,10 @@ class RemoteTransport(Transport):
         )
         self._heartbeat.start()
 
-    # -- Transport interface -------------------------------------------------
+    # -- interface -----------------------------------------------------------
 
     def submit(self, task):
-        from concurrent.futures import Future
-
+        """Queue one shard task; returns a ``Future`` of its result."""
         future = Future()
         if self._closed.is_set():
             future.set_exception(RemoteShardError("transport closed"))
@@ -380,9 +407,11 @@ class RemoteTransport(Transport):
         return future
 
     def warm(self):
-        """Dial every worker once, eagerly — connection problems show
-        up when the daemon starts, not mid-request.  Workers that are
-        down stay owned by their serve threads' reconnect loops."""
+        """Connect every link not yet connected, eagerly — the daemon
+        calls this before it binds, so connection problems show up when
+        it starts, not mid-request.  (Local links fork their workers in
+        the constructor already.)  Workers that are down stay owned by
+        their serve threads' reconnect loops."""
         for link in self._links:
             self._try_connect(link)
 
@@ -400,7 +429,11 @@ class RemoteTransport(Transport):
         return snapshot
 
     def close(self):
+        """Stop serving; every local worker is killed and reaped, and a
+        shard still queued fails with :class:`RemoteShardError`."""
         self._closed.set()
+        for _ in self._threads:
+            self._queue.put(None)  # wakes a serve thread waiting for work
         for thread in self._threads:
             thread.join(timeout=2.0)
         self._heartbeat.join(timeout=2.0)
@@ -412,9 +445,10 @@ class RemoteTransport(Transport):
                 pending = self._queue.get_nowait()
             except queue.Empty:
                 break
-            pending.future.set_exception(
-                RemoteShardError("transport closed with the shard queued")
-            )
+            if pending is not None:
+                pending.future.set_exception(
+                    RemoteShardError("transport closed with the shard queued")
+                )
 
     # -- dispatch ------------------------------------------------------------
 
@@ -521,6 +555,9 @@ class RemoteTransport(Transport):
         try:
             pending = self._queue.get_nowait()
         except queue.Empty:
+            return
+        if pending is None:  # close() is waking the serve threads
+            self._queue.put(pending)
             return
         self._requeue(
             pending, RemoteShardError("no live workers in the fleet")

@@ -1,17 +1,19 @@
-"""The ``repro worker`` endpoint: serve shards over the fleet wire.
+"""The fleet worker: execute shards behind the fleet wire.
 
-A :class:`RemoteWorkerServer` is the far end of
-:class:`repro.server.remote.RemoteTransport`: it listens on a TCP
-port, speaks the versioned frame protocol of
-:mod:`repro.server.remote`, and executes shards through the very same
-:func:`repro.server.worker.run_shard` the local transports use — which
-is what makes fleet results byte-identical no matter which host a
-shard lands on.
+A :class:`RemoteWorkerServer` is the far end of every
+:class:`repro.server.remote.RemoteTransport` link.  It speaks the
+versioned frame protocol of :mod:`repro.server.remote` on each
+connection it serves: accepted on its TCP listener (``repro worker``,
+dialed by ``serve --worker-hosts``), or one end of a socket pair in a
+worker the transport forked for ``serve --workers N``
+(:func:`fork_worker`).  One connection loop and one shard runner serve
+both, which is what makes fleet results byte-identical no matter where
+a shard lands.
 
 Program hand-off degrades gracefully, warmest first:
 
 1. **lru** — a session for (digest, config) is already live in this
-   server's adoption LRU;
+   server's :class:`AdoptedSessions`;
 2. **cache** — the server's *own* content-addressed artifact cache
    directory (``--cache-dir``) holds the snapshot; hydrate from disk.
    This is the shared-store story: any worker that ever saw the digest
@@ -29,31 +31,110 @@ there for the next shard of its digest, and is dropped with the
 connection if none comes (a shard requeued to another worker, a
 coordinator that went away).
 
-Failpoints (CI's kill-a-worker harness): ``fail_regions`` names region
-spec texts whose arrival makes the server *drop the connection* before
-answering — exactly what a worker killed mid-shard looks like from the
-transport side — at most ``fail_times`` times per region.  The
-``REPRO_REMOTE_FAIL_SHARD`` / ``REPRO_REMOTE_FAIL_TIMES`` environment
-variables configure the same thing for subprocess workers.
+Shard failures travel as data, per region: one dead region becomes an
+``error`` outcome while the rest of the shard still answers — the batch
+endpoint's partial-result contract depends on this.
+
+Failpoints (tests and the fleet benchmark) are one comma-separated
+spec, ``REPRO_FAILPOINTS`` or ``RemoteWorkerServer(failpoints=)``, of
+``action:Class.method[:LOOP][*N]`` entries (:class:`Failpoints`).
 """
 
+import gc
+import math
 import os
 import pickle
+import signal
 import socket
 import subprocess
 import sys
 import threading
+import time
+import traceback
+from collections import OrderedDict
 
+from repro.core.cache.serialize import hydrate_shared
+from repro.core.cache.store import ArtifactCache
+from repro.core.config import DetectorConfig
+from repro.core.pipeline.session import AnalysisSession
 from repro.core.regions import region_text
+from repro.pta.kernel import attach_snapshot
+from repro.pta.queries import Deadline
 from repro.server.remote import WIRE_VERSION, WireEOF, WireError, recv_frame, send_frame
-from repro.server.worker import MAX_ADOPTED, AdoptedSessions, run_shard
 
-#: Region spec texts that trigger a simulated worker death (comma-sep).
-FAIL_SHARD_ENV = "REPRO_REMOTE_FAIL_SHARD"
-#: How many times each listed region kills the connection (default 1 —
-#: the deterministic "worker died once, survivor finished the shard"
-#: harness; 0 means every time, for retry-exhaustion tests).
-FAIL_TIMES_ENV = "REPRO_REMOTE_FAIL_TIMES"
+#: Distinct (digest, config) sessions one worker keeps warm.
+MAX_ADOPTED = 4
+
+#: The failpoint spec a worker reads when given none (test-only).
+FAILPOINTS_ENV = "REPRO_FAILPOINTS"
+
+
+class AdoptedSessions:
+    """A worker's warm sessions: an LRU of at most ``capacity``, keyed
+    by (program digest, detector config); thread-safe, because a
+    worker's connection threads share one."""
+
+    def __init__(self, capacity=MAX_ADOPTED):
+        self.capacity = max(1, capacity)
+        self._lock = threading.Lock()
+        self._entries = OrderedDict()
+
+    @staticmethod
+    def key(task):
+        return (task["digest"], tuple(sorted(task["config_kwargs"].items())))
+
+    def get(self, key):
+        """The session under ``key`` (now most recent), or ``None``."""
+        with self._lock:
+            session = self._entries.get(key)
+            if session is not None:
+                self._entries.move_to_end(key)
+            return session
+
+    def put(self, key, session):
+        with self._lock:
+            self._entries[key] = session
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def clear(self):
+        with self._lock:
+            self._entries.clear()
+
+
+class Failpoints:
+    """Parsed failpoint spec: ``raise:REGION`` fails that region's check
+    (an ``error`` outcome), ``drop:REGION`` drops the connection before
+    answering a shard that carries it (a worker killed mid-shard, as the
+    transport sees it).  ``*N`` fires a failpoint at most N times in
+    this worker process; without it, every time."""
+
+    ACTIONS = ("raise", "drop")
+
+    def __init__(self, spec=""):
+        self._lock = threading.Lock()
+        self._remaining = {}
+        for entry in filter(None, (part.strip() for part in spec.split(","))):
+            action, _, target = entry.partition(":")
+            region, star, times = target.partition("*")
+            if action not in self.ACTIONS or not region or (
+                star and not times.isdigit()
+            ):
+                raise ValueError(
+                    "bad failpoint %r: expected raise|drop:"
+                    "Class.method[:LOOP][*N]" % entry
+                )
+            self._remaining[action, region] = int(times) if star else math.inf
+
+    def fire(self, action, region):
+        """Whether ``action`` fires at ``region`` now; consumes one."""
+        with self._lock:
+            left = self._remaining.get((action, region), 0)
+            if left <= 0:
+                return False
+            self._remaining[action, region] = left - 1
+            return True
 
 
 class _NeedSnapshot(Exception):
@@ -65,13 +146,13 @@ class _NeedSnapshot(Exception):
 
 
 class RemoteWorkerServer:
-    """One fleet worker: a TCP listener executing shards.
+    """One fleet worker: its warm sessions, failpoints and counters.
 
-    Unlike the process-pool worker, session state is *instance*-level
-    (its own :class:`~repro.server.worker.AdoptedSessions`, not the
-    module-global one), so several servers can share a test process —
-    the "two hosts on localhost" CI harness — without adopting through
-    each other's state.
+    Session state is *instance*-level, so several servers can share a
+    test process — the "two hosts on localhost" harness — without
+    adopting through each other's state.  ``port=None`` binds no
+    listener: a forked local worker only serves the socket it is
+    handed.
     """
 
     def __init__(
@@ -80,20 +161,12 @@ class RemoteWorkerServer:
         port=0,
         cache_dir=None,
         max_adopted=MAX_ADOPTED,
-        fail_regions=None,
-        fail_times=None,
+        failpoints=None,
     ):
-        if fail_regions is None:
-            raw = os.environ.get(FAIL_SHARD_ENV, "")
-            fail_regions = [part for part in raw.split(",") if part.strip()]
-        if fail_times is None:
-            fail_times = int(os.environ.get(FAIL_TIMES_ENV, "1"))
+        if failpoints is None:
+            failpoints = os.environ.get(FAILPOINTS_ENV, "")
         self.cache_dir = str(cache_dir) if cache_dir else None
-        #: region text -> drops remaining (None = unlimited).
-        self._fail_budget = {
-            text: (None if fail_times == 0 else fail_times)
-            for text in fail_regions
-        }
+        self._failpoints = Failpoints(failpoints)
         self._sessions = AdoptedSessions(max_adopted)
         self._lock = threading.Lock()
         self._run_lock = threading.Lock()
@@ -107,8 +180,10 @@ class RemoteWorkerServer:
             "adoption_failures": 0,
             "simulated_deaths": 0,
         }
-        self._sock = socket.create_server((host, port))
-        self.host, self.port = self._sock.getsockname()[:2]
+        self._sock = None
+        if port is not None:
+            self._sock = socket.create_server((host, port))
+            self.host, self.port = self._sock.getsockname()[:2]
 
     @property
     def address(self):
@@ -147,9 +222,11 @@ class RemoteWorkerServer:
     def shutdown(self):
         self._closing = True
         try:
-            self._sock.close()
+            # Closing alone would leave serve_forever blocked in accept().
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._sock.close()
         with self._lock:
             conns, self._conns = list(self._conns), set()
         for conn in conns:
@@ -225,19 +302,19 @@ class RemoteWorkerServer:
             "digest": digest,
             "program_blob": blobs[0],
             "config_kwargs": dict(header.get("config") or {}),
-            "specs_blob": blobs[1],
-            "indices": list(header.get("indices") or []),
-            "shm_name": None,
             "packed": pushed.pop(digest, None),
-            "deadline_ms": header.get("deadline_ms"),
         }
-        if self._should_die(task["specs_blob"]):
-            return None
         try:
+            specs = pickle.loads(blobs[1])
+            if self._should_die(specs):
+                return None
             # One shard at a time: sessions are single-threaded, and a
             # second coordinator dialing in must queue, not corrupt.
             with self._run_lock:
-                result = run_shard(task, session_resolver=self._resolve)
+                reply, outcomes = self._run_shard(
+                    task, specs, header.get("indices") or [],
+                    header.get("deadline_ms"),
+                )
         except _NeedSnapshot as need:
             return {"type": "need-snapshot", "digest": need.digest}, ()
         except Exception as exc:  # noqa: BLE001 - report, keep serving
@@ -245,113 +322,156 @@ class RemoteWorkerServer:
                     "message": "%s: %s" % (type(exc).__name__, exc)}, ()
         with self._lock:
             self.counters["shards"] += 1
-        outcome_blob = pickle.dumps(
-            result["outcomes"], protocol=pickle.HIGHEST_PROTOCOL
+        return reply, (
+            pickle.dumps(outcomes, protocol=pickle.HIGHEST_PROTOCOL),
         )
+
+    def _should_die(self, specs):
+        """Consume a ``drop`` failpoint if this shard carries one."""
+        if any(self._failpoints.fire("drop", region_text(s)) for s in specs):
+            with self._lock:
+                self.counters["simulated_deaths"] += 1
+            return True
+        return False
+
+    def _run_shard(self, task, specs, indices, deadline_ms):
+        """Check every region of one shard; returns ``(reply, outcomes)``.
+
+        ``outcomes`` holds, per region in shard order, either ``(index,
+        "ok", LeakReport)`` or ``(index, "error", region_text, cause,
+        worker_traceback)``; ``reply`` is the ``result`` frame header
+        with the bookkeeping the coordinator folds into fleet metrics.
+        """
+        started = time.perf_counter()
+        session, adoption, adoption_failures = self._resolve(task)
+        deadline = Deadline.after_ms(deadline_ms)
+        outcomes = []
+        with session.points_to.deadline_scope(deadline):
+            for index, spec in zip(indices, specs):
+                text = region_text(spec)
+                try:
+                    if self._failpoints.fire("raise", text):
+                        raise RuntimeError("injected failpoint at %s" % text)
+                    outcomes.append((index, "ok", session.check(spec)))
+                except Exception as exc:  # noqa: BLE001 - travels as data
+                    outcomes.append(
+                        (
+                            index,
+                            "error",
+                            text,
+                            "%s: %s" % (type(exc).__name__, exc),
+                            traceback.format_exc(),
+                        )
+                    )
         reply = {
             "type": "result",
-            "pid": result["pid"],
-            "busy_seconds": result["busy_seconds"],
-            "adoption": result["adoption"],
-            "adoption_failures": result["adoption_failures"],
-            "degraded": result["degraded"],
+            "pid": os.getpid(),
+            "busy_seconds": time.perf_counter() - started,
+            "adoption": adoption,
+            "adoption_failures": adoption_failures,
+            "degraded": bool(deadline is not None and deadline.was_exceeded),
         }
-        return reply, (outcome_blob,)
-
-    def _should_die(self, specs_blob):
-        """Consume a failpoint if this shard carries a doomed region."""
-        try:
-            texts = [region_text(spec) for spec in pickle.loads(specs_blob)]
-        except Exception:  # noqa: BLE001 - malformed specs fail later
-            return False
-        with self._lock:
-            for text in texts:
-                remaining = self._fail_budget.get(text, 0)
-                if remaining == 0:
-                    continue
-                if remaining is not None:
-                    self._fail_budget[text] = remaining - 1
-                self.counters["simulated_deaths"] += 1
-                return True
-        return False
+        return reply, outcomes
 
     # -- session adoption ----------------------------------------------------
 
     def _resolve(self, task):
-        """``run_shard``'s session resolver: warmest source first.
+        """The shard's session, warmest source first.
 
-        Returns ``(session, adoption, adoption_failures)`` like the
-        process worker's, with the remote-only adoption kinds
-        ``"cache"`` (own artifact-cache directory) and ``"wire"``
-        (snapshot pushed by the coordinator on this connection, carried
-        in the task as ``packed``).
+        Returns ``(session, adoption, adoption_failures)``: ``adoption``
+        names the rung of the module docstring's ladder that served
+        (``"lru"``, ``"cache"``, ``"wire"`` or ``"cold"``), and
+        ``adoption_failures`` is 1 when a pushed snapshot failed to
+        decode and the cold rebuild served instead.
         """
-        import pickle as _pickle
-
-        from repro.core.cache.store import ArtifactCache
-        from repro.core.config import DetectorConfig
-        from repro.core.pipeline.session import AnalysisSession
-        from repro.pta.kernel import attach_snapshot
-
         key = AdoptedSessions.key(task)
         hit = self._sessions.get(key)
         if hit is not None:
             return hit, "lru", 0
-        program = _pickle.loads(task["program_blob"])
+        program = pickle.loads(task["program_blob"])
         config = DetectorConfig(**task["config_kwargs"])
         cache = ArtifactCache(self.cache_dir) if self.cache_dir else None
-        failures = 0
 
         if cache is not None:
             shared = cache.load(program, config)
             if shared is not None:
                 session = AnalysisSession(program, config, shared=shared)
                 self._sessions.put(key, session)
-                return session, "cache", failures
+                return session, "cache", 0
 
         packed = task["packed"]
-        if packed is not None:
-            try:
-                from repro.core.cache.serialize import hydrate_shared
-
-                shared = hydrate_shared(
-                    program,
-                    config,
-                    attach_snapshot(packed),
-                    program_dig=task["digest"],
-                )
-                session = AnalysisSession(program, config, shared=shared)
-            except Exception:  # noqa: BLE001 - corrupt push, rebuild cold
-                failures = 1
-                with self._lock:
-                    self.counters["adoption_failures"] += 1
-                session = None
-            if session is not None:
-                if cache is not None:
-                    try:
-                        cache.save(program, config, session.shared)
-                    except Exception:  # noqa: BLE001 - cache is best-effort
-                        pass
-                self._sessions.put(key, session)
-                return session, "wire", failures
-
-        if failures == 0:
+        if packed is None:
             raise _NeedSnapshot(task["digest"])
-
-        session = AnalysisSession(program, config)
-        session.warm()
+        try:
+            shared = hydrate_shared(
+                program,
+                config,
+                attach_snapshot(packed),
+                program_dig=task["digest"],
+            )
+            session, adoption, failures = (
+                AnalysisSession(program, config, shared=shared), "wire", 0
+            )
+        except Exception:  # noqa: BLE001 - corrupt push, rebuild cold
+            with self._lock:
+                self.counters["adoption_failures"] += 1
+            session, adoption, failures = (
+                AnalysisSession(program, config).warm(), "cold", 1
+            )
         if cache is not None:
             try:
                 cache.save(program, config, session.shared)
             except Exception:  # noqa: BLE001 - cache is best-effort
                 pass
         self._sessions.put(key, session)
-        return session, "cold", failures
+        return session, adoption, failures
 
     def __repr__(self):
-        return "RemoteWorkerServer(%s, cache_dir=%r)" % (
-            self.address, self.cache_dir
-        )
+        where = self.address if self._sock is not None else "forked"
+        return "RemoteWorkerServer(%s, cache_dir=%r)" % (where, self.cache_dir)
+
+
+def fork_worker():
+    """Fork a local fleet worker on a fresh socket pair.
+
+    Returns ``(pid, sock)``; the child serves the fleet wire on its end
+    of the pair until EOF.  Before serving, it closes every descriptor
+    it inherited except that end and stdio, so a worker forked while
+    the daemon holds its listener and client connections keeps none of
+    them open.  It leaves with ``os._exit`` (no exit handlers, none of
+    the parent's buffered output), quietly on SIGINT.
+    """
+    parent_end, child_end = socket.socketpair()
+    with child_end:
+        try:
+            pid = os.fork()
+        except OSError:
+            parent_end.close()
+            raise
+        if pid == 0:
+            _serve_forked(child_end)
+    return pid, parent_end
+
+
+def _serve_forked(sock):
+    # The child must never unwind into the stack it was forked from (a
+    # transport serve thread): whatever happens, it leaves by os._exit.
+    status = 1
+    try:
+        # Inherited objects are never collected here, so no finalizer
+        # closes a descriptor number this process has reused since.
+        gc.freeze()
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.set_wakeup_fd(-1)  # the parent's is about to be closed
+        keep = sock.fileno()
+        os.closerange(3, keep)
+        os.closerange(keep + 1, os.sysconf("SC_OPEN_MAX"))
+        RemoteWorkerServer(port=None)._serve_connection(sock)
+        status = 0
+    except BaseException:  # noqa: BLE001 - reported raw, then exit
+        os.write(2, traceback.format_exc().encode("utf-8", "replace"))
+    finally:
+        os._exit(status)
 
 
 def spawn_worker(cache_dir=None, host="127.0.0.1", env=None):

@@ -149,21 +149,42 @@ def simple_shared():
     return parse_program(SIMPLE_SHARED_SOURCE)
 
 
+@pytest.fixture
+def threaded_workers():
+    """``threaded_workers(n=1, failpoints="")``: start ``n`` fleet worker
+    servers on threads of this process and return their addresses, to
+    pass as ``worker_hosts``; they shut down after the test."""
+    from repro.server.remote_worker import RemoteWorkerServer
+
+    servers = []
+
+    def start(n=1, failpoints=""):
+        started = [
+            RemoteWorkerServer(failpoints=failpoints).start() for _ in range(n)
+        ]
+        servers.extend(started)
+        return [server.address for server in started]
+
+    yield start
+    for server in servers:
+        server.shutdown()
+
+
 @pytest.fixture(scope="module")
 def process_fleet():
     """``process_fleet(config=None)``: a fleet Coordinator for ``config``
-    on the module's one two-worker process pool — the path
+    on the module's one two-worker local fleet — the path
     ``POST /analyze-batch`` takes under ``serve --workers 2``.
 
     Each config gets its own session pool (a pool holds one config);
-    the worker processes are shared, and adopt per (digest, config).
+    the forked workers are shared, and adopt per (digest, config).
     """
     from repro.core.config import DetectorConfig
     from repro.server.coordinator import Coordinator
     from repro.server.pool import SessionPool
-    from repro.server.transport import LocalProcessTransport
+    from repro.server.remote import RemoteTransport
 
-    transport = LocalProcessTransport(2)
+    transport = RemoteTransport(workers=2)
     coordinators = {}
 
     def fleet(config=None):

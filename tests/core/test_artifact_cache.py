@@ -225,67 +225,3 @@ class TestSessionIntegration:
         warm = scan_all_loops(_program(), config, cache=ArtifactCache(tmp_path))
         profile = warm.aggregate_stats().as_dict()
         assert profile["counters"]["artifact_cache_hits"] == 1
-
-
-class TestAdoptionLeaks:
-    """Regression: failed shares/adoptions must not leak SharedMemory
-    handles (the segment outlives everyone or the tracker warns)."""
-
-    def test_share_snapshot_unlinks_segment_on_mid_pack_failure(
-        self, monkeypatch
-    ):
-        from multiprocessing import shared_memory
-
-        import repro.pta.kernel as kernel
-        from repro.core.cache.adopt import share_snapshot
-
-        created = []
-        real = shared_memory.SharedMemory
-
-        class Recording(real):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                created.append(self)
-
-        monkeypatch.setattr(shared_memory, "SharedMemory", Recording)
-        # A "packed" payload that reports a length but cannot be copied
-        # into the buffer: the segment exists when the failure hits.
-        monkeypatch.setattr(kernel, "pack_snapshot", lambda snap: [1, 2, 3])
-        assert share_snapshot({"anything": True}) == (None, None)
-        assert len(created) == 1
-        with pytest.raises(FileNotFoundError):
-            real(name=created[0].name)  # closed AND unlinked
-
-    def test_adopt_session_closes_handle_when_decode_fails(self):
-        from multiprocessing import shared_memory
-
-        from repro.core.cache.adopt import adopt_session
-
-        program = _program()
-        blob = pickle.dumps(program)
-        parent = shared_memory.SharedMemory(create=True, size=64)
-        try:
-            parent.buf[:7] = b"garbage"
-            with pytest.raises(Exception):
-                adopt_session(
-                    blob,
-                    DetectorConfig().describe(),
-                    shm_name=parent.name,
-                )
-            # The worker-side handle was closed (no dangling attach),
-            # but the segment itself still belongs to the parent.
-            check = shared_memory.SharedMemory(name=parent.name)
-            check.close()
-        finally:
-            parent.close()
-            parent.unlink()
-
-    def test_adopt_session_cold_path_unaffected(self):
-        from repro.core.cache.adopt import adopt_session
-
-        program = _program()
-        session, shm = adopt_session(
-            pickle.dumps(program), DetectorConfig().describe()
-        )
-        assert shm is None
-        assert session.check(REGION).findings  # cold build really warms

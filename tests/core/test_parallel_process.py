@@ -1,7 +1,7 @@
-"""Tests for the fanned-out scan — the fleet Coordinator on the process
-transport, the path ``POST /analyze-batch`` takes — and its failure
+"""Tests for the fanned-out scan — the fleet Coordinator on forked local
+workers, the path ``POST /analyze-batch`` takes — and its failure
 labelling: output identical to a serial scan, failures naming their
-region, worker counts validated, shared memory cleaned up."""
+region, worker counts validated, no worker or descriptor left behind."""
 
 import pytest
 
@@ -54,11 +54,11 @@ class TestProcessBackend:
 class TestWorkerValidation:
     def test_zero_workers_rejected(self):
         with pytest.raises(AnalysisError, match="--workers"):
-            Coordinator(0, transport="inline")
+            Coordinator(0)
 
     def test_negative_workers_rejected(self):
         with pytest.raises(AnalysisError, match="-3"):
-            Coordinator(-3, transport="inline")
+            Coordinator(-3)
 
     def test_message_matches_cli_workers_validation(self):
         """The library-level rejection renders exactly like the CLI's
@@ -68,7 +68,7 @@ class TestWorkerValidation:
             AnalysisError,
             match=r"--workers must be a positive worker count \(got 0\)",
         ):
-            Coordinator(0, transport="inline")
+            Coordinator(0)
 
     def test_invalid_workers_exit_2_via_cli(self, capsys):
         from repro.cli import main
@@ -152,10 +152,10 @@ class TestRegionCheckErrorContext:
 
 class TestSharedMemoryHygiene:
     def test_consecutive_scans_leave_tracker_and_shm_clean(self):
-        """Workers forked after the fleet started the resource tracker
-        share it; attaching must not unregister the parent's segment
-        there, or the parent's unlink makes the tracker print KeyError
-        tracebacks.  Every segment is unlinked when its fleet closes."""
+        """Two consecutive fleets leave nothing behind once closed: no
+        child process, no open descriptor, no traceback on stderr — and,
+        since the fleet hands programs over the wire, no shared-memory
+        segment and no resource tracker either."""
         import os
         import subprocess
         import sys
@@ -163,16 +163,29 @@ class TestSharedMemoryHygiene:
         import repro
 
         script = (
-            "import sys\n"
+            "import os, sys\n"
             "from repro.lang import parse_program\n"
             "from repro.server.coordinator import Coordinator\n"
+            "def fds():\n"
+            "    if not os.path.isdir('/proc/self/fd'):\n"
+            "        return []\n"
+            "    return sorted(os.listdir('/proc/self/fd'))\n"
             "source = sys.stdin.read()\n"
+            "program = parse_program(source)\n"
+            "before = fds()\n"
             "for _ in range(2):\n"
-            "    coordinator = Coordinator(2, transport='process')\n"
+            "    coordinator = Coordinator(2)\n"
             "    try:\n"
-            "        coordinator.scan_program(parse_program(source))\n"
+            "        coordinator.scan_program(program)\n"
             "    finally:\n"
             "        coordinator.close()\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    print('child process left')\n"
+            "except ChildProcessError:\n"
+            "    pass\n"
+            "if fds() != before:\n"
+            "    print('descriptors left: %s -> %s' % (before, fds()))\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -182,8 +195,8 @@ class TestSharedMemoryHygiene:
             return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
 
         before = segments()
-        # communicate() reads stderr to EOF, which waits for the tracker
-        # process too: it holds a copy of the child's stderr.
+        # communicate() reads stderr to EOF, which also waits for any
+        # worker still holding a copy of the child's stderr.
         proc = subprocess.run(
             [sys.executable, "-c", script],
             input=_THREE_LOOPS,
@@ -193,6 +206,7 @@ class TestSharedMemoryHygiene:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert "resource_tracker" not in proc.stderr
         assert segments() - before == set()

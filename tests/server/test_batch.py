@@ -7,8 +7,8 @@ The batch endpoint's contract under test:
   ``summary``;
 * a program or region that fails becomes an ``error`` record — the
   stream continues, the connection stays up, and the healthy remainder
-  still answers (the mid-stream worker-failure test injects a real
-  fleet failpoint via ``REPRO_FLEET_FAIL_REGION``);
+  still answers (the mid-stream worker-failure test arms a ``raise``
+  failpoint in a fleet worker);
 * malformed requests are rejected with proper (non-streamed) error
   envelopes: 400 for bad JSON/shape, 413 past ``max_body``, 429 with
   ``Retry-After`` when admission is saturated.
@@ -16,7 +16,9 @@ The batch endpoint's contract under test:
 
 import json
 import os
+import signal
 import threading
+import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
@@ -25,7 +27,6 @@ import pytest
 
 from repro.server.app import create_server
 from repro.server import schema
-from repro.server.worker import FAILPOINT_ENV, reset_worker_state
 
 LEAK = """
 entry Main.main;
@@ -91,21 +92,34 @@ def _serving(**kwargs):
         thread.join(timeout=5)
 
 
-def _stream(server, payload, raw=None):
+def _stream(server, payload, raw=None, timeout=120):
     request = urllib.request.Request(
         "http://127.0.0.1:%d/analyze-batch" % server.server_address[1],
         data=raw if raw is not None else json.dumps(payload).encode("utf-8"),
         headers={"Content-Type": "application/json"},
         method="POST",
     )
-    response = urllib.request.urlopen(request, timeout=120)
-    assert response.headers["Content-Type"] == "application/x-ndjson"
     records = []
-    for line in response:
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
+    with urllib.request.urlopen(request, timeout=timeout) as response:
+        assert response.headers["Content-Type"] == "application/x-ndjson"
+        for line in response:
+            line = line.strip()
+            if line:
+                records.append(json.loads(line))
     return records
+
+
+def _wait_until_dead(pid, timeout=5.0):
+    """Until ``pid`` is a zombie or gone (Linux; elsewhere, no wait)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            with open("/proc/%d/stat" % pid) as stat:
+                if stat.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return
+        except OSError:
+            return
+        time.sleep(0.01)
 
 
 def _check_stream_shape(records):
@@ -143,7 +157,7 @@ class TestBatchStreaming:
         assert summary["findings"] == 1
         assert summary["errors"] == 0
 
-    def test_fleet_path_matches_pool_path(self):
+    def test_fleet_path_matches_pool_path(self, threaded_workers):
         """Same request, fleet-sharded vs in-process: identical region
         payloads (order aside)."""
 
@@ -161,17 +175,17 @@ class TestBatchStreaming:
             return by_region
 
         pool = run()
-        fleet = run(workers=2, transport="inline")
+        fleet = run(worker_hosts=threaded_workers(2))
         assert pool == fleet
         assert pool["Main.main:L1"] == (["item"], 1)
         assert pool["Main.main:L2"] == ([], 0)
 
     def test_process_fleet_stream_reaches_eof(self):
-        """The real process fleet must close the connection after the
+        """The forked local fleet must close the connection after the
         summary.  Regression: a pool forked lazily at first submit —
         mid-request — left worker children holding the accepted
         connection's descriptor, so clients never saw EOF."""
-        with _serving(workers=2) as server:  # default process transport
+        with _serving(workers=2) as server:
             records = _stream(
                 server, {"programs": [{"id": "p", "program": LEAK}]}
             )
@@ -179,6 +193,50 @@ class TestBatchStreaming:
         assert summary["ok"] is True
         (region,) = [r for r in records if r["record"] == "region"]
         assert region["leaking_sites"] == ["item"]
+
+    def test_stream_after_worker_death_reaches_eof(self):
+        """Regression: a worker re-forked mid-request kept the daemon's
+        listener and the batch connection open, so the next stream after
+        a worker died never ended.  A re-forked worker now holds one
+        socket, its own."""
+        from repro.core.regions import region_text
+        from repro.core.scan import scan_all_loops
+        from repro.lang import parse_program
+
+        with _serving(workers=1) as server:
+            _stream(server, {"programs": [{"id": "p", "program": TWO_LOOPS}]})
+            dead = set(server.fleet_snapshot()["per_worker"])
+            for pid in dead:
+                os.kill(int(pid), signal.SIGKILL)
+                _wait_until_dead(int(pid))
+            started = time.monotonic()
+            records = _stream(
+                server,
+                {"programs": [{"id": "p", "program": TWO_LOOPS}]},
+                timeout=5,
+            )
+            elapsed = time.monotonic() - started
+            fleet = server.fleet_snapshot()
+        assert elapsed < 5
+        summary = _check_stream_shape(records)
+        assert summary["ok"] is True
+        serial = scan_all_loops(parse_program(TWO_LOOPS))
+        assert sorted(
+            (r["region"], r["leaking_sites"])
+            for r in records
+            if r["record"] == "region"
+        ) == sorted(
+            (region_text(spec), list(report.leaking_site_labels))
+            for spec, report in serial.entries
+        )
+        assert fleet["remote_reconnects"] >= 1
+        (reforked,) = set(fleet["per_worker"]) - dead
+        if os.path.isdir("/proc/%s/fd" % reforked):
+            links = [
+                os.readlink("/proc/%s/fd/%s" % (reforked, fd))
+                for fd in os.listdir("/proc/%s/fd" % reforked)
+            ]
+            assert len([l for l in links if l.startswith("socket:")]) == 1
 
     def test_include_reports_embeds_full_report(self):
         with _serving() as server:
@@ -248,27 +306,25 @@ class TestBatchPartialFailure:
         assert region["program_id"] == "p2"
         assert summary["errors"] == 1
 
-    def test_mid_stream_worker_failure_keeps_connection(self):
+    def test_mid_stream_worker_failure_keeps_connection(
+        self, threaded_workers
+    ):
         """The failpoint kills one region inside the fleet worker; the
         other region of the same program and the second program still
         stream, the dead region arrives as an error record, and the
         summary closes the stream normally."""
-        reset_worker_state()
-        os.environ[FAILPOINT_ENV] = "Main.main:L1"
-        try:
-            with _serving(workers=2, transport="inline") as server:
-                records = _stream(
-                    server,
-                    {
-                        "programs": [
-                            {"id": "wounded", "program": TWO_LOOPS},
-                            {"id": "healthy", "program": LEAK},
-                        ]
-                    },
-                )
-        finally:
-            del os.environ[FAILPOINT_ENV]
-            reset_worker_state()
+        with _serving(
+            worker_hosts=threaded_workers(2, "raise:Main.main:L1")
+        ) as server:
+            records = _stream(
+                server,
+                {
+                    "programs": [
+                        {"id": "wounded", "program": TWO_LOOPS},
+                        {"id": "healthy", "program": LEAK},
+                    ]
+                },
+            )
         summary = _check_stream_shape(records)
         errors = [r for r in records if r["record"] == "error"]
         assert len(errors) == 1
@@ -285,12 +341,10 @@ class TestBatchPartialFailure:
         assert summary["regions"] == 2
 
 
-    @pytest.mark.parametrize(
-        "fleet",
-        [{"workers": 1, "transport": "inline"}, {"workers": 0}],
-        ids=["fleet", "pool"],
-    )
-    def test_program_that_cannot_warm_costs_only_itself(self, fleet):
+    @pytest.mark.parametrize("fleet", [True, False], ids=["fleet", "pool"])
+    def test_program_that_cannot_warm_costs_only_itself(
+        self, fleet, threaded_workers
+    ):
         """A program the analysis rejects outright (no entry point) is
         one ``analysis_error`` record; the batch goes on, and the next
         program's regions equal a serial scan."""
@@ -298,21 +352,18 @@ class TestBatchPartialFailure:
         from repro.core.scan import scan_all_loops
         from repro.lang import parse_program
 
-        reset_worker_state()
-        try:
-            with _serving(**fleet) as server:
-                records = _stream(
-                    server,
-                    {
-                        "programs": [
-                            {"id": "no-entry", "program": NO_ENTRY},
-                            {"id": "good", "program": TWO_LOOPS},
-                        ]
-                    },
-                )
-                server_errors = server.metrics.counters["server_errors"]
-        finally:
-            reset_worker_state()
+        hosts = threaded_workers() if fleet else None
+        with _serving(worker_hosts=hosts) as server:
+            records = _stream(
+                server,
+                {
+                    "programs": [
+                        {"id": "no-entry", "program": NO_ENTRY},
+                        {"id": "good", "program": TWO_LOOPS},
+                    ]
+                },
+            )
+            server_errors = server.metrics.counters["server_errors"]
         summary = _check_stream_shape(records)
         (error,) = [r for r in records if r["record"] == "error"]
         assert error["program_id"] == "no-entry"
@@ -339,51 +390,24 @@ class TestBatchPartialFailure:
         assert server_errors == 0
 
 
-def _segments():
-    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
-
-
 class TestOneWarmStateStore:
     """The session pool is the daemon's one per-program store: the
     fleet's hand-off lives in its entries, under its bound."""
 
-    def test_batch_program_takes_one_pool_slot(self):
+    def test_batch_program_takes_one_pool_slot(self, threaded_workers):
         from repro.client import AnalyzeClient
 
-        with _serving(workers=1, transport="inline") as server:
+        with _serving(worker_hosts=threaded_workers()) as server:
             _stream(server, {"programs": [{"id": "p", "program": LEAK}]})
             after_batch = server.gauges()["pool_sessions"]
             AnalyzeClient(server.server_address[1]).analyze(LEAK)
             gauges = server.gauges()
             fleet = server.fleet_snapshot()
-        reset_worker_state()
         assert after_batch == 1
         # Seen by both endpoints: still one slot.
         assert gauges["pool_sessions"] == 1
         assert "programs_cached" not in fleet
         assert "programs_evicted" not in fleet
-
-    @pytest.mark.skipif(
-        not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
-    )
-    def test_pool_eviction_unlinks_the_fleet_segment(self):
-        before = _segments()
-        with _serving(workers=1, max_sessions=1) as server:
-            _stream(server, {"programs": [{"id": "a", "program": LEAK}]})
-            after_a = _segments() - before
-            _stream(server, {"programs": [{"id": "b", "program": CLEAN}]})
-            after_b = _segments() - before
-            again = _stream(
-                server, {"programs": [{"id": "a", "program": LEAK}]}
-            )
-            evicted = server.gauges()["pool_evicted"]
-        assert len(after_a) == 1
-        assert len(after_b) == 1 and not after_a & after_b
-        (region,) = [r for r in again if r["record"] == "region"]
-        assert region["leaking_sites"] == ["item"]
-        assert _check_stream_shape(again)["ok"] is True
-        assert evicted == 2
-        assert _segments() - before == set()
 
 
 class TestBatchRejections:

@@ -5,17 +5,12 @@ import os
 import pytest
 
 from repro.core.regions import candidate_loops, region_text
-from repro.core.scan import scan_all_loops
+from repro.core.scan import ScanResult, scan_all_loops
 from repro.errors import AnalysisError, RegionCheckError
 from repro.lang import parse_program
 from repro.server.coordinator import Coordinator
 from repro.server.pool import SessionPool
-from repro.server.transport import (
-    InlineTransport,
-    LocalProcessTransport,
-    make_transport,
-)
-from repro.server.worker import FAILPOINT_ENV, reset_worker_state
+from repro.server.remote import RemoteTransport
 
 MULTI = """
 entry Main.main;
@@ -48,12 +43,24 @@ def program():
 
 
 @pytest.fixture
-def inline(request):
-    coordinator = Coordinator(2, transport="inline", shard_size=1)
-    request.addfinalizer(coordinator.close)
-    reset_worker_state()
-    request.addfinalizer(reset_worker_state)
-    return coordinator
+def threaded(request, threaded_workers):
+    """``threaded(workers=2, failpoints="", **kwargs)``: a coordinator
+    over worker servers on threads of this process, dialed like remote
+    hosts."""
+
+    def build(workers=2, failpoints="", **kwargs):
+        coordinator = Coordinator(
+            worker_hosts=threaded_workers(workers, failpoints), **kwargs
+        )
+        request.addfinalizer(coordinator.close)
+        return coordinator
+
+    return build
+
+
+@pytest.fixture
+def inline(threaded):
+    return threaded(shard_size=1)
 
 
 class TestIdentity:
@@ -63,7 +70,7 @@ class TestIdentity:
         assert fleet == serial
 
     def test_process_fleet_matches_serial_canonically(self, program):
-        coordinator = Coordinator(2, transport="process")
+        coordinator = Coordinator(2)
         try:
             serial = scan_all_loops(program).to_json(canonical=True)
             fleet = coordinator.scan_program(program).to_json(canonical=True)
@@ -99,30 +106,23 @@ class TestFanOut:
         # Second scan adopts from the worker LRU, not a fresh hydration.
         assert inline.fleet_stats()["adoptions"]["lru"] > 0
 
-    def test_lru_evicts_old_programs(self, program):
+    def test_lru_evicts_old_programs(self, request, threaded, program):
         """The session pool's bound is the fleet's bound too."""
         pool = SessionPool(max_sessions=1)
-        coordinator = Coordinator(1, transport="inline", pool=pool)
-        try:
-            other = parse_program(MULTI + "\nclass Extra { }")
-            coordinator.scan_program(program)
-            coordinator.scan_program(other)
-            stats = pool.stats()
-        finally:
-            coordinator.close()
-            pool.close()
-            reset_worker_state()
+        request.addfinalizer(pool.close)
+        coordinator = threaded(workers=1, pool=pool)
+        other = parse_program(MULTI + "\nclass Extra { }")
+        coordinator.scan_program(program)
+        coordinator.scan_program(other)
+        stats = pool.stats()
         assert stats["pool_sessions"] == 1
         assert stats["pool_evicted"] == 1
 
 
 class TestFailure:
-    def test_failpoint_surfaces_as_error_outcome(self, program, inline):
-        os.environ[FAILPOINT_ENV] = "Main.main:L2"
-        try:
-            outcomes = list(inline.scan_iter(program))
-        finally:
-            del os.environ[FAILPOINT_ENV]
+    def test_failpoint_surfaces_as_error_outcome(self, threaded, program):
+        fleet = threaded(failpoints="raise:Main.main:L2", shard_size=1)
+        outcomes = list(fleet.scan_iter(program))
         by_kind = {}
         for outcome in outcomes:
             by_kind.setdefault(outcome.kind, []).append(outcome)
@@ -131,15 +131,60 @@ class TestFailure:
         assert "failpoint" in by_kind["error"][0].cause
         assert len(by_kind["ok"]) == 2
 
-    def test_scan_program_raises_region_check_error(self, program, inline):
-        os.environ[FAILPOINT_ENV] = "Main.main:L2"
-        try:
-            with pytest.raises(RegionCheckError) as excinfo:
-                inline.scan_program(program)
-        finally:
-            del os.environ[FAILPOINT_ENV]
+    def test_scan_program_raises_region_check_error(self, threaded, program):
+        fleet = threaded(failpoints="raise:Main.main:L2", shard_size=1)
+        with pytest.raises(RegionCheckError) as excinfo:
+            fleet.scan_program(program)
         assert "Main.main:L2" in str(excinfo.value)
         assert "backend=fleet" in str(excinfo.value)
+
+
+class TestLocalWorkerDeath:
+    def test_worker_killed_mid_shard_requeues_byte_identical(
+        self, tmp_path, monkeypatch
+    ):
+        """A forked worker that dies mid-shard costs a requeue, not the
+        batch: the shard lands on a survivor, and every region equals
+        the serial scan."""
+        from repro.bench.scale import build_scaled
+        from repro.core.pipeline.session import AnalysisSession
+
+        program = build_scaled("memocache", factor=24).program
+        serial = scan_all_loops(program)
+        doomed = region_text(serial.entries[0][0])
+        marker = tmp_path / "died"
+        parent = os.getpid()
+        check = AnalysisSession.check
+
+        def dying_check(session, spec):
+            # Once, in whichever forked worker gets there first; the
+            # marker keeps it one-shot across re-forks.
+            if os.getpid() != parent and region_text(spec) == doomed:
+                try:
+                    marker.open("x").close()
+                except FileExistsError:
+                    pass
+                else:
+                    os._exit(1)
+            return check(session, spec)
+
+        # Before the fleet forks, so that its workers inherit the patch.
+        monkeypatch.setattr(AnalysisSession, "check", dying_check)
+        coordinator = Coordinator(2)
+        try:
+            outcomes = list(coordinator.scan_iter(program))
+            stats = coordinator.fleet_stats()
+        finally:
+            coordinator.close()
+        assert marker.exists()
+        assert [(o.region, o.cause) for o in outcomes if o.kind != "ok"] == []
+        reports = [None] * len(serial.entries)
+        for outcome in outcomes:
+            reports[outcome.index] = outcome.report
+        specs = [spec for spec, _ in serial.entries]
+        fleet = ScanResult(list(zip(specs, reports)))
+        assert fleet.to_json(canonical=True) == serial.to_json(canonical=True)
+        assert stats["remote_requeues"] >= 1
 
 
 class TestObservability:
@@ -147,7 +192,7 @@ class TestObservability:
         inline.scan_program(program)
         stats = inline.fleet_stats()
         assert stats["workers"] == 2
-        assert stats["transport"] == "inline"
+        assert stats["transport"] == "remote"
         assert stats["queue_depth"] == 0
         assert stats["shards_total"] == 3  # shard_size=1, three loops
         assert stats["regions_total"] == 3
@@ -158,114 +203,43 @@ class TestObservability:
             assert worker["shards"] >= 1
             assert worker["busy_seconds"] >= 0
 
-    def test_shard_latency_recorded_when_metrics_attached(self, program):
+    def test_shard_latency_recorded_when_metrics_attached(
+        self, threaded, program
+    ):
         from repro.server.metrics import ServerMetrics
 
         metrics = ServerMetrics()
-        coordinator = Coordinator(
-            1, transport="inline", metrics=metrics
-        )
-        try:
-            coordinator.scan_program(program)
-        finally:
-            coordinator.close()
-            reset_worker_state()
+        threaded(workers=1, metrics=metrics).scan_program(program)
         assert metrics.latency_summary("shard")["count"] >= 1
 
 
 class TestConstruction:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(AnalysisError, match="--workers"):
-            Coordinator(0, transport="inline")
+            Coordinator(0)
 
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="unknown transport kind"):
-            make_transport("carrier-pigeon", 2)
+    def test_transport_instances_pass_through(
+        self, request, threaded_workers
+    ):
+        transport = RemoteTransport(threaded_workers())
+        coordinator = Coordinator(transport=transport)
+        request.addfinalizer(coordinator.close)
+        assert coordinator.transport is transport
+        assert coordinator.fleet_stats()["workers"] == 1
 
-    def test_transport_instances_pass_through(self):
-        transport = InlineTransport(3)
-        assert make_transport(transport, 99) is transport
-
-    def test_process_transport_is_default(self):
+    def test_process_transport_is_default(self, program):
+        """``Coordinator(N)`` forks N local workers."""
         coordinator = Coordinator(2)
         try:
-            assert isinstance(coordinator.transport, LocalProcessTransport)
-            assert coordinator.transport.workers == 2
+            coordinator.scan_program(program)
+            stats = coordinator.fleet_stats()
         finally:
             coordinator.close()
-
-
-class _FakePool:
-    """Stands in for a ProcessPoolExecutor; optionally born broken."""
-
-    def __init__(self, broken=False):
-        self.broken = broken
-        self.submits = 0
-        self.shutdowns = 0
-
-    def submit(self, fn, *args):
-        from concurrent.futures import Future
-        from concurrent.futures.process import BrokenProcessPool
-
-        if self.broken:
-            raise BrokenProcessPool("worker died")
-        self.submits += 1
-        future = Future()
-        future.set_result("ok")
-        return future
-
-    def shutdown(self, wait=False, cancel_futures=False):
-        self.shutdowns += 1
-
-
-class TestBrokenPoolRebuild:
-    """Regression: concurrent submits observing the same broken pool
-    must trigger exactly one rebuild, not a rebuild per submitter."""
-
-    def _transport_with_broken_first_pool(self):
-        import threading
-
-        transport = LocalProcessTransport(2)
-        pools = []
-
-        def make_pool():
-            pool = _FakePool(broken=not pools)  # first broken, rest fine
-            pools.append(pool)
-            return pool
-
-        transport._make_pool = make_pool
-        return transport, pools, threading
-
-    def test_single_broken_submit_rebuilds_once(self):
-        transport, pools, _ = self._transport_with_broken_first_pool()
-        assert transport.submit({"fake": True}).result() == "ok"
-        assert transport.rebuilds == 1
-        assert len(pools) == 2
-        assert pools[0].shutdowns == 1
-        assert pools[1].submits == 1
-
-    def test_concurrent_broken_submits_rebuild_once(self):
-        transport, pools, threading = self._transport_with_broken_first_pool()
-        # Everyone grabs the broken pool before anyone retries, the
-        # worst-case race: all then contend on _replace_broken.
-        transport._ensure_pool()
-        barrier = threading.Barrier(8)
-        results = []
-
-        def submit():
-            barrier.wait()
-            results.append(transport.submit({"fake": True}).result())
-
-        threads = [threading.Thread(target=submit) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        assert results == ["ok"] * 8
-        assert transport.rebuilds == 1
-        assert len(pools) == 2
-        assert pools[0].shutdowns == 1
-        assert pools[1].submits == 8
+        assert isinstance(coordinator.transport, RemoteTransport)
+        assert stats["workers"] == 2
+        assert stats["transport"] == "local"
+        assert stats["per_worker"]
+        assert str(os.getpid()) not in stats["per_worker"]
 
 
 class TestAdoptionFailures:
@@ -273,9 +247,8 @@ class TestAdoptionFailures:
         """A hand-off that fails to decode must not fail the shard: the
         worker rebuilds cold, answers correctly, and the coordinator
         counts the failure."""
-        coordinator = Coordinator(1, transport="inline", shard_size=1)
+        coordinator = Coordinator(1, shard_size=1)
         try:
-            reset_worker_state()
             serial = scan_all_loops(program).to_json(canonical=True)
             entry = coordinator.ensure_program(program)
             entry.packed = b"not a packed snapshot"
@@ -283,21 +256,19 @@ class TestAdoptionFailures:
             stats = coordinator.fleet_stats()
         finally:
             coordinator.close()
-            reset_worker_state()
         assert fleet == serial
         assert stats["adoption_failures"] >= 1
         assert stats["adoptions"]["cold"] >= 1
-        assert stats["adoptions"]["snapshot"] == 0
+        assert stats["adoptions"]["wire"] == 0
 
 
 class TestAdoptedSessions:
     def test_worker_serves_more_programs_than_it_keeps(self):
-        """Regression: evicting a session adopted over shared memory
-        closed the segment while the session's masks still viewed it;
-        the BufferError failed every shard from the fifth program on."""
-        from repro.server.worker import MAX_ADOPTED
+        """A worker evicts adopted sessions past ``MAX_ADOPTED`` and
+        adopts each new program over the wire without failing a shard."""
+        from repro.server.remote_worker import MAX_ADOPTED
 
-        coordinator = Coordinator(1, transport="process")
+        coordinator = Coordinator(1)
         try:
             errors = []
             for n in range(MAX_ADOPTED + 2):
@@ -311,28 +282,7 @@ class TestAdoptedSessions:
         finally:
             coordinator.close()
         assert [(o.region, o.cause) for o in errors] == []
-        assert adoptions["shm"] == MAX_ADOPTED + 2
-
-    def test_viewed_handle_closes_once_the_view_is_gone(self):
-        from multiprocessing import shared_memory
-
-        from repro.server.worker import AdoptedSessions
-
-        segment = shared_memory.SharedMemory(create=True, size=16)
-        try:
-            handle = shared_memory.SharedMemory(name=segment.name)
-            view = memoryview(handle.buf)[:4]  # what a mask table holds
-            sessions = AdoptedSessions(capacity=1)
-            sessions.put("a", object(), handle)
-            sessions.put("b", object())  # evicts "a" while it is viewed
-            view[0] = 7  # the segment is still mapped
-            assert segment.buf[0] == 7
-            del view
-            sessions.clear()
-            assert handle._mmap is None  # closed on the retry
-        finally:
-            segment.close()
-            segment.unlink()
+        assert adoptions["wire"] == MAX_ADOPTED + 2
 
     def test_concurrent_use_keeps_capacity(self):
         """A remote worker's connection threads share one instance:
@@ -340,7 +290,7 @@ class TestAdoptedSessions:
         import sys
         import threading
 
-        from repro.server.worker import AdoptedSessions
+        from repro.server.remote_worker import AdoptedSessions
 
         sessions = AdoptedSessions(capacity=2)
         failures = []

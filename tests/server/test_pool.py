@@ -150,33 +150,26 @@ class TestFleetHandoff:
         assert pool.handoff(program) is entry
         assert pool.stats()["pool_sessions"] == 1
 
-    @pytest.mark.parametrize("shm", [False, True], ids=["bytes", "shm"])
-    def test_fleet_only_entry_keeps_the_packed_form_alone(self, shm):
+    def test_fleet_only_entry_keeps_the_packed_form_alone(self):
         """A program only the fleet has seen retains one packed copy of
-        its substrate — in a segment or as bytes — and no dict."""
+        its substrate, and no dict."""
         pool = SessionPool()
-        entry = pool.handoff(parse_program(_LEAK), shm=shm)
-        try:
-            assert entry.shared_snapshot is None and entry.snapshot is None
-            if shm and os.path.isdir("/dev/shm"):
-                assert entry.shm is not None and entry.packed is None
-            else:
-                assert entry.shm is None and entry.packed is not None
-        finally:
-            pool.close()
-        assert entry.shm is None
+        entry = pool.handoff(parse_program(_LEAK))
+        pool.close()
+        assert entry.shared_snapshot is None and entry.snapshot is None
+        assert entry.packed is not None and entry.program_blob is not None
 
-    @pytest.mark.skipif(
-        not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
-    )
     def test_concurrent_handoff_and_eviction_leak_no_segment(self):
         """Threads racing hand-offs of three programs through a
         one-slot pool evict each other's entries mid-fill; every
-        segment is still unlinked exactly once the pool closes."""
+        hand-off still completes, the bound holds, and no shared-memory
+        segment is ever created."""
         import sys
         import threading
 
         def segments():
+            if not os.path.isdir("/dev/shm"):
+                return set()
             return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
 
         sources = [_LEAK, _OTHER, _LEAK.replace("@cache", "@store")]
@@ -188,8 +181,9 @@ class TestFleetHandoff:
             try:
                 for n in range(12):
                     program = parse_program(sources[(offset + n) % 3])
-                    entry = pool.handoff(program, shm=True)
+                    entry = pool.handoff(program)
                     assert entry.program_blob is not None
+                    assert entry.packed is not None
             except Exception as exc:  # noqa: BLE001 - asserted below
                 failures.append(exc)
 

@@ -4,9 +4,9 @@ The "two hosts" here are two :class:`RemoteWorkerServer` instances with
 *separate* artifact-cache directories in one test process — the same
 harness CI's fleet benchmark uses, because from the transport's side a
 worker behind ``127.0.0.1:<port>`` is indistinguishable from one on
-another machine.  The failpoint (``fail_regions``) makes a worker drop
-the connection before answering a doomed shard, which is exactly what
-a worker killed mid-shard looks like on the wire.
+another machine.  A ``drop`` failpoint makes a worker drop the
+connection before answering a doomed shard, which is exactly what a
+worker killed mid-shard looks like on the wire.
 """
 
 import json
@@ -28,7 +28,7 @@ from repro.server.remote import (
     recv_frame,
     send_frame,
 )
-from repro.server.remote_worker import RemoteWorkerServer
+from repro.server.remote_worker import Failpoints, RemoteWorkerServer
 
 MULTI = """
 entry Main.main;
@@ -76,6 +76,9 @@ def _fleet(request, workers, **kwargs):
     transport = RemoteTransport(
         [w.address for w in workers], reconnect_backoff=0.05, **kwargs
     )
+    # Connected before the first shard, as the daemon's fleet is: a link
+    # still dialing could leave every shard to the other worker.
+    transport.warm()
     coordinator = Coordinator(transport=transport, shard_size=1)
     def teardown():
         coordinator.close()
@@ -136,6 +139,36 @@ class TestWireFrames:
             parse_hosts("no-port")
         with pytest.raises(ValueError, match="at least one"):
             parse_hosts("")
+
+
+# -- the failpoint spec ------------------------------------------------------
+
+
+class TestFailpoints:
+    def test_spec_fires_by_action_region_and_budget(self):
+        points = Failpoints("raise:Main.main:L2, drop:Main.main:L1*2")
+        assert [points.fire("raise", "Main.main:L2") for _ in range(3)] == [
+            True, True, True,
+        ]
+        assert [points.fire("drop", "Main.main:L1") for _ in range(3)] == [
+            True, True, False,
+        ]
+        assert not points.fire("drop", "Main.main:L2")
+        assert not points.fire("raise", "Main.main:L1")
+        assert not Failpoints("").fire("raise", "Main.main:L2")
+
+    @pytest.mark.parametrize(
+        "spec", ["boom:Main.main:L1", "raise", "drop:Main.main:L1*x"]
+    )
+    def test_malformed_spec_is_rejected(self, spec):
+        with pytest.raises(ValueError, match="bad failpoint"):
+            Failpoints(spec)
+
+    def test_environment_spec_is_the_default(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAILPOINTS", "drop:Main.main:L3*1")
+        worker = RemoteWorkerServer(port=None)
+        assert worker._failpoints.fire("drop", "Main.main:L3")
+        assert not worker._failpoints.fire("drop", "Main.main:L3")
 
 
 # -- hand-off: wire push, then the worker's own cache ------------------------
@@ -258,8 +291,8 @@ class TestRobustness:
         # see L2's shard; the requeued shard must land somewhere and
         # the batch must still equal the serial scan byte for byte.
         workers = [
-            _worker(tmp_path, "a", fail_regions=["Main.main:L2"]),
-            _worker(tmp_path, "b", fail_regions=["Main.main:L2"]),
+            _worker(tmp_path, "a", failpoints="drop:Main.main:L2*1"),
+            _worker(tmp_path, "b", failpoints="drop:Main.main:L2*1"),
         ]
         fleet = _fleet(request, workers)
         assert fleet.scan_program(program).to_json(canonical=True) == serial_json
@@ -272,11 +305,9 @@ class TestRobustness:
     def test_retry_budget_exhaustion_is_per_region_error(
         self, request, tmp_path, program
     ):
-        # fail_times=0 = die on *every* attempt: the budget must run
-        # out, and only L2 may turn into an error outcome.
-        worker = _worker(
-            tmp_path, "a", fail_regions=["Main.main:L2"], fail_times=0
-        )
+        # No *N: die on *every* attempt.  The budget must run out, and
+        # only L2 may turn into an error outcome.
+        worker = _worker(tmp_path, "a", failpoints="drop:Main.main:L2")
         fleet = _fleet(request, [worker], retry_budget=1)
         outcomes = {o.region: o for o in fleet.scan_iter(program)}
         assert outcomes["Main.main:L2"].kind == "error"
@@ -343,13 +374,8 @@ class TestBatchIntegration:
     def test_exhaustion_surfaces_as_error_record_stream_alive(self, tmp_path):
         from repro.server.app import create_server
 
-        worker = _worker(
-            tmp_path, "a", fail_regions=["Main.main:L2"], fail_times=0
-        )
-        transport = RemoteTransport(
-            [worker.address], retry_budget=1, reconnect_backoff=0.05
-        )
-        server = create_server(port=0, workers=1, transport=transport)
+        worker = _worker(tmp_path, "a", failpoints="drop:Main.main:L2")
+        server = create_server(port=0, worker_hosts=[worker.address])
         server.coordinator.shard_size = 1
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -380,10 +406,7 @@ class TestBatchIntegration:
         from repro.server.app import create_server
 
         worker = _worker(tmp_path, "a")
-        transport = RemoteTransport(
-            [worker.address], reconnect_backoff=0.05
-        )
-        server = create_server(port=0, workers=1, transport=transport)
+        server = create_server(port=0, worker_hosts=[worker.address])
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -424,6 +447,8 @@ class TestServeWiring:
             transport = server.coordinator.transport
             assert transport.kind == "remote"
             assert transport.workers == 1
-            assert server.coordinator.fleet_stats()["transport"] == "remote"
+            stats = server.coordinator.fleet_stats()
+            assert stats["transport"] == "remote"
+            assert stats["remote_hosts"] == [closed]
         finally:
             server.server_close()

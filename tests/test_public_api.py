@@ -163,9 +163,10 @@ def test_core_does_not_depend_on_server():
 
 
 def test_library_reads_no_points_to_switch():
-    """No module under ``repro`` names a ``REPRO_PTA_*`` variable: the
-    flat kernel's whole-program solve is the one points-to path, with no
-    environment switch to pick another."""
+    """The only ``REPRO_*`` name under ``repro`` is the test-only
+    failpoint spec, ``REPRO_FAILPOINTS``: no ``REPRO_PTA_*`` switch picks
+    another points-to path, and the fleet's retry budget and heartbeat
+    are constructor arguments, not environment variables."""
     import ast
     import pathlib
 
@@ -178,6 +179,7 @@ def test_library_reads_no_points_to_switch():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Constant)
         and isinstance(node.value, str)
-        and node.value.startswith("REPRO_PTA_")
+        and node.value.startswith("REPRO_")
+        and node.value != "REPRO_FAILPOINTS"
     ]
     assert offenders == []
