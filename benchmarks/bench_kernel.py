@@ -12,10 +12,10 @@ Three measurements:
   stress program's heap-threaded copy cycles are the regime the rewrite
   targets, and where the >=10x headline is earned.
 * **per-worker warmup** — cost for a fleet worker to obtain a
-  queryable points-to result: decoding the packed snapshot bytes in
-  process (flat kernel, the mask blob viewed without a copy) vs
-  unpickling and re-hydrating the dict solver's snapshot (what every
-  worker paid before the flat kernel).
+  queryable points-to result: decoding the pushed substrate bytes and
+  hydrating them (flat kernel, masks decoded lazily) vs unpickling and
+  re-hydrating the dict solver's snapshot (what every worker paid
+  before the flat kernel).
 * **peak memory** — tracemalloc peak of each solver on the stress
   workload (the flat kernel's bitsets + interning tables vs the dict
   solver's per-node Python sets).
@@ -39,13 +39,11 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from repro.bench.apps import all_apps  # noqa: E402
 from repro.bench.stress import stress_program  # noqa: E402
 from repro.callgraph.rta import build_rta  # noqa: E402
-from repro.pta.kernel import (  # noqa: E402
-    attach_snapshot,
-    hydrate_flat,
-    pack_snapshot,
-    snapshot_flat,
-    solve_flat,
-)
+from repro.core.cache.digest import program_digest  # noqa: E402
+from repro.core.cache.serialize import dump_shared, load_shared  # noqa: E402
+from repro.core.config import DetectorConfig  # noqa: E402
+from repro.core.pipeline.session import AnalysisSession  # noqa: E402
+from repro.pta.kernel import solve_flat  # noqa: E402
 from repro.pta.pag import PAG, VarNode  # noqa: E402
 from tests.pta.andersen_oracle import AndersenResult  # noqa: E402
 from tests.pta.andersen_oracle import solve as dict_solve  # noqa: E402
@@ -103,17 +101,20 @@ def bench_stress():
 def bench_worker_warmup():
     """Time a worker's path to a queryable points-to result, both ways.
 
-    The packed path is what a fleet worker (``serve --workers``) does
-    with the snapshot pushed to it: decode the :func:`pack_snapshot`
-    bytes in process and hydrate a :class:`FlatAndersenResult` whose
-    mask table decodes lazily out of those bytes.  No shared memory is
-    involved.  The baseline unpickles the dict solver oracle's
-    sorted-lists snapshot and rebuilds its per-node Python sets, which
-    is what a worker paid before the flat kernel existed.
+    The substrate path is what a fleet worker (``serve --workers``) does
+    with the bytes pushed to it: :func:`load_shared` decodes them and
+    hydrates the call graph, the per-method indexes and a
+    :class:`FlatAndersenResult` whose mask table decodes lazily.  The
+    baseline unpickles the dict solver oracle's sorted-lists snapshot
+    and rebuilds its per-node Python sets — points-to alone, which is
+    what a worker paid before the flat kernel existed.
     """
     program = stress_program()
-    pag = _pag(program)
-    flat_packed = pack_snapshot({"andersen": snapshot_flat(solve_flat(pag))})
+    config = DetectorConfig()
+    digest = program_digest(program)
+    substrate = dump_shared(
+        AnalysisSession(program, config).warm().shared, digest
+    )
     oracle = dict_solve(_pag(program))
     dict_snapshot = {
         "vars": sorted(
@@ -127,9 +128,8 @@ def bench_worker_warmup():
     }
     dict_pickled = pickle.dumps(dict_snapshot, protocol=pickle.HIGHEST_PROTOCOL)
 
-    def attach_path():
-        attached = attach_snapshot(flat_packed)
-        return hydrate_flat(attached["andersen"])
+    def load_path():
+        return load_shared(program, config, substrate, program_dig=digest)
 
     def rehydrate_path():
         copy = pickle.loads(dict_pickled)
@@ -143,14 +143,14 @@ def bench_worker_warmup():
         }
         return AndersenResult(None, var_pts, field_pts)
 
-    attach = min(_timed(attach_path) for _ in range(REPEATS))
+    load = min(_timed(load_path) for _ in range(REPEATS))
     rehydrate = min(_timed(rehydrate_path) for _ in range(REPEATS))
     return {
-        "flat_packed_bytes": len(flat_packed),
+        "substrate_bytes": len(substrate),
         "dict_pickled_bytes": len(dict_pickled),
-        "packed_attach_ms": round(attach * 1e3, 3),
+        "substrate_load_ms": round(load * 1e3, 3),
         "rehydrate_ms": round(rehydrate * 1e3, 3),
-        "attach_fraction_of_rehydrate": round(attach / rehydrate, 3),
+        "load_fraction_of_rehydrate": round(load / rehydrate, 3),
     }
 
 
@@ -204,8 +204,8 @@ def main(argv=None):
         )
     )
     print(
-        "worker warmup: packed attach %.3fms vs rehydrate %.3fms"
-        % (warm["packed_attach_ms"], warm["rehydrate_ms"])
+        "worker warmup: substrate load %.3fms vs rehydrate %.3fms"
+        % (warm["substrate_load_ms"], warm["rehydrate_ms"])
     )
     for row in doc["cold_solve_apps"]:
         print(

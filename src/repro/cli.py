@@ -849,7 +849,7 @@ def build_parser():
         "--cache-dir",
         default=None,
         help="this worker's content-addressed artifact cache: program "
-        "snapshots pushed over the wire are saved here, and later "
+        "substrates pushed over the wire are saved here, and later "
         "shards for a known digest hydrate from disk instead of "
         "asking the coordinator again",
     )

@@ -10,10 +10,11 @@ makes that state durable:
   are keyed by a digest of (program IR, substrate config key, cache
   schema version), so any change to the program, the substrate-relevant
   configuration, or the serialization format lands on a different key;
-* :mod:`~repro.core.cache.serialize` — converts a
+* :mod:`~repro.core.cache.serialize` — the substrate codec: converts a
   :class:`~repro.core.pipeline.session.SharedArtifacts` to and from a
   plain-data snapshot (labels, signatures and statement uids only — no
-  live IR objects), also used to ship the substrate to fleet workers;
+  live IR objects) and its byte form, which the daemon's session pool
+  also keeps and pushes to fleet workers;
 * :mod:`~repro.core.cache.store` — the :class:`ArtifactCache` directory
   store with atomic writes and fall-back-to-recompute semantics:
   corrupted or version-mismatched entries are evicted and recomputed,
@@ -21,8 +22,7 @@ makes that state durable:
 
 A second ``scan``/``check`` of the same program under the same substrate
 key hydrates the session from the cache and skips the warm-up (call
-graph construction, PAG build, Andersen solve, summary computation)
-entirely.
+graph construction, PAG build, Andersen solve) entirely.
 """
 
 from repro.core.cache.digest import CACHE_SCHEMA_VERSION, cache_key, program_digest

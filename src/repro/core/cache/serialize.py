@@ -1,10 +1,12 @@
-"""Snapshot encoding of :class:`SharedArtifacts`.
+"""The substrate codec: :class:`SharedArtifacts` to bytes and back.
 
 A snapshot is a plain-data dict — labels, signatures, field names and
-statement uids only, no live IR objects — so it can be pickled to disk
-(the :class:`~repro.core.cache.store.ArtifactCache`) or shipped to a
-fleet worker, and rehydrated against a structurally
-identical program on the other side.
+statement uids only, no live IR objects — rehydrated against a
+structurally identical program on the other side.  Its byte form, the
+pickled dict, has one encoder (:func:`dump_shared`) and one decoder
+(:func:`load_shared`): the :class:`~repro.core.cache.store.ArtifactCache`
+writes and reads it as file content, the daemon's session pool keeps it
+as a program's substrate, and the fleet pushes it to workers.
 
 Statement identity crosses the boundary through uids: the IR assigns
 uids deterministically in seal order, and the canonical printer
@@ -15,6 +17,8 @@ program that no longer matches its digest) surfaces as a lookup error
 that the cache store converts into a miss-and-recompute.
 """
 
+import pickle
+
 from repro.callgraph.cha import CallEdge, CallGraph
 from repro.core.cache.digest import CACHE_SCHEMA_VERSION, program_digest
 from repro.core.pipeline.artifacts import StoreEdge
@@ -22,6 +26,25 @@ from repro.core.pipeline.session import SharedArtifacts
 from repro.errors import CacheError
 from repro.pta.kernel import hydrate_flat, snapshot_flat
 from repro.pta.pag import VarNode
+
+
+def dump_shared(shared, program_dig=None):
+    """``shared`` as substrate bytes: the pickled :func:`snapshot_shared`
+    dict."""
+    return pickle.dumps(
+        snapshot_shared(shared, program_dig=program_dig),
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+
+
+def load_shared(program, config, data, program_dig=None):
+    """Decode :func:`dump_shared` bytes into a :class:`SharedArtifacts`
+    for ``program``.  Raises like :func:`hydrate_shared`, and whatever
+    unpickling raises on bytes that are not a substrate; callers that
+    must not fail (the cache, a fleet worker) catch it and rebuild."""
+    return hydrate_shared(
+        program, config, pickle.loads(data), program_dig=program_dig
+    )
 
 
 def snapshot_shared(shared, program_dig=None):
@@ -44,8 +67,7 @@ def snapshot_shared(shared, program_dig=None):
                 for e in callgraph.edges
             ),
         },
-        # The flat kernel's arrays plus one mask blob: the payload
-        # pack_snapshot ships to fleet workers.
+        # The flat kernel's arrays plus one mask blob.
         "andersen": None if andersen is None else snapshot_flat(andersen),
         "method_stmts": {
             sig: [s.uid for s in stmts]

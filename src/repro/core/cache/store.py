@@ -3,7 +3,7 @@
 Layout (one flat directory, safe to delete at any time)::
 
     <root>/
-      <key>.artifacts.pkl     # pickled snapshot dict (see serialize.py)
+      <key>.artifacts.pkl     # substrate bytes (serialize.dump_shared)
 
 where ``<key>`` is the hex digest of (program IR, substrate config key,
 schema version) from :func:`repro.core.cache.digest.cache_key`.  Writes
@@ -19,11 +19,10 @@ an explicitly unusable *root* (cannot be created or written) raises
 """
 
 import os
-import pickle
 import tempfile
 
 from repro.core.cache.digest import cache_key, program_digest
-from repro.core.cache.serialize import hydrate_shared, snapshot_shared
+from repro.core.cache.serialize import dump_shared, load_shared
 from repro.errors import CacheError
 
 _SUFFIX = ".artifacts.pkl"
@@ -80,10 +79,8 @@ class ArtifactCache:
         path = self.path_for(program, config, program_dig=program_dig)
         try:
             with open(path, "rb") as handle:
-                snapshot = pickle.load(handle)
-            shared = hydrate_shared(
-                program, config, snapshot, program_dig=program_dig
-            )
+                data = handle.read()
+            shared = load_shared(program, config, data, program_dig=program_dig)
         except FileNotFoundError:
             self.stats["artifact_cache_misses"] += 1
             return None
@@ -98,10 +95,7 @@ class ArtifactCache:
         """Persist ``shared`` for (program, config); returns the path."""
         program_dig = program_digest(program)
         path = self.path_for(program, config, program_dig=program_dig)
-        payload = pickle.dumps(
-            snapshot_shared(shared, program_dig=program_dig),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        payload = dump_shared(shared, program_dig=program_dig)
         try:
             os.makedirs(self.root, exist_ok=True)
             fd, tmp_path = tempfile.mkstemp(

@@ -121,25 +121,14 @@ def changed_scan(
     top=None,
     session=None,
     cache=None,
-    deadline=None,
-    shared_snapshot=None,
 ):
     """Scan ``program``, serving unchanged regions from ``snapshot``.
 
     Returns ``(ScanResult, IncrementalOutcome)``.  The result is
     canonically byte-identical to ``scan_all_loops`` of the new program
-    under the same region selection; only the work differs.
-
-    ``deadline`` (a :class:`repro.pta.queries.Deadline`) bounds the
-    demand-driven query work of any region that does need re-checking;
-    served regions cost no queries, so a warm scan never degrades.
-
-    ``shared_snapshot`` is an optional :func:`~repro.core.cache.
-    serialize.snapshot_shared` dict from a prior session over the *same*
-    program; if a session does have to be built (slow path, re-check),
-    it hydrates from the snapshot — call graph and solved points-to
-    included — instead of rebuilding the substrate.  A snapshot that
-    does not match the program is silently ignored.
+    under the same region selection; only the work differs.  A session
+    is built (through ``cache``) only if some region needs one, unless
+    the caller brings its own.
     """
     from repro.core.config import DetectorConfig
     from repro.core.pipeline.session import AnalysisSession
@@ -153,20 +142,7 @@ def changed_scan(
     def get_session():
         nonlocal session
         if session is None:
-            shared = None
-            if shared_snapshot is not None:
-                from repro.core.cache.serialize import hydrate_shared
-                from repro.errors import CacheError
-
-                try:
-                    shared = hydrate_shared(
-                        program, config, shared_snapshot
-                    )
-                except (CacheError, LookupError):
-                    shared = None  # different program/config: rebuild
-            session = AnalysisSession(
-                program, config, cache=cache, shared=shared
-            )
+            session = AnalysisSession(program, config, cache=cache)
         return session
 
     reason = _fallback_reason(snapshot, config)
@@ -174,8 +150,7 @@ def changed_scan(
         reason = "class structure changed (classes/fields/methods/entry)"
     if reason is not None:
         return _full(
-            outcome, reason, program, get_session(), specs, auto_regions,
-            top, deadline,
+            outcome, reason, program, get_session(), specs, auto_regions, top
         )
 
     new_digests = method_digests(program)
@@ -251,11 +226,7 @@ def changed_scan(
             report.stats["statements"] = size_counts[1]
             outcome.served.append(region_text(spec))
         else:
-            # The deadline scope restores itself, so a pooled session
-            # never carries a request's (possibly expired) deadline
-            # into later requests.
-            with get_session().points_to.deadline_scope(deadline):
-                report = session.check(spec)
+            report = get_session().check(spec)
             outcome.rechecked.append(region_text(spec))
         entries.append((spec, report))
 
@@ -286,10 +257,7 @@ def _structure_changed(snapshot, program):
     return snapshot["structure_digest"] != structure_digest(program)
 
 
-def _full(
-    outcome, reason, program, session, specs, auto_regions, top,
-    deadline=None,
-):
+def _full(outcome, reason, program, session, specs, auto_regions, top):
     outcome.full_fallback = True
     outcome.fallback_reason = reason
     result = scan_all_loops(
@@ -298,7 +266,6 @@ def _full(
         specs=specs,
         auto_regions=auto_regions,
         top=top,
-        deadline=deadline,
     )
     result.cache_counters.update(outcome.counters())
     return result, outcome
@@ -419,8 +386,3 @@ def _patched_size_counts(program, snapshot, dirty):
             )
     return methods, statements
 
-
-def incremental_scan_path(program, snapshot, **kwargs):
-    """Convenience: :func:`changed_scan` but dropping the outcome."""
-    result, _outcome = changed_scan(program, snapshot, **kwargs)
-    return result

@@ -106,9 +106,12 @@ class SharedArtifacts:
         if self._thread_sites is None:
             with self.lock:
                 if self._thread_sites is None:
-                    self._thread_sites = started_thread_sites(
+                    sites = started_thread_sites(
                         self.program, self.callgraph, self.points_to
                     )
+                    if self.points_to.degraded():
+                        return sites
+                    self._thread_sites = sites
         return self._thread_sites
 
     def thread_subclasses(self):
@@ -264,7 +267,8 @@ class AnalysisSession:
             for base in base_sites
         )
         if self.reuse_artifacts:
-            self.shared.stmt_store_edges[stmt.uid] = edges
+            if not self.points_to.degraded():
+                self.shared.stmt_store_edges[stmt.uid] = edges
             if stats is not None:
                 stats.count("store_edge_cache_misses")
         return edges
@@ -324,7 +328,7 @@ class AnalysisSession:
                 self.stats.count("region_cache_hits")
                 return cached
         art = self._run_pipeline(region)
-        if self.reuse_artifacts:
+        if self.reuse_artifacts and not self.points_to.degraded():
             with self._cache_lock:
                 self._region_cache.setdefault(key, art)
         self.stats.merge(art.stats)

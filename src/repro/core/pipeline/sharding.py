@@ -1,19 +1,20 @@
 """Shard planning for distributed region scans.
 
 A region scan is an embarrassingly parallel list of independent
-checks; the daemon's fleet coordinator (:mod:`repro.server.coordinator`)
-and the serial scan need the same two primitives:
+checks:
 
 * :func:`plan_shards` — split a spec list into contiguous, ordered
-  shards.  Contiguity matters: a shard is one worker task, and the
-  coordinator reassembles results by original index, so any partition
-  that preserves indices reproduces the serial entry order (and with
-  it canonical byte-identity);
-* :func:`check_spec_list` — the serial scan entry point over a
-  *pre-sharded* region list: one warmed session, one optional
-  deadline, entries in list order.  ``scan_all_loops`` runs its serial
-  path through this, and a fleet worker runs exactly this over its
-  shard — same code, same answers, different process.
+  shards for the daemon's fleet coordinator
+  (:mod:`repro.server.coordinator`).  Contiguity matters: a shard is
+  one worker task, and the coordinator reassembles results by original
+  index, so any partition that preserves indices reproduces the serial
+  entry order (and with it canonical byte-identity);
+* :func:`check_spec_list` — the serial scan's loop: one warmed
+  session, one optional deadline, entries in list order.  A fleet
+  worker runs its own per-region loop instead
+  (:meth:`~repro.server.remote_worker.RemoteWorkerServer._run_shard`),
+  which makes the same ``session.check`` calls but turns a region that
+  raises into an ``error`` outcome and goes on.
 
 :func:`auto_shard_size` balances two pressures: shards small enough
 that N workers all stay busy and results stream steadily, large
@@ -56,13 +57,12 @@ def plan_shards(specs, shard_size):
 
 
 def check_spec_list(session, specs, deadline=None):
-    """Check a pre-sharded region list serially on one session.
+    """Check a region list serially on one session.
 
-    Returns ``[(spec, LeakReport), ...]`` in list order — the unit of
-    work a fleet worker performs on its shard, and the loop the serial
-    ``scan_all_loops`` path runs over the full list.  ``deadline``
-    scopes the demand-driven query budget for the whole list; past it,
-    queries degrade to the sound whole-program answer.
+    Returns ``[(spec, LeakReport), ...]`` in list order — the loop
+    ``scan_all_loops`` runs over its regions.  ``deadline`` scopes the
+    demand-driven query budget for the whole list; past it, queries
+    degrade to the sound whole-program answer.
 
     Failures propagate exactly as ``session.check`` raised them —
     callers that must *continue* past a dead region (the fleet worker)

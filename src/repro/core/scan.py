@@ -216,9 +216,6 @@ def scan_all_loops(
         specs = candidate_loops(program)
     if limit is not None:
         specs = specs[:limit]
-    # The fleet worker's shard loop run over the whole list
-    # (repro.core.pipeline.sharding) — one code path, whatever the
-    # process topology.
     entries = check_spec_list(session, specs, deadline=deadline)
     if session.cache is not None and not session.hydrated_from_cache:
         session.persist()

@@ -22,11 +22,10 @@ budget is exhausted.  Instead of dicts of Python sets keyed by rich
   topological order, so one propagation sweep per round reaches the
   fixpoint of the current edge set;
 * **Flat serialization** — the solved bitsets serialize as one byte
-  blob plus an offset table (:func:`snapshot_flat`), which the artifact
-  cache stores directly and :func:`pack_snapshot` lays out in a single
-  buffer that the daemon pushes to its fleet workers (``serve
-  --workers``), which decode it with :func:`attach_snapshot` — masks
-  stay undecoded until a query needs them, so per-worker warmup is
+  blob plus an offset table (:func:`snapshot_flat`), part of the
+  substrate bytes that the artifact cache stores and the daemon pushes
+  to its fleet workers (:mod:`repro.core.cache.serialize`); masks stay
+  undecoded until a query needs them, so per-worker warmup is
   milliseconds.
 
 The result type, :class:`FlatAndersenResult`, answers ``pts``,
@@ -35,10 +34,6 @@ dict-of-sets solver it replaced lives on under ``tests/`` as the
 differential-test oracle.
 """
 
-import pickle
-import struct
-
-from repro.errors import AnalysisError
 from repro.pta.pag import ENTER, PAG, VarNode
 
 #: Assign-edge direction codes (CFL call parentheses).
@@ -209,10 +204,9 @@ def flatten(pag):
 class MaskTable:
     """A table of points-to bitsets, decodable lazily from a byte blob.
 
-    Solver-built tables hold live ints; hydrated/attached tables hold an
-    ``(offsets, blob)`` pair — possibly a :class:`memoryview` into a
-    packed snapshot — and decode each mask on first use, which is
-    what makes worker warmup near zero: attaching never touches the
+    Solver-built tables hold live ints; hydrated tables hold an
+    ``(offsets, blob)`` pair and decode each mask on first use, which
+    is what makes worker warmup near zero: hydrating never touches the
     blob, only queries do.
     """
 
@@ -238,7 +232,7 @@ class MaskTable:
     def encode(self):
         """``(offsets, blob)`` — little-endian masks, concatenated."""
         if self._ints is None:
-            return list(self._offsets), bytes(self._blob)
+            return list(self._offsets), self._blob
         offsets = [0]
         parts = []
         for mask in self._ints:
@@ -673,8 +667,7 @@ def snapshot_flat(result):
 
 def hydrate_flat(data):
     """Rebuild a :class:`FlatAndersenResult` from :func:`snapshot_flat`
-    output (or its :func:`attach_snapshot` decoding).  Masks stay undecoded
-    until queried."""
+    output.  Masks stay undecoded until queried."""
     var_index = {
         (sig, name): vid for vid, (sig, name) in enumerate(data["vars"])
     }
@@ -694,52 +687,3 @@ def hydrate_flat(data):
         stats=data.get("stats"),
     )
 
-
-# -- packed snapshots --------------------------------------------------------
-
-_PACK_MAGIC = b"RPK1"
-_PACK_HEADER = struct.Struct("<Q")
-
-
-def pack_snapshot(snapshot):
-    """Lay a shared-artifacts snapshot out in one attachable buffer.
-
-    Layout: ``[4-byte magic][8-byte header length][pickled header]
-    [raw mask blob]``.  The header is the snapshot with the mask blob
-    *removed* (replaced by its length), so unpickling it never copies
-    the bitset payload; :func:`attach_snapshot` hands the blob back as a
-    zero-copy memoryview into the buffer.
-    """
-    header = dict(snapshot)
-    blob = b""
-    andersen = header.get("andersen")
-    if isinstance(andersen, dict) and andersen.get("kind") == "flat":
-        andersen = dict(andersen)
-        blob = bytes(andersen.pop("mask_blob"))
-        andersen["mask_blob_len"] = len(blob)
-        header["andersen"] = andersen
-    encoded = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
-    return b"".join(
-        (_PACK_MAGIC, _PACK_HEADER.pack(len(encoded)), encoded, blob)
-    )
-
-
-def attach_snapshot(buf):
-    """Decode a :func:`pack_snapshot` buffer into a snapshot dict.
-
-    The mask blob is returned as a memoryview slice of ``buf`` — no
-    copy — which keeps ``buf`` alive for as long as the hydrated result
-    holds it.
-    """
-    view = memoryview(buf)
-    if bytes(view[: len(_PACK_MAGIC)]) != _PACK_MAGIC:
-        raise AnalysisError("not a packed kernel snapshot (bad magic)")
-    start = len(_PACK_MAGIC) + _PACK_HEADER.size
-    (header_len,) = _PACK_HEADER.unpack_from(view, len(_PACK_MAGIC))
-    snapshot = pickle.loads(view[start : start + header_len])
-    andersen = snapshot.get("andersen")
-    if isinstance(andersen, dict) and andersen.get("kind") == "flat":
-        blob_len = andersen.pop("mask_blob_len")
-        blob_start = start + header_len
-        andersen["mask_blob"] = view[blob_start : blob_start + blob_len]
-    return snapshot

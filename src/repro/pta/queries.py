@@ -133,6 +133,13 @@ class PointsTo:
         deadline = self.deadline
         return deadline is not None and deadline.expired()
 
+    def degraded(self):
+        """Whether the current deadline has already forced a fallback
+        answer.  Wall-clock luck is not a property of the program, so
+        no memo may keep what is computed from then on."""
+        deadline = self.deadline
+        return deadline is not None and deadline.was_exceeded
+
     # -- queries ------------------------------------------------------------
 
     @property

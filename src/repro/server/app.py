@@ -15,8 +15,8 @@ Endpoints (see ``docs/api.md`` for the full wire reference and
   [spec, ...]>?, "deadline_ms": <int>?, "javalib": <bool>?}``.  Runs a
   scan through the :class:`~repro.server.pool.SessionPool`: the first
   request for a program is a cold scan, repeats with the same digest
-  are served from the pooled snapshot without rebuilding analysis
-  state.
+  are answered from the pooled scan, or checked against the pooled
+  substrate, without rebuilding analysis state.
 * ``POST /diff`` — body ``{"before": <source>, "after": <source>,
   "deadline_ms"?, "javalib"?}``; the finding-level
   :class:`~repro.core.incremental.diffing.LeakDelta` of two programs.
@@ -714,18 +714,6 @@ class AnalysisServer:
         profile = result.aggregate_stats().counters
         metrics.count_many(
             {
-                "incremental_served": info["counters"].get(
-                    "incremental_served", 0
-                ),
-                "incremental_rechecked": info["counters"].get(
-                    "incremental_rechecked", 0
-                ),
-                "incremental_fast_path": info["counters"].get(
-                    "incremental_fast_path", 0
-                ),
-                "incremental_full_fallback": info["counters"].get(
-                    "incremental_full_fallback", 0
-                ),
                 "deadline_expiries": profile.get("deadline_expiries", 0),
                 "budget_exhaustions": profile.get("budget_exhaustions", 0),
                 "degraded_responses": int(degraded),

@@ -9,9 +9,9 @@ locally (``workers=N``) or dialed on other hosts (``worker_hosts``):
 
 * **program hand-off** — :meth:`ensure_program` has the session pool
   fill the program's entry once (:meth:`~repro.server.pool.SessionPool.
-  handoff`): the pickled program and the packed substrate.  Every shard
-  task carries that hand-off, so *any* worker can serve the digest
-  warm, which is what makes sharding free-form rather than
+  handoff`): the pickled program next to its substrate bytes.  Every
+  shard task carries that hand-off, so *any* worker can serve the
+  digest warm, which is what makes sharding free-form rather than
   program-pinned;
 * **fan-out / fan-in** — :meth:`scan_iter` plans contiguous shards
   (:mod:`repro.core.pipeline.sharding`), submits them all, and yields
@@ -160,7 +160,7 @@ class Coordinator:
                     shard_specs, protocol=pickle.HIGHEST_PROTOCOL
                 ),
                 "indices": list(range(start, start + len(shard_specs))),
-                "packed": entry.packed,
+                "substrate": entry.substrate,
                 "deadline_ms": deadline_ms,
             }
             futures[self.transport.submit(task)] = (start, shard_specs)

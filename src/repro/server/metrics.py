@@ -32,14 +32,9 @@ BASE_COUNTERS = (
     "queue_rejections",
     "warm_hits",
     "cold_misses",
-    "incremental_served",
-    "incremental_rechecked",
-    "incremental_fast_path",
-    "incremental_full_fallback",
     "degraded_responses",
     "deadline_expiries",
     "budget_exhaustions",
-    "sessions_evicted",
     "analysis_errors",
     "payload_too_large",
     "batch_requests",

@@ -1,39 +1,40 @@
 """The session pool: warm analysis state keyed by program digest.
 
 The daemon's whole value proposition is that the *second* request for a
-program is cheap.  :class:`SessionPool` makes that true by keeping, per
-distinct program (identified by
-:func:`~repro.core.cache.digest.program_digest`), the snapshot a full
-scan produces (:mod:`~repro.core.incremental.snapshot`).  A repeat
-request with an identical digest goes through
-:func:`~repro.core.incremental.engine.changed_scan`, where zero dirty
-methods means the **fast path**: every region is decoded from the
-snapshot and *no session, call graph or points-to substrate is built at
-all*.  The response's profile carries the proof —
-``incremental_fast_path: 1``, ``incremental_served: N``,
-``incremental_rechecked: 0`` — which the smoke tests assert.
+program is cheap.  A region's report depends only on the program and
+the configuration, so :class:`SessionPool` keeps, per distinct program
+(identified by :func:`~repro.core.cache.digest.program_digest`), two
+warm forms and nothing else (:class:`PoolEntry`):
+
+* the program's last full, undegraded scan.  A repeat whose regions it
+  covers is answered from it without building a session;
+* the program's substrate — call graph plus solved points-to — as the
+  bytes the artifact cache writes (:func:`~repro.core.cache.serialize.
+  dump_shared`).  Any other request on a known digest checks its
+  regions on a session hydrated from them, and the fleet pushes the
+  same bytes to its workers.
+
+No live session is kept: hydrating one costs milliseconds, while
+holding one per program costs about three times the memory of both
+forms.
 
 Policy decisions, deliberately boring:
 
-* snapshots are stored only for **full** scans (no explicit region
-  list); region-limited requests are *served against* a stored snapshot
-  but never overwrite it, so a narrow request cannot degrade a later
-  broad one;
+* the scan is stored only for a **full** request (no explicit region
+  list) whose deadline forced no fallback answer, so a narrow or
+  degraded answer never stands in for a later one; the substrate is
+  stored on every cold request;
 * entries evict LRU once ``max_sessions`` distinct programs have been
-  seen — a snapshot is all-we-need state, so eviction costs one cold
-  scan, nothing more.  The bound covers every warm program, those only
-  the worker fleet has seen included: a program analysed through both
-  ``/analyze`` and ``/analyze-batch`` takes one slot;
+  seen — eviction costs one cold scan, nothing more.  The bound covers
+  every warm program, those only the worker fleet has seen included: a
+  program analysed through both ``/analyze`` and ``/analyze-batch``
+  takes one slot;
 * a per-entry lock serializes same-digest requests (two concurrent
   cold scans of the same program would just waste CPU); distinct
   digests proceed in parallel under the admission layer's ``jobs`` cap.
 
-The pool is also the fleet's program store: :meth:`SessionPool.handoff`
-fills an entry with what a worker needs to serve the program warm (see
-:class:`PoolEntry`), and the entry's eviction drops it.
-
 An optional :class:`~repro.core.cache.store.ArtifactCache` additionally
-persists program-level artifacts across daemon restarts.
+persists the substrate of a cold request across daemon restarts.
 """
 
 import pickle
@@ -41,39 +42,34 @@ import threading
 from collections import OrderedDict
 
 from repro.core.cache.digest import program_digest
-from repro.core.cache.serialize import snapshot_shared
-from repro.core.incremental.engine import changed_scan
-from repro.core.incremental.snapshot import snapshot_scan
+from repro.core.cache.serialize import dump_shared, load_shared
+from repro.core.config import DetectorConfig
 from repro.core.pipeline.session import AnalysisSession
-from repro.core.scan import scan_all_loops
-from repro.pta.kernel import pack_snapshot
+from repro.core.regions import region_text
+from repro.core.scan import ScanResult, scan_all_loops
 
 
 class PoolEntry:
-    """One pooled program: its warm state and the lock that guards it.
+    """One pooled program: its warm forms and the lock that guards them.
 
-    ``snapshot`` is the per-region scan snapshot the incremental engine
-    serves from; ``shared_snapshot`` is the program-level substrate
-    (call graph + solved points-to in the kernel's flat encoding) that
-    a warm request's re-check session hydrates from instead of
-    re-solving.  Both are set by ``/analyze``.
-
-    The fleet hand-off, set by :meth:`SessionPool.handoff`:
-    ``program_blob`` is the pickled program and ``packed`` the packed
-    substrate (:func:`~repro.pta.kernel.pack_snapshot`).
+    ``result`` is the last full, undegraded :class:`ScanResult`; every
+    response served from it shares its reports, so nothing may mutate
+    them.  ``substrate`` is the program-level state as
+    :func:`~repro.core.cache.serialize.dump_shared` bytes.
+    ``program_blob``, the pickled program, is added once the fleet asks
+    for the program (:meth:`SessionPool.handoff`).
     """
 
     __slots__ = (
-        "digest", "snapshot", "shared_snapshot", "program_blob", "packed",
-        "lock", "hits", "misses",
+        "digest", "result", "substrate", "program_blob", "lock", "hits",
+        "misses",
     )
 
     def __init__(self, digest):
         self.digest = digest
-        self.snapshot = None
-        self.shared_snapshot = None
+        self.result = None
+        self.substrate = None
         self.program_blob = None
-        self.packed = None
         self.lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -83,8 +79,6 @@ class SessionPool:
     """Digest-keyed warm analysis state; thread-safe; LRU-bounded."""
 
     def __init__(self, config=None, cache=None, max_sessions=8):
-        from repro.core.config import DetectorConfig
-
         if max_sessions < 1:
             raise ValueError(
                 "max_sessions must be >= 1 (got %d)" % max_sessions
@@ -103,81 +97,63 @@ class SessionPool:
         """Scan ``program``, warm when its digest has been seen before.
 
         Returns ``(ScanResult, info)`` where ``info`` is a plain dict:
-        ``{"program_digest", "warm", "counters"}`` — ``counters`` being
-        the :class:`~repro.core.incremental.engine.IncrementalOutcome`
-        counters on the warm path, empty on the cold path.
+        ``{"program_digest", "warm"}``.  ``warm`` means the request built
+        no substrate: the stored scan answered it, or a session
+        hydrated from the stored substrate did.
         """
         digest = program_digest(program)
         entry = self._entry_for(digest)
         with entry.lock:
-            if entry.snapshot is not None:
-                # Identical digest guarantees zero dirty methods: the
-                # engine serves everything from the snapshot without
-                # building analysis state (its fast path).  A spec not
-                # covered by the stored scan is re-checked lazily —
-                # against a session hydrated from the stored substrate
-                # snapshot (solved points-to included), never a cold
-                # rebuild.
-                result, outcome = changed_scan(
-                    program,
-                    entry.snapshot,
-                    config=self.config,
-                    specs=specs,
-                    cache=self.cache,
-                    deadline=deadline,
-                    shared_snapshot=entry.shared_snapshot,
-                )
+            warm = entry.substrate is not None
+            result = _stored_answer(entry.result, specs)
+            if result is None:
+                result = self._scan(entry, program, specs, deadline)
+            if warm:
                 entry.hits += 1
-                return result, {
-                    "program_digest": digest,
-                    "warm": True,
-                    "counters": outcome.counters(),
-                }
+            else:
+                entry.misses += 1
+            return result, {"program_digest": digest, "warm": warm}
+
+    def _scan(self, entry, program, specs, deadline):
+        """Check ``specs`` on a session over the entry's substrate —
+        built cold (through the artifact cache) and stored when the
+        entry has none — and store the scan if it is full and exact."""
+        if entry.substrate is None:
             session = AnalysisSession(program, self.config, cache=self.cache)
-            result = scan_all_loops(
-                program, session=session, specs=specs, deadline=deadline
+        else:
+            shared = load_shared(
+                program, self.config, entry.substrate, entry.digest
             )
-            if specs is None:
-                entry.snapshot = snapshot_scan(
-                    program, self.config, result, session=session
-                )
-                entry.shared_snapshot = snapshot_shared(session.shared)
+            session = AnalysisSession(program, self.config, shared=shared)
+        result = scan_all_loops(
+            program, session=session, specs=specs, deadline=deadline
+        )
+        if entry.substrate is None:
+            entry.substrate = dump_shared(session.shared, entry.digest)
             stats = session.points_to.kernel_stats()
             if stats:
                 self.kernel_stats = stats
-            entry.misses += 1
-            return result, {
-                "program_digest": digest,
-                "warm": False,
-                "counters": {},
-            }
-
-    def snapshot_for(self, digest):
-        """The stored snapshot for a digest, or ``None`` (used by
-        ``POST /diff`` to compare against the pooled baseline)."""
-        with self._lock:
-            entry = self._entries.get(digest)
-        return entry.snapshot if entry is not None else None
+        if specs is None and not (deadline and deadline.was_exceeded):
+            entry.result = result
+        return result
 
     def handoff(self, program, digest=None):
         """``program``'s entry with its fleet hand-off filled, at most once.
 
-        The substrate comes from the entry's ``shared_snapshot`` when
-        ``/analyze`` already built one, else from a warm session built
-        here and not kept: a program only the fleet has seen retains the
-        packed form alone.
+        The substrate is the entry's own when ``/analyze`` already built
+        it, else it comes from a warm session built here and not kept.
         """
         entry = self._entry_for(digest or program_digest(program))
         with entry.lock:
             if entry.program_blob is not None:
                 return entry
-            snapshot = entry.shared_snapshot
-            if snapshot is None:
+            if entry.substrate is None:
                 session = AnalysisSession(
                     program, self.config, cache=self.cache
                 )
-                snapshot = snapshot_shared(session.warm().shared)
-            entry.packed = pack_snapshot(snapshot)
+                entry.substrate = dump_shared(
+                    session.warm().shared, entry.digest
+                )
             entry.program_blob = pickle.dumps(
                 program, protocol=pickle.HIGHEST_PROTOCOL
             )
@@ -207,7 +183,7 @@ class SessionPool:
             kernel = dict(self.kernel_stats)
         gauges = {
             "pool_sessions": len(entries),
-            "pool_warm": sum(1 for e in entries if e.snapshot is not None),
+            "pool_warm": sum(1 for e in entries if e.substrate is not None),
             "pool_hits": sum(e.hits for e in entries),
             "pool_misses": sum(e.misses for e in entries),
             "pool_evicted": self.evicted,
@@ -222,3 +198,19 @@ class SessionPool:
                 len(self._entries),
                 self.max_sessions,
             )
+
+
+def _stored_answer(stored, specs):
+    """The answer to ``specs`` from a stored full scan, or ``None`` when
+    there is none or it misses one of the regions.  A new
+    :class:`ScanResult` over the stored reports, with no cache counters:
+    serving it touched no cache."""
+    if stored is None:
+        return None
+    if specs is None:
+        return ScanResult(stored.entries)
+    reports = {region_text(spec): report for spec, report in stored.entries}
+    try:
+        return ScanResult([(spec, reports[region_text(spec)]) for spec in specs])
+    except KeyError:
+        return None

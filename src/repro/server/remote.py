@@ -18,9 +18,9 @@ Every message is one *frame*::
 The header is UTF-8 JSON — no pickled envelope ever crosses the wire —
 carrying ``wire`` (the protocol version, checked on receipt exactly
 like ``api_version`` in :mod:`repro.server.schema`), ``type``, and the
-message fields; binary payloads (the pickled program, the packed
-kernel snapshot, the shard outcomes) travel as opaque blobs whose
-lengths the header declares in ``blobs``.  Messages are strict
+message fields; binary payloads (the pickled program, the substrate
+bytes, the shard outcomes) travel as opaque blobs whose lengths the
+header declares in ``blobs``.  Messages are strict
 request/response on one coordinator-owned connection per worker:
 
 * ``hello`` -> ``welcome`` — handshake; the worker announces its pid
@@ -31,13 +31,14 @@ request/response on one coordinator-owned connection per worker:
   one shard.  ``need-snapshot`` means the worker has neither a warm
   session nor a cache entry for the program digest; the coordinator
   answers with a ``snapshot`` push and re-sends the shard.
-* ``snapshot`` -> ``snapshot-ok`` | ``error`` — hand the packed
-  substrate snapshot (:func:`repro.pta.kernel.pack_snapshot`) to the
-  worker, which hydrates it and saves it into its *own*
-  content-addressed artifact cache, if it has one — so the next worker
-  process on that host (or the same one after a restart) serves the
-  digest warm from disk and hand-off degrades gracefully from wire
-  push to cache fetch.
+* ``snapshot`` -> ``snapshot-ok`` | ``error`` — push the program's
+  substrate bytes, the artifact cache's encoding
+  (:func:`repro.core.cache.serialize.dump_shared`), to the worker.  It
+  keeps them for the re-sent shard, which hydrates them and saves the
+  substrate into the worker's *own* content-addressed artifact cache,
+  if it has one — so the next worker process on that host (or the same
+  one after a restart) serves the digest warm from disk and hand-off
+  degrades gracefully from wire push to cache fetch.
 
 Robustness
 ----------
@@ -81,7 +82,7 @@ from concurrent.futures import Future
 #: The wire protocol version; both ends check it at handshake and on
 #: every frame, so a skewed deployment fails loudly instead of
 #: misinterpreting payloads.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 _MAGIC = b"RFW1"
 _LEN = struct.Struct("<I")
@@ -335,7 +336,7 @@ class RemoteTransport:
     idle links honest.  Program hand-off is by digest: a shard frame
     carries the program but not its substrate, and a worker that misses
     the digest (no warm session, no cache entry of its own) asks for
-    exactly one push of the packed snapshot the shard task carries.
+    exactly one push of the substrate bytes the shard task carries.
     """
 
     def __init__(
@@ -496,7 +497,7 @@ class RemoteTransport:
             if reply.get("type") == "need-snapshot":
                 ack, _ = link.request(
                     {"type": "snapshot", "digest": task["digest"]},
-                    [task["packed"]],
+                    [task["substrate"]],
                     self.shard_timeout,
                 )
                 if ack.get("type") != "snapshot-ok":

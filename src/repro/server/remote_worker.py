@@ -19,10 +19,11 @@ Program hand-off degrades gracefully, warmest first:
    This is the shared-store story: any worker that ever saw the digest
    (or shares the directory) serves it warm without wire traffic;
 3. **wire** — answer ``need-snapshot``; the coordinator pushes the
-   packed snapshot and re-sends the shard on the same connection, the
-   worker hydrates it *and saves it into its cache dir*, so the next
-   miss on this host is a cache hit;
-4. **cold** — the pushed snapshot failed to decode: rebuild from the
+   substrate bytes (the artifact cache's encoding) and re-sends the
+   shard on the same connection, the worker hydrates them *and saves
+   them into its cache dir*, so the next miss on this host is a cache
+   hit;
+4. **cold** — the pushed substrate failed to decode: rebuild from the
    program blob.  Slower, never wrong; decode failures are counted as
    ``adoption_failures`` in the shard result.
 
@@ -53,12 +54,11 @@ import time
 import traceback
 from collections import OrderedDict
 
-from repro.core.cache.serialize import hydrate_shared
+from repro.core.cache.serialize import load_shared
 from repro.core.cache.store import ArtifactCache
 from repro.core.config import DetectorConfig
 from repro.core.pipeline.session import AnalysisSession
 from repro.core.regions import region_text
-from repro.pta.kernel import attach_snapshot
 from repro.pta.queries import Deadline
 from repro.server.remote import WIRE_VERSION, WireEOF, WireError, recv_frame, send_frame
 
@@ -241,7 +241,7 @@ class RemoteWorkerServer:
     # -- the connection loop -------------------------------------------------
 
     def _serve_connection(self, conn):
-        #: digest -> packed snapshot pushed on this connection, waiting
+        #: digest -> substrate bytes pushed on this connection, waiting
         #: for the re-sent shard; one at a time, gone with the link.
         pushed = {}
         try:
@@ -285,7 +285,7 @@ class RemoteWorkerServer:
                     "message": "snapshot push without digest or payload"}, ()
         with self._lock:
             self.counters["snapshot_pulls"] += 1
-        # Kept packed; decode is deferred to the shard that needs it,
+        # Kept as bytes; decode is deferred to the shard that needs it,
         # where the program blob required for hydration rides along and
         # failures have a cold fallback.
         pushed.clear()
@@ -302,7 +302,7 @@ class RemoteWorkerServer:
             "digest": digest,
             "program_blob": blobs[0],
             "config_kwargs": dict(header.get("config") or {}),
-            "packed": pushed.pop(digest, None),
+            "substrate": pushed.pop(digest, None),
         }
         try:
             specs = pickle.loads(blobs[1])
@@ -381,7 +381,7 @@ class RemoteWorkerServer:
         Returns ``(session, adoption, adoption_failures)``: ``adoption``
         names the rung of the module docstring's ladder that served
         (``"lru"``, ``"cache"``, ``"wire"`` or ``"cold"``), and
-        ``adoption_failures`` is 1 when a pushed snapshot failed to
+        ``adoption_failures`` is 1 when a pushed substrate failed to
         decode and the cold rebuild served instead.
         """
         key = AdoptedSessions.key(task)
@@ -399,15 +399,12 @@ class RemoteWorkerServer:
                 self._sessions.put(key, session)
                 return session, "cache", 0
 
-        packed = task["packed"]
-        if packed is None:
+        substrate = task["substrate"]
+        if substrate is None:
             raise _NeedSnapshot(task["digest"])
         try:
-            shared = hydrate_shared(
-                program,
-                config,
-                attach_snapshot(packed),
-                program_dig=task["digest"],
+            shared = load_shared(
+                program, config, substrate, program_dig=task["digest"]
             )
             session, adoption, failures = (
                 AnalysisSession(program, config, shared=shared), "wire", 0

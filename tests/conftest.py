@@ -128,6 +128,24 @@ class Holder { field slot; }
 class Item { }
 """
 
+#: A loop whose verdict depends on context sensitivity: the demand-driven
+#: analysis keeps the two ``Util.id`` calls apart and reports no leak,
+#: while the whole-program fallback merges them and reports ``item``.
+#: A query past its deadline answers from that fallback, so this program
+#: tells a degraded answer from an exact one.
+MERGED_CALLS_SOURCE = """
+entry Main.main;
+class Main { static method main() {
+    h = new Holder @holder; o = new Item @outer;
+    loop L (*) {
+      t = new Item @item; u = call Util.id(t) @cs1;
+      v = call Util.id(o) @cs2; h.slot = v;
+    } } }
+class Util { static method id(x) { return x; } }
+class Holder { field slot; }
+class Item { }
+"""
+
 
 @pytest.fixture
 def figure1():

@@ -13,7 +13,11 @@ from repro.core.regions import RegionSpec, candidate_loops
 from repro.core.scan import scan_all_loops
 from repro.errors import AnalysisError
 from repro.lang import parse_program
-from tests.conftest import FIGURE1_SOURCE, SIMPLE_LEAK_SOURCE
+from tests.conftest import (
+    FIGURE1_SOURCE,
+    MERGED_CALLS_SOURCE,
+    SIMPLE_LEAK_SOURCE,
+)
 
 #: Stage names every uncached default-config run must time.
 CORE_STAGES = (
@@ -180,6 +184,42 @@ class TestSessionCaching:
     def test_warm_precomputes_lazies(self, simple_leak):
         session = AnalysisSession(simple_leak).warm()
         assert session.shared._size_counts is not None
+
+
+class TestDeadlineMemo:
+    """An answer the deadline degraded is never memoized, so the next
+    check without a deadline is exact."""
+
+    CONFIG = DetectorConfig(demand_driven=True)
+
+    def _degraded(self):
+        from repro import Analyzer
+
+        analyzer = Analyzer(parse_program(MERGED_CALLS_SOURCE), self.CONFIG)
+        report = analyzer.analyze("Main.main:L", deadline_ms=0)
+        assert report.leaking_site_labels == ["item"]
+        assert report.stats["counters"]["deadline_expiries"] > 0
+        return analyzer
+
+    def test_exact_answer_reports_no_leak(self):
+        session = AnalysisSession(
+            parse_program(MERGED_CALLS_SOURCE), self.CONFIG
+        )
+        assert session.check(RegionSpec("Main.main", "L")).findings == []
+
+    def test_repeat_after_degraded_check_is_exact(self):
+        analyzer = self._degraded()
+        report = analyzer.analyze("Main.main:L")
+        assert report.leaking_site_labels == []
+        assert report.stats["counters"].get("deadline_expiries", 0) == 0
+        assert analyzer.analyze().leaking_sites() == []
+
+    def test_fork_after_degraded_check_is_exact(self):
+        analyzer = self._degraded()
+        sibling = analyzer.session.fork(self.CONFIG)
+        assert sibling.shared is analyzer.session.shared
+        report = sibling.check(RegionSpec("Main.main", "L"))
+        assert report.leaking_site_labels == []
 
 
 class TestFork:

@@ -74,6 +74,34 @@ class TestStartedThreadSites:
         assert started_thread_sites(prog, graph, PointsTo(prog, graph)) == set()
 
 
+class TestDeadlineExpiredReceivers:
+    def test_sites_resolved_past_the_deadline_are_not_kept(self):
+        """Past the deadline the receiver of ``start`` resolves through
+        the fallback, which merges both ``Util.id`` calls and tags the
+        idle thread too; that answer must not outlive the deadline."""
+        from repro.core.pipeline.session import AnalysisSession
+        from repro.pta.queries import Deadline
+
+        prog = _program(
+            """
+            entry Main.main;
+            class Main { static method main() {
+                a = new Worker @started; b = new Worker @idle;
+                s = call Util.id(a) @cs1;
+                i = call Util.id(b) @cs2;
+                call s.start() @go;
+            } }
+            class Util { static method id(x) { return x; } }
+            class Worker extends Thread { field payload; }
+            """
+        )
+        config = DetectorConfig(demand_driven=True, model_threads=True)
+        session = AnalysisSession(prog, config)
+        with session.points_to.deadline_scope(Deadline.after_ms(0)):
+            assert session.started_thread_sites() == {"idle", "started"}
+        assert session.started_thread_sites() == {"started"}
+
+
 class TestBudgetExhaustedReceivers:
     """Regression: receiver resolution must stay sound under tight
     demand-driven budgets — a dropped ``start`` receiver silently

@@ -3,23 +3,15 @@
 Covers the kernel-specific machinery the differential tests cannot see
 from the outside: node interning determinism, SCC collapse (plain copy
 cycles and cycles threaded through load/store edges share one
-representative bitset), the mask-table encoding, and the shared-memory
-pack / attach protocol.
+representative bitset) and the mask-table encoding.
 """
 
-import pytest
-
 from repro.callgraph.rta import build_rta
-from repro.errors import AnalysisError
 from repro.lang import parse_program
 from repro.pta.kernel import (
     MaskTable,
-    attach_snapshot,
     flatten,
-    hydrate_flat,
     iter_bits,
-    pack_snapshot,
-    snapshot_flat,
     solve_flat,
 )
 from repro.pta.pag import PAG, VarNode
@@ -157,23 +149,4 @@ class TestMaskTable:
             assert decoded.mask(i) == mask
         assert decoded.nbytes() == len(blob)
 
-
-class TestSnapshotProtocol:
-    def test_pack_attach_zero_copy(self):
-        result = solve_flat(_pag(_HEAP_CYCLE))
-        packed = pack_snapshot({"andersen": snapshot_flat(result)})
-        attached = attach_snapshot(packed)
-        blob = attached["andersen"]["mask_blob"]
-        assert isinstance(blob, memoryview)
-        hydrated = hydrate_flat(attached["andersen"])
-        assert hydrated.pts(VarNode("Main.main", "y")) == {"s1"}
-        assert hydrated.field_pts("hub", "f") == {"s1"}
-
-    def test_pack_attach_without_flat_payload(self):
-        snapshot = {"andersen": None, "other": [1, 2]}
-        assert attach_snapshot(pack_snapshot(snapshot)) == snapshot
-
-    def test_attach_rejects_garbage(self):
-        with pytest.raises(AnalysisError, match="magic"):
-            attach_snapshot(b"NOPE" + b"\x00" * 16)
 

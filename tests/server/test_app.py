@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.config import DetectorConfig
 from repro.server.app import MAX_HEADERS, create_server
+from tests.conftest import MERGED_CALLS_SOURCE
 
 _LEAK = """
 entry Main.main;
@@ -98,22 +99,26 @@ class TestAnalyze:
         assert body["scan"]["leaking_sites"] == ["item"]
         assert body["program_digest"]
 
-    def test_warm_request_serves_without_rebuilding(self):
+    def test_warm_request_serves_without_rebuilding(self, monkeypatch):
         """The acceptance criterion: a repeat of an unchanged program is
-        answered from the session pool via the incremental fast path —
-        no call graph, no points-to — proven by the scan profile's
-        counters in the response itself."""
+        answered from the session pool's stored scan — no session, so
+        no call graph and no points-to — with the cold answer."""
         with _serving() as server:
-            _post(server, "/analyze", {"program": _LEAK})
+            _, cold = _post(server, "/analyze", {"program": _LEAK})
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("the pool built an AnalysisSession")
+
+            monkeypatch.setattr("repro.server.pool.AnalysisSession", refuse)
             status, body = _post(server, "/analyze", {"program": _LEAK})
         assert status == 200
         assert body["warm"] is True
-        counters = body["scan"]["profile"]["counters"]
-        assert counters.get("incremental_fast_path") == 1
-        assert counters.get("incremental_served") == 1
-        assert counters.get("incremental_rechecked", 0) == 0
-        assert counters.get("incremental_full_fallback", 0) == 0
         assert body["scan"]["leaking_sites"] == ["item"]
+        assert body["scan"]["loops"] == cold["scan"]["loops"]
+        assert not any(
+            name.startswith("incremental_")
+            for name in body["scan"]["profile"]["counters"]
+        )
 
     def test_region_limited_request(self):
         with _serving() as server:
@@ -227,6 +232,23 @@ class TestDeadline:
         assert body["degraded"] is False
         assert body["scan"]["profile"]["counters"].get("deadline_expiries", 0) == 0
 
+    def test_degraded_answer_is_not_served_to_a_later_request(self):
+        config = DetectorConfig(demand_driven=True)
+        with _serving(config=config) as server:
+            _, degraded = _post(
+                server,
+                "/analyze",
+                {"program": MERGED_CALLS_SOURCE, "deadline_ms": 0},
+            )
+            _, exact = _post(
+                server, "/analyze", {"program": MERGED_CALLS_SOURCE}
+            )
+        assert degraded["degraded"] is True
+        assert degraded["scan"]["leaking_sites"] == ["item"]
+        assert exact["warm"] is True
+        assert exact["degraded"] is False
+        assert exact["scan"]["leaking_sites"] == []
+
     def test_bad_deadline_rejected(self):
         with _serving() as server:
             code, _headers, body = _error(
@@ -307,7 +329,10 @@ class TestObservability:
         assert body["counters"]["analyze_requests"] == 2
         assert body["counters"]["cold_misses"] == 1
         assert body["counters"]["warm_hits"] == 1
-        assert body["counters"]["incremental_fast_path"] == 1
+        assert not any(
+            name.startswith("incremental_") or name == "sessions_evicted"
+            for name in body["counters"]
+        )
         assert body["latency"]["analyze"]["count"] == 2
         assert body["gauges"]["pool_sessions"] == 1
 

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.core.config import DetectorConfig
 from repro.core.regions import candidate_loops, region_text
 from repro.core.scan import ScanResult, scan_all_loops
 from repro.errors import AnalysisError, RegionCheckError
@@ -11,6 +12,7 @@ from repro.lang import parse_program
 from repro.server.coordinator import Coordinator
 from repro.server.pool import SessionPool
 from repro.server.remote import RemoteTransport
+from tests.conftest import MERGED_CALLS_SOURCE
 
 MULTI = """
 entry Main.main;
@@ -251,7 +253,7 @@ class TestAdoptionFailures:
         try:
             serial = scan_all_loops(program).to_json(canonical=True)
             entry = coordinator.ensure_program(program)
-            entry.packed = b"not a packed snapshot"
+            entry.substrate = b"not a substrate"
             fleet = coordinator.scan_program(program).to_json(canonical=True)
             stats = coordinator.fleet_stats()
         finally:
@@ -260,6 +262,32 @@ class TestAdoptionFailures:
         assert stats["adoption_failures"] >= 1
         assert stats["adoptions"]["cold"] >= 1
         assert stats["adoptions"]["wire"] == 0
+
+
+class TestDeadlines:
+    def test_worker_keeps_no_degraded_answer(self):
+        """A shard past its deadline answers from the fallback, flagged
+        degraded; the worker's adopted session must not serve that
+        answer to the next shard, which has no deadline."""
+        config = DetectorConfig(demand_driven=True)
+        coordinator = Coordinator(1, pool=SessionPool(config=config))
+        try:
+            degraded = list(
+                coordinator.scan_iter(
+                    parse_program(MERGED_CALLS_SOURCE), deadline_ms=0
+                )
+            )
+            exact = list(
+                coordinator.scan_iter(parse_program(MERGED_CALLS_SOURCE))
+            )
+            adoptions = coordinator.fleet_stats()["adoptions"]
+        finally:
+            coordinator.close()
+        assert [o.report.leaking_site_labels for o in degraded] == [["item"]]
+        assert [o.degraded for o in degraded] == [True]
+        assert [o.report.leaking_site_labels for o in exact] == [[]]
+        assert [o.degraded for o in exact] == [False]
+        assert adoptions["lru"] == 1
 
 
 class TestAdoptedSessions:

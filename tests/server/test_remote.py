@@ -108,19 +108,29 @@ class TestWireFrames:
         header, blobs = recv_frame(right)
         assert header["type"] == "shard"
         assert header["digest"] == "d"
-        assert header["wire"] == WIRE_VERSION == 2
+        assert header["wire"] == WIRE_VERSION == 3
         assert blobs == [b"program", b"\x00" * 1000]
 
     def test_empty_blob_list(self):
         left, right = self._pair()
         send_frame(left, {"type": "ping", "seq": 7})
         header, blobs = recv_frame(right)
-        assert header == {"type": "ping", "seq": 7, "wire": 2, "blobs": []}
+        assert header == {"type": "ping", "seq": 7, "wire": 3, "blobs": []}
         assert blobs == []
 
     def test_version_mismatch_rejected(self):
         left, right = self._pair()
         payload = json.dumps({"type": "hello", "wire": 99, "blobs": []})
+        encoded = payload.encode("utf-8")
+        left.sendall(b"RFW1" + len(encoded).to_bytes(4, "little") + encoded)
+        with pytest.raises(WireError, match="wire version mismatch"):
+            recv_frame(right)
+
+    def test_version_2_frames_rejected(self):
+        """Version 2 pushed the packed snapshot layout; a peer that
+        still speaks it fails on its first frame."""
+        left, right = self._pair()
+        payload = json.dumps({"type": "snapshot", "wire": 2, "blobs": []})
         encoded = payload.encode("utf-8")
         left.sendall(b"RFW1" + len(encoded).to_bytes(4, "little") + encoded)
         with pytest.raises(WireError, match="wire version mismatch"):
@@ -214,7 +224,7 @@ class TestHandOff:
         # The coordinator pushes garbage for the program's digest; the
         # worker must rebuild cold and count the failure, never answer
         # wrong.
-        fleet.ensure_program(program).packed = b"not a snapshot"
+        fleet.ensure_program(program).substrate = b"not a substrate"
         assert fleet.scan_program(program).to_json(canonical=True) == serial_json
         assert worker.counters["adoption_failures"] == 1
         assert fleet.fleet_stats()["adoption_failures"] == 1
