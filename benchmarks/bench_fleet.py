@@ -172,15 +172,13 @@ def run_saturation(factor, burst):
 def run_remote(factor):
     """Two-host remote fleet: identity clean and through a worker kill.
 
-    "Hosts" are subprocess workers with separate cache directories on
-    localhost — identical to real remote workers from the transport's
-    side.  The requeue phase arms the connection-drop failpoint on both
-    workers (each dies at most once), so the doomed shard *must* travel
+    "Hosts" are two ``repro worker`` subprocesses on localhost —
+    identical to real remote workers from the transport's side.  The
+    requeue phase arms the connection-drop failpoint on both workers
+    (each dies at most once), so the doomed shard *must* travel
     the detect-dead-worker -> requeue-on-survivor path and still come
     back byte-identical to the serial scan.
     """
-    import tempfile
-
     from repro.core.regions import candidate_loops, region_text
     from repro.server.remote_worker import spawn_worker
 
@@ -196,8 +194,7 @@ def run_remote(factor):
         try:
             addresses = []
             for _ in range(2):
-                cache_dir = tempfile.mkdtemp(prefix="fleet-host-")
-                proc, address = spawn_worker(cache_dir=cache_dir, env=env)
+                proc, address = spawn_worker(env=env)
                 procs.append(proc)
                 addresses.append(address)
             coordinator = Coordinator(worker_hosts=addresses)
@@ -216,7 +213,6 @@ def run_remote(factor):
             "matches_serial": fleet == serial,
             "requeues": stats["remote_requeues"],
             "retry_exhaustions": stats["remote_retry_exhaustions"],
-            "snapshot_pushes": stats["remote_snapshot_pushes"],
             "workers_alive": stats["remote_workers_alive"],
         }
     section["ok"] = (

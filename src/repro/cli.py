@@ -492,12 +492,7 @@ def _cmd_serve(args):
 def _cmd_worker(args):
     from repro.server.remote_worker import RemoteWorkerServer
 
-    server = RemoteWorkerServer(
-        host=args.host,
-        port=args.port,
-        cache_dir=args.cache_dir,
-        max_adopted=args.max_adopted,
-    )
+    server = RemoteWorkerServer(host=args.host, port=args.port)
     # The announcement line is the contract spawn_worker() and the
     # fleet benchmark parse; keep its shape stable.
     print("worker listening on %s" % server.address, flush=True)
@@ -844,21 +839,6 @@ def build_parser():
     worker.add_argument("--host", default="127.0.0.1")
     worker.add_argument(
         "--port", type=int, default=8431, help="0 picks an ephemeral port"
-    )
-    worker.add_argument(
-        "--cache-dir",
-        default=None,
-        help="this worker's content-addressed artifact cache: program "
-        "substrates pushed over the wire are saved here, and later "
-        "shards for a known digest hydrate from disk instead of "
-        "asking the coordinator again",
-    )
-    worker.add_argument(
-        "--max-adopted",
-        type=int,
-        default=4,
-        help="distinct (program, config) sessions kept warm before "
-        "LRU eviction",
     )
     worker.set_defaults(func=_cmd_worker)
     return parser

@@ -6,7 +6,7 @@ structurally identical program on the other side.  Its byte form, the
 pickled dict, has one encoder (:func:`dump_shared`) and one decoder
 (:func:`load_shared`): the :class:`~repro.core.cache.store.ArtifactCache`
 writes and reads it as file content, the daemon's session pool keeps it
-as a program's substrate, and the fleet pushes it to workers.
+as a program's substrate, and every fleet shard frame carries it.
 
 Statement identity crosses the boundary through uids: the IR assigns
 uids deterministically in seal order, and the canonical printer

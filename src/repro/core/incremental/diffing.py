@@ -1,7 +1,9 @@
 """Leak diffing: compare two analyses by finding fingerprint.
 
 The unit of comparison is :meth:`LeakFinding.fingerprint` — region spec
-text + allocation-site label + sorted redundant-edge set — the same
+text + allocation-site label + sorted redundant-edge set, plus the kind
+of a non-heap finding (:func:`~repro.core.report.finding_fingerprint`
+computes it for both forms of a finding) — the same
 identity the triage/suppression baselines use, invariant under
 unrelated code motion, run order and scan backend.  Two analyses (cold,
 incremental, before/after an edit, or loaded back from ``scan --json``
@@ -18,6 +20,7 @@ content-only — byte-identical however either input was produced).
 import json
 
 from repro.core.regions import region_text
+from repro.core.report import HEAP_LEAK, finding_fingerprint
 from repro.core.scan import ScanResult
 
 
@@ -25,16 +28,6 @@ def _spec_text_of_loop_entry(entry):
     if entry.get("loop") is not None:
         return "%s:%s" % (entry["method"], entry["loop"])
     return entry["method"]
-
-
-def _finding_fingerprint(region, finding_dict):
-    edges = ";".join(
-        sorted(
-            "%s.%s" % (edge["base"], edge["field"])
-            for edge in finding_dict.get("redundant_edges", ())
-        )
-    )
-    return "%s|%s|%s" % (region, finding_dict["site"], edges)
 
 
 def scan_fingerprints(scan):
@@ -61,13 +54,17 @@ def scan_fingerprints(scan):
     for entry in scan.get("loops", ()):
         region = _spec_text_of_loop_entry(entry)
         for finding in entry.get("report", {}).get("findings", ()):
-            fingerprints[_finding_fingerprint(region, finding)] = {
+            edges = [
+                (edge["base"], edge["field"])
+                for edge in finding.get("redundant_edges", ())
+            ]
+            fingerprint = finding_fingerprint(
+                region, finding["site"], edges, finding.get("kind", HEAP_LEAK)
+            )
+            fingerprints[fingerprint] = {
                 "region": region,
                 "site": finding["site"],
-                "edges": sorted(
-                    "%s.%s" % (edge["base"], edge["field"])
-                    for edge in finding.get("redundant_edges", ())
-                ),
+                "edges": sorted("%s.%s" % edge for edge in edges),
             }
     return fingerprints
 

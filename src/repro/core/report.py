@@ -15,6 +15,16 @@ HEAP_LEAK = "heap-leak"
 RESOURCE_LEAK = "resource-leak"
 
 
+def finding_fingerprint(region, site, edges, kind=HEAP_LEAK):
+    """:meth:`LeakFinding.fingerprint` from a finding's parts, so a
+    finding and its :meth:`~LeakFinding.as_dict` form diff alike."""
+    edges = ";".join(sorted("%s.%s" % (base, field) for base, field in edges))
+    fingerprint = "%s|%s|%s" % (region, site, edges)
+    if kind != HEAP_LEAK:
+        return "%s|%s" % (fingerprint, kind)
+    return fingerprint
+
+
 class LeakFinding:
     """One reported leaking allocation site with its evidence."""
 
@@ -69,13 +79,9 @@ class LeakFinding:
         collide (heap fingerprints keep their historical form, so
         existing suppression baselines stay valid).
         """
-        edges = ";".join(
-            sorted("%s.%s" % (base, field) for base, field in self.redundant_edges)
+        return finding_fingerprint(
+            region, self.site.label, self.redundant_edges, self.kind
         )
-        base = "%s|%s|%s" % (region, self.site.label, edges)
-        if self.kind != HEAP_LEAK:
-            return "%s|%s" % (base, self.kind)
-        return base
 
     def format(self):
         if self.kind == RESOURCE_LEAK:

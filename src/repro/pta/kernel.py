@@ -23,8 +23,8 @@ budget is exhausted.  Instead of dicts of Python sets keyed by rich
   fixpoint of the current edge set;
 * **Flat serialization** — the solved bitsets serialize as one byte
   blob plus an offset table (:func:`snapshot_flat`), part of the
-  substrate bytes that the artifact cache stores and the daemon pushes
-  to its fleet workers (:mod:`repro.core.cache.serialize`); masks stay
+  substrate bytes that the artifact cache stores and the daemon sends
+  with every fleet shard (:mod:`repro.core.cache.serialize`); masks stay
   undecoded until a query needs them, so per-worker warmup is
   milliseconds.
 

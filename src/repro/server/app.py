@@ -529,7 +529,11 @@ class AnalysisServer:
             await writer.drain()
 
     def _run_batch(self, raw_body, query, emit):
-        """The blocking half of ``/analyze-batch`` (executor thread)."""
+        """The blocking half of ``/analyze-batch`` (executor thread).
+
+        Its first emit is always ``head`` or ``response``: a request
+        that fails before the stream starts is answered, so the writing
+        coroutine never waits for a stream that will not come."""
         started = time.perf_counter()
         try:
             payload = _decode_json(raw_body) if raw_body else None
@@ -542,6 +546,10 @@ class AnalysisServer:
         except (BadRequest, schema.SchemaError) as exc:
             self.metrics.count("client_errors")
             emit("response", self._error_response(400, str(exc)))
+            return
+        except Exception as exc:  # noqa: BLE001 - answer, never hang the client
+            self.metrics.count("server_errors")
+            emit("response", self._error_response(500, str(exc)))
             return
         try:
             with self.admission.slot():
@@ -781,7 +789,9 @@ async def _read_headers(reader):
 def _decode_json(raw):
     try:
         payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers;
+        # RecursionError, nesting deeper than the decoder recurses.
         raise BadRequest("request body is not valid JSON: %s" % exc)
     if not isinstance(payload, dict):
         raise BadRequest("request body must be a JSON object")

@@ -7,12 +7,11 @@ of this program" into shard tasks on a
 :class:`~repro.server.remote.RemoteTransport`, whose workers are forked
 locally (``workers=N``) or dialed on other hosts (``worker_hosts``):
 
-* **program hand-off** — :meth:`ensure_program` has the session pool
-  fill the program's entry once (:meth:`~repro.server.pool.SessionPool.
-  handoff`): the pickled program next to its substrate bytes.  Every
-  shard task carries that hand-off, so *any* worker can serve the
-  digest warm, which is what makes sharding free-form rather than
-  program-pinned;
+* **program hand-off** — the session pool fills the program's entry
+  once (:meth:`~repro.server.pool.SessionPool.handoff`): the pickled
+  program next to its substrate bytes.  Every shard task carries that
+  hand-off, so *any* worker can serve the digest warm, which is what
+  makes sharding free-form rather than program-pinned;
 * **fan-out / fan-in** — :meth:`scan_iter` plans contiguous shards
   (:mod:`repro.core.pipeline.sharding`), submits them all, and yields
   per-region outcomes *as workers finish* — the streaming source of
@@ -116,15 +115,8 @@ class Coordinator:
             "region_errors": 0,
             "adoption_failures": 0,
         }
-        self._adoptions = {"lru": 0, "cache": 0, "wire": 0, "cold": 0}
+        self._adoptions = {"lru": 0, "wire": 0, "cold": 0}
         self._per_worker = {}
-
-    # -- program hand-off ----------------------------------------------------
-
-    def ensure_program(self, program, digest=None):
-        """``program``'s pool entry, its fleet hand-off filled at most
-        once; ``digest`` spares a second hash when the caller has one."""
-        return self.pool.handoff(program, digest)
 
     # -- fan-out / fan-in ----------------------------------------------------
 
@@ -133,12 +125,13 @@ class Coordinator:
         :class:`RegionOutcome` in the order workers finish
         (shard-completion order, index order inside a shard).
         ``specs=None`` scans every labelled loop, matching
-        :func:`~repro.core.scan.scan_all_loops`.
+        :func:`~repro.core.scan.scan_all_loops`; ``digest`` spares a
+        second hash when the caller has one.
 
         The hand-off happens before this returns, so a program that
         cannot be analysed at all raises its
         :class:`~repro.errors.ReproError` here, not mid-iteration."""
-        entry = self.ensure_program(program, digest)
+        entry = self.pool.handoff(program, digest)
         if specs is None:
             specs = candidate_loops(program)
         return self._outcomes(entry, list(specs), deadline_ms)

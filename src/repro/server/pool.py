@@ -11,8 +11,8 @@ warm forms and nothing else (:class:`PoolEntry`):
 * the program's substrate — call graph plus solved points-to — as the
   bytes the artifact cache writes (:func:`~repro.core.cache.serialize.
   dump_shared`).  Any other request on a known digest checks its
-  regions on a session hydrated from them, and the fleet pushes the
-  same bytes to its workers.
+  regions on a session hydrated from them, and every fleet shard
+  frame carries the same bytes.
 
 No live session is kept: hydrating one costs milliseconds, while
 holding one per program costs about three times the memory of both

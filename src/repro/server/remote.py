@@ -4,8 +4,8 @@ A :class:`RemoteTransport` drives every fleet worker the same way, over
 a small, versioned, length-prefixed wire protocol.  Its *links* either
 fork local workers, one per socket pair (``serve --workers N``), or dial
 ``repro worker`` processes on other hosts (``serve --worker-hosts``; the
-"two-host" CI harness is two workers with separate cache directories
-on localhost).  Either way the far end is a
+"two-host" CI harness is two worker processes on localhost).  Either
+way the far end is a
 :class:`~repro.server.remote_worker.RemoteWorkerServer`.
 
 Wire protocol (version :data:`WIRE_VERSION`)
@@ -27,18 +27,12 @@ request/response on one coordinator-owned connection per worker:
   and wire version, and a version mismatch fails the connection before
   any work is exchanged.
 * ``ping`` -> ``pong`` — heartbeat liveness for idle links.
-* ``shard`` -> ``result`` | ``need-snapshot`` | ``error`` — execute
-  one shard.  ``need-snapshot`` means the worker has neither a warm
-  session nor a cache entry for the program digest; the coordinator
-  answers with a ``snapshot`` push and re-sends the shard.
-* ``snapshot`` -> ``snapshot-ok`` | ``error`` — push the program's
-  substrate bytes, the artifact cache's encoding
-  (:func:`repro.core.cache.serialize.dump_shared`), to the worker.  It
-  keeps them for the re-sent shard, which hydrates them and saves the
-  substrate into the worker's *own* content-addressed artifact cache,
-  if it has one — so the next worker process on that host (or the same
-  one after a restart) serves the digest warm from disk and hand-off
-  degrades gracefully from wire push to cache fetch.
+* ``shard`` -> ``result`` | ``error`` — execute one shard.  The frame
+  is the whole task: the program digest, config, region indices and
+  deadline in the header, and three blobs — the pickled program, its
+  substrate bytes (the artifact cache's encoding,
+  :func:`repro.core.cache.serialize.dump_shared`) and the pickled
+  region specs — so any worker serves any shard in one round trip.
 
 Robustness
 ----------
@@ -82,7 +76,7 @@ from concurrent.futures import Future
 #: The wire protocol version; both ends check it at handshake and on
 #: every frame, so a skewed deployment fails loudly instead of
 #: misinterpreting payloads.
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 _MAGIC = b"RFW1"
 _LEN = struct.Struct("<I")
@@ -137,9 +131,9 @@ def recv_frame(sock):
     """Receive one frame; returns ``(header, blobs)``.
 
     Raises :class:`WireEOF` on a clean close between frames,
-    :class:`WireError` on garbage (bad magic, oversized declaration,
-    version mismatch), and :class:`ConnectionError` on a mid-frame
-    close.
+    :class:`WireError` on garbage (bad magic, oversized declaration, a
+    header that does not decode, version mismatch), and
+    :class:`ConnectionError` on a mid-frame close.
     """
     first = sock.recv(len(_MAGIC))
     if not first:
@@ -152,7 +146,9 @@ def recv_frame(sock):
         raise WireError("frame header of %d bytes exceeds limit" % header_len)
     try:
         header = json.loads(_recv_exact(sock, header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers;
+        # RecursionError, nesting deeper than the decoder recurses.
         raise WireError("frame header is not valid JSON: %s" % exc)
     if not isinstance(header, dict):
         raise WireError("frame header must be a JSON object")
@@ -333,10 +329,9 @@ class RemoteTransport:
     transport forks ``workers`` local workers.  One serve thread per
     worker pulls shards from a shared queue, so a dead worker's backlog
     drains onto the survivors automatically; a heartbeat thread keeps
-    idle links honest.  Program hand-off is by digest: a shard frame
-    carries the program but not its substrate, and a worker that misses
-    the digest (no warm session, no cache entry of its own) asks for
-    exactly one push of the substrate bytes the shard task carries.
+    idle links honest.  Every shard frame carries its program and
+    substrate, so a first, requeued or re-forked worker serves it in one
+    round trip.
     """
 
     def __init__(
@@ -372,7 +367,6 @@ class RemoteTransport:
             "retry_exhaustions": 0,
             "heartbeats": 0,
             "heartbeat_failures": 0,
-            "snapshot_pushes": 0,
         }
         self._closed = threading.Event()
         if not hosts:
@@ -483,7 +477,7 @@ class RemoteTransport:
             pending.future.set_result(result)
 
     def _execute(self, link, task):
-        """Run one shard on ``link``, pushing the snapshot if asked."""
+        """Run one shard on ``link``: one ``shard`` frame, one reply."""
         header = {
             "type": "shard",
             "digest": task["digest"],
@@ -491,25 +485,9 @@ class RemoteTransport:
             "indices": list(task["indices"]),
             "deadline_ms": task.get("deadline_ms"),
         }
-        blobs = [task["program_blob"], task["specs_blob"]]
+        blobs = [task["program_blob"], task["substrate"], task["specs_blob"]]
         with link.lock:
             reply, reply_blobs = link.request(header, blobs, self.shard_timeout)
-            if reply.get("type") == "need-snapshot":
-                ack, _ = link.request(
-                    {"type": "snapshot", "digest": task["digest"]},
-                    [task["substrate"]],
-                    self.shard_timeout,
-                )
-                if ack.get("type") != "snapshot-ok":
-                    raise _TaskRejected(
-                        "worker %s rejected the snapshot push: %r"
-                        % (link.address, ack)
-                    )
-                with self._lock:
-                    self._counters["snapshot_pushes"] += 1
-                reply, reply_blobs = link.request(
-                    header, blobs, self.shard_timeout
-                )
         if reply.get("type") == "error":
             raise _TaskRejected(
                 "worker %s: %s" % (link.address, reply.get("message"))

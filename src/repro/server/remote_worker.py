@@ -10,27 +10,17 @@ worker the transport forked for ``serve --workers N``
 both, which is what makes fleet results byte-identical no matter where
 a shard lands.
 
-Program hand-off degrades gracefully, warmest first:
+Every ``shard`` frame carries its program and substrate, so a worker's
+only warm state is its :class:`AdoptedSessions` LRU, and a shard's
+session comes from the warmest source that has it:
 
 1. **lru** — a session for (digest, config) is already live in this
    server's :class:`AdoptedSessions`;
-2. **cache** — the server's *own* content-addressed artifact cache
-   directory (``--cache-dir``) holds the snapshot; hydrate from disk.
-   This is the shared-store story: any worker that ever saw the digest
-   (or shares the directory) serves it warm without wire traffic;
-3. **wire** — answer ``need-snapshot``; the coordinator pushes the
-   substrate bytes (the artifact cache's encoding) and re-sends the
-   shard on the same connection, the worker hydrates them *and saves
-   them into its cache dir*, so the next miss on this host is a cache
-   hit;
-4. **cold** — the pushed substrate failed to decode: rebuild from the
-   program blob.  Slower, never wrong; decode failures are counted as
+2. **wire** — hydrate the frame's substrate bytes (the artifact
+   cache's encoding) into a new session, kept in the LRU;
+3. **cold** — the substrate failed to decode: rebuild from the program
+   blob.  Slower, never wrong; decode failures are counted as
    ``adoption_failures`` in the shard result.
-
-A pushed snapshot belongs to the connection it arrived on: it waits
-there for the next shard of its digest, and is dropped with the
-connection if none comes (a shard requeued to another worker, a
-coordinator that went away).
 
 Shard failures travel as data, per region: one dead region becomes an
 ``error`` outcome while the rest of the shard still answers — the batch
@@ -55,7 +45,6 @@ import traceback
 from collections import OrderedDict
 
 from repro.core.cache.serialize import load_shared
-from repro.core.cache.store import ArtifactCache
 from repro.core.config import DetectorConfig
 from repro.core.pipeline.session import AnalysisSession
 from repro.core.regions import region_text
@@ -137,14 +126,6 @@ class Failpoints:
             return True
 
 
-class _NeedSnapshot(Exception):
-    """No warm session, no cache entry: ask the coordinator to push."""
-
-    def __init__(self, digest):
-        self.digest = digest
-        super().__init__(digest)
-
-
 class RemoteWorkerServer:
     """One fleet worker: its warm sessions, failpoints and counters.
 
@@ -155,19 +136,11 @@ class RemoteWorkerServer:
     handed.
     """
 
-    def __init__(
-        self,
-        host="127.0.0.1",
-        port=0,
-        cache_dir=None,
-        max_adopted=MAX_ADOPTED,
-        failpoints=None,
-    ):
+    def __init__(self, host="127.0.0.1", port=0, failpoints=None):
         if failpoints is None:
             failpoints = os.environ.get(FAILPOINTS_ENV, "")
-        self.cache_dir = str(cache_dir) if cache_dir else None
         self._failpoints = Failpoints(failpoints)
-        self._sessions = AdoptedSessions(max_adopted)
+        self._sessions = AdoptedSessions()
         self._lock = threading.Lock()
         self._run_lock = threading.Lock()
         self._closing = False
@@ -176,7 +149,6 @@ class RemoteWorkerServer:
         self.counters = {
             "connections": 0,
             "shards": 0,
-            "snapshot_pulls": 0,
             "adoption_failures": 0,
             "simulated_deaths": 0,
         }
@@ -241,16 +213,13 @@ class RemoteWorkerServer:
     # -- the connection loop -------------------------------------------------
 
     def _serve_connection(self, conn):
-        #: digest -> substrate bytes pushed on this connection, waiting
-        #: for the re-sent shard; one at a time, gone with the link.
-        pushed = {}
         try:
             while not self._closing:
                 try:
                     header, blobs = recv_frame(conn)
                 except WireEOF:
                     return
-                reply = self._dispatch(header, blobs, pushed)
+                reply = self._dispatch(header, blobs)
                 if reply is None:
                     return  # simulated death: drop without answering
                 send_frame(conn, reply[0], reply[1])
@@ -264,48 +233,35 @@ class RemoteWorkerServer:
             except OSError:
                 pass
 
-    def _dispatch(self, header, blobs, pushed):
+    def _dispatch(self, header, blobs):
         kind = header.get("type")
         if kind == "hello":
             return {"type": "welcome", "pid": os.getpid(),
                     "wire": WIRE_VERSION}, ()
         if kind == "ping":
             return {"type": "pong", "seq": header.get("seq")}, ()
-        if kind == "snapshot":
-            return self._handle_snapshot(header, blobs, pushed)
         if kind == "shard":
-            return self._handle_shard(header, blobs, pushed)
+            return self._handle_shard(header, blobs)
         return {"type": "error", "code": "bad_request",
                 "message": "unknown message type %r" % kind}, ()
 
-    def _handle_snapshot(self, header, blobs, pushed):
+    def _handle_shard(self, header, blobs):
         digest = header.get("digest")
-        if not isinstance(digest, str) or not digest or not blobs:
+        config = header.get("config") or {}
+        if len(blobs) != 3 or not isinstance(digest, str) or not isinstance(
+            config, dict
+        ):
             return {"type": "error", "code": "bad_request",
-                    "message": "snapshot push without digest or payload"}, ()
-        with self._lock:
-            self.counters["snapshot_pulls"] += 1
-        # Kept as bytes; decode is deferred to the shard that needs it,
-        # where the program blob required for hydration rides along and
-        # failures have a cold fallback.
-        pushed.clear()
-        pushed[digest] = bytes(blobs[0])
-        return {"type": "snapshot-ok", "digest": digest}, ()
-
-    def _handle_shard(self, header, blobs, pushed):
-        digest = header.get("digest")
-        if len(blobs) != 2 or not isinstance(digest, str):
-            return {"type": "error", "code": "bad_request",
-                    "message": "shard frame needs a digest, program and "
-                    "spec blobs"}, ()
+                    "message": "shard frame needs a digest, a config "
+                    "object, and program, substrate and spec blobs"}, ()
         task = {
             "digest": digest,
             "program_blob": blobs[0],
-            "config_kwargs": dict(header.get("config") or {}),
-            "substrate": pushed.pop(digest, None),
+            "substrate": blobs[1],
+            "config_kwargs": config,
         }
         try:
-            specs = pickle.loads(blobs[1])
+            specs = pickle.loads(blobs[2])
             if self._should_die(specs):
                 return None
             # One shard at a time: sessions are single-threaded, and a
@@ -315,8 +271,6 @@ class RemoteWorkerServer:
                     task, specs, header.get("indices") or [],
                     header.get("deadline_ms"),
                 )
-        except _NeedSnapshot as need:
-            return {"type": "need-snapshot", "digest": need.digest}, ()
         except Exception as exc:  # noqa: BLE001 - report, keep serving
             return {"type": "error", "code": "shard_failed",
                     "message": "%s: %s" % (type(exc).__name__, exc)}, ()
@@ -380,9 +334,9 @@ class RemoteWorkerServer:
 
         Returns ``(session, adoption, adoption_failures)``: ``adoption``
         names the rung of the module docstring's ladder that served
-        (``"lru"``, ``"cache"``, ``"wire"`` or ``"cold"``), and
-        ``adoption_failures`` is 1 when a pushed substrate failed to
-        decode and the cold rebuild served instead.
+        (``"lru"``, ``"wire"`` or ``"cold"``), and ``adoption_failures``
+        is 1 when the frame's substrate failed to decode and the cold
+        rebuild served instead.
         """
         key = AdoptedSessions.key(task)
         hit = self._sessions.get(key)
@@ -390,42 +344,25 @@ class RemoteWorkerServer:
             return hit, "lru", 0
         program = pickle.loads(task["program_blob"])
         config = DetectorConfig(**task["config_kwargs"])
-        cache = ArtifactCache(self.cache_dir) if self.cache_dir else None
-
-        if cache is not None:
-            shared = cache.load(program, config)
-            if shared is not None:
-                session = AnalysisSession(program, config, shared=shared)
-                self._sessions.put(key, session)
-                return session, "cache", 0
-
-        substrate = task["substrate"]
-        if substrate is None:
-            raise _NeedSnapshot(task["digest"])
         try:
             shared = load_shared(
-                program, config, substrate, program_dig=task["digest"]
+                program, config, task["substrate"], program_dig=task["digest"]
             )
             session, adoption, failures = (
                 AnalysisSession(program, config, shared=shared), "wire", 0
             )
-        except Exception:  # noqa: BLE001 - corrupt push, rebuild cold
+        except Exception:  # noqa: BLE001 - corrupt substrate, rebuild cold
             with self._lock:
                 self.counters["adoption_failures"] += 1
             session, adoption, failures = (
                 AnalysisSession(program, config).warm(), "cold", 1
             )
-        if cache is not None:
-            try:
-                cache.save(program, config, session.shared)
-            except Exception:  # noqa: BLE001 - cache is best-effort
-                pass
         self._sessions.put(key, session)
         return session, adoption, failures
 
     def __repr__(self):
         where = self.address if self._sock is not None else "forked"
-        return "RemoteWorkerServer(%s, cache_dir=%r)" % (where, self.cache_dir)
+        return "RemoteWorkerServer(%s)" % where
 
 
 def fork_worker():
@@ -471,7 +408,7 @@ def _serve_forked(sock):
         os._exit(status)
 
 
-def spawn_worker(cache_dir=None, host="127.0.0.1", env=None):
+def spawn_worker(host="127.0.0.1", env=None):
     """Start a ``repro worker`` subprocess; returns ``(proc, address)``.
 
     The worker picks a free port (``--port 0``) and announces it on
@@ -491,8 +428,6 @@ def spawn_worker(cache_dir=None, host="127.0.0.1", env=None):
     )
     command = [sys.executable, "-m", "repro", "worker",
                "--host", host, "--port", "0"]
-    if cache_dir:
-        command += ["--cache-dir", str(cache_dir)]
     proc = subprocess.Popen(
         command,
         stdout=subprocess.PIPE,

@@ -439,16 +439,24 @@ class TestErrors:
         assert body["error"]["code"] == "bad_request"
 
     def test_invalid_json_is_400(self):
+        # Nesting past the decoder's recursion limit and an integer past
+        # the conversion limit are invalid JSON too, not server errors.
+        bodies = (b"not json", b"[" * 100_000, b'{"a": ' + b"1" * 5000 + b"}")
+        codes = []
         with _serving() as server:
-            request = urllib.request.Request(
-                _url(server, "/analyze"),
-                data=b"not json",
-                headers={"Content-Type": "application/json"},
-                method="POST",
-            )
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
+            for path in ("/analyze", "/diff"):
+                for body in bodies:
+                    request = urllib.request.Request(
+                        _url(server, path),
+                        data=body,
+                        headers={"Content-Type": "application/json"},
+                        method="POST",
+                    )
+                    with pytest.raises(urllib.error.HTTPError) as excinfo:
+                        urllib.request.urlopen(request, timeout=30)
+                    error = json.loads(excinfo.value.read())
+                    codes.append((excinfo.value.code, error["error"]["code"]))
+        assert codes == [(400, "bad_request")] * 6
 
     def test_unknown_path_is_404(self):
         with _serving() as server:

@@ -418,13 +418,21 @@ class TestBatchRejections:
         return error.code, error.headers, json.loads(error.read())
 
     def test_malformed_json_is_400_envelope(self):
+        # The timeout turns a request that is never answered into a
+        # failure instead of a hang.
+        bodies = (
+            b"this is not json",
+            b"[" * 100_000,
+            b'{"a": ' + b"1" * 5000 + b"}",
+        )
         with _serving() as server:
-            code, _, body = self._http_error(
-                lambda: _stream(server, None, raw=b"this is not json")
-            )
-        assert code == 400
-        schema.validate_error(body)
-        assert body["error"]["code"] == "bad_request"
+            for raw in bodies:
+                code, _, body = self._http_error(
+                    lambda: _stream(server, None, raw=raw, timeout=10)
+                )
+                assert code == 400
+                schema.validate_error(body)
+                assert body["error"]["code"] == "bad_request"
 
     def test_missing_programs_is_400(self):
         with _serving() as server:

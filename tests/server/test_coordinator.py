@@ -252,7 +252,7 @@ class TestAdoptionFailures:
         coordinator = Coordinator(1, shard_size=1)
         try:
             serial = scan_all_loops(program).to_json(canonical=True)
-            entry = coordinator.ensure_program(program)
+            entry = coordinator.pool.handoff(program)
             entry.substrate = b"not a substrate"
             fleet = coordinator.scan_program(program).to_json(canonical=True)
             stats = coordinator.fleet_stats()

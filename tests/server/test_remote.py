@@ -1,25 +1,28 @@
-"""The multi-host fleet: wire protocol, requeue, retry budgets, cache.
+"""The multi-host fleet: wire protocol, hand-off, requeue, retry budgets.
 
-The "two hosts" here are two :class:`RemoteWorkerServer` instances with
-*separate* artifact-cache directories in one test process — the same
-harness CI's fleet benchmark uses, because from the transport's side a
-worker behind ``127.0.0.1:<port>`` is indistinguishable from one on
-another machine.  A ``drop`` failpoint makes a worker drop the
+The "two hosts" here are two :class:`RemoteWorkerServer` instances in
+one test process — the harness CI's fleet benchmark uses with two
+worker processes, because from the transport's side a worker behind
+``127.0.0.1:<port>`` is indistinguishable from one on another
+machine.  A ``drop`` failpoint makes a worker drop the
 connection before answering a doomed shard, which is exactly what a
 worker killed mid-shard looks like on the wire.
 """
 
 import json
+import pickle
 import socket
 import threading
 import urllib.request
 
 import pytest
 
-from repro.core.scan import scan_all_loops
+from repro.core.regions import candidate_loops
+from repro.core.scan import ScanResult, scan_all_loops
 from repro.lang import parse_program
 from repro.server import schema
 from repro.server.coordinator import Coordinator
+from repro.server.pool import SessionPool
 from repro.server.remote import (
     WIRE_VERSION,
     RemoteTransport,
@@ -65,11 +68,8 @@ def serial_json(program):
     return scan_all_loops(program).to_json(canonical=True)
 
 
-def _worker(tmp_path, name, **kwargs):
-    server = RemoteWorkerServer(
-        cache_dir=str(tmp_path / name), **kwargs
-    ).start()
-    return server
+def _worker(**kwargs):
+    return RemoteWorkerServer(**kwargs).start()
 
 
 def _fleet(request, workers, **kwargs):
@@ -108,14 +108,14 @@ class TestWireFrames:
         header, blobs = recv_frame(right)
         assert header["type"] == "shard"
         assert header["digest"] == "d"
-        assert header["wire"] == WIRE_VERSION == 3
+        assert header["wire"] == WIRE_VERSION == 4
         assert blobs == [b"program", b"\x00" * 1000]
 
     def test_empty_blob_list(self):
         left, right = self._pair()
         send_frame(left, {"type": "ping", "seq": 7})
         header, blobs = recv_frame(right)
-        assert header == {"type": "ping", "seq": 7, "wire": 3, "blobs": []}
+        assert header == {"type": "ping", "seq": 7, "wire": 4, "blobs": []}
         assert blobs == []
 
     def test_version_mismatch_rejected(self):
@@ -127,14 +127,20 @@ class TestWireFrames:
             recv_frame(right)
 
     def test_version_2_frames_rejected(self):
-        """Version 2 pushed the packed snapshot layout; a peer that
-        still speaks it fails on its first frame."""
+        """Version 2 pushed the packed snapshot layout and version 3
+        pushed the substrate in a separate ``snapshot`` exchange; a peer
+        that still speaks either fails on its first frame."""
         left, right = self._pair()
-        payload = json.dumps({"type": "snapshot", "wire": 2, "blobs": []})
-        encoded = payload.encode("utf-8")
-        left.sendall(b"RFW1" + len(encoded).to_bytes(4, "little") + encoded)
-        with pytest.raises(WireError, match="wire version mismatch"):
-            recv_frame(right)
+        for version in (2, 3):
+            payload = json.dumps(
+                {"type": "snapshot", "wire": version, "blobs": []}
+            )
+            encoded = payload.encode("utf-8")
+            left.sendall(
+                b"RFW1" + len(encoded).to_bytes(4, "little") + encoded
+            )
+            with pytest.raises(WireError, match="wire version mismatch"):
+                recv_frame(right)
 
     def test_bad_magic_rejected(self):
         left, right = self._pair()
@@ -181,69 +187,131 @@ class TestFailpoints:
         assert not worker._failpoints.fire("drop", "Main.main:L3")
 
 
-# -- hand-off: wire push, then the worker's own cache ------------------------
+# -- hand-off: every shard frame carries its substrate ----------------------
+
+
+def _shard_frame(program, indices=None):
+    """A ``shard`` frame's header and three blobs for ``program``,
+    built from a session pool's hand-off as the coordinator builds
+    them."""
+    pool = SessionPool()
+    entry = pool.handoff(program)
+    specs = candidate_loops(program)
+    header = {
+        "type": "shard",
+        "digest": entry.digest,
+        "config": pool.config.describe(),
+        "indices": list(range(len(specs))) if indices is None else indices,
+        "deadline_ms": None,
+    }
+    blobs = [
+        entry.program_blob,
+        entry.substrate,
+        pickle.dumps(specs, protocol=pickle.HIGHEST_PROTOCOL),
+    ]
+    return header, blobs
 
 
 class TestHandOff:
     def test_two_host_fleet_matches_serial(
-        self, request, tmp_path, program, serial_json
+        self, request, program, serial_json
     ):
-        workers = [_worker(tmp_path, "a"), _worker(tmp_path, "b")]
+        workers = [_worker(), _worker()]
         fleet = _fleet(request, workers)
         assert fleet.scan_program(program).to_json(canonical=True) == serial_json
         stats = fleet.fleet_stats()
-        # Both workers were cold: each got exactly one snapshot push,
-        # and no shard ever carried the snapshot inline.
-        assert stats["remote_snapshot_pushes"] == 2
+        # Both workers were cold: each hydrated the substrate its first
+        # shard frame carried, and nothing was pushed separately.
         assert stats["adoptions"]["wire"] == 2
+        assert "remote_snapshot_pushes" not in stats
         assert stats["remote_workers_alive"] == 2
 
-    def test_restarted_worker_adopts_from_its_cache_dir(
-        self, request, tmp_path, program, serial_json
-    ):
-        first = _worker(tmp_path, "a")
-        fleet = _fleet(request, [first])
-        fleet.scan_program(program)
-        fleet.close()
-        first.shutdown()
-        # A "restarted" worker: fresh server, same cache directory.
-        second = _worker(tmp_path, "a")
-        fleet2 = _fleet(request, [second])
-        assert (
-            fleet2.scan_program(program).to_json(canonical=True) == serial_json
-        )
-        stats = fleet2.fleet_stats()
-        assert stats["remote_snapshot_pushes"] == 0
-        assert stats["adoptions"]["cache"] >= 1
+    def test_one_shard_frame_is_the_whole_task(self, program, serial_json):
+        """A fresh worker answers one three-blob ``shard`` frame with a
+        ``result``: it hydrates the frame's substrate, and the next
+        frame for the digest is served from its LRU."""
+        specs = candidate_loops(program)
+        header, blobs = _shard_frame(program)
+        worker = _worker()
+        try:
+            with socket.create_connection(
+                (worker.host, worker.port), timeout=30
+            ) as conn:
+                adoptions = []
+                for _ in range(2):
+                    send_frame(conn, header, blobs)
+                    reply, reply_blobs = recv_frame(conn)
+                    assert reply["type"] == "result"
+                    adoptions.append(reply["adoption"])
+                    assert reply["adoption_failures"] == 0
+                    outcomes = pickle.loads(reply_blobs[0])
+                    assert [outcome[:2] for outcome in outcomes] == [
+                        (index, "ok") for index in range(len(specs))
+                    ]
+                    scan = ScanResult(
+                        [(spec, outcome[2])
+                         for spec, outcome in zip(specs, outcomes)]
+                    )
+                    assert scan.to_json(canonical=True) == serial_json
+        finally:
+            worker.shutdown()
+        assert adoptions == ["wire", "lru"]
+        assert worker.counters["shards"] == 2
 
     def test_corrupt_pushed_snapshot_degrades_to_cold(
-        self, request, tmp_path, program, serial_json
+        self, request, program, serial_json
     ):
-        worker = _worker(tmp_path, "a")
+        worker = _worker()
         fleet = _fleet(request, [worker])
-        # The coordinator pushes garbage for the program's digest; the
-        # worker must rebuild cold and count the failure, never answer
-        # wrong.
-        fleet.ensure_program(program).substrate = b"not a substrate"
+        # Every shard frame carries garbage for the program's substrate;
+        # the worker must rebuild cold and count the failure, never
+        # answer wrong.
+        fleet.pool.handoff(program).substrate = b"not a substrate"
         assert fleet.scan_program(program).to_json(canonical=True) == serial_json
         assert worker.counters["adoption_failures"] == 1
         assert fleet.fleet_stats()["adoption_failures"] == 1
 
-
-    def test_frames_without_a_string_digest_are_bad_requests(self, tmp_path):
-        """A digest keys the connection's pushed snapshot, so a frame
+    def test_frames_without_a_string_digest_are_bad_requests(self, program):
+        """A digest keys the worker's warm sessions, so a shard frame
         whose digest is not a string is refused, and the connection
         keeps serving."""
-        worker = _worker(tmp_path, "a")
+        header, blobs = _shard_frame(program)
+        header["digest"] = [header["digest"]]
+        worker = _worker()
         try:
             with socket.create_connection(
                 (worker.host, worker.port), timeout=10
             ) as conn:
-                for header, blobs in (
-                    ({"type": "snapshot", "digest": ["d"]}, [b"x"]),
-                    ({"type": "shard", "digest": ["d"]}, [b"p", b"s"]),
+                send_frame(conn, header, blobs)
+                reply, _ = recv_frame(conn)
+                assert reply["type"] == "error"
+                assert reply["code"] == "bad_request"
+                send_frame(conn, {"type": "ping", "seq": 1})
+                assert recv_frame(conn)[0]["type"] == "pong"
+        finally:
+            worker.shutdown()
+        assert worker.counters["shards"] == 0
+
+    def test_snapshot_pushes_and_malformed_shards_are_bad_requests(
+        self, program
+    ):
+        """The substrate travels in the shard frame only: a shard frame
+        without it and a separate ``snapshot`` push are each refused, as
+        is a shard whose config is not an object, and the connection
+        keeps serving."""
+        header, blobs = _shard_frame(program)
+        worker = _worker()
+        try:
+            with socket.create_connection(
+                (worker.host, worker.port), timeout=10
+            ) as conn:
+                for frame_header, frame_blobs in (
+                    (header, [blobs[0], blobs[2]]),
+                    ({"type": "snapshot", "digest": header["digest"]},
+                     [blobs[1]]),
+                    (dict(header, config=5), blobs),
                 ):
-                    send_frame(conn, header, blobs)
+                    send_frame(conn, frame_header, frame_blobs)
                     reply, _ = recv_frame(conn)
                     assert reply["type"] == "error"
                     assert reply["code"] == "bad_request"
@@ -251,43 +319,7 @@ class TestHandOff:
                 assert recv_frame(conn)[0]["type"] == "pong"
         finally:
             worker.shutdown()
-
-    def test_unused_pushes_die_with_their_connections(self, tmp_path):
-        """A push belongs to its connection: 200 snapshot pushes of
-        64 KiB, each on its own connection and never followed by a
-        shard, leave nothing behind once the connections have closed."""
-        import gc
-        import time
-        import tracemalloc
-
-        worker = _worker(tmp_path, "a")
-        payload = b"\x00" * (64 * 1024)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for index in range(200):
-                with socket.create_connection(
-                    (worker.host, worker.port), timeout=10
-                ) as conn:
-                    send_frame(
-                        conn,
-                        {"type": "snapshot", "digest": "d%03d" % index},
-                        [payload],
-                    )
-                    reply, _ = recv_frame(conn)
-                    assert reply["type"] == "snapshot-ok"
-            for _ in range(250):  # the server notices each close
-                gc.collect()
-                retained = tracemalloc.get_traced_memory()[0] - before
-                if retained < 1024 * 1024:
-                    break
-                time.sleep(0.02)
-        finally:
-            tracemalloc.stop()
-            worker.shutdown()
-        assert worker.counters["snapshot_pulls"] == 200
-        # 200 kept pushes would be 12.5 MiB.
-        assert retained < 1024 * 1024
+        assert worker.counters["shards"] == 0
 
 
 # -- liveness, requeue, retry budgets ----------------------------------------
@@ -295,14 +327,14 @@ class TestHandOff:
 
 class TestRobustness:
     def test_worker_killed_mid_shard_requeues_byte_identical(
-        self, request, tmp_path, program, serial_json
+        self, request, program, serial_json
     ):
         # Both workers drop the connection (= die) the first time they
         # see L2's shard; the requeued shard must land somewhere and
         # the batch must still equal the serial scan byte for byte.
         workers = [
-            _worker(tmp_path, "a", failpoints="drop:Main.main:L2*1"),
-            _worker(tmp_path, "b", failpoints="drop:Main.main:L2*1"),
+            _worker(failpoints="drop:Main.main:L2*1"),
+            _worker(failpoints="drop:Main.main:L2*1"),
         ]
         fleet = _fleet(request, workers)
         assert fleet.scan_program(program).to_json(canonical=True) == serial_json
@@ -313,11 +345,11 @@ class TestRobustness:
         assert deaths >= 1
 
     def test_retry_budget_exhaustion_is_per_region_error(
-        self, request, tmp_path, program
+        self, request, program
     ):
         # No *N: die on *every* attempt.  The budget must run out, and
         # only L2 may turn into an error outcome.
-        worker = _worker(tmp_path, "a", failpoints="drop:Main.main:L2")
+        worker = _worker(failpoints="drop:Main.main:L2")
         fleet = _fleet(request, [worker], retry_budget=1)
         outcomes = {o.region: o for o in fleet.scan_iter(program)}
         assert outcomes["Main.main:L2"].kind == "error"
@@ -327,9 +359,9 @@ class TestRobustness:
         assert fleet.fleet_stats()["remote_retry_exhaustions"] == 1
 
     def test_all_workers_down_exhausts_instead_of_hanging(
-        self, request, tmp_path, program
+        self, request, program
     ):
-        worker = _worker(tmp_path, "a")
+        worker = _worker()
         fleet = _fleet(request, [worker], retry_budget=1)
         worker.shutdown()
         # Give the transport a moment to notice the corpse, then scan:
@@ -337,8 +369,8 @@ class TestRobustness:
         outcomes = list(fleet.scan_iter(program))
         assert outcomes and all(o.kind == "error" for o in outcomes)
 
-    def test_heartbeat_detects_a_dead_worker(self, request, tmp_path, program):
-        worker = _worker(tmp_path, "a")
+    def test_heartbeat_detects_a_dead_worker(self, request, program):
+        worker = _worker()
         transport = RemoteTransport(
             [worker.address],
             heartbeat_interval=0.05,
@@ -381,10 +413,10 @@ class TestBatchIntegration:
                 records.append(json.loads(line))
         return records
 
-    def test_exhaustion_surfaces_as_error_record_stream_alive(self, tmp_path):
+    def test_exhaustion_surfaces_as_error_record_stream_alive(self):
         from repro.server.app import create_server
 
-        worker = _worker(tmp_path, "a", failpoints="drop:Main.main:L2")
+        worker = _worker(failpoints="drop:Main.main:L2")
         server = create_server(port=0, worker_hosts=[worker.address])
         server.coordinator.shard_size = 1
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -412,10 +444,10 @@ class TestBatchIntegration:
         }
         assert records[-1]["errors"] == 1
 
-    def test_metrics_export_remote_counters(self, tmp_path):
+    def test_metrics_export_remote_counters(self):
         from repro.server.app import create_server
 
-        worker = _worker(tmp_path, "a")
+        worker = _worker()
         server = create_server(port=0, worker_hosts=[worker.address])
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -437,9 +469,10 @@ class TestBatchIntegration:
             worker.shutdown()
         fleet = body["data"]["fleet"]
         assert fleet["remote_workers_alive"] == 1
-        assert fleet["remote_snapshot_pushes"] >= 1
         assert fleet["remote_requeues"] == 0
-        assert "leakchecker_fleet_remote_snapshot_pushes" in text
+        assert fleet["adoptions"]["wire"] == 1
+        assert "leakchecker_fleet_remote_requeues 0" in text
+        assert "snapshot" not in text
 
 
 class TestServeWiring:

@@ -748,6 +748,24 @@ class TestDiffCLI:
         assert code == 0
         assert "1 unchanged" in out
 
+    def test_diff_of_resource_findings_against_scan_json(
+        self, tmp_path, capsys
+    ):
+        """A resource finding's fingerprint carries its kind in both
+        forms, so an unchanged program diffs clean against its own
+        ``scan --json`` output."""
+        from repro.bench.apps import build_app
+
+        source = tmp_path / "resleak.wl"
+        source.write_text(build_app("resleak").source)
+        main(["scan", str(source), "--json"])
+        json_path = tmp_path / "a.json"
+        json_path.write_text(capsys.readouterr().out)
+        code = main(["diff", str(json_path), str(source)])
+        out = capsys.readouterr().out
+        assert "0 new, 0 fixed, 1 unchanged" in out
+        assert code == 0
+
     def test_diff_json_output(self, leaky_and_clean, capsys):
         leaky, clean = leaky_and_clean
         main(["diff", leaky, clean, "--json", "--canonical"])
