@@ -10,6 +10,7 @@ statement boundary, unbalanced blocks, or an unknown container version.
 
 from repro.bytecode import opcodes as op
 from repro.bytecode.assemble import CONTAINER_VERSION
+from repro.bytecode.verify import check_container
 from repro.errors import IRError
 from repro.ir.program import ClassDecl, Method, Program
 from repro.ir.stmts import (
@@ -27,6 +28,7 @@ from repro.ir.stmts import (
     StoreStmt,
 )
 from repro.ir.types import OBJECT_CLASS, RefType
+from repro.ir.validate import check
 
 
 class _Value:
@@ -241,8 +243,16 @@ def load_program(container):
 
 
 def load(path):
-    """Read a ``.jbc`` container file back into a program."""
+    """Read a ``.jbc`` container file back into a validated program.
+
+    The container is verified before it is loaded, and the program it
+    loads to is validated as ``parse_program`` validates source, so a
+    malformed file raises :class:`IRError` instead of reaching an
+    analysis.
+    """
     import json
 
     with open(path) as handle:
-        return load_program(json.load(handle))
+        container = json.load(handle)
+    check_container(container)
+    return check(load_program(container))

@@ -10,7 +10,7 @@ The verifier mirrors what a managed runtime checks before execution:
   every statement boundary (three-address property), and block brackets
   occur only on an empty stack;
 * referenced classes exist within the container (or are the implicit
-  root).
+  root), and no ``extends`` chain runs in a cycle.
 
 ``verify_container`` returns a list of human-readable issues;
 ``check_container`` raises :class:`repro.errors.IRError` when any exist.
@@ -21,6 +21,7 @@ covered by round-trip and property tests.
 from repro.bytecode import opcodes as op
 from repro.bytecode.assemble import CONTAINER_VERSION
 from repro.errors import IRError
+from repro.ir.validate import cycle_issue, extends_cycles
 
 #: stack effect (pop, push) per opcode; invokes computed dynamically
 _EFFECTS = {
@@ -121,21 +122,21 @@ def verify_container(container):
         return issues
     classes = container.get("classes", ())
     known = {c.get("name") for c in classes} | {"Object"}
-    seen_names = set()
+    superclass_of = {}
     for cls_data in classes:
         name = cls_data.get("name")
         if not name:
             issues.append("class without a name")
             continue
-        if name in seen_names:
+        if name in superclass_of:
             issues.append("duplicate class %s" % name)
-        seen_names.add(name)
-        superclass = cls_data.get("super")
+        superclass = superclass_of[name] = cls_data.get("super")
         if superclass and superclass not in known:
             issues.append("class %s extends unknown %s" % (name, superclass))
         for m in cls_data.get("methods", ()):
             where = "%s.%s" % (name, m.get("name", "?"))
             _verify_code(m.get("code", ()), where, known, issues)
+    issues.extend(cycle_issue(cycle) for cycle in extends_cycles(superclass_of))
     entry = container.get("entry")
     if entry:
         sigs = {

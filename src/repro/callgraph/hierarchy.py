@@ -2,16 +2,21 @@
 
 
 class ClassHierarchy:
-    """Precomputed subclass/superclass relations of a program."""
+    """Precomputed subclass/superclass relations of a program, and its
+    methods indexed by name."""
 
     def __init__(self, program):
         self.program = program
         self._subclasses = {name: set() for name in program.classes}
-        for name in program.classes:
+        #: method name -> declarations of that name, in class order
+        self._by_name = {}
+        for name, decl in program.classes.items():
             cur = name
             while cur is not None:
                 self._subclasses[cur].add(name)
                 cur = program.cls(cur).superclass
+            for method_name, method in decl.methods.items():
+                self._by_name.setdefault(method_name, []).append(method)
 
     def subclasses_of(self, name):
         """All classes equal to or transitively extending ``name``."""
@@ -37,8 +42,4 @@ class ClassHierarchy:
         """Every method named ``method_name`` anywhere in the hierarchy —
         the dispatch approximation used when the receiver type is unknown
         (our variables are untyped, as in the while language)."""
-        return [
-            decl.methods[method_name]
-            for decl in self.program.classes.values()
-            if method_name in decl.methods
-        ]
+        return list(self._by_name.get(method_name, ()))

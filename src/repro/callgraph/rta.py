@@ -4,10 +4,42 @@ RTA refines CHA by only dispatching virtual calls to methods of classes
 that are instantiated somewhere in code already found reachable.  It runs
 as a fixed point: discovering a new reachable method can discover new
 instantiated classes, which can resolve more call sites.
+
+Two indexes keyed by method name make each edge cost amortised constant
+time:
+
+* the virtual invokes reached so far, in arrival order;
+* the targets that instantiated classes dispatch the name to, each keyed
+  to the least class name that reaches it.
+
+A class instantiated for the first time walks its ``extends`` chain once.
+Every (name, target) pair it adds is new to every pending invoke of that
+name.  A virtual invoke reached for the first time takes its name's known
+targets.  Edges come out in the order of the plain fixed point, which
+re-dispatches every pending invoke against the sorted instantiated
+classes on each instantiation: an instantiation adds one edge per
+pending invoke, in arrival order, and a new invoke takes its targets
+ordered by the least class name that reaches them.
 """
+
+import heapq
+import itertools
 
 from repro.callgraph.cha import CallEdge, CallGraph
 from repro.ir.stmts import InvokeStmt, NewStmt
+
+
+def _dispatch_table(program, class_name):
+    """``{method name: method}`` that a receiver of class ``class_name``
+    dispatches to, from one iterative walk up its ``extends`` chain."""
+    table = {}
+    cur = class_name
+    while cur is not None:
+        decl = program.cls(cur)
+        for name, method in decl.methods.items():
+            table.setdefault(name, method)
+        cur = decl.superclass
+    return table
 
 
 def build_rta(program, entries=None):
@@ -17,9 +49,12 @@ def build_rta(program, entries=None):
 
     instantiated = set()
     reachable = {}
-    #: virtual invokes waiting for a class that defines/inherits the method
-    pending = []
     work = []
+    arrival = itertools.count()
+    #: method name -> [(arrival, caller, invoke)] of reached virtual invokes
+    pending = {}
+    #: method name -> {target method: least instantiated class reaching it}
+    targets = {}
 
     def reach(method):
         if method.sig in reachable:
@@ -27,32 +62,26 @@ def build_rta(program, entries=None):
         reachable[method.sig] = method
         work.append(method)
 
-    def inherited_lookup(class_name, method_name):
-        cur = class_name
-        while cur is not None:
-            decl = program.cls(cur)
-            if method_name in decl.methods:
-                return decl.methods[method_name]
-            cur = decl.superclass
-        return None
+    def add_edge(caller, invoke, callee):
+        graph.add_edge(CallEdge(caller, invoke, callee))
+        reach(callee)
 
-    def resolve_virtual(caller, invoke):
-        """Dispatch ``invoke`` against the currently instantiated classes."""
-        added = False
-        for class_name in sorted(instantiated):
-            target = inherited_lookup(class_name, invoke.method_name)
-            if target is None:
-                continue
-            key = (invoke.uid, target.sig)
-            if key in resolved_pairs:
-                continue
-            resolved_pairs.add(key)
-            graph.add_edge(CallEdge(caller, invoke, target))
-            reach(target)
-            added = True
-        return added
+    def instantiate(class_name):
+        fresh = {}
+        for name, target in _dispatch_table(program, class_name).items():
+            known = targets.setdefault(name, {})
+            least = known.get(target)
+            if least is None:
+                known[target] = class_name
+                fresh[name] = target
+            elif class_name < least:
+                known[target] = class_name
+        # Each fresh pair is one new edge for every pending invoke of its
+        # name; the merge restores their joint arrival order.
+        streams = [pending[name] for name in fresh if name in pending]
+        for _, caller, invoke in heapq.merge(*streams):
+            add_edge(caller, invoke, fresh[invoke.method_name])
 
-    resolved_pairs = set()
     for sig in entry_sigs:
         reach(program.method(sig))
 
@@ -63,20 +92,19 @@ def build_rta(program, entries=None):
                 name = stmt.type.class_name
                 if not stmt.type.is_array and name not in instantiated:
                     instantiated.add(name)
-                    # New class may resolve earlier pending virtual calls.
-                    for caller, invoke in list(pending):
-                        resolve_virtual(caller, invoke)
+                    instantiate(name)
             elif isinstance(stmt, InvokeStmt):
                 if stmt.is_static:
                     callee = program.method(
                         "%s.%s" % (stmt.static_class, stmt.method_name)
                     )
-                    key = (stmt.uid, callee.sig)
-                    if key not in resolved_pairs:
-                        resolved_pairs.add(key)
-                        graph.add_edge(CallEdge(method, stmt, callee))
-                        reach(callee)
+                    add_edge(method, stmt, callee)
                 else:
-                    pending.append((method, stmt))
-                    resolve_virtual(method, stmt)
+                    name = stmt.method_name
+                    pending.setdefault(name, []).append(
+                        (next(arrival), method, stmt)
+                    )
+                    known = targets.get(name, {})
+                    for target in sorted(known, key=known.__getitem__):
+                        add_edge(method, stmt, target)
     return graph

@@ -195,6 +195,12 @@ def _method_issues(program, method):
 def _arity_issues(program):
     """Check call arity against every possible dispatch target (CHA-style)."""
     issues = []
+    #: method name -> declarations of that name, in class order (the
+    #: index ``ClassHierarchy.all_targets`` reads)
+    by_name = {}
+    for decl in program.classes.values():
+        for name, method in decl.methods.items():
+            by_name.setdefault(name, []).append(method)
     for method in program.all_methods():
         for stmt in method.statements():
             if not isinstance(stmt, InvokeStmt):
@@ -208,11 +214,7 @@ def _arity_issues(program):
                     continue  # reported by _method_issues
                 targets = [callee]
             else:
-                targets = [
-                    decl.methods[stmt.method_name]
-                    for decl in program.classes.values()
-                    if stmt.method_name in decl.methods
-                ]
+                targets = by_name.get(stmt.method_name, ())
                 if not targets:
                     issues.append(
                         "%s: virtual call to %s with no target anywhere"
@@ -242,6 +244,36 @@ def _loop_label_issues(program):
     return issues
 
 
+def extends_cycles(superclass_of):
+    """Every ``extends`` cycle in ``{class name: superclass name}``.
+
+    Each cycle is the list of its classes in ``extends`` order, starting
+    at its least name.  A superclass missing from the map (``None``, or
+    an unknown class) ends a chain.  One iterative walk per class that
+    stops at the first class an earlier walk visited: linear time, and
+    no recursion however deep the hierarchy.
+    """
+    cycles = []
+    walk_of = {}
+    for walk, start in enumerate(superclass_of):
+        path = []
+        cur = start
+        while cur in superclass_of and cur not in walk_of:
+            walk_of[cur] = walk
+            path.append(cur)
+            cur = superclass_of[cur]
+        if walk_of.get(cur) == walk:
+            cycle = path[path.index(cur):]
+            least = cycle.index(min(cycle))
+            cycles.append(cycle[least:] + cycle[:least])
+    return cycles
+
+
+def cycle_issue(cycle):
+    """The issue text naming the classes of one ``extends`` cycle."""
+    return "extends cycle: %s" % " extends ".join(cycle + cycle[:1])
+
+
 def validate_program(program):
     """Return a list of issues found in ``program`` (empty when valid)."""
     issues = []
@@ -250,6 +282,10 @@ def validate_program(program):
             issues.append(
                 "class %s extends unknown class %s" % (decl.name, decl.superclass)
             )
+    superclass_of = {
+        name: decl.superclass for name, decl in program.classes.items()
+    }
+    issues.extend(cycle_issue(cycle) for cycle in extends_cycles(superclass_of))
     for method in program.all_methods():
         issues.extend(_method_issues(program, method))
         for stmt in walk(method.body):

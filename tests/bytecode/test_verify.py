@@ -94,6 +94,14 @@ class TestVerifier:
         issues = verify_container(container)
         assert any("extends unknown" in i for i in issues)
 
+    def test_extends_cycle(self):
+        container = _container([["return"]])
+        container["classes"][0]["super"] = "B"
+        container["classes"].append(
+            {"name": "B", "super": "A", "library": False, "fields": [], "methods": []}
+        )
+        assert verify_container(container) == ["extends cycle: A extends B extends A"]
+
     def test_missing_entry(self):
         container = _container([["return"]])
         container["entry"] = "A.ghost"
@@ -118,6 +126,44 @@ class TestVerifierProperties:
 
         program = parse_program(source)
         assert verify_container(assemble_program(program)) == []
+
+
+class TestLoadFile:
+    """``load(path)`` verifies the container, then validates the program
+    it loads to, as ``parse_program`` validates source."""
+
+    def _write(self, tmp_path, container):
+        import json
+
+        path = tmp_path / "prog.jbc"
+        path.write_text(json.dumps(container))
+        return str(path)
+
+    def test_rejects_what_the_verifier_rejects(self, tmp_path):
+        from repro.bytecode import load
+
+        container = _container([["return"]])
+        container["classes"][0]["super"] = "Ghost"
+        with pytest.raises(IRError, match="extends unknown Ghost"):
+            load(self._write(tmp_path, container))
+
+    def test_rejects_extends_cycle(self, tmp_path):
+        from repro.bytecode import load
+
+        container = _container([["return"]])
+        container["classes"][0]["super"] = "A"
+        with pytest.raises(IRError, match="extends cycle: A extends A"):
+            load(self._write(tmp_path, container))
+
+    def test_validates_the_loaded_program(self, tmp_path):
+        """The verifier checks stack discipline, not def/use: the
+        program-level validation catches a read of an unassigned local."""
+        from repro.bytecode import load
+
+        container = _container([["load", "ghost"], ["store", "x"], ["return"]])
+        assert verify_container(container) == []
+        with pytest.raises(IRError, match="'ghost' used but never defined"):
+            load(self._write(tmp_path, container))
 
 
 class TestLoaderRejection:

@@ -49,3 +49,19 @@ class TestHierarchy:
 
     def test_all_targets_missing(self):
         assert _hierarchy().all_targets("ghost") == []
+
+    def test_all_targets_keep_class_order_on_the_corpus(self):
+        """The name index answers what a scan of every class in
+        ``program.classes`` order answers, so CHA edge lists and arity
+        issues keep their order."""
+        from repro.bench.apps import build_app, corpus_names
+
+        for app_name in corpus_names():
+            program = build_app(app_name).program
+            h = ClassHierarchy(program)
+            for name in sorted({m.name for m in program.all_methods()}):
+                assert h.all_targets(name) == [
+                    decl.methods[name]
+                    for decl in program.classes.values()
+                    if name in decl.methods
+                ], (app_name, name)

@@ -88,6 +88,64 @@ class TestValidation:
         )
         assert any("entry method" in i for i in issues)
 
+    def test_arity_issues_follow_class_order(self):
+        issues = _issues(
+            "class B { method f(a) { return; } }"
+            "class A { method f(a, b) { return; } method m(p) { call p.f(); } }"
+        )
+        assert issues == [
+            "A.m: call to B.f passes 0 args, expected 1",
+            "A.m: call to A.f passes 0 args, expected 2",
+        ]
+
+
+def _chain(depth):
+    """``K0 <- K1 <- ... <- K<depth-1>``."""
+    return "class K0 { } " + " ".join(
+        "class K%d extends K%d { }" % (i, i - 1) for i in range(1, depth)
+    )
+
+
+class TestExtendsCycles:
+    """A cyclic ``extends`` chain is malformed input: every later walk up
+    the hierarchy (dispatch, subclass queries) would never end."""
+
+    def test_two_class_cycle_names_its_classes(self):
+        issues = _issues("class A extends B { } class B extends A { }")
+        assert issues == ["extends cycle: A extends B extends A"]
+
+    def test_self_extension(self):
+        assert _issues("class A extends A { }") == ["extends cycle: A extends A"]
+
+    def test_every_cycle_reported_once(self):
+        issues = _issues(
+            "class D extends C { } class C extends E { } class E extends C { }"
+            "class Q extends P { } class P extends Q { } class Z extends D { }"
+        )
+        assert issues == [
+            "extends cycle: C extends E extends C",
+            "extends cycle: P extends Q extends P",
+        ]
+
+    def test_deep_chain_without_cycle_is_clean(self):
+        assert _issues(_chain(3000)) == []
+
+    def test_cycle_closing_a_deep_chain(self):
+        source = _chain(3000).replace("class K0 { }", "class K0 extends K2999 { }")
+        (issue,) = _issues(source)
+        assert issue.startswith("extends cycle: K0 extends K2999 extends K2998")
+        assert issue.endswith("K1 extends K0")
+
+    def test_parse_program_rejects_cycle(self):
+        from repro.lang import parse_program
+
+        with pytest.raises(IRError, match="extends cycle: A extends B extends A"):
+            parse_program(
+                "entry Main.main;\n"
+                "class Main { static method main() { a = new A @s; } }\n"
+                "class A extends B { } class B extends A { }"
+            )
+
 
 class TestDefiniteAssignment:
     def test_one_arm_definition_flagged_after_join(self):

@@ -15,6 +15,10 @@ Thread`` class whose ``run`` allocates and publishes through ``this``;
 the concrete interpreter runs ``start()`` bodies inline), and
 ``allow_nested_loops`` nests additional labelled loops inside the
 ``L`` body, so scans see more than one candidate region per program.
+
+:func:`dispatch_programs` has another shape: a random class hierarchy
+whose methods call each other virtually and statically, for
+differential-testing call-graph construction.
 """
 
 from hypothesis import strategies as st
@@ -317,3 +321,87 @@ class Main {
 }
 """ % "\n      ".join(body)
     return source, shapes
+
+
+#: Virtual method names of :func:`dispatch_programs`; ``m<i>`` takes
+#: ``i % 2`` parameters, whichever class declares it.
+DISPATCH_NAMES = ("m0", "m1", "m2", "m3")
+
+#: Static helpers of ``Main`` in :func:`dispatch_programs`.
+DISPATCH_STATICS = ("s0", "s1")
+
+
+@st.composite
+def dispatch_programs(draw, max_classes=9, max_body_stmts=4):
+    """Source of a random program with varied virtual dispatch.
+
+    Up to ``max_classes`` classes, each optionally extending an earlier
+    one, override random subsets of up to four method names; one class
+    declares them all, so every virtual call has a target.  Class names
+    are a random permutation, so declaration order, ``extends`` order
+    and name order disagree.  Every body first assigns its receiver
+    ``r`` a new object, then mixes allocations (which instantiate
+    classes), virtual calls on ``r`` or ``this``, and static calls to
+    ``Main``'s helpers, so call-graph construction meets invokes before
+    and after the classes they dispatch to.
+    """
+    count = draw(st.integers(min_value=1, max_value=max_classes))
+    names = draw(st.permutations(["K%d" % i for i in range(max_classes)]))
+    classes = names[:count]
+    methods = DISPATCH_NAMES[: draw(st.integers(1, len(DISPATCH_NAMES)))]
+    full = draw(st.integers(0, count - 1))
+    counter = [0]
+
+    def fresh(prefix):
+        counter[0] += 1
+        return "%s%d" % (prefix, counter[0])
+
+    def call(receiver, name):
+        args = "r" if DISPATCH_NAMES.index(name) % 2 else ""
+        return "call %s.%s(%s) @%s;" % (receiver, name, args, fresh("c"))
+
+    def body(instance):
+        stmts = ["r = new %s @%s;" % (draw(st.sampled_from(classes)), fresh("s"))]
+        kinds = ["new", "virtual", "static"] + (["this"] if instance else [])
+        for _ in range(draw(st.integers(0, max_body_stmts))):
+            kind = draw(st.sampled_from(kinds))
+            if kind == "new":
+                target = draw(st.sampled_from(["r", "o"]))
+                cls = draw(st.sampled_from(classes))
+                stmts.append("%s = new %s @%s;" % (target, cls, fresh("s")))
+            elif kind == "static":
+                helper = draw(st.sampled_from(DISPATCH_STATICS))
+                stmts.append("call Main.%s() @%s;" % (helper, fresh("c")))
+            else:
+                receiver = "r" if kind == "virtual" else "this"
+                stmts.append(call(receiver, draw(st.sampled_from(methods))))
+        return " ".join(stmts)
+
+    def method(name, instance=True):
+        params = "p" if instance and DISPATCH_NAMES.index(name) % 2 else ""
+        head = "method" if instance else "static method"
+        return "%s %s(%s) { %s }" % (head, name, params, body(instance))
+
+    decls = []
+    for index, name in enumerate(classes):
+        parent = None
+        if index and draw(st.booleans()):
+            parent = draw(st.sampled_from(classes[:index]))
+        declared = methods if index == full else draw(
+            st.lists(st.sampled_from(methods), unique=True)
+        )
+        decls.append(
+            "class %s%s { %s }"
+            % (
+                name,
+                " extends %s" % parent if parent else "",
+                " ".join(method(m) for m in declared),
+            )
+        )
+    statics = " ".join(
+        method(name, instance=False) for name in ("main",) + DISPATCH_STATICS
+    )
+    return "entry Main.main;\nclass Main { %s }\n%s\n" % (
+        statics,
+        "\n".join(decls),
+    )

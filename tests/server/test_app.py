@@ -419,6 +419,29 @@ class TestErrors:
         assert "nested more than %d" % MAX_NESTING in body["error"]["message"]
         assert server_errors == 0
 
+    def test_inheritance_cycle_is_422_promptly(self):
+        """A cyclic ``extends`` chain fails validation; before that check
+        the call-graph build spun forever and the request never answered."""
+        cyclic = _LEAK.replace("class Cache {", "class Cache extends Item {")
+        cyclic = cyclic.replace("class Item { }", "class Item extends Cache { }")
+        with _serving() as server:
+            request = urllib.request.Request(
+                _url(server, "/analyze"),
+                data=json.dumps({"program": cyclic}).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            code, _headers, body = _error(
+                lambda: urllib.request.urlopen(request, timeout=10)
+            )
+            _, health = _get(server, "/healthz")
+        assert code == 422
+        assert body["error"]["code"] == "analysis_error"
+        assert "extends cycle: Cache extends Item extends Cache" in (
+            body["error"]["message"]
+        )
+        assert json.loads(health)["data"]["inflight"] == 0
+
     def test_unknown_region_is_422(self):
         with _serving() as server:
             code, _headers, body = _error(

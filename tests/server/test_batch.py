@@ -288,6 +288,36 @@ class TestBatchPartialFailure:
         assert summary["ok"] is False
         assert summary["errors"] == 1
 
+    def test_inheritance_cycle_costs_one_error_record(self):
+        """A cyclic ``extends`` chain is one ``analysis_error`` record,
+        answered well inside the client's timeout; the next program of
+        the batch is still checked."""
+        cyclic = LEAK.replace("class Cache {", "class Cache extends Item {")
+        cyclic = cyclic.replace("class Item { }", "class Item extends Cache { }")
+        with _serving() as server:
+            records = _stream(
+                server,
+                {
+                    "programs": [
+                        {"id": "cyclic", "program": cyclic},
+                        {"id": "good", "program": LEAK},
+                    ]
+                },
+                timeout=10,
+            )
+        summary = _check_stream_shape(records)
+        (error,) = [r for r in records if r["record"] == "error"]
+        assert error["program_id"] == "cyclic"
+        assert error["error"]["code"] == "analysis_error"
+        assert "extends cycle: Cache extends Item extends Cache" in (
+            error["error"]["message"]
+        )
+        (region,) = [r for r in records if r["record"] == "region"]
+        assert region["program_id"] == "good"
+        assert region["leaking_sites"] == ["item"]
+        assert summary["errors"] == 1
+        assert summary["programs"] == 2
+
     def test_unknown_region_is_an_error_record(self):
         with _serving() as server:
             records = _stream(

@@ -858,3 +858,64 @@ class TestPivotCycleCLI:
         report = json.loads(capsys.readouterr().out)
         assert code == 1
         assert sorted(f["site"] for f in report["findings"]) == ["a", "b"]
+
+
+class TestInheritanceCycleCLI:
+    """A cyclic ``extends`` chain is a malformed program: exit 2 with the
+    cycle named, in source and in bytecode form.  Each command runs in a
+    subprocess under a timeout, so a regression to an endless dispatch
+    walk fails the test instead of hanging the suite."""
+
+    _SOURCE = """
+    entry Main.main;
+    class Main { static method main() {
+      a = new A @sa;
+      call a.m() @c1;
+      loop L (*) { x = new A @sx; }
+    } }
+    class A extends B { }
+    class B extends A { method m() { return; } }
+    """
+
+    def _run(self, *argv):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+
+    @pytest.fixture
+    def source_file(self, tmp_path):
+        path = tmp_path / "cycle.wl"
+        path.write_text(self._SOURCE)
+        return str(path)
+
+    @pytest.fixture
+    def bytecode_file(self, tmp_path):
+        from repro.bytecode import dump
+        from repro.lang import parse_program
+
+        path = str(tmp_path / "cycle.jbc")
+        dump(parse_program(self._SOURCE, validate=False), path)
+        return path
+
+    @pytest.mark.parametrize("form", ["source_file", "bytecode_file"])
+    def test_scan_exits_2(self, form, request):
+        proc = self._run("scan", request.getfixturevalue(form))
+        assert proc.returncode == 2
+        assert "extends cycle: A extends B extends A" in proc.stderr
+
+    def test_compile_refuses_the_cycle(self, source_file, tmp_path):
+        out = tmp_path / "cycle.jbc"
+        proc = self._run("compile", source_file, "-o", str(out))
+        assert proc.returncode == 2
+        assert not out.exists()
