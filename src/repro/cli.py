@@ -793,8 +793,8 @@ def build_parser():
         "--max-sessions",
         type=int,
         default=8,
-        help="distinct programs kept warm before LRU eviction, "
-        "those sharded over the fleet included",
+        help="distinct program texts kept warm before LRU eviction, "
+        "those run on the fleet included",
     )
     serve.add_argument(
         "--cache-dir",
@@ -806,15 +806,15 @@ def build_parser():
         "--workers",
         type=int,
         default=0,
-        help="fleet worker processes sharding POST /analyze-batch "
-        "region scans (0 serves batches in-process)",
+        help="fleet worker processes running the never-seen programs "
+        "of POST /analyze-batch (0 serves batches in-process)",
     )
     serve.add_argument(
         "--worker-hosts",
         default=None,
         help="comma-separated host:port list of 'repro worker' "
-        "processes to shard POST /analyze-batch over instead of local "
-        "workers; the fleet sizes itself to this list",
+        "processes to run POST /analyze-batch programs on instead of "
+        "local workers; the fleet sizes itself to this list",
     )
     serve.add_argument(
         "--max-body",
@@ -829,10 +829,10 @@ def build_parser():
     worker = sub.add_parser(
         "worker",
         help="run a fleet worker for 'serve --worker-hosts'",
-        description="One multi-host fleet worker: listens for shard "
+        description="One multi-host fleet worker: listens for program "
         "tasks over the versioned TCP wire protocol and executes them "
         "with the same code path as the local fleet, so results are "
-        "byte-identical wherever a shard runs.  Announces "
+        "byte-identical wherever a program runs.  Announces "
         "'worker listening on HOST:PORT' on stdout once bound "
         "(--port 0 picks an ephemeral port).",
     )

@@ -148,7 +148,7 @@ class AnalyzeClient:
         ``programs`` is a list of entry dicts (``{"id"?, "program",
         "region"?, "javalib"?}``); a bare source string is accepted and
         wrapped.  Yields each decoded record as the server streams it:
-        ``region`` and ``error`` records in completion order, then the
+        ``region`` and ``error`` records in entry order, then the
         terminal ``summary``.
         """
         entries = [

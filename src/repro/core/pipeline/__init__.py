@@ -7,10 +7,8 @@ Stage modules (one per stage, in execution order):
 ``postpasses`` (pivot)
 
 :mod:`~repro.core.pipeline.session` orchestrates them over memoized
-program-level artifacts; :mod:`~repro.core.pipeline.sharding` splits a
-region list into the shards the daemon's fleet fans out;
-:mod:`~repro.core.pipeline.stats` carries per-stage timings and work
-counters.
+program-level artifacts; :mod:`~repro.core.pipeline.stats` carries
+per-stage timings and work counters.
 """
 
 from repro.core.pipeline.artifacts import (

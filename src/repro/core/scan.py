@@ -12,10 +12,9 @@ AnalysisSession`, so program-level artifacts (call graph, points-to,
 per-method statement and store-edge indexes, library visibility) are
 built once and shared by every region; region inference reuses the same
 cached call graph, so it adds one CFG sweep on top of a warm session.
-A scan runs in the calling process; fanning regions out over worker
+A scan runs in the calling process; spreading programs over worker
 processes is the daemon's job (``POST /analyze-batch`` behind ``repro
-serve --workers N``), where a warm worker pool pays back its start-up
-cost.  With ``cache=`` (an :class:`~repro.core.cache.store.
+serve --workers N``).  With ``cache=`` (an :class:`~repro.core.cache.store.
 ArtifactCache`) the session hydrates its program-level artifacts from
 disk when a prior run left them there, and persists them after the
 scan — repeated scans of the same program skip the warm-up entirely.
@@ -26,7 +25,6 @@ gating in CI.
 """
 
 from repro.core.pipeline.session import AnalysisSession
-from repro.core.pipeline.sharding import check_spec_list
 from repro.core.pipeline.stats import PipelineStats, stats_from_report
 from repro.core.ranking import rank_loops
 from repro.core.regions import candidate_loops, region_text
@@ -216,7 +214,8 @@ def scan_all_loops(
         specs = candidate_loops(program)
     if limit is not None:
         specs = specs[:limit]
-    entries = check_spec_list(session, specs, deadline=deadline)
+    with session.points_to.deadline_scope(deadline):
+        entries = [(spec, session.check(spec)) for spec in specs]
     if session.cache is not None and not session.hydrated_from_cache:
         session.persist()
     return ScanResult(

@@ -14,24 +14,26 @@ Endpoints (see ``docs/api.md`` for the full wire reference and
 * ``POST /analyze`` — body ``{"program": <source>, "region": <spec |
   [spec, ...]>?, "deadline_ms": <int>?, "javalib": <bool>?}``.  Runs a
   scan through the :class:`~repro.server.pool.SessionPool`: the first
-  request for a program is a cold scan, repeats with the same digest
-  are answered from the pooled scan, or checked against the pooled
-  substrate, without rebuilding analysis state.
+  request for a text is a cold scan, and a repeat of the same text is
+  answered from the pooled scan without parsing, or checked against the
+  pooled substrate, without rebuilding analysis state.
 * ``POST /diff`` — body ``{"before": <source>, "after": <source>,
   "deadline_ms"?, "javalib"?}``; the finding-level
   :class:`~repro.core.incremental.diffing.LeakDelta` of two programs.
 * ``POST /analyze-batch`` — body ``{"programs": [{"id"?, "program",
   "region"?, "javalib"?}, ...], "deadline_ms"?, "include_reports"?}``.
-  Streams NDJSON: one ``region`` record per checked region *as the
-  fleet finishes it*, ``error`` records for programs or regions that
-  failed (the stream continues past them), and a terminal ``summary``
-  record.  With ``serve --workers N`` the regions are sharded across
-  the worker fleet (:mod:`~repro.server.coordinator`); without, they
-  run through the session pool in-process.
+  Streams NDJSON in entry order: one ``region`` record per checked
+  region, ``error`` records for programs or regions that failed (the
+  stream continues past them), and a terminal ``summary`` record.
+  Entries the session pool has seen run through it in-process; with
+  ``serve --workers N`` every other entry is one program task on the
+  worker fleet (:mod:`~repro.server.coordinator`), all of them
+  submitted before the first record, so ``serve`` and ``serve
+  --workers N`` stream the same records.
 * ``GET /healthz`` — liveness plus admission/pool occupancy.
 * ``GET /metrics`` — cumulative counters, latency quantiles (analyze,
-  diff, batch, per-shard), pool gauges, and — when the fleet is on —
-  per-worker utilization, adoption mix, and queue depth.  JSON by
+  diff, batch, per-task), pool gauges, and — when the fleet is on —
+  per-worker utilization and queue depth.  JSON by
   default, Prometheus text with ``?format=prometheus``.
 
 Every JSON response is the wire-version-1 envelope of
@@ -61,17 +63,13 @@ from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
 from urllib.parse import parse_qs, urlparse
 
-from repro.core.cache.digest import program_digest
 from repro.core.incremental.diffing import diff_analyses
-from repro.core.regions import region_text, resolve_region
+from repro.core.regions import region_text
 from repro.errors import ReproError
-from repro.javalib import JAVALIB_SOURCE
-from repro.lang import parse_program
-from repro.pta.queries import Deadline
 from repro.server import schema
 from repro.server.limits import AdmissionControl, QueueFull
 from repro.server.metrics import ServerMetrics
-from repro.server.pool import SessionPool
+from repro.server.pool import SessionPool, text_key
 
 #: Largest request body accepted (bytes); beyond it the server answers
 #: ``413`` without reading the payload into memory.
@@ -161,10 +159,7 @@ class AnalysisServer:
             from repro.server.coordinator import Coordinator
 
             self.coordinator = Coordinator(
-                workers,
-                pool=self.pool,
-                worker_hosts=worker_hosts,
-                metrics=self.metrics,
+                workers, worker_hosts=worker_hosts, metrics=self.metrics
             )
             # Local workers were forked above and remote ones are dialed
             # here, all before binding.  A worker re-forked later,
@@ -410,21 +405,19 @@ class AnalysisServer:
     def _analyze_endpoint(self, payload):
         if payload is None:
             raise BadRequest("request body required")
-        program = _parse_program(payload)
-        specs = _parse_regions(program, payload.get("region"))
+        source, javalib = _program_source(payload)
+        regions = _region_texts(payload.get("region"))
         deadline_ms = self.effective_deadline_ms(
             _optional_int(payload, "deadline_ms")
         )
-        deadline = Deadline.after_ms(deadline_ms)
         with self.admission.slot():
             result, info = self.pool.analyze(
-                program, specs=specs, deadline=deadline
+                source, javalib, regions, deadline_ms
             )
-        degraded = bool(deadline is not None and deadline.was_exceeded)
-        self._record_analysis(result, info, degraded)
+        self._record_analysis(result, info)
         data = {
             "warm": info["warm"],
-            "degraded": degraded,
+            "degraded": info["degraded"],
             "program_digest": info["program_digest"],
             "scan": result.as_dict(),
         }
@@ -433,23 +426,23 @@ class AnalysisServer:
     def _diff_endpoint(self, payload):
         if payload is None:
             raise BadRequest("request body required")
-        before = _parse_program(payload, key="before")
-        after = _parse_program(payload, key="after")
+        before, javalib = _program_source(payload, key="before")
+        after, _ = _program_source(payload, key="after")
         deadline_ms = self.effective_deadline_ms(
             _optional_int(payload, "deadline_ms")
         )
         with self.admission.slot():
             before_result, before_info = self.pool.analyze(
-                before, deadline=Deadline.after_ms(deadline_ms)
+                before, javalib, deadline_ms=deadline_ms
             )
             after_result, after_info = self.pool.analyze(
-                after, deadline=Deadline.after_ms(deadline_ms)
+                after, javalib, deadline_ms=deadline_ms
             )
         for result, info in (
             (before_result, before_info),
             (after_result, after_info),
         ):
-            self._record_analysis(result, info, False)
+            self._record_analysis(result, info)
         delta = diff_analyses(before_result, after_result)
         data = {
             "diff": delta.as_dict(),
@@ -586,8 +579,8 @@ class AnalysisServer:
         emit("end")
 
     def _stream_batch_records(self, entries, deadline_ms, include_reports, emit):
-        """Analyze every batch entry, emitting records; returns the
-        terminal summary (already emitted)."""
+        """Analyze every batch entry, emitting records in entry order;
+        returns the terminal summary (already emitted)."""
         started = time.perf_counter()
         totals = {"regions": 0, "errors": 0, "findings": 0}
 
@@ -597,35 +590,19 @@ class AnalysisServer:
                                else "batch_record_errors")
             if record["record"] == "error":
                 totals["errors"] += 1
+            else:
+                totals["regions"] += 1
+                totals["findings"] += record["findings"]
 
         self.metrics.count("batch_programs", len(entries))
-        for position, entry in enumerate(entries):
+        requests = [_batch_request(entry) for entry in entries]
+        tasks = self._submit_unseen(requests, deadline_ms)
+        for position, (entry, request) in enumerate(zip(entries, requests)):
             program_id = entry.get("id") or ("program-%d" % position)
-            try:
-                program = _parse_program(entry)
-                specs = _parse_regions(program, entry.get("region"))
-            except (BadRequest, ReproError) as exc:
-                status = 400 if isinstance(exc, BadRequest) else 422
-                send(
-                    {
-                        "record": "error",
-                        "program_id": program_id,
-                        "region": None,
-                        "error": {
-                            "code": schema.ERROR_CODES[status],
-                            "message": str(exc),
-                            "context": {},
-                        },
-                    }
-                )
-                continue
-            digest = program_digest(program)
-            for record in self._batch_program_records(
-                program_id, program, digest, specs, deadline_ms, include_reports
+            for record in self._entry_records(
+                request, tasks.get(position), deadline_ms, include_reports
             ):
-                if record["record"] == "region":
-                    totals["regions"] += 1
-                    totals["findings"] += record["findings"]
+                record["program_id"] = program_id
                 send(record)
         summary = {
             "record": "summary",
@@ -639,84 +616,90 @@ class AnalysisServer:
         emit("record", schema.validate_record(summary))
         return summary
 
-    def _batch_program_records(
-        self, program_id, program, digest, specs, deadline_ms, include_reports
-    ):
-        """Yield region/error records for one program, fleet-sharded
-        when a coordinator exists, session-pooled otherwise."""
+    def _submit_unseen(self, requests, deadline_ms):
+        """Submit every well-formed entry whose text the pool has never
+        seen to the fleet, at once; ``{position: future}``, empty
+        without a fleet."""
+        if self.coordinator is None:
+            return {}
+        return {
+            position: self.coordinator.submit(
+                *request, config=self.pool.config, deadline_ms=deadline_ms
+            )
+            for position, request in enumerate(requests)
+            if not isinstance(request, BadRequest)
+            and not self.pool.seen(text_key(*request[:2]))
+        }
 
-        def region_record(index, region, report, degraded):
-            record = {
-                "record": "region",
-                "program_id": program_id,
-                "program_digest": digest,
-                "region": region,
-                "index": index,
-                "leaking_sites": list(report.leaking_site_labels),
-                "findings": len(report.findings),
-                "degraded": degraded,
-            }
-            if include_reports:
-                record["report"] = report.as_dict()
-            return record
-
-        deadline = Deadline.after_ms(deadline_ms)
+    def _entry_records(self, request, task, deadline_ms, include_reports):
+        """Yield one entry's region/error records, without ``program_id``:
+        from its fleet task when it has one, else from the session
+        pool."""
+        if isinstance(request, BadRequest):
+            yield _error_record(None, "bad_request", str(request))
+            return
+        if task is not None:
+            yield from self._task_records(request, task, include_reports)
+            return
         try:
-            if self.coordinator is not None:
-                outcomes = self.coordinator.scan_iter(
-                    program,
-                    specs=specs,
-                    deadline_ms=deadline_ms,
-                    digest=digest,
-                )
-            else:
-                result, info = self.pool.analyze(
-                    program, specs=specs, deadline=deadline
-                )
+            result, info = self.pool.analyze(*request, deadline_ms)
         except ReproError as exc:
-            # The program cannot be analysed at all (warm-up failed):
-            # one record for it, and the batch goes on.
+            # The program cannot be analysed at all (it does not parse,
+            # a region does not resolve, or warm-up failed): one record
+            # for it, and the batch goes on.
             self.metrics.count("analysis_errors")
-            yield {
-                "record": "error",
-                "program_id": program_id,
-                "region": None,
-                "error": {
-                    "code": "analysis_error",
-                    "message": str(exc),
-                    "context": {},
-                },
-            }
+            yield _error_record(None, "analysis_error", str(exc))
             return
-        if self.coordinator is not None:
-            for outcome in outcomes:
-                if outcome.kind == "ok":
-                    yield region_record(
-                        outcome.index,
-                        outcome.region,
-                        outcome.report,
-                        outcome.degraded,
-                    )
-                else:
-                    yield {
-                        "record": "error",
-                        "program_id": program_id,
-                        "region": outcome.region,
-                        "error": {
-                            "code": "internal",
-                            "message": outcome.cause or "worker failure",
-                            "context": {"index": outcome.index},
-                        },
-                    }
-            return
-        degraded = bool(deadline is not None and deadline.was_exceeded)
-        self._record_analysis(result, info, degraded)
+        self._record_analysis(result, info)
         for index, (spec, report) in enumerate(result.entries):
-            yield region_record(index, region_text(spec), report, degraded)
+            yield _region_record(
+                info["program_digest"],
+                index,
+                region_text(spec),
+                report.leaking_site_labels,
+                info["degraded"],
+                report.as_dict() if include_reports else None,
+            )
+
+    def _task_records(self, request, task, include_reports):
+        """Yield the records of one program's fleet answer, and register
+        its text with the pool: a repeat, even of a program that failed,
+        is the pool's, never the fleet's again."""
+        try:
+            answer = task.result()
+        except Exception as exc:  # noqa: BLE001 - a lost task costs its program
+            yield _error_record(
+                None, "internal",
+                "worker failure: %s: %s" % (type(exc).__name__, exc),
+            )
+            return
+        self.pool.register(text_key(*request[:2]), answer.get("digest"))
+        if "error" in answer:
+            self.metrics.count("analysis_errors")
+            yield _error_record(
+                None, "analysis_error", answer["error"]["message"]
+            )
+            return
+        for index, outcome in enumerate(answer["outcomes"]):
+            if "error" in outcome:
+                yield _error_record(
+                    outcome["region"], "internal", outcome["error"],
+                    {"index": index},
+                )
+                continue
+            report = outcome["report"]
+            yield _region_record(
+                answer["digest"],
+                index,
+                outcome["region"],
+                [finding["site"] for finding in report["findings"]],
+                answer["degraded"],
+                report if include_reports else None,
+            )
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _record_analysis(self, result, info, degraded):
+    def _record_analysis(self, result, info):
         metrics = self.metrics
         metrics.count("warm_hits" if info["warm"] else "cold_misses")
         profile = result.aggregate_stats().counters
@@ -724,7 +707,7 @@ class AnalysisServer:
             {
                 "deadline_expiries": profile.get("deadline_expiries", 0),
                 "budget_exhaustions": profile.get("budget_exhaustions", 0),
-                "degraded_responses": int(degraded),
+                "degraded_responses": int(info["degraded"]),
             }
         )
 
@@ -798,16 +781,21 @@ def _decode_json(raw):
     return payload
 
 
-def _parse_program(payload, key="program"):
+def _program_source(payload, key="program"):
+    """A request's ``(source, javalib)``; :class:`BadRequest` unless the
+    source is a non-empty string and ``javalib`` a JSON boolean."""
     source = payload.get(key)
     if not isinstance(source, str) or not source.strip():
         raise BadRequest('"%s" must be a non-empty source string' % key)
-    if payload.get("javalib"):
-        source = JAVALIB_SOURCE + "\n" + source
-    return parse_program(source)  # ReproError -> 422
+    javalib = payload.get("javalib")
+    if javalib is None:
+        javalib = False
+    if not isinstance(javalib, bool):
+        raise BadRequest('"javalib" must be a boolean')
+    return source, javalib
 
 
-def _parse_regions(program, region):
+def _region_texts(region):
     if region is None:
         return None
     if isinstance(region, str):
@@ -818,7 +806,16 @@ def _parse_regions(program, region):
         raise BadRequest(
             '"region" must be a spec string or a list of spec strings'
         )
-    return [resolve_region(program, text) for text in region]
+    return region
+
+
+def _batch_request(entry):
+    """One batch entry as ``(source, javalib, regions)``, or the
+    :class:`BadRequest` that its record reports."""
+    try:
+        return _program_source(entry) + (_region_texts(entry.get("region")),)
+    except BadRequest as exc:
+        return exc
 
 
 def _optional_int(payload, key):
@@ -836,10 +833,37 @@ def _batch_entries(payload):
     entries = payload.get("programs")
     if not isinstance(entries, list) or not entries:
         raise BadRequest('"programs" must be a non-empty list of objects')
-    for entry in entries:
+    for position, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise BadRequest('"programs" must be a non-empty list of objects')
+        if entry.get("id") is not None and not isinstance(entry["id"], str):
+            raise BadRequest(
+                '"programs[%d].id" must be a string' % position
+            )
     return entries
+
+
+def _region_record(digest, index, region, sites, degraded, report):
+    record = {
+        "record": "region",
+        "program_digest": digest,
+        "region": region,
+        "index": index,
+        "leaking_sites": list(sites),
+        "findings": len(sites),
+        "degraded": degraded,
+    }
+    if report is not None:
+        record["report"] = report
+    return record
+
+
+def _error_record(region, code, message, context=None):
+    return {
+        "record": "error",
+        "region": region,
+        "error": {"code": code, "message": message, "context": context or {}},
+    }
 
 
 # -- construction ------------------------------------------------------------
@@ -863,9 +887,10 @@ def create_server(
 
     ``port=0`` binds an ephemeral port (tests); read the actual one
     from ``server.server_address[1]``.  ``workers=N`` attaches a fleet
-    coordinator with N forked local workers, the sharded engine behind
-    ``POST /analyze-batch``; ``workers=0`` (default) serves batches
-    through the in-process session pool.  ``worker_hosts`` names the
+    coordinator with N forked local workers, which run the programs of
+    ``POST /analyze-batch`` the session pool has not seen; ``workers=0``
+    (default) serves every batch entry through the in-process session
+    pool.  ``worker_hosts`` names the
     ``repro worker`` endpoints of a multi-host fleet: given any, the
     fleet is remote and sizes itself to that list.
     """

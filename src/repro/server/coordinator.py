@@ -1,110 +1,75 @@
-"""The fleet coordinator: shard region scans across a worker fleet.
+"""The fleet coordinator: run never-seen programs on a worker fleet.
 
-A :class:`Coordinator` is the one region fan-out path: the daemon keeps
-one behind ``POST /analyze-batch``, next to its
-:class:`~repro.server.pool.SessionPool`.  It turns "scan these regions
-of this program" into shard tasks on a
+A :class:`Coordinator` is the daemon's fan-out path: ``POST
+/analyze-batch`` keeps one when the daemon runs with ``serve --workers
+N`` or ``--worker-hosts``.  A batch entry whose text the session pool
+has never seen becomes one *program task* on a
 :class:`~repro.server.remote.RemoteTransport`, whose workers are forked
 locally (``workers=N``) or dialed on other hosts (``worker_hosts``):
 
-* **program hand-off** — the session pool fills the program's entry
-  once (:meth:`~repro.server.pool.SessionPool.handoff`): the pickled
-  program next to its substrate bytes.  Every shard task carries that
-  hand-off, so *any* worker can serve the digest warm, which is what
-  makes sharding free-form rather than program-pinned;
-* **fan-out / fan-in** — :meth:`scan_iter` plans contiguous shards
-  (:mod:`repro.core.pipeline.sharding`), submits them all, and yields
-  per-region outcomes *as workers finish* — the streaming source of
-  ``POST /analyze-batch``.  :meth:`scan_program` is the collecting
-  form: outcomes reassembled in original spec order into a
-  :class:`~repro.core.scan.ScanResult` whose canonical JSON is
-  byte-identical to a serial scan of the same specs (the fleet
-  benchmark pins this);
-* **fleet observability** — per-worker utilization, shard counts and
-  errors, adoption mix, queue depth; scraped into ``/metrics`` and
-  folded into the shard-latency quantiles when a
-  :class:`~repro.server.metrics.ServerMetrics` is attached.
+* **the program is the unit** — LeakChecker checks every region against
+  one whole-program substrate, so parse, call graph and points-to, the
+  costly layers, are what is worth spreading.  A task carries the
+  source text, and the worker runs the whole program (see
+  :mod:`repro.server.remote_worker`); the pool, not the fleet, answers
+  repeats;
+* **fan-out / fan-in** — :meth:`submit` queues one task and returns a
+  future of the worker's plain-data answer; a batch submits all of its
+  unseen entries before it waits for the first.  :meth:`scan_program`
+  is the collecting form;
+* **fleet observability** — per-worker utilization, task and region
+  counts and errors, queue depth; scraped into ``/metrics`` and folded
+  into the ``shard`` latency quantiles when a
+  :class:`~repro.server.metrics.ServerMetrics` is attached.  A *shard*
+  in those names is one program task.
 
-A worker that dies mid-shard costs a requeue onto a survivor (the
-transport re-forks a local one); a shard that exhausts its retry budget
-degrades to per-region ``error`` outcomes, and a worker that finds a
-region uncheckable reports *that region* failed and keeps going — the
-coordinator never turns one bad region into a dropped request.
+A worker that dies mid-task costs a requeue onto a survivor (the
+transport re-forks a local one); a task that exhausts its retry budget
+fails its future, and a worker that finds a region uncheckable reports
+*that region* failed and keeps going.
 """
 
-import pickle
 import threading
-from concurrent.futures import as_completed
+from concurrent.futures import Future
 
-from repro.core.pipeline.sharding import auto_shard_size, plan_shards
-from repro.core.regions import candidate_loops, region_text
-from repro.core.scan import ScanResult
+from repro.core.config import DetectorConfig
 from repro.core.workers import validate_workers
-from repro.errors import RegionCheckError
-from repro.server.pool import SessionPool
+from repro.errors import (
+    AnalysisError,
+    ParseError,
+    RegionCheckError,
+    ResolutionError,
+)
 from repro.server.remote import RemoteTransport
 
-
-class RegionOutcome:
-    """One region's fate, streamed as shards finish.
-
-    ``kind`` is ``"ok"`` (``report`` set) or ``"error"`` (``cause`` and
-    ``worker_traceback`` set); ``index`` is the region's position in
-    the request's spec list, ``region`` its spec text, ``worker`` the
-    pid that ran it, ``degraded`` whether the shard's deadline forced
-    the sound fallback.
-    """
-
-    __slots__ = (
-        "kind", "index", "region", "report", "cause",
-        "worker_traceback", "worker", "degraded",
-    )
-
-    def __init__(self, kind, index, region, report=None, cause=None,
-                 worker_traceback=None, worker=None, degraded=False):
-        self.kind = kind
-        self.index = index
-        self.region = region
-        self.report = report
-        self.cause = cause
-        self.worker_traceback = worker_traceback
-        self.worker = worker
-        self.degraded = degraded
+#: The exception a worker's typed program error raises in the caller.
+_PROGRAM_ERRORS = {"parse": ParseError, "resolve": ResolutionError}
 
 
 class Coordinator:
-    """Shard scans over a transport; thread-safe.
+    """Program tasks over a transport; thread-safe.
 
-    Programs' warm state lives in ``pool``, a
-    :class:`~repro.server.pool.SessionPool`: its config is the one the
-    workers check under, its artifact cache warms new programs.
-    Without one the coordinator keeps a private default pool and
-    closes it with itself.  The coordinator builds a transport that
-    forks ``workers`` local workers, or dials ``worker_hosts`` when
-    given any; ``transport`` passes a ready
-    :class:`~repro.server.remote.RemoteTransport` instead.
+    The coordinator builds a transport that forks ``workers`` local
+    workers, or dials ``worker_hosts`` when given any; ``transport``
+    passes a ready :class:`~repro.server.remote.RemoteTransport`
+    instead.
     """
 
     def __init__(
         self,
         workers=1,
         *,
-        pool=None,
         transport=None,
         worker_hosts=None,
-        shard_size=None,
         metrics=None,
     ):
         if worker_hosts:
             # Remote fleets are sized by their host list, not --workers.
             workers = len(worker_hosts)
         validate_workers(workers)
-        self._owns_pool = pool is None
-        self.pool = SessionPool() if pool is None else pool
         if transport is None:
             transport = RemoteTransport(worker_hosts, workers=workers)
         self.transport = transport
-        self.shard_size = shard_size
         self.metrics = metrics
         self._lock = threading.Lock()
         self._pending = 0
@@ -113,156 +78,111 @@ class Coordinator:
             "shard_errors": 0,
             "regions_total": 0,
             "region_errors": 0,
-            "adoption_failures": 0,
         }
-        self._adoptions = {"lru": 0, "wire": 0, "cold": 0}
         self._per_worker = {}
 
-    # -- fan-out / fan-in ----------------------------------------------------
+    def submit(self, source, javalib=False, regions=None, config=None,
+               deadline_ms=None):
+        """Queue ``source`` as one program task; returns a ``Future`` of
+        the worker's answer.
 
-    def scan_iter(self, program, specs=None, deadline_ms=None, digest=None):
-        """Fan a region scan out; return an iterator of
-        :class:`RegionOutcome` in the order workers finish
-        (shard-completion order, index order inside a shard).
-        ``specs=None`` scans every labelled loop, matching
-        :func:`~repro.core.scan.scan_all_loops`; ``digest`` spares a
-        second hash when the caller has one.
-
-        The hand-off happens before this returns, so a program that
-        cannot be analysed at all raises its
-        :class:`~repro.errors.ReproError` here, not mid-iteration."""
-        entry = self.pool.handoff(program, digest)
-        if specs is None:
-            specs = candidate_loops(program)
-        return self._outcomes(entry, list(specs), deadline_ms)
-
-    def _outcomes(self, entry, specs, deadline_ms):
-        if not specs:
-            return
-        size = self.shard_size or auto_shard_size(
-            len(specs), self.transport.workers
-        )
-        config_kwargs = self.pool.config.describe()
-        futures = {}
-        for start, shard_specs in plan_shards(specs, size):
-            task = {
-                "digest": entry.digest,
-                "program_blob": entry.program_blob,
-                "config_kwargs": config_kwargs,
-                "specs_blob": pickle.dumps(
-                    shard_specs, protocol=pickle.HIGHEST_PROTOCOL
-                ),
-                "indices": list(range(start, start + len(shard_specs))),
-                "substrate": entry.substrate,
-                "deadline_ms": deadline_ms,
-            }
-            futures[self.transport.submit(task)] = (start, shard_specs)
+        ``regions`` is ``None`` (every labelled loop) or a list of region
+        texts, checked under ``config`` (default
+        :class:`~repro.core.config.DetectorConfig`).  The answer is a
+        dict: the program ``digest``, ``degraded``, and ``outcomes`` —
+        per region in order, ``{"region", "report"}`` with the report's
+        ``as_dict()``, or ``{"region", "error", "traceback"}`` — or, for
+        a program that did not parse, resolve or analyse, ``error``:
+        ``{"kind", "message"}``.  A task whose retry budget ran out
+        fails the future with
+        :class:`~repro.server.remote.RemoteShardError`.
+        """
+        header = {
+            "type": "program",
+            "javalib": javalib,
+            "regions": regions,
+            "config": (config or DetectorConfig()).describe(),
+            "deadline_ms": deadline_ms,
+        }
+        answer = Future()
         with self._lock:
-            self._pending += len(futures)
-            self._counters["shards_total"] += len(futures)
-            self._counters["regions_total"] += len(specs)
-        try:
-            for future in as_completed(futures):
-                start, shard_specs = futures[future]
-                try:
-                    result = future.result()
-                except Exception as exc:  # noqa: BLE001 - worker crash
-                    with self._lock:
-                        self._counters["shard_errors"] += 1
-                        self._counters["region_errors"] += len(shard_specs)
-                    for offset, spec in enumerate(shard_specs):
-                        yield RegionOutcome(
-                            "error",
-                            start + offset,
-                            region_text(spec),
-                            cause="worker failure: %s: %s"
-                            % (type(exc).__name__, exc),
-                        )
-                    continue
-                self._record_shard(result)
-                for outcome in result["outcomes"]:
-                    if outcome[1] == "ok":
-                        index, _, report = outcome
-                        yield RegionOutcome(
-                            "ok",
-                            index,
-                            region_text(specs[index]),
-                            report=report,
-                            worker=result["pid"],
-                            degraded=result["degraded"],
-                        )
-                    else:
-                        index, _, region, cause, worker_tb = outcome
-                        with self._lock:
-                            self._counters["region_errors"] += 1
-                        yield RegionOutcome(
-                            "error",
-                            index,
-                            region,
-                            cause=cause,
-                            worker_traceback=worker_tb,
-                            worker=result["pid"],
-                            degraded=result["degraded"],
-                        )
-        finally:
-            with self._lock:
-                self._pending -= len(futures)
+            self._pending += 1
+            self._counters["shards_total"] += 1
+        task = self.transport.submit(
+            header, [source.encode("utf-8", "surrogatepass")]
+        )
+        task.add_done_callback(lambda done: self._finish(done, answer))
+        return answer
 
-    def scan_program(self, program, specs=None, deadline_ms=None):
-        """The collecting form: a :class:`ScanResult` with entries in
-        the request's spec order — canonically byte-identical to a
-        serial scan of the same specs.  A region error raises
-        :class:`~repro.errors.RegionCheckError` naming the region, with
+    def scan_program(self, source, regions=None, *, javalib=False,
+                     config=None, deadline_ms=None):
+        """The collecting form of :meth:`submit`: ``[(region text, report
+        dict), ...]`` in region order.  A program that does not parse,
+        resolve or analyse raises the matching
+        :class:`~repro.errors.ReproError`; a region whose check failed
+        raises :class:`~repro.errors.RegionCheckError` naming it, with
         the worker traceback.
         """
-        if specs is None:
-            specs = candidate_loops(program)
-        specs = list(specs)
-        reports = [None] * len(specs)
-        for outcome in self.scan_iter(
-            program, specs=specs, deadline_ms=deadline_ms
-        ):
-            if outcome.kind == "error":
-                cause = outcome.cause or "worker failure"
-                if outcome.worker_traceback:
-                    cause += (
-                        "\n--- worker traceback ---\n%s"
-                        % outcome.worker_traceback
-                    )
+        config = config or DetectorConfig()
+        answer = self.submit(
+            source, javalib, regions, config, deadline_ms
+        ).result()
+        if "error" in answer:
+            error = answer["error"]
+            raise _PROGRAM_ERRORS.get(error.get("kind"), AnalysisError)(
+                error["message"]
+            )
+        reports = []
+        for outcome in answer["outcomes"]:
+            if "error" in outcome:
                 raise RegionCheckError(
-                    outcome.region,
-                    cause,
+                    outcome["region"],
+                    "%s\n--- worker traceback ---\n%s"
+                    % (outcome["error"], outcome.get("traceback")),
                     backend="fleet",
-                    substrate=self.pool.config.substrate_key(),
+                    substrate=config.substrate_key(),
                 )
-            reports[outcome.index] = outcome.report
-        return ScanResult(list(zip(specs, reports)))
+            reports.append((outcome["region"], outcome["report"]))
+        return reports
 
-    # -- observability -------------------------------------------------------
-
-    def _record_shard(self, result):
+    def _finish(self, task, answer):
+        """Fold a finished task into the fleet counters, then hand its
+        answer on, so a caller that has it sees the counters too.  A
+        reply that is not an answer of :meth:`submit`'s shape fails the
+        future like a lost task."""
+        error = task.exception()
+        reply = None if error is not None else task.result()
+        if error is None and not _well_formed(reply):
+            error = ValueError("worker %s sent a malformed answer"
+                               % reply.get("pid"))
         with self._lock:
-            self._adoptions[result["adoption"]] = (
-                self._adoptions.get(result["adoption"], 0) + 1
-            )
-            self._counters["adoption_failures"] += result.get(
-                "adoption_failures", 0
-            )
-            stats = self._per_worker.setdefault(
-                result["pid"], {"shards": 0, "busy_seconds": 0.0}
-            )
-            stats["shards"] += 1
-            stats["busy_seconds"] += result["busy_seconds"]
+            self._pending -= 1
+            if error is not None:
+                self._counters["shard_errors"] += 1
+            else:
+                outcomes = reply.get("outcomes", ())
+                self._counters["regions_total"] += len(outcomes)
+                self._counters["region_errors"] += sum(
+                    1 for outcome in outcomes if "error" in outcome
+                )
+                stats = self._per_worker.setdefault(
+                    str(reply.get("pid")), {"shards": 0, "busy_seconds": 0.0}
+                )
+                stats["shards"] += 1
+                stats["busy_seconds"] += reply["busy_seconds"]
+        if error is not None:
+            answer.set_exception(error)
+            return
         if self.metrics is not None:
-            self.metrics.observe_latency("shard", result["busy_seconds"])
+            self.metrics.observe_latency("shard", reply["busy_seconds"])
+        answer.set_result(reply)
 
     def fleet_stats(self):
         """A JSON-ready fleet snapshot for ``/metrics``."""
         with self._lock:
             counters = dict(self._counters)
-            adoptions = dict(self._adoptions)
             per_worker = {
-                str(pid): {
+                pid: {
                     "shards": stats["shards"],
                     "busy_seconds": round(stats["busy_seconds"], 6),
                 }
@@ -273,7 +193,6 @@ class Coordinator:
             "workers": self.transport.workers,
             "transport": self.transport.kind,
             "queue_depth": pending,
-            "adoptions": adoptions,
             "per_worker": per_worker,
         }
         snapshot.update(counters)
@@ -284,16 +203,45 @@ class Coordinator:
         return snapshot
 
     def close(self):
-        """Tear the fleet down: the transport first, which kills and
-        reaps its local workers, then a private pool (a shared pool's
-        owner closes it)."""
+        """Tear the fleet down: the transport kills and reaps its local
+        workers."""
         self.transport.close()
-        if self._owns_pool:
-            self.pool.close()
 
     def __repr__(self):
-        return "Coordinator(%d workers via %s, %r)" % (
+        return "Coordinator(%d workers via %s)" % (
             self.transport.workers,
             self.transport.kind,
-            self.pool,
         )
+
+
+def _well_formed(reply):
+    """Whether a worker's ``result`` header has :meth:`Coordinator.
+    submit`'s answer shape."""
+    if not isinstance(reply.get("busy_seconds"), (int, float)):
+        return False
+    if "error" in reply:
+        error = reply["error"]
+        return isinstance(error, dict) and isinstance(error.get("message"), str)
+    outcomes = reply.get("outcomes")
+    return (
+        isinstance(reply.get("digest"), str)
+        and isinstance(reply.get("degraded"), bool)
+        and isinstance(outcomes, list)
+        and all(_well_formed_outcome(outcome) for outcome in outcomes)
+    )
+
+
+def _well_formed_outcome(outcome):
+    if not isinstance(outcome, dict) or not isinstance(
+        outcome.get("region"), str
+    ):
+        return False
+    if "error" in outcome:
+        return isinstance(outcome["error"], str)
+    report = outcome.get("report")
+    return isinstance(report, dict) and isinstance(
+        report.get("findings"), list
+    ) and all(
+        isinstance(finding, dict) and isinstance(finding.get("site"), str)
+        for finding in report["findings"]
+    )

@@ -162,11 +162,6 @@ class ServerMetrics:
                     metric = "leakchecker_fleet_%s" % name
                     lines.append("# TYPE %s gauge" % metric)
                     lines.append("%s %s" % (metric, _number(value)))
-            for kind in sorted(fleet.get("adoptions", ())):
-                lines.append(
-                    'leakchecker_fleet_adoptions{kind="%s"} %d'
-                    % (kind, fleet["adoptions"][kind])
-                )
             for pid in sorted(fleet.get("per_worker", ())):
                 stats = fleet["per_worker"][pid]
                 lines.append(

@@ -1,22 +1,23 @@
-"""The session pool: warm analysis state keyed by program digest.
+"""The session pool: warm analysis state keyed by request text.
 
 The daemon's whole value proposition is that the *second* request for a
-program is cheap.  A region's report depends only on the program and
-the configuration, so :class:`SessionPool` keeps, per distinct program
-(identified by :func:`~repro.core.cache.digest.program_digest`), two
-warm forms and nothing else (:class:`PoolEntry`):
+program is cheap.  Parsing is a pure function of the source text and the
+``javalib`` flag, and a region's report depends only on the program and
+the configuration, so :class:`SessionPool` keys each program by
+:func:`text_key` — a SHA-256 of the flag and the text — and keeps, per
+key, two warm forms and nothing else (:class:`PoolEntry`):
 
-* the program's last full, undegraded scan.  A repeat whose regions it
-  covers is answered from it without building a session;
+* the program's last full, undegraded scan.  A repeat whose region
+  texts it covers, matched verbatim, is answered from it without
+  parsing and without building a session;
 * the program's substrate — call graph plus solved points-to — as the
   bytes the artifact cache writes (:func:`~repro.core.cache.serialize.
-  dump_shared`).  Any other request on a known digest checks its
-  regions on a session hydrated from them, and every fleet shard
-  frame carries the same bytes.
+  dump_shared`).  Any other request for a known text parses it and
+  checks its regions on a session hydrated from them.
 
-No live session is kept: hydrating one costs milliseconds, while
-holding one per program costs about three times the memory of both
-forms.
+No live session and no parsed program is kept: hydrating a session
+costs milliseconds, while holding one per program costs about three
+times the memory of both forms.
 
 Policy decisions, deliberately boring:
 
@@ -24,20 +25,22 @@ Policy decisions, deliberately boring:
   list) whose deadline forced no fallback answer, so a narrow or
   degraded answer never stands in for a later one; the substrate is
   stored on every cold request;
-* entries evict LRU once ``max_sessions`` distinct programs have been
-  seen — eviction costs one cold scan, nothing more.  The bound covers
-  every warm program, those only the worker fleet has seen included: a
-  program analysed through both ``/analyze`` and ``/analyze-batch``
-  takes one slot;
-* a per-entry lock serializes same-digest requests (two concurrent
-  cold scans of the same program would just waste CPU); distinct
-  digests proceed in parallel under the admission layer's ``jobs`` cap.
+* entries evict LRU once ``max_sessions`` texts have been answered —
+  eviction costs one cold scan, nothing more.  The bound covers every
+  entry, those only the worker fleet has seen (:meth:`SessionPool.
+  register`) included;
+* a request that fails on a text the pool had no entry for leaves no
+  entry behind and evicts nothing, so unparseable texts cannot push
+  warm programs out;
+* a per-entry lock serializes same-text requests (two concurrent cold
+  scans of the same program would just waste CPU); distinct texts
+  proceed in parallel under the admission layer's ``jobs`` cap.
 
 An optional :class:`~repro.core.cache.store.ArtifactCache` additionally
 persists the substrate of a cold request across daemon restarts.
 """
 
-import pickle
+import hashlib
 import threading
 from collections import OrderedDict
 
@@ -45,38 +48,63 @@ from repro.core.cache.digest import program_digest
 from repro.core.cache.serialize import dump_shared, load_shared
 from repro.core.config import DetectorConfig
 from repro.core.pipeline.session import AnalysisSession
-from repro.core.regions import region_text
+from repro.core.regions import region_text, resolve_region
 from repro.core.scan import ScanResult, scan_all_loops
+from repro.javalib import JAVALIB_SOURCE
+from repro.lang import parse_program
+from repro.pta.queries import Deadline
+
+
+def text_key(source, javalib):
+    """The pool key of a request: a SHA-256 of the ``javalib`` flag and
+    the source text (lone surrogates, which JSON can carry, included)."""
+    digest = hashlib.sha256(b"javalib\n" if javalib else b"plain\n")
+    digest.update(source.encode("utf-8", "surrogatepass"))
+    return digest.hexdigest()
+
+
+def parse_source(source, javalib):
+    """The program a request stands for: ``source``, after the bundled
+    Java library when ``javalib`` is set."""
+    if javalib:
+        source = JAVALIB_SOURCE + "\n" + source
+    return parse_program(source)
+
+
+def resolve_regions(program, regions):
+    """Region texts resolved in ``program``; ``None`` (every labelled
+    loop) passes through."""
+    if regions is None:
+        return None
+    return [resolve_region(program, text) for text in regions]
 
 
 class PoolEntry:
     """One pooled program: its warm forms and the lock that guards them.
 
-    ``result`` is the last full, undegraded :class:`ScanResult`; every
-    response served from it shares its reports, so nothing may mutate
-    them.  ``substrate`` is the program-level state as
-    :func:`~repro.core.cache.serialize.dump_shared` bytes.
-    ``program_blob``, the pickled program, is added once the fleet asks
-    for the program (:meth:`SessionPool.handoff`).
+    ``digest`` is the program digest, known once a scan ran here or a
+    fleet worker reported it.  ``result`` is the last full, undegraded
+    :class:`ScanResult`; every response served from it shares its
+    reports, so nothing may mutate them.  ``substrate`` is the
+    program-level state as :func:`~repro.core.cache.serialize.
+    dump_shared` bytes.
     """
 
-    __slots__ = (
-        "digest", "result", "substrate", "program_blob", "lock", "hits",
-        "misses",
-    )
+    __slots__ = ("key", "digest", "result", "substrate", "lock", "hits",
+                 "misses")
 
-    def __init__(self, digest):
-        self.digest = digest
+    def __init__(self, key):
+        self.key = key
+        self.digest = None
         self.result = None
         self.substrate = None
-        self.program_blob = None
         self.lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
 
 class SessionPool:
-    """Digest-keyed warm analysis state; thread-safe; LRU-bounded."""
+    """Text-keyed warm analysis state; thread-safe; LRU-bounded."""
 
     def __init__(self, config=None, cache=None, max_sessions=8):
         if max_sessions < 1:
@@ -93,26 +121,47 @@ class SessionPool:
         #: surfaced as ``kernel_*`` gauges by ``/metrics``.
         self.kernel_stats = {}
 
-    def analyze(self, program, specs=None, deadline=None):
-        """Scan ``program``, warm when its digest has been seen before.
+    def analyze(self, source, javalib=False, regions=None, deadline_ms=None):
+        """Scan the program ``source`` stands for, warm when its text has
+        been seen before.
 
-        Returns ``(ScanResult, info)`` where ``info`` is a plain dict:
-        ``{"program_digest", "warm"}``.  ``warm`` means the request built
-        no substrate: the stored scan answered it, or a session
-        hydrated from the stored substrate did.
+        ``regions`` is ``None`` (every labelled loop) or a list of region
+        spec texts; ``deadline_ms`` bounds the demand-driven query work
+        from the end of parsing on.  Returns ``(ScanResult, info)``
+        where ``info`` is ``{"program_digest", "warm", "degraded"}``;
+        ``warm`` means the request built no substrate.  A program that
+        does not parse, a region that does not resolve and a failed
+        analysis raise their :class:`~repro.errors.ReproError`.
         """
-        digest = program_digest(program)
-        entry = self._entry_for(digest)
+        entry, created = self._entry_for(text_key(source, javalib))
         with entry.lock:
-            warm = entry.substrate is not None
-            result = _stored_answer(entry.result, specs)
-            if result is None:
-                result = self._scan(entry, program, specs, deadline)
+            try:
+                result = _stored_answer(entry.result, regions)
+                warm = entry.substrate is not None
+                degraded = False
+                if result is None:
+                    # A region text resolves only in its canonical form,
+                    # so a stored scan that missed it verbatim lacks it.
+                    program = parse_source(source, javalib)
+                    specs = resolve_regions(program, regions)
+                    deadline = Deadline.after_ms(deadline_ms)
+                    result = self._scan(entry, program, specs, deadline)
+                    degraded = bool(deadline and deadline.was_exceeded)
+            except BaseException:
+                if created and entry.digest is None:
+                    self._forget(entry)
+                raise
             if warm:
                 entry.hits += 1
             else:
                 entry.misses += 1
-            return result, {"program_digest": digest, "warm": warm}
+            info = {
+                "program_digest": entry.digest,
+                "warm": warm,
+                "degraded": degraded,
+            }
+        self._evict()
+        return result, info
 
     def _scan(self, entry, program, specs, deadline):
         """Check ``specs`` on a session over the entry's substrate —
@@ -129,6 +178,7 @@ class SessionPool:
             program, session=session, specs=specs, deadline=deadline
         )
         if entry.substrate is None:
+            entry.digest = program_digest(program)
             entry.substrate = dump_shared(session.shared, entry.digest)
             stats = session.points_to.kernel_stats()
             if stats:
@@ -137,39 +187,44 @@ class SessionPool:
             entry.result = result
         return result
 
-    def handoff(self, program, digest=None):
-        """``program``'s entry with its fleet hand-off filled, at most once.
-
-        The substrate is the entry's own when ``/analyze`` already built
-        it, else it comes from a warm session built here and not kept.
-        """
-        entry = self._entry_for(digest or program_digest(program))
-        with entry.lock:
-            if entry.program_blob is not None:
-                return entry
-            if entry.substrate is None:
-                session = AnalysisSession(
-                    program, self.config, cache=self.cache
-                )
-                entry.substrate = dump_shared(
-                    session.warm().shared, entry.digest
-                )
-            entry.program_blob = pickle.dumps(
-                program, protocol=pickle.HIGHEST_PROTOCOL
-            )
-            return entry
-
-    def _entry_for(self, digest):
+    def seen(self, key):
+        """Whether the pool holds an entry for the text ``key``."""
         with self._lock:
-            entry = self._entries.get(digest)
-            if entry is not None:
-                self._entries.move_to_end(digest)
-                return entry
-            entry = self._entries[digest] = PoolEntry(digest)
+            return key in self._entries
+
+    def register(self, key, digest):
+        """Record that a fleet worker ran the text ``key``: it stands for
+        the program ``digest`` (``None`` when it did not parse, resolve
+        or analyse).  The next request for the text is answered here,
+        and a success stored, instead of going to the fleet."""
+        entry, _ = self._entry_for(key)
+        with entry.lock:
+            if entry.digest is None:
+                entry.digest = digest
+        self._evict()
+
+    def _entry_for(self, key):
+        """``(entry, created)`` for ``key``, now the most recent."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = self._entries[key] = PoolEntry(key)
+                return entry, True
+            self._entries.move_to_end(key)
+            return entry, False
+
+    def _evict(self):
+        """Drop least recently used entries past ``max_sessions`` — once
+        a request has succeeded, so one that fails evicts nothing."""
+        with self._lock:
             while len(self._entries) > self.max_sessions:
                 self._entries.popitem(last=False)
                 self.evicted += 1
-            return entry
+
+    def _forget(self, entry):
+        with self._lock:
+            if self._entries.get(entry.key) is entry:
+                del self._entries[entry.key]
 
     def close(self):
         """Drop every entry."""
@@ -200,17 +255,18 @@ class SessionPool:
             )
 
 
-def _stored_answer(stored, specs):
-    """The answer to ``specs`` from a stored full scan, or ``None`` when
-    there is none or it misses one of the regions.  A new
-    :class:`ScanResult` over the stored reports, with no cache counters:
-    serving it touched no cache."""
+def _stored_answer(stored, regions):
+    """The answer to the region texts ``regions`` (``None``: all) from a
+    stored full scan, or ``None`` when there is none or it misses one of
+    them.  A new :class:`ScanResult` over the stored reports, with no
+    cache counters: serving it touched no cache."""
     if stored is None:
         return None
-    if specs is None:
+    if regions is None:
         return ScanResult(stored.entries)
-    reports = {region_text(spec): report for spec, report in stored.entries}
+    entries = {region_text(spec): (spec, report)
+               for spec, report in stored.entries}
     try:
-        return ScanResult([(spec, reports[region_text(spec)]) for spec in specs])
+        return ScanResult([entries[text] for text in regions])
     except KeyError:
         return None

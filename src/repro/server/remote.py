@@ -1,4 +1,4 @@
-"""The fleet transport: shard tasks to workers over a wire protocol.
+"""The fleet transport: program tasks to workers over a wire protocol.
 
 A :class:`RemoteTransport` drives every fleet worker the same way, over
 a small, versioned, length-prefixed wire protocol.  Its *links* either
@@ -15,44 +15,44 @@ Every message is one *frame*::
 
     [4-byte magic "RFW1"] [u32 header length] [JSON header] [blobs...]
 
-The header is UTF-8 JSON — no pickled envelope ever crosses the wire —
-carrying ``wire`` (the protocol version, checked on receipt exactly
-like ``api_version`` in :mod:`repro.server.schema`), ``type``, and the
-message fields; binary payloads (the pickled program, the substrate
-bytes, the shard outcomes) travel as opaque blobs whose lengths the
-header declares in ``blobs``.  Messages are strict
-request/response on one coordinator-owned connection per worker:
+The header is UTF-8 JSON carrying ``wire`` (the protocol version,
+checked on receipt exactly like ``api_version`` in
+:mod:`repro.server.schema`), ``type``, and the message fields; binary
+payloads travel as opaque blobs whose lengths the header declares in
+``blobs``.  Every field is plain JSON or text, so a frame decodes
+without executing anything.  Messages are strict request/response on
+one coordinator-owned connection per worker:
 
 * ``hello`` -> ``welcome`` — handshake; the worker announces its pid
   and wire version, and a version mismatch fails the connection before
   any work is exchanged.
 * ``ping`` -> ``pong`` — heartbeat liveness for idle links.
-* ``shard`` -> ``result`` | ``error`` — execute one shard.  The frame
-  is the whole task: the program digest, config, region indices and
-  deadline in the header, and three blobs — the pickled program, its
-  substrate bytes (the artifact cache's encoding,
-  :func:`repro.core.cache.serialize.dump_shared`) and the pickled
-  region specs — so any worker serves any shard in one round trip.
+* ``program`` -> ``result`` | ``error`` — run one program task.  The
+  frame is the whole task: ``javalib``, the region texts, the detector
+  configuration and the deadline in the header, and one blob, the
+  source text as UTF-8.  The ``result`` header carries the answer as
+  plain JSON (:mod:`repro.server.remote_worker`), so any worker serves
+  any program in one round trip.
 
 Robustness
 ----------
 
 The transport owns the fleet's failure handling so the coordinator
-never has to care which worker ran a shard:
+never has to care which worker ran a task:
 
 * **liveness** — a heartbeat thread pings idle links every
   ``heartbeat_interval`` seconds; a failed ping (or any socket error
-  mid-shard) marks the link down and its serve thread reconnects with
+  mid-task) marks the link down and its serve thread reconnects with
   backoff.  A local link's reconnect forks a fresh worker: failing the
   link killed and reaped the old one.
-* **requeue** — a shard in flight on a dead link goes back on the
+* **requeue** — a task in flight on a dead link goes back on the
   shared queue, where any surviving worker picks it up; results are
-  byte-identical wherever the shard lands because every worker runs
-  the same shard code.
-* **retry budgets** — each shard may be requeued at most
+  byte-identical wherever the task lands because every worker runs
+  the same code and keeps no state between tasks.
+* **retry budgets** — each task may be requeued at most
   ``retry_budget`` times; exhaustion surfaces as
-  :class:`RemoteShardError` on the shard's future, which the
-  coordinator degrades to per-region ``error`` outcomes — an
+  :class:`RemoteShardError` on the task's future, which the batch
+  endpoint turns into one ``error`` record for that program — an
   ``/analyze-batch`` stream stays alive, it never turns into a failed
   request.
 * **observability** — reconnects, requeues, retry exhaustions,
@@ -64,7 +64,6 @@ never has to care which worker ran a shard:
 import itertools
 import json
 import os
-import pickle
 import queue
 import signal
 import socket
@@ -76,7 +75,7 @@ from concurrent.futures import Future
 #: The wire protocol version; both ends check it at handshake and on
 #: every frame, so a skewed deployment fails loudly instead of
 #: misinterpreting payloads.
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 _MAGIC = b"RFW1"
 _LEN = struct.Struct("<I")
@@ -103,7 +102,7 @@ class WireEOF(WireError):
 
 
 class RemoteShardError(Exception):
-    """A shard failed on every attempt its retry budget allowed."""
+    """A task failed on every attempt its retry budget allowed."""
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +208,7 @@ def parse_hosts(spec):
 
 
 class _LinkFailure(Exception):
-    """The connection to a worker failed; the shard must requeue."""
+    """The connection to a worker failed; the task must requeue."""
 
 
 class _TaskRejected(Exception):
@@ -314,24 +313,24 @@ class _LocalLink(_Link):
 
 
 class _Pending:
-    __slots__ = ("task", "future", "failures")
+    __slots__ = ("header", "blobs", "future", "failures")
 
-    def __init__(self, task, future):
-        self.task = task
+    def __init__(self, header, blobs, future):
+        self.header = header
+        self.blobs = blobs
         self.future = future
         self.failures = 0
 
 
 class RemoteTransport:
-    """The fleet's one transport: shard tasks to workers over the wire.
+    """The fleet's one transport: tasks to workers over the wire.
 
     ``hosts`` names ``repro worker`` endpoints to dial; without it, the
     transport forks ``workers`` local workers.  One serve thread per
-    worker pulls shards from a shared queue, so a dead worker's backlog
+    worker pulls tasks from a shared queue, so a dead worker's backlog
     drains onto the survivors automatically; a heartbeat thread keeps
-    idle links honest.  Every shard frame carries its program and
-    substrate, so a first, requeued or re-forked worker serves it in one
-    round trip.
+    idle links honest.  A task is one request frame, so a first,
+    requeued or re-forked worker serves it in one round trip.
     """
 
     def __init__(
@@ -392,13 +391,14 @@ class RemoteTransport:
 
     # -- interface -----------------------------------------------------------
 
-    def submit(self, task):
-        """Queue one shard task; returns a ``Future`` of its result."""
+    def submit(self, header, blobs=()):
+        """Queue one task frame; returns a ``Future`` of the worker's
+        ``result`` header."""
         future = Future()
         if self._closed.is_set():
             future.set_exception(RemoteShardError("transport closed"))
             return future
-        self._queue.put(_Pending(task, future))
+        self._queue.put(_Pending(header, list(blobs), future))
         return future
 
     def warm(self):
@@ -425,7 +425,7 @@ class RemoteTransport:
 
     def close(self):
         """Stop serving; every local worker is killed and reaped, and a
-        shard still queued fails with :class:`RemoteShardError`."""
+        task still queued fails with :class:`RemoteShardError`."""
         self._closed.set()
         for _ in self._threads:
             self._queue.put(None)  # wakes a serve thread waiting for work
@@ -442,7 +442,7 @@ class RemoteTransport:
                 break
             if pending is not None:
                 pending.future.set_exception(
-                    RemoteShardError("transport closed with the shard queued")
+                    RemoteShardError("transport closed with the task queued")
                 )
 
     # -- dispatch ------------------------------------------------------------
@@ -462,7 +462,7 @@ class RemoteTransport:
                 self._queue.put(pending)  # close() fails it with the rest
                 return
             try:
-                result = self._execute(link, pending.task)
+                result = self._execute(link, pending)
             except _LinkFailure as exc:
                 with link.lock:
                     link.fail()
@@ -476,35 +476,22 @@ class RemoteTransport:
                 continue
             pending.future.set_result(result)
 
-    def _execute(self, link, task):
-        """Run one shard on ``link``: one ``shard`` frame, one reply."""
-        header = {
-            "type": "shard",
-            "digest": task["digest"],
-            "config": task["config_kwargs"],
-            "indices": list(task["indices"]),
-            "deadline_ms": task.get("deadline_ms"),
-        }
-        blobs = [task["program_blob"], task["substrate"], task["specs_blob"]]
+    def _execute(self, link, pending):
+        """Run one task on ``link``: one request frame, one reply."""
         with link.lock:
-            reply, reply_blobs = link.request(header, blobs, self.shard_timeout)
+            reply, _ = link.request(
+                pending.header, pending.blobs, self.shard_timeout
+            )
         if reply.get("type") == "error":
             raise _TaskRejected(
                 "worker %s: %s" % (link.address, reply.get("message"))
             )
-        if reply.get("type") != "result" or not reply_blobs:
+        if reply.get("type") != "result":
             raise _LinkFailure(
-                "worker %s answered %r to a shard"
+                "worker %s answered %r to a task"
                 % (link.address, reply.get("type"))
             )
-        return {
-            "pid": reply.get("pid"),
-            "busy_seconds": reply.get("busy_seconds", 0.0),
-            "adoption": reply.get("adoption", "cold"),
-            "adoption_failures": reply.get("adoption_failures", 0),
-            "degraded": bool(reply.get("degraded")),
-            "outcomes": pickle.loads(reply_blobs[0]),
-        }
+        return reply
 
     def _requeue(self, pending, exc):
         """A failed attempt: back on the queue, or budget exhausted."""
@@ -518,16 +505,16 @@ class RemoteTransport:
             self._counters["retry_exhaustions"] += 1
         pending.future.set_exception(
             RemoteShardError(
-                "shard failed after %d attempt(s), retry budget %d "
+                "task failed after %d attempt(s), retry budget %d "
                 "exhausted (last failure: %s)"
                 % (pending.failures, self.retry_budget, exc)
             )
         )
 
     def _fail_one_orphan(self):
-        """With *every* worker down, queued shards must not hang
+        """With *every* worker down, queued tasks must not hang
         forever: each failed reconnect attempt burns one retry from one
-        queued shard, so budgets exhaust and callers get error
+        queued task, so budgets exhaust and callers get error
         outcomes instead of a deadlock."""
         if any(link.connected for link in self._links):
             return
@@ -573,7 +560,7 @@ class RemoteTransport:
             return
         if time.monotonic() - link.last_io < self.heartbeat_interval:
             return
-        # A link busy with a shard holds its lock — that's proof of
+        # A link busy with a task holds its lock — that's proof of
         # life already; never queue a ping behind real work.
         if not link.lock.acquire(blocking=False):
             return

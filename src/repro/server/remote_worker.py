@@ -1,4 +1,4 @@
-"""The fleet worker: execute shards behind the fleet wire.
+"""The fleet worker: run program tasks behind the fleet wire.
 
 A :class:`RemoteWorkerServer` is the far end of every
 :class:`repro.server.remote.RemoteTransport` link.  It speaks the
@@ -6,25 +6,21 @@ versioned frame protocol of :mod:`repro.server.remote` on each
 connection it serves: accepted on its TCP listener (``repro worker``,
 dialed by ``serve --worker-hosts``), or one end of a socket pair in a
 worker the transport forked for ``serve --workers N``
-(:func:`fork_worker`).  One connection loop and one shard runner serve
+(:func:`fork_worker`).  One connection loop and one task runner serve
 both, which is what makes fleet results byte-identical no matter where
-a shard lands.
+a task lands.
 
-Every ``shard`` frame carries its program and substrate, so a worker's
-only warm state is its :class:`AdoptedSessions` LRU, and a shard's
-session comes from the warmest source that has it:
-
-1. **lru** — a session for (digest, config) is already live in this
-   server's :class:`AdoptedSessions`;
-2. **wire** — hydrate the frame's substrate bytes (the artifact
-   cache's encoding) into a new session, kept in the LRU;
-3. **cold** — the substrate failed to decode: rebuild from the program
-   blob.  Slower, never wrong; decode failures are counted as
-   ``adoption_failures`` in the shard result.
-
-Shard failures travel as data, per region: one dead region becomes an
-``error`` outcome while the rest of the shard still answers — the batch
-endpoint's partial-result contract depends on this.
+A ``program`` frame is the whole task, and the worker keeps nothing
+between tasks: it parses the source, resolves the regions (every
+labelled loop when the frame names none), builds a cold session and
+checks each region under the frame's deadline.  The ``result`` header
+holds the program digest and, per region in order, the report's
+``as_dict()`` — or, for a region whose check raised, an ``error``
+outcome while the rest of the program still answers (the batch
+endpoint's partial-result contract depends on this).  A program that
+does not parse, resolve or analyse is answered with a typed ``error``
+object in the ``result`` instead.  A malformed frame is a
+``bad_request`` error frame, and the connection keeps serving.
 
 Failpoints (tests and the fleet benchmark) are one comma-separated
 spec, ``REPRO_FAILPOINTS`` or ``RemoteWorkerServer(failpoints=)``, of
@@ -34,7 +30,6 @@ spec, ``REPRO_FAILPOINTS`` or ``RemoteWorkerServer(failpoints=)``, of
 import gc
 import math
 import os
-import pickle
 import signal
 import socket
 import subprocess
@@ -42,61 +37,25 @@ import sys
 import threading
 import time
 import traceback
-from collections import OrderedDict
 
-from repro.core.cache.serialize import load_shared
+from repro.core.cache.digest import program_digest
 from repro.core.config import DetectorConfig
 from repro.core.pipeline.session import AnalysisSession
-from repro.core.regions import region_text
+from repro.core.regions import candidate_loops, region_text
+from repro.errors import ReproError
 from repro.pta.queries import Deadline
+from repro.server.pool import parse_source, resolve_regions
 from repro.server.remote import WIRE_VERSION, WireEOF, WireError, recv_frame, send_frame
-
-#: Distinct (digest, config) sessions one worker keeps warm.
-MAX_ADOPTED = 4
 
 #: The failpoint spec a worker reads when given none (test-only).
 FAILPOINTS_ENV = "REPRO_FAILPOINTS"
 
 
-class AdoptedSessions:
-    """A worker's warm sessions: an LRU of at most ``capacity``, keyed
-    by (program digest, detector config); thread-safe, because a
-    worker's connection threads share one."""
-
-    def __init__(self, capacity=MAX_ADOPTED):
-        self.capacity = max(1, capacity)
-        self._lock = threading.Lock()
-        self._entries = OrderedDict()
-
-    @staticmethod
-    def key(task):
-        return (task["digest"], tuple(sorted(task["config_kwargs"].items())))
-
-    def get(self, key):
-        """The session under ``key`` (now most recent), or ``None``."""
-        with self._lock:
-            session = self._entries.get(key)
-            if session is not None:
-                self._entries.move_to_end(key)
-            return session
-
-    def put(self, key, session):
-        with self._lock:
-            self._entries[key] = session
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-
-
 class Failpoints:
     """Parsed failpoint spec: ``raise:REGION`` fails that region's check
     (an ``error`` outcome), ``drop:REGION`` drops the connection before
-    answering a shard that carries it (a worker killed mid-shard, as the
-    transport sees it).  ``*N`` fires a failpoint at most N times in
+    answering a program task that carries it (a worker killed mid-task,
+    as the transport sees it).  ``*N`` fires a failpoint at most N times in
     this worker process; without it, every time."""
 
     ACTIONS = ("raise", "drop")
@@ -127,20 +86,17 @@ class Failpoints:
 
 
 class RemoteWorkerServer:
-    """One fleet worker: its warm sessions, failpoints and counters.
+    """One fleet worker: its failpoints and counters.
 
-    Session state is *instance*-level, so several servers can share a
-    test process — the "two hosts on localhost" harness — without
-    adopting through each other's state.  ``port=None`` binds no
-    listener: a forked local worker only serves the socket it is
-    handed.
+    Several servers can share a test process — the "two hosts on
+    localhost" harness.  ``port=None`` binds no listener: a forked local
+    worker only serves the socket it is handed.
     """
 
     def __init__(self, host="127.0.0.1", port=0, failpoints=None):
         if failpoints is None:
             failpoints = os.environ.get(FAILPOINTS_ENV, "")
         self._failpoints = Failpoints(failpoints)
-        self._sessions = AdoptedSessions()
         self._lock = threading.Lock()
         self._run_lock = threading.Lock()
         self._closing = False
@@ -148,8 +104,7 @@ class RemoteWorkerServer:
         self._thread = None
         self.counters = {
             "connections": 0,
-            "shards": 0,
-            "adoption_failures": 0,
+            "programs": 0,
             "simulated_deaths": 0,
         }
         self._sock = None
@@ -208,7 +163,6 @@ class RemoteWorkerServer:
                 pass
         if self._thread is not None:
             self._thread.join(timeout=2.0)
-        self._sessions.clear()
 
     # -- the connection loop -------------------------------------------------
 
@@ -240,129 +194,118 @@ class RemoteWorkerServer:
                     "wire": WIRE_VERSION}, ()
         if kind == "ping":
             return {"type": "pong", "seq": header.get("seq")}, ()
-        if kind == "shard":
-            return self._handle_shard(header, blobs)
-        return {"type": "error", "code": "bad_request",
-                "message": "unknown message type %r" % kind}, ()
+        if kind == "program":
+            return self._handle_program(header, blobs)
+        return _bad_request("unknown message type %r" % (kind,))
 
-    def _handle_shard(self, header, blobs):
-        digest = header.get("digest")
-        config = header.get("config") or {}
-        if len(blobs) != 3 or not isinstance(digest, str) or not isinstance(
-            config, dict
+    def _handle_program(self, header, blobs):
+        regions = header.get("regions")
+        config = header.get("config")
+        javalib = header.get("javalib", False)
+        deadline_ms = header.get("deadline_ms")
+        if not (
+            len(blobs) == 1
+            and isinstance(config, dict)
+            and isinstance(javalib, bool)
+            and (regions is None or _strings(regions))
+            and (deadline_ms is None or _count(deadline_ms))
         ):
-            return {"type": "error", "code": "bad_request",
-                    "message": "shard frame needs a digest, a config "
-                    "object, and program, substrate and spec blobs"}, ()
-        task = {
-            "digest": digest,
-            "program_blob": blobs[0],
-            "substrate": blobs[1],
-            "config_kwargs": config,
-        }
+            return _bad_request(
+                "a program frame needs one source blob, a config object, "
+                "a javalib flag, and regions as null or a list of strings"
+            )
         try:
-            specs = pickle.loads(blobs[2])
-            if self._should_die(specs):
-                return None
-            # One shard at a time: sessions are single-threaded, and a
-            # second coordinator dialing in must queue, not corrupt.
+            source = blobs[0].decode("utf-8", "surrogatepass")
+            config = DetectorConfig(**config)
+        except Exception as exc:  # noqa: BLE001 - any bad field is the peer's
+            return _bad_request("%s: %s" % (type(exc).__name__, exc))
+        try:
+            # One task at a time: a second coordinator dialing in must
+            # queue, not compete for the same cores.
             with self._run_lock:
-                reply, outcomes = self._run_shard(
-                    task, specs, header.get("indices") or [],
-                    header.get("deadline_ms"),
+                reply = self._run_program(
+                    source, javalib, regions, config, deadline_ms
                 )
         except Exception as exc:  # noqa: BLE001 - report, keep serving
-            return {"type": "error", "code": "shard_failed",
+            return {"type": "error", "code": "program_failed",
                     "message": "%s: %s" % (type(exc).__name__, exc)}, ()
+        if reply is None:
+            return None  # simulated death: drop without answering
         with self._lock:
-            self.counters["shards"] += 1
-        return reply, (
-            pickle.dumps(outcomes, protocol=pickle.HIGHEST_PROTOCOL),
-        )
+            self.counters["programs"] += 1
+        return reply, ()
+
+    def _run_program(self, source, javalib, regions, config, deadline_ms):
+        """Parse, resolve and check one program; returns the ``result``
+        header, or ``None`` when a ``drop`` failpoint fires.
+
+        ``outcomes`` holds, per region in order, ``{"region", "report"}``
+        or ``{"region", "error", "traceback"}``; a program that fails
+        before its first region is answered with ``error``, ``{"kind":
+        "parse" | "resolve" | "analysis", "message"}``, instead.
+        """
+        started = time.perf_counter()
+        reply = {"type": "result", "pid": os.getpid()}
+        stage = "parse"
+        try:
+            program = parse_source(source, javalib)
+            stage = "resolve"
+            specs = resolve_regions(program, regions)
+            if specs is None:
+                specs = candidate_loops(program)
+            if self._should_die(specs):
+                return None
+            stage = "analysis"
+            session = AnalysisSession(program, config)
+        except ReproError as exc:
+            reply["error"] = {"kind": stage, "message": str(exc)}
+            reply["busy_seconds"] = time.perf_counter() - started
+            return reply
+        deadline = Deadline.after_ms(deadline_ms)
+        outcomes = []
+        with session.points_to.deadline_scope(deadline):
+            for spec in specs:
+                text = region_text(spec)
+                try:
+                    if self._failpoints.fire("raise", text):
+                        raise RuntimeError("injected failpoint at %s" % text)
+                    report = session.check(spec).as_dict()
+                    outcomes.append({"region": text, "report": report})
+                except Exception as exc:  # noqa: BLE001 - travels as data
+                    outcomes.append({
+                        "region": text,
+                        "error": "%s: %s" % (type(exc).__name__, exc),
+                        "traceback": traceback.format_exc(),
+                    })
+        reply["digest"] = program_digest(program)
+        reply["degraded"] = bool(deadline and deadline.was_exceeded)
+        reply["outcomes"] = outcomes
+        reply["busy_seconds"] = time.perf_counter() - started
+        return reply
 
     def _should_die(self, specs):
-        """Consume a ``drop`` failpoint if this shard carries one."""
+        """Consume a ``drop`` failpoint if this program carries one."""
         if any(self._failpoints.fire("drop", region_text(s)) for s in specs):
             with self._lock:
                 self.counters["simulated_deaths"] += 1
             return True
         return False
 
-    def _run_shard(self, task, specs, indices, deadline_ms):
-        """Check every region of one shard; returns ``(reply, outcomes)``.
-
-        ``outcomes`` holds, per region in shard order, either ``(index,
-        "ok", LeakReport)`` or ``(index, "error", region_text, cause,
-        worker_traceback)``; ``reply`` is the ``result`` frame header
-        with the bookkeeping the coordinator folds into fleet metrics.
-        """
-        started = time.perf_counter()
-        session, adoption, adoption_failures = self._resolve(task)
-        deadline = Deadline.after_ms(deadline_ms)
-        outcomes = []
-        with session.points_to.deadline_scope(deadline):
-            for index, spec in zip(indices, specs):
-                text = region_text(spec)
-                try:
-                    if self._failpoints.fire("raise", text):
-                        raise RuntimeError("injected failpoint at %s" % text)
-                    outcomes.append((index, "ok", session.check(spec)))
-                except Exception as exc:  # noqa: BLE001 - travels as data
-                    outcomes.append(
-                        (
-                            index,
-                            "error",
-                            text,
-                            "%s: %s" % (type(exc).__name__, exc),
-                            traceback.format_exc(),
-                        )
-                    )
-        reply = {
-            "type": "result",
-            "pid": os.getpid(),
-            "busy_seconds": time.perf_counter() - started,
-            "adoption": adoption,
-            "adoption_failures": adoption_failures,
-            "degraded": bool(deadline is not None and deadline.was_exceeded),
-        }
-        return reply, outcomes
-
-    # -- session adoption ----------------------------------------------------
-
-    def _resolve(self, task):
-        """The shard's session, warmest source first.
-
-        Returns ``(session, adoption, adoption_failures)``: ``adoption``
-        names the rung of the module docstring's ladder that served
-        (``"lru"``, ``"wire"`` or ``"cold"``), and ``adoption_failures``
-        is 1 when the frame's substrate failed to decode and the cold
-        rebuild served instead.
-        """
-        key = AdoptedSessions.key(task)
-        hit = self._sessions.get(key)
-        if hit is not None:
-            return hit, "lru", 0
-        program = pickle.loads(task["program_blob"])
-        config = DetectorConfig(**task["config_kwargs"])
-        try:
-            shared = load_shared(
-                program, config, task["substrate"], program_dig=task["digest"]
-            )
-            session, adoption, failures = (
-                AnalysisSession(program, config, shared=shared), "wire", 0
-            )
-        except Exception:  # noqa: BLE001 - corrupt substrate, rebuild cold
-            with self._lock:
-                self.counters["adoption_failures"] += 1
-            session, adoption, failures = (
-                AnalysisSession(program, config).warm(), "cold", 1
-            )
-        self._sessions.put(key, session)
-        return session, adoption, failures
-
     def __repr__(self):
         where = self.address if self._sock is not None else "forked"
         return "RemoteWorkerServer(%s)" % where
+
+
+def _bad_request(message):
+    return {"type": "error", "code": "bad_request", "message": message}, ()
+
+
+def _strings(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def fork_worker():

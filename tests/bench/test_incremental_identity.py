@@ -13,6 +13,7 @@ from repro.core.incremental import changed_scan, snapshot_scan
 from repro.core.pipeline.session import AnalysisSession
 from repro.core.scan import scan_all_loops
 from repro.lang import parse_program
+from tests.conftest import report_pairs
 
 APPS = app_names()
 
@@ -46,26 +47,23 @@ def test_incremental_matches_parallel_cold(name, process_fleet):
     _cold, payload = _cold_and_snapshot(app)
     reparsed = parse_program(app.source)
     result, _outcome = changed_scan(reparsed, payload, config=app.config)
-    fanned = process_fleet(app.config).scan_program(app.program)
-    assert result.to_json(canonical=True) == fanned.to_json(canonical=True)
+    fanned = process_fleet(app.source, config=app.config)
+    assert report_pairs(result) == fanned
 
 
 def test_incremental_matches_process_parallel_cold(process_fleet):
-    # One shard per region on the module's workers: every region of the
-    # largest subject crosses a process boundary on its own.
-    from repro.server.coordinator import Coordinator
-
+    # One program task per region on the module's workers: every region
+    # of the subject with the most statements is checked by a cold
+    # worker on its own.
     app = build_app("mysql-connector-j")
     _cold, payload = _cold_and_snapshot(app)
     result, _outcome = changed_scan(
         parse_program(app.source), payload, config=app.config
     )
-    fleet = process_fleet(app.config)
-    per_region = Coordinator(
-        transport=fleet.transport, pool=fleet.pool, shard_size=1
-    )
-    proc = per_region.scan_program(app.program)
-    assert result.to_json(canonical=True) == proc.to_json(canonical=True)
+    expected = report_pairs(result)
+    assert expected
+    for pair in expected:
+        assert process_fleet(app.source, [pair[0]], config=app.config) == [pair]
 
 
 def test_one_method_edit_fast_path_identity():

@@ -25,6 +25,7 @@ from repro.core.api import Analyzer
 from repro.core.regions import region_text
 from repro.core.report import HEAP_LEAK, RESOURCE_LEAK
 from repro.core.scan import scan_all_loops
+from tests.conftest import report_pairs
 
 #: app -> (expected leaking site, expected finding kind, expected ERA)
 _EXPECTED = {
@@ -136,24 +137,18 @@ class TestExecutionModeIdentity:
     @pytest.mark.parametrize("name", retention_names())
     def test_parallel_matches_serial(self, name, process_fleet):
         app = build_retention(name, variant="leaky")
-        serial = scan_all_loops(app.program, app.config).to_json(canonical=True)
-        fanned = process_fleet(app.config).scan_program(app.program).to_json(
-            canonical=True
-        )
-        assert fanned == serial
+        serial = scan_all_loops(app.program, app.config)
+        fanned = process_fleet(app.source, config=app.config)
+        assert fanned == report_pairs(serial)
 
     def test_process_backend_matches_serial(self, process_fleet):
         # The public Analyzer facade against the fleet, on one
         # representative app; the toy-program matrix in
         # test_kernel_identity covers the fleet machinery itself.
         app = build_retention("resleak", variant="leaky")
-        facade = Analyzer(app.program, app.config).analyze().to_json(
-            canonical=True
-        )
-        pooled = process_fleet(app.config).scan_program(app.program).to_json(
-            canonical=True
-        )
-        assert pooled == facade
+        facade = Analyzer(app.program, app.config).analyze()
+        pooled = process_fleet(app.source, config=app.config)
+        assert pooled == report_pairs(facade)
 
     @pytest.mark.parametrize("name", retention_names())
     def test_cold_and_warm_cache_match(self, name):

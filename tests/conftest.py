@@ -1,5 +1,7 @@
 """Shared fixtures: canonical programs used across the test suite."""
 
+import json
+
 import pytest
 
 from repro.lang import parse_program
@@ -188,33 +190,44 @@ def threaded_workers():
         server.shutdown()
 
 
+def canonical_pairs(pairs):
+    """``(region text, report dict)`` pairs — a fleet answer's form
+    (:meth:`~repro.server.coordinator.Coordinator.scan_program`) — with
+    each report as canonical JSON, for byte-identity checks."""
+    from repro.core.canonical import canonical_report_dict
+
+    return [
+        (region, json.dumps(canonical_report_dict(report), sort_keys=True))
+        for region, report in pairs
+    ]
+
+
+def report_pairs(result):
+    """A serial :class:`~repro.core.scan.ScanResult` in the form of
+    :func:`canonical_pairs`."""
+    from repro.core.regions import region_text
+
+    return canonical_pairs(
+        (region_text(spec), report.as_dict()) for spec, report in result.entries
+    )
+
+
 @pytest.fixture(scope="module")
 def process_fleet():
-    """``process_fleet(config=None)``: a fleet Coordinator for ``config``
-    on the module's one two-worker local fleet — the path
-    ``POST /analyze-batch`` takes under ``serve --workers 2``.
-
-    Each config gets its own session pool (a pool holds one config);
-    the forked workers are shared, and adopt per (digest, config).
-    """
-    from repro.core.config import DetectorConfig
+    """``process_fleet(source, regions=None, config=None)``: ``source``
+    as one program task on the module's one two-worker local fleet —
+    the path ``POST /analyze-batch`` takes for a never-seen program
+    under ``serve --workers 2`` — in the form of :func:`canonical_pairs`.
+    ``regions`` is a list of region texts; ``None`` checks every
+    labelled loop."""
     from repro.server.coordinator import Coordinator
-    from repro.server.pool import SessionPool
-    from repro.server.remote import RemoteTransport
 
-    transport = RemoteTransport(workers=2)
-    coordinators = {}
+    coordinator = Coordinator(2)
 
-    def fleet(config=None):
-        config = config or DetectorConfig()
-        key = tuple(sorted(config.describe().items()))
-        if key not in coordinators:
-            coordinators[key] = Coordinator(
-                transport=transport, pool=SessionPool(config)
-            )
-        return coordinators[key]
+    def fleet(source, regions=None, config=None):
+        return canonical_pairs(
+            coordinator.scan_program(source, regions, config=config)
+        )
 
     yield fleet
-    transport.close()
-    for coordinator in coordinators.values():
-        coordinator.pool.close()
+    coordinator.close()

@@ -28,6 +28,7 @@ from repro.core.cache.store import ArtifactCache
 from repro.core.detector import DetectorConfig
 from repro.core.scan import scan_all_loops
 from repro.lang import parse_program
+from tests.conftest import report_pairs
 from repro.pta import queries
 from repro.pta.kernel import solve_flat
 
@@ -62,17 +63,10 @@ class Item { field next; }
 """
 
 
-def _scan_json(kernel, monkeypatch, fleet=None, **kwargs):
-    """Canonical scan JSON with the facade solving through ``kernel``:
-    serial, or through ``fleet`` (whose workers solve with the flat
-    kernel)."""
+def _scan_json(kernel, monkeypatch, **kwargs):
+    """Canonical scan JSON with the facade solving through ``kernel``."""
     monkeypatch.setattr(queries, "solve_flat", SOLVERS[kernel])
-    if fleet is not None:
-        result = fleet.scan_program(parse_program(_SOURCE))
-    else:
-        result = scan_all_loops(
-            parse_program(_SOURCE), DetectorConfig(), **kwargs
-        )
+    result = scan_all_loops(parse_program(_SOURCE), DetectorConfig(), **kwargs)
     return result, result.to_json(canonical=True)
 
 
@@ -91,13 +85,11 @@ class TestBackendIdentity:
         assert text == reference
 
     @pytest.mark.parametrize("kernel", ["flat"])
-    def test_process_backend(
-        self, kernel, monkeypatch, reference, process_fleet
-    ):
-        # The workers attach the shared-memory snapshot of the flat
-        # kernel's solve.
-        _, text = _scan_json(kernel, monkeypatch, fleet=process_fleet())
-        assert text == reference
+    def test_process_backend(self, kernel, monkeypatch, process_fleet):
+        # The forked workers solve with the flat kernel; every region
+        # equals the oracle's serial scan.
+        oracle, _ = _scan_json("oracle", monkeypatch)
+        assert process_fleet(_SOURCE) == report_pairs(oracle)
 
 
 class TestCacheIdentity:

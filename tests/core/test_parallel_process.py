@@ -1,16 +1,18 @@
-"""Tests for the fanned-out scan — the fleet Coordinator on forked local
-workers, the path ``POST /analyze-batch`` takes — and its failure
-labelling: output identical to a serial scan, failures naming their
-region, worker counts validated, no worker or descriptor left behind."""
+"""Tests for the fleet scan — the Coordinator's program tasks on forked
+local workers, the path ``POST /analyze-batch`` takes for a never-seen
+program — and its failure labelling: output identical to a serial scan,
+failures naming their region, worker counts validated, no worker or
+descriptor left behind."""
 
 import pytest
 
 from repro.core.detector import DetectorConfig
-from repro.core.regions import RegionSpec, candidate_loops, region_text
+from repro.core.regions import RegionSpec, resolve_region
 from repro.core.scan import scan_all_loops
 from repro.errors import AnalysisError, RegionCheckError, ResolutionError
 from repro.lang import parse_program
 from repro.server.coordinator import Coordinator
+from tests.conftest import report_pairs
 
 _THREE_LOOPS = """
 entry Main.main;
@@ -43,12 +45,14 @@ class TestProcessBackend:
     def test_process_scan_matches_serial(self, process_fleet):
         config = DetectorConfig()
         serial = scan_all_loops(_program(), config)
-        processed = process_fleet(config).scan_program(_program())
-        assert processed.to_json(canonical=True) == serial.to_json(canonical=True)
+        processed = process_fleet(_THREE_LOOPS, config=config)
+        assert processed == report_pairs(serial)
 
     def test_process_entries_in_submission_order(self, process_fleet):
-        result = process_fleet().scan_program(_program())
-        assert [spec.loop_label for spec, _ in result.entries] == ["A", "B", "C"]
+        result = process_fleet(_THREE_LOOPS)
+        assert [region for region, _ in result] == [
+            "Main.main:A", "Main.main:B", "Main.main:C"
+        ]
 
 
 class TestWorkerValidation:
@@ -82,24 +86,43 @@ class TestWorkerValidation:
 _BAD = RegionSpec("Main.main", "NO_SUCH_LOOP")
 
 
-class TestFailureLabelling:
-    def test_failure_names_region_process_backend(self, process_fleet):
-        specs = candidate_loops(_program()) + [_BAD]
-        with pytest.raises(RegionCheckError) as excinfo:
-            process_fleet().scan_program(_program(), specs)
-        assert "NO_SUCH_LOOP" in str(excinfo.value)
-        assert "worker traceback" in str(excinfo.value)
+@pytest.fixture
+def failing_fleet(request, monkeypatch):
+    """A one-worker forked fleet whose worker fails region B's check
+    (the failpoint travels in the environment it inherits)."""
+    monkeypatch.setenv("REPRO_FAILPOINTS", "raise:Main.main:B")
+    coordinator = Coordinator(1)
+    request.addfinalizer(coordinator.close)
+    return coordinator
 
-    def test_process_failure_names_backend(self, process_fleet):
+
+class TestFailureLabelling:
+    def test_failure_names_region_process_backend(self, failing_fleet):
+        with pytest.raises(RegionCheckError) as excinfo:
+            failing_fleet.scan_program(_THREE_LOOPS)
+        assert "Main.main:B" in str(excinfo.value)
+        assert "worker traceback" in str(excinfo.value)
+        assert "injected failpoint" in str(excinfo.value)
+
+    def test_process_failure_names_backend(self, failing_fleet):
         """A worker-side failure reports the fleet that ran it and the
         originating region."""
-        specs = candidate_loops(_program()) + [_BAD]
         with pytest.raises(RegionCheckError) as excinfo:
-            process_fleet().scan_program(_program(), specs)
+            failing_fleet.scan_program(_THREE_LOOPS)
         err = excinfo.value
         assert err.backend == "fleet"
-        assert err.region_desc == region_text(_BAD)
+        assert err.region_desc == "Main.main:B"
         assert "backend=fleet" in str(err)
+
+    def test_unresolvable_region_is_a_typed_program_error(self, process_fleet):
+        """A region the worker cannot resolve fails the program before
+        any check, with the message resolving it here gives."""
+        with pytest.raises(ResolutionError) as serial:
+            resolve_region(_program(), _BAD.text())
+        with pytest.raises(ResolutionError) as fleet:
+            process_fleet(_THREE_LOOPS, [_BAD.text()])
+        assert str(fleet.value) == str(serial.value)
+        assert "NO_SUCH_LOOP" in str(fleet.value)
 
     def test_failure_names_region_serial_fallback(self):
         """The serial scan raises what a region check raises, and that
@@ -164,19 +187,17 @@ class TestSharedMemoryHygiene:
 
         script = (
             "import os, sys\n"
-            "from repro.lang import parse_program\n"
             "from repro.server.coordinator import Coordinator\n"
             "def fds():\n"
             "    if not os.path.isdir('/proc/self/fd'):\n"
             "        return []\n"
             "    return sorted(os.listdir('/proc/self/fd'))\n"
             "source = sys.stdin.read()\n"
-            "program = parse_program(source)\n"
             "before = fds()\n"
             "for _ in range(2):\n"
             "    coordinator = Coordinator(2)\n"
             "    try:\n"
-            "        coordinator.scan_program(program)\n"
+            "        coordinator.scan_program(source)\n"
             "    finally:\n"
             "        coordinator.close()\n"
             "try:\n"

@@ -17,6 +17,7 @@ from tests.conftest import (
     FIGURE1_SOURCE,
     MERGED_CALLS_SOURCE,
     SIMPLE_LEAK_SOURCE,
+    report_pairs,
 )
 
 #: Stage names every uncached default-config run must time.
@@ -261,23 +262,15 @@ class TestParallel:
 
     def test_parallel_scan_identical_to_serial(self, figure1, process_fleet):
         serial = scan_all_loops(figure1)
-        parallel = process_fleet().scan_program(figure1)
-        assert [
-            (s.method_sig, s.loop_label, _fingerprint(r))
-            for s, r in serial.entries
-        ] == [
-            (s.method_sig, s.loop_label, _fingerprint(r))
-            for s, r in parallel.entries
-        ]
+        assert process_fleet(FIGURE1_SOURCE) == report_pairs(serial)
 
     def test_parallel_helper_preserves_spec_order(self, figure1, process_fleet):
-        specs = list(reversed(candidate_loops(figure1)))
-        result = process_fleet().scan_program(figure1, specs=specs)
-        assert [spec for spec, _ in result.entries] == specs
+        regions = [s.text() for s in reversed(candidate_loops(figure1))]
+        result = process_fleet(FIGURE1_SOURCE, regions)
+        assert [region for region, _ in result] == regions
 
     def test_empty_spec_list(self, figure1, process_fleet):
-        result = process_fleet().scan_program(figure1, specs=[])
-        assert result.entries == []
+        assert process_fleet(FIGURE1_SOURCE, []) == []
 
 
 class TestFacade:

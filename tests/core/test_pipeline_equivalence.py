@@ -11,8 +11,9 @@ import pytest
 
 from repro.bench.apps import all_apps
 from repro.core.pipeline import AnalysisSession
-from repro.core.regions import candidate_loops
+from repro.core.regions import candidate_loops, region_text
 from repro.core.scan import scan_all_loops
+from tests.conftest import canonical_pairs, report_pairs
 
 APPS = {app.name: app for app in all_apps()}
 
@@ -83,16 +84,8 @@ def test_parallel_scan_matches_serial_scan(name, process_fleet):
     if not candidate_loops(app.program):
         pytest.skip("%s has no labelled loops to scan" % name)
     serial = scan_all_loops(app.program, app.config)
-    parallel = process_fleet(app.config).scan_program(app.program)
-    serial_keys = [
-        (spec.method_sig, spec.loop_label, _report_key(report))
-        for spec, report in serial.entries
-    ]
-    parallel_keys = [
-        (spec.method_sig, spec.loop_label, _report_key(report))
-        for spec, report in parallel.entries
-    ]
-    assert parallel_keys == serial_keys
+    parallel = process_fleet(app.source, config=app.config)
+    assert parallel == report_pairs(serial)
 
 
 @pytest.mark.parametrize("name", sorted(APPS))
@@ -101,8 +94,7 @@ def test_parallel_region_check_matches_direct_check(name, process_fleet):
     session checks even for component regions (no labelled loops)."""
     app = APPS[name]
     direct = AnalysisSession(app.program, app.config).check(app.region)
-    result = process_fleet(app.config).scan_program(
-        app.program, specs=[app.region, app.region]
-    )
-    for _spec, report in result.entries:
-        assert _report_key(report) == _report_key(direct)
+    region = region_text(app.region)
+    result = process_fleet(app.source, [region, region], config=app.config)
+    expected = canonical_pairs([(region, direct.as_dict())])
+    assert result == expected * 2

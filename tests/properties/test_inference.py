@@ -21,11 +21,12 @@ from hypothesis import strategies as st
 
 from repro.core.pipeline.session import AnalysisSession
 from repro.core.infer import infer_candidates
-from repro.core.regions import candidate_loops, region_text
-from repro.core.scan import ScanResult, scan_all_loops
+from repro.core.regions import candidate_loops, region_text, resolve_region
+from repro.errors import ReproError
+from repro.core.scan import scan_all_loops
 from repro.lang import parse_program
 
-from tests.conftest import FIGURE1_SOURCE
+from tests.conftest import FIGURE1_SOURCE, report_pairs
 from tests.properties.strategies import inference_programs
 
 _SETTINGS = settings(
@@ -62,18 +63,24 @@ def test_catalog_scores_deterministic(source):
     ]
 
 
-def _fleet_auto_regions(coordinator, source, serial):
-    """``serial``'s inferred regions checked on the fleet.  Inference
-    runs where regions are chosen, in the caller, so its counters come
-    from there; the fleet checks the regions."""
-    fanned = coordinator.scan_program(
-        parse_program(source), specs=[spec for spec, _ in serial.entries]
-    )
-    return ScanResult(
-        fanned.entries,
-        infer_counters=serial.infer_counters,
-        infer_seconds=serial.infer_seconds,
-    )
+def _fleet_auto_regions(fleet, source, serial):
+    """``serial``'s inferred regions checked on the fleet, next to the
+    serial reports of the same regions.  Inference runs where regions
+    are chosen, in the caller; the fleet checks the regions it is sent
+    and answers their reports, the input of the triage.  Regions travel
+    as text, and a generated loop label (a ``while``) has no text form,
+    so such regions are left out on both sides."""
+    program = parse_program(source)
+
+    def addressable(text):
+        try:
+            resolve_region(program, text)
+        except ReproError:
+            return False
+        return True
+
+    pairs = [pair for pair in report_pairs(serial) if addressable(pair[0])]
+    return fleet(source, [region for region, _ in pairs]), pairs
 
 
 @given(source=inference_programs(max_body_stmts=4))
@@ -85,11 +92,10 @@ def _fleet_auto_regions(coordinator, source, serial):
 def test_triage_identical_across_backends(source, process_fleet):
     program = parse_program(source)
     serial = scan_all_loops(program, auto_regions=True)
-    fanned = _fleet_auto_regions(process_fleet(), source, serial)
-    assert serial.to_json(canonical=True) == fanned.to_json(canonical=True)
-    assert [t.as_dict() for t in serial.triage()] == [
-        t.as_dict() for t in fanned.triage()
-    ]
+    fanned, expected = _fleet_auto_regions(process_fleet, source, serial)
+    assert fanned == expected
+    # Every labelled loop, generated labels included, as a whole program.
+    assert process_fleet(source) == report_pairs(scan_all_loops(program))
 
 
 def _triage_in_subprocess(source, hash_seed):
@@ -128,9 +134,11 @@ def test_triage_identical_across_hash_seeds():
 
 
 def test_triage_identical_across_process_backend(process_fleet):
-    """A fanned-out scan hydrates worker processes from a snapshot; its
-    triage must still match the serial scan byte for byte."""
+    """A worker process runs the program whole; the reports the triage
+    ranks must still match the serial scan byte for byte."""
     program = parse_program(FIGURE1_SOURCE)
     serial = scan_all_loops(program, auto_regions=True)
-    process = _fleet_auto_regions(process_fleet(), FIGURE1_SOURCE, serial)
-    assert serial.to_json(canonical=True) == process.to_json(canonical=True)
+    process, expected = _fleet_auto_regions(
+        process_fleet, FIGURE1_SOURCE, serial
+    )
+    assert process == expected == report_pairs(serial)

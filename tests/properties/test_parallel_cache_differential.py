@@ -27,6 +27,7 @@ from repro.lang import parse_program
 from repro.semantics.interp import RandomSchedule, execute
 from repro.semantics.leaks import analyze_trace
 
+from tests.conftest import report_pairs
 from tests.properties.strategies import rich_loop_programs, store_only_programs
 
 # Example count comes from the hypothesis profile (see conftest.py).
@@ -76,12 +77,10 @@ def test_cached_scan_matches_serial(source):
 @_PROCESS_SETTINGS
 @given(rich_loop_programs())
 def test_process_parallel_scan_matches_serial(process_fleet, source):
-    """Worker processes hydrate their sessions from the same snapshot
-    serialization the disk cache uses; the result must not depend on
-    which process did the checking."""
-    _, serial = _canonical_scan(source)
-    processed = process_fleet().scan_program(parse_program(source))
-    assert processed.to_json(canonical=True) == serial
+    """A worker process runs the program whole from its source text;
+    the result must not depend on which process did the checking."""
+    serial, _ = _canonical_scan(source)
+    assert process_fleet(source) == report_pairs(serial)
 
 
 @_SETTINGS

@@ -160,6 +160,30 @@ class TestAnalyze:
         assert status == 200
         assert body["scan"]["leaking_sites"] == ["item"]
 
+    @pytest.mark.parametrize(
+        "javalib", ["false", "no", 1, []],
+        ids=["string-false", "string-no", "int", "list"],
+    )
+    def test_non_boolean_javalib_is_400(self, javalib):
+        """Regression: a ``javalib`` that is not a JSON boolean was read
+        as true, so ``"false"`` linked the library in."""
+        with _serving() as server:
+            code, _headers, body = _error(
+                lambda: _post(
+                    server, "/analyze", {"program": _LEAK, "javalib": javalib}
+                )
+            )
+            _, plain = _post(server, "/analyze", {"program": _LEAK})
+            _, null = _post(
+                server, "/analyze", {"program": _LEAK, "javalib": None}
+            )
+        assert code == 400
+        assert body["error"]["code"] == "bad_request"
+        assert "javalib" in body["error"]["message"]
+        # An absent or null flag is false: the same program, warm.
+        assert null["program_digest"] == plain["program_digest"]
+        assert null["warm"] is True
+
     def test_resource_leak_surfaces_through_analyze(self):
         """A FileStream opened every iteration and never closed comes
         back as a ``resource-leak`` finding (distinct kind, suffixed
@@ -297,6 +321,22 @@ class TestDiff:
         assert status == 200
         assert body["diff"]["counts"] == {"new": 0, "fixed": 1, "unchanged": 0}
         assert body["before"]["program_digest"] != body["after"]["program_digest"]
+
+    @pytest.mark.parametrize(
+        "javalib", ["false", "no", 0], ids=["string-false", "string-no", "int"]
+    )
+    def test_non_boolean_javalib_is_400(self, javalib):
+        with _serving() as server:
+            code, _headers, body = _error(
+                lambda: _post(
+                    server,
+                    "/diff",
+                    {"before": _LEAK, "after": _FIXED, "javalib": javalib},
+                )
+            )
+        assert code == 400
+        assert body["error"]["code"] == "bad_request"
+        assert "javalib" in body["error"]["message"]
 
     def test_diff_reuses_the_pool(self):
         with _serving() as server:

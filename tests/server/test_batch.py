@@ -5,6 +5,9 @@ The batch endpoint's contract under test:
 * every record on the stream conforms to
   :mod:`repro.server.schema`'s record schemas, ends with exactly one
   ``summary``;
+* records follow the entry order, and ``serve`` and ``serve --workers
+  N`` stream the same records for the same batch, the first time and
+  on every repeat;
 * a program or region that fails becomes an ``error`` record — the
   stream continues, the connection stays up, and the healthy remainder
   still answers (the mid-stream worker-failure test arms a ``raise``
@@ -203,6 +206,8 @@ class TestBatchStreaming:
         from repro.core.scan import scan_all_loops
         from repro.lang import parse_program
 
+        # A program the pool has not seen, so the fleet runs it.
+        unseen = TWO_LOOPS + "\nclass Unseen { }"
         with _serving(workers=1) as server:
             _stream(server, {"programs": [{"id": "p", "program": TWO_LOOPS}]})
             dead = set(server.fleet_snapshot()["per_worker"])
@@ -212,7 +217,7 @@ class TestBatchStreaming:
             started = time.monotonic()
             records = _stream(
                 server,
-                {"programs": [{"id": "p", "program": TWO_LOOPS}]},
+                {"programs": [{"id": "p", "program": unseen}]},
                 timeout=5,
             )
             elapsed = time.monotonic() - started
@@ -220,7 +225,7 @@ class TestBatchStreaming:
         assert elapsed < 5
         summary = _check_stream_shape(records)
         assert summary["ok"] is True
-        serial = scan_all_loops(parse_program(TWO_LOOPS))
+        serial = scan_all_loops(parse_program(unseen))
         assert sorted(
             (r["region"], r["leaking_sites"])
             for r in records
@@ -317,6 +322,33 @@ class TestBatchPartialFailure:
         assert region["leaking_sites"] == ["item"]
         assert summary["errors"] == 1
         assert summary["programs"] == 2
+
+    @pytest.mark.parametrize(
+        "javalib", ["false", "no", 1, [], {}],
+        ids=["string-false", "string-no", "int", "list", "object"],
+    )
+    def test_non_boolean_javalib_is_a_bad_request_record(self, javalib):
+        """Regression: a ``javalib`` that is not a JSON boolean was read
+        as true and linked the library in.  It is that entry's
+        ``bad_request`` record; the batch goes on."""
+        with _serving() as server:
+            records = _stream(
+                server,
+                {
+                    "programs": [
+                        {"id": "p", "program": LEAK, "javalib": javalib},
+                        {"id": "q", "program": LEAK, "javalib": False},
+                    ]
+                },
+            )
+        summary = _check_stream_shape(records)
+        (error,) = [r for r in records if r["record"] == "error"]
+        assert error["program_id"] == "p"
+        assert error["error"]["code"] == "bad_request"
+        assert "javalib" in error["error"]["message"]
+        (region,) = [r for r in records if r["record"] == "region"]
+        assert region["program_id"] == "q"
+        assert summary["errors"] == 1
 
     def test_unknown_region_is_an_error_record(self):
         with _serving() as server:
@@ -421,8 +453,8 @@ class TestBatchPartialFailure:
 
 
 class TestOneWarmStateStore:
-    """The session pool is the daemon's one per-program store: the
-    fleet's hand-off lives in its entries, under its bound."""
+    """The session pool is the daemon's one per-program store: a text
+    the fleet ran is registered in its entries, under its bound."""
 
     def test_batch_program_takes_one_pool_slot(self, threaded_workers):
         from repro.client import AnalyzeClient
@@ -464,6 +496,26 @@ class TestBatchRejections:
                 schema.validate_error(body)
                 assert body["error"]["code"] == "bad_request"
 
+    def test_non_string_id_is_400_naming_the_entry(self):
+        """Regression: an ``id`` that is not a string aborted the stream
+        after the first record with an ``internal`` error, dropping the
+        other entries.  It is a 400 before the stream opens."""
+        payload = {
+            "programs": [
+                {"id": "a", "program": LEAK},
+                {"id": 5, "program": LEAK},
+                {"id": "b", "program": CLEAN},
+            ]
+        }
+        with _serving() as server:
+            code, _, body = self._http_error(lambda: _stream(server, payload))
+            server_errors = server.metrics.counters.get("server_errors", 0)
+        assert code == 400
+        schema.validate_error(body)
+        assert body["error"]["code"] == "bad_request"
+        assert "programs[1].id" in body["error"]["message"]
+        assert server_errors == 0
+
     def test_missing_programs_is_400(self):
         with _serving() as server:
             code, _, body = self._http_error(
@@ -499,3 +551,161 @@ class TestBatchRejections:
         assert body["error"]["context"]["retry_after"] == int(
             headers["Retry-After"]
         )
+
+
+def _one_stream_entries():
+    """The 13 corpus apps, the five ×8 retention tilings, an unparseable
+    entry, an unknown region and an inheritance cycle."""
+    from repro.bench.apps import build_app, corpus_names, retention_names
+    from repro.bench.scale import build_scaled
+
+    entries = [
+        {"id": name, "program": build_app(name).source}
+        for name in corpus_names()
+    ]
+    entries += [
+        {"id": "%s-x8" % name, "program": build_scaled(name, factor=8).source}
+        for name in retention_names()
+    ]
+    cyclic = LEAK.replace("class Cache {", "class Cache extends Item {")
+    cyclic = cyclic.replace("class Item { }", "class Item extends Cache { }")
+    entries += [
+        {"id": "unparseable", "program": "class {"},
+        {"id": "unknown-region", "program": CLEAN, "region": "Nope.no:X"},
+        {"id": "cycle", "program": cyclic},
+    ]
+    return entries
+
+
+def _canonical_stream(records):
+    """The stream as bytes, reports canonicalized and ``elapsed_ms``
+    dropped: the run-independent form two daemons must agree on."""
+    from repro.core.canonical import canonical_report_dict
+
+    _check_stream_shape(records)
+    lines = []
+    for record in records:
+        record = dict(record)
+        record.pop("elapsed_ms", None)
+        if "report" in record:
+            record["report"] = canonical_report_dict(record["report"])
+        lines.append(json.dumps(record, sort_keys=True))
+    return "\n".join(lines).encode("utf-8")
+
+
+class TestOneStream:
+    def test_serve_and_fleet_stream_the_same_bytes(self, monkeypatch):
+        """One ``/analyze-batch`` with reports, to ``serve`` and to
+        ``serve --workers 2``: byte-identical streams in entry order.
+        Sent again, still identical, and never to the fleet: the
+        fleet-backed daemon scans each program here once and stores it,
+        and from then on neither daemon parses a stored program."""
+        import repro.server.pool as pool_module
+
+        entries = _one_stream_entries()
+        payload = {"programs": entries, "include_reports": True}
+        # Room for every entry, so that no repeat is an eviction's miss.
+        pooled = {"max_sessions": 32}
+        with _serving(**pooled) as serial, _serving(
+            workers=2, **pooled
+        ) as fleet:
+            expected = _canonical_stream(_stream(serial, payload))
+            assert _canonical_stream(_stream(fleet, payload)) == expected
+            shards = fleet.fleet_snapshot()["shards_total"]
+            assert shards == len(entries)
+            # The fleet daemon's second stream scans here and stores.
+            assert _canonical_stream(_stream(fleet, payload)) == expected
+
+            stored = {
+                entry["program"] for entry in entries
+                if entry["id"] not in ("unparseable", "unknown-region", "cycle")
+            }
+            parse = pool_module.parse_program
+
+            def no_repeat_parses(source):
+                if source in stored:
+                    raise AssertionError("a stored program was parsed")
+                return parse(source)
+
+            monkeypatch.setattr(pool_module, "parse_program", no_repeat_parses)
+            assert _canonical_stream(_stream(serial, payload)) == expected
+            assert _canonical_stream(_stream(fleet, payload)) == expected
+            assert fleet.fleet_snapshot()["shards_total"] == shards
+        order = [
+            r["program_id"] for r in json.loads(
+                "[" + expected.decode("utf-8").replace("\n", ",") + "]"
+            )[:-1]
+        ]
+        positions = [[e["id"] for e in entries].index(i) for i in order]
+        assert positions == sorted(positions)
+
+
+def _descriptors():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def _threads():
+    """This process's threads, but the daemon executor's, by name; those
+    come and go within the executor's own bound."""
+    import threading
+
+    return sorted(
+        thread.name for thread in threading.enumerate()
+        if not thread.name.startswith("repro-serve")
+    )
+
+
+def _children():
+    """Pids of this process's live (not zombie) children."""
+    children = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open("/proc/%s/stat" % entry) as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == os.getpid() and fields[0] != "Z":
+            children.add(int(entry))
+    return children
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc"
+)
+class TestFleetSoak:
+    def test_many_unseen_programs_leak_nothing(self):
+        """200 batches of never-seen small programs through ``serve
+        --workers 2 --max-sessions 8``: every one answers, the daemon's
+        descriptors, threads and children return to their baseline, the
+        workers are never re-forked, and the pool stays bounded."""
+        import threading
+
+        def program(n):
+            return LEAK.replace("@item", "@item%d" % n)
+
+        with _serving(workers=2, max_sessions=8) as server:
+            for n in range(4):  # warm the executor's threads
+                _stream(server, {"programs": [{"program": program(n)}]})
+            baseline = (_descriptors(), _threads(), _children())
+            workers = set(server.fleet_snapshot()["per_worker"])
+            sessions = []
+            for n in range(4, 204):
+                records = _stream(server, {"programs": [{"program": program(n)}]})
+                (region,) = [r for r in records if r["record"] == "region"]
+                assert region["leaking_sites"] == ["item%d" % n]
+                sessions.append(server.gauges()["pool_sessions"])
+            after = (_descriptors(), _threads(), _children())
+            fleet = server.fleet_snapshot()
+            executor = [
+                t for t in threading.enumerate()
+                if t.name.startswith("repro-serve")
+            ]
+            assert len(executor) <= server._executor._max_workers
+        assert after == baseline
+        assert set(fleet["per_worker"]) == workers
+        assert {int(pid) for pid in workers} == baseline[2]
+        assert fleet["shards_total"] == 204
+        assert fleet["remote_reconnects"] == 0
+        assert max(sessions) <= 8

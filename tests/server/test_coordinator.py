@@ -1,18 +1,20 @@
 """The fleet coordinator: identity, fan-out, failure, observability."""
 
+import json
 import os
+import threading
+import urllib.request
 
 import pytest
 
 from repro.core.config import DetectorConfig
 from repro.core.regions import candidate_loops, region_text
-from repro.core.scan import ScanResult, scan_all_loops
+from repro.core.scan import scan_all_loops
 from repro.errors import AnalysisError, RegionCheckError
 from repro.lang import parse_program
 from repro.server.coordinator import Coordinator
-from repro.server.pool import SessionPool
 from repro.server.remote import RemoteTransport
-from tests.conftest import MERGED_CALLS_SOURCE
+from tests.conftest import MERGED_CALLS_SOURCE, canonical_pairs, report_pairs
 
 MULTI = """
 entry Main.main;
@@ -62,81 +64,118 @@ def threaded(request, threaded_workers):
 
 @pytest.fixture
 def inline(threaded):
-    return threaded(shard_size=1)
+    return threaded()
+
+
+def _batch(server, programs):
+    """POST one ``/analyze-batch``; its records, decoded."""
+    request = urllib.request.Request(
+        "http://127.0.0.1:%d/analyze-batch" % server.server_address[1],
+        data=json.dumps({"programs": programs}).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with urllib.request.urlopen(request, timeout=120) as response:
+        return [json.loads(line) for line in response if line.strip()]
+
+
+@pytest.fixture
+def serving(request):
+    """``serving(**kwargs)``: a running daemon, shut down after the
+    test."""
+    from repro.server.app import create_server
+
+    def start(**kwargs):
+        server = create_server(port=0, **kwargs)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+
+        def stop():
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+        request.addfinalizer(stop)
+        return server
+
+    return start
 
 
 class TestIdentity:
     def test_inline_fleet_matches_serial_canonically(self, program, inline):
-        serial = scan_all_loops(program).to_json(canonical=True)
-        fleet = inline.scan_program(program).to_json(canonical=True)
-        assert fleet == serial
+        serial = report_pairs(scan_all_loops(program))
+        assert canonical_pairs(inline.scan_program(MULTI)) == serial
 
     def test_process_fleet_matches_serial_canonically(self, program):
         coordinator = Coordinator(2)
         try:
-            serial = scan_all_loops(program).to_json(canonical=True)
-            fleet = coordinator.scan_program(program).to_json(canonical=True)
+            fleet = canonical_pairs(coordinator.scan_program(MULTI))
         finally:
             coordinator.close()
-        assert fleet == serial
+        assert fleet == report_pairs(scan_all_loops(program))
 
     def test_explicit_spec_order_preserved(self, program, inline):
-        specs = list(reversed(candidate_loops(program)))
-        result = inline.scan_program(program, specs=specs)
-        assert [region_text(spec) for spec, _ in result.entries] == [
-            region_text(spec) for spec in specs
-        ]
+        regions = [region_text(s) for s in reversed(candidate_loops(program))]
+        result = inline.scan_program(MULTI, regions)
+        assert [region for region, _ in result] == regions
 
 
 class TestFanOut:
-    def test_outcomes_cover_every_region_once(self, program, inline):
-        outcomes = list(inline.scan_iter(program))
-        assert sorted(o.index for o in outcomes) == [0, 1, 2]
-        assert all(o.kind == "ok" for o in outcomes)
+    def test_outcomes_cover_every_region_once(self, inline):
+        answer = inline.submit(MULTI).result()
+        assert [o["region"] for o in answer["outcomes"]] == [
+            "Main.main:L1", "Main.main:L2", "Main.main:L3"
+        ]
+        assert all("report" in o for o in answer["outcomes"])
+        assert answer["degraded"] is False
+        assert answer["digest"]
 
     def test_empty_program_scans_nothing(self, inline):
-        empty = parse_program(
-            "entry Main.main;\nclass Main { static method main() { } }"
-        )
-        assert list(inline.scan_iter(empty)) == []
-        assert inline.scan_program(empty).entries == []
+        empty = "entry Main.main;\nclass Main { static method main() { } }"
+        assert inline.submit(empty).result()["outcomes"] == []
+        assert inline.scan_program(empty) == []
 
-    def test_program_handle_reused_across_scans(self, program, inline):
-        inline.scan_program(program)
-        inline.scan_program(program)
-        assert inline.pool.stats()["pool_sessions"] == 1
-        # Second scan adopts from the worker LRU, not a fresh hydration.
-        assert inline.fleet_stats()["adoptions"]["lru"] > 0
+    def test_program_handle_reused_across_scans(self, serving, threaded_workers):
+        """The fleet runs a program once; the pool entry it registers is
+        the handle every later request for the text reuses — scanned
+        here once, then answered from the stored scan."""
+        server = serving(worker_hosts=threaded_workers())
+        entry = [{"id": "p", "program": MULTI}]
+        streams = [_batch(server, entry) for _ in range(3)]
+        fleet = server.fleet_snapshot()
+        gauges = server.gauges()
+        assert fleet["shards_total"] == 1
+        assert gauges["pool_sessions"] == 1
+        assert gauges["pool_misses"] == 1 and gauges["pool_hits"] == 1
+        for stream in streams[1:]:
+            assert stream[:-1] == streams[0][:-1]
 
-    def test_lru_evicts_old_programs(self, request, threaded, program):
-        """The session pool's bound is the fleet's bound too."""
-        pool = SessionPool(max_sessions=1)
-        request.addfinalizer(pool.close)
-        coordinator = threaded(workers=1, pool=pool)
-        other = parse_program(MULTI + "\nclass Extra { }")
-        coordinator.scan_program(program)
-        coordinator.scan_program(other)
-        stats = pool.stats()
-        assert stats["pool_sessions"] == 1
-        assert stats["pool_evicted"] == 1
+    def test_lru_evicts_old_programs(self, serving, threaded_workers):
+        """The session pool's bound is the fleet's bound too: a text only
+        the fleet has run takes a pool slot."""
+        server = serving(worker_hosts=threaded_workers(1), max_sessions=1)
+        _batch(server, [{"program": MULTI}])
+        _batch(server, [{"program": MULTI + "\nclass Extra { }"}])
+        gauges = server.gauges()
+        assert gauges["pool_sessions"] == 1
+        assert gauges["pool_evicted"] == 1
+        assert server.fleet_snapshot()["shards_total"] == 2
 
 
 class TestFailure:
-    def test_failpoint_surfaces_as_error_outcome(self, threaded, program):
-        fleet = threaded(failpoints="raise:Main.main:L2", shard_size=1)
-        outcomes = list(fleet.scan_iter(program))
-        by_kind = {}
-        for outcome in outcomes:
-            by_kind.setdefault(outcome.kind, []).append(outcome)
-        assert len(by_kind["error"]) == 1
-        assert by_kind["error"][0].region == "Main.main:L2"
-        assert "failpoint" in by_kind["error"][0].cause
-        assert len(by_kind["ok"]) == 2
+    def test_failpoint_surfaces_as_error_outcome(self, threaded):
+        fleet = threaded(failpoints="raise:Main.main:L2")
+        outcomes = fleet.submit(MULTI).result()["outcomes"]
+        errors = [o for o in outcomes if "error" in o]
+        assert [o["region"] for o in errors] == ["Main.main:L2"]
+        assert "failpoint" in errors[0]["error"]
+        assert "Traceback" in errors[0]["traceback"]
+        assert len(outcomes) == 3
 
-    def test_scan_program_raises_region_check_error(self, threaded, program):
-        fleet = threaded(failpoints="raise:Main.main:L2", shard_size=1)
+    def test_scan_program_raises_region_check_error(self, threaded):
+        fleet = threaded(failpoints="raise:Main.main:L2")
         with pytest.raises(RegionCheckError) as excinfo:
-            fleet.scan_program(program)
+            fleet.scan_program(MULTI)
         assert "Main.main:L2" in str(excinfo.value)
         assert "backend=fleet" in str(excinfo.value)
 
@@ -145,14 +184,14 @@ class TestLocalWorkerDeath:
     def test_worker_killed_mid_shard_requeues_byte_identical(
         self, tmp_path, monkeypatch
     ):
-        """A forked worker that dies mid-shard costs a requeue, not the
-        batch: the shard lands on a survivor, and every region equals
+        """A forked worker that dies mid-task costs a requeue, not the
+        batch: the task lands on a survivor, and every region equals
         the serial scan."""
         from repro.bench.scale import build_scaled
         from repro.core.pipeline.session import AnalysisSession
 
-        program = build_scaled("memocache", factor=24).program
-        serial = scan_all_loops(program)
+        app = build_scaled("memocache", factor=24)
+        serial = scan_all_loops(app.program)
         doomed = region_text(serial.entries[0][0])
         marker = tmp_path / "died"
         parent = os.getpid()
@@ -174,45 +213,38 @@ class TestLocalWorkerDeath:
         monkeypatch.setattr(AnalysisSession, "check", dying_check)
         coordinator = Coordinator(2)
         try:
-            outcomes = list(coordinator.scan_iter(program))
+            fleet = canonical_pairs(coordinator.scan_program(app.source))
             stats = coordinator.fleet_stats()
         finally:
             coordinator.close()
         assert marker.exists()
-        assert [(o.region, o.cause) for o in outcomes if o.kind != "ok"] == []
-        reports = [None] * len(serial.entries)
-        for outcome in outcomes:
-            reports[outcome.index] = outcome.report
-        specs = [spec for spec, _ in serial.entries]
-        fleet = ScanResult(list(zip(specs, reports)))
-        assert fleet.to_json(canonical=True) == serial.to_json(canonical=True)
+        assert fleet == report_pairs(serial)
         assert stats["remote_requeues"] >= 1
 
 
 class TestObservability:
-    def test_fleet_stats_shape(self, program, inline):
-        inline.scan_program(program)
+    def test_fleet_stats_shape(self, inline):
+        inline.scan_program(MULTI)
         stats = inline.fleet_stats()
         assert stats["workers"] == 2
         assert stats["transport"] == "remote"
         assert stats["queue_depth"] == 0
-        assert stats["shards_total"] == 3  # shard_size=1, three loops
+        assert stats["shards_total"] == 1  # one program task
         assert stats["regions_total"] == 3
         assert stats["shard_errors"] == 0
-        assert sum(stats["adoptions"].values()) == 3
+        assert stats["region_errors"] == 0
+        assert "adoptions" not in stats
         assert stats["per_worker"]  # at least this process's pid
         for worker in stats["per_worker"].values():
-            assert worker["shards"] >= 1
+            assert worker["shards"] == 1
             assert worker["busy_seconds"] >= 0
 
-    def test_shard_latency_recorded_when_metrics_attached(
-        self, threaded, program
-    ):
+    def test_shard_latency_recorded_when_metrics_attached(self, threaded):
         from repro.server.metrics import ServerMetrics
 
         metrics = ServerMetrics()
-        threaded(workers=1, metrics=metrics).scan_program(program)
-        assert metrics.latency_summary("shard")["count"] >= 1
+        threaded(workers=1, metrics=metrics).scan_program(MULTI)
+        assert metrics.latency_summary("shard")["count"] == 1
 
 
 class TestConstruction:
@@ -229,11 +261,11 @@ class TestConstruction:
         assert coordinator.transport is transport
         assert coordinator.fleet_stats()["workers"] == 1
 
-    def test_process_transport_is_default(self, program):
+    def test_process_transport_is_default(self):
         """``Coordinator(N)`` forks N local workers."""
         coordinator = Coordinator(2)
         try:
-            coordinator.scan_program(program)
+            coordinator.scan_program(MULTI)
             stats = coordinator.fleet_stats()
         finally:
             coordinator.close()
@@ -244,108 +276,49 @@ class TestConstruction:
         assert str(os.getpid()) not in stats["per_worker"]
 
 
-class TestAdoptionFailures:
-    def test_corrupt_snapshot_falls_back_cold_and_counts(self, program):
-        """A hand-off that fails to decode must not fail the shard: the
-        worker rebuilds cold, answers correctly, and the coordinator
-        counts the failure."""
-        coordinator = Coordinator(1, shard_size=1)
+class TestDeadlines:
+    def test_worker_keeps_no_degraded_answer(self):
+        """A task past its deadline answers from the fallback, flagged
+        degraded; the worker keeps nothing, so the next task, which has
+        no deadline, answers exactly."""
+        config = DetectorConfig(demand_driven=True)
+        coordinator = Coordinator(1)
         try:
-            serial = scan_all_loops(program).to_json(canonical=True)
-            entry = coordinator.pool.handoff(program)
-            entry.substrate = b"not a substrate"
-            fleet = coordinator.scan_program(program).to_json(canonical=True)
+            degraded = coordinator.submit(
+                MERGED_CALLS_SOURCE, config=config, deadline_ms=0
+            ).result()
+            exact = coordinator.submit(
+                MERGED_CALLS_SOURCE, config=config
+            ).result()
+        finally:
+            coordinator.close()
+
+        def sites(answer):
+            return [
+                [f["site"] for f in o["report"]["findings"]]
+                for o in answer["outcomes"]
+            ]
+
+        assert sites(degraded) == [["item"]]
+        assert degraded["degraded"] is True
+        assert sites(exact) == [[]]
+        assert exact["degraded"] is False
+
+
+class TestStatelessWorker:
+    def test_worker_serves_more_programs_than_it_keeps(self):
+        """A worker keeps no program between tasks, and serves any number
+        of distinct programs without failing one."""
+        coordinator = Coordinator(1)
+        try:
+            answers = [
+                coordinator.submit(MULTI + "\nclass Extra%d { }" % n).result()
+                for n in range(6)
+            ]
             stats = coordinator.fleet_stats()
         finally:
             coordinator.close()
-        assert fleet == serial
-        assert stats["adoption_failures"] >= 1
-        assert stats["adoptions"]["cold"] >= 1
-        assert stats["adoptions"]["wire"] == 0
-
-
-class TestDeadlines:
-    def test_worker_keeps_no_degraded_answer(self):
-        """A shard past its deadline answers from the fallback, flagged
-        degraded; the worker's adopted session must not serve that
-        answer to the next shard, which has no deadline."""
-        config = DetectorConfig(demand_driven=True)
-        coordinator = Coordinator(1, pool=SessionPool(config=config))
-        try:
-            degraded = list(
-                coordinator.scan_iter(
-                    parse_program(MERGED_CALLS_SOURCE), deadline_ms=0
-                )
-            )
-            exact = list(
-                coordinator.scan_iter(parse_program(MERGED_CALLS_SOURCE))
-            )
-            adoptions = coordinator.fleet_stats()["adoptions"]
-        finally:
-            coordinator.close()
-        assert [o.report.leaking_site_labels for o in degraded] == [["item"]]
-        assert [o.degraded for o in degraded] == [True]
-        assert [o.report.leaking_site_labels for o in exact] == [[]]
-        assert [o.degraded for o in exact] == [False]
-        assert adoptions["lru"] == 1
-
-
-class TestAdoptedSessions:
-    def test_worker_serves_more_programs_than_it_keeps(self):
-        """A worker evicts adopted sessions past ``MAX_ADOPTED`` and
-        adopts each new program over the wire without failing a shard."""
-        from repro.server.remote_worker import MAX_ADOPTED
-
-        coordinator = Coordinator(1)
-        try:
-            errors = []
-            for n in range(MAX_ADOPTED + 2):
-                distinct = parse_program(MULTI + "\nclass Extra%d { }" % n)
-                errors += [
-                    outcome
-                    for outcome in coordinator.scan_iter(distinct)
-                    if outcome.kind == "error"
-                ]
-            adoptions = coordinator.fleet_stats()["adoptions"]
-        finally:
-            coordinator.close()
-        assert [(o.region, o.cause) for o in errors] == []
-        assert adoptions["wire"] == MAX_ADOPTED + 2
-
-    def test_concurrent_use_keeps_capacity(self):
-        """A remote worker's connection threads share one instance:
-        concurrent put/get/clear must never raise nor overfill it."""
-        import sys
-        import threading
-
-        from repro.server.remote_worker import AdoptedSessions
-
-        sessions = AdoptedSessions(capacity=2)
-        failures = []
-
-        def churn(offset):
-            try:
-                for n in range(3000):
-                    key = (offset + n) % 7
-                    sessions.put(key, object())
-                    sessions.get(key)
-                    if n % 97 == 0:
-                        sessions.clear()
-            except Exception as exc:  # noqa: BLE001 - asserted below
-                failures.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=churn, args=(i,)) for i in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
-        assert len(sessions._entries) <= sessions.capacity
+        assert all(len(a["outcomes"]) == 3 for a in answers)
+        assert len({a["digest"] for a in answers}) == 6
+        assert stats["region_errors"] == 0
+        assert stats["shards_total"] == 6

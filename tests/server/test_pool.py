@@ -1,14 +1,14 @@
-"""Unit tests for the digest-keyed session pool."""
+"""Unit tests for the text-keyed session pool."""
 
 import os
 
 import pytest
 
 from repro.core.config import DetectorConfig
-from repro.core.regions import region_text, resolve_region
+from repro.core.regions import region_text
+from repro.errors import ParseError, ResolutionError
 from repro.lang import parse_program
-from repro.pta.queries import Deadline
-from repro.server.pool import SessionPool
+from repro.server.pool import SessionPool, text_key
 
 _LEAK = """
 entry Main.main;
@@ -34,26 +34,31 @@ _TWO_LOOPS = _LEAK.replace(
 
 
 def _no_sessions(monkeypatch):
-    """Make building an analysis session in the pool an error."""
+    """Make building an analysis session, or parsing, in the pool an
+    error."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the pool built an AnalysisSession")
+        raise AssertionError("the pool built an AnalysisSession or parsed")
 
     monkeypatch.setattr("repro.server.pool.AnalysisSession", refuse)
+    monkeypatch.setattr("repro.server.pool.parse_program", refuse)
+
+
+def _entry(pool, source, javalib=False):
+    return pool._entries[text_key(source, javalib)]
 
 
 class TestWarmServing:
     def test_cold_then_warm(self, monkeypatch):
         pool = SessionPool()
-        program = parse_program(_LEAK)
-        cold_result, cold_info = pool.analyze(program)
+        cold_result, cold_info = pool.analyze(_LEAK)
         assert cold_info["warm"] is False
         assert cold_result.leaking_sites() == ["item"]
 
-        # A full repeat is answered from the stored scan: no session,
-        # so no call graph and no points-to.
+        # A full repeat is answered from the stored scan: no parse and
+        # no session, so no call graph and no points-to.
         _no_sessions(monkeypatch)
-        warm_result, warm_info = pool.analyze(parse_program(_LEAK))
+        warm_result, warm_info = pool.analyze(_LEAK)
         assert warm_info["warm"] is True
         assert warm_info["program_digest"] == cold_info["program_digest"]
         assert warm_result.leaking_sites() == ["item"]
@@ -61,15 +66,14 @@ class TestWarmServing:
 
     def test_warm_result_identical_to_cold(self):
         pool = SessionPool()
-        cold, _ = pool.analyze(parse_program(_LEAK))
-        warm, _ = pool.analyze(parse_program(_LEAK))
+        cold, _ = pool.analyze(_LEAK)
+        warm, _ = pool.analyze(_LEAK)
         assert warm.to_json(canonical=True) == cold.to_json(canonical=True)
 
     def test_entry_holds_the_scan_and_the_substrate(self):
         pool = SessionPool()
-        program = parse_program(_LEAK)
-        result, info = pool.analyze(program)
-        entry = pool.handoff(program)
+        result, info = pool.analyze(_LEAK)
+        entry = _entry(pool, _LEAK)
         assert entry.digest == info["program_digest"]
         assert entry.result is result
         assert isinstance(entry.substrate, bytes)
@@ -77,56 +81,87 @@ class TestWarmServing:
     def test_region_limited_request_does_not_store_snapshot(self):
         """A region-limited request stores the substrate, not the scan."""
         pool = SessionPool()
-        program = parse_program(_LEAK)
-        specs = [resolve_region(program, "Main.main:L")]
-        _, info = pool.analyze(program, specs=specs)
+        _, info = pool.analyze(_LEAK, regions=["Main.main:L"])
         assert info["warm"] is False
-        entry = pool.handoff(program)
+        entry = _entry(pool, _LEAK)
         assert entry.result is None and entry.substrate is not None
         # The next full request checks on a session hydrated from the
         # substrate: warm, and now it stores the scan ...
-        _, info2 = pool.analyze(parse_program(_LEAK))
+        _, info2 = pool.analyze(_LEAK)
         assert info2["warm"] is True
         assert entry.result is not None
         # ... which answers the third.
-        _, info3 = pool.analyze(parse_program(_LEAK))
+        _, info3 = pool.analyze(_LEAK)
         assert info3["warm"] is True
 
     def test_region_limited_request_served_from_stored_snapshot(
         self, monkeypatch
     ):
         pool = SessionPool()
-        program = parse_program(_TWO_LOOPS)
-        full, _ = pool.analyze(program)
+        full, _ = pool.analyze(_TWO_LOOPS)
         _no_sessions(monkeypatch)
-        specs = [resolve_region(program, "Main.main:L")]
-        result, info = pool.analyze(parse_program(_TWO_LOOPS), specs=specs)
+        result, info = pool.analyze(_TWO_LOOPS, regions=["Main.main:L"])
         assert info["warm"] is True
-        assert [spec for spec, _ in result.entries] == specs
+        assert [region_text(spec) for spec, _ in result.entries] == [
+            "Main.main:L"
+        ]
         assert result.leaking_sites() == ["item"]
         stored = {region_text(spec): report for spec, report in full.entries}
         assert result.entries[0][1] is stored["Main.main:L"]
 
     def test_uncovered_region_checks_on_the_substrate(self):
         pool = SessionPool()
-        program = parse_program(_TWO_LOOPS)
-        pool.analyze(program, specs=[resolve_region(program, "Main.main:K")])
-        specs = [resolve_region(program, "Main.main:L")]
-        result, info = pool.analyze(parse_program(_TWO_LOOPS), specs=specs)
+        pool.analyze(_TWO_LOOPS, regions=["Main.main:K"])
+        result, info = pool.analyze(_TWO_LOOPS, regions=["Main.main:L"])
         assert info["warm"] is True
         assert result.leaking_sites() == ["item"]
-        assert pool.handoff(program).result is None
+        assert _entry(pool, _TWO_LOOPS).result is None
 
     def test_degraded_full_scan_is_not_stored(self):
         config = DetectorConfig(demand_driven=True)
         pool = SessionPool(config=config)
-        program = parse_program(_LEAK)
-        _, info = pool.analyze(program, deadline=Deadline.after_ms(0))
+        _, info = pool.analyze(_LEAK, deadline_ms=0)
         assert info["warm"] is False
-        assert pool.handoff(program).result is None
-        result, info = pool.analyze(parse_program(_LEAK))
+        assert info["degraded"] is True
+        assert _entry(pool, _LEAK).result is None
+        result, info = pool.analyze(_LEAK)
         assert info["warm"] is True
-        assert pool.handoff(program).result is result
+        assert info["degraded"] is False
+        assert _entry(pool, _LEAK).result is result
+
+
+class TestTextKey:
+    def test_key_covers_the_javalib_flag(self):
+        assert text_key(_LEAK, False) != text_key(_LEAK, True)
+        assert text_key(_LEAK, False) == text_key(_LEAK, False)
+        assert text_key(_LEAK, False) != text_key(_LEAK + " ", False)
+
+    def test_lone_surrogates_have_a_key(self):
+        assert text_key("\ud800", False) != text_key("\ud801", False)
+
+    def test_same_program_different_text_takes_two_entries(self):
+        """The key is the text, not the program: a whitespace edit is a
+        new entry (and a cold scan) with the same program digest."""
+        pool = SessionPool()
+        _, first = pool.analyze(_LEAK)
+        _, second = pool.analyze(_LEAK + "\n")
+        assert second["warm"] is False
+        assert first["program_digest"] == second["program_digest"]
+        assert pool.stats()["pool_sessions"] == 2
+
+    def test_failed_request_leaves_no_entry(self):
+        """Text the pool knows nothing about that fails to parse or
+        resolve takes no slot, so garbage cannot evict warm programs."""
+        pool = SessionPool(max_sessions=1)
+        pool.analyze(_LEAK)
+        with pytest.raises(ParseError):
+            pool.analyze("class {")
+        with pytest.raises(ResolutionError):
+            pool.analyze(_OTHER, regions=["Main.main:NOPE"])
+        assert pool.stats()["pool_sessions"] == 1
+        assert pool.evicted == 0
+        _, info = pool.analyze(_LEAK)
+        assert info["warm"] is True
 
 
 class TestConcurrentRequests:
@@ -140,18 +175,20 @@ class TestConcurrentRequests:
 
         from repro.core.scan import scan_all_loops
 
+        from repro.core.regions import resolve_region
+
         sources = [_LEAK, _OTHER, _TWO_LOOPS]
 
-        def request(source, limited):
-            program = parse_program(source)
-            if limited:
-                return program, [resolve_region(program, "Main.main:L")]
-            return program, None
+        def regions(limited):
+            return ["Main.main:L"] if limited else None
 
         expected = {}
         for source in sources:
             for limited in (False, True):
-                program, specs = request(source, limited)
+                program = parse_program(source)
+                specs = None
+                if limited:
+                    specs = [resolve_region(program, "Main.main:L")]
                 expected[source, limited] = scan_all_loops(
                     program, specs=specs
                 ).to_json(canonical=True)
@@ -164,8 +201,7 @@ class TestConcurrentRequests:
                 for n in range(12):
                     source = sources[(offset + n) % len(sources)]
                     limited = n % 4 == 3
-                    program, specs = request(source, limited)
-                    result, _ = pool.analyze(program, specs=specs)
+                    result, _ = pool.analyze(source, regions=regions(limited))
                     got = result.to_json(canonical=True)
                     assert got == expected[source, limited]
             except Exception as exc:  # noqa: BLE001 - asserted below
@@ -193,26 +229,25 @@ class TestConcurrentRequests:
 class TestEviction:
     def test_lru_eviction_bounds_the_pool(self):
         pool = SessionPool(max_sessions=1)
-        pool.analyze(parse_program(_LEAK))
-        pool.analyze(parse_program(_OTHER))
+        pool.analyze(_LEAK)
+        pool.analyze(_OTHER)
         assert pool.evicted == 1
         assert pool.stats()["pool_sessions"] == 1
         # The first program was evicted: cold again.
-        _, info = pool.analyze(parse_program(_LEAK))
+        _, info = pool.analyze(_LEAK)
         assert info["warm"] is False
         # The second took its place and got evicted in turn.
-        _, other_info = pool.analyze(parse_program(_OTHER))
+        _, other_info = pool.analyze(_OTHER)
         assert other_info["warm"] is False
         assert pool.evicted == 3
 
     def test_recently_used_entry_survives(self):
         pool = SessionPool(max_sessions=2)
-        pool.analyze(parse_program(_LEAK))
-        pool.analyze(parse_program(_OTHER))
-        pool.analyze(parse_program(_LEAK))  # refresh LRU position
-        third = parse_program(_LEAK.replace("@item", "@third"))
-        pool.analyze(third)  # evicts _OTHER, not _LEAK
-        _, info = pool.analyze(parse_program(_LEAK))
+        pool.analyze(_LEAK)
+        pool.analyze(_OTHER)
+        pool.analyze(_LEAK)  # refresh LRU position
+        pool.analyze(_LEAK.replace("@item", "@third"))  # evicts _OTHER
+        _, info = pool.analyze(_LEAK)
         assert info["warm"] is True
 
     def test_max_sessions_validated(self):
@@ -223,7 +258,7 @@ class TestEviction:
 class TestConfig:
     def test_pool_config_respected(self):
         pool = SessionPool(config=DetectorConfig(pivot=False))
-        program = parse_program(
+        source = (
             """
             entry Main.main;
             class Main { static method main() {
@@ -236,7 +271,7 @@ class TestConfig:
             class Node { field next; field prev; }
             """
         )
-        result, _ = pool.analyze(program)
+        result, _ = pool.analyze(source)
         assert result.leaking_sites() == ["a", "b"]
 
     def test_stats_shape(self):
@@ -252,39 +287,54 @@ class TestConfig:
 
 
 class TestFleetHandoff:
-    def test_handoff_reuses_the_analyze_substrate(self, monkeypatch):
-        """A program ``/analyze`` warmed hands its stored substrate to
-        the fleet as is, and both endpoints share one entry."""
-        pool = SessionPool()
-        program = parse_program(_LEAK)
-        pool.analyze(program)
-        _no_sessions(monkeypatch)
-        entry = pool.handoff(program)
-        substrate = entry.substrate
-        assert substrate is not None and entry.program_blob is not None
-        assert pool.handoff(program) is entry
-        assert entry.substrate is substrate
-        assert pool.stats()["pool_sessions"] == 1
+    """The fleet's hand-off to the pool: a text a worker ran is
+    registered with its program digest, and takes one slot."""
 
-    def test_fleet_only_entry_keeps_the_substrate_alone(self, monkeypatch):
-        """A program only the fleet has seen retains its substrate
-        bytes and no scan; a later ``/analyze`` of it is warm."""
+    def test_handoff_reuses_the_analyze_substrate(self, monkeypatch):
+        """Registering a text ``/analyze`` already warmed keeps its
+        substrate and stored scan, and both endpoints share one
+        entry."""
         pool = SessionPool()
-        program = parse_program(_LEAK)
-        entry = pool.handoff(program)
-        assert entry.result is None
-        assert entry.substrate is not None and entry.program_blob is not None
-        result, info = pool.analyze(parse_program(_LEAK))
-        assert info["warm"] is True
+        result, info = pool.analyze(_LEAK)
+        entry = _entry(pool, _LEAK)
+        substrate = entry.substrate
+        _no_sessions(monkeypatch)
+        pool.register(text_key(_LEAK, False), info["program_digest"])
+        assert _entry(pool, _LEAK) is entry
+        assert entry.substrate is substrate and entry.result is result
+        assert pool.stats()["pool_sessions"] == 1
+        _, warm = pool.analyze(_LEAK)
+        assert warm["warm"] is True
+
+    def test_fleet_only_entry_keeps_the_digest_alone(self):
+        """A text only the fleet has run holds its digest, no scan and no
+        substrate; the next request for it is scanned here and stored,
+        and the one after is answered from the stored scan."""
+        pool = SessionPool()
+        digest = pool.analyze(_OTHER)[1]["program_digest"]
+        pool.register(text_key(_LEAK, False), "d" * 64)
+        entry = _entry(pool, _LEAK)
+        assert entry.digest == "d" * 64
+        assert entry.result is None and entry.substrate is None
+        assert pool.seen(text_key(_LEAK, False))
+        result, info = pool.analyze(_LEAK)
+        assert info["warm"] is False
         assert result.leaking_sites() == ["item"]
+        # The scan here recomputed the digest it reports.
+        assert info["program_digest"] == entry.digest != "d" * 64
+        assert info["program_digest"] != digest
+        _, info = pool.analyze(_LEAK)
+        assert info["warm"] is True
 
     def test_concurrent_handoff_and_eviction_leak_no_segment(self):
-        """Threads racing hand-offs of three programs through a
-        one-slot pool evict each other's entries mid-fill; every
-        hand-off still completes, the bound holds, and no shared-memory
-        segment is ever created."""
+        """Threads racing registrations and requests for three texts
+        through a one-slot pool evict each other's entries mid-fill;
+        every call completes with the serial answer, the bound holds,
+        and no shared-memory segment is ever created."""
         import sys
         import threading
+
+        from repro.core.scan import scan_all_loops
 
         def segments():
             if not os.path.isdir("/dev/shm"):
@@ -292,6 +342,12 @@ class TestFleetHandoff:
             return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
 
         sources = [_LEAK, _OTHER, _LEAK.replace("@cache", "@store")]
+        expected = {
+            source: scan_all_loops(parse_program(source)).to_json(
+                canonical=True
+            )
+            for source in sources
+        }
         before = segments()
         pool = SessionPool(max_sessions=1)
         failures = []
@@ -299,10 +355,12 @@ class TestFleetHandoff:
         def churn(offset):
             try:
                 for n in range(12):
-                    program = parse_program(sources[(offset + n) % 3])
-                    entry = pool.handoff(program)
-                    assert entry.program_blob is not None
-                    assert entry.substrate is not None
+                    source = sources[(offset + n) % 3]
+                    if n % 2:
+                        pool.register(text_key(source, False), "d" * 64)
+                        continue
+                    result, _ = pool.analyze(source)
+                    assert result.to_json(canonical=True) == expected[source]
             except Exception as exc:  # noqa: BLE001 - asserted below
                 failures.append(exc)
 

@@ -5,26 +5,25 @@ one test process — the harness CI's fleet benchmark uses with two
 worker processes, because from the transport's side a worker behind
 ``127.0.0.1:<port>`` is indistinguishable from one on another
 machine.  A ``drop`` failpoint makes a worker drop the
-connection before answering a doomed shard, which is exactly what a
-worker killed mid-shard looks like on the wire.
+connection before answering a doomed program task, which is exactly
+what a worker killed mid-task looks like on the wire.
 """
 
 import json
-import pickle
 import socket
 import threading
 import urllib.request
 
 import pytest
 
-from repro.core.regions import candidate_loops
-from repro.core.scan import ScanResult, scan_all_loops
+from repro.core.config import DetectorConfig
+from repro.core.scan import scan_all_loops
 from repro.lang import parse_program
 from repro.server import schema
 from repro.server.coordinator import Coordinator
-from repro.server.pool import SessionPool
 from repro.server.remote import (
     WIRE_VERSION,
+    RemoteShardError,
     RemoteTransport,
     WireError,
     parse_hosts,
@@ -32,6 +31,7 @@ from repro.server.remote import (
     send_frame,
 )
 from repro.server.remote_worker import Failpoints, RemoteWorkerServer
+from tests.conftest import canonical_pairs, report_pairs
 
 MULTI = """
 entry Main.main;
@@ -64,8 +64,8 @@ def program():
 
 
 @pytest.fixture
-def serial_json(program):
-    return scan_all_loops(program).to_json(canonical=True)
+def serial_pairs(program):
+    return report_pairs(scan_all_loops(program))
 
 
 def _worker(**kwargs):
@@ -76,10 +76,10 @@ def _fleet(request, workers, **kwargs):
     transport = RemoteTransport(
         [w.address for w in workers], reconnect_backoff=0.05, **kwargs
     )
-    # Connected before the first shard, as the daemon's fleet is: a link
-    # still dialing could leave every shard to the other worker.
+    # Connected before the first task, as the daemon's fleet is: a link
+    # still dialing could leave every task to the other worker.
     transport.warm()
-    coordinator = Coordinator(transport=transport, shard_size=1)
+    coordinator = Coordinator(transport=transport)
     def teardown():
         coordinator.close()
         for worker in workers:
@@ -103,19 +103,19 @@ class TestWireFrames:
 
     def test_round_trip_with_blobs(self):
         left, right = self._pair()
-        send_frame(left, {"type": "shard", "digest": "d"},
+        send_frame(left, {"type": "program", "javalib": False},
                    [b"program", b"\x00" * 1000])
         header, blobs = recv_frame(right)
-        assert header["type"] == "shard"
-        assert header["digest"] == "d"
-        assert header["wire"] == WIRE_VERSION == 4
+        assert header["type"] == "program"
+        assert header["javalib"] is False
+        assert header["wire"] == WIRE_VERSION == 5
         assert blobs == [b"program", b"\x00" * 1000]
 
     def test_empty_blob_list(self):
         left, right = self._pair()
         send_frame(left, {"type": "ping", "seq": 7})
         header, blobs = recv_frame(right)
-        assert header == {"type": "ping", "seq": 7, "wire": 4, "blobs": []}
+        assert header == {"type": "ping", "seq": 7, "wire": 5, "blobs": []}
         assert blobs == []
 
     def test_version_mismatch_rejected(self):
@@ -127,11 +127,12 @@ class TestWireFrames:
             recv_frame(right)
 
     def test_version_2_frames_rejected(self):
-        """Version 2 pushed the packed snapshot layout and version 3
-        pushed the substrate in a separate ``snapshot`` exchange; a peer
-        that still speaks either fails on its first frame."""
+        """Version 2 pushed the packed snapshot layout, version 3 pushed
+        the substrate in a separate ``snapshot`` exchange and version 4
+        sent region shards with a pickled program; a peer that still
+        speaks any of them fails on its first frame."""
         left, right = self._pair()
-        for version in (2, 3):
+        for version in (2, 3, 4):
             payload = json.dumps(
                 {"type": "snapshot", "wire": version, "blobs": []}
             )
@@ -187,139 +188,128 @@ class TestFailpoints:
         assert not worker._failpoints.fire("drop", "Main.main:L3")
 
 
-# -- hand-off: every shard frame carries its substrate ----------------------
+# -- hand-off: one program frame is the whole task -------------------------
 
 
-def _shard_frame(program, indices=None):
-    """A ``shard`` frame's header and three blobs for ``program``,
-    built from a session pool's hand-off as the coordinator builds
+def _program_frame(source=MULTI, **fields):
+    """A ``program`` frame's header and blob, as the coordinator builds
     them."""
-    pool = SessionPool()
-    entry = pool.handoff(program)
-    specs = candidate_loops(program)
     header = {
-        "type": "shard",
-        "digest": entry.digest,
-        "config": pool.config.describe(),
-        "indices": list(range(len(specs))) if indices is None else indices,
+        "type": "program",
+        "javalib": False,
+        "regions": None,
+        "config": DetectorConfig().describe(),
         "deadline_ms": None,
     }
-    blobs = [
-        entry.program_blob,
-        entry.substrate,
-        pickle.dumps(specs, protocol=pickle.HIGHEST_PROTOCOL),
-    ]
-    return header, blobs
+    header.update(fields)
+    return header, [source.encode("utf-8")]
+
+
+def _exchange(worker, frames):
+    """Send each ``(header, blobs)`` on one connection; the replies,
+    then a ping's, which shows the connection still serves."""
+    replies = []
+    with socket.create_connection((worker.host, worker.port), timeout=30) as conn:
+        for header, blobs in frames:
+            send_frame(conn, header, blobs)
+            replies.append(recv_frame(conn)[0])
+        send_frame(conn, {"type": "ping", "seq": 1})
+        assert recv_frame(conn)[0]["type"] == "pong"
+    return replies
 
 
 class TestHandOff:
     def test_two_host_fleet_matches_serial(
-        self, request, program, serial_json
+        self, request, program, serial_pairs
     ):
         workers = [_worker(), _worker()]
         fleet = _fleet(request, workers)
-        assert fleet.scan_program(program).to_json(canonical=True) == serial_json
+        answers = [fleet.scan_program(MULTI) for _ in range(4)]
+        for answer in answers:
+            assert canonical_pairs(answer) == serial_pairs
         stats = fleet.fleet_stats()
-        # Both workers were cold: each hydrated the substrate its first
-        # shard frame carried, and nothing was pushed separately.
-        assert stats["adoptions"]["wire"] == 2
-        assert "remote_snapshot_pushes" not in stats
+        assert "adoptions" not in stats
         assert stats["remote_workers_alive"] == 2
+        assert sum(w.counters["programs"] for w in workers) == 4
 
-    def test_one_shard_frame_is_the_whole_task(self, program, serial_json):
-        """A fresh worker answers one three-blob ``shard`` frame with a
-        ``result``: it hydrates the frame's substrate, and the next
-        frame for the digest is served from its LRU."""
-        specs = candidate_loops(program)
-        header, blobs = _shard_frame(program)
+    def test_one_shard_frame_is_the_whole_task(self, serial_pairs):
+        """A fresh worker answers one ``program`` frame with a
+        ``result`` carrying the digest and every region's report as
+        plain JSON, and keeps nothing: the same frame again gets the
+        same answer."""
         worker = _worker()
         try:
-            with socket.create_connection(
-                (worker.host, worker.port), timeout=30
-            ) as conn:
-                adoptions = []
-                for _ in range(2):
-                    send_frame(conn, header, blobs)
-                    reply, reply_blobs = recv_frame(conn)
-                    assert reply["type"] == "result"
-                    adoptions.append(reply["adoption"])
-                    assert reply["adoption_failures"] == 0
-                    outcomes = pickle.loads(reply_blobs[0])
-                    assert [outcome[:2] for outcome in outcomes] == [
-                        (index, "ok") for index in range(len(specs))
-                    ]
-                    scan = ScanResult(
-                        [(spec, outcome[2])
-                         for spec, outcome in zip(specs, outcomes)]
-                    )
-                    assert scan.to_json(canonical=True) == serial_json
+            replies = _exchange(worker, [_program_frame()] * 2)
         finally:
             worker.shutdown()
-        assert adoptions == ["wire", "lru"]
-        assert worker.counters["shards"] == 2
+        for reply in replies:
+            assert reply["type"] == "result"
+            assert reply["digest"]
+            assert reply["degraded"] is False
+            pairs = [(o["region"], o["report"]) for o in reply["outcomes"]]
+            assert canonical_pairs(pairs) == serial_pairs
+        assert replies[0]["digest"] == replies[1]["digest"]
+        assert worker.counters["programs"] == 2
 
-    def test_corrupt_pushed_snapshot_degrades_to_cold(
-        self, request, program, serial_json
-    ):
+    def test_frames_with_non_string_regions_are_bad_requests(self):
+        """Regions travel as spec texts, so a program frame whose
+        regions are not a list of strings is refused, and the
+        connection keeps serving."""
         worker = _worker()
-        fleet = _fleet(request, [worker])
-        # Every shard frame carries garbage for the program's substrate;
-        # the worker must rebuild cold and count the failure, never
-        # answer wrong.
-        fleet.pool.handoff(program).substrate = b"not a substrate"
-        assert fleet.scan_program(program).to_json(canonical=True) == serial_json
-        assert worker.counters["adoption_failures"] == 1
-        assert fleet.fleet_stats()["adoption_failures"] == 1
+        try:
+            replies = _exchange(worker, [
+                _program_frame(regions="Main.main:L1"),
+                _program_frame(regions=[["Main.main:L1"]]),
+                _program_frame(regions=[1]),
+            ])
+        finally:
+            worker.shutdown()
+        assert [r["type"] for r in replies] == ["error"] * 3
+        assert {r["code"] for r in replies} == {"bad_request"}
+        assert worker.counters["programs"] == 0
 
-    def test_frames_without_a_string_digest_are_bad_requests(self, program):
-        """A digest keys the worker's warm sessions, so a shard frame
-        whose digest is not a string is refused, and the connection
+    def test_snapshot_pushes_and_malformed_shards_are_bad_requests(self):
+        """The program travels in the program frame only: a frame
+        without its source blob, one with extra blobs, a separate
+        ``snapshot`` push, a version-4 ``shard`` frame, a config that is
+        not an object, a ``javalib`` that is not a boolean and source
+        bytes that are not UTF-8 are each refused, and the connection
         keeps serving."""
-        header, blobs = _shard_frame(program)
-        header["digest"] = [header["digest"]]
+        header, blobs = _program_frame()
         worker = _worker()
         try:
-            with socket.create_connection(
-                (worker.host, worker.port), timeout=10
-            ) as conn:
-                send_frame(conn, header, blobs)
-                reply, _ = recv_frame(conn)
-                assert reply["type"] == "error"
-                assert reply["code"] == "bad_request"
-                send_frame(conn, {"type": "ping", "seq": 1})
-                assert recv_frame(conn)[0]["type"] == "pong"
+            replies = _exchange(worker, [
+                (header, []),
+                (header, blobs + [b"substrate"]),
+                ({"type": "snapshot", "digest": "d"}, [b"substrate"]),
+                ({"type": "shard", "digest": "d"}, [b"p", b"s", b"r"]),
+                (dict(header, config=5), blobs),
+                (dict(header, javalib="false"), blobs),
+                (header, [b"\xff\xfe"]),
+            ])
         finally:
             worker.shutdown()
-        assert worker.counters["shards"] == 0
+        assert [r["type"] for r in replies] == ["error"] * 7
+        assert {r["code"] for r in replies} == {"bad_request"}
+        assert worker.counters["programs"] == 0
 
-    def test_snapshot_pushes_and_malformed_shards_are_bad_requests(
-        self, program
-    ):
-        """The substrate travels in the shard frame only: a shard frame
-        without it and a separate ``snapshot`` push are each refused, as
-        is a shard whose config is not an object, and the connection
-        keeps serving."""
-        header, blobs = _shard_frame(program)
+    def test_typed_program_errors_travel_as_results(self):
+        """A program that does not parse or whose region does not
+        resolve is answered, not refused: a ``result`` whose ``error``
+        names the failing step and carries the message."""
         worker = _worker()
         try:
-            with socket.create_connection(
-                (worker.host, worker.port), timeout=10
-            ) as conn:
-                for frame_header, frame_blobs in (
-                    (header, [blobs[0], blobs[2]]),
-                    ({"type": "snapshot", "digest": header["digest"]},
-                     [blobs[1]]),
-                    (dict(header, config=5), blobs),
-                ):
-                    send_frame(conn, frame_header, frame_blobs)
-                    reply, _ = recv_frame(conn)
-                    assert reply["type"] == "error"
-                    assert reply["code"] == "bad_request"
-                send_frame(conn, {"type": "ping", "seq": 1})
-                assert recv_frame(conn)[0]["type"] == "pong"
+            parse, resolve = _exchange(worker, [
+                _program_frame("class {"),
+                _program_frame(regions=["Main.main:NOPE"]),
+            ])
         finally:
             worker.shutdown()
-        assert worker.counters["shards"] == 0
+        assert parse["type"] == resolve["type"] == "result"
+        assert parse["error"]["kind"] == "parse"
+        assert "line 1" in parse["error"]["message"]
+        assert resolve["error"]["kind"] == "resolve"
+        assert "NOPE" in resolve["error"]["message"]
 
 
 # -- liveness, requeue, retry budgets ----------------------------------------
@@ -327,47 +317,44 @@ class TestHandOff:
 
 class TestRobustness:
     def test_worker_killed_mid_shard_requeues_byte_identical(
-        self, request, program, serial_json
+        self, request, program, serial_pairs
     ):
         # Both workers drop the connection (= die) the first time they
-        # see L2's shard; the requeued shard must land somewhere and
-        # the batch must still equal the serial scan byte for byte.
+        # see a program with L2; the requeued task must land somewhere
+        # and its answer must still equal the serial scan byte for byte.
         workers = [
             _worker(failpoints="drop:Main.main:L2*1"),
             _worker(failpoints="drop:Main.main:L2*1"),
         ]
         fleet = _fleet(request, workers)
-        assert fleet.scan_program(program).to_json(canonical=True) == serial_json
+        assert canonical_pairs(fleet.scan_program(MULTI)) == serial_pairs
         stats = fleet.fleet_stats()
         assert stats["remote_requeues"] >= 1
         assert stats["remote_retry_exhaustions"] == 0
         deaths = sum(w.counters["simulated_deaths"] for w in workers)
         assert deaths >= 1
 
-    def test_retry_budget_exhaustion_is_per_region_error(
-        self, request, program
-    ):
-        # No *N: die on *every* attempt.  The budget must run out, and
-        # only L2 may turn into an error outcome.
+    def test_retry_budget_exhaustion_costs_its_program(self, request):
+        # No *N: die on *every* attempt.  The budget must run out and
+        # fail that program's task; the next program still answers.
         worker = _worker(failpoints="drop:Main.main:L2")
         fleet = _fleet(request, [worker], retry_budget=1)
-        outcomes = {o.region: o for o in fleet.scan_iter(program)}
-        assert outcomes["Main.main:L2"].kind == "error"
-        assert "retry budget" in outcomes["Main.main:L2"].cause
-        assert outcomes["Main.main:L1"].kind == "ok"
-        assert outcomes["Main.main:L3"].kind == "ok"
-        assert fleet.fleet_stats()["remote_retry_exhaustions"] == 1
+        doomed = fleet.submit(MULTI)
+        healthy = fleet.submit(MULTI.replace("loop L2", "loop K2"))
+        with pytest.raises(RemoteShardError, match="retry budget"):
+            doomed.result()
+        assert len(healthy.result()["outcomes"]) == 3
+        stats = fleet.fleet_stats()
+        assert stats["remote_retry_exhaustions"] == 1
+        assert stats["shard_errors"] == 1
 
-    def test_all_workers_down_exhausts_instead_of_hanging(
-        self, request, program
-    ):
+    def test_all_workers_down_exhausts_instead_of_hanging(self, request):
         worker = _worker()
         fleet = _fleet(request, [worker], retry_budget=1)
         worker.shutdown()
-        # Give the transport a moment to notice the corpse, then scan:
-        # every region must come back as an error, not a hang.
-        outcomes = list(fleet.scan_iter(program))
-        assert outcomes and all(o.kind == "error" for o in outcomes)
+        # The task must fail once its budget runs out, not hang.
+        with pytest.raises(RemoteShardError):
+            fleet.submit(MULTI).result(timeout=60)
 
     def test_heartbeat_detects_a_dead_worker(self, request, program):
         worker = _worker()
@@ -418,12 +405,16 @@ class TestBatchIntegration:
 
         worker = _worker(failpoints="drop:Main.main:L2")
         server = create_server(port=0, worker_hosts=[worker.address])
-        server.coordinator.shard_size = 1
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
+        healthy = MULTI.replace("loop L2", "loop K2")
         try:
             records = self._stream(
-                server, {"programs": [{"id": "p", "program": MULTI}]}
+                server,
+                {"programs": [
+                    {"id": "p", "program": MULTI},
+                    {"id": "q", "program": healthy},
+                ]},
             )
         finally:
             server.shutdown()
@@ -435,13 +426,15 @@ class TestBatchIntegration:
         assert records[-1]["record"] == "summary"
         errors = [r for r in records if r["record"] == "error"]
         regions = [r for r in records if r["record"] == "region"]
+        # A dead worker costs its program, once the retries run out.
         assert len(errors) == 1
-        assert errors[0]["region"] == "Main.main:L2"
+        assert errors[0]["program_id"] == "p"
+        assert errors[0]["region"] is None
         assert errors[0]["error"]["code"] == "internal"
         assert "retry budget" in errors[0]["error"]["message"]
-        assert {r["region"] for r in regions} == {
-            "Main.main:L1", "Main.main:L3"
-        }
+        assert [(r["program_id"], r["region"]) for r in regions] == [
+            ("q", "Main.main:L1"), ("q", "Main.main:K2"), ("q", "Main.main:L3")
+        ]
         assert records[-1]["errors"] == 1
 
     def test_metrics_export_remote_counters(self):
@@ -470,9 +463,12 @@ class TestBatchIntegration:
         fleet = body["data"]["fleet"]
         assert fleet["remote_workers_alive"] == 1
         assert fleet["remote_requeues"] == 0
-        assert fleet["adoptions"]["wire"] == 1
+        assert fleet["shards_total"] == 1
+        assert "adoptions" not in fleet
         assert "leakchecker_fleet_remote_requeues 0" in text
+        assert "leakchecker_fleet_shards_total 1" in text
         assert "snapshot" not in text
+        assert "adoption" not in text
 
 
 class TestServeWiring:

@@ -1,9 +1,24 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
-from tests.conftest import FIGURE1_SOURCE, SIMPLE_LEAK_SOURCE
+from tests.conftest import FIGURE1_SOURCE, SIMPLE_LEAK_SOURCE, canonical_pairs
+
+
+def _canonical_loop_pairs(scan):
+    """A ``scan --json --canonical`` document's regions in the form of
+    :func:`~tests.conftest.canonical_pairs`."""
+    return canonical_pairs(
+        (
+            entry["method"] if entry["loop"] is None
+            else "%s:%s" % (entry["method"], entry["loop"]),
+            entry["report"],
+        )
+        for entry in scan["loops"]
+    )
 
 
 @pytest.fixture
@@ -188,26 +203,31 @@ class TestScanAndRank:
     def test_scan_parallel_matches_serial(
         self, two_loops_file, capsys, process_fleet
     ):
-        from repro.lang import parse_program
-
+        """Every region line of ``scan``'s text output, rebuilt from the
+        fleet's answer for the same file."""
         assert main(["scan", two_loops_file]) == 1
-        serial = capsys.readouterr().out
+        serial = capsys.readouterr().out.splitlines()
         with open(two_loops_file) as handle:
-            program = parse_program(handle.read())
-        fanned = process_fleet().scan_program(program)
-        assert fanned.format() + "\n" == serial
+            fanned = process_fleet(handle.read())
+        lines = []
+        for region, report in fanned:
+            sites = [finding["site"] for finding in json.loads(report)["findings"]]
+            lines.append("  [%s] %s -> %s" % (
+                "LEAKS" if sites else "clean", region, ", ".join(sites) or "-"
+            ))
+        assert serial[1:1 + len(lines)] == lines
+        assert serial[0] == "scanned %d regions, %d findings total" % (
+            len(lines), sum(line.count("[LEAKS]") for line in lines)
+        )
 
     def test_scan_process_backend_matches_serial(
         self, two_loops_file, capsys, process_fleet
     ):
-        from repro.lang import parse_program
-
         assert main(["scan", two_loops_file, "--json", "--canonical"]) == 1
-        serial = capsys.readouterr().out
+        serial = json.loads(capsys.readouterr().out)
         with open(two_loops_file) as handle:
-            program = parse_program(handle.read())
-        fanned = process_fleet().scan_program(program)
-        assert fanned.to_json(canonical=True) + "\n" == serial
+            fanned = process_fleet(handle.read())
+        assert fanned == _canonical_loop_pairs(serial)
 
     def test_scan_cache_dir_warm_hit(self, two_loops_file, tmp_path, capsys):
         import json
@@ -512,21 +532,19 @@ class TestAutoRegions:
     def test_auto_regions_canonical_matches_backends(
         self, figure1_file, capsys, process_fleet
     ):
-        from repro.core.scan import ScanResult, scan_all_loops
+        from repro.core.regions import region_text
+        from repro.core.scan import scan_all_loops
         from repro.lang import parse_program
 
         main(["scan", figure1_file, "--auto-regions", "--json", "--canonical"])
-        cli = capsys.readouterr().out
+        cli = json.loads(capsys.readouterr().out)
         serial = scan_all_loops(parse_program(FIGURE1_SOURCE), auto_regions=True)
+        assert cli == json.loads(serial.to_json(canonical=True))
         # Inference picks the regions in the caller; the fleet checks them.
-        fanned = process_fleet().scan_program(
-            parse_program(FIGURE1_SOURCE),
-            specs=[spec for spec, _ in serial.entries],
+        fanned = process_fleet(
+            FIGURE1_SOURCE, [region_text(spec) for spec, _ in serial.entries]
         )
-        fanned = ScanResult(
-            fanned.entries, infer_counters=serial.infer_counters
-        )
-        assert fanned.to_json(canonical=True) + "\n" == cli
+        assert fanned == _canonical_loop_pairs(cli)
 
 
 class TestRegionSuggestions:
