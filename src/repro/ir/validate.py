@@ -5,11 +5,12 @@ raises :class:`repro.errors.IRError` on the first issue.  Benchmarks and the
 frontend run validation so that analysis failures are caught as malformed
 input rather than deep inside a solver.
 
-The def/use check is a definite-assignment analysis over the per-method
-CFG (:mod:`repro.cfg.graph`): a variable use is clean only when every
-path from the entry assigns it first, so an assignment on one branch
-arm or inside a possibly zero-trip loop body does not excuse a use
-after the join.
+Each method body is walked once; the def/use check is a
+definite-assignment analysis over the per-method CFG
+(:mod:`repro.cfg.graph`): a variable use is clean only when every path
+from the entry assigns it first, so an assignment on one branch arm or
+inside a possibly zero-trip loop body does not excuse a use after the
+join.
 """
 
 from repro.errors import IRError, ResolutionError
@@ -63,6 +64,35 @@ def _stmt_uses(stmt):
             yield stmt.cond.var, "condition variable"
 
 
+def _check_block(method, block, live, all_defs, issues):
+    """Check the uses in one CFG block against ``live``, the variables
+    surely assigned on entry (``None`` in unreachable code, where any
+    assignment in the method will do); ``live`` grows into the block's
+    OUT set.  The branch/loop condition is evaluated after the block's
+    straight-line statements, when control leaves the block."""
+    known = all_defs if live is None else live  # live <= all_defs
+    stmts = block.stmts
+    if block.terminator is not None:
+        stmts = stmts + [block.terminator]
+    for stmt in stmts:
+        for var, role in _stmt_uses(stmt):
+            if var in known:
+                continue
+            if var not in all_defs:
+                issues.append(
+                    "%s: %s %r used but never defined (stmt %r)"
+                    % (method.sig, role, var, stmt)
+                )
+            else:
+                issues.append(
+                    "%s: %s %r may be unassigned on some path (stmt %r)"
+                    % (method.sig, role, var, stmt)
+                )
+        target = _stmt_def(stmt)
+        if target and live is not None:
+            live.add(target)
+
+
 def _definite_assignment_issues(method, initial, all_defs):
     """Definite-assignment (must-reach) def/use check over the CFG.
 
@@ -74,174 +104,121 @@ def _definite_assignment_issues(method, initial, all_defs):
     evaluates them.  Statements in unreachable blocks (e.g. after a
     ``return``) keep the flow-insensitive check: a variable merely has
     to be assigned *somewhere* in the method.
+
+    One forward pass in reverse post-order suffices.  There every
+    predecessor of a block comes first except a loop's back edge, and
+    the loop header dominates the back edge's source, so everything
+    live at the header is still live there: a loop body only adds to
+    what reaches its header.  Intersecting the OUT sets of the
+    predecessors already visited is therefore the greatest fixed point
+    that iterating from the universe set would reach.
     """
     from repro.cfg.graph import build_cfg
 
     issues = []
     cfg = build_cfg(method)
-    reachable = cfg.reachable_blocks()  # reverse post-order
-    reachable_ids = {block.index for block in reachable}
-    block_defs = {}
-    for block in cfg.blocks:
-        defs = set()
-        for stmt in block.stmts:
-            target = _stmt_def(stmt)
-            if target:
-                defs.add(target)
-        block_defs[block.index] = defs
-
-    # Must-analysis fixpoint: OUT starts at the universe (top) so loop
-    # back-edges do not spuriously kill the entry path's assignments on
-    # the first visit; iteration only shrinks the sets.
-    universe = set(all_defs) | set(initial)
-    out_sets = {block.index: set(universe) for block in reachable}
-
-    def in_set(block):
+    out_sets = {}
+    for block in cfg.reachable_blocks():
         if block is cfg.entry:
-            return set(initial)
-        preds = [p for p in block.preds if p.index in reachable_ids]
-        live = set(out_sets[preds[0].index])
-        for pred in preds[1:]:
-            live &= out_sets[pred.index]
-        return live
-
-    changed = True
-    while changed:
-        changed = False
-        for block in reachable:
-            new_out = in_set(block) | block_defs[block.index]
-            if new_out != out_sets[block.index]:
-                out_sets[block.index] = new_out
-                changed = True
-
-    def check_block(block, live):
-        for stmt in block.stmts:
-            for var, role in _stmt_uses(stmt):
-                if var not in all_defs:
-                    issues.append(
-                        "%s: %s %r used but never defined (stmt %r)"
-                        % (method.sig, role, var, stmt)
-                    )
-                elif live is not None and var not in live:
-                    issues.append(
-                        "%s: %s %r may be unassigned on some path (stmt %r)"
-                        % (method.sig, role, var, stmt)
-                    )
-            target = _stmt_def(stmt)
-            if target and live is not None:
-                live.add(target)
-        # The branch/loop condition is evaluated after the block's
-        # straight-line statements, when control leaves the block.
-        if block.terminator is not None:
-            for var, role in _stmt_uses(block.terminator):
-                if var not in all_defs:
-                    issues.append(
-                        "%s: %s %r used but never defined (stmt %r)"
-                        % (method.sig, role, var, block.terminator)
-                    )
-                elif live is not None and var not in live:
-                    issues.append(
-                        "%s: %s %r may be unassigned on some path (stmt %r)"
-                        % (method.sig, role, var, block.terminator)
-                    )
-
-    for block in reachable:
-        check_block(block, in_set(block))
+            live = set(initial)
+        else:
+            live = None
+            for pred in block.preds:
+                out = out_sets.get(pred.index)
+                if out is None:
+                    continue  # a back edge, or an unreachable block
+                live = set(out) if live is None else live & out
+        _check_block(method, block, live, all_defs, issues)
+        out_sets[block.index] = live
     for block in cfg.blocks:
-        if block.index not in reachable_ids:
-            check_block(block, None)
+        if block.index not in out_sets:
+            _check_block(method, block, None, all_defs, issues)
     return issues
 
 
-def _method_issues(program, method):
+def _method_issues(program, method, by_name, arity, labels):
+    """The issues of one method, from one walk of its body.
+
+    Arity and loop-label issues go to the ``arity`` and ``labels`` side
+    lists, which ``validate_program`` reports after every method's own.
+    """
     issues = []
-    initial = set(method.params)
+    initial = set()
+    for param in method.params:
+        if param in initial:
+            issues.append("%s: duplicate parameter %r" % (method.sig, param))
+        initial.add(param)
     if not method.is_static:
+        if THIS_VAR in initial:
+            issues.append(
+                "%s: parameter %r shadows the receiver" % (method.sig, THIS_VAR)
+            )
         initial.add(THIS_VAR)
 
     all_defs = set(initial)
-    for stmt in method.statements():
+    stmt_issues = []
+    unsealed = None
+    seen_labels = set()
+    for stmt in walk(method.body):
+        if stmt.uid is None and unsealed is None:
+            unsealed = stmt
         target = _stmt_def(stmt)
         if target:
             all_defs.add(target)
-
-    issues.extend(_definite_assignment_issues(method, initial, all_defs))
-
-    for stmt in method.statements():
         if isinstance(stmt, NewStmt):
             if stmt.type.class_name not in program.classes:
-                issues.append(
+                stmt_issues.append(
                     "%s: allocation of unknown class %s"
                     % (method.sig, stmt.type.class_name)
                 )
-        elif isinstance(stmt, InvokeStmt) and stmt.is_static:
-            try:
-                callee = program.method(
-                    "%s.%s" % (stmt.static_class, stmt.method_name)
+        elif isinstance(stmt, InvokeStmt):
+            _invoke_issues(program, method, stmt, by_name, stmt_issues, arity)
+        elif isinstance(stmt, LoopStmt):
+            if stmt.label in seen_labels:
+                labels.append(
+                    "%s: duplicate loop label %r" % (method.sig, stmt.label)
                 )
-                if not callee.is_static:
-                    issues.append(
-                        "%s: static call to instance method %s"
-                        % (method.sig, callee.sig)
-                    )
-            except ResolutionError:
-                issues.append(
-                    "%s: static call to unknown method %s.%s"
-                    % (method.sig, stmt.static_class, stmt.method_name)
-                )
+            seen_labels.add(stmt.label)
+
+    issues.extend(_definite_assignment_issues(method, initial, all_defs))
+    issues.extend(stmt_issues)
+    if unsealed is not None:
+        issues.append("%s: unsealed statement %r" % (method.sig, unsealed))
     return issues
 
 
-def _arity_issues(program):
-    """Check call arity against every possible dispatch target (CHA-style)."""
-    issues = []
-    #: method name -> declarations of that name, in class order (the
-    #: index ``ClassHierarchy.all_targets`` reads)
-    by_name = {}
-    for decl in program.classes.values():
-        for name, method in decl.methods.items():
-            by_name.setdefault(name, []).append(method)
-    for method in program.all_methods():
-        for stmt in method.statements():
-            if not isinstance(stmt, InvokeStmt):
-                continue
-            if stmt.is_static:
-                try:
-                    callee = program.method(
-                        "%s.%s" % (stmt.static_class, stmt.method_name)
-                    )
-                except ResolutionError:
-                    continue  # reported by _method_issues
-                targets = [callee]
-            else:
-                targets = by_name.get(stmt.method_name, ())
-                if not targets:
-                    issues.append(
-                        "%s: virtual call to %s with no target anywhere"
-                        % (method.sig, stmt.method_name)
-                    )
-            for callee in targets:
-                if len(callee.params) != len(stmt.args):
-                    issues.append(
-                        "%s: call to %s passes %d args, expected %d"
-                        % (method.sig, callee.sig, len(stmt.args), len(callee.params))
-                    )
-    return issues
-
-
-def _loop_label_issues(program):
-    issues = []
-    seen = {}
-    for method in program.all_methods():
-        for stmt in method.statements():
-            if isinstance(stmt, LoopStmt):
-                key = (method.sig, stmt.label)
-                if key in seen:
-                    issues.append(
-                        "%s: duplicate loop label %r" % (method.sig, stmt.label)
-                    )
-                seen[key] = stmt
-    return issues
+def _invoke_issues(program, method, stmt, by_name, issues, arity):
+    """Check a call's target and its arity against every possible
+    dispatch target (CHA-style); arity issues go to ``arity``."""
+    if stmt.is_static:
+        try:
+            callee = program.method(
+                "%s.%s" % (stmt.static_class, stmt.method_name)
+            )
+        except ResolutionError:
+            issues.append(
+                "%s: static call to unknown method %s.%s"
+                % (method.sig, stmt.static_class, stmt.method_name)
+            )
+            return
+        if not callee.is_static:
+            issues.append(
+                "%s: static call to instance method %s" % (method.sig, callee.sig)
+            )
+        targets = (callee,)
+    else:
+        targets = by_name.get(stmt.method_name, ())
+        if not targets:
+            arity.append(
+                "%s: virtual call to %s with no target anywhere"
+                % (method.sig, stmt.method_name)
+            )
+    for callee in targets:
+        if len(callee.params) != len(stmt.args):
+            arity.append(
+                "%s: call to %s passes %d args, expected %d"
+                % (method.sig, callee.sig, len(stmt.args), len(callee.params))
+            )
 
 
 def extends_cycles(superclass_of):
@@ -286,14 +263,18 @@ def validate_program(program):
         name: decl.superclass for name, decl in program.classes.items()
     }
     issues.extend(cycle_issue(cycle) for cycle in extends_cycles(superclass_of))
+    #: method name -> declarations of that name, in class order (the
+    #: index ``ClassHierarchy.all_targets`` reads)
+    by_name = {}
+    for decl in program.classes.values():
+        for name, method in decl.methods.items():
+            by_name.setdefault(name, []).append(method)
+    arity = []
+    labels = []
     for method in program.all_methods():
-        issues.extend(_method_issues(program, method))
-        for stmt in walk(method.body):
-            if stmt.uid is None:
-                issues.append("%s: unsealed statement %r" % (method.sig, stmt))
-                break
-    issues.extend(_arity_issues(program))
-    issues.extend(_loop_label_issues(program))
+        issues.extend(_method_issues(program, method, by_name, arity, labels))
+    issues.extend(arity)
+    issues.extend(labels)
     if program.entry:
         try:
             program.entry_method()

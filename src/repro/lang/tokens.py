@@ -27,20 +27,6 @@ KEYWORDS = frozenset(
     }
 )
 
-PUNCTUATION = (
-    "[]",  # array marker; must precede single-char tokens
-    "{",
-    "}",
-    "(",
-    ")",
-    ";",
-    ",",
-    "=",
-    ".",
-    "@",
-    "*",
-)
-
 
 class Token:
     """One lexical token with its 1-based source position."""
@@ -52,12 +38,6 @@ class Token:
         self.value = value
         self.line = line
         self.column = column
-
-    def is_kw(self, word):
-        return self.kind == KEYWORD and self.value == word
-
-    def is_punct(self, text):
-        return self.kind == PUNCT and self.value == text
 
     def __repr__(self):
         return "Token(%s, %r, %d:%d)" % (self.kind, self.value, self.line, self.column)

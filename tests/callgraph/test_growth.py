@@ -1,8 +1,10 @@
-"""Growth gate: call-graph construction grows near-linearly.
+"""Growth gate: call-graph construction and the frontend grow
+near-linearly.
 
-The builders run on memocache tilings of 10, 20 and 40 copies
-(:func:`repro.bench.scale.build_scaled`); the tiles are disjoint, so
-the work a linear builder does doubles with each step.  Each size is
+The call-graph builders run on memocache tilings of 10, 20 and 40
+copies (:func:`repro.bench.scale.build_scaled`), and ``parse_program``
+(lex, parse, lower, validate) on their sources; the tiles are disjoint,
+so the work a linear layer does doubles with each step.  Each size is
 timed as the median of five runs with the collector off, the sizes
 interleaved so a slow spell of a shared machine hits all of them alike.
 The slope of log(time) against log(size) must stay at or below 1.3: a
@@ -20,6 +22,7 @@ import pytest
 from repro.bench.scale import build_scaled
 from repro.callgraph.cha import build_cha
 from repro.callgraph.rta import build_rta
+from repro.lang import parse_program
 
 FACTORS = (10, 20, 40)
 RUNS = 5
@@ -28,19 +31,19 @@ MAX_SLOPE = 1.3
 
 @pytest.fixture(scope="module")
 def tilings():
-    return [build_scaled("memocache", factor=f).program for f in FACTORS]
+    return [build_scaled("memocache", factor=f) for f in FACTORS]
 
 
-def _median_seconds(build, programs):
-    """Per program, the median of ``RUNS`` timed builds."""
-    times = [[] for _ in programs]
+def _median_seconds(build, apps):
+    """Per tiling, the median of ``RUNS`` timed builds."""
+    times = [[] for _ in apps]
     enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(RUNS):
-            for program, samples in zip(programs, times):
+            for app, samples in zip(apps, times):
                 start = time.perf_counter()
-                build(program)
+                build(app)
                 samples.append(time.perf_counter() - start)
     finally:
         if enabled:
@@ -59,12 +62,20 @@ def _log_log_slope(xs, ys):
     )
 
 
-@pytest.mark.parametrize("build", [build_rta, build_cha], ids=["rta", "cha"])
-def test_callgraph_slope(build, tilings):
-    seconds = _median_seconds(build, tilings)
+def _assert_slope(build, apps):
+    seconds = _median_seconds(build, apps)
     slope = _log_log_slope(FACTORS, seconds)
     assert slope <= MAX_SLOPE, "slope %.2f over x%s: %s ms" % (
         slope,
         "/x".join(map(str, FACTORS)),
         " / ".join("%.1f" % (s * 1000) for s in seconds),
     )
+
+
+@pytest.mark.parametrize("build", [build_rta, build_cha], ids=["rta", "cha"])
+def test_callgraph_slope(build, tilings):
+    _assert_slope(lambda app: build(app.program), tilings)
+
+
+def test_parse_slope(tilings):
+    _assert_slope(lambda app: parse_program(app.source), tilings)

@@ -82,6 +82,38 @@ class TestValidation:
         )
         assert any("duplicate loop label" in i for i in issues)
 
+    def test_duplicate_parameter(self):
+        issues = _issues("class Main { static method put(h, p, p) { h.f = p; } }")
+        assert issues == ["Main.put: duplicate parameter 'p'"]
+
+    def test_parameter_named_this_on_instance_method(self):
+        issues = _issues("class A { field f; method m(this) { this.f = this; } }")
+        assert issues == ["A.m: parameter 'this' shadows the receiver"]
+
+    def test_parse_program_rejects_repeated_parameter(self):
+        # The interpreter bound the last argument to 'p' while the
+        # detector merged both, reporting @B as well as @A.
+        from repro.lang import parse_program
+
+        with pytest.raises(IRError, match="Main.put: duplicate parameter 'p'"):
+            parse_program(
+                "entry Main.main;\n"
+                "class Main {\n"
+                "  static method main() {\n"
+                "    h = new Holder @h;\n"
+                "    loop L (*) {\n"
+                "      b = new Item @B; a = new Item @A;\n"
+                "      call Main.put(h, b, a) @put;\n"
+                "    }\n"
+                "  }\n"
+                "  static method put(h, p, p) { h.f = p; }\n"
+                "}\n"
+                "class Holder { field f; } class Item { }\n"
+            )
+
+    def test_parameter_named_this_on_static_method_is_plain(self):
+        assert _issues("class A { static method m(this) { x = this; } }") == []
+
     def test_entry_resolution(self):
         issues = validate_program(
             lower(parse("entry A.ghost;\nclass A { }"))

@@ -46,6 +46,23 @@ class TestTokenize:
         tokens = tokenize("x // a comment with = and ;\ny")
         assert [t.value for t in tokens[:-1]] == ["x", "y"]
 
+    def test_eof_position(self):
+        eof = tokenize("a\n")[-1]
+        assert (eof.line, eof.column) == (2, 1)
+        assert tokenize("ab  ")[-1].column == 5
+        # After a trailing comment EOF sits at the comment's '//'.
+        eof = tokenize("x\n  y // done")[-1]
+        assert (eof.kind, eof.line, eof.column) == (EOF, 2, 5)
+
+    def test_slashes_inside_identifier_are_not_a_comment(self):
+        assert [t.value for t in tokenize("a//b")[:-1]] == ["a//b"]
+
+    def test_error_position_after_blanks(self):
+        with pytest.raises(ParseError) as exc:
+            tokenize("x =\n \t[ y")
+        assert (exc.value.line, exc.value.column) == (2, 3)
+        assert "unexpected character '['" in str(exc.value)
+
     def test_line_and_column_tracking(self):
         tokens = tokenize("a\n  b")
         assert (tokens[0].line, tokens[0].column) == (1, 1)

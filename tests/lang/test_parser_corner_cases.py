@@ -69,6 +69,26 @@ class TestCornerCases:
         second = parse_program("class A { static method m() { } }\nentry A.m;")
         assert first.entry == second.entry == "A.m"
 
+    def test_second_entry_rejected_at_its_token(self):
+        # A second declaration used to win silently: the program was
+        # analyzed from B.n.
+        with pytest.raises(ParseError) as exc:
+            parse_program(
+                "entry A.m;\n"
+                "class A { static method m() { } }\n"
+                "class B { static method n() { } }\n"
+                "  entry B.n;"
+            )
+        assert (exc.value.line, exc.value.column) == (4, 3)
+        assert str(exc.value) == (
+            "line 4, column 3: second entry declaration; "
+            "the first is 'entry A.m;' on line 1"
+        )
+
+    def test_repeated_identical_entry_rejected(self):
+        with pytest.raises(ParseError, match="second entry declaration"):
+            parse("entry A.m; entry A.m; class A { }")
+
     def test_duplicate_class_rejected(self):
         with pytest.raises(Exception):
             parse_program("class A { }\nclass A { }")
