@@ -3,22 +3,27 @@
 Standalone harness (``make bench-kernel``) writing ``BENCH_kernel.json``.
 The dict solver is the differential-test oracle
 (``tests/pta/andersen_oracle.py``); the ``legacy_*`` keys report it.
-Three measurements:
+Every solve is timed from IR to solved points-to sets over a prebuilt
+RTA call graph: the integer :class:`~repro.pta.pag.PAG` build plus
+:func:`~repro.pta.kernel.solve_flat`, against the object graph of
+``tests/pta/pag_oracle.py`` plus the dict solver.  Four measurements:
 
-* **cold solve** — per-app minimum-of-N Andersen solve time of both
-  solvers on the eight Table-1 app models, plus the points-to-dense
-  stress workload (:mod:`repro.bench.stress`).  The app models carry
-  ~1-element points-to sets, so both solvers sit near parity there; the
-  stress program's heap-threaded copy cycles are the regime the rewrite
-  targets, and where the >=10x headline is earned.
-* **per-worker warmup** — cost for a fleet worker to obtain a
-  queryable points-to result: decoding the pushed substrate bytes and
-  hydrating them (flat kernel, masks decoded lazily) vs unpickling and
-  re-hydrating the dict solver's snapshot (what every worker paid
-  before the flat kernel).
-* **peak memory** — tracemalloc peak of each solver on the stress
-  workload (the flat kernel's bitsets + interning tables vs the dict
-  solver's per-node Python sets).
+* **cold solve** — per-app median-of-N build-and-solve time of both
+  sides on the thirteen corpus apps, and ``meets_parity`` when the flat
+  side is at least as fast on every one of them.  The app models carry
+  ~1-element points-to sets, so the solve itself is a few milliseconds
+  either way;
+* **stress** — the same on the points-to-dense stress workload
+  (:mod:`repro.bench.stress`): heap-threaded copy cycles, the regime
+  where the >=10x headline (``meets_10x``) is earned;
+* **substrate load** — cost to obtain a queryable points-to result from
+  stored substrate bytes (what the session pool does to re-check a
+  known program): decoding and hydrating them (flat kernel, masks
+  decoded lazily) vs unpickling and re-hydrating the dict solver's
+  snapshot;
+* **peak memory** — tracemalloc peak of each side's build and solve on
+  the stress workload (the integer tables and bitsets vs the object
+  graph and per-node Python sets).
 
 Usage::
 
@@ -29,52 +34,53 @@ import argparse
 import json
 import os
 import pickle
+import statistics
 import sys
 import time
 import tracemalloc
 
-# The oracle lives in the test tree, next to the differential tests.
+# The oracles live in the test tree, next to the differential tests.
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-from repro.bench.apps import all_apps  # noqa: E402
+from repro.bench.apps import build_app, corpus_names  # noqa: E402
 from repro.bench.stress import stress_program  # noqa: E402
 from repro.callgraph.rta import build_rta  # noqa: E402
 from repro.core.cache.digest import program_digest  # noqa: E402
 from repro.core.cache.serialize import dump_shared, load_shared  # noqa: E402
 from repro.core.config import DetectorConfig  # noqa: E402
 from repro.core.pipeline.session import AnalysisSession  # noqa: E402
-from repro.pta.kernel import solve_flat  # noqa: E402
-from repro.pta.pag import PAG, VarNode  # noqa: E402
+from repro.pta.kernel import analyze as flat_analyze  # noqa: E402
+from repro.pta.pag import VarNode  # noqa: E402
 from tests.pta.andersen_oracle import AndersenResult  # noqa: E402
-from tests.pta.andersen_oracle import solve as dict_solve  # noqa: E402
+from tests.pta.andersen_oracle import analyze as dict_analyze  # noqa: E402
 
-REPEATS = 5
+REPEATS = 7
+
+#: The two sides, each from IR and a call graph to solved points-to sets.
+SIDES = (("legacy", dict_analyze), ("flat", flat_analyze))
 
 
-def _pag(program):
-    return PAG(program, build_rta(program))
-
-
-def _time_solve(solver, program, repeats=REPEATS):
-    """Minimum-of-N cold solve: a fresh PAG per run so no memoized
-    flattening or solved state carries over."""
-    best = float("inf")
+def _time_sides(program, repeats=REPEATS):
+    """Median build-and-solve seconds of each side, runs interleaved so a
+    slow spell of a shared machine hits both alike."""
+    callgraph = build_rta(program)
+    samples = {name: [] for name, _ in SIDES}
     for _ in range(repeats):
-        pag = _pag(program)
-        start = time.perf_counter()
-        solver(pag)
-        best = min(best, time.perf_counter() - start)
-    return best
+        for name, analyze in SIDES:
+            start = time.perf_counter()
+            analyze(program, callgraph)
+            samples[name].append(time.perf_counter() - start)
+    return {name: statistics.median(times) for name, times in samples.items()}
 
 
 def bench_cold_solves():
     rows = []
-    for model in all_apps():
-        legacy = _time_solve(dict_solve, model.program)
-        flat = _time_solve(solve_flat, model.program)
+    for name in corpus_names():
+        times = _time_sides(build_app(name).program)
+        legacy, flat = times["legacy"], times["flat"]
         rows.append(
             {
-                "app": model.name,
+                "app": name,
                 "legacy_ms": round(legacy * 1e3, 3),
                 "flat_ms": round(flat * 1e3, 3),
                 "speedup": round(legacy / flat, 2) if flat else None,
@@ -85,9 +91,9 @@ def bench_cold_solves():
 
 def bench_stress():
     program = stress_program()
-    legacy = _time_solve(dict_solve, program, repeats=3)
-    flat = _time_solve(solve_flat, program, repeats=3)
-    result = solve_flat(_pag(program))
+    times = _time_sides(program, repeats=3)
+    legacy, flat = times["legacy"], times["flat"]
+    result = flat_analyze(program, build_rta(program))
     return {
         "workload": "stress(hubs=4, sites_per_hub=96, chain_len=192)",
         "legacy_ms": round(legacy * 1e3, 2),
@@ -98,16 +104,16 @@ def bench_stress():
     }
 
 
-def bench_worker_warmup():
-    """Time a worker's path to a queryable points-to result, both ways.
+def bench_substrate_load():
+    """Time the path from stored bytes to a queryable points-to result,
+    both ways.
 
-    The substrate path is what a fleet worker (``serve --workers``) does
-    with the bytes pushed to it: :func:`load_shared` decodes them and
-    hydrates the call graph, the per-method indexes and a
-    :class:`FlatAndersenResult` whose mask table decodes lazily.  The
-    baseline unpickles the dict solver oracle's sorted-lists snapshot
-    and rebuilds its per-node Python sets — points-to alone, which is
-    what a worker paid before the flat kernel existed.
+    The substrate path is what the session pool does with a known
+    program's bytes: :func:`load_shared` decodes them and hydrates the
+    call graph, the per-method indexes and a :class:`FlatAndersenResult`
+    whose mask table decodes lazily.  The baseline unpickles the dict
+    solver oracle's sorted-lists snapshot and rebuilds its per-node
+    Python sets — points-to alone.
     """
     program = stress_program()
     config = DetectorConfig()
@@ -115,7 +121,7 @@ def bench_worker_warmup():
     substrate = dump_shared(
         AnalysisSession(program, config).warm().shared, digest
     )
-    oracle = dict_solve(_pag(program))
+    oracle = dict_analyze(program, build_rta(program))
     dict_snapshot = {
         "vars": sorted(
             (node.method_sig, node.name, sorted(sites))
@@ -162,11 +168,11 @@ def _timed(fn):
 
 def bench_peak_memory():
     program = stress_program()
+    callgraph = build_rta(program)
     peaks = {}
-    for name, solver in (("legacy", dict_solve), ("flat", solve_flat)):
-        pag = _pag(program)
+    for name, analyze in SIDES:
         tracemalloc.start()
-        solver(pag)
+        analyze(program, callgraph)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         peaks["%s_peak_kb" % name] = round(peak / 1024.0, 1)
@@ -181,10 +187,12 @@ def main(argv=None):
     parser.add_argument("--output", default="BENCH_kernel.json")
     args = parser.parse_args(argv)
 
+    rows = bench_cold_solves()
     doc = {
-        "cold_solve_apps": bench_cold_solves(),
+        "cold_solve_apps": rows,
+        "meets_parity": all(row["flat_ms"] <= row["legacy_ms"] for row in rows),
         "cold_solve_stress": bench_stress(),
-        "worker_warmup": bench_worker_warmup(),
+        "substrate_load": bench_substrate_load(),
         "peak_memory_stress": bench_peak_memory(),
     }
     with open(args.output, "w") as handle:
@@ -192,7 +200,7 @@ def main(argv=None):
         handle.write("\n")
 
     stress = doc["cold_solve_stress"]
-    warm = doc["worker_warmup"]
+    load = doc["substrate_load"]
     print("wrote %s" % args.output)
     print(
         "stress: legacy %.1fms / flat %.1fms = %.1fx (meets_10x=%s)"
@@ -204,10 +212,11 @@ def main(argv=None):
         )
     )
     print(
-        "worker warmup: substrate load %.3fms vs rehydrate %.3fms"
-        % (warm["substrate_load_ms"], warm["rehydrate_ms"])
+        "substrate load %.3fms vs rehydrate %.3fms"
+        % (load["substrate_load_ms"], load["rehydrate_ms"])
     )
-    for row in doc["cold_solve_apps"]:
+    print("apps, IR to solved (meets_parity=%s):" % doc["meets_parity"])
+    for row in rows:
         print(
             "  %-20s legacy %7.3fms  flat %7.3fms  %5.2fx"
             % (row["app"], row["legacy_ms"], row["flat_ms"], row["speedup"])

@@ -518,6 +518,22 @@ exit codes:
 """
 
 
+def _deadline_ms(text):
+    """``serve --deadline-ms``: what a request's ``deadline_ms`` accepts,
+    a non-negative integer of milliseconds a deadline can be computed
+    from."""
+    try:
+        value = int(text)
+        float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not an integer: %r" % text) from None
+    except OverflowError:
+        raise argparse.ArgumentTypeError("too large for a deadline") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be non-negative: %s" % text)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="leakchecker",
@@ -783,7 +799,7 @@ def build_parser():
     )
     serve.add_argument(
         "--deadline-ms",
-        type=int,
+        type=_deadline_ms,
         default=None,
         help="server-wide per-request analysis deadline; past it, "
         "demand-driven queries degrade to the whole-program fallback "

@@ -5,8 +5,8 @@ statement uids only, no live IR objects — rehydrated against a
 structurally identical program on the other side.  Its byte form, the
 pickled dict, has one encoder (:func:`dump_shared`) and one decoder
 (:func:`load_shared`): the :class:`~repro.core.cache.store.ArtifactCache`
-writes and reads it as file content, the daemon's session pool keeps it
-as a program's substrate, and every fleet shard frame carries it.
+writes and reads it as file content, and the daemon's session pool keeps
+it as a program's substrate.
 
 Statement identity crosses the boundary through uids: the IR assigns
 uids deterministically in seal order, and the canonical printer
@@ -25,7 +25,6 @@ from repro.core.pipeline.artifacts import StoreEdge
 from repro.core.pipeline.session import SharedArtifacts
 from repro.errors import CacheError
 from repro.pta.kernel import hydrate_flat, snapshot_flat
-from repro.pta.pag import VarNode
 
 
 def dump_shared(shared, program_dig=None):
@@ -41,7 +40,7 @@ def load_shared(program, config, data, program_dig=None):
     """Decode :func:`dump_shared` bytes into a :class:`SharedArtifacts`
     for ``program``.  Raises like :func:`hydrate_shared`, and whatever
     unpickling raises on bytes that are not a substrate; callers that
-    must not fail (the cache, a fleet worker) catch it and rebuild."""
+    must not fail (the cache, the session pool) catch it and rebuild."""
     return hydrate_shared(
         program, config, pickle.loads(data), program_dig=program_dig
     )
@@ -79,7 +78,7 @@ def snapshot_shared(shared, program_dig=None):
         },
         "visible": None
         if shared._visible is None
-        else sorted((n.method_sig, n.name) for n in shared._visible),
+        else sorted(shared._visible),
         "thread_sites": None
         if shared._thread_sites is None
         else sorted(shared._thread_sites),
@@ -147,7 +146,7 @@ def hydrate_shared(program, config, snapshot, program_dig=None):
     Callers that must not fail (the cache store) catch both and
     recompute.  ``program_dig`` short-circuits re-hashing the program
     when the caller already holds its digest (the store keys entries by
-    it; fleet workers trust the coordinator's snapshot).
+    it; a session pool entry records it).
     """
     if snapshot.get("schema") != CACHE_SCHEMA_VERSION:
         raise CacheError(
@@ -194,9 +193,7 @@ def hydrate_shared(program, config, snapshot, program_dig=None):
         for uid, edges in snapshot["store_edges"].items()
     )
     if snapshot["visible"] is not None:
-        shared._visible = {
-            VarNode(sig, name) for sig, name in snapshot["visible"]
-        }
+        shared._visible = {(sig, name) for sig, name in snapshot["visible"]}
     if snapshot["thread_sites"] is not None:
         shared._thread_sites = set(snapshot["thread_sites"])
     if snapshot["thread_subclasses"] is not None:

@@ -8,10 +8,13 @@ a *library* method produces a flows-in relationship only when the loaded
 object is returned to application code.
 
 ``library_visible_values`` computes, for a program and PAG, the set of
-variable nodes in library methods whose values escape to application code
+variables in library methods whose values escape to application code
 through return chains — the detector then keeps a library load only when
 its target is in that set.
 """
+
+from itertools import compress
+
 
 def is_library_sig(program, method_sig):
     class_name = method_sig.rpartition(".")[0]
@@ -19,40 +22,30 @@ def is_library_sig(program, method_sig):
 
 
 def library_visible_values(program, pag):
-    """Variable nodes in library methods whose values may reach application
-    code via copies and returns.
+    """``(method_sig, name)`` keys of the variables whose values may reach
+    application code via copies and returns.
 
-    Computed backwards: seed with every variable of every application
-    method, then propagate against assign edges.  A library-load target in
-    the result set can flow into an application variable, satisfying the
-    stronger condition ("the object is returned to the application code").
+    Computed backwards over variable ids: seed with every variable of
+    every application method, then propagate against assign edges.  A
+    library-load target in the result set can flow into an application
+    variable, satisfying the stronger condition ("the object is
+    returned to the application code").
     """
-    visible = set()
+    table = pag.var_table
+    library = {}
+    visible = bytearray(len(table))
     work = []
-    # Seed with every application variable node; all_var_nodes() covers
-    # assign, store, load and new edge endpoints alike.
-    for node in pag.all_var_nodes():
-        if not is_library_sig(program, node.method_sig):
-            visible.add(node)
-            work.append(node)
+    for vid, (sig, _name) in enumerate(table):
+        lib = library.get(sig)
+        if lib is None:
+            lib = library[sig] = is_library_sig(program, sig)
+        if not lib:
+            visible[vid] = 1
+            work.append(vid)
+    assigns_into = pag.assigns_into
     while work:
-        node = work.pop()
-        for edge in pag.assigns_into.get(node, ()):
-            src = edge.src
-            if src not in visible:
-                visible.add(src)
+        for src, _cid, _code in assigns_into[work.pop()]:
+            if not visible[src]:
+                visible[src] = 1
                 work.append(src)
-    return visible
-
-
-def load_counts_as_flow_in(program, pag, load_edge, visible=None):
-    """Apply the Section 4 condition to one load edge.
-
-    Loads in application code always count; loads in library code count
-    only when their target can reach application code (is ``visible``).
-    """
-    if not is_library_sig(program, load_edge.target.method_sig):
-        return True
-    if visible is None:
-        visible = library_visible_values(program, pag)
-    return load_edge.target in visible
+    return set(compress(table, visible))

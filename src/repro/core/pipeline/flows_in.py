@@ -14,7 +14,6 @@ from repro.core.flows import FlowPair
 from repro.core.libmodel import is_library_sig
 from repro.core.pipeline.artifacts import FlowsInArtifact
 from repro.ir.stmts import LoadStmt
-from repro.pta.pag import VarNode
 
 
 def compute_flows_in(session, context_art, region_stmts, stats):
@@ -41,9 +40,9 @@ def compute_flows_in(session, context_art, region_stmts, stats):
             return True
         if not is_library_sig(program, stmt.method.sig):
             return True
-        # VarNode construction is stateless; avoid touching points_to.pag
-        # so cache-hydrated sessions never build the PAG for a region run.
-        return VarNode(stmt.method.sig, stmt.target) in visible
+        # Keys, not the PAG: a cache-hydrated session never builds the
+        # PAG for a region run.
+        return (stmt.method.sig, stmt.target) in visible
 
     for stmt in region_stmts.statements:
         if not isinstance(stmt, LoadStmt):

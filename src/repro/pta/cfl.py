@@ -24,27 +24,20 @@ points-to analyses.
 """
 
 from repro.errors import BudgetExhausted
-from repro.pta.kernel import (
-    DIR_ENTER,
-    DIR_NONE,
-    flatten,
-    iter_bits,
-    solve_flat,
-)
-from repro.pta.pag import VarNode
+from repro.pta.kernel import iter_bits, solve_flat
+from repro.pta.pag import DIR_ENTER, DIR_NONE, VarNode
 
 
 class CFLPointsTo:
     """Demand-driven points-to solver over a PAG.
 
-    The traversal runs on the integer-flat view of the graph
-    (:func:`repro.pta.kernel.flatten`): states are ``(vid, call-stack)``
-    pairs of dense ints, reached allocation sites accumulate in one
-    bitset, and labels are only decoded when a query's answer is frozen
-    into the memo.  Budget accounting is unchanged — one tick per popped
-    state, and states are deduplicated by a seen-set, so the tick total
-    (and therefore exhaustion behavior) is identical to the object-graph
-    traversal this replaces.
+    The traversal runs on the PAG's integer tables: states are
+    ``(vid, call-stack)`` pairs of dense ints, reached allocation sites
+    accumulate in one bitset, and labels are only decoded when a query's
+    answer is frozen into the memo.  Budget accounting is unchanged —
+    one tick per popped state, and states are deduplicated by a
+    seen-set, so the tick total (and therefore exhaustion behavior) is
+    identical to the object-graph traversal this replaces.
 
     Parameters
     ----------
@@ -66,7 +59,6 @@ class CFLPointsTo:
         self.max_alias_depth = max_alias_depth
         self._fallback = fallback
         self._memo = {}
-        self._flat = flatten(pag)
 
     # -- public API --------------------------------------------------------
 
@@ -87,12 +79,12 @@ class CFLPointsTo:
         if node in self._memo:
             return self._memo[node]
         state = _QueryState(self.budget)
-        vid = self._flat.var_index.get((node.method_sig, node.name))
+        vid = self.pag.var_index.get((node.method_sig, node.name))
         if vid is None:
             mask = 0
         else:
             mask = self._flows_to_backwards(vid, state, depth=0)
-        table = self._flat.site_table
+        table = self.pag.site_table
         result = frozenset(table[bit] for bit in iter_bits(mask))
         self._memo[node] = result
         return result
@@ -125,10 +117,10 @@ class CFLPointsTo:
         """
         if depth > self.max_alias_depth:
             raise BudgetExhausted("alias recursion depth exceeded")
-        flat = self._flat
-        new_mask = flat.new_mask
-        assigns_into = flat.assigns_into
-        loads_into = flat.loads_into
+        pag = self.pag
+        new_mask = pag.new_mask
+        assigns_into = pag.assigns_into
+        loads_into = pag.loads_into
         results = 0
         start = (root, ())
         seen = {start}
@@ -162,18 +154,18 @@ class CFLPointsTo:
             # Loads into this node: alias subquery through the heap.
             for i in loads_into[vid]:
                 base_sites = self._flows_to_backwards(
-                    flat.load_base[i], state, depth + 1
+                    pag.load_base[i], state, depth + 1
                 )
-                fid = flat.load_field[i]
-                for j in flat.stores_by_field.get(fid, ()):
+                fid = pag.load_field[i]
+                for j in pag.stores_by_field.get(fid, ()):
                     store_base_sites = self._flows_to_backwards(
-                        flat.store_base[j], state, depth + 1
+                        pag.store_base[j], state, depth + 1
                     )
                     if base_sites & store_base_sites:
                         # Heap path discards local call balance: objects
                         # can flow through the heap between unrelated
                         # contexts.
-                        nxt = (flat.store_source[j], ())
+                        nxt = (pag.store_source[j], ())
                         if nxt not in seen:
                             seen.add(nxt)
                             work.append(nxt)

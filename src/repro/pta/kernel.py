@@ -6,26 +6,26 @@ CFL solver refines its answers and falls back to it when its work
 budget is exhausted.  Instead of dicts of Python sets keyed by rich
 :class:`~repro.pta.pag.VarNode` objects, the solver works on integers:
 
-* **Interning** — every variable node, allocation site, field name and
-  call-site label is mapped to a dense integer id (:class:`FlatPAG`),
-  and the PAG's edge lists become parallel int arrays (CSR-style: one
-  flat array per edge role, plus per-node index lists);
+* **Interned graph** — the :class:`~repro.pta.pag.PAG` is already dense
+  integer tables: variable, site, field and call-site ids, and one
+  parallel int array per edge role plus per-node index lists, so the
+  solve starts from the graph as built;
 * **Bitset points-to sets** — a points-to set is one Python big int
   whose bit ``i`` means "may point to allocation site ``i``"; union and
   intersection are single ``|``/``&`` machine-word loops instead of
   per-element hash operations;
-* **Online SCC collapse** — each solver round runs an iterative Tarjan
-  pass over the current copy graph (including copy edges discovered
-  through loads/stores) and merges every cycle into one union-find
-  representative, so copy cycles share a single points-to bitset;
+* **Online SCC collapse** — an iterative Tarjan pass over the copy
+  graph (including copy edges discovered through loads/stores) merges
+  every cycle into one union-find representative, so copy cycles share
+  a single points-to bitset;
 * **Topologically-ordered propagation** — Tarjan emits SCCs in reverse
-  topological order, so one propagation sweep per round reaches the
-  fixpoint of the current edge set;
+  topological order, so one propagation sweep reaches the fixpoint of
+  the static edge set;
 * **Flat serialization** — the solved bitsets serialize as one byte
   blob plus an offset table (:func:`snapshot_flat`), part of the
-  substrate bytes that the artifact cache stores and the daemon sends
-  with every fleet shard (:mod:`repro.core.cache.serialize`); masks stay
-  undecoded until a query needs them, so per-worker warmup is
+  substrate bytes that the artifact cache stores and the daemon's
+  session pool keeps (:mod:`repro.core.cache.serialize`); masks stay
+  undecoded until a query needs them, so hydrating a result costs
   milliseconds.
 
 The result type, :class:`FlatAndersenResult`, answers ``pts``,
@@ -34,168 +34,7 @@ dict-of-sets solver it replaced lives on under ``tests/`` as the
 differential-test oracle.
 """
 
-from repro.pta.pag import ENTER, PAG, VarNode
-
-#: Assign-edge direction codes (CFL call parentheses).
-DIR_NONE, DIR_ENTER, DIR_EXIT = 0, 1, 2
-
-
-# -- interning ---------------------------------------------------------------
-
-
-class FlatPAG:
-    """Dense-integer view of a :class:`~repro.pta.pag.PAG`.
-
-    Node/edge identities become array indexes:
-
-    * ``var_table[vid] == (method_sig, name)`` — variable nodes;
-    * ``site_table[oid] == label`` — allocation sites (bitset bit ids);
-    * ``field_table[fid]`` / ``callsite_table[cid]`` — labels;
-    * ``copy_src[i] -> copy_dst[i]`` — every assign edge (Andersen is
-      context-insensitive, so call parentheses do not matter here);
-    * ``assigns_into[dst] == [(src, cid, dir), ...]`` — the labelled
-      reverse-adjacency the CFL traversal walks;
-    * ``load_base/load_field/load_target`` and
-      ``store_base/store_field/store_source`` — complex constraints,
-      with ``loads_into``/``stores_by_field`` as per-node index lists.
-
-    Interning order follows PAG construction order, so ids are
-    deterministic for a given program.
-    """
-
-    __slots__ = (
-        "var_index",
-        "var_table",
-        "site_index",
-        "site_table",
-        "field_index",
-        "field_table",
-        "callsite_index",
-        "callsite_table",
-        "new_mask",
-        "copy_src",
-        "copy_dst",
-        "assigns_into",
-        "load_base",
-        "load_field",
-        "load_target",
-        "store_base",
-        "store_field",
-        "store_source",
-        "loads_into",
-        "loads_by_field",
-        "stores_by_field",
-    )
-
-    def __init__(self, pag):
-        self.var_index = {}
-        self.var_table = []
-        self.site_index = {}
-        self.site_table = []
-        self.field_index = {}
-        self.field_table = []
-        self.callsite_index = {}
-        self.callsite_table = []
-        self._build(pag)
-
-    def _vid(self, node):
-        key = (node.method_sig, node.name)
-        vid = self.var_index.get(key)
-        if vid is None:
-            vid = self.var_index[key] = len(self.var_table)
-            self.var_table.append(key)
-        return vid
-
-    def _intern(self, index, table, value):
-        i = index.get(value)
-        if i is None:
-            i = index[value] = len(table)
-            table.append(value)
-        return i
-
-    def _build(self, pag):
-        vid = self._vid
-        # First pass: intern every node so the per-node lists can be
-        # allocated once at their final size.
-        for node in pag.new_edges:
-            vid(node)
-        for edge in pag.assign_edges:
-            vid(edge.src)
-            vid(edge.dst)
-        for edge in pag.store_edges:
-            vid(edge.source)
-            vid(edge.base)
-        for edge in pag.load_edges:
-            vid(edge.target)
-            vid(edge.base)
-        nv = len(self.var_table)
-
-        self.new_mask = [0] * nv
-        for node, sites in pag.new_edges.items():
-            mask = 0
-            for site in sites:
-                mask |= 1 << self._intern(
-                    self.site_index, self.site_table, site
-                )
-            self.new_mask[vid(node)] |= mask
-
-        self.copy_src = []
-        self.copy_dst = []
-        self.assigns_into = [[] for _ in range(nv)]
-        for edge in pag.assign_edges:
-            src, dst = vid(edge.src), vid(edge.dst)
-            self.copy_src.append(src)
-            self.copy_dst.append(dst)
-            if edge.callsite is None:
-                cid, code = -1, DIR_NONE
-            else:
-                cid = self._intern(
-                    self.callsite_index, self.callsite_table, edge.callsite
-                )
-                code = DIR_ENTER if edge.direction == ENTER else DIR_EXIT
-            self.assigns_into[dst].append((src, cid, code))
-
-        self.load_base = []
-        self.load_field = []
-        self.load_target = []
-        self.loads_into = [[] for _ in range(nv)]
-        self.loads_by_field = {}
-        for edge in pag.load_edges:
-            i = len(self.load_base)
-            fid = self._intern(self.field_index, self.field_table, edge.field)
-            self.load_base.append(vid(edge.base))
-            self.load_field.append(fid)
-            target = vid(edge.target)
-            self.load_target.append(target)
-            self.loads_into[target].append(i)
-            self.loads_by_field.setdefault(fid, []).append(i)
-
-        self.store_base = []
-        self.store_field = []
-        self.store_source = []
-        self.stores_by_field = {}
-        for edge in pag.store_edges:
-            i = len(self.store_base)
-            fid = self._intern(self.field_index, self.field_table, edge.field)
-            self.store_base.append(vid(edge.base))
-            self.store_field.append(fid)
-            self.store_source.append(vid(edge.source))
-            self.stores_by_field.setdefault(fid, []).append(i)
-
-
-def flatten(pag):
-    """The (memoized) :class:`FlatPAG` of ``pag``.
-
-    Cached on the PAG instance, so the whole-program solver and the
-    demand-driven CFL traversal share one interning.  Concurrent builds
-    are benign: both produce identical tables (idempotent fill, the
-    pattern every shared artifact in this codebase follows).
-    """
-    flat = getattr(pag, "_flat", None)
-    if flat is None:
-        flat = FlatPAG(pag)
-        pag._flat = flat
-    return flat
+from repro.pta.pag import PAG, VarNode
 
 
 # -- mask tables -------------------------------------------------------------
@@ -206,7 +45,7 @@ class MaskTable:
 
     Solver-built tables hold live ints; hydrated tables hold an
     ``(offsets, blob)`` pair and decode each mask on first use, which
-    is what makes worker warmup near zero: hydrating never touches the
+    is what makes hydrating a substrate cheap: it never touches the
     blob, only queries do.
     """
 
@@ -359,30 +198,32 @@ def solve_flat(pag):
        through the heap) triggers an interim re-collapse;
     3. a final collapse pass merges cycles the dynamic edges created
        (their members already converged to equal bitsets, so this only
-       de-duplicates masks and counts the SCC).
+       de-duplicates masks and counts the SCC).  It searches only from
+       the representatives of heap slots: every full pass leaves the
+       copy graph acyclic, and every edge added since has a slot at one
+       end, so any cycle left passes through a slot.
     """
-    flat = flatten(pag)
-    nv = len(flat.var_table)
+    nv = len(pag.var_table)
 
-    pts = list(flat.new_mask)
+    pts = list(pag.new_mask)
     succ = [[] for _ in range(nv)]
-    for src, dst in zip(flat.copy_src, flat.copy_dst):
+    for src, dst in zip(pag.copy_src, pag.copy_dst):
         succ[src].append(dst)
     parent = list(range(nv))
 
     slot_index = {}
     slot_table = []
-    n_loads = len(flat.load_base)
-    n_stores = len(flat.store_base)
+    n_loads = len(pag.load_base)
+    n_stores = len(pag.store_base)
     load_done = [0] * n_loads
     store_done = [0] * n_stores
     #: rep node -> constraint indexes watching its points-to growth
     load_watch = {}
     store_watch = {}
     for i in range(n_loads):
-        load_watch.setdefault(flat.load_base[i], []).append(i)
+        load_watch.setdefault(pag.load_base[i], []).append(i)
     for i in range(n_stores):
-        store_watch.setdefault(flat.store_base[i], []).append(i)
+        store_watch.setdefault(pag.store_base[i], []).append(i)
 
     rounds = 0
     collapsed = 0
@@ -405,12 +246,13 @@ def solve_flat(pag):
             succ.append([])
         return sid
 
-    def tarjan_pass(sweep=True):
-        """Collapse cycles among current representatives; optionally
-        sweep the SCC DAG once in topological order.  Returns the number
-        of nodes merged away.  The final post-fixpoint pass passes
-        ``sweep=False`` — propagation is already complete, collapsing is
-        purely mask sharing."""
+    def tarjan_pass(sweep=True, starts=None):
+        """Collapse cycles among current representatives reachable from
+        ``starts`` (default: every node); optionally sweep the SCC DAG
+        once in topological order.  Returns the number of nodes merged
+        away.  The final post-fixpoint pass passes ``sweep=False`` —
+        propagation is already complete, collapsing is purely mask
+        sharing."""
         n = len(parent)
         par = parent
         index = [-1] * n
@@ -419,7 +261,7 @@ def solve_flat(pag):
         stack = []
         comps = []  # SCC member lists, in reverse topological order
         counter = 0
-        for start in range(n):
+        for start in range(n) if starts is None else starts:
             if par[start] != start or index[start] >= 0:
                 continue
             work = [(start, iter(succ[start]))]
@@ -520,8 +362,8 @@ def solve_flat(pag):
             new = delta & ~load_done[i]
             if new:
                 load_done[i] |= new
-                fid = flat.load_field[i]
-                target = flat.load_target[i]
+                fid = pag.load_field[i]
+                target = pag.load_target[i]
                 for oid in iter_bits(new):
                     sid = slot_node(oid, fid)
                     succ[sid].append(target)
@@ -532,8 +374,8 @@ def solve_flat(pag):
             new = delta & ~store_done[i]
             if new:
                 store_done[i] |= new
-                fid = flat.store_field[i]
-                source = flat.store_source[i]
+                fid = pag.store_field[i]
+                source = pag.store_source[i]
                 src_rep = find(source)
                 mask = pts[src_rep]
                 for oid in iter_bits(new):
@@ -591,7 +433,9 @@ def solve_flat(pag):
     # bitsets; collapse them so they share one representative mask.
     if dynamic:
         rounds += 1
-        collapsed += tarjan_pass(sweep=False)
+        collapsed += tarjan_pass(
+            sweep=False, starts=[find(sid) for sid in range(nv, len(parent))]
+        )
 
     # -- freeze into the result view --------------------------------------
     rep_to_idx = {}
@@ -608,22 +452,22 @@ def solve_flat(pag):
     var_reps = [mask_idx(v) for v in range(nv)]
     slot_reps = {}
     for (oid, fid), sid in slot_index.items():
-        slot_reps[(flat.site_table[oid], flat.field_table[fid])] = mask_idx(sid)
+        slot_reps[(pag.site_table[oid], pag.field_table[fid])] = mask_idx(sid)
 
     table = MaskTable(ints=masks)
     stats = {
         "nodes": len(parent),
         "slot_nodes": len(slot_table),
-        "sites": len(flat.site_table),
-        "copy_edges": len(flat.copy_src),
+        "sites": len(pag.site_table),
+        "copy_edges": len(pag.copy_src),
         "bitset_bytes": table.nbytes(),
         "sccs_collapsed": collapsed,
         "rounds": rounds,
     }
     return FlatAndersenResult(
         pag,
-        flat.var_index,
-        flat.site_table,
+        pag.var_index,
+        pag.site_table,
         table,
         var_reps,
         slot_reps,
@@ -642,9 +486,9 @@ def analyze(program, callgraph):
 def snapshot_flat(result):
     """Plain-data snapshot of a :class:`FlatAndersenResult`.
 
-    The masks serialize as one blob + offset table — the artifact
-    cache's on-disk currency and the fleet's hand-off payload.  ``vars``
-    is in vid order, so hydration rebuilds the same index.
+    The masks serialize as one blob + offset table, inside the
+    substrate bytes of :mod:`repro.core.cache.serialize`.  ``vars`` is
+    in vid order, so hydration rebuilds the same index.
     """
     offsets, blob = result._masks.encode()
     inverse = [None] * len(result._var_index)

@@ -1,4 +1,4 @@
-"""Pointer-assignment graph (PAG).
+"""Pointer-assignment graph (PAG), as the integer tables the kernel solves.
 
 The PAG is the flow-graph encoding of program semantics used by both the
 whole-program Andersen solver and the demand-driven CFL-reachability solver
@@ -23,7 +23,17 @@ Edge kinds:
 
 Interprocedural edges are created from a call graph, so PAG precision
 follows call-graph precision.
+
+The graph is built directly as dense integer tables: one walk over each
+method body collects every edge's endpoint keys ``(method_sig, name)``,
+and one interning pass numbers them.  Ids follow the order of the edge
+roles — ``new`` targets first, then ``assign``, ``store`` and ``load``
+endpoints, each in statement order, with call edges after every
+method's own assigns — so they are deterministic for a given program.
+:class:`VarNode` is the query-side name of a variable node.
 """
+
+from itertools import chain, count
 
 from repro.ir.stmts import (
     CopyStmt,
@@ -40,6 +50,9 @@ RETURN_VAR = "@return"
 
 ENTER = "enter"
 EXIT = "exit"
+
+#: Assign-edge direction codes (CFL call parentheses).
+DIR_NONE, DIR_ENTER, DIR_EXIT = 0, 1, 2
 
 
 class VarNode:
@@ -64,172 +77,185 @@ class VarNode:
         return "%s::%s" % (self.method_sig, self.name)
 
 
-class AssignEdge:
-    """``src -> dst`` copy edge, possibly labelled as a call parenthesis."""
-
-    __slots__ = ("src", "dst", "callsite", "direction")
-
-    def __init__(self, src, dst, callsite=None, direction=None):
-        self.src = src
-        self.dst = dst
-        self.callsite = callsite
-        self.direction = direction
-
-    def __repr__(self):
-        label = ""
-        if self.callsite:
-            label = " [%s %s]" % (self.direction, self.callsite)
-        return "%r -> %r%s" % (self.src, self.dst, label)
-
-
-class StoreEdge:
-    """``source -> base.field`` for statement ``base.field = source``."""
-
-    __slots__ = ("source", "base", "field", "stmt")
-
-    def __init__(self, source, base, field, stmt):
-        self.source = source
-        self.base = base
-        self.field = field
-        self.stmt = stmt
-
-    def __repr__(self):
-        return "%r -> %r.%s" % (self.source, self.base, self.field)
-
-
-class LoadEdge:
-    """``base.field -> target`` for statement ``target = base.field``."""
-
-    __slots__ = ("target", "base", "field", "stmt")
-
-    def __init__(self, target, base, field, stmt):
-        self.target = target
-        self.base = base
-        self.field = field
-        self.stmt = stmt
-
-    def __repr__(self):
-        return "%r.%s -> %r" % (self.base, self.field, self.target)
-
-
 class PAG:
-    """The pointer-assignment graph of a program."""
+    """The pointer-assignment graph of a program, as integer tables.
+
+    * ``var_table[vid] == (method_sig, name)`` and ``var_index`` its
+      inverse — variable nodes;
+    * ``site_table[oid] == label`` — allocation sites (bitset bit ids),
+      numbered in ``new``-target order;
+    * ``field_table[fid]`` / ``callsite_table[cid]`` — labels, fields
+      of loads before those of stores, call sites in edge order;
+    * ``new_mask[vid]`` — the bitset of sites ``vid`` is assigned by
+      ``new``;
+    * ``copy_src[i] -> copy_dst[i]`` — every assign edge (Andersen is
+      context-insensitive, so call parentheses do not matter there);
+    * ``assigns_into[dst] == [(src, cid, dir), ...]`` — the labelled
+      reverse adjacency the CFL traversal walks (``cid == -1`` and
+      ``dir == DIR_NONE`` for an intraprocedural copy);
+    * ``load_base/load_field/load_target`` and
+      ``store_base/store_field/store_source`` — complex constraints,
+      with ``loads_into``, ``loads_by_field`` and ``stores_by_field``
+      as index lists.
+    """
+
+    __slots__ = (
+        "program",
+        "callgraph",
+        "var_index",
+        "var_table",
+        "site_index",
+        "site_table",
+        "field_index",
+        "field_table",
+        "callsite_index",
+        "callsite_table",
+        "new_mask",
+        "copy_src",
+        "copy_dst",
+        "assigns_into",
+        "load_base",
+        "load_field",
+        "load_target",
+        "store_base",
+        "store_field",
+        "store_source",
+        "loads_into",
+        "loads_by_field",
+        "stores_by_field",
+    )
 
     def __init__(self, program, callgraph):
         self.program = program
         self.callgraph = callgraph
-        #: var node -> list of allocation-site labels assigned by ``new``
-        self.new_edges = {}
-        #: list of AssignEdge, plus per-node indexes
-        self.assign_edges = []
-        self.assigns_into = {}  # dst -> [AssignEdge]
-        self.assigns_from = {}  # src -> [AssignEdge]
-        self.store_edges = []
-        self.load_edges = []
-        self.stores_by_field = {}
-        self.loads_by_field = {}
-        self.loads_into = {}  # target var -> [LoadEdge]
         self._build()
 
-    # -- construction ------------------------------------------------------
-
-    def var(self, method, name):
-        return VarNode(method.sig, name)
-
-    def _add_assign(self, src, dst, callsite=None, direction=None):
-        edge = AssignEdge(src, dst, callsite, direction)
-        self.assign_edges.append(edge)
-        self.assigns_into.setdefault(dst, []).append(edge)
-        self.assigns_from.setdefault(src, []).append(edge)
-
     def _build(self):
+        # One walk per method body: each role's endpoint keys in
+        # statement order, pairs flattened (src, dst, src, dst, ...).
+        new_keys, new_sites = [], []
+        assign_keys = []
+        store_keys, store_fields = [], []
+        load_keys, load_fields = [], []
+        invokes = []
         for method in self.program.all_methods():
-            self._build_method(method)
-        self._build_calls()
-
-    def _build_method(self, method):
-        for stmt in method.statements():
-            if isinstance(stmt, NewStmt):
-                node = self.var(method, stmt.target)
-                self.new_edges.setdefault(node, []).append(stmt.site)
-            elif isinstance(stmt, CopyStmt):
-                self._add_assign(
-                    self.var(method, stmt.source), self.var(method, stmt.target)
-                )
-            elif isinstance(stmt, StoreStmt):
-                edge = StoreEdge(
-                    self.var(method, stmt.source),
-                    self.var(method, stmt.base),
-                    stmt.field,
-                    stmt,
-                )
-                self.store_edges.append(edge)
-                self.stores_by_field.setdefault(stmt.field, []).append(edge)
-            elif isinstance(stmt, LoadStmt):
-                edge = LoadEdge(
-                    self.var(method, stmt.target),
-                    self.var(method, stmt.base),
-                    stmt.field,
-                    stmt,
-                )
-                self.load_edges.append(edge)
-                self.loads_by_field.setdefault(stmt.field, []).append(edge)
-                self.loads_into.setdefault(edge.target, []).append(edge)
-            elif isinstance(stmt, ReturnStmt) and stmt.value:
-                self._add_assign(
-                    self.var(method, stmt.value), VarNode(method.sig, RETURN_VAR)
-                )
-
-    def _build_calls(self):
-        for method in self.program.all_methods():
+            sig = method.sig
             for stmt in method.statements():
-                if not isinstance(stmt, InvokeStmt):
-                    continue
-                for callee in self.callgraph.targets_of_site(stmt):
-                    self._link_call(method, stmt, callee)
+                kind = type(stmt)
+                if kind is CopyStmt:
+                    assign_keys += ((sig, stmt.source), (sig, stmt.target))
+                elif kind is InvokeStmt:
+                    invokes.append((sig, stmt))
+                elif kind is ReturnStmt:
+                    if stmt.value:
+                        assign_keys += ((sig, stmt.value), (sig, RETURN_VAR))
+                elif kind is LoadStmt:
+                    load_keys += ((sig, stmt.target), (sig, stmt.base))
+                    load_fields.append(stmt.field)
+                elif kind is NewStmt:
+                    new_keys.append((sig, stmt.target))
+                    new_sites.append(stmt.site)
+                elif kind is StoreStmt:
+                    store_keys += ((sig, stmt.source), (sig, stmt.base))
+                    store_fields.append(stmt.field)
+        call_keys, call_sites = self._link_calls(invokes)
 
-    def _link_call(self, caller, invoke, callee):
-        site = invoke.callsite
-        if invoke.base is not None and not callee.is_static:
-            self._add_assign(
-                self.var(caller, invoke.base),
-                VarNode(callee.sig, THIS_VAR),
-                callsite=site,
-                direction=ENTER,
+        var_table = list(
+            dict.fromkeys(
+                chain(new_keys, assign_keys, call_keys, store_keys, load_keys)
             )
-        for arg, param in zip(invoke.args, callee.params):
-            self._add_assign(
-                self.var(caller, arg),
-                VarNode(callee.sig, param),
-                callsite=site,
-                direction=ENTER,
-            )
-        if invoke.target:
-            self._add_assign(
-                VarNode(callee.sig, RETURN_VAR),
-                self.var(caller, invoke.target),
-                callsite=site,
-                direction=EXIT,
-            )
+        )
+        var_index = dict(zip(var_table, count()))
+        vid = var_index.__getitem__
+        nv = len(var_table)
+        self.var_table = var_table
+        self.var_index = var_index
 
-    # -- queries -----------------------------------------------------------
+        # Sites in new-edge order: grouped by target node, the node
+        # first assigned by ``new`` first.
+        new_ids = list(map(vid, new_keys))
+        order = sorted(range(len(new_ids)), key=new_ids.__getitem__)
+        self.site_table = list(dict.fromkeys(new_sites[i] for i in order))
+        self.site_index = site_index = dict(zip(self.site_table, count()))
+        new_mask = [0] * nv
+        for i in order:
+            new_mask[new_ids[i]] |= 1 << site_index[new_sites[i]]
+        self.new_mask = new_mask
 
-    def all_var_nodes(self):
-        nodes = set(self.new_edges)
-        for edge in self.assign_edges:
-            nodes.add(edge.src)
-            nodes.add(edge.dst)
-        for edge in self.store_edges:
-            nodes.add(edge.source)
-            nodes.add(edge.base)
-        for edge in self.load_edges:
-            nodes.add(edge.target)
-            nodes.add(edge.base)
-        return nodes
+        local = list(map(vid, assign_keys))
+        calls = list(map(vid, call_keys))
+        self.copy_src = local[0::2] + calls[0::2]
+        self.copy_dst = local[1::2] + calls[1::2]
+        self.callsite_table = list(
+            dict.fromkeys(site for site, _ in call_sites if site is not None)
+        )
+        self.callsite_index = cids = dict(zip(self.callsite_table, count()))
+        assigns_into = [[] for _ in range(nv)]
+        for src, dst in zip(local[0::2], local[1::2]):
+            assigns_into[dst].append((src, -1, DIR_NONE))
+        for src, dst, (site, code) in zip(
+            calls[0::2], calls[1::2], call_sites
+        ):
+            if site is None:
+                assigns_into[dst].append((src, -1, DIR_NONE))
+            else:
+                assigns_into[dst].append((src, cids[site], code))
+        self.assigns_into = assigns_into
+
+        self.field_table = list(
+            dict.fromkeys(chain(load_fields, store_fields))
+        )
+        self.field_index = fids = dict(zip(self.field_table, count()))
+
+        ends = list(map(vid, load_keys))
+        self.load_target = ends[0::2]
+        self.load_base = ends[1::2]
+        self.load_field = list(map(fids.__getitem__, load_fields))
+        loads_into = [[] for _ in range(nv)]
+        loads_by_field = {}
+        for i, target in enumerate(self.load_target):
+            loads_into[target].append(i)
+        for i, fid in enumerate(self.load_field):
+            loads_by_field.setdefault(fid, []).append(i)
+        self.loads_into = loads_into
+        self.loads_by_field = loads_by_field
+
+        ends = list(map(vid, store_keys))
+        self.store_source = ends[0::2]
+        self.store_base = ends[1::2]
+        self.store_field = list(map(fids.__getitem__, store_fields))
+        stores_by_field = {}
+        for i, fid in enumerate(self.store_field):
+            stores_by_field.setdefault(fid, []).append(i)
+        self.stores_by_field = stores_by_field
+
+    def _link_calls(self, invokes):
+        """Endpoint keys of the call edges of ``invokes`` (caller sig,
+        statement), and each edge's ``(callsite, direction)``."""
+        keys = []
+        labels = []
+        targets_of_site = self.callgraph.targets_of_site
+        for sig, invoke in invokes:
+            site = invoke.callsite
+            base = invoke.base
+            target = invoke.target
+            for callee in targets_of_site(invoke):
+                callee_sig = callee.sig
+                if base is not None and not callee.is_static:
+                    keys += ((sig, base), (callee_sig, THIS_VAR))
+                    labels.append((site, DIR_ENTER))
+                for arg, param in zip(invoke.args, callee.params):
+                    keys += ((sig, arg), (callee_sig, param))
+                    labels.append((site, DIR_ENTER))
+                if target:
+                    keys += ((callee_sig, RETURN_VAR), (sig, target))
+                    labels.append((site, DIR_EXIT))
+        return keys, labels
 
     def __repr__(self):
-        return "PAG(%d assigns, %d stores, %d loads)" % (
-            len(self.assign_edges),
-            len(self.store_edges),
-            len(self.load_edges),
+        return "PAG(%d vars, %d assigns, %d stores, %d loads)" % (
+            len(self.var_table),
+            len(self.copy_src),
+            len(self.store_base),
+            len(self.load_base),
         )

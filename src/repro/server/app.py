@@ -824,6 +824,11 @@ def _optional_int(payload, key):
         return None
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise BadRequest('"%s" must be a non-negative integer' % key)
+    try:
+        float(value)
+    except OverflowError:
+        # Valid JSON, but no deadline can be computed from it.
+        raise BadRequest('"%s" is too large' % key) from None
     return value
 
 

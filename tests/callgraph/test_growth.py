@@ -1,15 +1,17 @@
-"""Growth gate: call-graph construction and the frontend grow
-near-linearly.
+"""Growth gate: the frontend, call-graph construction and the points-to
+layers grow near-linearly.
 
-The call-graph builders run on memocache tilings of 10, 20 and 40
-copies (:func:`repro.bench.scale.build_scaled`), and ``parse_program``
-(lex, parse, lower, validate) on their sources; the tiles are disjoint,
-so the work a linear layer does doubles with each step.  Each size is
-timed as the median of five runs with the collector off, the sizes
-interleaved so a slow spell of a shared machine hits all of them alike.
-The slope of log(time) against log(size) must stay at or below 1.3: a
-builder that re-dispatches every pending call on every instantiation
-shows about 2.8 here.
+Each layer runs on memocache tilings of 10, 20 and 40 copies
+(:func:`repro.bench.scale.build_scaled`): ``parse_program`` (lex,
+parse, lower, validate) on their sources, the call-graph builders on
+their programs, the PAG build over a prebuilt RTA graph, ``solve_flat``
+on a prebuilt PAG, and library visibility on the same PAG.  The tiles
+are disjoint, so the work a linear layer does doubles with each step.
+Each size is timed as the median of five runs with the collector off,
+the sizes interleaved so a slow spell of a shared machine hits all of
+them alike.  The slope of log(time) against log(size) must stay at or
+below 1.3: a builder that re-dispatches every pending call on every
+instantiation shows about 2.8 here.
 """
 
 import gc
@@ -22,7 +24,10 @@ import pytest
 from repro.bench.scale import build_scaled
 from repro.callgraph.cha import build_cha
 from repro.callgraph.rta import build_rta
+from repro.core.libmodel import library_visible_values
 from repro.lang import parse_program
+from repro.pta.kernel import solve_flat
+from repro.pta.pag import PAG
 
 FACTORS = (10, 20, 40)
 RUNS = 5
@@ -32,6 +37,12 @@ MAX_SLOPE = 1.3
 @pytest.fixture(scope="module")
 def tilings():
     return [build_scaled("memocache", factor=f) for f in FACTORS]
+
+
+@pytest.fixture(scope="module")
+def pags(tilings):
+    """Per tiling, its PAG over a prebuilt RTA graph."""
+    return [PAG(app.program, build_rta(app.program)) for app in tilings]
 
 
 def _median_seconds(build, apps):
@@ -79,3 +90,15 @@ def test_callgraph_slope(build, tilings):
 
 def test_parse_slope(tilings):
     _assert_slope(lambda app: parse_program(app.source), tilings)
+
+
+def test_pag_slope(pags):
+    _assert_slope(lambda pag: PAG(pag.program, pag.callgraph), pags)
+
+
+def test_solve_slope(pags):
+    _assert_slope(solve_flat, pags)
+
+
+def test_visibility_slope(pags):
+    _assert_slope(lambda pag: library_visible_values(pag.program, pag), pags)

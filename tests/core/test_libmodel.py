@@ -2,11 +2,7 @@
 
 from repro.callgraph.rta import build_rta
 from repro.core.detector import DetectorConfig, LeakChecker
-from repro.core.libmodel import (
-    is_library_sig,
-    library_visible_values,
-    load_counts_as_flow_in,
-)
+from repro.core.libmodel import is_library_sig, library_visible_values
 from repro.core.regions import RegionSpec
 from repro.javalib import with_javalib
 from repro.lang import parse_program
@@ -48,6 +44,18 @@ def _program(app):
     return parse_program(with_javalib(app, "hashmap"))
 
 
+def _load_targets(pag):
+    """``(method_sig, name)`` of every load's target, in load order."""
+    return [pag.var_table[vid] for vid in pag.load_target]
+
+
+def _counts_as_flow_in(program, target, visible):
+    """The Section 4 condition on a load, as the flows-in stage applies
+    it: a load in application code always counts; one in library code
+    counts only when its target can reach application code."""
+    return not is_library_sig(program, target[0]) or target in visible
+
+
 class TestVisibility:
     def test_is_library_sig(self):
         prog = _program(_PUT_ONLY)
@@ -60,11 +68,11 @@ class TestVisibility:
         prog = _program(_PUT_ONLY)
         pag = PAG(prog, build_rta(prog))
         visible = library_visible_values(prog, pag)
-        probe_loads = [e for e in pag.load_edges if e.target.name == "probe"]
+        probe_loads = [t for t in _load_targets(pag) if t[1] == "probe"]
         assert probe_loads
-        for edge in probe_loads:
-            assert edge.target not in visible
-            assert not load_counts_as_flow_in(prog, pag, edge, visible)
+        for target in probe_loads:
+            assert target not in visible
+            assert not _counts_as_flow_in(prog, target, visible)
 
     def test_get_value_visible(self):
         """HashMap.get returns what it loads: the load counts."""
@@ -72,22 +80,23 @@ class TestVisibility:
         pag = PAG(prog, build_rta(prog))
         visible = library_visible_values(prog, pag)
         value_loads = [
-            e
-            for e in pag.load_edges
-            if e.target.method_sig == "HashMap.get" and e.target.name == "v"
+            t for t in _load_targets(pag) if t == ("HashMap.get", "v")
         ]
         assert value_loads
-        for edge in value_loads:
-            assert load_counts_as_flow_in(prog, pag, edge, visible)
+        for target in value_loads:
+            assert _counts_as_flow_in(prog, target, visible)
 
     def test_application_loads_always_count(self):
         prog = _program(_PUT_ONLY)
         pag = PAG(prog, build_rta(prog))
+        visible = library_visible_values(prog, pag)
         app_loads = [
-            e for e in pag.load_edges if not is_library_sig(prog, e.target.method_sig)
+            t for t in _load_targets(pag) if not is_library_sig(prog, t[0])
         ]
-        for edge in app_loads:
-            assert load_counts_as_flow_in(prog, pag, edge)
+        for target in app_loads:
+            # Application variables seed the visible set.
+            assert target in visible
+            assert _counts_as_flow_in(prog, target, visible)
 
 
 _RETURN_CHAIN = """
@@ -132,14 +141,12 @@ class TestReturnChainVisibility:
         pag = PAG(prog, build_rta(prog))
         visible = library_visible_values(prog, pag)
         inner_loads = [
-            e
-            for e in pag.load_edges
-            if e.target.method_sig == "Box.fetchInner"
+            t for t in _load_targets(pag) if t[0] == "Box.fetchInner"
         ]
         assert inner_loads
-        for edge in inner_loads:
-            assert edge.target in visible
-            assert load_counts_as_flow_in(prog, pag, edge, visible)
+        for target in inner_loads:
+            assert target in visible
+            assert _counts_as_flow_in(prog, target, visible)
 
     def test_retrieval_through_chain_cancels_the_leak(self):
         prog = parse_program(_RETURN_CHAIN)

@@ -12,7 +12,7 @@ from repro.errors import BudgetExhausted
 from repro.lang import parse_program
 from repro.pta import solve
 from repro.pta.cfl import CFLPointsTo
-from repro.pta.pag import PAG
+from repro.pta.pag import PAG, VarNode
 
 from tests.properties.strategies import loop_programs
 
@@ -35,7 +35,8 @@ def test_cfl_refines_andersen(source):
     pag = PAG(program, graph)
     andersen = solve(pag)
     cfl = CFLPointsTo(pag, fallback=andersen)
-    for node in pag.all_var_nodes():
+    for sig, name in pag.var_table:
+        node = VarNode(sig, name)
         try:
             refined = cfl.points_to_refined(node)
         except BudgetExhausted:

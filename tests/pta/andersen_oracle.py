@@ -1,9 +1,10 @@
 """Dict-of-sets Andersen solver: the differential oracle of the flat kernel.
 
 A standard inclusion-based, flow-insensitive, field-sensitive worklist
-solver over the PAG, simple enough to audit by eye.  The production
-solver is :func:`repro.pta.kernel.solve_flat`; the differential and
-identity tests check that it answers exactly what this one does.
+solver over the object PAG of :mod:`tests.pta.pag_oracle`, simple
+enough to audit by eye.  The production solver is
+:func:`repro.pta.kernel.solve_flat`; the differential and identity tests
+check that it answers exactly what this one does.
 
 Results:
 
@@ -11,7 +12,9 @@ Results:
 * ``field_pts(site_label, field)`` -> set of allocation-site labels
 """
 
-from repro.pta.pag import PAG, VarNode
+from repro.pta.pag import VarNode
+
+from tests.pta import pag_oracle
 
 
 class AndersenResult:
@@ -52,7 +55,13 @@ class AndersenResult:
 
 
 def solve(pag):
-    """Run the inclusion-based solver to a fixed point."""
+    """Solve the program of ``pag`` (a :class:`repro.pta.pag.PAG`) on its
+    own object graph: a drop-in for :func:`repro.pta.kernel.solve_flat`."""
+    return solve_graph(pag_oracle.PAG(pag.program, pag.callgraph))
+
+
+def solve_graph(pag):
+    """Run the inclusion-based solver on an object PAG to a fixed point."""
     var_pts = {}
     field_pts = {}
     #: deferred complex constraints per variable: loads where it is the
@@ -123,5 +132,6 @@ def solve(pag):
 
 
 def analyze(program, callgraph):
-    """Build the PAG for ``program`` under ``callgraph`` and solve it."""
-    return solve(PAG(program, callgraph))
+    """Build the object PAG for ``program`` under ``callgraph`` and solve
+    it."""
+    return solve_graph(pag_oracle.PAG(program, callgraph))

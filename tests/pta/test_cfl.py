@@ -115,7 +115,8 @@ class TestSoundnessAndBudget:
         pag = PAG(figure1, graph)
         andersen = analyze(figure1, graph)
         cfl = CFLPointsTo(pag, fallback=andersen)
-        for node in pag.all_var_nodes():
+        for sig, name in pag.var_table:
+            node = VarNode(sig, name)
             refined = cfl.points_to(node)
             assert refined <= set(andersen.pts(node)) or refined == set(
                 andersen.pts(node)

@@ -8,12 +8,8 @@ representative bitset) and the mask-table encoding.
 
 from repro.callgraph.rta import build_rta
 from repro.lang import parse_program
-from repro.pta.kernel import (
-    MaskTable,
-    flatten,
-    iter_bits,
-    solve_flat,
-)
+from repro.pta.cfl import CFLPointsTo
+from repro.pta.kernel import MaskTable, iter_bits, solve_flat
 from repro.pta.pag import PAG, VarNode
 
 
@@ -22,8 +18,8 @@ def _pag(source):
     return PAG(program, build_rta(program))
 
 
-def _vid(flat, name, sig="Main.main"):
-    return flat.var_index[(sig, name)]
+def _vid(pag, name, sig="Main.main"):
+    return pag.var_index[(sig, name)]
 
 
 _COPY_CYCLE = """
@@ -65,8 +61,7 @@ class TestSccCollapse:
         assert result.stats["sccs_collapsed"] >= 2  # b, c, d merge
         b, c, d = (VarNode("Main.main", n) for n in "bcd")
         assert result.pts(b) == result.pts(c) == result.pts(d) == {"s1"}
-        flat = flatten(pag)
-        reps = {result._var_reps[_vid(flat, n)] for n in "bcd"}
+        reps = {result._var_reps[_vid(pag, n)] for n in "bcd"}
         assert len(reps) == 1, "cycle members must share one mask index"
         # ...and the shared frozenset is literally the same object.
         assert result.pts(b) is result.pts(c)
@@ -82,10 +77,9 @@ class TestSccCollapse:
         y = VarNode("Main.main", "y")
         assert result.pts(y) == {"s1"}
         assert result.field_pts("hub", "f") == {"s1"}
-        flat = flatten(pag)
         assert (
             result._slot_reps[("hub", "f")]
-            == result._var_reps[_vid(flat, "y")]
+            == result._var_reps[_vid(pag, "y")]
         ), "heap-threaded cycle must share one mask index"
 
     def test_downstream_of_cycle_still_correct(self):
@@ -111,13 +105,20 @@ class TestSccCollapse:
 
 
 class TestInterning:
-    def test_flatten_is_memoized_on_the_pag(self):
+    def test_solver_and_cfl_share_the_pag_interning(self):
+        """The PAG is the one interning: the solve and the CFL traversal
+        read its tables, with no copy of their own."""
         pag = _pag(_COPY_CYCLE)
-        assert flatten(pag) is flatten(pag)
+        result = solve_flat(pag)
+        assert result._var_index is pag.var_index
+        assert result._site_table is pag.site_table
+        cfl = CFLPointsTo(pag, fallback=result)
+        assert cfl.pag is pag
+        assert cfl.points_to(VarNode("Main.main", "e")) == {"s1"}
 
     def test_interning_is_deterministic(self):
-        a = flatten(_pag(_COPY_CYCLE))
-        b = flatten(_pag(_COPY_CYCLE))
+        a = _pag(_COPY_CYCLE)
+        b = _pag(_COPY_CYCLE)
         assert a.var_table == b.var_table
         assert a.site_table == b.site_table
         assert a.copy_src == b.copy_src

@@ -283,6 +283,20 @@ class TestDeadline:
         assert code == 400
         assert body["error"]["code"] == "bad_request"
 
+    @pytest.mark.parametrize("path", ["/analyze", "/diff"])
+    def test_deadline_too_large_for_a_float_rejected(self, path):
+        """Regression: a 400-digit ``deadline_ms`` is valid JSON but no
+        deadline can be computed from it; it was a 500 ``internal``."""
+        payload = {"program": _LEAK, "before": _LEAK, "after": _FIXED}
+        payload["deadline_ms"] = 10**400
+        with _serving() as server:
+            code, _headers, body = _error(lambda: _post(server, path, payload))
+            server_errors = server.metrics.counters.get("server_errors", 0)
+        assert code == 400
+        assert body["error"]["code"] == "bad_request"
+        assert "deadline_ms" in body["error"]["message"]
+        assert server_errors == 0
+
 
 class TestBackpressure:
     def test_queue_full_answers_429_with_retry_after(self):

@@ -516,6 +516,23 @@ class TestBatchRejections:
         assert "programs[1].id" in body["error"]["message"]
         assert server_errors == 0
 
+    def test_deadline_too_large_for_a_float_is_400(self):
+        """Regression: a 400-digit ``deadline_ms`` opened the stream and
+        ended it with one ``internal`` record and no summary.  It is a
+        400 naming the field, before the stream opens."""
+        payload = {
+            "programs": [{"id": "a", "program": LEAK}],
+            "deadline_ms": 10**400,
+        }
+        with _serving() as server:
+            code, _, body = self._http_error(lambda: _stream(server, payload))
+            server_errors = server.metrics.counters.get("server_errors", 0)
+        assert code == 400
+        schema.validate_error(body)
+        assert body["error"]["code"] == "bad_request"
+        assert "deadline_ms" in body["error"]["message"]
+        assert server_errors == 0
+
     def test_missing_programs_is_400(self):
         with _serving() as server:
             code, _, body = self._http_error(

@@ -937,3 +937,23 @@ class TestInheritanceCycleCLI:
         proc = self._run("compile", source_file, "-o", str(out))
         assert proc.returncode == 2
         assert not out.exists()
+
+
+class TestServeFlags:
+    """A ``serve`` flag value that no request could send is a usage
+    error: the daemon must not start and then fail every request."""
+
+    @pytest.mark.parametrize(
+        "value", ["1" + "0" * 400, "-5"], ids=["too-large", "negative"]
+    )
+    def test_bad_deadline_is_a_usage_error(self, value, capsys, monkeypatch):
+        from repro.server import app
+
+        def started(**kwargs):
+            raise AssertionError("serve started with %r" % kwargs)
+
+        monkeypatch.setattr(app, "create_server", started)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", "--deadline-ms=%s" % value])
+        assert excinfo.value.code == 2
+        assert "--deadline-ms" in capsys.readouterr().err
