@@ -6,10 +6,7 @@ Subcommands:
   while-language program and print the leak report;
 * ``scan FILE [--auto-regions [--top K]] [--baseline FILE]`` — check
   many regions at once, triage findings by severity, gate on a
-  suppression baseline; ``--write-snapshot PATH`` records the analysis
-  for later incremental runs and ``--changed-since PATH`` re-checks
-  only the regions an edit can affect, serving the rest from the
-  snapshot;
+  suppression baseline;
 * ``diff BEFORE AFTER`` — compare two analyses (source files or
   ``scan --json`` output) by finding fingerprint: new/fixed/unchanged;
 * ``regions FILE`` — print the inferred candidate-region catalog;
@@ -149,18 +146,8 @@ def _cmd_scan(args):
         should_fail,
         write_baseline,
     )
-    from repro.core.pipeline import AnalysisSession
     from repro.core.scan import scan_all_loops
 
-    if args.changed_since and (args.ranked or args.limit is not None):
-        print(
-            "error: --changed-since is incompatible with "
-            "--ranked/--limit (incremental scans serve "
-            "stored per-region reports; region selection comes from "
-            "--region/--auto-regions or all labelled loops)",
-            file=sys.stderr,
-        )
-        return 2
     if args.auto_regions and (args.ranked or args.region):
         print(
             "error: --auto-regions replaces --ranked/--region "
@@ -187,61 +174,16 @@ def _cmd_scan(args):
     baseline_fps = None
     if args.baseline and not args.write_baseline:
         baseline_fps = load_baseline(args.baseline)
-    config = _config_from(args)
-    cache = _cache_from(args)
-    session = None
-    if args.write_snapshot:
-        # Snapshot capture needs the session's region artifacts, so pin
-        # one session for the scan and the capture.
-        session = AnalysisSession(program, config, cache=cache)
-    snap = None
-    if args.changed_since:
-        from repro.core.incremental import load_snapshot
-        from repro.errors import CacheError
-
-        try:
-            snap = load_snapshot(args.changed_since)
-        except CacheError as exc:
-            print(
-                "warning: %s; running a cold scan" % exc, file=sys.stderr
-            )
-    if snap is not None:
-        from repro.core.incremental import changed_scan
-
-        result, outcome = changed_scan(
-            program,
-            snap,
-            config=config,
-            specs=specs,
-            auto_regions=args.auto_regions,
-            top=args.top,
-            session=session,
-            cache=cache,
-        )
-        if not args.json:
-            print(outcome.format(), file=sys.stderr)
-    else:
-        result = scan_all_loops(
-            program,
-            config=config,
-            ranked=args.ranked,
-            limit=args.limit,
-            cache=cache,
-            session=session,
-            specs=specs,
-            auto_regions=args.auto_regions,
-            top=args.top,
-        )
-    if args.write_snapshot:
-        from repro.core.incremental import save_snapshot, snapshot_scan
-
-        payload = snapshot_scan(program, session.config, result, session=session)
-        save_snapshot(args.write_snapshot, payload)
-        print(
-            "wrote snapshot %s (%d regions)"
-            % (args.write_snapshot, len(result.entries)),
-            file=sys.stderr,
-        )
+    result = scan_all_loops(
+        program,
+        config=_config_from(args),
+        ranked=args.ranked,
+        limit=args.limit,
+        cache=_cache_from(args),
+        specs=specs,
+        auto_regions=args.auto_regions,
+        top=args.top,
+    )
     if args.auto_regions and not result.entries and not args.json:
         print("0 candidate regions (program has no checkable loops "
               "or component entries)")
@@ -353,7 +295,7 @@ def _load_analysis(path, args):
 
 
 def _cmd_diff(args):
-    from repro.core.incremental import diff_analyses
+    from repro.core.diffing import diff_analyses
 
     before, before_scan = _load_analysis(args.before, args)
     after, after_scan = _load_analysis(args.after, args)
@@ -534,6 +476,33 @@ def _deadline_ms(text):
     return value
 
 
+def _int_from(low, high=None):
+    """An argparse type for a count or port flag: an integer of at
+    least ``low`` and, when given, at most ``high``.  A value outside
+    exits 2 naming the flag, before the command starts anything."""
+    expected = (
+        "an integer >= %d" % low
+        if high is None
+        else "an integer from %d to %d" % (low, high)
+    )
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(
+                "expected %s, got %r" % (expected, text)
+            )
+        return value
+
+    return parse
+
+
+_PORT = _int_from(0, 65535)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="leakchecker",
@@ -556,7 +525,7 @@ def build_parser():
         action="store_true",
         help="with --json, emit canonical run-independent JSON "
         "(timings zeroed, cache counters dropped) — byte-stable "
-        "across repeated, cache-hydrated and incremental runs",
+        "across repeated and cache-hydrated runs",
     )
     out_group.add_argument(
         "--profile",
@@ -651,7 +620,7 @@ def build_parser():
     scan = add_sub("scan", "check every labelled loop (or inferred regions)")
     scan.add_argument("file")
     scan.add_argument("--ranked", action="store_true", help="most suspicious first")
-    scan.add_argument("--limit", type=int, default=None)
+    scan.add_argument("--limit", type=_int_from(0), default=None)
     scan.add_argument(
         "--region",
         action="append",
@@ -668,7 +637,7 @@ def build_parser():
     )
     scan.add_argument(
         "--top",
-        type=int,
+        type=_int_from(0),
         default=None,
         help="with --auto-regions, check only the K best-scored candidates",
     )
@@ -689,23 +658,6 @@ def build_parser():
         default="low",
         help="minimum severity of a new finding that fails the scan "
         "(default: low, i.e. any new finding)",
-    )
-    scan.add_argument(
-        "--changed-since",
-        metavar="SNAPSHOT",
-        default=None,
-        help="incremental scan: re-check only the regions the edits "
-        "since SNAPSHOT (written by --write-snapshot) can affect, "
-        "serving every other region's stored report; canonically "
-        "byte-identical to a cold scan",
-    )
-    scan.add_argument(
-        "--write-snapshot",
-        metavar="SNAPSHOT",
-        default=None,
-        help="after scanning, record the analysis (per-method digests, "
-        "value-flow graph, per-region reports) for later "
-        "--changed-since runs",
     )
     add_detector_flags(scan)
     scan.set_defaults(func=_cmd_scan)
@@ -786,14 +738,17 @@ def build_parser():
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
-        "--port", type=int, default=8421, help="0 picks an ephemeral port"
+        "--port", type=_PORT, default=8421, help="0 picks an ephemeral port"
     )
     serve.add_argument(
-        "--jobs", type=int, default=1, help="concurrent analysis requests"
+        "--jobs",
+        type=_int_from(1),
+        default=1,
+        help="concurrent analysis requests",
     )
     serve.add_argument(
         "--max-queue",
-        type=int,
+        type=_int_from(0),
         default=8,
         help="waiting requests beyond --jobs before answering 429",
     )
@@ -807,7 +762,7 @@ def build_parser():
     )
     serve.add_argument(
         "--max-sessions",
-        type=int,
+        type=_int_from(1),
         default=8,
         help="distinct program texts kept warm before LRU eviction, "
         "those run on the fleet included",
@@ -834,7 +789,7 @@ def build_parser():
     )
     serve.add_argument(
         "--max-body",
-        type=int,
+        type=_int_from(1),
         default=None,
         help="largest accepted request body in bytes before answering "
         "413 (default 8 MiB)",
@@ -854,7 +809,7 @@ def build_parser():
     )
     worker.add_argument("--host", default="127.0.0.1")
     worker.add_argument(
-        "--port", type=int, default=8431, help="0 picks an ephemeral port"
+        "--port", type=_PORT, default=8431, help="0 picks an ephemeral port"
     )
     worker.set_defaults(func=_cmd_worker)
     return parser

@@ -14,7 +14,7 @@ makes that state durable:
   :class:`~repro.core.pipeline.session.SharedArtifacts` to and from a
   plain-data snapshot (labels, signatures and statement uids only — no
   live IR objects) and its byte form, which the daemon's session pool
-  also keeps and pushes to fleet workers;
+  also keeps;
 * :mod:`~repro.core.cache.store` — the :class:`ArtifactCache` directory
   store with atomic writes and fall-back-to-recompute semantics:
   corrupted or version-mismatched entries are evicted and recomputed,

@@ -25,9 +25,9 @@ import hashlib
 
 from repro.ir.printer import program_to_text
 
-#: Bump on any change to the snapshot payload layout (see serialize.py
-#: and repro.core.incremental.snapshot).  v3: incremental-analysis
-#: snapshots (per-method digests, flow graph, per-region reports).
+#: Bump on any change to the snapshot payload layout (see serialize.py).
+#: v3: incremental-analysis snapshots (per-method digests, flow graph,
+#: per-region reports).
 #: v4: integer-flat Andersen encoding (kind-tagged: flat arrays + one
 #: mask blob from the kernel, sorted lists from the legacy dict solver).
 #: v5: per-method summary payloads ("summaries": digest-keyed intra

@@ -31,14 +31,6 @@ VOLATILE_COUNTERS = (
     "artifact_cache_misses",
     "artifact_cache_saves",
     "artifact_cache_evictions",
-    # Incremental-scan bookkeeping: how much was served vs re-checked
-    # depends on what snapshot the run started from, never on the
-    # analysis results themselves.
-    "incremental_served",
-    "incremental_rechecked",
-    "incremental_dirty_methods",
-    "incremental_full_fallback",
-    "incremental_fast_path",
 )
 
 

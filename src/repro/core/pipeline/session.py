@@ -283,9 +283,9 @@ class AnalysisSession:
         return self.shared.thread_subclasses()
 
     def warm(self):
-        """Precompute the shared lazy artifacts before they are
-        snapshotted for fleet workers or the cache, so no worker repeats
-        the heavy one-time work."""
+        """Precompute the shared lazy artifacts before :meth:`persist`
+        snapshots them for the artifact cache, so a session hydrated
+        from it never repeats the heavy one-time work."""
         self.points_to.andersen  # force the whole-program solve
         self.shared.size_counts()
         if self.config.library_condition:

@@ -165,7 +165,7 @@ def region_text(region):
     """The canonical spec string of a region: ``Class.method:LOOP`` for
     a loop, ``Class.method`` for an artificial method region — the
     inverse of :func:`resolve_region` and the key triage, baselines and
-    incremental snapshots use."""
+    leak diffing use."""
     if isinstance(region, RegionSpec):
         return region.text()
     if getattr(region, "loop_label", None) is not None:

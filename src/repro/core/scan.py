@@ -142,7 +142,7 @@ class ScanResult:
 
         ``canonical=True`` zeroes timings and drops run-dependent cache
         counters (:mod:`repro.core.canonical`) so equivalent runs —
-        serial, fleet-sharded, cache-hydrated — produce byte-identical text;
+        serial, on a fleet worker, cache-hydrated — produce byte-identical text;
         the golden regression corpus stores this form.
         """
         import json

@@ -121,7 +121,7 @@ class PointsTo:
         """Bound the block's queries by ``deadline`` (a :class:`Deadline`
         or ``None``).  Not thread-isolated: deadline-bounded runs are
         serial (the analysis server serializes requests per session,
-        and a fleet worker runs one shard at a time)."""
+        and a fleet worker builds its own session per program)."""
         previous = self.deadline
         self.deadline = deadline
         try:

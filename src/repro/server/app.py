@@ -19,7 +19,7 @@ Endpoints (see ``docs/api.md`` for the full wire reference and
   pooled substrate, without rebuilding analysis state.
 * ``POST /diff`` — body ``{"before": <source>, "after": <source>,
   "deadline_ms"?, "javalib"?}``; the finding-level
-  :class:`~repro.core.incremental.diffing.LeakDelta` of two programs.
+  :class:`~repro.core.diffing.LeakDelta` of two programs.
 * ``POST /analyze-batch`` — body ``{"programs": [{"id"?, "program",
   "region"?, "javalib"?}, ...], "deadline_ms"?, "include_reports"?}``.
   Streams NDJSON in entry order: one ``region`` record per checked
@@ -63,7 +63,7 @@ from concurrent.futures import ThreadPoolExecutor
 from http import HTTPStatus
 from urllib.parse import parse_qs, urlparse
 
-from repro.core.incremental.diffing import diff_analyses
+from repro.core.diffing import diff_analyses
 from repro.core.regions import region_text
 from repro.errors import ReproError
 from repro.server import schema

@@ -1,11 +1,14 @@
-"""Growth gate: the frontend, call-graph construction and the points-to
-layers grow near-linearly.
+"""Growth gate: the frontend, call-graph construction, the points-to
+layers, the region checks and canonicalization grow near-linearly.
 
 Each layer runs on memocache tilings of 10, 20 and 40 copies
 (:func:`repro.bench.scale.build_scaled`): ``parse_program`` (lex,
 parse, lower, validate) on their sources, the call-graph builders on
 their programs, the PAG build over a prebuilt RTA graph, ``solve_flat``
-on a prebuilt PAG, and library visibility on the same PAG.  The tiles
+on a prebuilt PAG, library visibility on the same PAG,
+``scan_all_loops`` on a fresh session that adopts that prebuilt
+substrate (so only the region checks run), and
+``ScanResult.to_json(canonical=True)`` on the finished scans.  The tiles
 are disjoint, so the work a linear layer does doubles with each step.
 Each size is timed as the median of five runs with the collector off,
 the sizes interleaved so a slow spell of a shared machine hits all of
@@ -24,7 +27,10 @@ import pytest
 from repro.bench.scale import build_scaled
 from repro.callgraph.cha import build_cha
 from repro.callgraph.rta import build_rta
+from repro.core.config import DetectorConfig
 from repro.core.libmodel import library_visible_values
+from repro.core.pipeline.session import AnalysisSession, SharedArtifacts
+from repro.core.scan import scan_all_loops
 from repro.lang import parse_program
 from repro.pta.kernel import solve_flat
 from repro.pta.pag import PAG
@@ -43,6 +49,28 @@ def tilings():
 def pags(tilings):
     """Per tiling, its PAG over a prebuilt RTA graph."""
     return [PAG(app.program, build_rta(app.program)) for app in tilings]
+
+
+@pytest.fixture(scope="module")
+def substrates(pags):
+    """Per tiling, its PAG with the whole-program solve and library
+    visibility computed once."""
+    return [
+        (pag, solve_flat(pag), library_visible_values(pag.program, pag))
+        for pag in pags
+    ]
+
+
+def _scan_regions(substrate):
+    """``scan_all_loops`` on a fresh session whose shared artifacts adopt
+    the prebuilt call graph, solve and library visibility."""
+    pag, solved, visible = substrate
+    config = DetectorConfig()
+    shared = SharedArtifacts(pag.program, config, callgraph=pag.callgraph)
+    shared.points_to.adopt_andersen(solved)
+    shared._visible = visible
+    session = AnalysisSession(pag.program, config, shared=shared)
+    return scan_all_loops(pag.program, session=session)
 
 
 def _median_seconds(build, apps):
@@ -102,3 +130,12 @@ def test_solve_slope(pags):
 
 def test_visibility_slope(pags):
     _assert_slope(lambda pag: library_visible_values(pag.program, pag), pags)
+
+
+def test_regions_slope(substrates):
+    _assert_slope(_scan_regions, substrates)
+
+
+def test_canonical_slope(substrates):
+    scans = [_scan_regions(substrate) for substrate in substrates]
+    _assert_slope(lambda scan: scan.to_json(canonical=True), scans)

@@ -2,8 +2,8 @@
 
 :func:`repro.callgraph.rta.build_rta` must add exactly the edges of the
 re-dispatching fixed point in :mod:`tests.callgraph.rta_oracle`, in the
-same order: reach order, the substrate bytes, incremental digests and
-canonical output all follow ``graph.edges``.  Each test compares the
+same order: reach order, the substrate bytes and canonical output all
+follow ``graph.edges``.  Each test compares the
 ordered ``(caller sig, invoke uid, callee sig)`` lists.
 """
 

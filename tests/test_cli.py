@@ -642,80 +642,6 @@ class TestBaselineGate:
         assert code_high in (0, 1)
 
 
-class TestIncrementalCLI:
-    @pytest.fixture
-    def two_region_file(self, tmp_path):
-        path = tmp_path / "two.wl"
-        path.write_text(
-            """entry Main.main;
-            class Main { static method main() {
-              h = new Holder @holder;
-              loop L1 (*) { x = new Item @item; h.slot = x; }
-              loop L2 (*) { y = new Item @scratch; }
-            } }
-            class Holder { field slot; }
-            class Item { }"""
-        )
-        return str(path)
-
-    def test_write_then_changed_since_round_trip(
-        self, two_region_file, tmp_path, capsys
-    ):
-        snap = str(tmp_path / "scan.snap")
-        assert main(["scan", two_region_file, "--write-snapshot", snap]) == 1
-        first = capsys.readouterr()
-        assert "wrote snapshot" in first.err
-        code = main(["scan", two_region_file, "--changed-since", snap])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "incremental:" in captured.err
-        assert "0 re-checked" in captured.err
-
-    def test_changed_since_canonical_json_matches_cold(
-        self, two_region_file, tmp_path, capsys
-    ):
-        snap = str(tmp_path / "scan.snap")
-        main(["scan", two_region_file, "--write-snapshot", snap])
-        capsys.readouterr()
-        main(["scan", two_region_file, "--json", "--canonical"])
-        cold = capsys.readouterr().out
-        main(
-            [
-                "scan",
-                two_region_file,
-                "--changed-since",
-                snap,
-                "--json",
-                "--canonical",
-            ]
-        )
-        assert capsys.readouterr().out == cold
-
-    def test_changed_since_bad_snapshot_falls_back(
-        self, two_region_file, tmp_path, capsys
-    ):
-        bad = tmp_path / "bad.snap"
-        bad.write_bytes(b"garbage")
-        code = main(["scan", two_region_file, "--changed-since", str(bad)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "warning" in captured.err
-        assert "scanned 2 regions" in captured.out
-
-    def test_changed_since_rejects_ranked(self, two_region_file, capsys):
-        code = main(
-            [
-                "scan",
-                two_region_file,
-                "--changed-since",
-                "x.snap",
-                "--ranked",
-            ]
-        )
-        assert code == 2
-        assert "incompatible" in capsys.readouterr().err
-
-
 class TestDiffCLI:
     @pytest.fixture
     def leaky_and_clean(self, tmp_path):
@@ -957,3 +883,62 @@ class TestServeFlags:
             main(["serve", "--port", "0", "--deadline-ms=%s" % value])
         assert excinfo.value.code == 2
         assert "--deadline-ms" in capsys.readouterr().err
+
+
+class _Started(Exception):
+    """Raised by a stubbed server constructor in place of starting it."""
+
+    def __init__(self, kwargs):
+        super().__init__(kwargs)
+        self.kwargs = kwargs
+
+
+class TestNumericFlags:
+    """A count or port flag outside its range is a usage error naming
+    the flag; the values inside it reach the command unchanged."""
+
+    @pytest.fixture(autouse=True)
+    def servers(self, monkeypatch):
+        from repro.server import app, remote_worker
+
+        def started(**kwargs):
+            raise _Started(kwargs)
+
+        monkeypatch.setattr(app, "create_server", started)
+        monkeypatch.setattr(remote_worker, "RemoteWorkerServer", started)
+
+    @pytest.mark.parametrize(
+        "command, flag, low, high",
+        [
+            ("serve", "--jobs", 1, None),
+            ("serve", "--max-sessions", 1, None),
+            ("serve", "--max-body", 1, None),
+            ("serve", "--max-queue", 0, None),
+            ("serve", "--port", 0, 65535),
+            ("worker", "--port", 0, 65535),
+        ],
+    )
+    def test_server_flag_range(self, command, flag, low, high, capsys):
+        key = flag[2:].replace("-", "_")
+        for value in (low,) if high is None else (low, high):
+            with pytest.raises(_Started) as started:
+                main([command, flag, str(value)])
+            assert started.value.kwargs[key] == value
+        for value in (low - 1,) if high is None else (low - 1, high + 1):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, flag, str(value)])
+            assert excinfo.value.code == 2
+            assert "argument %s" % flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--limit"], ["--auto-regions", "--top"]], ids=["limit", "top"]
+    )
+    def test_negative_scan_count_is_a_usage_error(
+        self, flags, figure1_file, capsys
+    ):
+        assert main(["scan", figure1_file, "--json"] + flags + ["0"]) == 0
+        assert json.loads(capsys.readouterr().out)["loops"] == []
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scan", figure1_file] + flags + ["-1"])
+        assert excinfo.value.code == 2
+        assert "argument %s" % flags[-1] in capsys.readouterr().err

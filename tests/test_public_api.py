@@ -183,37 +183,3 @@ def test_library_reads_no_points_to_switch():
         and node.value != "REPRO_FAILPOINTS"
     ]
     assert offenders == []
-
-
-def test_server_does_not_drive_the_incremental_engine():
-    """The daemon's warm state is a stored scan and substrate bytes: no
-    module under ``repro.server`` names the incremental engine, which
-    serves ``scan --changed-since`` alone."""
-    import ast
-    import pathlib
-
-    import repro.server
-
-    banned = {
-        "changed_scan",
-        "snapshot_scan",
-        "repro.core.incremental.engine",
-        "repro.core.incremental.snapshot",
-    }
-    root = pathlib.Path(repro.server.__file__).parent
-    offenders = []
-    for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.alias):
-                name = node.name
-            elif isinstance(node, ast.ImportFrom):
-                name = node.module
-            else:
-                continue
-            if name in banned:
-                offenders.append("%s:%d %s" % (path.name, node.lineno, name))
-    assert offenders == []
