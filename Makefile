@@ -1,5 +1,9 @@
 .PHONY: install test bench bench-kernel bench-fleet fleet-smoke table1 profile examples golden-update cache-smoke serve-smoke nightly all
 
+# Run from a checkout without installing the package: every target
+# imports repro from src/ (ahead of any PYTHONPATH the caller set).
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 install:
 	pip install -e . --no-build-isolation
 
@@ -10,34 +14,34 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 bench-kernel:
-	PYTHONPATH=src python benchmarks/bench_kernel.py --output BENCH_kernel.json
+	python benchmarks/bench_kernel.py --output BENCH_kernel.json
 
 bench-fleet:
-	PYTHONPATH=src python benchmarks/bench_fleet.py --output BENCH_fleet.json
+	python benchmarks/bench_fleet.py --output BENCH_fleet.json
 
 fleet-smoke:
-	PYTHONPATH=src python benchmarks/bench_fleet.py --short --output BENCH_fleet.json
+	python benchmarks/bench_fleet.py --short --output BENCH_fleet.json
 
 table1:
 	python -m repro table1
 
 profile:
-	PYTHONPATH=src python -m repro.bench.profile --output bench-profile.json
+	python -m repro.bench.profile --output bench-profile.json
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null || exit 1; done
 
 golden-update:
-	PYTHONPATH=src python tests/golden/update_golden.py
+	python tests/golden/update_golden.py
 
 cache-smoke:
-	PYTHONPATH=src python -m repro.core.cache.smoke
+	python -m repro.core.cache.smoke
 
 serve-smoke:
-	PYTHONPATH=src python -m repro.server.smoke
+	python -m repro.server.smoke
 
 nightly:
-	HYPOTHESIS_PROFILE=nightly PYTHONPATH=src python -m pytest tests/properties -q
-	PYTHONPATH=src python -m repro.core.cache.smoke
+	HYPOTHESIS_PROFILE=nightly python -m pytest tests/properties -q
+	python -m repro.core.cache.smoke
 
 all: test bench table1 examples

@@ -49,8 +49,3 @@ def filler_source(prefix, classes=4, methods_per_class=6, stmts_per_method=6):
         lines.append("}")
         parts.append("\n".join(lines))
     return "\n\n".join(parts)
-
-
-def filler_invocation(prefix, arg_var):
-    """The statement an application main uses to enter the filler."""
-    return "fres = call %sFiller0.warmup(%s) @%s_entry;" % (prefix, arg_var, prefix)

@@ -54,9 +54,6 @@ class CallGraph:
     def callees_of(self, method):
         return [e.callee for e in self._out.get(method.sig, ())]
 
-    def edges_of(self, method):
-        return list(self._out.get(method.sig, ()))
-
     def targets_of_site(self, invoke):
         """Possible callees of a specific invoke statement."""
         return [e.callee for e in self._sites.get(invoke.uid, ())]

@@ -1,40 +1,16 @@
-"""Control-flow graphs, dominance, natural-loop detection, and a generic
-iterative dataflow framework."""
+"""Control-flow graphs, dominance and natural-loop detection."""
 
-from repro.cfg.dataflow import (
-    BACKWARD,
-    FORWARD,
-    DataflowResult,
-    LiveVariables,
-    ReachingDefinitions,
-    live_variables,
-    reaching_definitions,
-    run_dataflow,
-)
-from repro.cfg.dominance import dominates, dominator_tree, immediate_dominators
+from repro.cfg.dominance import dominates, immediate_dominators
 from repro.cfg.graph import CFG, BasicBlock, build_cfg
 from repro.cfg.loops import NaturalLoop, find_loops, loop_nest_depths
-from repro.cfg.ssa import SSAForm, build_ssa, dominance_frontiers
 
 __all__ = [
-    "BACKWARD",
     "BasicBlock",
     "CFG",
-    "DataflowResult",
-    "FORWARD",
-    "LiveVariables",
     "NaturalLoop",
-    "ReachingDefinitions",
-    "SSAForm",
     "build_cfg",
-    "build_ssa",
-    "dominance_frontiers",
     "dominates",
-    "dominator_tree",
     "find_loops",
     "immediate_dominators",
-    "live_variables",
     "loop_nest_depths",
-    "reaching_definitions",
-    "run_dataflow",
 ]

@@ -49,12 +49,3 @@ def dominates(idom, a, b):
             return cur.index == a.index
         cur = parent
 
-
-def dominator_tree(idom):
-    """Children map of the dominator tree (block index -> list of blocks)."""
-    children = {}
-    for index, parent in idom.items():
-        if parent.index == index:
-            continue
-        children.setdefault(parent.index, []).append(index)
-    return children

@@ -6,7 +6,6 @@ the substrate for dominance and natural-loop detection, mirroring how the
 Soot-based implementation views method bodies.
 """
 
-from repro.errors import AnalysisError
 from repro.ir.stmts import Block, IfStmt, LoopStmt, ReturnStmt
 
 
@@ -112,12 +111,6 @@ class CFG:
         dfs(self.entry)
         order.reverse()
         return order
-
-    def block_of(self, stmt):
-        for block in self.blocks:
-            if stmt in block.stmts:
-                return block
-        raise AnalysisError("statement %r not in CFG of %s" % (stmt, self.method.sig))
 
     def __repr__(self):
         return "CFG(%s, %d blocks)" % (self.method.sig, len(self.blocks))

@@ -10,10 +10,18 @@ Subcommands:
 * ``diff BEFORE AFTER`` — compare two analyses (source files or
   ``scan --json`` output) by finding fingerprint: new/fixed/unchanged;
 * ``regions FILE`` — print the inferred candidate-region catalog;
+* ``component FILE --method Class.method`` — synthesize a harness that
+  calls a component entry method and check it as an artificial loop;
+* ``rank FILE`` — rank the labelled loops by structural suspicion;
 * ``loops FILE`` — list the labelled loops a user could check;
+* ``compile FILE -o OUT.jbc`` — assemble a program to a bytecode
+  container, which every command that reads a program also accepts;
 * ``table1`` — run the full eight-application evaluation;
+* ``casestudy APP|all`` — render a Section 5.2-style case study;
 * ``run FILE`` — execute a program concretely and print Definition-1
-  ground truth for a loop (``--loop LABEL`` plus ``--trips N``).
+  ground truth for a loop (``--loop LABEL`` plus ``--trips N``);
+* ``serve`` — run the HTTP analysis daemon (``docs/api.md``);
+* ``worker`` — run one fleet worker for ``serve --worker-hosts``.
 
 The output flags are uniform across ``check``/``scan``/``regions``/
 ``diff`` (one shared parent parser): ``--json``, ``--canonical``,
@@ -276,15 +284,17 @@ def _load_analysis(path, args):
     if path.endswith(".json"):
         import json
 
-        from repro.errors import ReproError
+        from repro.core.diffing import scan_fingerprints
 
         with open(path) as handle:
             try:
-                return json.load(handle), None
-            except ValueError as exc:
+                document = json.load(handle)
+                scan_fingerprints(document)
+            except (ValueError, ReproError) as exc:
                 raise ReproError(
                     "%s is not a scan JSON document: %s" % (path, exc)
-                )
+                ) from None
+        return document, None
     from repro.core.scan import scan_all_loops
 
     program = _load_program(path, args.javalib)
@@ -721,7 +731,7 @@ def build_parser():
     run = sub.add_parser("run", help="execute concretely, report ground truth")
     run.add_argument("file")
     run.add_argument("--loop", help="loop label for Definition-1 analysis")
-    run.add_argument("--trips", type=int, default=3)
+    run.add_argument("--trips", type=_int_from(0), default=3)
     run.add_argument("--javalib", action="store_true")
     run.set_defaults(func=_cmd_run)
 

@@ -37,12 +37,7 @@ from repro.core.harness import check_component, synthesize_harness
 from repro.core.inline import inline_calls
 from repro.core.pivot import apply_pivot
 from repro.core.ranking import RankedLoop, rank_loops, structural_scores
-from repro.core.regions import (
-    Region,
-    RegionSpec,
-    candidate_loops,
-    resolve_region,
-)
+from repro.core.regions import RegionSpec, candidate_loops, resolve_region
 from repro.core.report import (
     HEAP_LEAK,
     RESOURCE_LEAK,
@@ -82,7 +77,6 @@ __all__ = [
     "R_MAYBE",
     "R_RELEASED",
     "RankedLoop",
-    "Region",
     "RegionSpec",
     "ReleaseEffect",
     "ReportDiff",

@@ -20,7 +20,7 @@ and :func:`repro.core.flows.detect_leaks`.
 """
 
 from repro.core.pipeline.session import AnalysisSession
-from repro.core.regions import Region, resolve_region
+from repro.core.regions import RegionSpec, resolve_region
 from repro.core.scan import scan_all_loops
 from repro.pta.queries import Deadline
 
@@ -94,7 +94,7 @@ class Analyzer:
     def _resolve(self, region):
         if isinstance(region, str):
             return resolve_region(self.program, region)
-        if isinstance(region, Region):
+        if isinstance(region, RegionSpec):
             return region
         raise TypeError(
             "region must be a canonical spec string "

@@ -58,6 +58,15 @@ class DetectorConfig:
     ):
         if callgraph not in ("rta", "cha", "otf"):
             raise AnalysisError("unknown call graph kind %r" % callgraph)
+        for name, value, low in (
+            ("budget", budget, 0),
+            ("context_depth", context_depth, 0),
+            ("max_contexts_per_site", max_contexts_per_site, 1),
+        ):
+            if value < low:
+                raise AnalysisError(
+                    "%s must be at least %d, got %r" % (name, low, value)
+                )
         self.callgraph = callgraph
         self.demand_driven = demand_driven
         self.budget = budget

@@ -22,6 +22,7 @@ import json
 from repro.core.regions import region_text
 from repro.core.report import HEAP_LEAK, finding_fingerprint
 from repro.core.scan import ScanResult
+from repro.errors import ReproError
 
 
 def _spec_text_of_loop_entry(entry):
@@ -30,11 +31,30 @@ def _spec_text_of_loop_entry(entry):
     return entry["method"]
 
 
+def _is_finding(finding):
+    """True when ``finding`` has the shape of a ``scan --json`` finding."""
+    if not isinstance(finding, dict) or not isinstance(finding.get("site"), str):
+        return False
+    edges = finding.get("redundant_edges")
+    return (
+        isinstance(edges, list)
+        and isinstance(finding.get("kind", HEAP_LEAK), str)
+        and all(
+            isinstance(edge, dict)
+            and isinstance(edge.get("base"), str)
+            and isinstance(edge.get("field"), str)
+            for edge in edges
+        )
+    )
+
+
 def scan_fingerprints(scan):
     """``{fingerprint -> detail dict}`` of one analysis.
 
     ``scan`` is a :class:`~repro.core.scan.ScanResult` or its
-    ``as_dict()`` / parsed ``--json`` form.
+    ``as_dict()`` / parsed ``--json`` form.  A parsed form without the
+    shape every ``scan --json`` output has raises
+    :class:`~repro.errors.ReproError`.
     """
     if isinstance(scan, ScanResult):
         fingerprints = {}
@@ -50,13 +70,38 @@ def scan_fingerprints(scan):
                     ],
                 }
         return fingerprints
+    loops = scan.get("loops") if isinstance(scan, dict) else None
+    if not isinstance(loops, list):
+        raise ReproError("expected an object with a 'loops' list")
     fingerprints = {}
-    for entry in scan.get("loops", ()):
+    for index, entry in enumerate(loops):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("method"), str)
+            and isinstance(entry.get("loop"), (str, type(None)))
+        ):
+            raise ReproError(
+                "loops[%d]: expected an object with a string 'method' and "
+                "a string or null 'loop'" % index
+            )
         region = _spec_text_of_loop_entry(entry)
-        for finding in entry.get("report", {}).get("findings", ()):
+        report = entry.get("report")
+        findings = report.get("findings") if isinstance(report, dict) else None
+        if not isinstance(findings, list):
+            raise ReproError(
+                "loops[%d]: expected 'report.findings' to be a list" % index
+            )
+        for number, finding in enumerate(findings):
+            if not _is_finding(finding):
+                raise ReproError(
+                    "loops[%d].report.findings[%d]: expected an object with a "
+                    "string 'site', 'redundant_edges' as a list of {base, "
+                    "field} strings and, if given, a string 'kind'"
+                    % (index, number)
+                )
             edges = [
                 (edge["base"], edge["field"])
-                for edge in finding.get("redundant_edges", ())
+                for edge in finding["redundant_edges"]
             ]
             fingerprint = finding_fingerprint(
                 region, finding["site"], edges, finding.get("kind", HEAP_LEAK)
@@ -80,11 +125,6 @@ class LeakDelta:
         self.unchanged = sorted(unchanged)
         #: fingerprint -> {region, site, edges}
         self.details = details
-
-    @property
-    def is_clean(self):
-        """True when nothing changed between the two analyses."""
-        return not self.new and not self.fixed
 
     @property
     def is_regression(self):

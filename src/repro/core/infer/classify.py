@@ -224,28 +224,6 @@ class ProgramIndex:
         return count
 
 
-def transitive_allocations(callgraph, invokes):
-    """Allocation sites in callees reachable from ``invokes`` (the call
-    statements of a region body), following the call graph to a fixed
-    point.  Mirrors the closure the structural ranker uses, so both
-    layers agree on what "allocation-bearing via calls" means."""
-    count = 0
-    seen = set()
-    work = list(invokes)
-    while work:
-        invoke = work.pop()
-        for callee in callgraph.targets_of_site(invoke):
-            if callee.sig in seen:
-                continue
-            seen.add(callee.sig)
-            for stmt in callee.statements():
-                if isinstance(stmt, NewStmt):
-                    count += 1
-                elif isinstance(stmt, InvokeStmt):
-                    work.append(stmt)
-    return count
-
-
 def _natural_loop_depths(method):
     """Map loop label -> (nest depth, block count) from the natural-loop
     nest of the method's CFG."""

@@ -98,13 +98,6 @@ class PipelineStats:
             self.kernel[name] = max(self.kernel.get(name, 0), value)
         return self
 
-    def copy(self):
-        dup = PipelineStats()
-        dup.stages = dict(self.stages)
-        dup.counters = dict(self.counters)
-        dup.kernel = dict(self.kernel)
-        return dup
-
     def stages_dict(self):
         """JSON-ready stage timings (rounded, stable key order)."""
         return {name: round(seconds, 6) for name, seconds in self.stages.items()}

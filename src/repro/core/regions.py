@@ -17,35 +17,10 @@ Both forms resolve to one class, :class:`RegionSpec`.
 """
 
 from repro.errors import ResolutionError
-from repro.ir.stmts import InvokeStmt, NewStmt, walk
+from repro.ir.stmts import walk
 
 
-class Region:
-    """Common interface of checkable regions."""
-
-    def describe(self):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def method(self, program):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def body_statements(self, program):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def inside_new_stmts(self, program):
-        """Allocation statements lexically inside one iteration."""
-        return [
-            s for s in self.body_statements(program) if isinstance(s, NewStmt)
-        ]
-
-    def inside_call_stmts(self, program):
-        """Call statements lexically inside one iteration."""
-        return [
-            s for s in self.body_statements(program) if isinstance(s, InvokeStmt)
-        ]
-
-
-class RegionSpec(Region):
+class RegionSpec:
     """The one checkable-region specification.
 
     ``RegionSpec("Main.main", "L1")`` names the labelled loop ``L1`` in

@@ -51,9 +51,6 @@ class ScanResult:
         self.infer_seconds = infer_seconds
         self._triage = None
 
-    def loops_with_leaks(self):
-        return [spec for spec, report in self.entries if report.findings]
-
     def total_findings(self):
         return sum(len(report.findings) for _spec, report in self.entries)
 

@@ -69,12 +69,6 @@ class RegionCheckError(AnalysisError):
             message += ": %s" % cause_text
         super().__init__(message)
 
-    def __reduce__(self):
-        return (
-            RegionCheckError,
-            (self.region_desc, self.cause_text, self.backend, self.substrate),
-        )
-
 
 class CacheError(ReproError):
     """Raised when the persistent artifact cache cannot serve a request

@@ -32,7 +32,6 @@ from repro.ir.optimize import (
     optimize_program,
     propagate_copies,
 )
-from repro.ir.transform import link_programs, prune_unreachable
 from repro.ir.types import ELEM_FIELD, OBJECT_CLASS, RefType, THREAD_CLASS
 from repro.ir.validate import check, validate_program
 
@@ -64,12 +63,10 @@ __all__ = [
     "check",
     "class_to_text",
     "eliminate_dead_copies",
-    "link_programs",
     "method_to_text",
     "optimize_program",
     "program_to_text",
     "propagate_copies",
-    "prune_unreachable",
     "simple_statements",
     "validate_program",
     "walk",

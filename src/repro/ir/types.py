@@ -48,10 +48,6 @@ class RefType:
             raise IRError("element_type() on non-array type %s" % self)
         return RefType(self.class_name, self.dims - 1)
 
-    def array_of(self):
-        """The type of an array whose elements have this type."""
-        return RefType(self.class_name, self.dims + 1)
-
     def __eq__(self, other):
         return (
             isinstance(other, RefType)

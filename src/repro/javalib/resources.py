@@ -14,7 +14,7 @@ resource kind; :class:`ResourceModel` bundles a registry of specs and
 answers classification queries for the pipeline stage
 (:mod:`repro.core.pipeline.resources`), the formal type-and-effect
 layer (:mod:`repro.core.typestate`), and the concrete resource oracle
-(:mod:`repro.semantics.resources`).
+(``tests/semantics/resource_oracle.py``).
 
 The registry is keyed by **class name**, never by bare method name:
 an application class with its own ``close()`` (e.g. the Mikou model's
@@ -94,9 +94,6 @@ class ResourceModel:
             except Exception:
                 continue
         return None
-
-    def is_resource_class(self, class_name, program=None):
-        return self.spec_for(class_name, program) is not None
 
     def event_for(self, class_name, method_name, program=None):
         """Classify one invocation: ``"acquire"``, ``"release"``, or

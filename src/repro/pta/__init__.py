@@ -2,15 +2,14 @@
 CFL-reachability with budgets, and calling-context (call string) support."""
 
 from repro.pta.cfl import CFLPointsTo
-from repro.pta.context import EMPTY, CallString, CtxSite
+from repro.pta.context import EMPTY, CallString
 from repro.pta.kernel import analyze, solve_flat as solve
 from repro.pta.pag import ENTER, EXIT, PAG, RETURN_VAR, VarNode
-from repro.pta.queries import PointsTo, build_points_to
+from repro.pta.queries import PointsTo
 
 __all__ = [
     "CFLPointsTo",
     "CallString",
-    "CtxSite",
     "EMPTY",
     "ENTER",
     "EXIT",
@@ -19,6 +18,5 @@ __all__ = [
     "RETURN_VAR",
     "VarNode",
     "analyze",
-    "build_points_to",
     "solve",
 ]

@@ -56,27 +56,3 @@ class CallString:
 
 EMPTY = CallString()
 
-
-class CtxSite:
-    """A context-sensitive allocation site: (site label, call string)."""
-
-    __slots__ = ("site", "context")
-
-    def __init__(self, site, context):
-        self.site = site
-        self.context = context
-
-    def key(self):
-        return (self.site, self.context.sites)
-
-    def __eq__(self, other):
-        return isinstance(other, CtxSite) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "CtxSite(%s @ %s)" % (self.site, self.context)
-
-    def __str__(self):
-        return "%s [%s]" % (self.site, self.context)

@@ -236,15 +236,3 @@ class PointsTo:
     def may_alias(self, sig_a, var_a, sig_b, var_b):
         return bool(self.pts(sig_a, var_a) & self.pts(sig_b, var_b))
 
-
-def build_points_to(
-    program, callgraph, demand_driven=False, budget=100_000, deadline=None
-):
-    """Construct the points-to facade (convenience wrapper)."""
-    return PointsTo(
-        program,
-        callgraph,
-        demand_driven=demand_driven,
-        budget=budget,
-        deadline=deadline,
-    )

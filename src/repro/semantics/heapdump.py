@@ -2,14 +2,11 @@
 
 The paper contrasts LeakChecker with dynamic heap-analysis tools that
 "take heap snapshots and visualize the object graph to help users find
-unnecessary references".  This module provides that capability for the
-concrete interpreter, which serves two purposes here:
-
-* debugging/demonstration — export the final object graph as Graphviz
-  dot and inspect which references retain which objects;
-* validation — the concrete *retainers* of a leaking site should include
-  the redundant edge the static detector reported, and the test suite
-  checks exactly that on Figure 1.
+unnecessary references".  This module gives the concrete interpreter
+that view: the concrete *retainers* of a leaking site should include
+the redundant edge the static detector reported, which
+``examples/dynamic_vs_static.py`` shows and the test suite checks on
+Figure 1.
 """
 
 
@@ -36,14 +33,6 @@ class HeapSnapshot:
     def object(self, oid):
         return self._by_oid[oid]
 
-    def out_edges(self, obj):
-        """(field, target) pairs leaving ``obj`` in the final heap."""
-        return [
-            (field, target)
-            for oid, field, target in self.edges
-            if oid == obj.oid
-        ]
-
     def retainers_of(self, site_label):
         """(base_site, field) pairs that retain instances of a site in
         the final heap — the concrete counterpart of the detector's
@@ -53,54 +42,6 @@ class HeapSnapshot:
             if target.site == site_label:
                 found.add((self.object(oid).site, field))
         return found
-
-    def retained_count(self, site_label):
-        """Number of instances of ``site_label`` still referenced from
-        some object in the final heap."""
-        retained = {
-            target.oid
-            for _oid, _field, target in self.edges
-            if target.site == site_label
-        }
-        return len(retained)
-
-    def reachable_from(self, obj):
-        """All objects transitively reachable from ``obj``."""
-        seen = {obj.oid: obj}
-        work = [obj]
-        while work:
-            cur = work.pop()
-            for _field, target in self.out_edges(cur):
-                if target.oid not in seen:
-                    seen[target.oid] = target
-                    work.append(target)
-        return list(seen.values())
-
-    # -- export ---------------------------------------------------------------
-
-    def to_dot(self, highlight_sites=()):
-        """Graphviz dot text of the final object graph.  Sites listed in
-        ``highlight_sites`` (e.g. the detector's reported leaks) are
-        drawn filled."""
-        highlight = set(highlight_sites)
-        lines = ["digraph heap {", "  rankdir=LR;", "  node [shape=box];"]
-        referenced = set()
-        for oid, _field, target in self.edges:
-            referenced.add(oid)
-            referenced.add(target.oid)
-        for obj in self.trace.objects:
-            if obj.oid not in referenced:
-                continue
-            style = ' style=filled fillcolor="lightpink"' if obj.site in highlight else ""
-            lines.append(
-                '  o%d [label="#%d %s"%s];' % (obj.oid, obj.oid, obj.site, style)
-            )
-        for oid, field, target in sorted(
-            self.edges, key=lambda e: (e[0], e[1], e[2].oid)
-        ):
-            lines.append('  o%d -> o%d [label="%s"];' % (oid, target.oid, field))
-        lines.append("}")
-        return "\n".join(lines)
 
     def __repr__(self):
         return "HeapSnapshot(%d objects, %d edges)" % (

@@ -1,6 +1,6 @@
 """Tests for the filler code generator."""
 
-from repro.bench.filler import filler_invocation, filler_source
+from repro.bench.filler import filler_source
 from repro.callgraph.rta import build_rta
 from repro.lang import parse_program
 
@@ -11,11 +11,11 @@ def _wrap(filler, prefix):
         class Main {
           static method main() {
             seed = new Main @seed;
-            %s
+            fres = call %sFiller0.warmup(seed) @%s_entry;
           }
         }
         %s"""
-        % (filler_invocation(prefix, "seed"), filler)
+        % (prefix, prefix, filler)
     )
 
 

@@ -59,11 +59,6 @@ class TestCHA:
         callees = {m.sig for m in graph.callees_of(graph.program.method("Main.main"))}
         assert "Main.helper" in callees
 
-    def test_edges_of(self):
-        graph = _graph()
-        edges = graph.edges_of(graph.program.method("Main.main"))
-        assert all(e.caller.sig == "Main.main" for e in edges)
-
     def test_custom_entries(self):
         graph = build_cha(parse_program(_SOURCE), entries=["A.m"])
         sigs = {m.sig for m in graph.reachable_methods()}

@@ -1,6 +1,6 @@
 """Tests for dominator computation."""
 
-from repro.cfg.dominance import dominates, dominator_tree, immediate_dominators
+from repro.cfg.dominance import dominates, immediate_dominators
 from repro.cfg.graph import build_cfg
 from repro.lang import parse_program
 
@@ -47,15 +47,6 @@ class TestDominators:
             b for b in cfg.reachable_blocks() if any(s.is_simple for s in b.stmts)
         )
         assert dominates(idom, header, body)
-
-    def test_dominator_tree_children(self):
-        cfg = _cfg("x = p; y = p;")
-        idom = immediate_dominators(cfg)
-        tree = dominator_tree(idom)
-        # the entry has at least one child, and no node is its own child
-        assert tree.get(cfg.entry.index)
-        for parent, children in tree.items():
-            assert parent not in children
 
     def test_dominance_reflexive(self):
         cfg = _cfg("x = p;")

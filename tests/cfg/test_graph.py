@@ -73,11 +73,6 @@ class TestLoops:
         cfg = _cfg("loop L (*) { x = p; }")
         assert cfg.reachable_blocks()[0] is cfg.entry
 
-    def test_block_of(self):
-        cfg = _cfg("x = p;")
-        stmt = next(s for s in cfg.method.statements() if s.is_simple)
-        assert cfg.block_of(stmt).stmts[0] is stmt
-
 
 class TestTerminators:
     def test_branch_source_carries_if_stmt(self):

@@ -250,6 +250,15 @@ class TestConfig:
         with pytest.raises(AnalysisError):
             DetectorConfig(callgraph="magic")
 
+    @pytest.mark.parametrize(
+        "field, low",
+        [("budget", 0), ("context_depth", 0), ("max_contexts_per_site", 1)],
+    )
+    def test_knob_range_names_the_field(self, field, low):
+        assert getattr(DetectorConfig(**{field: low}), field) == low
+        with pytest.raises(AnalysisError, match=field):
+            DetectorConfig(**{field: low - 1})
+
     def test_stats_populated(self):
         report = _check(SIMPLE_LEAK_SOURCE, RegionSpec("Main.main", "L"))
         for key in ("methods", "statements", "time_seconds", "loop_objects"):

@@ -67,7 +67,7 @@ class TestDiffing:
     def test_identical_analyses_are_clean(self):
         _program, cold, _payload = _snapshot(TWO_WORKER_SOURCE)
         delta = diff_analyses(cold, cold.as_dict())
-        assert delta.is_clean
+        assert not delta.new and not delta.fixed
         assert not delta.is_regression
         assert len(delta.unchanged) == cold.total_findings()
 

@@ -132,24 +132,6 @@ class TestFailureLabelling:
         assert not isinstance(excinfo.value, RegionCheckError)
         assert "NO_SUCH_LOOP" in str(excinfo.value)
 
-    def test_region_check_error_pickles(self):
-        import pickle
-
-        err = RegionCheckError("Main.main:L", "ValueError: boom")
-        clone = pickle.loads(pickle.dumps(err))
-        assert clone.region_desc == "Main.main:L"
-        assert "boom" in str(clone)
-
-    def test_region_check_error_pickles_backend_fields(self):
-        import pickle
-
-        err = RegionCheckError(
-            "Main.main:L", "ValueError: boom", backend="fleet"
-        )
-        clone = pickle.loads(pickle.dumps(err))
-        assert clone.backend == "fleet"
-        assert str(clone) == str(err)
-
 
 class TestRegionCheckErrorContext:
     def test_message_names_substrate(self):
@@ -163,14 +145,6 @@ class TestRegionCheckErrorContext:
         assert "Main.main:L1" in text
         assert "backend=fleet" in text
         assert "substrate=('rta', 'flat')" in text
-
-    def test_reduce_round_trips_substrate(self):
-        import pickle
-
-        err = RegionCheckError("r", "c", backend="fleet", substrate=("k",))
-        clone = pickle.loads(pickle.dumps(err))
-        assert clone.substrate == ("k",)
-        assert str(clone) == str(err)
 
 
 class TestSharedMemoryHygiene:

@@ -20,11 +20,13 @@ class TestLoopRegion:
 
     def test_inside_new_stmts(self, figure1):
         spec = RegionSpec("Main.main", "L1")
-        assert [s.site for s in spec.inside_new_stmts(figure1)] == ["a5"]
+        stmts = spec.body_statements(figure1)
+        assert [s.site for s in stmts if isinstance(s, NewStmt)] == ["a5"]
 
     def test_inside_call_stmts(self, figure1):
         spec = RegionSpec("Main.main", "L1")
-        callsites = {s.callsite for s in spec.inside_call_stmts(figure1)}
+        stmts = spec.body_statements(figure1)
+        callsites = {s.callsite for s in stmts if isinstance(s, InvokeStmt)}
         assert callsites == {"cd", "cp"}
 
     def test_describe(self):
@@ -38,7 +40,8 @@ class TestLoopRegion:
 class TestMethodRegion:
     def test_whole_method_is_the_region(self, figure1):
         spec = RegionSpec("Transaction.txInit")
-        sites = {s.site for s in spec.inside_new_stmts(figure1)}
+        stmts = spec.body_statements(figure1)
+        sites = {s.site for s in stmts if isinstance(s, NewStmt)}
         assert sites == {"a10", "a13"}
 
     def test_describe_mentions_artificial_loop(self):

@@ -107,7 +107,7 @@ class TestRegistry:
         Mikou model's EmbedConnection) is not a resource."""
         model = default_resource_model()
         assert model.event_for("EmbedConnection", "close") is None
-        assert not model.is_resource_class("EmbedConnection")
+        assert model.spec_for("EmbedConnection") is None
 
     def test_subclass_resolves_through_hierarchy(self):
         source = JAVALIB_SOURCE + """

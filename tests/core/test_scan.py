@@ -33,7 +33,7 @@ class TestScan:
     def test_identifies_leaky_loop(self):
         prog = parse_program(_TWO_LOOPS)
         result = scan_all_loops(prog)
-        leaky = result.loops_with_leaks()
+        leaky = [spec for spec, report in result.entries if report.findings]
         assert [spec.loop_label for spec in leaky] == ["LEAKY"]
 
     def test_aggregated_sites(self):

@@ -27,9 +27,6 @@ class TestRefType:
         with pytest.raises(IRError):
             RefType("Order").element_type()
 
-    def test_array_of(self):
-        assert RefType("Order").array_of() == RefType("Order", 1)
-
     def test_equality_and_hash(self):
         assert RefType("A") == RefType("A")
         assert RefType("A") != RefType("B")

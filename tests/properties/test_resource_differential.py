@@ -3,7 +3,7 @@ resource-event oracle.
 
 Mirror of :mod:`tests.properties.test_pivot_differential`: the static
 resource stage (:mod:`repro.core.pipeline.resources`) is checked
-against an interpreter-backed oracle (:mod:`repro.semantics.resources`)
+against an interpreter-backed oracle (:mod:`tests.semantics.resource_oracle`)
 over random acquire/release loop bodies.
 
 Two regimes:
@@ -25,7 +25,7 @@ from repro.core.regions import RegionSpec
 from repro.core.report import RESOURCE_LEAK
 from repro.lang import parse_program
 from repro.semantics.interp import FixedSchedule, RandomSchedule
-from repro.semantics.resources import run_with_resource_log
+from tests.semantics.resource_oracle import run_with_resource_log
 from tests.properties.strategies import resource_loop_programs
 
 _REGION = RegionSpec("Main.main", "L")

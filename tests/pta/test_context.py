@@ -1,6 +1,6 @@
 """Tests for call-string contexts."""
 
-from repro.pta.context import EMPTY, CallString, CtxSite
+from repro.pta.context import EMPTY, CallString
 
 
 class TestCallString:
@@ -37,19 +37,3 @@ class TestCallString:
 
     def test_str_joins_chain(self):
         assert str(EMPTY.push("a").push("b")) == "a > b"
-
-
-class TestCtxSite:
-    def test_identity(self):
-        a = CtxSite("s", EMPTY.push("c"))
-        b = CtxSite("s", EMPTY.push("c"))
-        assert a == b
-        assert hash(a) == hash(b)
-
-    def test_distinct_contexts_distinct_sites(self):
-        a = CtxSite("s", EMPTY.push("c1"))
-        b = CtxSite("s", EMPTY.push("c2"))
-        assert a != b
-
-    def test_str(self):
-        assert "s [" in str(CtxSite("s", EMPTY.push("c")))

@@ -2,7 +2,7 @@
 
 from repro.callgraph.rta import build_rta
 from repro.lang import parse_program
-from repro.pta.queries import Deadline, PointsTo, build_points_to
+from repro.pta.queries import Deadline, PointsTo
 
 _SOURCE = """
 entry M.main;
@@ -47,9 +47,9 @@ class TestFacade:
         assert pt.may_alias("M.main", "v", "M.main", "w")
         assert not pt.may_alias("M.main", "h", "M.main", "v")
 
-    def test_builder_helper(self):
+    def test_demand_driven_small_budget(self):
         prog = parse_program(_SOURCE)
-        pt = build_points_to(prog, build_rta(prog), demand_driven=True, budget=10)
+        pt = PointsTo(prog, build_rta(prog), demand_driven=True, budget=10)
         assert set(pt.pts("M.main", "h")) == {"hs"}
 
 

@@ -1,4 +1,4 @@
-"""Concrete resource-event oracle (:mod:`repro.semantics.resources`).
+"""Concrete resource-event oracle (:mod:`tests.semantics.resource_oracle`).
 
 Pins the ground-truth semantics the differential property tests lean
 on: which concrete acquires count as in-loop, when a later release
@@ -9,7 +9,7 @@ from repro.javalib import library_source
 from repro.javalib.resources import ACQUIRE, RELEASE, ResourceModel, ResourceSpec
 from repro.lang import parse_program
 from repro.semantics.interp import FixedSchedule
-from repro.semantics.resources import run_with_resource_log
+from tests.semantics.resource_oracle import run_with_resource_log
 
 
 def _run(body, trips=3, prelude="", schedule=None):

@@ -112,6 +112,14 @@ class TestRun:
         assert main(["run", leak_file]) == 0
         assert "leaking sites" not in capsys.readouterr().out
 
+    def test_negative_trips_is_a_usage_error(self, leak_file, capsys):
+        assert main(["run", leak_file, "--loop", "L", "--trips", "0"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", leak_file, "--loop", "L", "--trips", "-1"])
+        assert excinfo.value.code == 2
+        assert "argument --trips" in capsys.readouterr().err
+
 
 class TestScanAndRank:
     @pytest.fixture
@@ -642,6 +650,15 @@ class TestBaselineGate:
         assert code_high in (0, 1)
 
 
+def _scan_doc(finding):
+    """A one-loop ``scan --json`` document reporting ``finding``."""
+    return {
+        "loops": [
+            {"method": "Main.main", "loop": "L", "report": {"findings": [finding]}}
+        ]
+    }
+
+
 class TestDiffCLI:
     @pytest.fixture
     def leaky_and_clean(self, tmp_path):
@@ -727,6 +744,55 @@ class TestDiffCLI:
         assert main(["diff", str(bad), leaky]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [1, 2],
+            {"x": 1},
+            {"loops": 5},
+            {"loops": [1]},
+            {"loops": [{"loop": "L", "report": {"findings": []}}]},
+            {"loops": [{"method": "M.m", "loop": 3, "report": {"findings": []}}]},
+            {"loops": [{"method": "M.m", "loop": None}]},
+            {"loops": [{"method": "M.m", "loop": None, "report": {"findings": {}}}]},
+            _scan_doc({"redundant_edges": []}),
+            _scan_doc({"site": "item"}),
+            _scan_doc({"site": "item", "redundant_edges": [["h", "f"]]}),
+            _scan_doc({"site": "item", "redundant_edges": [{"base": "h"}]}),
+            _scan_doc({"site": 7, "redundant_edges": []}),
+        ],
+        ids=[
+            "list",
+            "no-loops",
+            "loops-not-a-list",
+            "entry-not-an-object",
+            "no-method",
+            "loop-not-a-string",
+            "no-report",
+            "findings-not-a-list",
+            "no-site",
+            "no-edges",
+            "edge-not-an-object",
+            "edge-without-field",
+            "site-not-a-string",
+        ],
+    )
+    def test_malformed_scan_document_exits_two(self, document, tmp_path, capsys):
+        """A parsed document without the shape of ``scan --json`` output
+        is a usage error naming the file, not a crash or an empty
+        analysis whose other operand's findings all read as new.  The
+        well-formed operand names a method region (a null ``loop``) and
+        is accepted."""
+        good = tmp_path / "good.json"
+        doc = _scan_doc({"site": "item", "redundant_edges": []})
+        doc["loops"][0]["loop"] = None
+        good.write_text(json.dumps(doc))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        assert main(["diff", str(good), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.json is not a scan JSON document" in err
+        assert "good.json" not in err
 
 class TestUniformFlags:
     def test_exit_codes_documented_in_help(self, capsys):
@@ -942,3 +1008,44 @@ class TestNumericFlags:
             main(["scan", figure1_file] + flags + ["-1"])
         assert excinfo.value.code == 2
         assert "argument %s" % flags[-1] in capsys.readouterr().err
+
+
+class TestDetectorKnobs:
+    """An out-of-range detector knob is a usage error naming the field,
+    for every command that takes the detector flags, ``serve``
+    included; the lowest accepted value still analyzes."""
+
+    _BAD = [
+        ("--context-depth", "-1", "context_depth"),
+        ("--max-contexts-per-site", "0", "max_contexts_per_site"),
+        ("--max-contexts-per-site", "-1", "max_contexts_per_site"),
+        ("--budget", "-1", "budget"),
+    ]
+
+    @pytest.mark.parametrize(
+        "flag, low, field",
+        [
+            ("--context-depth", 0, "context_depth"),
+            ("--max-contexts-per-site", 1, "max_contexts_per_site"),
+            ("--budget", 0, "budget"),
+        ],
+    )
+    def test_check_range(self, flag, low, field, leak_file, capsys):
+        region = ["check", leak_file, "--region", "Main.main:L", "--json"]
+        assert main(region + ["--demand-driven", flag, str(low)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["findings"]
+        assert all(f["contexts"] for f in report["findings"])
+        assert main(region + [flag, str(low - 1)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, field", _BAD)
+    def test_serve_does_not_start(self, flag, value, field, capsys, monkeypatch):
+        from repro.server import app
+
+        def started(**kwargs):
+            raise _Started(kwargs)
+
+        monkeypatch.setattr(app, "create_server", started)
+        assert main(["serve", "--port", "0", flag, value]) == 2
+        assert field in capsys.readouterr().err
