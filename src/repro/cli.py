@@ -569,7 +569,13 @@ def build_parser():
             default=100_000,
             help="per-query budget for the demand-driven solver",
         )
-        p.add_argument("--context-depth", type=int, default=8)
+        p.add_argument(
+            "--context-depth",
+            type=int,
+            default=8,
+            help="longest call string enumerated (k); code more than k "
+            "calls below the region is not checked",
+        )
         p.add_argument(
             "--max-contexts-per-site",
             type=int,

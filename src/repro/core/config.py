@@ -21,7 +21,11 @@ class DetectorConfig:
     budget:
         Per-query budget for the demand-driven solver.
     context_depth:
-        Maximum call-string length for context enumeration (``k``).
+        Maximum call-string length for context enumeration (``k``).  It
+        is also the horizon of the region's code: the later stages scan
+        only the methods within ``k`` calls of the region, so a leak whose
+        escaping store lies deeper is not reported.  Figure 1's ``a5``,
+        stored two calls below loop ``L1``, needs ``k >= 2``.
     max_contexts_per_site:
         Cap on enumerated contexts per allocation site.
     library_condition:

@@ -29,6 +29,10 @@ import time
 
 from repro.callgraph.cha import build_cha
 from repro.callgraph.otf import build_otf
+from repro.callgraph.reachable import (
+    reachable_method_count,
+    reachable_statement_count,
+)
 from repro.callgraph.rta import build_rta
 from repro.core.config import DetectorConfig
 from repro.core.libmodel import library_visible_values
@@ -128,15 +132,9 @@ class SharedArtifacts:
         if self._size_counts is None:
             with self.lock:
                 if self._size_counts is None:
-                    reachable = self.callgraph.reachable_methods()
                     self._size_counts = (
-                        len(reachable),
-                        sum(
-                            1
-                            for m in reachable
-                            for s in m.statements()
-                            if s.is_simple
-                        ),
+                        reachable_method_count(self.callgraph),
+                        reachable_statement_count(self.callgraph),
                     )
         return self._size_counts
 

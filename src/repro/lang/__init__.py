@@ -4,21 +4,20 @@
 validated IR :class:`repro.ir.Program` out.
 """
 
-from repro.lang.lowering import lower
-from repro.lang.parser import parse
 from repro.ir.validate import check
+from repro.lang import parser
 
 
 def parse_program(source, validate=True):
-    """Parse and lower while-language source text to an IR program.
+    """Parse while-language source text to an IR program.
 
     When ``validate`` is true (the default), structural validation runs and
     malformed programs raise :class:`repro.errors.IRError`.
     """
-    program = lower(parse(source))
+    program = parser.parse(source)
     if validate:
         check(program)
     return program
 
 
-__all__ = ["lower", "parse", "parse_program"]
+__all__ = ["parse_program"]

@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the while language.
+"""Recursive-descent parser for the while language: source text in,
+sealed IR :class:`~repro.ir.program.Program` out.
 
 Grammar (EBNF, ``[...]`` optional, ``{...}`` repetition)::
 
@@ -18,15 +19,35 @@ Grammar (EBNF, ``[...]`` optional, ``{...}`` repetition)::
     cond      ::= "*" | "nonnull" IDENT | "null" IDENT
 
 Semicolons terminate simple statements; blocks need no trailing semicolon.
+
+Each statement maps to one IR statement (Section 3), which the parser
+builds as it reads it.  An unlabelled allocation, call or ``while`` gets a
+generated label ``Class:method/Hint[_n]``, numbered per method and hint
+in text order.
 """
 
 from repro.errors import ParseError
-from repro.lang import ast_nodes as A
+from repro.ir.program import ClassDecl, Method, Program
+from repro.ir.stmts import (
+    Block,
+    Cond,
+    CopyStmt,
+    IfStmt,
+    InvokeStmt,
+    LoadStmt,
+    LoopStmt,
+    NewStmt,
+    NullStmt,
+    ReturnStmt,
+    StoreNullStmt,
+    StoreStmt,
+)
+from repro.ir.types import OBJECT_CLASS, RefType
 from repro.lang.lexer import tokenize
 from repro.lang.tokens import EOF, IDENT
 
 #: Deepest nesting of ``if``/``loop``/``while`` statements a program may
-#: use.  Lowering, validation and the analyses recurse over the same
+#: use.  The parser, validation and the analyses recurse over the same
 #: nesting, and each handles this depth, also on a thread's stack as the
 #: daemon runs them; past it the parser answers with a ``ParseError``
 #: instead of exhausting the interpreter's recursion limit.
@@ -34,12 +55,21 @@ MAX_NESTING = 200
 
 
 class Parser:
-    """Single-use parser over a token stream."""
+    """Single-use parser over a token stream.
+
+    ``parse_program`` returns each class as a ``(name, superclass,
+    is_library, fields, methods)`` tuple, plus the entry; ``invokes``
+    lists every call, each built as virtual until :func:`parse` knows
+    all class names.
+    """
 
     def __init__(self, source):
         self._tokens = tokenize(source)
         self._pos = 0
         self._depth = 0
+        self._prefix = None  # "Class:method", the generated labels' stem
+        self._counters = {}  # hint -> labels generated in this method
+        self.invokes = []
 
     # -- token helpers -----------------------------------------------------
 
@@ -58,7 +88,6 @@ class Parser:
         if tok.value != value:
             self._error("expected %r, found %r" % (value, tok.value), tok)
         self._pos += 1
-        return tok
 
     def _expect_ident(self, what="identifier"):
         tok = self._tokens[self._pos]
@@ -72,6 +101,12 @@ class Parser:
             self._pos += 1
             return True
         return False
+
+    def _fresh(self, hint):
+        # ``loop`` is a keyword, so no class or call hint shares its count.
+        n = self._counters.get(hint, 0)
+        self._counters[hint] = n + 1
+        return "%s/%s%s" % (self._prefix, hint, "_%d" % n if n else "")
 
     # -- grammar -----------------------------------------------------------
 
@@ -98,14 +133,13 @@ class Parser:
                 classes.append(self._parse_class())
             else:
                 self._error("expected class or entry declaration")
-        return A.ProgramNode(classes, entry)
+        return classes, entry
 
     def _parse_class(self):
-        line = self._peek().line
         is_library = self._accept("library")
         self._expect("class")
         name = self._expect_ident("class name")
-        superclass = None
+        superclass = OBJECT_CLASS
         if self._accept("extends"):
             superclass = self._expect_ident("superclass name")
         self._expect("{")
@@ -118,13 +152,12 @@ class Parser:
                 fields.append(self._expect_ident("field name"))
                 self._expect(";")
             elif tok.value in ("method", "static"):
-                methods.append(self._parse_method())
+                methods.append(self._parse_method(name))
             else:
                 self._error("expected field or method declaration")
-        return A.ClassNode(name, superclass, is_library, fields, methods, line)
+        return name, superclass, is_library, fields, methods
 
-    def _parse_method(self):
-        line = self._peek().line
+    def _parse_method(self, class_name):
         is_static = self._accept("static")
         self._expect("method")
         name = self._expect_ident("method name")
@@ -135,25 +168,26 @@ class Parser:
             while self._accept(","):
                 params.append(self._expect_ident("parameter"))
             self._expect(")")
+        # ':' instead of '.' so generated labels lex as single identifiers
+        self._prefix = "%s:%s" % (class_name, name)
+        self._counters = {}
         body = self._parse_block()
-        return A.MethodNode(name, params, is_static, body, line)
+        return Method(name, params, body, class_name, is_static=is_static)
 
     def _parse_block(self):
-        line = self._peek().line
         self._expect("{")
         stmts = []
         while not self._accept("}"):
             stmts.append(self._parse_stmt())
-        return A.BlockNode(stmts, line)
+        return Block(stmts)
 
     def _parse_cond(self):
         tok = self._peek()
         if self._accept("*"):
-            return A.CondNode("*", None, tok.line)
+            return Cond()
         if tok.value in ("nonnull", "null"):
             self._pos += 1
-            var = self._expect_ident("condition variable")
-            return A.CondNode(tok.value, var, tok.line)
+            return Cond(tok.value, self._expect_ident("condition variable"))
         self._error("expected condition (* | nonnull x | null x)")
 
     def _parse_stmt(self):
@@ -172,35 +206,33 @@ class Parser:
         return stmt
 
     def _parse_if(self):
-        line = self._expect("if").line
+        self._expect("if")
         self._expect("(")
         cond = self._parse_cond()
         self._expect(")")
         then_block = self._parse_block()
-        else_block = A.BlockNode([], line)
-        if self._accept("else"):
-            else_block = self._parse_block()
-        return A.IfNode(cond, then_block, else_block, line)
+        else_block = self._parse_block() if self._accept("else") else Block()
+        return IfStmt(cond, then_block, else_block)
 
     def _parse_loop(self):
         tok = self._peek()  # 'loop' or 'while'
         self._pos += 1
-        label = None
         if tok.value == "loop":
             label = self._expect_ident("loop label")
-        cond = A.CondNode("*", None, tok.line)
+        else:
+            label = self._fresh("loop")
+        cond = Cond()
         if self._accept("("):
             cond = self._parse_cond()
             self._expect(")")
-        body = self._parse_block()
-        return A.LoopNode(label, cond, body, tok.line)
+        return LoopStmt(label, self._parse_block(), cond)
 
-    def _parse_optional_site(self):
+    def _parse_site(self, hint):
         if self._accept("@"):
             return self._expect_ident("site label")
-        return None
+        return self._fresh(hint)
 
-    def _parse_call(self, target, line):
+    def _parse_call(self, target):
         self._expect("call")
         receiver = self._expect_ident("call receiver")
         self._expect(".")
@@ -212,21 +244,22 @@ class Parser:
             while self._accept(","):
                 args.append(self._expect_ident("argument"))
             self._expect(")")
-        site = self._parse_optional_site()
-        return A.CallNode(target, receiver, method_name, args, site, line)
+        site = self._parse_site("call:" + method_name)
+        invoke = InvokeStmt(target, receiver, None, method_name, args, site)
+        self.invokes.append(invoke)
+        return invoke
 
     def _parse_simple(self):
         tok = self._peek()
-        line = tok.line
         if tok.value == "return":
             self._pos += 1
             value = None
             if self._peek().kind == IDENT:
                 value = self._peek().value
                 self._pos += 1
-            return A.ReturnNode(value, line)
+            return ReturnStmt(value)
         if tok.value == "call":
-            return self._parse_call(None, line)
+            return self._parse_call(None)
         if tok.kind != IDENT:
             self._error("expected statement")
         first = tok.value
@@ -236,9 +269,8 @@ class Parser:
             field = self._expect_ident("field name")
             self._expect("=")
             if self._accept("null"):
-                return A.StoreNullNode(first, field, line)
-            source = self._expect_ident("source variable")
-            return A.StoreNode(first, field, source, line)
+                return StoreNullStmt(first, field)
+            return StoreStmt(first, field, self._expect_ident("source variable"))
         self._expect("=")
         rhs = self._peek()
         if rhs.value == "new":
@@ -247,20 +279,45 @@ class Parser:
             dims = 0
             while self._accept("[]"):
                 dims += 1
-            site = self._parse_optional_site()
-            return A.NewNode(first, class_name, dims, site, line)
+            site = self._parse_site(class_name)
+            return NewStmt(first, RefType(class_name, dims), site)
         if rhs.value == "null":
             self._pos += 1
-            return A.NullAssignNode(first, line)
+            return NullStmt(first)
         if rhs.value == "call":
-            return self._parse_call(first, line)
+            return self._parse_call(first)
         source = self._expect_ident("right-hand side")
         if self._accept("."):
-            field = self._expect_ident("field name")
-            return A.LoadNode(first, source, field, line)
-        return A.CopyNode(first, source, line)
+            return LoadStmt(first, source, self._expect_ident("field name"))
+        return CopyStmt(first, source)
 
 
 def parse(source):
-    """Parse while-language source text into an AST."""
-    return Parser(source).parse_program()
+    """Parse while-language source text into a sealed, unvalidated program.
+
+    A call ``R.m()`` is static when ``R`` names a declared class or
+    ``Object``, also one declared later in the text.  Duplicate classes,
+    fields, methods and allocation sites raise
+    :class:`~repro.errors.IRError` only once the whole text has parsed,
+    so a ``ParseError`` wins over them.  Every class and field is declared
+    before the first method is sealed, and methods are sealed in class
+    order, which also orders the statement uids and the site index.
+    """
+    parser = Parser(source)
+    classes, entry = parser.parse_program()
+    class_names = {cls[0] for cls in classes} | {OBJECT_CLASS}
+    for invoke in parser.invokes:
+        if invoke.base in class_names:
+            invoke.base, invoke.static_class = None, invoke.base
+    program = Program(entry)
+    for name, superclass, is_library, fields, _ in classes:
+        decl = ClassDecl(name, superclass, is_library)
+        for field_name in fields:
+            decl.add_field(field_name)
+        program.add_class(decl)
+    for name, _, _, _, methods in classes:
+        decl = program.classes[name]
+        for method in methods:
+            decl.add_method(method)
+            program.seal_method(method)
+    return program

@@ -5,12 +5,11 @@ import pytest
 from repro.errors import IRError
 from repro.ir.builder import ProgramBuilder
 from repro.ir.validate import check, validate_program
-from repro.lang.lowering import lower
-from repro.lang.parser import parse
+from repro.lang import parse_program
 
 
 def _issues(source):
-    return validate_program(lower(parse(source)))
+    return validate_program(parse_program(source, validate=False))
 
 
 class TestValidation:
@@ -58,9 +57,7 @@ class TestValidation:
         assert any("'ghost'" in i for i in issues)
 
     def test_check_raises(self):
-        from repro.lang.parser import parse as p
-
-        prog = lower(p("class A { method m() { x = y; } }"))
+        prog = parse_program("class A { method m() { x = y; } }", validate=False)
         with pytest.raises(IRError):
             check(prog)
 
@@ -93,8 +90,6 @@ class TestValidation:
     def test_parse_program_rejects_repeated_parameter(self):
         # The interpreter bound the last argument to 'p' while the
         # detector merged both, reporting @B as well as @A.
-        from repro.lang import parse_program
-
         with pytest.raises(IRError, match="Main.put: duplicate parameter 'p'"):
             parse_program(
                 "entry Main.main;\n"
@@ -115,9 +110,7 @@ class TestValidation:
         assert _issues("class A { static method m(this) { x = this; } }") == []
 
     def test_entry_resolution(self):
-        issues = validate_program(
-            lower(parse("entry A.ghost;\nclass A { }"))
-        )
+        issues = _issues("entry A.ghost;\nclass A { }")
         assert any("entry method" in i for i in issues)
 
     def test_arity_issues_follow_class_order(self):
@@ -169,8 +162,6 @@ class TestExtendsCycles:
         assert issue.endswith("K1 extends K0")
 
     def test_parse_program_rejects_cycle(self):
-        from repro.lang import parse_program
-
         with pytest.raises(IRError, match="extends cycle: A extends B extends A"):
             parse_program(
                 "entry Main.main;\n"

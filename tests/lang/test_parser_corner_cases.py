@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import ParseError
+from repro.errors import IRError, ParseError
+from repro.ir.stmts import InvokeStmt, LoopStmt, NewStmt
 from repro.lang import parse_program
 from repro.lang.parser import parse
 
@@ -132,6 +133,68 @@ class TestCornerCases:
         assert len(ifs) == 2
 
 
+class TestWholeTextDecisions:
+    """What the parser can only settle once the whole text has parsed:
+    which error wins, and which calls are static."""
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [
+            "class A { } class A { }",
+            "class A { field f; field f; }",
+            "class A { method m() { x = new A @s; y = new A @s; } }",
+        ],
+    )
+    def test_syntax_error_after_a_duplicate_wins(self, duplicate):
+        with pytest.raises(ParseError) as exc:
+            parse_program(duplicate + "\nclass B { method m() { x = } }")
+        assert (exc.value.line, exc.value.column) == (2, 28)
+
+    def test_later_duplicate_class_wins_over_earlier_duplicate_site(self):
+        with pytest.raises(IRError, match="^duplicate class B$"):
+            parse_program(
+                "class A { method m() { x = new A @s; y = new A @s; } }\n"
+                "class B { } class B { }",
+                validate=False,
+            )
+
+    def test_static_call_to_a_class_declared_later(self):
+        prog = parse_program(
+            "class A { method m() { call B.s(); } }\n"
+            "class B { static method s() { } }"
+        )
+        (invoke,) = [
+            s for s in prog.method("A.m").statements() if isinstance(s, InvokeStmt)
+        ]
+        assert invoke.is_static
+        assert invoke.static_class == "B"
+
+    def test_nested_unlabelled_loops_are_labelled_outer_first(self):
+        prog = parse_program(
+            "class A { method m() {"
+            " while (*) { while (*) { } while (*) { } } while (*) { } } }"
+        )
+        labels = [
+            s.label for s in prog.method("A.m").statements() if isinstance(s, LoopStmt)
+        ]
+        assert labels == ["A:m/loop", "A:m/loop_1", "A:m/loop_2", "A:m/loop_3"]
+
+    def test_allocation_and_call_hints_share_one_counter(self):
+        # ``call:f`` is an identifier, so it can name a class, and its
+        # allocations are numbered with the calls of ``f``.
+        prog = parse_program(
+            "class call:f { method f() { } method m() {"
+            " x = new call:f; call x.f(); y = new call:f; } }",
+            validate=False,
+        )
+        labels = [
+            s.site if isinstance(s, NewStmt) else s.callsite
+            for s in prog.method("call:f.m").statements()
+            if isinstance(s, (NewStmt, InvokeStmt))
+        ]
+        assert labels == ["call:f:m/call:f", "call:f:m/call:f_1", "call:f:m/call:f_2"]
+
+
 def _nested_source(depth):
     """A leaky loop wrapping ``depth - 1`` nested ifs: ``depth`` levels."""
     return (
@@ -149,7 +212,7 @@ def _nested_source(depth):
 
 class TestNestingLimit:
     def test_program_at_the_limit_scans_in_a_worker_thread(self):
-        """The deepest program the parser accepts also survives lowering,
+        """The deepest program the parser accepts also survives
         validation and the analysis on a thread's stack — where the
         daemon runs them."""
         import threading

@@ -132,7 +132,7 @@ class _Gen:
             body = self.block(depth - 1)
             self.defined = before
             if kind == "while":
-                # Unlabelled loop; lowering synthesizes its label.
+                # Unlabelled loop; the parser generates its label.
                 return "while (*) { %s }" % body
             return "loop %s (*) { %s }" % (self.fresh_loop_label(), body)
         # if: only variables assigned on *both* arms are definitely

@@ -1,9 +1,15 @@
-"""Differential fuzz of the frontend against its two oracles.
+"""Differential fuzz of the frontend against its three oracles.
 
 * :func:`repro.lang.lexer.tokenize` (one compiled pattern per line) must
   give the ``(kind, value, line, column)`` list of the per-character
   lexer in :mod:`tests.lang.lexer_oracle`, or raise the same
   ``ParseError`` text at the same line and column.
+* :func:`repro.lang.parser.parse` (one pass, building the IR) must give
+  the program that :mod:`tests.lang.ast_oracle` parses to an AST and
+  then lowers: the same printed IR, classes, fields and methods in the
+  same order, the same entry, statements with the same type, uid, repr,
+  method and static-ness, the same site index order; or raise the same
+  error class and text, at the same line and column.
 * :func:`repro.lang.parse_program` returns a ``Program`` or raises a
   typed :class:`~repro.errors.ReproError`, never an untyped exception.
 * The def/use issues :func:`repro.ir.validate.validate_program`
@@ -27,14 +33,16 @@ from repro.bench.apps import build_app, corpus_names, retention_names
 from repro.bench.scale import build_scaled
 from repro.bench.stress import stress_source
 from repro.errors import ParseError, ReproError
+from repro.ir.printer import program_to_text
 from repro.ir.program import Program
+from repro.ir.stmts import InvokeStmt
 from repro.ir.validate import validate_program
 from repro.lang import parse_program
 from repro.lang.lexer import tokenize
-from repro.lang.lowering import lower
 from repro.lang.parser import parse
 
 from tests.ir.definite_assignment_oracle import program_issues
+from tests.lang import ast_oracle
 from tests.lang.lexer_oracle import tokenize as oracle_tokenize
 from tests.properties.strategies import (
     dispatch_programs,
@@ -106,9 +114,9 @@ def _assert_typed(source):
 
 def _assert_same_def_use(source):
     """Compare the def/use issues of ``source`` when it parses; returns
-    them, or ``None`` for a source that does not parse or lower."""
+    them, or ``None`` for a source that does not parse."""
     try:
-        program = lower(parse(source))
+        program = parse_program(source, validate=False)
     except ReproError:
         return None
     issues = [
@@ -118,6 +126,47 @@ def _assert_same_def_use(source):
     ]
     assert issues == program_issues(program)
     return issues
+
+
+def _ir(build, source):
+    """What ``build`` makes of ``source``: the parts of its program the
+    analyses read, or the error it raises."""
+    try:
+        program = build(source)
+    except ReproError as err:
+        line, column = getattr(err, "line", None), getattr(err, "column", None)
+        return (type(err), str(err), line, column)
+    return (
+        program_to_text(program),
+        program.entry,
+        [
+            (name, decl.superclass, decl.is_library, list(decl.fields))
+            for name, decl in program.classes.items()
+        ],
+        [
+            (
+                method.sig,
+                method.params,
+                method.is_static,
+                [
+                    (
+                        type(stmt),
+                        stmt.uid,
+                        repr(stmt),
+                        stmt.method is method,
+                        isinstance(stmt, InvokeStmt) and stmt.is_static,
+                    )
+                    for stmt in method.statements()
+                ],
+            )
+            for method in program.all_methods()
+        ],
+        [repr(site) for site in program.alloc_sites()],
+    )
+
+
+def _assert_same_ir(source):
+    assert _ir(parse, source) == _ir(ast_oracle.build, source)
 
 
 def _is_statement(unit):
@@ -201,6 +250,42 @@ class TestLexerOracle:
     @given(_corpus_mutants)
     def test_corpus_mutants(self, source):
         _assert_same_tokens(source)
+
+
+class TestParserOracle:
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_corpus_app(self, name):
+        _assert_same_ir(_CORPUS[name])
+
+    @pytest.mark.parametrize("name", retention_names())
+    def test_retention_tiling_x10(self, name):
+        _assert_same_ir(build_scaled(name, factor=10).source)
+
+    def test_stress_program(self):
+        _assert_same_ir(stress_source())
+
+    def test_memocache_x24(self):
+        _assert_same_ir(build_scaled("memocache", factor=24).source)
+
+    @given(_texts)
+    @example("")
+    @example("class A { method m() { x = new A @s; y = new A @s; } }")
+    @example("class A { } class A { } class B { method m() { x = } }")
+    @example("class A { field f; } class B { field g; field g; } class B { }")
+    @example("class A { method m() { } method m() { x = new A; } }")
+    @example("class A { method m() { call B.s(); call Object.s(); } } class B { }")
+    @example("class A { method m() { while (*) { while (*) { } } while { } } }")
+    @example("class call:f { method m() { x = new call:f; call x.f(); } }")
+    def test_arbitrary_text(self, text):
+        _assert_same_ir(text)
+
+    @given(_corpus_mutants)
+    def test_corpus_mutants(self, source):
+        _assert_same_ir(source)
+
+    @given(_program_mutants)
+    def test_random_program_mutants(self, source):
+        _assert_same_ir(source)
 
 
 class TestTypedErrors:
