@@ -27,7 +27,7 @@ from repro.bench.apps import build_app, build_retention, retention_names
 from repro.core.detector import DetectorConfig
 from repro.core.regions import RegionSpec
 from repro.lang import parse_program
-from repro.lang.lexer import tokenize
+from repro.lang.lexer import NOT_IDENTIFIERS, tokenize
 
 #: Identifiers never renamed: ``this`` is the receiver keyword-in-all-
 #: but-kind, ``Object`` is the validator's built-in root class;
@@ -59,38 +59,38 @@ def _suffix(tile):
     return "__t%d" % tile
 
 
-def _entry_sig(tokens):
+def _entry_sig(texts):
     """``(class, method)`` of the first ``entry`` statement."""
-    for i, tok in enumerate(tokens):
-        if tok.kind == "KEYWORD" and tok.value == "entry":
-            return tokens[i + 1].value, tokens[i + 3].value
+    for i, text in enumerate(texts):
+        if text == "entry":
+            return texts[i + 1], texts[i + 3]
     raise ValueError("base app source has no entry statement")
 
 
-def _tile_tokens(tokens, suffix):
-    """Rename one tile's token stream; drops ``entry`` statements."""
+def _tile_tokens(texts, suffix):
+    """Rename one tile's token texts; drops ``entry`` statements."""
     out = []
     i = 0
-    n = len(tokens)
+    n = len(texts)
     while i < n:
-        tok = tokens[i]
-        if tok.kind == "EOF":
+        text = texts[i]
+        if not text:  # EOF
             break
-        if tok.kind == "KEYWORD" and tok.value == "entry":
-            while i < n and tokens[i].value != ";":
+        if text == "entry":
+            while i < n and texts[i] != ";":
                 i += 1
             i += 1
             continue
-        if tok.kind == "IDENT" and tok.value not in _KEEP:
-            out.append(tok.value + suffix)
+        if text not in NOT_IDENTIFIERS and text not in _KEEP:
+            out.append(text + suffix)
         else:
-            out.append(tok.value)
+            out.append(text)
         i += 1
     return out
 
 
 def _emit(parts):
-    """Token list back to parseable (and diffable) source text."""
+    """Token texts back to parseable (and diffable) source text."""
     lines = []
     current = []
     for part in parts:
@@ -166,8 +166,8 @@ def build_scaled(base="memocache", factor=10, variant="leaky"):
     if factor < 1:
         raise ValueError("factor must be >= 1 (got %d)" % factor)
     app = _build_base(base, variant)
-    tokens = tokenize(app.source)
-    entry_cls, entry_meth = _entry_sig(tokens)
+    texts = tokenize(app.source)
+    entry_cls, entry_meth = _entry_sig(texts)
 
     pieces = [_driver_source(entry_cls, entry_meth, factor)]
     regions = []
@@ -176,7 +176,7 @@ def build_scaled(base="memocache", factor=10, variant="leaky"):
     base_entry = base_truth.get(app.region.text(), {"leaks": set()})
     for tile in range(factor):
         sfx = _suffix(tile)
-        pieces.append(_emit(_tile_tokens(tokens, sfx)))
+        pieces.append(_emit(_tile_tokens(texts, sfx)))
         region = _rename_region(app.region, sfx)
         regions.append(region)
         truth[region.text()] = frozenset(

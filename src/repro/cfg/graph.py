@@ -97,18 +97,27 @@ class CFG:
     # -- queries -----------------------------------------------------------
 
     def reachable_blocks(self):
-        """Blocks reachable from the entry, in reverse post-order."""
-        seen = set()
+        """Blocks reachable from the entry, in reverse post-order.
+
+        The walk is depth first and takes each block's successors in
+        ``succs`` order; definite assignment and the dominators read
+        the order it gives.  It keeps its own stack of ``(block,
+        successor iterator)`` pairs, so a method of any length fits: a
+        chain of sequential ``if``s or loops is as deep as it is long.
+        """
+        seen = {self.entry.index}
         order = []
-
-        def dfs(block):
-            seen.add(block.index)
-            for succ in block.succs:
+        stack = [(self.entry, iter(self.entry.succs))]
+        while stack:
+            block, succs = stack[-1]
+            for succ in succs:
                 if succ.index not in seen:
-                    dfs(succ)
-            order.append(block)
-
-        dfs(self.entry)
+                    seen.add(succ.index)
+                    stack.append((succ, iter(succ.succs)))
+                    break
+            else:
+                stack.pop()
+                order.append(block)
         order.reverse()
         return order
 

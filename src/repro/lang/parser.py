@@ -43,8 +43,7 @@ from repro.ir.stmts import (
     StoreStmt,
 )
 from repro.ir.types import OBJECT_CLASS, RefType
-from repro.lang.lexer import tokenize
-from repro.lang.tokens import EOF, IDENT
+from repro.lang.lexer import NOT_IDENTIFIERS, position, tokenize
 
 #: Deepest nesting of ``if``/``loop``/``while`` statements a program may
 #: use.  The parser, validation and the analyses recurse over the same
@@ -55,7 +54,7 @@ MAX_NESTING = 200
 
 
 class Parser:
-    """Single-use parser over a token stream.
+    """Single-use parser over the token texts of one source.
 
     ``parse_program`` returns each class as a ``(name, superclass,
     is_library, fields, methods)`` tuple, plus the entry; ``invokes``
@@ -64,7 +63,8 @@ class Parser:
     """
 
     def __init__(self, source):
-        self._tokens = tokenize(source)
+        self._source = source
+        self._texts = tokenize(source)
         self._pos = 0
         self._depth = 0
         self._prefix = None  # "Class:method", the generated labels' stem
@@ -74,30 +74,35 @@ class Parser:
     # -- token helpers -----------------------------------------------------
 
     def _peek(self):
-        return self._tokens[self._pos]
+        return self._texts[self._pos]
 
-    def _error(self, message, tok=None):
-        tok = tok or self._peek()
-        raise ParseError(message, tok.line, tok.column)
+    def _error(self, message):
+        """Raise ``message`` at the current token's line and column."""
+        line, column = position(self._source, self._pos)
+        raise ParseError(message, line, column)
+
+    def _fail(self, pos, what):
+        """Raise "expected ``what``" at token ``pos``."""
+        self._pos = pos
+        self._error("expected %s, found %r" % (what, self._texts[pos]))
 
     # Keywords and punctuation never lex as identifiers, so a token's
-    # value alone tells them apart; EOF's value is the empty string.
+    # text alone tells them apart; EOF's text is the empty string.
 
     def _expect(self, value):
-        tok = self._tokens[self._pos]
-        if tok.value != value:
-            self._error("expected %r, found %r" % (value, tok.value), tok)
+        if self._texts[self._pos] != value:
+            self._fail(self._pos, repr(value))
         self._pos += 1
 
     def _expect_ident(self, what="identifier"):
-        tok = self._tokens[self._pos]
-        if tok.kind != IDENT:
-            self._error("expected %s, found %r" % (what, tok.value), tok)
+        text = self._texts[self._pos]
+        if text in NOT_IDENTIFIERS:
+            self._fail(self._pos, what)
         self._pos += 1
-        return tok.value
+        return text
 
     def _accept(self, value):
-        if self._tokens[self._pos].value == value:
+        if self._texts[self._pos] == value:
             self._pos += 1
             return True
         return False
@@ -113,23 +118,24 @@ class Parser:
     def parse_program(self):
         classes = []
         entry = None
-        entry_line = None
-        while self._peek().kind != EOF:
-            tok = self._peek()
-            if tok.value == "entry":
+        entry_index = None
+        while self._peek():  # EOF's text is empty
+            text = self._peek()
+            if text == "entry":
                 if entry is not None:
                     self._error(
                         "second entry declaration; the first is 'entry %s;' "
-                        "on line %d" % (entry, entry_line)
+                        "on line %d"
+                        % (entry, position(self._source, entry_index)[0])
                     )
+                entry_index = self._pos
                 self._pos += 1
                 first = self._expect_ident("entry class")
                 self._expect(".")
                 meth = self._expect_ident("entry method")
                 entry = "%s.%s" % (first, meth)
-                entry_line = tok.line
                 self._expect(";")
-            elif tok.value in ("library", "class"):
+            elif text in ("library", "class"):
                 classes.append(self._parse_class())
             else:
                 self._error("expected class or entry declaration")
@@ -146,12 +152,12 @@ class Parser:
         fields = []
         methods = []
         while not self._accept("}"):
-            tok = self._peek()
-            if tok.value == "field":
+            text = self._peek()
+            if text == "field":
                 self._pos += 1
                 fields.append(self._expect_ident("field name"))
                 self._expect(";")
-            elif tok.value in ("method", "static"):
+            elif text in ("method", "static"):
                 methods.append(self._parse_method(name))
             else:
                 self._error("expected field or method declaration")
@@ -176,29 +182,29 @@ class Parser:
 
     def _parse_block(self):
         self._expect("{")
+        texts = self._texts
         stmts = []
-        while not self._accept("}"):
+        while texts[self._pos] != "}":
             stmts.append(self._parse_stmt())
+        self._pos += 1
         return Block(stmts)
 
     def _parse_cond(self):
-        tok = self._peek()
+        text = self._peek()
         if self._accept("*"):
             return Cond()
-        if tok.value in ("nonnull", "null"):
+        if text in ("nonnull", "null"):
             self._pos += 1
-            return Cond(tok.value, self._expect_ident("condition variable"))
+            return Cond(text, self._expect_ident("condition variable"))
         self._error("expected condition (* | nonnull x | null x)")
 
     def _parse_stmt(self):
-        tok = self._peek()
-        if tok.value in ("if", "loop", "while"):
+        text = self._peek()
+        if text in ("if", "loop", "while"):
             if self._depth == MAX_NESTING:
-                self._error(
-                    "statements nested more than %d deep" % MAX_NESTING, tok
-                )
+                self._error("statements nested more than %d deep" % MAX_NESTING)
             self._depth += 1
-            stmt = self._parse_if() if tok.value == "if" else self._parse_loop()
+            stmt = self._parse_if() if text == "if" else self._parse_loop()
             self._depth -= 1
             return stmt
         stmt = self._parse_simple()
@@ -215,9 +221,9 @@ class Parser:
         return IfStmt(cond, then_block, else_block)
 
     def _parse_loop(self):
-        tok = self._peek()  # 'loop' or 'while'
+        text = self._peek()  # 'loop' or 'while'
         self._pos += 1
-        if tok.value == "loop":
+        if text == "loop":
             label = self._expect_ident("loop label")
         else:
             label = self._fresh("loop")
@@ -250,46 +256,66 @@ class Parser:
         return invoke
 
     def _parse_simple(self):
-        tok = self._peek()
-        if tok.value == "return":
-            self._pos += 1
-            value = None
-            if self._peek().kind == IDENT:
-                value = self._peek().value
-                self._pos += 1
+        # Most statements are a few tokens of fixed shape, so they are
+        # read by offset from the first, not through the token helpers;
+        # each check stops at the token a helper would stop at, with its
+        # message.  An offset is read only after every token before it
+        # matched a non-empty text, so none runs past EOF.
+        texts = self._texts
+        pos = self._pos
+        first = texts[pos]
+        if first == "return":
+            value = texts[pos + 1]
+            if value in NOT_IDENTIFIERS:
+                self._pos = pos + 1
+                return ReturnStmt()
+            self._pos = pos + 2
             return ReturnStmt(value)
-        if tok.value == "call":
+        if first == "call":
             return self._parse_call(None)
-        if tok.kind != IDENT:
+        if first in NOT_IDENTIFIERS:
             self._error("expected statement")
-        first = tok.value
-        self._pos += 1
-        if self._accept("."):
+        if texts[pos + 1] == ".":
             # store:  first.field = source
-            field = self._expect_ident("field name")
-            self._expect("=")
-            if self._accept("null"):
+            field = texts[pos + 2]
+            if field in NOT_IDENTIFIERS:
+                self._fail(pos + 2, "field name")
+            if texts[pos + 3] != "=":
+                self._fail(pos + 3, "'='")
+            source = texts[pos + 4]
+            self._pos = pos + 5
+            if source == "null":
                 return StoreNullStmt(first, field)
-            return StoreStmt(first, field, self._expect_ident("source variable"))
-        self._expect("=")
-        rhs = self._peek()
-        if rhs.value == "new":
-            self._pos += 1
+            if source in NOT_IDENTIFIERS:
+                self._fail(pos + 4, "source variable")
+            return StoreStmt(first, field, source)
+        if texts[pos + 1] != "=":
+            self._fail(pos + 1, "'='")
+        rhs = texts[pos + 2]
+        if rhs == "new":
+            self._pos = pos + 3
             class_name = self._expect_ident("class name")
             dims = 0
             while self._accept("[]"):
                 dims += 1
             site = self._parse_site(class_name)
             return NewStmt(first, RefType(class_name, dims), site)
-        if rhs.value == "null":
-            self._pos += 1
+        if rhs == "null":
+            self._pos = pos + 3
             return NullStmt(first)
-        if rhs.value == "call":
+        if rhs == "call":
+            self._pos = pos + 2
             return self._parse_call(first)
-        source = self._expect_ident("right-hand side")
-        if self._accept("."):
-            return LoadStmt(first, source, self._expect_ident("field name"))
-        return CopyStmt(first, source)
+        if rhs in NOT_IDENTIFIERS:
+            self._fail(pos + 2, "right-hand side")
+        if texts[pos + 3] == ".":
+            field = texts[pos + 4]
+            if field in NOT_IDENTIFIERS:
+                self._fail(pos + 4, "field name")
+            self._pos = pos + 5
+            return LoadStmt(first, rhs, field)
+        self._pos = pos + 3
+        return CopyStmt(first, rhs)
 
 
 def parse(source):

@@ -149,6 +149,22 @@ class Item { }
 """
 
 
+def sequential_source(ifs=0, loops=0):
+    """One ``Main.main`` of ``ifs`` sequential ``if``s, then ``loops``
+    sequential loops ``L0``, ``L1``, ...; no loop leaks.  Its CFG is a
+    chain of about ``3 * (ifs + loops)`` blocks, as deep as it is long."""
+    return (
+        "entry Main.main;\n"
+        "class Main { static method main() {\n"
+        "h = new Holder @holder;\n"
+        + "if (*) { h = new Holder; }\n" * ifs
+        + "".join("loop L%d (*) { x = new Item; }\n" % n for n in range(loops))
+        + "} }\n"
+        "class Holder { field slot; }\n"
+        "class Item { }\n"
+    )
+
+
 @pytest.fixture
 def figure1():
     return parse_program(FIGURE1_SOURCE)

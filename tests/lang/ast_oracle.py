@@ -1,11 +1,12 @@
 """The two-pass frontend: the differential oracle of the one-pass parser.
 
-It parses the token stream into an AST, one node class per construct,
-then lowers that tree to the IR in a second walk (``build(source)`` is
-``lower(parse(source))``).  The production parser,
-:func:`repro.lang.parser.parse`, builds the IR statements as it reads
-them; ``tests/properties/test_frontend_differential.py`` checks that both
-give the same IR, or raise the same error.
+It parses the tokens of the per-character lexer
+(:mod:`tests.lang.lexer_oracle`) into an AST, one node class per
+construct, then lowers that tree to the IR in a second walk
+(``build(source)`` is ``lower(parse(source))``).  The production
+parser, :func:`repro.lang.parser.parse`, builds the IR statements as it
+reads them; ``tests/properties/test_frontend_differential.py`` checks
+that both give the same IR, or raise the same error.
 """
 
 from repro.errors import ParseError
@@ -25,9 +26,9 @@ from repro.ir.stmts import (
     StoreStmt,
 )
 from repro.ir.types import OBJECT_CLASS, RefType
-from repro.lang.lexer import tokenize
 from repro.lang.parser import MAX_NESTING
-from repro.lang.tokens import EOF, IDENT
+
+from tests.lang.lexer_oracle import EOF, IDENT, tokenize
 
 
 # -- AST ---------------------------------------------------------------

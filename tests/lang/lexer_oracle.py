@@ -1,15 +1,39 @@
 """Character-at-a-time lexer: the differential oracle of the regex one.
 
 It walks the source one character at a time, tracking line and column,
-and tries each punctuation token in turn with ``startswith``.
+and tries each punctuation token in turn with ``startswith``; each token
+is a :class:`Token` with its kind and position.
 The production lexer is :func:`repro.lang.lexer.tokenize`, which
-matches one compiled pattern per line;
+returns the token texts from one compiled pattern over the whole source,
+and :func:`repro.lang.lexer.positions` finds their lines and columns;
 ``tests/properties/test_frontend_differential.py`` checks that both give
 the same tokens, or the same ``ParseError`` text, line and column.
 """
 
 from repro.errors import ParseError
-from repro.lang.tokens import EOF, IDENT, KEYWORD, KEYWORDS, PUNCT, Token
+from repro.lang.lexer import KEYWORDS
+
+# Token kinds
+IDENT = "IDENT"
+KEYWORD = "KEYWORD"
+PUNCT = "PUNCT"
+EOF = "EOF"
+
+
+class Token:
+    """One lexical token with its 1-based source position."""
+
+    __slots__ = ("kind", "value", "line", "column")
+
+    def __init__(self, kind, value, line, column):
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.column = column
+
+    def __repr__(self):
+        return "Token(%s, %r, %d:%d)" % (self.kind, self.value, self.line, self.column)
+
 
 PUNCTUATION = (
     "[]",  # array marker; must precede single-char tokens

@@ -6,6 +6,7 @@ from repro.errors import IRError, ParseError
 from repro.ir.stmts import InvokeStmt, LoopStmt, NewStmt
 from repro.lang import parse_program
 from repro.lang.parser import parse
+from tests.conftest import sequential_source
 
 
 class TestCornerCases:
@@ -262,3 +263,21 @@ class TestNestingLimit:
         parse(loops(MAX_NESTING))
         with pytest.raises(ParseError):
             parse(loops(MAX_NESTING + 1))
+
+
+class TestMethodLength:
+    """Nesting is capped, length is not: validation's CFG walk keeps its
+    own stack, so a long method of sequential statements validates."""
+
+    def test_two_thousand_sequential_ifs(self):
+        program = parse_program(sequential_source(ifs=2000))
+        assert program.statement_count() == 1 + 2000
+
+    def test_two_thousand_sequential_loops(self):
+        program = parse_program(sequential_source(loops=2000))
+        loops = [
+            s for s in program.method("Main.main").statements()
+            if isinstance(s, LoopStmt)
+        ]
+        assert [loop.label for loop in loops[:2]] == ["L0", "L1"]
+        assert len(loops) == 2000

@@ -1,9 +1,11 @@
 """Differential fuzz of the frontend against its three oracles.
 
-* :func:`repro.lang.lexer.tokenize` (one compiled pattern per line) must
-  give the ``(kind, value, line, column)`` list of the per-character
-  lexer in :mod:`tests.lang.lexer_oracle`, or raise the same
-  ``ParseError`` text at the same line and column.
+* The token texts of :func:`repro.lang.lexer.tokenize` (one compiled
+  pattern over the whole text), with their kinds and the lines and
+  columns of :func:`repro.lang.lexer.positions`, must give the
+  ``(kind, value, line, column)`` list of the per-character lexer in
+  :mod:`tests.lang.lexer_oracle`, or raise the same ``ParseError`` text
+  at the same line and column.
 * :func:`repro.lang.parser.parse` (one pass, building the IR) must give
   the program that :mod:`tests.lang.ast_oracle` parses to an AST and
   then lowers: the same printed IR, classes, fields and methods in the
@@ -38,12 +40,11 @@ from repro.ir.program import Program
 from repro.ir.stmts import InvokeStmt
 from repro.ir.validate import validate_program
 from repro.lang import parse_program
-from repro.lang.lexer import tokenize
+from repro.lang.lexer import KEYWORDS, NOT_IDENTIFIERS, positions, tokenize
 from repro.lang.parser import parse
 
 from tests.ir.definite_assignment_oracle import program_issues
-from tests.lang import ast_oracle
-from tests.lang.lexer_oracle import tokenize as oracle_tokenize
+from tests.lang import ast_oracle, lexer_oracle
 from tests.properties.strategies import (
     dispatch_programs,
     inference_programs,
@@ -92,16 +93,44 @@ _DEF_USE = (
 )
 
 
-def _tokens(lex, source):
-    """The token tuples of ``source``, or its ``ParseError``."""
+def _kind(text):
+    if not text:
+        return lexer_oracle.EOF
+    if text in KEYWORDS:
+        return lexer_oracle.KEYWORD
+    if text in NOT_IDENTIFIERS:
+        return lexer_oracle.PUNCT
+    return lexer_oracle.IDENT
+
+
+def _tokens(source):
+    """The token tuples of ``source``, rebuilt from its texts and their
+    positions, or its ``ParseError``."""
     try:
-        return [(t.kind, t.value, t.line, t.column) for t in lex(source)]
+        texts = tokenize(source)
+    except ParseError as err:
+        return ("ParseError", str(err), err.line, err.column)
+    lines_columns = list(positions(source))
+    assert len(lines_columns) == len(texts)
+    return [
+        (_kind(text), text) + line_column
+        for text, line_column in zip(texts, lines_columns)
+    ]
+
+
+def _oracle_tokens(source):
+    """The per-character lexer's token tuples, or its ``ParseError``."""
+    try:
+        return [
+            (t.kind, t.value, t.line, t.column)
+            for t in lexer_oracle.tokenize(source)
+        ]
     except ParseError as err:
         return ("ParseError", str(err), err.line, err.column)
 
 
 def _assert_same_tokens(source):
-    assert _tokens(tokenize, source) == _tokens(oracle_tokenize, source)
+    assert _tokens(source) == _oracle_tokens(source)
 
 
 def _assert_typed(source):
@@ -167,6 +196,17 @@ def _ir(build, source):
 
 def _assert_same_ir(source):
     assert _ir(parse, source) == _ir(ast_oracle.build, source)
+
+
+#: Every simple statement form, one blank between tokens, for the
+#: sweep below.
+_FORMS = (
+    "class A { field f ; method m ( a ) { x = new A ; y = new A [] [] @ s ; "
+    "x . f = y ; x . f = null ; y = x . f ; z = y ; w = null ; "
+    "r = call x . m ( y ) @ c ; call A . h ( ) ; return x ; return ; } "
+    "static method h ( ) { } }"
+)
+_FILLERS = ("", "x", "=", ".", ";", "null", "new", "call", "return", "}", "[]", "@")
 
 
 def _is_statement(unit):
@@ -244,6 +284,8 @@ class TestLexerOracle:
     @example("a  \n  b\t\r")
     @example("x//y /z")
     @example("new C[] [ ]")
+    @example("ab \t\n// c\n  // d // e")
+    @example("a %\nb # %")
     def test_arbitrary_text(self, text):
         _assert_same_tokens(text)
 
@@ -286,6 +328,17 @@ class TestParserOracle:
     @given(_program_mutants)
     def test_random_program_mutants(self, source):
         _assert_same_ir(source)
+
+    def test_every_cut_and_token_edit_of_each_statement_form(self):
+        # The parser reads a simple statement by offset from its first
+        # token: ending the text, or putting another token, at each
+        # offset must stop it where the oracle stops, with its message.
+        words = _FORMS.split()
+        for k in range(len(words) + 1):
+            _assert_same_ir(" ".join(words[:k]))
+            for filler in _FILLERS:
+                _assert_same_ir(" ".join(words[:k] + [filler] + words[k + 1:]))
+                _assert_same_ir(" ".join(words[:k] + [filler] + words[k:]))
 
 
 class TestTypedErrors:

@@ -3,15 +3,17 @@
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
 
 import pytest
 
+from repro.bench.apps import build_app
 from repro.core.config import DetectorConfig
 from repro.server.app import MAX_HEADERS, create_server
-from tests.conftest import MERGED_CALLS_SOURCE
+from tests.conftest import MERGED_CALLS_SOURCE, sequential_source
 
 _LEAK = """
 entry Main.main;
@@ -296,6 +298,35 @@ class TestDeadline:
         assert body["error"]["code"] == "bad_request"
         assert "deadline_ms" in body["error"]["message"]
         assert server_errors == 0
+
+
+class TestLongInputs:
+    """Inputs that are long rather than deep: they once cost a 500, or
+    seconds of CPU that no deadline covered, since deadlines start
+    after the frontend."""
+
+    def test_long_method_answers_200(self):
+        program = sequential_source(ifs=2000, loops=1)
+        with _serving() as server:
+            status, body = _post(server, "/analyze", {"program": program})
+        assert status == 200
+        assert body["scan"]["leaking_sites"] == []
+        assert [loop["loop"] for loop in body["scan"]["loops"]] == ["L0"]
+
+    def test_blank_run_costs_no_more_than_its_length(self):
+        # Lexing a line's trailing blanks used to backtrack once per
+        # blank: 10K of them took 5.7 s to answer under a 1 s deadline.
+        source = build_app("derby").source
+        first, rest = source.split("\n", 1)
+        padded = first + " " * 10_000 + "\n" + rest
+        with _serving(deadline_ms=1000) as server:
+            _, plain = _post(server, "/analyze", {"program": source})
+            start = time.perf_counter()
+            status, body = _post(server, "/analyze", {"program": padded})
+            seconds = time.perf_counter() - start
+        assert status == 200
+        assert body["scan"]["leaking_sites"] == plain["scan"]["leaking_sites"]
+        assert seconds < 2.0
 
 
 class TestBackpressure:

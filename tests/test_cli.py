@@ -5,7 +5,12 @@ import json
 import pytest
 
 from repro.cli import main
-from tests.conftest import FIGURE1_SOURCE, SIMPLE_LEAK_SOURCE, canonical_pairs
+from tests.conftest import (
+    FIGURE1_SOURCE,
+    SIMPLE_LEAK_SOURCE,
+    canonical_pairs,
+    sequential_source,
+)
 
 
 def _canonical_loop_pairs(scan):
@@ -90,6 +95,14 @@ class TestCheck:
         path = tmp_path / "broken.wl"
         path.write_text("class {")
         assert main(["check", str(path), "--region", "A.m"]) == 2
+
+    def test_long_method_checks_clean(self, tmp_path, capsys):
+        # Validation's CFG walk once recursed once per block: a traceback
+        # and exit 1, the "leaks found" code.
+        path = tmp_path / "long.wl"
+        path.write_text(sequential_source(ifs=2000, loops=1))
+        assert main(["check", str(path), "--region", "Main.main:L0"]) == 0
+        assert "no leaks detected" in capsys.readouterr().out
 
 
 class TestLoops:
@@ -516,6 +529,20 @@ class TestAutoRegions:
         doc = json.loads(capsys.readouterr().out)
         assert doc["loops"] == []
         assert doc["triage"] == []
+        assert doc["total_findings"] == 0
+
+    def test_long_method_of_loops(self, tmp_path, capsys):
+        # Region inference finds loops through the dominators, which
+        # read the CFG's reverse post-order: once a recursive walk that
+        # raised past about 500 sequential loops.
+        import json
+
+        path = tmp_path / "loops.wl"
+        path.write_text(sequential_source(loops=600))
+        code = main(["scan", str(path), "--auto-regions", "--json", "--canonical"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["loops"]) == 600
         assert doc["total_findings"] == 0
 
     def test_top_limits_candidates(self, figure1_file, capsys):
