@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-kernel bench-fleet fleet-smoke table1 profile examples golden-update cache-smoke serve-smoke nightly all
+.PHONY: install test bench bench-kernel bench-fleet fleet-smoke table1 profile examples golden-update serve-smoke nightly all
 
 # Run from a checkout without installing the package: every target
 # imports repro from src/ (ahead of any PYTHONPATH the caller set).
@@ -34,14 +34,10 @@ examples:
 golden-update:
 	python tests/golden/update_golden.py
 
-cache-smoke:
-	python -m repro.core.cache.smoke
-
 serve-smoke:
 	python -m repro.server.smoke
 
 nightly:
 	HYPOTHESIS_PROFILE=nightly python -m pytest tests/properties -q
-	python -m repro.core.cache.smoke
 
 all: test bench table1 examples

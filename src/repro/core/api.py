@@ -33,13 +33,12 @@ class Analyzer:
     Owns an :class:`~repro.core.pipeline.session.AnalysisSession`, so
     program-level artifacts (call graph, points-to, statement indexes)
     are built once and shared by every :meth:`analyze` call.  Pass
-    ``cache=`` (an :class:`~repro.core.cache.store.ArtifactCache`) to
-    hydrate/persist those artifacts across processes, or ``session=``
-    to share them with other workflows analyzing the same program.
+    ``session=`` to share them with other workflows analyzing the same
+    program.
     """
 
-    def __init__(self, program, config=None, *, cache=None, session=None):
-        self.session = session or AnalysisSession(program, config, cache=cache)
+    def __init__(self, program, config=None, *, session=None):
+        self.session = session or AnalysisSession(program, config)
         self.program = program
         self.config = self.session.config
 
@@ -106,14 +105,12 @@ class Analyzer:
         return "Analyzer(%d classes)" % len(self.program.classes)
 
 
-def analyze(program, region=None, *, config=None, cache=None, deadline_ms=None):
+def analyze(program, region=None, *, config=None, deadline_ms=None):
     """One-call analysis: ``analyze(program, region)`` → report.
 
     The module-level convenience over :class:`Analyzer` — see
     :meth:`Analyzer.analyze` for the ``region`` forms, the
     ``region=None`` scan behaviour and ``deadline_ms`` degradation.
     """
-    return Analyzer(program, config, cache=cache).analyze(
-        region, deadline_ms=deadline_ms
-    )
+    return Analyzer(program, config).analyze(region, deadline_ms=deadline_ms)
 

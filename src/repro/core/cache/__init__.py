@@ -1,38 +1,30 @@
-"""Persistent on-disk artifact cache for program-level analysis state.
+"""The substrate codec: a program's solved analysis state as bytes.
 
-The staged pipeline memoizes its program-level artifacts — call graph,
-Andersen solution, per-method statement and store-edge indexes, library
-visibility and started-thread summaries — but only for the lifetime of
-one :class:`~repro.core.pipeline.session.AnalysisSession`.  This package
-makes that state durable:
+One whole-program points-to solve is what a cold check pays for; the
+daemon's session pool (:mod:`repro.server.pool`) keeps that solved
+substrate — call graph, flat points-to solution, per-method statement
+and store-edge indexes, library visibility and started-thread
+summaries — as bytes in memory, so a later request for the same text
+hydrates a session instead of solving again:
 
-* :mod:`~repro.core.cache.digest` — content-addressed keying: entries
-  are keyed by a digest of (program IR, substrate config key, cache
-  schema version), so any change to the program, the substrate-relevant
-  configuration, or the serialization format lands on a different key;
-* :mod:`~repro.core.cache.serialize` — the substrate codec: converts a
+* :mod:`~repro.core.cache.digest` — :func:`program_digest`, a hash of
+  the canonical pretty-printed IR that responses, the pool and fleet
+  workers report, and :data:`CACHE_SCHEMA_VERSION`, the snapshot
+  layout the bytes were written in;
+* :mod:`~repro.core.cache.serialize` — converts a
   :class:`~repro.core.pipeline.session.SharedArtifacts` to and from a
   plain-data snapshot (labels, signatures and statement uids only — no
-  live IR objects) and its byte form, which the daemon's session pool
-  also keeps;
-* :mod:`~repro.core.cache.store` — the :class:`ArtifactCache` directory
-  store with atomic writes and fall-back-to-recompute semantics:
-  corrupted or version-mismatched entries are evicted and recomputed,
-  never raised to callers.
+  live IR objects) and its byte form.
 
-A second ``scan``/``check`` of the same program under the same substrate
-key hydrates the session from the cache and skips the warm-up (call
-graph construction, PAG build, Andersen solve) entirely.
+Hydration checks the schema, the substrate configuration and the program
+digest, and raises :class:`~repro.errors.CacheError` on a mismatch.
 """
 
-from repro.core.cache.digest import CACHE_SCHEMA_VERSION, cache_key, program_digest
+from repro.core.cache.digest import CACHE_SCHEMA_VERSION, program_digest
 from repro.core.cache.serialize import hydrate_shared, snapshot_shared
-from repro.core.cache.store import ArtifactCache
 
 __all__ = [
-    "ArtifactCache",
     "CACHE_SCHEMA_VERSION",
-    "cache_key",
     "hydrate_shared",
     "program_digest",
     "snapshot_shared",

@@ -4,17 +4,17 @@ A snapshot is a plain-data dict — labels, signatures, field names and
 statement uids only, no live IR objects — rehydrated against a
 structurally identical program on the other side.  Its byte form, the
 pickled dict, has one encoder (:func:`dump_shared`) and one decoder
-(:func:`load_shared`): the :class:`~repro.core.cache.store.ArtifactCache`
-writes and reads it as file content, and the daemon's session pool keeps
-it as a program's substrate.
+(:func:`load_shared`).  The daemon's session pool keeps those bytes in
+memory as a program's substrate, and only bytes :func:`dump_shared`
+wrote earlier in the same process reach :func:`load_shared`: no file,
+HTTP body or wire frame is decoded here.
 
 Statement identity crosses the boundary through uids: the IR assigns
 uids deterministically in seal order, and the canonical printer
 round-trips (print→parse→print is a fixpoint), so a statement's uid
 is stable for a given program digest.  Hydration resolves uids through
-a fresh uid→statement index; any inconsistency (a corrupt entry, a
-program that no longer matches its digest) surfaces as a lookup error
-that the cache store converts into a miss-and-recompute.
+a fresh uid→statement index; a snapshot of another schema, substrate
+configuration or program raises :class:`~repro.errors.CacheError`.
 """
 
 import pickle
@@ -39,8 +39,7 @@ def dump_shared(shared, program_dig=None):
 def load_shared(program, config, data, program_dig=None):
     """Decode :func:`dump_shared` bytes into a :class:`SharedArtifacts`
     for ``program``.  Raises like :func:`hydrate_shared`, and whatever
-    unpickling raises on bytes that are not a substrate; callers that
-    must not fail (the cache, the session pool) catch it and rebuild."""
+    unpickling raises on bytes that are not a substrate."""
     return hydrate_shared(
         program, config, pickle.loads(data), program_dig=program_dig
     )
@@ -88,53 +87,7 @@ def snapshot_shared(shared, program_dig=None):
         "size_counts": None
         if shared._size_counts is None
         else list(shared._size_counts),
-        "infer_catalog": _snapshot_catalog(shared._infer_catalog),
     }
-
-
-def _snapshot_catalog(catalog):
-    """Plain-data encoding of an inference catalog (or ``None``).
-
-    The catalog is a pure function of (program, call graph) — both
-    already pinned by the snapshot key — so persisting it lets a warm
-    ``scan --auto-regions`` skip the inference sweep entirely.
-    """
-    if catalog is None:
-        return None
-    return {
-        "candidates": [
-            (
-                cand.kind,
-                cand.spec.method_sig,
-                getattr(cand.spec, "loop_label", None),
-                cand.score,
-                sorted(cand.features.items()),
-            )
-            for cand in catalog.candidates
-        ],
-        "counters": sorted(catalog.counters.items()),
-    }
-
-
-def _hydrate_catalog(data):
-    """Rebuild an :class:`InferenceCatalog` from its snapshot encoding.
-
-    ``seconds`` is zero: a hydrated catalog cost no inference time in
-    this run (the timing is observability, not part of the result —
-    canonical output zeroes it anyway)."""
-    from repro.core.infer.candidates import CandidateRegion, InferenceCatalog
-    from repro.core.regions import RegionSpec
-
-    candidates = [
-        CandidateRegion(
-            RegionSpec(sig, label) if kind == "loop" else RegionSpec(sig),
-            kind,
-            score,
-            dict(features),
-        )
-        for kind, sig, label, score, features in data["candidates"]
-    ]
-    return InferenceCatalog(candidates, dict(data["counters"]), 0.0)
 
 
 def hydrate_shared(program, config, snapshot, program_dig=None):
@@ -143,10 +96,8 @@ def hydrate_shared(program, config, snapshot, program_dig=None):
     Raises :class:`~repro.errors.CacheError` when the snapshot does not
     belong to (program, config, schema); raises a lookup error when the
     snapshot references statements or methods the program does not have.
-    Callers that must not fail (the cache store) catch both and
-    recompute.  ``program_dig`` short-circuits re-hashing the program
-    when the caller already holds its digest (the store keys entries by
-    it; a session pool entry records it).
+    ``program_dig`` short-circuits re-hashing the program when the
+    caller already holds its digest (a session pool entry records it).
     """
     if snapshot.get("schema") != CACHE_SCHEMA_VERSION:
         raise CacheError(
@@ -200,6 +151,4 @@ def hydrate_shared(program, config, snapshot, program_dig=None):
         shared._thread_subclasses = set(snapshot["thread_subclasses"])
     if snapshot["size_counts"] is not None:
         shared._size_counts = tuple(snapshot["size_counts"])
-    if snapshot["infer_catalog"] is not None:
-        shared._infer_catalog = _hydrate_catalog(snapshot["infer_catalog"])
     return shared

@@ -2,13 +2,13 @@
 
 Two detector runs that agree on every *finding* still differ in
 bookkeeping: wall-clock timings, and counters whose value depends on
-what an earlier run, a concurrent worker, or a persistent cache already
-computed (a warm store-edge index answers with hits where a cold one
-counts misses).  Canonicalization zeroes the timings and drops the
-cache-dependent counters, leaving exactly the run-independent content —
-the representation under which serial, fanned-out and cache-hydrated
-runs of the same program are byte-identical, and which the golden
-regression corpus (``tests/golden/``) stores.
+what an earlier run, a concurrent worker, or a hydrated substrate
+already computed (a warm store-edge index answers with hits where a
+cold one counts misses).  Canonicalization zeroes the timings and drops
+the cache-dependent counters, leaving exactly the run-independent
+content — the representation under which serial, fanned-out and
+pool-hydrated runs of the same program are byte-identical, and which
+the golden regression corpus (``tests/golden/``) stores.
 """
 
 import json
@@ -27,10 +27,6 @@ VOLATILE_COUNTERS = (
     "store_edge_cache_hits",
     "store_edge_cache_misses",
     "region_cache_hits",
-    "artifact_cache_hits",
-    "artifact_cache_misses",
-    "artifact_cache_saves",
-    "artifact_cache_evictions",
 )
 
 

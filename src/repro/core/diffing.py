@@ -6,7 +6,7 @@ of a non-heap finding (:func:`~repro.core.report.finding_fingerprint`
 computes it for both forms of a finding) — the same
 identity the triage/suppression baselines use, invariant under
 unrelated code motion, run order and scan backend.  Two analyses (cold,
-cache-hydrated, before/after an edit, or loaded back from ``scan --json``
+pool-hydrated, before/after an edit, or loaded back from ``scan --json``
 output) diff to three sets:
 
 * **new** — fingerprints only the second analysis reports,

@@ -40,8 +40,8 @@ def compute_flows_in(session, context_art, region_stmts, stats):
             return True
         if not is_library_sig(program, stmt.method.sig):
             return True
-        # Keys, not the PAG: a cache-hydrated session never builds the
-        # PAG for a region run.
+        # Keys, not the PAG: a session hydrated from substrate bytes
+        # never builds the PAG for a region run.
         return (stmt.method.sig, stmt.target) in visible
 
     for stmt in region_stmts.statements:

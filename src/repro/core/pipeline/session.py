@@ -68,8 +68,9 @@ class SharedArtifacts:
     All lazily-filled caches hold values that are pure functions of the
     program + substrate, so concurrent fills are benign (idempotent).
 
-    ``callgraph`` lets the artifact cache supply a prebuilt call graph
-    (hydrated from a snapshot) instead of running a builder.
+    ``callgraph`` lets a caller supply a prebuilt call graph (the
+    substrate codec hydrating one from a snapshot) instead of running a
+    builder.
     """
 
     def __init__(self, program, config, callgraph=None):
@@ -94,7 +95,8 @@ class SharedArtifacts:
         self._thread_sites = None
         self._thread_subclasses = None
         self._size_counts = None
-        #: region-inference catalog (repro.core.infer), built on demand
+        #: region-inference catalog (repro.core.infer), built on demand;
+        #: never part of a snapshot
         self._infer_catalog = None
 
     def visible_values(self):
@@ -149,31 +151,18 @@ class AnalysisSession:
     shared:
         Optional :class:`SharedArtifacts` to reuse (must have been built
         under a config with the same substrate key); used by
-        :meth:`fork` and the sweep harness.
+        :meth:`fork`, the sweep harness and the daemon's session pool,
+        which hydrates it from the substrate bytes it keeps
+        (:func:`repro.core.cache.serialize.load_shared`).
     reuse_artifacts:
         When ``False``, the per-method/per-statement/per-region caches
         are bypassed and every region pays full rebuild cost — the
         seed's behaviour, kept as a baseline for the reuse benchmarks.
-    cache:
-        Optional :class:`~repro.core.cache.store.ArtifactCache`.  On
-        construction the session tries to hydrate its shared artifacts
-        from the cache (skipping the whole warm-up on a hit);
-        :meth:`persist` writes them back.  Cache hit/miss/save/eviction
-        counters fold into :attr:`stats`.
     """
 
-    def __init__(
-        self, program, config=None, shared=None, reuse_artifacts=True, cache=None
-    ):
+    def __init__(self, program, config=None, shared=None, reuse_artifacts=True):
         self.program = program
         self.config = config or DetectorConfig()
-        self.cache = cache
-        #: True when the shared artifacts came from the persistent cache
-        #: (so re-persisting them after a run would be redundant).
-        self.hydrated_from_cache = False
-        if shared is None and cache is not None:
-            shared = cache.load(program, self.config)
-            self.hydrated_from_cache = shared is not None
         if shared is not None:
             if shared.substrate_key != self.config.substrate_key():
                 raise AnalysisError(
@@ -216,7 +205,6 @@ class AnalysisSession:
             config,
             shared=shared,
             reuse_artifacts=self.reuse_artifacts,
-            cache=self.cache,
         )
 
     def infer_catalog(self):
@@ -281,8 +269,9 @@ class AnalysisSession:
         return self.shared.thread_subclasses()
 
     def warm(self):
-        """Precompute the shared lazy artifacts before :meth:`persist`
-        snapshots them for the artifact cache, so a session hydrated
+        """Precompute the shared lazy artifacts (the whole-program solve,
+        size counts, library visibility and thread summaries), so a
+        snapshot taken afterwards carries them and a session hydrated
         from it never repeats the heavy one-time work."""
         self.points_to.andersen  # force the whole-program solve
         self.shared.size_counts()
@@ -292,26 +281,6 @@ class AnalysisSession:
             self.shared.thread_sites()
             self.shared.thread_subclasses()
         return self
-
-    def persist(self):
-        """Warm the shared artifacts and write them to the session's
-        cache; returns the entry path, or ``None`` without a cache."""
-        if self.cache is None:
-            return None
-        self.warm()
-        return self.cache.save(self.program, self.config, self.shared)
-
-    def cache_counters(self):
-        """The artifact-cache hit/miss/save/eviction counters observed
-        by this session's cache (all zero without one)."""
-        if self.cache is None:
-            return {
-                "artifact_cache_hits": 0,
-                "artifact_cache_misses": 0,
-                "artifact_cache_saves": 0,
-                "artifact_cache_evictions": 0,
-            }
-        return dict(self.cache.stats)
 
     # -- the staged pipeline -------------------------------------------------
 

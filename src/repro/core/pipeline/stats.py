@@ -37,12 +37,6 @@ BASE_COUNTERS = (
     "flow_pairs_matched",
     "flow_pairs_unmatched",
     "region_cache_hits",
-    # persistent artifact cache traffic (session/scan-level bookkeeping,
-    # folded in by AnalysisSession.cache_counters / ScanResult)
-    "artifact_cache_hits",
-    "artifact_cache_misses",
-    "artifact_cache_saves",
-    "artifact_cache_evictions",
 )
 
 #: Region-inference work counters (scan-level bookkeeping, folded into

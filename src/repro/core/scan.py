@@ -14,10 +14,9 @@ built once and shared by every region; region inference reuses the same
 cached call graph, so it adds one CFG sweep on top of a warm session.
 A scan runs in the calling process; spreading programs over worker
 processes is the daemon's job (``POST /analyze-batch`` behind ``repro
-serve --workers N``).  With ``cache=`` (an :class:`~repro.core.cache.store.
-ArtifactCache`) the session hydrates its program-level artifacts from
-disk when a prior run left them there, and persists them after the
-scan — repeated scans of the same program skip the warm-up entirely.
+serve --workers N``), and so is keeping a program's substrate warm
+between requests (:mod:`repro.server.pool`): a caller that holds a
+session brings it with ``session=``.
 
 Scan results carry a deterministic severity triage of every finding
 (:mod:`repro.core.infer.triage`), the input of suppression-baseline
@@ -33,18 +32,9 @@ from repro.core.regions import candidate_loops, region_text
 class ScanResult:
     """Aggregated reports from scanning multiple regions."""
 
-    def __init__(
-        self,
-        entries,
-        cache_counters=None,
-        infer_counters=None,
-        infer_seconds=0.0,
-    ):
+    def __init__(self, entries, infer_counters=None, infer_seconds=0.0):
         #: list of (Region, LeakReport), in scan order
         self.entries = entries
-        #: artifact-cache traffic observed by the scan's session
-        #: (hits/misses/saves/evictions), all zero without a cache
-        self.cache_counters = dict(cache_counters or {})
         #: region-inference work counters (``auto_regions`` scans only)
         self.infer_counters = dict(infer_counters or {})
         #: wall-clock seconds spent on region inference
@@ -73,16 +63,13 @@ class ScanResult:
     def aggregate_stats(self):
         """One :class:`PipelineStats` folding every region's stage
         timings and counters together — the scan-level profile.
-        Artifact-cache traffic and region-inference work (session/scan
-        level observations, not per-region ones) are merged on top."""
+        Region-inference work (a scan-level observation, not a
+        per-region one) is merged on top."""
         total = None
         for _spec, report in self.entries:
             stats = stats_from_report(report.stats)
             total = stats if total is None else total.merge(stats)
         total = total or PipelineStats()
-        for name, value in self.cache_counters.items():
-            if value:
-                total.count(name, value)
         for name, value in self.infer_counters.items():
             if value:
                 total.count(name, value)
@@ -139,8 +126,9 @@ class ScanResult:
 
         ``canonical=True`` zeroes timings and drops run-dependent cache
         counters (:mod:`repro.core.canonical`) so equivalent runs —
-        serial, on a fleet worker, cache-hydrated — produce byte-identical text;
-        the golden regression corpus stores this form.
+        serial, on a fleet worker, on a substrate the session pool
+        hydrated — produce byte-identical text; the golden regression
+        corpus stores this form.
         """
         import json
 
@@ -165,7 +153,6 @@ def scan_all_loops(
     ranked=False,
     limit=None,
     session=None,
-    cache=None,
     specs=None,
     auto_regions=False,
     top=None,
@@ -188,13 +175,11 @@ def scan_all_loops(
     A program with no candidate regions yields an empty
     :class:`ScanResult` (zero regions, zero findings) rather than an
     error.  ``session`` lets callers bring their own warmed
-    :class:`AnalysisSession`; ``cache`` hydrates/persists the
-    program-level artifacts through a persistent
-    :class:`~repro.core.cache.store.ArtifactCache`; ``deadline`` (a
+    :class:`AnalysisSession`; ``deadline`` (a
     :class:`repro.pta.queries.Deadline`) bounds the scan's demand-driven
     query work — past it, queries degrade to the Andersen fallback.
     """
-    session = session or AnalysisSession(program, config, cache=cache)
+    session = session or AnalysisSession(program, config)
     infer_counters = {}
     infer_seconds = 0.0
     if specs is not None:
@@ -213,12 +198,7 @@ def scan_all_loops(
         specs = specs[:limit]
     with session.points_to.deadline_scope(deadline):
         entries = [(spec, session.check(spec)) for spec in specs]
-    if session.cache is not None and not session.hydrated_from_cache:
-        session.persist()
     return ScanResult(
-        entries,
-        cache_counters=session.cache_counters(),
-        infer_counters=infer_counters,
-        infer_seconds=infer_seconds,
+        entries, infer_counters=infer_counters, infer_seconds=infer_seconds
     )
 

@@ -71,10 +71,9 @@ class RegionCheckError(AnalysisError):
 
 
 class CacheError(ReproError):
-    """Raised when the persistent artifact cache cannot serve a request
-    it was explicitly asked to serve (e.g. an unwritable cache root).
-    Silent degradation paths — corrupt or version-mismatched entries —
-    do not raise; they fall back to recomputation."""
+    """Raised when substrate bytes cannot serve a program: the snapshot
+    was written under another schema, another substrate configuration
+    or for another program (:func:`repro.core.cache.hydrate_shared`)."""
 
 
 class BudgetExhausted(AnalysisError):

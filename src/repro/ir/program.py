@@ -25,7 +25,14 @@ class Method:
     methods implicitly bind ``this``; static methods do not.
     """
 
-    __slots__ = ("name", "params", "body", "declaring_class", "is_static")
+    __slots__ = (
+        "name",
+        "params",
+        "body",
+        "declaring_class",
+        "is_static",
+        "_loops_by_label",
+    )
 
     def __init__(self, name, params, body, declaring_class, is_static=False):
         self.name = name
@@ -33,6 +40,8 @@ class Method:
         self.body = body if body is not None else Block()
         self.declaring_class = declaring_class
         self.is_static = is_static
+        #: (body, label -> first loop of that label), built by find_loop
+        self._loops_by_label = (None, {})
 
     @property
     def sig(self):
@@ -47,10 +56,26 @@ class Method:
         return [s for s in self.statements() if isinstance(s, LoopStmt)]
 
     def find_loop(self, label):
-        for loop in self.loops():
-            if loop.label == label:
-                return loop
-        raise ResolutionError("no loop %r in method %s" % (label, self.sig))
+        """The first loop labelled ``label``, in pre-order.
+
+        Looked up in a label -> loop map built by one walk of the body,
+        so resolving every loop of a method costs one walk, not one per
+        loop.  The map is rebuilt when the body is replaced or lacks the
+        label; the optimizer rewrites statements inside a body but keeps
+        every loop, so a map built before it ran stays correct.
+        """
+        body, loops = self._loops_by_label
+        if body is not self.body or label not in loops:
+            loops = {}
+            for loop in self.loops():
+                loops.setdefault(loop.label, loop)
+            self._loops_by_label = (self.body, loops)
+        try:
+            return loops[label]
+        except KeyError:
+            raise ResolutionError(
+                "no loop %r in method %s" % (label, self.sig)
+            ) from None
 
     def __repr__(self):
         return "Method(%s)" % self.sig

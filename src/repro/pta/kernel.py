@@ -23,8 +23,8 @@ budget is exhausted.  Instead of dicts of Python sets keyed by rich
   the static edge set;
 * **Flat serialization** — the solved bitsets serialize as one byte
   blob plus an offset table (:func:`snapshot_flat`), part of the
-  substrate bytes that the artifact cache stores and the daemon's
-  session pool keeps (:mod:`repro.core.cache.serialize`); masks stay
+  substrate bytes the daemon's session pool keeps
+  (:mod:`repro.core.cache.serialize`); masks stay
   undecoded until a query needs them, so hydrating a result costs
   milliseconds.
 

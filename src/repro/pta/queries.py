@@ -146,10 +146,10 @@ class PointsTo:
     def pag(self):
         """The pointer-assignment graph, built on first use.
 
-        Laziness matters for the persistent artifact cache: a session
-        hydrated from serialized artifacts (call graph, Andersen result,
-        library summaries) answers every query without ever paying the
-        PAG construction cost.
+        Laziness matters for the session pool's substrate bytes: a
+        session hydrated from them (call graph, Andersen result, library
+        summaries) answers every query without ever paying the PAG
+        construction cost.
         """
         if self._pag is None:
             with self._solve_lock:

@@ -141,15 +141,12 @@ class AnalysisServer:
         jobs=1,
         max_queue=8,
         deadline_ms=None,
-        cache=None,
         max_sessions=8,
         workers=0,
         worker_hosts=None,
         max_body=DEFAULT_MAX_BODY,
     ):
-        self.pool = SessionPool(
-            config=config, cache=cache, max_sessions=max_sessions
-        )
+        self.pool = SessionPool(config=config, max_sessions=max_sessions)
         self.admission = AdmissionControl(jobs=jobs, max_queue=max_queue)
         self.metrics = ServerMetrics()
         self.default_deadline_ms = deadline_ms
@@ -882,7 +879,6 @@ def create_server(
     jobs=1,
     max_queue=8,
     deadline_ms=None,
-    cache=None,
     max_sessions=8,
     workers=0,
     worker_hosts=None,
@@ -905,7 +901,6 @@ def create_server(
         jobs=jobs,
         max_queue=max_queue,
         deadline_ms=deadline_ms,
-        cache=cache,
         max_sessions=max_sessions,
         workers=workers,
         worker_hosts=worker_hosts,

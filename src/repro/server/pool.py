@@ -11,9 +11,11 @@ key, two warm forms and nothing else (:class:`PoolEntry`):
   texts it covers, matched verbatim, is answered from it without
   parsing and without building a session;
 * the program's substrate — call graph plus solved points-to — as the
-  bytes the artifact cache writes (:func:`~repro.core.cache.serialize.
+  bytes of the substrate codec (:func:`~repro.core.cache.serialize.
   dump_shared`).  Any other request for a known text parses it and
-  checks its regions on a session hydrated from them.
+  checks its regions on a session hydrated from them.  This is the one
+  stored form of a solved program: nothing is written to disk, and a
+  restarted daemon starts with an empty pool.
 
 No live session and no parsed program is kept: hydrating a session
 costs milliseconds, while holding one per program costs about three
@@ -35,9 +37,6 @@ Policy decisions, deliberately boring:
 * a per-entry lock serializes same-text requests (two concurrent cold
   scans of the same program would just waste CPU); distinct texts
   proceed in parallel under the admission layer's ``jobs`` cap.
-
-An optional :class:`~repro.core.cache.store.ArtifactCache` additionally
-persists the substrate of a cold request across daemon restarts.
 """
 
 import hashlib
@@ -106,13 +105,12 @@ class PoolEntry:
 class SessionPool:
     """Text-keyed warm analysis state; thread-safe; LRU-bounded."""
 
-    def __init__(self, config=None, cache=None, max_sessions=8):
+    def __init__(self, config=None, max_sessions=8):
         if max_sessions < 1:
             raise ValueError(
                 "max_sessions must be >= 1 (got %d)" % max_sessions
             )
         self.config = config or DetectorConfig()
-        self.cache = cache
         self.max_sessions = max_sessions
         self._lock = threading.Lock()
         self._entries = OrderedDict()
@@ -165,10 +163,10 @@ class SessionPool:
 
     def _scan(self, entry, program, specs, deadline):
         """Check ``specs`` on a session over the entry's substrate —
-        built cold (through the artifact cache) and stored when the
-        entry has none — and store the scan if it is full and exact."""
+        built cold and stored when the entry has none — and store the
+        scan if it is full and exact."""
         if entry.substrate is None:
-            session = AnalysisSession(program, self.config, cache=self.cache)
+            session = AnalysisSession(program, self.config)
         else:
             shared = load_shared(
                 program, self.config, entry.substrate, entry.digest
@@ -258,8 +256,7 @@ class SessionPool:
 def _stored_answer(stored, regions):
     """The answer to the region texts ``regions`` (``None``: all) from a
     stored full scan, or ``None`` when there is none or it misses one of
-    them.  A new :class:`ScanResult` over the stored reports, with no
-    cache counters: serving it touched no cache."""
+    them.  A new :class:`ScanResult` over the stored reports."""
     if stored is None:
         return None
     if regions is None:

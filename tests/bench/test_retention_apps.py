@@ -9,23 +9,22 @@ Three layers:
   an empty expectation), and the leaky variants score perfect
   precision/recall against their region-level ground truth;
 * **output identity** — each leaky app's canonical scan JSON is
-  byte-identical across serial and fanned-out scans and cold/warm
-  artifact cache (the golden corpus stores one file per app, so every
-  execution mode must reproduce it).
+  byte-identical across serial and fanned-out scans and on a session
+  hydrated from the session pool's substrate bytes (the golden corpus
+  stores one file per app, so every execution mode must reproduce it).
 """
-
-import shutil
-import tempfile
 
 import pytest
 
 from repro.bench.apps import build_retention, retention_names
 from repro.bench.metrics import precision_recall, run_app
 from repro.core.api import Analyzer
+from repro.core.pipeline.session import AnalysisSession
 from repro.core.regions import region_text
 from repro.core.report import HEAP_LEAK, RESOURCE_LEAK
 from repro.core.scan import scan_all_loops
-from tests.conftest import report_pairs
+from repro.lang import parse_program
+from tests.conftest import pooled_session, report_pairs
 
 #: app -> (expected leaking site, expected finding kind, expected ERA)
 _EXPECTED = {
@@ -131,8 +130,8 @@ class TestRegionTruth:
 
 class TestExecutionModeIdentity:
     """Canonical scan output is byte-identical between serial and
-    fanned-out scans and across cache temperature for every retention
-    app."""
+    fanned-out scans and across substrate temperature for every
+    retention app."""
 
     @pytest.mark.parametrize("name", retention_names())
     def test_parallel_matches_serial(self, name, process_fleet):
@@ -152,19 +151,13 @@ class TestExecutionModeIdentity:
 
     @pytest.mark.parametrize("name", retention_names())
     def test_cold_and_warm_cache_match(self, name):
-        from repro.core.cache.store import ArtifactCache
-
+        # The session pool's path: the cold scan's substrate as bytes,
+        # hydrated for a fresh parse of the same text.
         app = build_retention(name, variant="leaky")
-        serial = scan_all_loops(app.program, app.config).to_json(canonical=True)
-        root = tempfile.mkdtemp(prefix="repro-retention-cache-")
-        try:
-            cold = scan_all_loops(
-                app.program, app.config, cache=ArtifactCache(root)
-            ).to_json(canonical=True)
-            warm = scan_all_loops(
-                app.program, app.config, cache=ArtifactCache(root)
-            ).to_json(canonical=True)
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-        assert cold == serial
-        assert warm == serial
+        cold_session = AnalysisSession(app.program, app.config)
+        cold = scan_all_loops(app.program, session=cold_session)
+        program = parse_program(app.source)
+        warm = scan_all_loops(
+            program, session=pooled_session(cold_session, program)
+        )
+        assert warm.to_json(canonical=True) == cold.to_json(canonical=True)

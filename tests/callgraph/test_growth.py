@@ -10,6 +10,10 @@ on a prebuilt PAG, library visibility on the same PAG,
 substrate (so only the region checks run), and
 ``ScanResult.to_json(canonical=True)`` on the finished scans.  The tiles
 are disjoint, so the work a linear layer does doubles with each step.
+One more gate grows a single method instead: ``scan_all_loops`` over
+150, 300 and 600 sequential loops of one ``Main.main``
+(:func:`tests.conftest.sequential_source`), where resolving each loop
+region by walking the whole method made the scan quadratic.
 Each size is timed as the median of five runs with the collector off,
 the sizes interleaved so a slow spell of a shared machine hits all of
 them alike.  The slope of log(time) against log(size) must stay at or
@@ -35,7 +39,10 @@ from repro.lang import parse_program
 from repro.pta.kernel import solve_flat
 from repro.pta.pag import PAG
 
+from tests.conftest import sequential_source
+
 FACTORS = (10, 20, 40)
+LOOP_COUNTS = (150, 300, 600)
 RUNS = 5
 MAX_SLOPE = 1.3
 
@@ -101,12 +108,12 @@ def _log_log_slope(xs, ys):
     )
 
 
-def _assert_slope(build, apps):
+def _assert_slope(build, apps, sizes=FACTORS):
     seconds = _median_seconds(build, apps)
-    slope = _log_log_slope(FACTORS, seconds)
+    slope = _log_log_slope(sizes, seconds)
     assert slope <= MAX_SLOPE, "slope %.2f over x%s: %s ms" % (
         slope,
-        "/x".join(map(str, FACTORS)),
+        "/x".join(map(str, sizes)),
         " / ".join("%.1f" % (s * 1000) for s in seconds),
     )
 
@@ -139,3 +146,10 @@ def test_regions_slope(substrates):
 def test_canonical_slope(substrates):
     scans = [_scan_regions(substrate) for substrate in substrates]
     _assert_slope(lambda scan: scan.to_json(canonical=True), scans)
+
+
+def test_loops_slope():
+    programs = [
+        parse_program(sequential_source(loops=n)) for n in LOOP_COUNTS
+    ]
+    _assert_slope(scan_all_loops, programs, sizes=LOOP_COUNTS)

@@ -228,6 +228,22 @@ def report_pairs(result):
     )
 
 
+def pooled_session(session, program):
+    """A session over ``program`` on ``session``'s substrate, carried the
+    way the daemon's session pool carries it (``SessionPool._scan``): as
+    :func:`~repro.core.cache.serialize.dump_shared` bytes, decoded by
+    :func:`~repro.core.cache.serialize.load_shared` for ``program`` — a
+    fresh parse of the same text."""
+    from repro.core.cache.digest import program_digest
+    from repro.core.cache.serialize import dump_shared, load_shared
+    from repro.core.pipeline.session import AnalysisSession
+
+    digest = program_digest(session.program)
+    substrate = dump_shared(session.shared, digest)
+    shared = load_shared(program, session.config, substrate, digest)
+    return AnalysisSession(program, session.config, shared=shared)
+
+
 @pytest.fixture(scope="module")
 def process_fleet():
     """``process_fleet(source, regions=None, config=None)``: ``source``

@@ -1,24 +1,25 @@
-"""Tests for the persistent artifact cache (src/repro/core/cache/)."""
-
-import os
-import pickle
+"""Tests for the substrate codec (src/repro/core/cache/): program
+digests, the snapshot round trip and its mismatch checks, and every
+corpus app through the session pool's path (dump, load, check)."""
 
 import pytest
 
+from repro.bench.apps import build_app, corpus_names
 from repro.core.cache import (
     CACHE_SCHEMA_VERSION,
-    ArtifactCache,
-    cache_key,
     hydrate_shared,
     program_digest,
     snapshot_shared,
 )
+from repro.core.cache.serialize import dump_shared, load_shared
 from repro.core.detector import DetectorConfig
 from repro.core.pipeline.session import AnalysisSession
-from repro.core.regions import RegionSpec
+from repro.core.regions import RegionSpec, candidate_loops
 from repro.core.scan import scan_all_loops
 from repro.errors import CacheError
 from repro.lang import parse_program
+
+from tests.conftest import pooled_session
 
 _SOURCE = """
 entry Main.main;
@@ -50,23 +51,20 @@ class TestDigest:
         other = parse_program(_SOURCE.replace("@item", "@thing"))
         assert program_digest(_program()) != program_digest(other)
 
-    def test_key_covers_substrate_config(self):
-        prog = _program()
-        a = cache_key(prog, DetectorConfig())
-        b = cache_key(prog, DetectorConfig(demand_driven=True))
-        assert a != b
-
     def test_key_ignores_region_level_knobs(self):
-        prog = _program()
-        a = cache_key(prog, DetectorConfig(pivot=False))
-        b = cache_key(prog, DetectorConfig(pivot=True, context_depth=5))
-        assert a == b
-
-    def test_key_covers_schema_version(self):
-        prog = _program()
-        config = DetectorConfig()
-        assert cache_key(prog, config) != cache_key(
-            prog, config, schema_version=CACHE_SCHEMA_VERSION + 1
+        # Region-level knobs are not part of the substrate key, so bytes
+        # dumped under one config serve a config that differs only there.
+        plain = DetectorConfig(pivot=False)
+        tuned = DetectorConfig(pivot=True, context_depth=5)
+        assert plain.substrate_key() == tuned.substrate_key()
+        data = dump_shared(AnalysisSession(_program(), plain).warm().shared)
+        program = _program()
+        shared = load_shared(program, tuned, data)
+        hydrated = AnalysisSession(program, tuned, shared=shared)
+        assert hydrated.check(REGION).to_json(canonical=True) == (
+            AnalysisSession(_program(), tuned).check(REGION).to_json(
+                canonical=True
+            )
         )
 
 
@@ -74,41 +72,36 @@ class TestSnapshotRoundTrip:
     def test_hydrated_session_reports_identically(self):
         config = DetectorConfig()
         warm = AnalysisSession(_program(), config).warm()
-        snapshot = snapshot_shared(warm.shared)
-        # Simulate the disk boundary.
-        snapshot = pickle.loads(pickle.dumps(snapshot))
+        data = dump_shared(warm.shared)
         fresh_program = _program()
-        shared = hydrate_shared(fresh_program, config, snapshot)
+        shared = load_shared(fresh_program, config, data)
         hydrated = AnalysisSession(fresh_program, config, shared=shared)
         assert hydrated.check(REGION).to_json(canonical=True) == warm.check(
             REGION
         ).to_json(canonical=True)
 
     def test_infer_catalog_round_trips(self):
+        # The catalog is not stored with the substrate; a session hydrated
+        # from the bytes re-infers it: same candidates, scores, counters.
         config = DetectorConfig()
-        warm = AnalysisSession(_program(), config)
-        computed = warm.infer_catalog()
-        snapshot = pickle.loads(pickle.dumps(snapshot_shared(warm.shared)))
-        fresh_program = _program()
-        shared = hydrate_shared(fresh_program, config, snapshot)
-        hydrated = AnalysisSession(fresh_program, config, shared=shared)
-        # The catalog hydrates instead of recomputing: same candidates,
-        # same scores/features/counters, zero inference time this run.
-        assert shared._infer_catalog is not None
-        catalog = hydrated.infer_catalog()
-        assert catalog.seconds == 0.0
+        cold = AnalysisSession(_program(), config)
+        computed = cold.infer_catalog()
+        catalog = pooled_session(cold, _program()).infer_catalog()
         assert [c.as_dict() for c in catalog.candidates] == [
             c.as_dict() for c in computed.candidates
         ]
         assert catalog.counters == computed.counters
 
     def test_uncomputed_catalog_stays_lazy(self):
+        # Even after inference, no snapshot carries a catalog, and a
+        # session hydrated from the bytes has none until asked.
         config = DetectorConfig()
-        warm = AnalysisSession(_program(), config).warm()
-        snapshot = snapshot_shared(warm.shared)
-        assert snapshot["infer_catalog"] is None
-        shared = hydrate_shared(_program(), config, snapshot)
-        assert shared._infer_catalog is None
+        cold = AnalysisSession(_program(), config)
+        cold.infer_catalog()
+        snapshot = snapshot_shared(cold.shared)
+        assert "infer_catalog" not in snapshot
+        hydrated = pooled_session(cold, _program())
+        assert hydrated.shared._infer_catalog is None
 
     def test_hydrate_rejects_schema_mismatch(self):
         config = DetectorConfig()
@@ -132,96 +125,20 @@ class TestSnapshotRoundTrip:
             hydrate_shared(other, config, snapshot)
 
 
-class TestStore:
-    def test_miss_then_save_then_hit(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        prog, config = _program(), DetectorConfig()
-        assert cache.load(prog, config) is None
-        cache.save(prog, config, AnalysisSession(prog, config).warm().shared)
-        assert cache.load(_program(), config) is not None
-        assert cache.stats == {
-            "artifact_cache_hits": 1,
-            "artifact_cache_misses": 1,
-            "artifact_cache_saves": 1,
-            "artifact_cache_evictions": 0,
-        }
-
-    def test_corrupt_entry_evicted_not_raised(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        prog, config = _program(), DetectorConfig()
-        cache.save(prog, config, AnalysisSession(prog, config).warm().shared)
-        path = cache.path_for(prog, config)
-        with open(path, "wb") as handle:
-            handle.write(b"not a pickle")
-        assert cache.load(prog, config) is None
-        assert cache.stats["artifact_cache_evictions"] == 1
-        assert not os.path.exists(path)
-        # The next scan recomputes and refills the entry.
-        result = scan_all_loops(prog, config, cache=cache)
-        assert result.cache_counters["artifact_cache_saves"] == 2
-
-    def test_stale_schema_entry_treated_as_miss(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        prog, config = _program(), DetectorConfig()
-        snapshot = snapshot_shared(AnalysisSession(prog, config).warm().shared)
-        snapshot["schema"] = CACHE_SCHEMA_VERSION + 1
-        path = cache.path_for(prog, config)
-        os.makedirs(cache.root, exist_ok=True)
-        with open(path, "wb") as handle:
-            pickle.dump(snapshot, handle)
-        assert cache.load(prog, config) is None
-        assert cache.stats["artifact_cache_evictions"] == 1
-
-    def test_program_change_invalidates(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        config = DetectorConfig()
-        prog = _program()
-        cache.save(prog, config, AnalysisSession(prog, config).warm().shared)
-        edited = parse_program(_SOURCE.replace("@item", "@thing"))
-        assert cache.load(edited, config) is None
-        assert len(cache.entries()) == 1  # old entry untouched, just unused
-
-    def test_clear(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        prog, config = _program(), DetectorConfig()
-        cache.save(prog, config, AnalysisSession(prog, config).warm().shared)
-        assert len(cache.entries()) == 1
-        cache.clear()
-        assert cache.entries() == []
-
-    def test_unwritable_root_raises_cache_error(self, tmp_path):
-        blocked = tmp_path / "blocked"
-        blocked.write_text("a file where the cache dir should go")
-        cache = ArtifactCache(blocked / "sub")
-        prog, config = _program(), DetectorConfig()
-        with pytest.raises(CacheError):
-            cache.save(prog, config, AnalysisSession(prog, config).warm().shared)
-
-
-class TestSessionIntegration:
-    def test_scan_cold_then_warm(self, tmp_path):
-        prog, config = _program(), DetectorConfig()
-        cold = scan_all_loops(prog, config, cache=ArtifactCache(tmp_path))
-        warm = scan_all_loops(_program(), config, cache=ArtifactCache(tmp_path))
-        assert cold.to_json(canonical=True) == warm.to_json(canonical=True)
-        assert cold.cache_counters["artifact_cache_misses"] == 1
-        assert cold.cache_counters["artifact_cache_saves"] == 1
-        assert warm.cache_counters["artifact_cache_hits"] == 1
-        # A hydrated session does not re-persist what it just read.
-        assert warm.cache_counters["artifact_cache_saves"] == 0
-
-    def test_hydrated_flag(self, tmp_path):
-        prog, config = _program(), DetectorConfig()
-        cache = ArtifactCache(tmp_path)
-        first = AnalysisSession(prog, config, cache=cache)
-        assert not first.hydrated_from_cache
-        first.persist()
-        second = AnalysisSession(_program(), config, cache=cache)
-        assert second.hydrated_from_cache
-
-    def test_cache_counters_surface_in_profile(self, tmp_path):
-        prog, config = _program(), DetectorConfig()
-        scan_all_loops(prog, config, cache=ArtifactCache(tmp_path))
-        warm = scan_all_loops(_program(), config, cache=ArtifactCache(tmp_path))
-        profile = warm.aggregate_stats().as_dict()
-        assert profile["counters"]["artifact_cache_hits"] == 1
+@pytest.mark.parametrize("name", corpus_names())
+def test_app_round_trips_through_substrate(name):
+    """Every corpus app, cold and on a fresh parse hydrated from the cold
+    session's substrate bytes, gives one canonical report: a scan of its
+    labelled loops, or a check of its region when it has none."""
+    app = build_app(name)
+    cold_session = AnalysisSession(app.program, app.config)
+    program = parse_program(app.source)
+    if candidate_loops(app.program):
+        cold = scan_all_loops(app.program, session=cold_session)
+        warm = scan_all_loops(
+            program, session=pooled_session(cold_session, program)
+        )
+    else:
+        cold = cold_session.check(app.region)
+        warm = pooled_session(cold_session, program).check(app.region)
+    assert warm.to_json(canonical=True) == cold.to_json(canonical=True)

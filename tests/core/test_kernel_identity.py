@@ -11,24 +11,22 @@ scan can take:
 
 * execution path — serial, and fanned out over the daemon's process
   fleet;
-* artifact cache — cold (compute + save) and warm (hydrate), with the
-  flat snapshot round-tripping through disk;
+* substrate temperature — cold, and warm on a session hydrated from the
+  bytes the daemon's session pool keeps, with the flat snapshot
+  round-tripping through them;
 * every bench-suite app, and the points-to-refined call graph (the CI
   smoke runs this module).
 """
-
-import shutil
-import tempfile
 
 import pytest
 
 from repro.bench.apps import build_app, corpus_names
 from repro.callgraph import otf
-from repro.core.cache.store import ArtifactCache
 from repro.core.detector import DetectorConfig
+from repro.core.pipeline.session import AnalysisSession
 from repro.core.scan import scan_all_loops
 from repro.lang import parse_program
-from tests.conftest import report_pairs
+from tests.conftest import pooled_session, report_pairs
 from repro.pta import queries
 from repro.pta.kernel import solve_flat
 
@@ -93,22 +91,19 @@ class TestBackendIdentity:
 
 
 class TestCacheIdentity:
+    """The session pool's path: a cold scan, its substrate as bytes, and
+    a scan of a fresh parse on a session hydrated from them."""
+
     @pytest.mark.parametrize("kernel", ["flat"])
     def test_cold_and_warm_cache(self, kernel, monkeypatch, reference):
-        root = tempfile.mkdtemp(prefix="repro-kernel-cache-")
-        try:
-            cold, cold_text = _scan_json(
-                kernel, monkeypatch, cache=ArtifactCache(root)
-            )
-            warm, warm_text = _scan_json(
-                kernel, monkeypatch, cache=ArtifactCache(root)
-            )
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
+        cold = AnalysisSession(parse_program(_SOURCE), DetectorConfig())
+        _, cold_text = _scan_json(kernel, monkeypatch, session=cold)
+        warm = pooled_session(cold, parse_program(_SOURCE))
+        # The hydrated session adopted the flat solution: no new solve.
+        assert warm.points_to._andersen is not None
+        _, warm_text = _scan_json(kernel, monkeypatch, session=warm)
         assert cold_text == reference
         assert warm_text == reference
-        assert cold.cache_counters["artifact_cache_saves"] == 1
-        assert warm.cache_counters["artifact_cache_hits"] == 1
 
 
 class TestBenchAppIdentity:

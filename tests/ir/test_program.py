@@ -128,5 +128,20 @@ class TestSites:
         with pytest.raises(ResolutionError):
             method.find_loop("L9")
 
+    def test_loop_lookup_follows_body_rewrites(self, figure1):
+        from repro.ir.optimize import optimize_program
+        from repro.ir.stmts import LoopStmt
+
+        method = figure1.method("Main.main")
+        before = method.find_loop("L1")
+        optimize_program(figure1)
+        assert method.find_loop("L1") is before
+        assert any(s is before for s in method.statements())
+        # A replaced body, and a loop added after the first lookup.
+        method.body = Block([LoopStmt("L1", Block()), LoopStmt("L2", Block())])
+        assert method.find_loop("L1") is method.body.stmts[0]
+        method.body.stmts.append(LoopStmt("L3", Block()))
+        assert method.find_loop("L3") is method.body.stmts[2]
+
     def test_is_library_method(self, figure1):
         assert not figure1.is_library_method(figure1.method("Main.main"))

@@ -5,7 +5,7 @@ this repo's oracle: simple enough to audit by eye.  On every generated program, 
 :class:`~repro.pta.kernel.FlatAndersenResult` must agree with it on the
 entire public result API — ``pts``, ``field_pts``, ``may_alias`` and
 ``heap_points_to_pairs`` — and the agreement must survive a snapshot /
-hydrate round trip (the artifact-cache and shared-memory encoding).
+hydrate round trip (the encoding of the session pool's substrate bytes).
 """
 
 from hypothesis import HealthCheck, given, settings

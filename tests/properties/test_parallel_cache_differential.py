@@ -1,24 +1,20 @@
 """Differential testing of the scan execution paths on random programs.
 
-The persistent artifact cache and the daemon's fleet scan are pure
+The session pool's substrate bytes and the daemon's fleet scan are pure
 plumbing: however the program-level artifacts reach a session — computed
-in place, hydrated from disk, or shipped to a worker process — the
-reports must be byte-identical (canonically: timings zeroed, volatile
-counters dropped; see :mod:`repro.core.canonical`).  These properties
-pit every alternative path against the serial scan on randomly
-generated programs with threads and nested labelled loops, and pin the
-cached path against the Definition-1 ground-truth oracle
-(:func:`repro.semantics.leaks.analyze_trace`) so a cache bug cannot
+in place, hydrated from the bytes the pool keeps, or built by a worker
+process — the reports must be byte-identical (canonically: timings
+zeroed, volatile counters dropped; see :mod:`repro.core.canonical`).
+These properties pit every alternative path against the serial scan on
+randomly generated programs with threads and nested labelled loops, and
+pin the hydrated path against the Definition-1 ground-truth oracle
+(:func:`repro.semantics.leaks.analyze_trace`) so a codec bug cannot
 hide behind a matching-but-wrong pair.
 """
-
-import shutil
-import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.cache.store import ArtifactCache
 from repro.core.detector import DetectorConfig
 from repro.core.pipeline.session import AnalysisSession
 from repro.core.regions import RegionSpec
@@ -27,7 +23,7 @@ from repro.lang import parse_program
 from repro.semantics.interp import RandomSchedule, execute
 from repro.semantics.leaks import analyze_trace
 
-from tests.conftest import report_pairs
+from tests.conftest import pooled_session, report_pairs
 from tests.properties.strategies import rich_loop_programs, store_only_programs
 
 # Example count comes from the hypothesis profile (see conftest.py).
@@ -57,21 +53,14 @@ def _canonical_scan(source, **kwargs):
 @_SETTINGS
 @given(rich_loop_programs())
 def test_cached_scan_matches_serial(source):
-    """Cold (compute+save) and warm (hydrate) cached scans both produce
-    the serial scan's canonical report, and the counters prove the warm
-    run actually hit the cache."""
-    _, serial = _canonical_scan(source)
-    root = tempfile.mkdtemp(prefix="repro-cache-")
-    try:
-        cold, cold_json = _canonical_scan(source, cache=ArtifactCache(root))
-        warm, warm_json = _canonical_scan(source, cache=ArtifactCache(root))
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-    assert cold_json == serial
-    assert warm_json == serial
-    assert cold.cache_counters["artifact_cache_saves"] == 1
-    assert warm.cache_counters["artifact_cache_hits"] == 1
-    assert warm.cache_counters["artifact_cache_saves"] == 0
+    """The pool's two scans of a text — the cold one that built the
+    substrate, and one on a fresh parse hydrated from its bytes — produce
+    the same canonical report."""
+    cold = AnalysisSession(parse_program(source), DetectorConfig())
+    _, cold_json = _canonical_scan(source, session=cold)
+    warm = pooled_session(cold, parse_program(source))
+    _, warm_json = _canonical_scan(source, session=warm)
+    assert warm_json == cold_json
 
 
 @_PROCESS_SETTINGS
@@ -86,26 +75,19 @@ def test_process_parallel_scan_matches_serial(process_fleet, source):
 @_SETTINGS
 @given(store_only_programs(), st.integers(min_value=0, max_value=2**16))
 def test_cached_check_sound_wrt_oracle(source, seed):
-    """The hydrated-from-cache path keeps the soundness guarantee: in a
-    loop without heap reads, every Definition-1 escaping site observed
-    by the concrete interpreter is reported — by the fresh session that
-    filled the cache and by the session hydrated from it."""
+    """The hydrated path keeps the soundness guarantee: in a loop
+    without heap reads, every Definition-1 escaping site observed by the
+    concrete interpreter is reported — by the fresh session that built
+    the substrate and by a session hydrated from its bytes."""
     program = parse_program(source)
     trace = execute(program, schedule=RandomSchedule(seed=seed, max_trips=4))
     truth = analyze_trace(trace, "L")
     config = DetectorConfig(pivot=False)
-    root = tempfile.mkdtemp(prefix="repro-cache-")
-    try:
-        cold_session = AnalysisSession(program, config, cache=ArtifactCache(root))
-        cold_report = cold_session.check(REGION)
-        cold_session.persist()
-        warm_session = AnalysisSession(
-            parse_program(source), config, cache=ArtifactCache(root)
-        )
-        assert warm_session.hydrated_from_cache
-        warm_report = warm_session.check(REGION)
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
+    cold_session = AnalysisSession(program, config)
+    cold_report = cold_session.check(REGION)
+    warm_report = pooled_session(cold_session, parse_program(source)).check(
+        REGION
+    )
     assert warm_report.to_json(canonical=True) == cold_report.to_json(
         canonical=True
     )

@@ -250,68 +250,10 @@ class TestScanAndRank:
             fanned = process_fleet(handle.read())
         assert fanned == _canonical_loop_pairs(serial)
 
-    def test_scan_cache_dir_warm_hit(self, two_loops_file, tmp_path, capsys):
-        import json
-
-        cache_dir = str(tmp_path / "artifacts")
-        args = ["scan", two_loops_file, "--json", "--cache-dir", cache_dir]
-        assert main(args) == 1
-        cold = json.loads(capsys.readouterr().out)
-        assert cold["profile"]["counters"]["artifact_cache_saves"] == 1
-        assert main(args) == 1
-        warm = json.loads(capsys.readouterr().out)
-        assert warm["profile"]["counters"]["artifact_cache_hits"] == 1
-
-    def test_check_cache_dir_warm_hit(self, two_loops_file, tmp_path, capsys):
-        import json
-
-        cache_dir = str(tmp_path / "artifacts")
-        args = [
-            "check",
-            two_loops_file,
-            "--region",
-            "Main.main:LEAKY",
-            "--json",
-            "--cache-dir",
-            cache_dir,
-        ]
-        assert main(args) == 1
-        json.loads(capsys.readouterr().out)
-        assert main(args) == 1
-        warm = json.loads(capsys.readouterr().out)
-        assert warm["stats"]["counters"]["artifact_cache_hits"] == 1
-
-    def test_canonical_json_byte_stable(self, two_loops_file, tmp_path, capsys):
-        cache_dir = str(tmp_path / "artifacts")
+    def test_canonical_json_byte_stable(self, two_loops_file, capsys):
         assert main(["scan", two_loops_file, "--json", "--canonical"]) == 1
         first = capsys.readouterr().out
-        assert (
-            main(
-                [
-                    "scan",
-                    two_loops_file,
-                    "--json",
-                    "--canonical",
-                    "--cache-dir",
-                    cache_dir,
-                ]
-            )
-            == 1
-        )
-        assert capsys.readouterr().out == first
-        assert (
-            main(
-                [
-                    "scan",
-                    two_loops_file,
-                    "--json",
-                    "--canonical",
-                    "--cache-dir",
-                    cache_dir,
-                ]
-            )
-            == 1
-        )
+        assert main(["scan", two_loops_file, "--json", "--canonical"]) == 1
         assert capsys.readouterr().out == first
 
     def test_check_profile_output(self, two_loops_file, capsys):
@@ -836,8 +778,7 @@ class TestUniformFlags:
               loop L (*) { x = new Main @m; }
             } }"""
         )
-        cache = str(tmp_path / "cache")
-        common = ["--json", "--canonical", "--cache-dir", cache]
+        common = ["--json", "--canonical"]
         assert (
             main(["check", str(path), "--region", "Main.main:L"] + common) == 0
         )
@@ -845,6 +786,39 @@ class TestUniformFlags:
         assert main(["regions", str(path)] + common) == 0
         assert main(["diff", str(path), str(path)] + common) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command", ["check", "scan", "regions", "diff", "serve"]
+    )
+    def test_removed_cache_dir_is_a_usage_error(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        from repro.server import app
+
+        def started(**kwargs):
+            raise AssertionError("serve started with %r" % kwargs)
+
+        monkeypatch.setattr(app, "create_server", started)
+        path = tmp_path / "p.wl"
+        path.write_text(
+            """entry Main.main;
+            class Main { static method main() {
+              loop L (*) { x = new Main @m; }
+            } }"""
+        )
+        operands = {
+            "check": [str(path), "--region", "Main.main:L"],
+            "scan": [str(path)],
+            "regions": [str(path)],
+            "diff": [str(path), str(path)],
+            "serve": ["--port", "0"],
+        }[command]
+        cache = str(tmp_path / "cache")
+        with pytest.raises(SystemExit) as excinfo:
+            main([command] + operands + ["--cache-dir", cache])
+        assert excinfo.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
 
 
 class TestPivotCycleCLI:
