@@ -5,7 +5,9 @@ The verifier mirrors what a managed runtime checks before execution:
 * container version and schema shape;
 * instruction operand arity and opcode validity;
 * balanced structured blocks (``if``/``loop`` closed by ``end``, ``else``
-  only inside an ``if``);
+  only inside an ``if``), nested no deeper than the source parser's
+  ``MAX_NESTING``, since loading, validation and the analyses recurse
+  once per level;
 * operand-stack discipline: depth never goes negative, returns to zero at
   every statement boundary (three-address property), and block brackets
   occur only on an empty stack;
@@ -22,6 +24,7 @@ from repro.bytecode import opcodes as op
 from repro.bytecode.assemble import CONTAINER_VERSION
 from repro.errors import IRError
 from repro.ir.validate import cycle_issue, extends_cycles
+from repro.lang.parser import MAX_NESTING
 
 #: stack effect (pop, push) per opcode; invokes computed dynamically
 _EFFECTS = {
@@ -59,10 +62,13 @@ def _verify_code(code, where, known_classes, issues):
                     "%s: block bracket %r on non-empty stack" % (label, kind)
                 )
                 depth = 0
-            if kind == op.IF:
-                blocks.append([op.IF, False])
-            elif kind == op.LOOP:
-                blocks.append([op.LOOP, False])
+            if kind in op.BLOCK_OPENERS:
+                if len(blocks) == MAX_NESTING:
+                    issues.append(
+                        "%s: blocks nested more than %d deep"
+                        % (label, MAX_NESTING)
+                    )
+                blocks.append([kind, False])
             elif kind == op.ELSE:
                 if not blocks or blocks[-1][0] != op.IF:
                     issues.append("%s: else outside an if block" % label)

@@ -38,14 +38,33 @@ def immediate_dominators(cfg):
     return idom
 
 
-def dominates(idom, a, b):
-    """True when block ``a`` dominates block ``b`` under ``idom``."""
-    cur = b
-    while True:
-        if cur.index == a.index:
-            return True
-        parent = idom.get(cur.index)
-        if parent is None or parent.index == cur.index:
-            return cur.index == a.index
-        cur = parent
+def dominator_intervals(cfg):
+    """Map each reachable block's index to its ``(pre, post)`` numbers
+    in one depth-first walk of the dominator tree.
 
+    Block ``a`` dominates block ``b`` exactly when ``a``'s interval
+    holds ``b``'s: ``pre_a <= pre_b`` and ``post_b <= post_a``.  One
+    walk per CFG answers every such query in constant time, where
+    walking up the idom chain costs the depth of the tree per query.
+    The walk keeps its own stack, so a tree as deep as a long method
+    fits.
+    """
+    idom = immediate_dominators(cfg)
+    children = {}
+    for index, parent in idom.items():
+        if parent.index != index:
+            children.setdefault(parent.index, []).append(index)
+    intervals = {}
+    pre = {}
+    clock = 0
+    stack = [cfg.entry.index]
+    while stack:
+        index = stack.pop()
+        if index < 0:  # every child of ~index is numbered
+            intervals[~index] = (pre.pop(~index), clock)
+        else:
+            pre[index] = clock
+            stack.append(~index)
+            stack.extend(children.get(index, ()))
+        clock += 1
+    return intervals

@@ -22,8 +22,10 @@ class BasicBlock:
         #: label of the LoopStmt this block is the header of, if any
         self.loop_header_of = None
         #: the IfStmt/LoopStmt whose condition is evaluated when control
-        #: leaves this block (branch source / loop header), if any.  Flow
-        #: analyses (e.g. definite assignment) read condition uses here.
+        #: leaves this block (branch source / loop header), if any.  Only
+        #: the definite-assignment oracle
+        #: (tests/ir/definite_assignment_oracle.py) reads it now:
+        #: validation checks conditions in its structured walk.
         self.terminator = None
 
     def __repr__(self):
@@ -100,10 +102,12 @@ class CFG:
         """Blocks reachable from the entry, in reverse post-order.
 
         The walk is depth first and takes each block's successors in
-        ``succs`` order; definite assignment and the dominators read
-        the order it gives.  It keeps its own stack of ``(block,
-        successor iterator)`` pairs, so a method of any length fits: a
-        chain of sequential ``if``s or loops is as deep as it is long.
+        ``succs`` order; the dominators read the order it gives, and
+        validation reports def/use issues in it (emulated without a
+        CFG, see :mod:`repro.ir.validate`).  It keeps its own stack of
+        ``(block, successor iterator)`` pairs, so a method of any length
+        fits: a chain of sequential ``if``s or loops is as deep as it is
+        long.
         """
         seen = {self.entry.index}
         order = []

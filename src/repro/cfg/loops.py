@@ -1,14 +1,15 @@
 """Natural-loop detection over CFGs.
 
 Loops are found via back edges (edges whose target dominates their source),
-the standard construction.  For CFGs built from the structured IR, each
+the standard construction; dominance is read from the pre/post numbers of
+one walk of the dominator tree.  For CFGs built from the structured IR, each
 detected natural loop corresponds to one :class:`repro.ir.LoopStmt`, and
 ``find_loops`` carries that label through — the test suite checks this
 correspondence.  Loop detection gives LeakChecker users a catalog of
 candidate loops to select for checking.
 """
 
-from repro.cfg.dominance import dominates, immediate_dominators
+from repro.cfg.dominance import dominator_intervals
 
 
 class NaturalLoop:
@@ -60,14 +61,19 @@ def _natural_loop_blocks(header, latch):
 
 def find_loops(cfg):
     """All natural loops of ``cfg``, merged per header, outermost last."""
-    idom = immediate_dominators(cfg)
-    reachable = {b.index for b in cfg.reachable_blocks()}
+    intervals = dominator_intervals(cfg)  # exactly the reachable blocks
     per_header = {}
     for block in cfg.blocks:
-        if block.index not in reachable:
+        if block.index not in intervals:
             continue
+        pre, post = intervals[block.index]
         for succ in block.succs:
-            if succ.index in reachable and dominates(idom, succ, block):
+            dominator = intervals.get(succ.index)
+            if (
+                dominator is not None
+                and dominator[0] <= pre
+                and post <= dominator[1]
+            ):
                 header, body = per_header.setdefault(succ.index, (succ, {}))
                 body.update(_natural_loop_blocks(succ, block))
     loops = [
@@ -78,16 +84,20 @@ def find_loops(cfg):
 
 
 def loop_nest_depths(loops):
-    """Map loop header index -> nesting depth (1 = outermost)."""
+    """Map loop header index -> nesting depth (1 = outermost).
+
+    A loop's depth is one more than that of the innermost loop holding
+    its header.  Natural loops of distinct headers nest or are disjoint,
+    and an enclosing loop has more blocks, so taking the loops largest
+    first and marking each block with the last loop that holds it finds
+    that innermost loop in one lookup.
+    """
     depths = {}
-    for loop in loops:
-        depth = 1
-        for other in loops:
-            if other is loop:
-                continue
-            if loop.header.index != other.header.index and other.contains_block(
-                loop.header
-            ):
-                depth += 1
+    innermost = {}  # block index -> innermost loop marked so far
+    for loop in sorted(loops, key=lambda lp: lp.depth_key, reverse=True):
+        outer = innermost.get(loop.header.index)
+        depth = 1 if outer is None else depths[outer.header.index] + 1
         depths[loop.header.index] = depth
+        for index in loop.block_indices:
+            innermost[index] = loop
     return depths

@@ -130,7 +130,9 @@ class SharedArtifacts:
         return self._thread_subclasses
 
     def size_counts(self):
-        """(reachable method count, reachable simple-statement count)."""
+        """(reachable method count, reachable simple-statement count):
+        Table 1's Mtds and Stmts, the second summed from the counts
+        ``Program.seal_method`` recorded, without walking a body."""
         if self._size_counts is None:
             with self.lock:
                 if self._size_counts is None:

@@ -150,6 +150,8 @@ def eliminate_dead_copies(method):
     """Remove write-only pure copies (in place); returns removal count.
 
     Iterates: removing one dead copy can render its source write-only.
+    The method's recorded simple-statement count drops by the same
+    number.
     """
     total = 0
     while True:
@@ -157,6 +159,7 @@ def eliminate_dead_copies(method):
         removed = _sweep_block(method.body, used)
         total += removed
         if not removed:
+            method.simple_count -= total
             return total
 
 

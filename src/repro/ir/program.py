@@ -1,7 +1,7 @@
 """Program, class, method and allocation-site models for the IR."""
 
 from repro.errors import IRError, ResolutionError
-from repro.ir.stmts import Block, LoopStmt, NewStmt, walk
+from repro.ir.stmts import COMPOUND_STMTS, Block, LoopStmt, NewStmt, walk
 from repro.ir.types import OBJECT_CLASS
 
 
@@ -31,6 +31,7 @@ class Method:
         "body",
         "declaring_class",
         "is_static",
+        "simple_count",
         "_loops_by_label",
     )
 
@@ -40,6 +41,9 @@ class Method:
         self.body = body if body is not None else Block()
         self.declaring_class = declaring_class
         self.is_static = is_static
+        #: simple statements in the body (Table 1's Stmts), recorded by
+        #: ``Program.seal_method``; the optimizer keeps it current
+        self.simple_count = 0
         #: (body, label -> first loop of that label), built by find_loop
         self._loops_by_label = (None, {})
 
@@ -158,18 +162,24 @@ class Program:
         return decl
 
     def seal_method(self, method):
-        """Assign statement uids and register allocation sites of a method."""
+        """Assign statement uids, register allocation sites and record
+        the simple-statement count of a method."""
+        simple = 0
         for stmt in method.statements():
             if stmt.uid is None:
                 stmt.uid = self._uid_counter
                 self._uid_counter += 1
             stmt.method = method
+            if isinstance(stmt, COMPOUND_STMTS):
+                continue
+            simple += 1
             if isinstance(stmt, NewStmt):
                 if stmt.site in self._sites:
                     raise IRError("duplicate allocation site label %r" % stmt.site)
                 self._sites[stmt.site] = AllocSite(
                     stmt.site, stmt.type, method.sig, stmt
                 )
+        method.simple_count = simple
 
     # -- lookup ------------------------------------------------------------
 
@@ -241,8 +251,9 @@ class Program:
 
     def statement_count(self):
         """Number of straight-line statements — the analog of Table 1's
-        Jimple statement count (Stmts)."""
-        return sum(1 for s in self.all_statements() if s.is_simple)
+        Jimple statement count (Stmts): the sum of the counts recorded
+        when each method was sealed."""
+        return sum(method.simple_count for method in self.all_methods())
 
     def is_library_method(self, method):
         return self.cls(method.declaring_class).is_library

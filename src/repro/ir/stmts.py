@@ -69,7 +69,7 @@ class Stmt:
     @property
     def is_simple(self):
         """True for straight-line statements (no nested blocks)."""
-        return not isinstance(self, (Block, IfStmt, LoopStmt))
+        return not isinstance(self, COMPOUND_STMTS)
 
     def children(self):
         """Nested blocks, for structured traversal."""
@@ -288,6 +288,10 @@ class LoopStmt(Stmt):
 
     def _describe(self):
         return "loop %s" % self.label
+
+
+#: The statements that nest others; every other statement is simple.
+COMPOUND_STMTS = (Block, IfStmt, LoopStmt)
 
 
 def walk(stmt):

@@ -5,16 +5,32 @@ raises :class:`repro.errors.IRError` on the first issue.  Benchmarks and the
 frontend run validation so that analysis failures are caught as malformed
 input rather than deep inside a solver.
 
-Each method body is walked once; the def/use check is a
-definite-assignment analysis over the per-method CFG
-(:mod:`repro.cfg.graph`): a variable use is clean only when every path
-from the entry assigns it first, so an assignment on one branch arm or
-inside a possibly zero-trip loop body does not excuse a use after the
-join.
+Each method body is checked in one structured walk in text order, with
+no CFG.  The walk applies every per-statement rule and threads the set
+of variables definitely assigned so far: a use is clean only when every
+path from the entry assigns the variable first.  An ``if`` joins the
+arms that fall through (the intersection of their sets), so an
+assignment on one arm does not count after it; a loop body starts from
+what reaches its header and leaves that set unchanged, since it may run
+zero times; code after a ``return`` is unreachable and only needs its
+variables assigned somewhere in the method.  A use that misses is
+classified once the walk has seen all of the method's assignments.
+
+Issues keep the order of a forward pass over the method's control-flow
+graph (:mod:`repro.cfg.graph`) in reverse post-order, reachable blocks
+first and then the unreachable ones in block-creation order.  The walk
+numbers its straight-line runs as the graph builder numbers blocks and
+records the run each reachable one is first entered from, which fixes
+that order without the graph: the else-arm comes before a then-arm that
+falls through, a then-arm that does not comes after the rest of its
+subtree, a loop body comes after what follows the loop, and unreachable
+code comes last.  ``tests/ir/definite_assignment_oracle.py`` iterates
+the graph's equations to a fixed point and is the differential oracle.
 """
 
 from repro.errors import IRError, ResolutionError
 from repro.ir.stmts import (
+    Block,
     Cond,
     CopyStmt,
     IfStmt,
@@ -27,113 +43,222 @@ from repro.ir.stmts import (
     StoreNullStmt,
     StoreStmt,
     THIS_VAR,
-    walk,
 )
 
 
-def _stmt_def(stmt):
-    """The variable ``stmt`` assigns, or ``None``."""
-    if isinstance(stmt, (NewStmt, CopyStmt, NullStmt, LoadStmt)):
-        return stmt.target
-    if isinstance(stmt, InvokeStmt) and stmt.target:
-        return stmt.target
-    return None
+class _MethodWalk:
+    """The structured walk of one method body.
 
+    A *run* is what the CFG builder makes one basic block: straight-line
+    statements, ended by an ``if`` or loop condition, a ``return`` or
+    the end of an arm.  Runs are numbered as the builder numbers blocks
+    (the entry is 0 and the exit 1; an ``if`` makes its then, else and
+    join runs, a loop its header, body and after runs, a ``return`` the
+    run after it).  ``links`` holds ``(parent, run)`` for each reachable
+    run but the entry, where ``parent`` is the run a depth-first walk of
+    the graph first enters it from; a parent's runs come in the order
+    that walk enters them (then before else, a loop body before what
+    follows the loop).
+    """
 
-def _stmt_uses(stmt):
-    """Yield ``(var, role)`` for every variable ``stmt`` reads."""
-    if isinstance(stmt, CopyStmt):
-        yield stmt.source, "source"
-    elif isinstance(stmt, LoadStmt):
-        yield stmt.base, "base"
-    elif isinstance(stmt, StoreStmt):
-        yield stmt.base, "base"
-        yield stmt.source, "source"
-    elif isinstance(stmt, StoreNullStmt):
-        yield stmt.base, "base"
-    elif isinstance(stmt, InvokeStmt):
-        for arg in stmt.args:
-            yield arg, "argument"
-        if not stmt.is_static:
-            yield stmt.base, "receiver"
-    elif isinstance(stmt, ReturnStmt):
-        if stmt.value:
-            yield stmt.value, "return value"
-    elif isinstance(stmt, (IfStmt, LoopStmt)):
-        if stmt.cond.kind != Cond.NONDET:
-            yield stmt.cond.var, "condition variable"
+    __slots__ = (
+        "program",
+        "method",
+        "by_name",
+        "arity",
+        "labels",
+        "defs",
+        "misses",
+        "links",
+        "runs",
+        "stmt_issues",
+        "unsealed",
+        "seen_labels",
+    )
 
+    def __init__(self, program, method, by_name, arity, labels, initial):
+        self.program = program
+        self.method = method
+        self.by_name = by_name
+        self.arity = arity
+        self.labels = labels
+        #: every variable the method assigns, parameters included
+        self.defs = set(initial)
+        #: (run, var, role, stmt) of each use not surely assigned there
+        self.misses = []
+        self.links = []
+        self.runs = 2
+        self.stmt_issues = []
+        self.unsealed = None
+        self.seen_labels = set()
 
-def _check_block(method, block, live, all_defs, issues):
-    """Check the uses in one CFG block against ``live``, the variables
-    surely assigned on entry (``None`` in unreachable code, where any
-    assignment in the method will do); ``live`` grows into the block's
-    OUT set.  The branch/loop condition is evaluated after the block's
-    straight-line statements, when control leaves the block."""
-    known = all_defs if live is None else live  # live <= all_defs
-    stmts = block.stmts
-    if block.terminator is not None:
-        stmts = stmts + [block.terminator]
-    for stmt in stmts:
-        for var, role in _stmt_uses(stmt):
-            if var in known:
-                continue
-            if var not in all_defs:
+    def walk(self, block, live, run, reached):
+        """Walk ``block`` from ``run`` with ``live`` the variables surely
+        assigned on entry (``reached`` false in unreachable code, where
+        ``live`` only collects assignments); ``live`` grows as it goes.
+
+        Returns ``(live, run, reached)`` where control leaves the block.
+        Recurses once per nesting level, as the parser does.
+        """
+        if block.uid is None and self.unsealed is None:
+            self.unsealed = block
+        misses = self.misses
+        defs = self.defs
+        for stmt in block.stmts:
+            if stmt.uid is None and self.unsealed is None:
+                self.unsealed = stmt
+            kind = type(stmt)
+            if kind is CopyStmt:
+                if stmt.source not in live:
+                    misses.append((run, stmt.source, "source", stmt))
+                live.add(stmt.target)
+                defs.add(stmt.target)
+            elif kind is InvokeStmt:
+                for arg in stmt.args:
+                    if arg not in live:
+                        misses.append((run, arg, "argument", stmt))
+                if stmt.base is not None and stmt.base not in live:
+                    misses.append((run, stmt.base, "receiver", stmt))
+                if stmt.target:
+                    live.add(stmt.target)
+                    defs.add(stmt.target)
+                _invoke_issues(
+                    self.program,
+                    self.method,
+                    stmt,
+                    self.by_name,
+                    self.stmt_issues,
+                    self.arity,
+                )
+            elif kind is ReturnStmt:
+                if stmt.value and stmt.value not in live:
+                    misses.append((run, stmt.value, "return value", stmt))
+                run = self.runs
+                self.runs += 1
+                live = set()
+                reached = False
+            elif kind is LoadStmt:
+                if stmt.base not in live:
+                    misses.append((run, stmt.base, "base", stmt))
+                live.add(stmt.target)
+                defs.add(stmt.target)
+            elif kind is NewStmt:
+                live.add(stmt.target)
+                defs.add(stmt.target)
+                if stmt.type.class_name not in self.program.classes:
+                    self.stmt_issues.append(
+                        "%s: allocation of unknown class %s"
+                        % (self.method.sig, stmt.type.class_name)
+                    )
+            elif kind is StoreStmt:
+                if stmt.base not in live:
+                    misses.append((run, stmt.base, "base", stmt))
+                if stmt.source not in live:
+                    misses.append((run, stmt.source, "source", stmt))
+            elif kind is NullStmt:
+                live.add(stmt.target)
+                defs.add(stmt.target)
+            elif kind is StoreNullStmt:
+                if stmt.base not in live:
+                    misses.append((run, stmt.base, "base", stmt))
+            elif kind is IfStmt:
+                live, run, reached = self.branch(stmt, live, run, reached)
+            elif kind is LoopStmt:
+                run = self.loop(stmt, live, run, reached)
+            elif kind is Block:
+                live, run, reached = self.walk(stmt, live, run, reached)
+        return live, run, reached
+
+    def condition(self, stmt, live, run):
+        cond = stmt.cond
+        if cond.kind != Cond.NONDET and cond.var not in live:
+            self.misses.append((run, cond.var, "condition variable", stmt))
+
+    def branch(self, stmt, live, run, reached):
+        """An ``if`` ends ``run`` with its condition; the join takes the
+        assignments common to the arms that fall through."""
+        self.condition(stmt, live, run)
+        then_run = self.runs
+        self.runs += 3
+        if reached:
+            self.links.append((run, then_run))
+        then_live, then_end, then_falls = self.walk(
+            stmt.then_block, set(live), then_run, reached
+        )
+        if reached:
+            self.links.append((run, then_run + 1))
+        else_live, else_end, else_falls = self.walk(
+            stmt.else_block, live, then_run + 1, reached
+        )
+        join = then_run + 2
+        if then_falls:
+            if else_falls:
+                then_live &= else_live
+            self.links.append((then_end, join))
+            return then_live, join, True
+        if else_falls:
+            self.links.append((else_end, join))
+            return else_live, join, True
+        return set(), join, False
+
+    def loop(self, stmt, live, run, reached):
+        """A loop's header checks its condition; the body starts from
+        what reaches the header, and what follows gets the same set.
+        Returns the run after the loop."""
+        if stmt.label in self.seen_labels:
+            self.labels.append(
+                "%s: duplicate loop label %r" % (self.method.sig, stmt.label)
+            )
+        self.seen_labels.add(stmt.label)
+        header = self.runs
+        self.runs += 3
+        if reached:
+            self.links.append((run, header))
+            self.links.append((header, header + 1))
+        self.condition(stmt, live, header)
+        self.walk(stmt.body, set(live), header + 1, reached)
+        if reached:
+            self.links.append((header, header + 2))
+        return header + 2
+
+    def def_use_issues(self):
+        """The misses that are issues: reachable runs in reverse
+        post-order, then unreachable runs by number.
+
+        In the reverse post-order of a depth-first walk, each node comes
+        first in its subtree and its children's subtrees follow in the
+        reverse of the order the walk entered them.  So inserting each
+        run of ``links`` right after its parent, in ``links`` order,
+        builds that order as a linked list.
+        """
+        misses = self.misses
+        if not misses:
+            return []
+        following = {}
+        for parent, child in self.links:
+            following[child] = following.get(parent)
+            following[parent] = child
+        rank = {}
+        run = 0
+        while run is not None:
+            rank[run] = len(rank)
+            run = following.get(run)
+        unreachable = len(rank)
+        misses.sort(key=lambda miss: rank.get(miss[0], unreachable + miss[0]))
+        sig = self.method.sig
+        issues = []
+        for run, var, role, stmt in misses:
+            if var not in self.defs:
                 issues.append(
                     "%s: %s %r used but never defined (stmt %r)"
-                    % (method.sig, role, var, stmt)
+                    % (sig, role, var, stmt)
                 )
-            else:
+            elif run in rank:
                 issues.append(
                     "%s: %s %r may be unassigned on some path (stmt %r)"
-                    % (method.sig, role, var, stmt)
+                    % (sig, role, var, stmt)
                 )
-        target = _stmt_def(stmt)
-        if target and live is not None:
-            live.add(target)
-
-
-def _definite_assignment_issues(method, initial, all_defs):
-    """Definite-assignment (must-reach) def/use check over the CFG.
-
-    A use is clean only when every path from the method entry assigns
-    the variable first: IN[b] is the *intersection* of the predecessors'
-    OUT sets, so an assignment on one arm of a branch, or inside a
-    (possibly zero-trip) loop body, does not count after the join.
-    Branch/loop conditions are checked at the block whose terminator
-    evaluates them.  Statements in unreachable blocks (e.g. after a
-    ``return``) keep the flow-insensitive check: a variable merely has
-    to be assigned *somewhere* in the method.
-
-    One forward pass in reverse post-order suffices.  There every
-    predecessor of a block comes first except a loop's back edge, and
-    the loop header dominates the back edge's source, so everything
-    live at the header is still live there: a loop body only adds to
-    what reaches its header.  Intersecting the OUT sets of the
-    predecessors already visited is therefore the greatest fixed point
-    that iterating from the universe set would reach.
-    """
-    from repro.cfg.graph import build_cfg
-
-    issues = []
-    cfg = build_cfg(method)
-    out_sets = {}
-    for block in cfg.reachable_blocks():
-        if block is cfg.entry:
-            live = set(initial)
-        else:
-            live = None
-            for pred in block.preds:
-                out = out_sets.get(pred.index)
-                if out is None:
-                    continue  # a back edge, or an unreachable block
-                live = set(out) if live is None else live & out
-        _check_block(method, block, live, all_defs, issues)
-        out_sets[block.index] = live
-    for block in cfg.blocks:
-        if block.index not in out_sets:
-            _check_block(method, block, None, all_defs, issues)
-    return issues
+        return issues
 
 
 def _method_issues(program, method, by_name, arity, labels):
@@ -155,35 +280,14 @@ def _method_issues(program, method, by_name, arity, labels):
             )
         initial.add(THIS_VAR)
 
-    all_defs = set(initial)
-    stmt_issues = []
-    unsealed = None
-    seen_labels = set()
-    for stmt in walk(method.body):
-        if stmt.uid is None and unsealed is None:
-            unsealed = stmt
-        target = _stmt_def(stmt)
-        if target:
-            all_defs.add(target)
-        if isinstance(stmt, NewStmt):
-            if stmt.type.class_name not in program.classes:
-                stmt_issues.append(
-                    "%s: allocation of unknown class %s"
-                    % (method.sig, stmt.type.class_name)
-                )
-        elif isinstance(stmt, InvokeStmt):
-            _invoke_issues(program, method, stmt, by_name, stmt_issues, arity)
-        elif isinstance(stmt, LoopStmt):
-            if stmt.label in seen_labels:
-                labels.append(
-                    "%s: duplicate loop label %r" % (method.sig, stmt.label)
-                )
-            seen_labels.add(stmt.label)
-
-    issues.extend(_definite_assignment_issues(method, initial, all_defs))
-    issues.extend(stmt_issues)
-    if unsealed is not None:
-        issues.append("%s: unsealed statement %r" % (method.sig, unsealed))
+    walker = _MethodWalk(program, method, by_name, arity, labels, initial)
+    walker.walk(method.body, set(initial), 0, True)
+    issues.extend(walker.def_use_issues())
+    issues.extend(walker.stmt_issues)
+    if walker.unsealed is not None:
+        issues.append(
+            "%s: unsealed statement %r" % (method.sig, walker.unsealed)
+        )
     return issues
 
 

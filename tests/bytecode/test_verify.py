@@ -166,6 +166,62 @@ class TestLoadFile:
             load(self._write(tmp_path, container))
 
 
+def _nested_loops(depth):
+    """Code of ``depth`` loops ``L0`` ... nested in one another."""
+    return [["loop", "L%d" % i, "*", ""] for i in range(depth)] + [
+        ["end"]
+    ] * depth
+
+
+class TestNestingCap:
+    """Loading, validation and the analyses recurse once per nesting
+    level, so a container nested past the source parser's
+    ``MAX_NESTING`` is invalid bytecode, as such source is a parse
+    error, instead of a ``RecursionError`` deep in the loader."""
+
+    def _load(self, tmp_path, depth):
+        import json
+
+        from repro.bytecode import load
+
+        path = tmp_path / "deep.jbc"
+        path.write_text(json.dumps(_container(_nested_loops(depth))))
+        return load(str(path))
+
+    def test_max_nesting_loads(self, tmp_path):
+        from repro.lang.parser import MAX_NESTING
+
+        program = self._load(tmp_path, MAX_NESTING)
+        assert [loop.label for loop in program.method("A.m").loops()] == [
+            "L%d" % i for i in range(MAX_NESTING)
+        ]
+
+    @pytest.mark.parametrize("depth", [201, 3000])
+    def test_deeper_is_one_typed_issue(self, tmp_path, depth):
+        from repro.lang.parser import MAX_NESTING
+
+        assert depth > MAX_NESTING
+        issue = "A.m[%d]: blocks nested more than %d deep" % (
+            MAX_NESTING,
+            MAX_NESTING,
+        )
+        assert verify_container(_container(_nested_loops(depth))) == [issue]
+        with pytest.raises(IRError) as info:
+            self._load(tmp_path, depth)
+        assert str(info.value) == "invalid bytecode:\n  " + issue
+
+    def test_each_block_opened_past_the_cap_is_named(self):
+        from repro.lang.parser import MAX_NESTING
+
+        code = _nested_loops(MAX_NESTING)
+        inner = [["if", "*", ""], ["end"], ["loop", "X", "*", ""], ["end"]]
+        code[MAX_NESTING:MAX_NESTING] = inner
+        assert verify_container(_container(code)) == [
+            "A.m[%d]: blocks nested more than %d deep" % (index, MAX_NESTING)
+            for index in (MAX_NESTING, MAX_NESTING + 2)
+        ]
+
+
 class TestLoaderRejection:
     """The loader independently rejects what the verifier flags."""
 

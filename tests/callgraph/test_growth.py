@@ -10,10 +10,13 @@ on a prebuilt PAG, library visibility on the same PAG,
 substrate (so only the region checks run), and
 ``ScanResult.to_json(canonical=True)`` on the finished scans.  The tiles
 are disjoint, so the work a linear layer does doubles with each step.
-One more gate grows a single method instead: ``scan_all_loops`` over
+Two more gates grow a single method instead: ``scan_all_loops`` over
 150, 300 and 600 sequential loops of one ``Main.main``
 (:func:`tests.conftest.sequential_source`), where resolving each loop
-region by walking the whole method made the scan quadratic.
+region by walking the whole method made the scan quadratic, and
+``scan_all_loops(auto_regions=True)`` over 300, 600 and 1,200 of them,
+where climbing the idom chain once per back edge and comparing every
+pair of loops made region inference quadratic.
 Each size is timed as the median of five runs with the collector off,
 the sizes interleaved so a slow spell of a shared machine hits all of
 them alike.  The slope of log(time) against log(size) must stay at or
@@ -43,6 +46,7 @@ from tests.conftest import sequential_source
 
 FACTORS = (10, 20, 40)
 LOOP_COUNTS = (150, 300, 600)
+AUTO_LOOP_COUNTS = (300, 600, 1200)
 RUNS = 5
 MAX_SLOPE = 1.3
 
@@ -153,3 +157,14 @@ def test_loops_slope():
         parse_program(sequential_source(loops=n)) for n in LOOP_COUNTS
     ]
     _assert_slope(scan_all_loops, programs, sizes=LOOP_COUNTS)
+
+
+def test_auto_regions_slope():
+    programs = [
+        parse_program(sequential_source(loops=n)) for n in AUTO_LOOP_COUNTS
+    ]
+    _assert_slope(
+        lambda program: scan_all_loops(program, auto_regions=True),
+        programs,
+        sizes=AUTO_LOOP_COUNTS,
+    )

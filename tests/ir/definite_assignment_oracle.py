@@ -1,11 +1,14 @@
 """Fixpoint definite-assignment check: the differential oracle of the
-single-pass one.
+structured walk.
 
 It builds the method's CFG and iterates the must-reach equations to a
 fixed point, starting every block's OUT set at the universe of the
-method's variables.  The production check,
-``repro.ir.validate._definite_assignment_issues``, makes one forward
-pass in reverse post-order instead;
+method's variables, then reports the issues block by block: reachable
+blocks in reverse post-order, then unreachable ones by index.  The
+production check, ``repro.ir.validate`` (``_MethodWalk``), builds no
+CFG: it walks the structured body once in text order, threading the
+definitely-assigned set, and orders its issues by emulating the
+blocks' numbering and the depth-first walk;
 ``tests/properties/test_frontend_differential.py`` checks that both
 report the same issues, in the same order.
 """

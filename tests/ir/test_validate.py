@@ -239,3 +239,80 @@ class TestDefiniteAssignment:
             "class A { field f; method m(p) { this.f = p; return this; } }"
         )
         assert issues == []
+
+    # The issue order is that of a forward pass over the method's CFG in
+    # reverse post-order, then the unreachable blocks by creation order.
+
+    def test_else_arm_issues_before_then_arm_issues(self):
+        issues = _issues(
+            "class A { method m() { if (*) { x = null; a = t; } "
+            "else { b = e; } y = x; } }"
+        )
+        assert issues == [
+            "A.m: source 'e' used but never defined (stmt <CopyStmt uid=6 b = e>)",
+            "A.m: source 't' used but never defined (stmt <CopyStmt uid=4 a = t>)",
+            "A.m: source 'x' may be unassigned on some path "
+            "(stmt <CopyStmt uid=7 y = x>)",
+        ]
+
+    def test_loop_body_issues_after_the_code_that_follows_the_loop(self):
+        issues = _issues(
+            "class A { method m() { loop L (nonnull h) { a = inner; } "
+            "b = after; } }"
+        )
+        assert issues == [
+            "A.m: condition variable 'h' used but never defined "
+            "(stmt <LoopStmt uid=1 loop L>)",
+            "A.m: source 'after' used but never defined "
+            "(stmt <CopyStmt uid=4 b = after>)",
+            "A.m: source 'inner' used but never defined "
+            "(stmt <CopyStmt uid=3 a = inner>)",
+        ]
+
+    def test_returning_then_arm_reported_after_the_rest_of_its_method(self):
+        issues = _issues(
+            "class A { method m() { if (*) { a = t; return; } "
+            "else { b = e; } c = rest; } }"
+        )
+        assert issues == [
+            "A.m: source 'e' used but never defined (stmt <CopyStmt uid=6 b = e>)",
+            "A.m: source 'rest' used but never defined "
+            "(stmt <CopyStmt uid=7 c = rest>)",
+            "A.m: source 't' used but never defined (stmt <CopyStmt uid=3 a = t>)",
+        ]
+
+    def test_code_after_an_if_whose_arms_both_return_is_unreachable(self):
+        # Reachable, 'y = x' would read an 'x' only one arm assigns; as
+        # unreachable code it only needs 'x' assigned somewhere.
+        issues = _issues(
+            "class A { method m() { if (*) { x = null; return; } "
+            "else { return; } y = x; z = dead; } }"
+        )
+        assert issues == [
+            "A.m: source 'dead' used but never defined "
+            "(stmt <CopyStmt uid=8 z = dead>)",
+        ]
+
+    def test_unreachable_code_last_in_block_creation_order(self):
+        # Each 'if' makes its then, else and join blocks before either
+        # arm's, so the outer else and join come before the inner if.
+        issues = _issues(
+            "class A { method m() { return; if (*) { a = t; "
+            "if (*) { b = tt; } else { c = te; } d = tj; } "
+            "else { e = el; } f = join; } }"
+        )
+        assert [issue.split("'")[1] for issue in issues] == [
+            "t", "el", "join", "tt", "te", "tj"
+        ]
+        assert issues[1] == (
+            "A.m: source 'el' used but never defined "
+            "(stmt <CopyStmt uid=12 e = el>)"
+        )
+        issues = _issues(
+            "class A { method m() { if (*) { return; a = t; "
+            "if (*) { b = tt; } else { c = te; } d = tj; } else { } "
+            "f = live; } }"
+        )
+        assert [issue.split("'")[1] for issue in issues] == [
+            "live", "t", "tt", "te", "tj"
+        ]

@@ -395,6 +395,50 @@ class TestCompile:
         assert data["entry"] == "Main.main"
 
 
+class TestDeepBytecode:
+    """A container nested past ``MAX_NESTING`` is invalid bytecode: exit
+    2 with one issue, where it used to end in a ``RecursionError``
+    traceback and exit 1, the findings code."""
+
+    def _write(self, tmp_path, depth):
+        code = [["loop", "L%d" % i, "*", ""] for i in range(depth)]
+        code += [["end"]] * depth
+        container = {
+            "version": 1,
+            "entry": "Main.main",
+            "classes": [
+                {
+                    "name": "Main",
+                    "methods": [{"name": "main", "static": True, "code": code}],
+                }
+            ],
+        }
+        path = tmp_path / "deep.jbc"
+        path.write_text(json.dumps(container))
+        return str(path)
+
+    def test_max_nesting_checks(self, tmp_path, capsys):
+        from repro.lang.parser import MAX_NESTING
+
+        path = self._write(tmp_path, MAX_NESTING)
+        assert main(["check", path, "--region", "Main.main:L0"]) == 0
+        assert "no leaks detected" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("depth", [201, 3000])
+    def test_deeper_exits_2_with_one_issue(self, tmp_path, capsys, depth):
+        from repro.lang.parser import MAX_NESTING
+
+        path = self._write(tmp_path, depth)
+        assert main(["check", path, "--region", "Main.main:L0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: invalid bytecode:\n"
+            "  Main.main[%d]: blocks nested more than %d deep\n"
+            % (MAX_NESTING, MAX_NESTING)
+        )
+
+
 class TestJavalibFlag:
     def test_javalib_prepended(self, tmp_path, capsys):
         path = tmp_path / "uses_lib.wl"
