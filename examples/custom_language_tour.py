@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """A tour of the substrate: build a program with the IR builder, inspect
-its CFG and natural loops, call graphs, and points-to analyses.
+its call graphs, loops and points-to analyses.
 
 LeakChecker sits on top of a complete mini static-analysis framework;
 this example shows each layer individually, which is the starting point
@@ -8,7 +8,7 @@ for building *other* analyses over the same IR.
 """
 
 from repro.callgraph import build_cha, build_rta, program_metrics
-from repro.cfg import build_cfg, find_loops, immediate_dominators
+from repro.core.infer import infer_candidates
 from repro.ir import ProgramBuilder, program_to_text
 from repro.pta import PAG, CFLPointsTo, VarNode, solve
 
@@ -48,19 +48,28 @@ def main():
     print("=== the program, printed back as source ===")
     print(program_to_text(program))
 
-    print("=== CFG + natural loops of Main.main ===")
-    cfg = build_cfg(program.method("Main.main"))
-    idom = immediate_dominators(cfg)
-    loops = find_loops(cfg)
-    print("blocks: %d, loops: %s" % (len(cfg.blocks), [l.label for l in loops]))
-    print("loop header dominated by entry:", idom[loops[0].header.index] is not None)
-    print()
-
     print("=== call graphs ===")
     cha = build_cha(program)
     rta = build_rta(program)
     print("CHA:", program_metrics(cha))
     print("RTA:", program_metrics(rta))
+    print()
+
+    print("=== loops of Main.main, as region inference sees them ===")
+    print("loops:", [loop.label for loop in program.method("Main.main").loops()])
+    (work,) = infer_candidates(program, rta).loops()
+    features = work.features
+    print(
+        "%s:%s: %s, nest depth %d, %d blocks in its natural loop"
+        % (
+            work.spec.method_sig,
+            work.spec.loop_label,
+            features["kind"],
+            features["nest_depth"],
+            features["blocks"],
+        )
+    )
+    assert features["nest_depth"] == 1 and features["blocks"] == 2
     print()
 
     print("=== points-to: whole-program vs demand-driven ===")

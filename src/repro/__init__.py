@@ -30,8 +30,8 @@ Public surface:
 
 * :mod:`repro.lang` — frontend for the Java-like while language;
 * :mod:`repro.ir` — the Jimple-like IR and builders;
-* :mod:`repro.cfg`, :mod:`repro.callgraph`, :mod:`repro.pta` — substrates
-  (CFGs/loops, call graphs, points-to analyses);
+* :mod:`repro.callgraph`, :mod:`repro.pta` — substrates (call graphs,
+  points-to analyses);
 * :mod:`repro.core` — the paper's contribution: ERA, the type and effect
   system, flow matching, and the interprocedural detector;
 * :mod:`repro.semantics` — concrete semantics and ground-truth leaks;

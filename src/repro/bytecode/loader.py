@@ -124,7 +124,7 @@ class _Disassembler:
                 stack.append(_Value(_Value.NULL))
             elif kind == op.NEW:
                 class_name, dims, site = instr.args
-                stack.append(_Value(_Value.NEW, (class_name, int(dims), site)))
+                stack.append(_Value(_Value.NEW, (class_name, dims, site)))
             elif kind == op.GETFIELD:
                 base = as_var(pop("getfield"), "getfield")
                 stack.append(_Value(_Value.CALL, ("getfield", base, instr.args[0])))
@@ -142,7 +142,7 @@ class _Disassembler:
                 return StoreStmt(base, field, as_var(value, "putfield"))
             elif kind == op.INVOKE:
                 name, argc, callsite = instr.args
-                args = [as_var(pop("invoke arg"), "invoke") for _ in range(int(argc))]
+                args = [as_var(pop("invoke arg"), "invoke") for _ in range(argc)]
                 args.reverse()
                 receiver = as_var(pop("invoke receiver"), "invoke")
                 stack.append(
@@ -152,7 +152,7 @@ class _Disassembler:
                 )
             elif kind == op.INVOKESTATIC:
                 cls, name, argc, callsite = instr.args
-                args = [as_var(pop("invoke arg"), "invoke") for _ in range(int(argc))]
+                args = [as_var(pop("invoke arg"), "invoke") for _ in range(argc)]
                 args.reverse()
                 stack.append(
                     _Value(_Value.CALL, ("invoke", None, cls, name, args, callsite))
@@ -247,12 +247,17 @@ def load(path):
 
     The container is verified before it is loaded, and the program it
     loads to is validated as ``parse_program`` validates source, so a
-    malformed file raises :class:`IRError` instead of reaching an
-    analysis.
+    malformed file, one that is not JSON included, raises
+    :class:`IRError` instead of reaching an analysis.
     """
     import json
 
     with open(path) as handle:
-        container = json.load(handle)
+        try:
+            container = json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise IRError(
+                "invalid bytecode:\n  not a JSON document: %s" % exc
+            ) from None
     check_container(container)
     return check(load_program(container))

@@ -46,23 +46,25 @@ ELSE = "else"
 LOOP = "loop"
 END = "end"
 
-#: opcode -> number of operand fields it carries
-ARITY = {
-    NEW: 3,
-    ACONST_NULL: 0,
-    LOAD: 1,
-    STORE: 1,
-    GETFIELD: 1,
-    PUTFIELD: 1,
-    INVOKE: 3,
-    INVOKESTATIC: 4,
-    DROP: 0,
-    RETURN: 0,
-    RETURN_VAL: 0,
-    IF: 2,
-    ELSE: 0,
-    LOOP: 3,
-    END: 0,
+#: opcode -> the type of each operand it carries: a count (``new``'s
+#: array dimensions, an invoke's argument count) is an ``int``, every
+#: other operand a name (``str``)
+OPERANDS = {
+    NEW: (str, int, str),
+    ACONST_NULL: (),
+    LOAD: (str,),
+    STORE: (str,),
+    GETFIELD: (str,),
+    PUTFIELD: (str,),
+    INVOKE: (str, int, str),
+    INVOKESTATIC: (str, str, int, str),
+    DROP: (),
+    RETURN: (),
+    RETURN_VAL: (),
+    IF: (str, str),
+    ELSE: (),
+    LOOP: (str, str, str),
+    END: (),
 }
 
 #: opcodes that open a structured block (closed by END)
@@ -75,12 +77,19 @@ class Instr:
     __slots__ = ("op", "args")
 
     def __init__(self, op, *args):
-        if op not in ARITY:
+        if op not in OPERANDS:
             raise ValueError("unknown opcode %r" % op)
-        if len(args) != ARITY[op]:
+        types = OPERANDS[op]
+        if len(args) != len(types):
             raise ValueError(
-                "opcode %r takes %d operands, got %d" % (op, ARITY[op], len(args))
+                "opcode %r takes %d operands, got %d" % (op, len(types), len(args))
             )
+        for index, (arg, expected) in enumerate(zip(args, types)):
+            if type(arg) is not expected:
+                raise ValueError(
+                    "operand %d of %r is %s, not %s"
+                    % (index, op, type(arg).__name__, expected.__name__)
+                )
         self.op = op
         self.args = tuple(args)
 

@@ -2,8 +2,11 @@
 
 The verifier mirrors what a managed runtime checks before execution:
 
-* container version and schema shape;
-* instruction operand arity and opcode validity;
+* container version and schema shape: every slot of the container, its
+  classes and their methods that is present has the JSON type the
+  assembler writes (a slot may be absent);
+* opcode validity, and the number and types of each instruction's
+  operands;
 * balanced structured blocks (``if``/``loop`` closed by ``end``, ``else``
   only inside an ``if``), nested no deeper than the source parser's
   ``MAX_NESTING``, since loading, validation and the analyses recurse
@@ -44,6 +47,49 @@ _TERMINATORS = frozenset(
     {op.STORE, op.PUTFIELD, op.DROP, op.RETURN, op.RETURN_VAL}
 )
 
+#: The JSON type the assembler writes in each slot of a container, a
+#: class and a method, a list's being ``[item type]``; a slot may be
+#: absent, but a class and a method need a name
+_METHOD_SHAPE = {"name": str, "params": [str], "static": bool, "code": [list]}
+_CLASS_SHAPE = {
+    "name": str,
+    "super": str,
+    "library": bool,
+    "fields": [str],
+    "methods": [_METHOD_SHAPE],
+}
+_CONTAINER_SHAPE = {"version": int, "entry": str, "classes": [_CLASS_SHAPE]}
+
+_JSON_TYPES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
+
+
+def _shape_issues(value, shape, where, issues):
+    """An issue for each part of ``value`` whose JSON type is not the
+    one ``shape`` gives; the other checks rely on those types."""
+    expected = shape if isinstance(shape, type) else type(shape)
+    if type(value) is not expected:
+        issues.append(
+            "%s is %s, not %s"
+            % (where, _JSON_TYPES.get(type(value)), _JSON_TYPES[expected])
+        )
+    elif isinstance(shape, dict):
+        if "name" in shape and "name" not in value:
+            issues.append("%s has no name" % where)
+        for slot, inner in shape.items():
+            if slot in value:
+                _shape_issues(value[slot], inner, "%s.%s" % (where, slot), issues)
+    elif isinstance(shape, list):
+        for index, item in enumerate(value):
+            _shape_issues(item, shape[0], "%s[%d]" % (where, index), issues)
+
 
 def _verify_code(code, where, known_classes, issues):
     depth = 0
@@ -83,11 +129,9 @@ def _verify_code(code, where, known_classes, issues):
                     blocks.pop()
             continue
         if kind == op.INVOKE:
-            argc = _as_int(instr.args[1], label, issues)
-            pops, pushes = argc + 1, 1
+            pops, pushes = instr.args[1] + 1, 1
         elif kind == op.INVOKESTATIC:
-            argc = _as_int(instr.args[2], label, issues)
-            pops, pushes = argc, 1
+            pops, pushes = instr.args[2], 1
         else:
             pops, pushes = _EFFECTS[kind]
         if kind == op.NEW and instr.args[0] not in known_classes:
@@ -110,27 +154,24 @@ def _verify_code(code, where, known_classes, issues):
         issues.append("%s: code ends with stack depth %d" % (where, depth))
 
 
-def _as_int(value, label, issues):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        issues.append("%s: non-integer argument count %r" % (label, value))
-        return 0
-
-
 def verify_container(container):
-    """Return a list of issues found in a bytecode container."""
+    """Return a list of issues found in a bytecode container (any JSON
+    value)."""
     issues = []
+    _shape_issues(container, _CONTAINER_SHAPE, "container", issues)
+    if issues:
+        return issues
     if container.get("version") != CONTAINER_VERSION:
         issues.append(
             "unsupported container version %r" % container.get("version")
         )
         return issues
     classes = container.get("classes", ())
-    known = {c.get("name") for c in classes} | {"Object"}
+    known = {c["name"] for c in classes} | {"Object"}
     superclass_of = {}
+    sigs = set()
     for cls_data in classes:
-        name = cls_data.get("name")
+        name = cls_data["name"]
         if not name:
             issues.append("class without a name")
             continue
@@ -140,18 +181,13 @@ def verify_container(container):
         if superclass and superclass not in known:
             issues.append("class %s extends unknown %s" % (name, superclass))
         for m in cls_data.get("methods", ()):
-            where = "%s.%s" % (name, m.get("name", "?"))
+            where = "%s.%s" % (name, m["name"])
+            sigs.add(where)
             _verify_code(m.get("code", ()), where, known, issues)
     issues.extend(cycle_issue(cycle) for cycle in extends_cycles(superclass_of))
     entry = container.get("entry")
-    if entry:
-        sigs = {
-            "%s.%s" % (c["name"], m["name"])
-            for c in classes
-            for m in c.get("methods", ())
-        }
-        if entry not in sigs:
-            issues.append("entry %s not found in container" % entry)
+    if entry and entry not in sigs:
+        issues.append("entry %s not found in container" % entry)
     return issues
 
 

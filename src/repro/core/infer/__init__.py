@@ -4,8 +4,8 @@ The paper's future-work note asks for automatic identification of
 suspicious loops; this package implements it as two layers:
 
 * **inference** (:mod:`~repro.core.infer.classify`,
-  :mod:`~repro.core.infer.candidates`) — per-method CFGs with dominator
-  trees and natural-loop nests classify every labelled loop (counted
+  :mod:`~repro.core.infer.candidates`) — natural-loop nests read from
+  each method's structured body classify every labelled loop (counted
   vs. unbounded, allocation-bearing directly or via reachable callees,
   entry-point reachability, nest depth, call-graph distance from the
   entry) and score candidate regions, so ``scan --auto-regions`` can

@@ -244,7 +244,8 @@ def infer_candidates(program, callgraph, statements=None):
 
     ``callgraph`` is the (usually cached) call graph of the analysis
     session — inference reuses it instead of building its own, so on a
-    warm session the whole pass costs one CFG sweep.  ``statements``
+    warm session the whole pass costs one walk of each loop-bearing
+    method's structured body.  ``statements``
     optionally supplies a ``sig -> statement tuple`` provider (the
     session's memoized per-method index), skipping the body walks.
     """

@@ -1,10 +1,9 @@
 """Loop classification: static features of every labelled loop.
 
-For each method the classifier builds the basic-block CFG
-(:mod:`repro.cfg.graph`), computes dominators and natural loops
-(:mod:`repro.cfg.dominance`, :mod:`repro.cfg.loops`), and derives per-loop
-features that correlate with "long-running dispatch loop that allocates
-and publishes objects" — the shape real leaks cluster in:
+For each method the classifier reads the natural-loop nest from the
+structured body (:func:`natural_loops`) and derives per-loop features
+that correlate with "long-running dispatch loop that allocates and
+publishes objects" — the shape real leaks cluster in:
 
 * **kind** — ``unbounded`` (nondeterministic condition: the event-loop
   shape) vs. ``guarded`` (a data-dependent ``nonnull``/``null`` test:
@@ -23,9 +22,17 @@ classification is deterministic across runs, hash seeds, and scan
 backends.
 """
 
-from repro.cfg.graph import build_cfg
-from repro.cfg.loops import find_loops, loop_nest_depths
-from repro.ir.stmts import InvokeStmt, LoadStmt, LoopStmt, NewStmt, StoreStmt, walk
+from repro.ir.stmts import (
+    Block,
+    IfStmt,
+    InvokeStmt,
+    LoadStmt,
+    LoopStmt,
+    NewStmt,
+    ReturnStmt,
+    StoreStmt,
+    walk,
+)
 
 #: Loop kinds: a nondeterministic condition can spin forever (the event
 #: loop / worker-dispatch shape); a ``nonnull``/``null`` guard is a
@@ -224,17 +231,75 @@ class ProgramIndex:
         return count
 
 
-def _natural_loop_depths(method):
-    """Map loop label -> (nest depth, block count) from the natural-loop
-    nest of the method's CFG."""
-    cfg = build_cfg(method)
-    loops = find_loops(cfg)
-    depths = loop_nest_depths(loops)
-    out = {}
-    for loop in loops:
-        if loop.label is not None:
-            out[loop.label] = (depths[loop.header.index], len(loop.blocks))
-    return out
+def _falls_through(stmt):
+    """True when control can run past the end of ``stmt``: never past a
+    ``return``, past an ``if`` when either arm can, past a loop always."""
+    kind = type(stmt)
+    if kind is Block:
+        return all(map(_falls_through, stmt.stmts))
+    if kind is IfStmt:
+        return any(map(_falls_through, stmt.children()))
+    return kind is not ReturnStmt
+
+
+def natural_loops(method):
+    """Map loop label -> ``(nest depth, blocks)`` of each natural loop of
+    ``method``: the numbers its basic-block graph gives, read in one
+    backward walk of the structured body (``docs/internals.md``, 2d).
+
+    A loop is natural when the code before it and its body fall through.
+    Its blocks are its header and the body's blocks that reach the
+    body's end; its depth is 1 plus the enclosing natural loops whose
+    body's end the code after it reaches.  ``ends`` counts the innermost
+    open natural loops whose body's end the walk's point reaches (to
+    reach an outer one's is to reach every inner one's).  Recurses once
+    per nesting level, as the parser does.
+    """
+    shapes = {}
+    open_blocks = []  # per open natural loop, outermost first
+
+    def block(ends):
+        """Count one block for each loop whose body's end it reaches."""
+        for i in range(len(open_blocks) - ends, len(open_blocks)):
+            open_blocks[i] += 1
+
+    def sequence(stmts, reached, ends):
+        """Walk ``stmts``, whose start is ``reached`` from the entry and
+        whose end reaches ``ends`` loop ends; returns its start's."""
+        starts = []
+        for stmt in stmts:
+            starts.append(reached)
+            reached = reached and _falls_through(stmt)
+        for stmt, reached in zip(reversed(stmts), reversed(starts)):
+            kind = type(stmt)
+            if kind is Block:
+                ends = sequence(stmt.stmts, reached, ends)
+            elif kind in (IfStmt, LoopStmt, ReturnStmt):
+                block(ends)  # where control continues after it
+                if kind is ReturnStmt:
+                    ends = 0
+                elif kind is IfStmt:
+                    ends = max(
+                        arm(stmt.then_block, reached, ends),
+                        arm(stmt.else_block, reached, ends),
+                    )
+                elif reached and _falls_through(stmt.body):
+                    open_blocks.append(1)  # the header
+                    arm(stmt.body, True, ends + 1)
+                    shapes[stmt.label] = (ends + 1, open_blocks.pop())
+                    block(ends)  # the header, for the loops around it
+                else:
+                    arm(stmt.body, reached, ends)
+                    block(ends)  # the header
+        return ends
+
+    def arm(body, reached, ends):
+        ends = sequence(body.stmts, reached, ends)
+        block(ends)  # its first block
+        return ends
+
+    sequence(method.body.stmts, True, 0)
+    return shapes
 
 
 def classify_loops(program, callgraph, index=None):
@@ -253,7 +318,7 @@ def classify_loops(program, callgraph, index=None):
         loops = index.loop_stmts.get(method.sig, ())
         if not loops:
             continue
-        nest_info = _natural_loop_depths(method)
+        nest_info = natural_loops(method)
         for loop in loops:
             body = list(walk(loop.body))
             calls = [s for s in body if isinstance(s, InvokeStmt)]

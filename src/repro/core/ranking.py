@@ -22,7 +22,7 @@ the detector still checks exactly the region the user picks.
 
 from repro.callgraph.rta import build_rta
 from repro.core.regions import candidate_loops
-from repro.ir.stmts import InvokeStmt, LoadStmt, NewStmt, StoreStmt, walk
+from repro.ir.stmts import InvokeStmt, LoadStmt, LoopStmt, NewStmt, StoreStmt, walk
 
 
 class RankedLoop:
@@ -55,7 +55,7 @@ DEFAULT_WEIGHTS = {
 }
 
 
-def _loop_features(program, callgraph, spec, outer_labels):
+def _loop_features(program, callgraph, spec, nested):
     loop = spec.loop(program)
     body = list(walk(loop.body))
     allocations = sum(1 for s in body if isinstance(s, NewStmt))
@@ -86,21 +86,20 @@ def _loop_features(program, callgraph, spec, outer_labels):
         "stores": stores,
         "loads": loads,
         "calls": len(calls),
-        "outermost": 1 if spec.loop_label not in outer_labels else 0,
+        "outermost": 0 if (spec.method_sig, spec.loop_label) in nested else 1,
         "trips": 0,
     }
 
 
-def _nested_labels(program):
-    """Labels of loops lexically nested inside another loop."""
-    from repro.ir.stmts import LoopStmt
-
+def _nested_loops(program):
+    """``(method sig, label)`` of each loop lexically nested inside
+    another loop: labels name loops within one method only."""
     nested = set()
     for method in program.all_methods():
         for outer in method.loops():
             for stmt in walk(outer.body):
                 if isinstance(stmt, LoopStmt):
-                    nested.add(stmt.label)
+                    nested.add((method.sig, stmt.label))
     return nested
 
 
@@ -108,7 +107,7 @@ def structural_scores(program, callgraph=None, weights=None):
     """Score every labelled loop from static structure alone."""
     callgraph = callgraph or build_rta(program)
     weights = dict(DEFAULT_WEIGHTS, **(weights or {}))
-    nested = _nested_labels(program)
+    nested = _nested_loops(program)
     ranked = []
     for spec in candidate_loops(program):
         features = _loop_features(program, callgraph, spec, nested)

@@ -17,8 +17,9 @@ variables assigned somewhere in the method.  A use that misses is
 classified once the walk has seen all of the method's assignments.
 
 Issues keep the order of a forward pass over the method's control-flow
-graph (:mod:`repro.cfg.graph`) in reverse post-order, reachable blocks
-first and then the unreachable ones in block-creation order.  The walk
+graph (the test oracle ``tests/cfg/graph.py``) in reverse post-order,
+reachable blocks first and then the unreachable ones in block-creation
+order.  The walk
 numbers its straight-line runs as the graph builder numbers blocks and
 records the run each reachable one is first entered from, which fixes
 that order without the graph: the else-arm comes before a then-arm that

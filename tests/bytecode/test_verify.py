@@ -1,11 +1,24 @@
 """Tests for the bytecode verifier and malformed-container rejection."""
 
-import pytest
+import copy
+import json
 
-from repro.bytecode import assemble_program, check_container, verify_container
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from repro.bytecode import (
+    assemble_program,
+    check_container,
+    load,
+    verify_container,
+)
 from repro.bytecode.loader import disassemble_method, load_program
 from repro.bytecode.opcodes import Instr
 from repro.errors import IRError
+from repro.lang import parse_program
+
+from tests.conftest import FIGURE1_SOURCE
 
 
 def _container(code, params=()):
@@ -128,28 +141,88 @@ class TestVerifierProperties:
         assert verify_container(assemble_program(program)) == []
 
 
+def _slot_paths(value, path=()):
+    """The path of ``value`` and of every member and item inside it."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _slot_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _slot_paths(item, path + (index,))
+
+
+def _replaced(container, path, value):
+    """A deep copy of ``container`` with the slot at ``path`` replaced."""
+    if not path:
+        return value
+    container = copy.deepcopy(container)
+    part = container
+    for key in path[:-1]:
+        part = part[key]
+    part[path[-1]] = value
+    return container
+
+
+#: Figure 1 as a container, decoded as ``load`` decodes a file.
+_FIGURE1_CONTAINER = json.loads(
+    json.dumps(assemble_program(parse_program(FIGURE1_SOURCE)))
+)
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestContainerShapes:
+    """Every slot of a valid container (the container, each class, each
+    method, their lists' items and each instruction's operands) replaced
+    by a value of another JSON type makes ``load`` raise ``IRError``."""
+
+    def test_the_container_loads(self, tmp_path):
+        path = tmp_path / "prog.jbc"
+        path.write_text(json.dumps(_FIGURE1_CONTAINER))
+        assert load(str(path)).method("Main.main").loops()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(list(_slot_paths(_FIGURE1_CONTAINER))), _JSON_VALUES)
+    def test_a_slot_of_another_type_is_invalid_bytecode(
+        self, tmp_path_factory, path, value
+    ):
+        original = _FIGURE1_CONTAINER
+        for key in path:
+            original = original[key]
+        assume(type(value) is not type(original))
+        target = tmp_path_factory.mktemp("shape") / "prog.jbc"
+        target.write_text(json.dumps(_replaced(_FIGURE1_CONTAINER, path, value)))
+        with pytest.raises(IRError):
+            load(str(target))
+
+
 class TestLoadFile:
     """``load(path)`` verifies the container, then validates the program
     it loads to, as ``parse_program`` validates source."""
 
     def _write(self, tmp_path, container):
-        import json
-
         path = tmp_path / "prog.jbc"
         path.write_text(json.dumps(container))
         return str(path)
 
     def test_rejects_what_the_verifier_rejects(self, tmp_path):
-        from repro.bytecode import load
-
         container = _container([["return"]])
         container["classes"][0]["super"] = "Ghost"
         with pytest.raises(IRError, match="extends unknown Ghost"):
             load(self._write(tmp_path, container))
 
     def test_rejects_extends_cycle(self, tmp_path):
-        from repro.bytecode import load
-
         container = _container([["return"]])
         container["classes"][0]["super"] = "A"
         with pytest.raises(IRError, match="extends cycle: A extends A"):
@@ -158,8 +231,6 @@ class TestLoadFile:
     def test_validates_the_loaded_program(self, tmp_path):
         """The verifier checks stack discipline, not def/use: the
         program-level validation catches a read of an unassigned local."""
-        from repro.bytecode import load
-
         container = _container([["load", "ghost"], ["store", "x"], ["return"]])
         assert verify_container(container) == []
         with pytest.raises(IRError, match="'ghost' used but never defined"):
@@ -180,10 +251,6 @@ class TestNestingCap:
     error, instead of a ``RecursionError`` deep in the loader."""
 
     def _load(self, tmp_path, depth):
-        import json
-
-        from repro.bytecode import load
-
         path = tmp_path / "deep.jbc"
         path.write_text(json.dumps(_container(_nested_loops(depth))))
         return load(str(path))

@@ -15,8 +15,9 @@ Two more gates grow a single method instead: ``scan_all_loops`` over
 (:func:`tests.conftest.sequential_source`), where resolving each loop
 region by walking the whole method made the scan quadratic, and
 ``scan_all_loops(auto_regions=True)`` over 300, 600 and 1,200 of them,
-where climbing the idom chain once per back edge and comparing every
-pair of loops made region inference quadratic.
+where region inference was quadratic while it climbed a CFG's idom
+chain once per back edge and compared every pair of loops; it now reads
+the loop nest in one walk of the structured body.
 Each size is timed as the median of five runs with the collector off,
 the sizes interleaved so a slow spell of a shared machine hits all of
 them alike.  The slope of log(time) against log(size) must stay at or

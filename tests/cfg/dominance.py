@@ -1,4 +1,5 @@
-"""Dominator computation (Cooper–Harvey–Kennedy iterative algorithm)."""
+"""Dominator computation (Cooper–Harvey–Kennedy iterative algorithm),
+for the natural-loop oracle of :mod:`tests.cfg.loops`."""
 
 
 def immediate_dominators(cfg):

@@ -1,7 +1,7 @@
 """Dominance by walking the idom chain: the oracle of the dominator-tree
 numbering.
 
-``repro.cfg.dominance.dominator_intervals`` numbers the dominator tree
+``tests.cfg.dominance.dominator_intervals`` numbers the dominator tree
 once per CFG, and ``find_loops`` reads each back edge from those
 numbers.  The walk below answers one query at a time by climbing from
 ``b`` towards the entry, which costs the depth of the tree per query;

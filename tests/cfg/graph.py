@@ -1,9 +1,15 @@
-"""Control-flow graphs built from the structured IR.
+"""Control-flow graphs built from the structured IR: a test oracle.
 
-Although the analyses in :mod:`repro.core` work directly on the structured
-form (as the paper's type system does), a conventional basic-block CFG is
-the substrate for dominance and natural-loop detection, mirroring how the
-Soot-based implementation views method bodies.
+The analyses in :mod:`repro.core` work directly on the structured form
+(as the paper's type system does).  This conventional basic-block CFG,
+with dominance (:mod:`tests.cfg.dominance`) and natural-loop detection
+(:mod:`tests.cfg.loops`) over it, mirrors how the Soot-based
+implementation views method bodies.  The definite-assignment check of
+:mod:`repro.ir.validate` and the loop nest of
+:func:`repro.core.infer.classify.natural_loops` are each one structured
+walk, and are compared with what this graph gives
+(``tests/ir/definite_assignment_oracle.py``,
+``tests/properties/test_loop_nest_differential.py``).
 """
 
 from repro.ir.stmts import Block, IfStmt, LoopStmt, ReturnStmt

@@ -1,15 +1,17 @@
-"""Natural-loop detection over CFGs.
+"""Natural-loop detection over CFGs: the oracle of region inference's
+loop nest.
 
 Loops are found via back edges (edges whose target dominates their source),
 the standard construction; dominance is read from the pre/post numbers of
 one walk of the dominator tree.  For CFGs built from the structured IR, each
 detected natural loop corresponds to one :class:`repro.ir.LoopStmt`, and
 ``find_loops`` carries that label through — the test suite checks this
-correspondence.  Loop detection gives LeakChecker users a catalog of
-candidate loops to select for checking.
+correspondence.  :func:`repro.core.infer.classify.natural_loops` reads the
+same depths and block counts from the structured body;
+``tests/properties/test_loop_nest_differential.py`` compares the two.
 """
 
-from repro.cfg.dominance import dominator_intervals
+from tests.cfg.dominance import dominator_intervals
 
 
 class NaturalLoop:

@@ -4,11 +4,11 @@ against the idom-chain walk of :mod:`tests.cfg.dominance_oracle`."""
 import pytest
 
 from repro.bench.apps import build_app, corpus_names
-from repro.cfg.dominance import dominator_intervals, immediate_dominators
-from repro.cfg.graph import build_cfg
 from repro.lang import parse_program
 
+from tests.cfg.dominance import dominator_intervals, immediate_dominators
 from tests.cfg.dominance_oracle import dominates, dominator_chain
+from tests.cfg.graph import build_cfg
 from tests.conftest import sequential_source
 
 

@@ -1,7 +1,8 @@
 """Tests for CFG construction."""
 
-from repro.cfg.graph import build_cfg
 from repro.lang import parse_program
+
+from tests.cfg.graph import build_cfg
 
 
 def _cfg(body, sig="A.m", params="p"):

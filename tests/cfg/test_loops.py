@@ -1,8 +1,9 @@
 """Tests for natural-loop detection."""
 
-from repro.cfg.graph import build_cfg
-from repro.cfg.loops import find_loops, loop_nest_depths
 from repro.lang import parse_program
+
+from tests.cfg.graph import build_cfg
+from tests.cfg.loops import find_loops, loop_nest_depths
 
 
 def _loops(body):

@@ -90,6 +90,58 @@ class TestClassifyLoops:
             }
 
 
+def _nests(body):
+    """``label -> (nest depth, blocks)`` of the loops of ``Main.main``
+    with ``body``, as classified."""
+    program = parse_program(
+        "entry Main.main;\n"
+        "class Main { static method main() { p = new Item @a1; %s } }\n"
+        "class Item { }" % body
+    )
+    return {
+        profile.label: (profile.nest_depth, profile.blocks)
+        for profile in classify_loops(program, _session(program).callgraph)
+    }
+
+
+class TestLoopNest:
+    """Depth and block count of the method's natural loops: a loop whose
+    back edge cannot run keeps ``(1, 0)``, and a loop only nests in the
+    natural loops whose body's end is reachable from the code after it.
+    """
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            ("loop L (*) { return; }", {"L": (1, 0)}),
+            (
+                "loop L (*) { loop M (*) { x = p; } return; }",
+                {"L": (1, 0), "M": (1, 2)},
+            ),
+            ("return; loop L (*) { x = p; }", {"L": (1, 0)}),
+            (
+                "loop L (*) { if (*) { loop M (*) { x = p; } return; } }",
+                {"L": (1, 5), "M": (1, 2)},
+            ),
+            ("loop L (*) { if (*) { return; } x = p; }", {"L": (1, 5)}),
+            (
+                "loop L (*) { loop M (*) { x = p; } }",
+                {"L": (1, 5), "M": (2, 2)},
+            ),
+        ],
+        ids=[
+            "body-always-returns",
+            "inner-loop-then-return",
+            "after-a-return",
+            "inner-loop-in-a-returning-arm",
+            "block-after-a-return",
+            "plain-nest",
+        ],
+    )
+    def test_exact_pair(self, body, expected):
+        assert _nests(body) == expected
+
+
 class TestInferCandidates:
     def test_catalog_sorted_best_first(self, figure1):
         catalog = infer_candidates(figure1, _session(figure1).callgraph)

@@ -49,6 +49,28 @@ class Holder { field slot; }
 class Item { }
 """
 
+#: ``L2`` labels an outermost loop of ``Main.main`` and a nested loop of
+#: ``Main.other``; labels name loops within one method only.
+_SHARED_LABEL = """
+entry Main.main;
+class Main {
+  static method main() {
+    loop L2 (*) {
+      x = new Item @item;
+    }
+    call Main.other() @co;
+  }
+  static method other() {
+    loop L1 (*) {
+      loop L2 (*) {
+        y = null;
+      }
+    }
+  }
+}
+class Item { }
+"""
+
 
 class TestStructuralScores:
     def test_allocating_loop_ranks_first(self):
@@ -71,6 +93,17 @@ class TestStructuralScores:
         by_label = {r.spec.loop_label: r for r in ranked}
         assert by_label["OUTER"].features["outermost"] == 1
         assert by_label["INNER"].features["outermost"] == 0
+
+    def test_nesting_is_decided_per_method(self):
+        ranked = structural_scores(parse_program(_SHARED_LABEL))
+        by_region = {
+            (r.spec.method_sig, r.spec.loop_label): r for r in ranked
+        }
+        assert by_region["Main.main", "L2"].features["outermost"] == 1
+        assert by_region["Main.main", "L2"].score == 7.0
+        assert by_region["Main.other", "L1"].features["outermost"] == 1
+        assert by_region["Main.other", "L2"].features["outermost"] == 0
+        assert ranked[0].spec.method_sig == "Main.main"
 
     def test_weights_overridable(self):
         prog = parse_program(_SOURCE)

@@ -97,7 +97,7 @@ def _fixpoint_issues(method, initial, all_defs):
     ``return``) keep the flow-insensitive check: a variable merely has
     to be assigned *somewhere* in the method.
     """
-    from repro.cfg.graph import build_cfg
+    from tests.cfg.graph import build_cfg
 
     issues = []
     cfg = build_cfg(method)

@@ -18,7 +18,10 @@ the concrete interpreter runs ``start()`` bodies inline), and
 
 :func:`dispatch_programs` has another shape: a random class hierarchy
 whose methods call each other virtually and statically, for
-differential-testing call-graph construction.
+differential-testing call-graph construction, and
+:func:`control_flow_methods` writes one method of ``if``s, loops and
+``return``s nested a few deep, for the structured walks checked against
+a CFG.
 """
 
 from hypothesis import strategies as st
@@ -405,3 +408,62 @@ def dispatch_programs(draw, max_classes=9, max_body_stmts=4):
         statics,
         "\n".join(decls),
     )
+
+
+#: The variables of :func:`control_flow_methods`; ``p`` is the
+#: method's parameter, so it is assigned on entry.
+_FLOW_VARS = ("p", "a", "b", "c")
+_FLOW_STATEMENTS = ("null", "copy", "store", "call", "return", "return value")
+_FLOW_NESTING = ("if", "if-else", "loop")
+
+
+@st.composite
+def control_flow_methods(draw, max_depth=4, max_stmts=4):
+    """One method of ``if``s (with and without ``else``, on ``*`` or on
+    a variable), loops and ``return``s nested up to ``max_depth`` deep,
+    over a few variables.  Which arms fall through decides both the
+    definite-assignment sets, the issue order and which loops are
+    natural, and statement mutants of the corpus rarely put a
+    ``return`` inside an arm."""
+    labels = iter(range(1_000_000))
+
+    def cond():
+        kind = draw(st.sampled_from(("*", "*", "nonnull", "null")))
+        if kind == "*":
+            return kind
+        return "%s %s" % (kind, draw(st.sampled_from(_FLOW_VARS)))
+
+    def body(depth):
+        stmts = []
+        kinds = _FLOW_STATEMENTS + (_FLOW_NESTING if depth < max_depth else ())
+        for _ in range(draw(st.integers(min_value=0, max_value=max_stmts))):
+            kind = draw(st.sampled_from(kinds))
+            v, w = draw(st.sampled_from(_FLOW_VARS)), draw(
+                st.sampled_from(_FLOW_VARS)
+            )
+            if kind == "if":
+                stmts.append("if (%s) { %s }" % (cond(), body(depth + 1)))
+            elif kind == "if-else":
+                stmts.append(
+                    "if (%s) { %s } else { %s }"
+                    % (cond(), body(depth + 1), body(depth + 1))
+                )
+            elif kind == "loop":
+                stmts.append(
+                    "loop L%d (%s) { %s }" % (next(labels), cond(), body(depth + 1))
+                )
+            elif kind == "return":
+                stmts.append("return;")
+            elif kind == "return value":
+                stmts.append("return %s;" % v)
+            elif kind == "null":
+                stmts.append("%s = null;" % v)
+            elif kind == "copy":
+                stmts.append("%s = %s;" % (v, w))
+            elif kind == "store":
+                stmts.append("%s.f = %s;" % (v, w))
+            else:
+                stmts.append("call %s.m(%s) @c%d;" % (v, w, next(labels)))
+        return " ".join(stmts)
+
+    return "class A { field f; method m(p) { %s } }" % body(0)

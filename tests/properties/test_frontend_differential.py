@@ -24,7 +24,7 @@ stress program, memocache ×24, the random programs of
 or statements deleted or swapped, ``return``, ``if`` and loops inserted,
 single characters inserted, deleted or replaced.  The def/use check
 also runs on methods of nested ``if``s, loops and ``return``s
-(:func:`control_flow_methods`).
+(:func:`~tests.properties.strategies.control_flow_methods`).
 """
 
 import re
@@ -48,6 +48,7 @@ from repro.lang.parser import parse
 from tests.ir.definite_assignment_oracle import program_issues
 from tests.lang import ast_oracle, lexer_oracle
 from tests.properties.strategies import (
+    control_flow_methods,
     dispatch_programs,
     inference_programs,
     rich_loop_programs,
@@ -269,64 +270,6 @@ _texts = st.lists(st.sampled_from(_LEXICON) | st.characters(), max_size=60).map(
 )
 _corpus = st.sampled_from(corpus_names()).map(_CORPUS.__getitem__)
 _corpus_mutants = mutants(_corpus)
-#: The variables of :func:`control_flow_methods`; ``p`` is the
-#: method's parameter, so it is assigned on entry.
-_FLOW_VARS = ("p", "a", "b", "c")
-_FLOW_STATEMENTS = ("null", "copy", "store", "call", "return", "return value")
-_FLOW_NESTING = ("if", "if-else", "loop")
-
-
-@st.composite
-def control_flow_methods(draw, max_depth=4, max_stmts=4):
-    """One method of ``if``s (with and without ``else``, on ``*`` or on
-    a variable), loops and ``return``s nested up to ``max_depth`` deep,
-    over a few variables.  Which arms fall through decides both the
-    definite-assignment sets and the issue order, and the statement
-    mutants above rarely put a ``return`` inside an arm."""
-    labels = iter(range(1_000_000))
-
-    def cond():
-        kind = draw(st.sampled_from(("*", "*", "nonnull", "null")))
-        if kind == "*":
-            return kind
-        return "%s %s" % (kind, draw(st.sampled_from(_FLOW_VARS)))
-
-    def body(depth):
-        stmts = []
-        kinds = _FLOW_STATEMENTS + (_FLOW_NESTING if depth < max_depth else ())
-        for _ in range(draw(st.integers(min_value=0, max_value=max_stmts))):
-            kind = draw(st.sampled_from(kinds))
-            v, w = draw(st.sampled_from(_FLOW_VARS)), draw(
-                st.sampled_from(_FLOW_VARS)
-            )
-            if kind == "if":
-                stmts.append("if (%s) { %s }" % (cond(), body(depth + 1)))
-            elif kind == "if-else":
-                stmts.append(
-                    "if (%s) { %s } else { %s }"
-                    % (cond(), body(depth + 1), body(depth + 1))
-                )
-            elif kind == "loop":
-                stmts.append(
-                    "loop L%d (%s) { %s }" % (next(labels), cond(), body(depth + 1))
-                )
-            elif kind == "return":
-                stmts.append("return;")
-            elif kind == "return value":
-                stmts.append("return %s;" % v)
-            elif kind == "null":
-                stmts.append("%s = null;" % v)
-            elif kind == "copy":
-                stmts.append("%s = %s;" % (v, w))
-            elif kind == "store":
-                stmts.append("%s.f = %s;" % (v, w))
-            else:
-                stmts.append("call %s.m(%s) @c%d;" % (v, w, next(labels)))
-        return " ".join(stmts)
-
-    return "class A { field f; method m(p) { %s } }" % body(0)
-
-
 _random_programs = st.one_of(
     rich_loop_programs(), inference_programs(), dispatch_programs()
 )

@@ -395,6 +395,48 @@ class TestCompile:
         assert data["entry"] == "Main.main"
 
 
+class TestMalformedBytecode:
+    """A ``.jbc`` file that is not JSON, or whose parts have the wrong
+    JSON types, is invalid bytecode: exit 2 with the issue, where each
+    of these used to end in a traceback and exit 1, the findings code."""
+
+    @pytest.mark.parametrize(
+        "text, issue",
+        [
+            (
+                "this is not json",
+                "not a JSON document: Expecting value: line 1 column 1 (char 0)",
+            ),
+            ("[1, 2]", "container is an array, not an object"),
+            (
+                '{"version": 1, "entry": "A.m", "classes": 5}',
+                "container.classes is an integer, not an array",
+            ),
+            (
+                '{"version": 1, "entry": "A.m", "classes": [{"name": "A", '
+                '"methods": [{"name": "m", "static": true, "code": 7}]}]}',
+                "container.classes[0].methods[0].code is an integer, not an array",
+            ),
+        ],
+        ids=["not-json", "top-level-array", "classes-number", "code-number"],
+    )
+    def test_exits_2_with_the_issue(self, tmp_path, capsys, text, issue):
+        path = tmp_path / "bad.jbc"
+        path.write_text(text)
+        assert main(["check", str(path), "--region", "A.m"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid bytecode:\n  %s\n" % issue
+
+    def test_json_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        path = tmp_path / "deep.jbc"
+        path.write_text("[" * 100_000)
+        assert main(["check", str(path), "--region", "A.m"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: invalid bytecode:\n  not a JSON document: maximum recursion"
+        )
+
+
 class TestDeepBytecode:
     """A container nested past ``MAX_NESTING`` is invalid bytecode: exit
     2 with one issue, where it used to end in a ``RecursionError``

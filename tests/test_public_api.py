@@ -9,7 +9,6 @@ _PACKAGES = [
     "repro",
     "repro.ir",
     "repro.lang",
-    "repro.cfg",
     "repro.callgraph",
     "repro.pta",
     "repro.core",
