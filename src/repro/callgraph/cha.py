@@ -98,7 +98,7 @@ def build_cha(program, entries=None):
     # CHA edges do not depend on reachability; process every method so the
     # graph is usable from any root, then let reachable_methods() prune.
     for method in program.all_methods():
-        for stmt in method.statements():
+        for stmt in method.simple:
             if isinstance(stmt, InvokeStmt):
                 for callee in _resolve_targets(program, hierarchy, stmt):
                     graph.add_edge(CallEdge(method, stmt, callee))

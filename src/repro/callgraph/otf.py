@@ -36,7 +36,7 @@ def build_otf(program, entries=None, max_rounds=10):
         refined = CallGraph(program, entry_sigs)
         changed = False
         for method in graph.reachable_methods():
-            for stmt in method.statements():
+            for stmt in method.simple:
                 if not isinstance(stmt, InvokeStmt):
                     continue
                 old_targets = {m.sig for m in graph.targets_of_site(stmt)}

@@ -87,7 +87,7 @@ def build_rta(program, entries=None):
 
     while work:
         method = work.pop()
-        for stmt in method.statements():
+        for stmt in method.simple:
             if isinstance(stmt, NewStmt):
                 name = stmt.type.class_name
                 if not stmt.type.is_array and name not in instantiated:

@@ -10,7 +10,8 @@ object is returned to application code.
 ``library_visible_values`` computes, for a program and PAG, the set of
 variables in library methods whose values escape to application code
 through return chains — the detector then keeps a library load only when
-its target is in that set.
+its target is in that set.  It reads the PAG's copy-edge arrays, not the
+CFL traversal's reverse adjacency, so a default check never builds that.
 """
 
 from itertools import compress
@@ -25,8 +26,12 @@ def library_visible_values(program, pag):
     """``(method_sig, name)`` keys of the variables whose values may reach
     application code via copies and returns.
 
-    Computed backwards over variable ids: seed with every variable of
-    every application method, then propagate against assign edges.  A
+    Computed backwards over variable ids: every variable of every
+    application method is visible, and a walk back from them over the
+    copy edges (``copy_src``/``copy_dst``, returns and call bindings
+    included) marks each library variable it reaches.  The walk only
+    ever steps to a library source, so it indexes the edges whose source
+    is a library variable, by destination, and no others.  A
     library-load target in the result set can flow into an application
     variable, satisfying the stronger condition ("the object is
     returned to the application code").
@@ -34,17 +39,20 @@ def library_visible_values(program, pag):
     table = pag.var_table
     library = {}
     visible = bytearray(len(table))
-    work = []
     for vid, (sig, _name) in enumerate(table):
         lib = library.get(sig)
         if lib is None:
             lib = library[sig] = is_library_sig(program, sig)
         if not lib:
             visible[vid] = 1
-            work.append(vid)
-    assigns_into = pag.assigns_into
+    #: destination -> library sources of its copy edges
+    sources = {}
+    for src, dst in zip(pag.copy_src, pag.copy_dst):
+        if not visible[src]:
+            sources.setdefault(dst, []).append(src)
+    work = [dst for dst in sources if visible[dst]]
     while work:
-        for src, _cid, _code in assigns_into[work.pop()]:
+        for src in sources.get(work.pop(), ()):
             if not visible[src]:
                 visible[src] = 1
                 work.append(src)

@@ -28,7 +28,7 @@ def enumerate_contexts(session, region, stats):
 
     def visit_method(method, ctx, chain):
         region_methods.add(method.sig)
-        for stmt in method.statements():
+        for stmt in method.simple:
             if isinstance(stmt, NewStmt):
                 add_site(stmt, ctx)
             elif isinstance(stmt, InvokeStmt):

@@ -117,27 +117,37 @@ def structural_scores(program, callgraph=None, weights=None):
     return ranked
 
 
-def profile_scores(program, schedule, max_steps=200_000):
-    """Observed trip counts per loop label from one concrete run.
-
-    Returns a dict ``label -> trips``; loops never reached score 0.
-    """
+def _profile(program, schedule, max_steps=200_000):
+    """The interpreter after one concrete run of ``program``."""
     from repro.semantics.interp import Interpreter
 
     interp = Interpreter(program, schedule=schedule, max_steps=max_steps)
     interp.run()
-    return interp.loop_counters()
+    return interp
+
+
+def profile_scores(program, schedule, max_steps=200_000):
+    """Observed trip counts per loop label from one concrete run.
+
+    Returns a dict ``label -> trips``; loops never reached score 0.
+    Loops of different methods that share a label add up here;
+    :func:`rank_loops` counts each ``(method, label)`` apart.
+    """
+    return _profile(program, schedule, max_steps).loop_counters()
 
 
 def rank_loops(program, callgraph=None, schedule=None, weights=None):
     """Rank candidate loops structurally, optionally boosted by profile
-    trip counts from a concrete run under ``schedule``."""
+    trip counts from a concrete run under ``schedule``, each loop by
+    its own ``(method sig, label)`` count."""
     ranked = structural_scores(program, callgraph=callgraph, weights=weights)
     if schedule is not None:
-        trips = profile_scores(program, schedule)
+        trips = _profile(program, schedule).loop_trips()
         weights = dict(DEFAULT_WEIGHTS, **(weights or {}))
         for entry in ranked:
-            observed = trips.get(entry.spec.loop_label, 0)
+            observed = trips.get(
+                (entry.spec.method_sig, entry.spec.loop_label), 0
+            )
             entry.features["trips"] = observed
             entry.score += weights["trips"] * observed
         ranked.sort(

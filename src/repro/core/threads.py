@@ -68,7 +68,7 @@ def started_thread_sites(program, callgraph, points_to):
     if not thread_classes:
         return sites
     for method in callgraph.reachable_methods():
-        for stmt in method.statements():
+        for stmt in method.simple:
             if not isinstance(stmt, InvokeStmt):
                 continue
             if stmt.is_static or stmt.method_name != "start":

@@ -33,6 +33,7 @@ from repro.ir.stmts import (
     ReturnStmt,
     StoreNullStmt,
     StoreStmt,
+    simple_statements,
     walk,
 )
 
@@ -150,8 +151,8 @@ def eliminate_dead_copies(method):
     """Remove write-only pure copies (in place); returns removal count.
 
     Iterates: removing one dead copy can render its source write-only.
-    The method's recorded simple-statement count drops by the same
-    number.
+    The method's recorded simple statements (``Method.simple``) are
+    recorded again without the deleted ones.
     """
     total = 0
     while True:
@@ -159,7 +160,8 @@ def eliminate_dead_copies(method):
         removed = _sweep_block(method.body, used)
         total += removed
         if not removed:
-            method.simple_count -= total
+            if total:
+                method.simple = tuple(simple_statements(method.body))
             return total
 
 

@@ -22,7 +22,9 @@ class Method:
     """A method: parameters plus a structured body.
 
     ``sig`` is the globally unique signature ``Class.name``.  Instance
-    methods implicitly bind ``this``; static methods do not.
+    methods implicitly bind ``this``; static methods do not.  ``simple``
+    is the tuple of the body's simple statements in pre-order, recorded
+    when the program seals the method; it is empty until then.
     """
 
     __slots__ = (
@@ -31,7 +33,7 @@ class Method:
         "body",
         "declaring_class",
         "is_static",
-        "simple_count",
+        "simple",
         "_loops_by_label",
     )
 
@@ -41,15 +43,22 @@ class Method:
         self.body = body if body is not None else Block()
         self.declaring_class = declaring_class
         self.is_static = is_static
-        #: simple statements in the body (Table 1's Stmts), recorded by
-        #: ``Program.seal_method``; the optimizer keeps it current
-        self.simple_count = 0
+        #: the body's simple statements in pre-order, recorded by
+        #: ``Program.seal_method`` so the call graph, the PAG and context
+        #: enumeration iterate a tuple instead of walking the body; the
+        #: optimizer records it again after deleting statements
+        self.simple = ()
         #: (body, label -> first loop of that label), built by find_loop
         self._loops_by_label = (None, {})
 
     @property
     def sig(self):
         return "%s.%s" % (self.declaring_class, self.name)
+
+    @property
+    def simple_count(self):
+        """Number of simple statements in the body (Table 1's Stmts)."""
+        return len(self.simple)
 
     def statements(self):
         """All statements in the body, pre-order (including blocks)."""
@@ -163,8 +172,8 @@ class Program:
 
     def seal_method(self, method):
         """Assign statement uids, register allocation sites and record
-        the simple-statement count of a method."""
-        simple = 0
+        the simple statements of a method, in pre-order."""
+        simple = []
         for stmt in method.statements():
             if stmt.uid is None:
                 stmt.uid = self._uid_counter
@@ -172,14 +181,14 @@ class Program:
             stmt.method = method
             if isinstance(stmt, COMPOUND_STMTS):
                 continue
-            simple += 1
+            simple.append(stmt)
             if isinstance(stmt, NewStmt):
                 if stmt.site in self._sites:
                     raise IRError("duplicate allocation site label %r" % stmt.site)
                 self._sites[stmt.site] = AllocSite(
                     stmt.site, stmt.type, method.sig, stmt
                 )
-        method.simple_count = simple
+        method.simple = tuple(simple)
 
     # -- lookup ------------------------------------------------------------
 

@@ -121,6 +121,7 @@ class CFLPointsTo:
         new_mask = pag.new_mask
         assigns_into = pag.assigns_into
         loads_into = pag.loads_into
+        stores_by_field = pag.stores_by_field
         results = 0
         start = (root, ())
         seen = {start}
@@ -157,7 +158,7 @@ class CFLPointsTo:
                     pag.load_base[i], state, depth + 1
                 )
                 fid = pag.load_field[i]
-                for j in pag.stores_by_field.get(fid, ()):
+                for j in stores_by_field.get(fid, ()):
                     store_base_sites = self._flows_to_backwards(
                         pag.store_base[j], state, depth + 1
                     )

@@ -14,10 +14,16 @@ budget is exhausted.  Instead of dicts of Python sets keyed by rich
   whose bit ``i`` means "may point to allocation site ``i``"; union and
   intersection are single ``|``/``&`` machine-word loops instead of
   per-element hash operations;
+* **Offline variable substitution** — before any pass, each variable
+  whose only inflow is one copy edge (not a ``new`` target, not a load
+  target) merges into its source's union-find representative (Rountev
+  and Chandra, PLDI 2000).  Copy graphs are mostly such chains, so the
+  passes below see a few representatives instead of every variable
+  (on the 13 corpus apps, 594 masks for 7,542 variables);
 * **Online SCC collapse** — an iterative Tarjan pass over the copy
   graph (including copy edges discovered through loads/stores) merges
-  every cycle into one union-find representative, so copy cycles share
-  a single points-to bitset;
+  every cycle left into one union-find representative, so copy cycles
+  share a single points-to bitset;
 * **Topologically-ordered propagation** — Tarjan emits SCCs in reverse
   topological order, so one propagation sweep reaches the fixpoint of
   the static edge set;
@@ -33,6 +39,8 @@ The result type, :class:`FlatAndersenResult`, answers ``pts``,
 dict-of-sets solver it replaced lives on under ``tests/`` as the
 differential-test oracle.
 """
+
+from collections import Counter, deque
 
 from repro.pta.pag import PAG, VarNode
 
@@ -184,8 +192,18 @@ def solve_flat(pag):
     """Run the integer-flat inclusion solver to a fixed point.
 
     Node space: variable ids ``[0, nv)`` from the interner, heap-slot
-    nodes ``(site, field)`` allocated on demand above ``nv``.  The
-    solve is a three-phase hybrid:
+    nodes ``(site, field)`` allocated on demand above ``nv``.
+
+    Before solving, offline variable substitution merges every variable
+    whose only inflow is one copy edge into its source's union-find
+    representative: its points-to set is its source's.  Variables
+    assigned by ``new`` and load targets are excluded, because the solve
+    adds edges into those (slot-to-target copies) while it runs, so no
+    edge it adds can reach a merged variable.  The merge links roots
+    only (``parent[find(dst)] = find(src)`` when the two differ), so an
+    entry-less ring of single-inflow variables ends as one set with no
+    inflow, pointing to nothing.  Everything after works on
+    representatives: the solve is then a three-phase hybrid:
 
     1. one Tarjan pass over the static copy graph collapses every copy
        cycle into a union-find representative and sweeps the SCC DAG
@@ -204,12 +222,46 @@ def solve_flat(pag):
        end, so any cycle left passes through a slot.
     """
     nv = len(pag.var_table)
-
-    pts = list(pag.new_mask)
-    succ = [[] for _ in range(nv)]
-    for src, dst in zip(pag.copy_src, pag.copy_dst):
-        succ[src].append(dst)
+    copy_src = pag.copy_src
+    copy_dst = pag.copy_dst
+    new_mask = pag.new_mask
     parent = list(range(nv))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    # Offline variable substitution: a variable with one copy inflow, no
+    # ``new`` and no load into it points to what its source points to.
+    inflows = Counter(copy_dst)
+    loaded = set(pag.load_target)
+    substituted = 0
+    for src, dst in zip(copy_src, copy_dst):
+        if inflows[dst] == 1 and not new_mask[dst] and dst not in loaded:
+            root = find(dst)
+            rep = find(src)
+            if root != rep:
+                parent[root] = rep
+                substituted += 1
+    if substituted:
+        # Point every variable straight at its representative, so the
+        # tables below are keyed by representatives alone.
+        for v in range(nv):
+            rep = parent[v]
+            if parent[rep] != rep:
+                while parent[rep] != rep:
+                    rep = parent[rep]
+                parent[v] = rep
+
+    pts = list(new_mask)
+    succ = [[] for _ in range(nv)]
+    for src, dst in zip(copy_src, copy_dst):
+        src = parent[src]
+        dst = parent[dst]
+        if src != dst:
+            succ[src].append(dst)
 
     slot_index = {}
     slot_table = []
@@ -220,20 +272,14 @@ def solve_flat(pag):
     #: rep node -> constraint indexes watching its points-to growth
     load_watch = {}
     store_watch = {}
-    for i in range(n_loads):
-        load_watch.setdefault(pag.load_base[i], []).append(i)
-    for i in range(n_stores):
-        store_watch.setdefault(pag.store_base[i], []).append(i)
+    for i, base in enumerate(pag.load_base):
+        load_watch.setdefault(parent[base], []).append(i)
+    for i, base in enumerate(pag.store_base):
+        store_watch.setdefault(parent[base], []).append(i)
 
     rounds = 0
     collapsed = 0
     pops = 0
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
     def slot_node(oid, fid):
         key = (oid, fid)
@@ -340,8 +386,6 @@ def solve_flat(pag):
         return merged
 
     # -- phase 2 machinery: difference propagation --------------------------
-    from collections import deque
-
     pending = {}
     queue = deque()
 
@@ -438,21 +482,28 @@ def solve_flat(pag):
         )
 
     # -- freeze into the result view --------------------------------------
-    rep_to_idx = {}
+    # One mask per representative, numbered in order of first use by
+    # variable id, then by heap slot.
+    mask_of = [-1] * len(parent)
     masks = []
-
-    def mask_idx(node):
-        rep = find(node)
-        idx = rep_to_idx.get(rep)
-        if idx is None:
-            idx = rep_to_idx[rep] = len(masks)
+    var_reps = [0] * nv
+    for v in range(nv):
+        rep = parent[v]
+        while parent[rep] != rep:
+            rep = parent[rep]
+        idx = mask_of[rep]
+        if idx < 0:
+            idx = mask_of[rep] = len(masks)
             masks.append(pts[rep])
-        return idx
-
-    var_reps = [mask_idx(v) for v in range(nv)]
+        var_reps[v] = idx
     slot_reps = {}
     for (oid, fid), sid in slot_index.items():
-        slot_reps[(pag.site_table[oid], pag.field_table[fid])] = mask_idx(sid)
+        rep = find(sid)
+        idx = mask_of[rep]
+        if idx < 0:
+            idx = mask_of[rep] = len(masks)
+            masks.append(pts[rep])
+        slot_reps[(pag.site_table[oid], pag.field_table[fid])] = idx
 
     table = MaskTable(ints=masks)
     stats = {
@@ -461,6 +512,7 @@ def solve_flat(pag):
         "sites": len(pag.site_table),
         "copy_edges": len(pag.copy_src),
         "bitset_bytes": table.nbytes(),
+        "substituted": substituted,
         "sccs_collapsed": collapsed,
         "rounds": rounds,
     }

@@ -24,9 +24,10 @@ Edge kinds:
 Interprocedural edges are created from a call graph, so PAG precision
 follows call-graph precision.
 
-The graph is built directly as dense integer tables: one walk over each
-method body collects every edge's endpoint keys ``(method_sig, name)``,
-and one interning pass numbers them.  Ids follow the order of the edge
+The graph is built directly as dense integer tables: one pass over each
+method's sealed simple statements (``Method.simple``) collects every
+edge's endpoint keys ``(method_sig, name)``, and one interning pass
+numbers them.  Ids follow the order of the edge
 roles — ``new`` targets first, then ``assign``, ``store`` and ``load``
 endpoints, each in statement order, with call edges after every
 method's own assigns — so they are deterministic for a given program.
@@ -77,6 +78,14 @@ class VarNode:
         return "%s::%s" % (self.method_sig, self.name)
 
 
+def _index_by_field(fields):
+    """``{fid: [i, ...]}`` — the edge indexes of each field, in order."""
+    by_field = {}
+    for i, fid in enumerate(fields):
+        by_field.setdefault(fid, []).append(i)
+    return by_field
+
+
 class PAG:
     """The pointer-assignment graph of a program, as integer tables.
 
@@ -97,6 +106,14 @@ class PAG:
       ``store_base/store_field/store_source`` — complex constraints,
       with ``loads_into``, ``loads_by_field`` and ``stores_by_field``
       as index lists.
+
+    The whole-program solve reads only the edge arrays, ``new_mask``
+    and the id tables, so those are built with the graph.  The reverse
+    adjacency ``assigns_into``, the index lists ``loads_into``,
+    ``loads_by_field`` and ``stores_by_field``, and the call-site tables
+    ``callsite_table``/``callsite_index`` serve the CFL traversal
+    (``--demand-driven``) alone; each is built on its first read, with
+    the same contents and order as if built eagerly.
     """
 
     __slots__ = (
@@ -108,31 +125,41 @@ class PAG:
         "site_table",
         "field_index",
         "field_table",
-        "callsite_index",
-        "callsite_table",
         "new_mask",
         "copy_src",
         "copy_dst",
-        "assigns_into",
         "load_base",
         "load_field",
         "load_target",
         "store_base",
         "store_field",
         "store_source",
-        "loads_into",
-        "loads_by_field",
-        "stores_by_field",
+        #: (callsite, direction) of each call edge, the copy edges from
+        #: index ``_local_copies`` on
+        "_call_labels",
+        "_local_copies",
+        "_callsite_table",
+        "_callsite_index",
+        "_assigns_into",
+        "_loads_into",
+        "_loads_by_field",
+        "_stores_by_field",
     )
 
     def __init__(self, program, callgraph):
         self.program = program
         self.callgraph = callgraph
+        self._callsite_table = None
+        self._callsite_index = None
+        self._assigns_into = None
+        self._loads_into = None
+        self._loads_by_field = None
+        self._stores_by_field = None
         self._build()
 
     def _build(self):
-        # One walk per method body: each role's endpoint keys in
-        # statement order, pairs flattened (src, dst, src, dst, ...).
+        # One pass per method's simple statements: each role's endpoint
+        # keys in statement order, pairs flattened (src, dst, src, dst, ...).
         new_keys, new_sites = [], []
         assign_keys = []
         store_keys, store_fields = [], []
@@ -140,7 +167,7 @@ class PAG:
         invokes = []
         for method in self.program.all_methods():
             sig = method.sig
-            for stmt in method.statements():
+            for stmt in method.simple:
                 kind = type(stmt)
                 if kind is CopyStmt:
                     assign_keys += ((sig, stmt.source), (sig, stmt.target))
@@ -186,21 +213,8 @@ class PAG:
         calls = list(map(vid, call_keys))
         self.copy_src = local[0::2] + calls[0::2]
         self.copy_dst = local[1::2] + calls[1::2]
-        self.callsite_table = list(
-            dict.fromkeys(site for site, _ in call_sites if site is not None)
-        )
-        self.callsite_index = cids = dict(zip(self.callsite_table, count()))
-        assigns_into = [[] for _ in range(nv)]
-        for src, dst in zip(local[0::2], local[1::2]):
-            assigns_into[dst].append((src, -1, DIR_NONE))
-        for src, dst, (site, code) in zip(
-            calls[0::2], calls[1::2], call_sites
-        ):
-            if site is None:
-                assigns_into[dst].append((src, -1, DIR_NONE))
-            else:
-                assigns_into[dst].append((src, cids[site], code))
-        self.assigns_into = assigns_into
+        self._local_copies = len(local) // 2
+        self._call_labels = call_sites
 
         self.field_table = list(
             dict.fromkeys(chain(load_fields, store_fields))
@@ -211,23 +225,68 @@ class PAG:
         self.load_target = ends[0::2]
         self.load_base = ends[1::2]
         self.load_field = list(map(fids.__getitem__, load_fields))
-        loads_into = [[] for _ in range(nv)]
-        loads_by_field = {}
-        for i, target in enumerate(self.load_target):
-            loads_into[target].append(i)
-        for i, fid in enumerate(self.load_field):
-            loads_by_field.setdefault(fid, []).append(i)
-        self.loads_into = loads_into
-        self.loads_by_field = loads_by_field
 
         ends = list(map(vid, store_keys))
         self.store_source = ends[0::2]
         self.store_base = ends[1::2]
         self.store_field = list(map(fids.__getitem__, store_fields))
-        stores_by_field = {}
-        for i, fid in enumerate(self.store_field):
-            stores_by_field.setdefault(fid, []).append(i)
-        self.stores_by_field = stores_by_field
+
+    # -- tables only the CFL traversal reads, built on first read -----------
+
+    @property
+    def callsite_table(self):
+        if self._callsite_table is None:
+            self._callsite_table = list(
+                dict.fromkeys(
+                    site for site, _ in self._call_labels if site is not None
+                )
+            )
+        return self._callsite_table
+
+    @property
+    def callsite_index(self):
+        if self._callsite_index is None:
+            self._callsite_index = dict(zip(self.callsite_table, count()))
+        return self._callsite_index
+
+    @property
+    def assigns_into(self):
+        if self._assigns_into is None:
+            cids = self.callsite_index
+            split = self._local_copies
+            assigns_into = [[] for _ in self.var_table]
+            for src, dst in zip(self.copy_src[:split], self.copy_dst[:split]):
+                assigns_into[dst].append((src, -1, DIR_NONE))
+            for src, dst, (site, code) in zip(
+                self.copy_src[split:], self.copy_dst[split:], self._call_labels
+            ):
+                if site is None:
+                    assigns_into[dst].append((src, -1, DIR_NONE))
+                else:
+                    assigns_into[dst].append((src, cids[site], code))
+            self._assigns_into = assigns_into
+        return self._assigns_into
+
+    @property
+    def loads_into(self):
+        if self._loads_into is None:
+            loads_into = [[] for _ in self.var_table]
+            for i, target in enumerate(self.load_target):
+                loads_into[target].append(i)
+            self._loads_into = loads_into
+        return self._loads_into
+
+    @property
+    def loads_by_field(self):
+        if self._loads_by_field is None:
+            self._loads_by_field = _index_by_field(self.load_field)
+        return self._loads_by_field
+
+    @property
+    def stores_by_field(self):
+        if self._stores_by_field is None:
+            self._stores_by_field = _index_by_field(self.store_field)
+        return self._stores_by_field
 
     def _link_calls(self, invokes):
         """Endpoint keys of the call edges of ``invokes`` (caller sig,

@@ -134,6 +134,9 @@ class Interpreter:
         self._oid = 0
         #: live iteration counters, the paper's map nu (loop label -> j)
         self._nu = {}
+        #: iterations per (method sig, loop label): labels name loops
+        #: within one method only, so profiles tell same-label loops apart
+        self._trips = {}
         #: labels of loops currently executing, for creation snapshots
         self._active_loops = []
         #: environments of active frames, outermost first (GC roots)
@@ -157,9 +160,14 @@ class Interpreter:
         return self.trace
 
     def loop_counters(self):
-        """Final iteration counts per loop label (the paper's map nu),
-        e.g. for profile-guided loop ranking."""
+        """Final iteration counts per loop label (the paper's map nu)."""
         return dict(self._nu)
+
+    def loop_trips(self):
+        """Final iteration counts per ``(method sig, loop label)``, for
+        profile-guided loop ranking: loops of different methods that
+        share a label count apart."""
+        return dict(self._trips)
 
     def live_objects(self):
         """Objects reachable from any active frame right now — a
@@ -292,6 +300,7 @@ class Interpreter:
 
     def _exec_loop(self, stmt, env):
         trips = self.schedule.trips(stmt.label)
+        key = (stmt.method.sig, stmt.label)
         self._active_loops.append(stmt.label)
         try:
             for _ in range(trips):
@@ -302,6 +311,7 @@ class Interpreter:
                 # Rule WHILE: the iteration counter increments per iteration
                 # and persists across loop re-entry.
                 self._nu[stmt.label] = self._nu.get(stmt.label, 0) + 1
+                self._trips[key] = self._trips.get(key, 0) + 1
                 self._exec_block(stmt.body, env)
                 if self.iteration_hook is not None:
                     self.iteration_hook(stmt.label, self._nu[stmt.label], self)

@@ -1,9 +1,9 @@
 """Table 1's Stmts by walking every body: the oracle of the counts
 recorded at seal.
 
-``Program.seal_method`` records each method's simple-statement count
-(``Method.simple_count``, which ``eliminate_dead_copies`` keeps
-current), and ``repro.callgraph.reachable.reachable_statement_count``,
+``Program.seal_method`` records each method's simple statements
+(``Method.simple``, which ``eliminate_dead_copies`` records again after
+deleting statements; ``Method.simple_count`` is its length), and ``repro.callgraph.reachable.reachable_statement_count``,
 ``Program.statement_count`` and ``SharedArtifacts.size_counts`` sum
 those integers.  The walks below count the statements of the bodies
 as they stand, the way the replaced implementations did;

@@ -1,5 +1,7 @@
 """The size counts summed from the per-method counts recorded at seal
-equal a walk of every body (:mod:`tests.callgraph.size_count_oracle`).
+equal a walk of every body (:mod:`tests.callgraph.size_count_oracle`),
+and so does every method's sealed statement tuple (``Method.simple``,
+which the call graph, the PAG and context enumeration iterate).
 
 Checked on the 13 corpus apps, the x10 tilings of the retention apps,
 the stress program, a ``ProgramBuilder`` program and a program loaded
@@ -17,6 +19,7 @@ from repro.callgraph.reachable import program_metrics
 from repro.core.pipeline.session import AnalysisSession
 from repro.ir.builder import ProgramBuilder
 from repro.ir.optimize import optimize_program
+from repro.ir.stmts import simple_statements
 from repro.lang import parse_program
 
 from tests.callgraph.size_count_oracle import (
@@ -86,6 +89,8 @@ def _assert_counts_match(session):
         "statements": expected[1],
     }
     assert program.statement_count() == program_statement_count(program)
+    for method in program.all_methods():
+        assert method.simple == tuple(simple_statements(method.body)), method
 
 
 @pytest.mark.parametrize("optimized", [False, True], ids=["sealed", "optimized"])

@@ -71,6 +71,25 @@ class Main {
 class Item { }
 """
 
+#: ``Main.main`` and ``Main.other`` each run a loop labelled ``L``.
+_SAME_LABEL_TWO_METHODS = """
+entry Main.main;
+class Main {
+  static method main() {
+    loop L (*) {
+      x = new Item @main_item;
+    }
+    call Main.other() @co;
+  }
+  static method other() {
+    loop L (*) {
+      y = new Item @other_item;
+    }
+  }
+}
+class Item { }
+"""
+
 
 class TestStructuralScores:
     def test_allocating_loop_ranks_first(self):
@@ -139,6 +158,19 @@ class TestProfileScores:
         )
         assert ranked[0].spec.loop_label == "IDLE"
         assert ranked[0].features["trips"] == 1000
+
+    def test_same_label_loops_count_their_own_trips(self):
+        """Labels name loops within one method only: each method's loop
+        ``L`` ran 3 times, so each is ranked on 3 trips, not 6."""
+        ranked = rank_loops(
+            parse_program(_SAME_LABEL_TWO_METHODS),
+            schedule=FixedSchedule(trips_map={"L": 3}),
+        )
+        trips = {
+            (r.spec.method_sig, r.spec.loop_label): r.features["trips"]
+            for r in ranked
+        }
+        assert trips == {("Main.main", "L"): 3, ("Main.other", "L"): 3}
 
     def test_default_weights_complete(self):
         prog = parse_program(_SOURCE)

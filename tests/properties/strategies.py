@@ -21,7 +21,9 @@ whose methods call each other virtually and statically, for
 differential-testing call-graph construction, and
 :func:`control_flow_methods` writes one method of ``if``s, loops and
 ``return``s nested a few deep, for the structured walks checked against
-a CFG.
+a CFG.  :func:`copy_graph_programs` writes straight-line programs whose
+copy graphs hold the shapes offline variable substitution meets; they
+are not valid by construction and parse only unvalidated.
 """
 
 from hypothesis import strategies as st
@@ -467,3 +469,137 @@ def control_flow_methods(draw, max_depth=4, max_stmts=4):
         return " ".join(stmts)
 
     return "class A { field f; method m(p) { %s } }" % body(0)
+
+
+#: Variables shared by the statements of :func:`copy_graph_programs`.
+_COPY_VARS = tuple("v%d" % i for i in range(6))
+_COPY_SHAPES = (
+    "new",
+    "box",
+    "copy",
+    "self-copy",
+    "chain",
+    "ring",
+    "diamond",
+    "new with a copy",
+    "load with a copy",
+    "store",
+    "load",
+    "call",
+)
+_COPY_HELPERS = """
+  static method pass(p) { q = p; return q; }
+  static method relay(p) { t = call Main.pass(p) @relay_pass; return t; }
+  static method spin(p) { s = call Main.spin(p) @spin_self; return s; }
+"""
+
+
+@st.composite
+def copy_graph_programs(draw, max_shapes=10):
+    """Source of a straight-line ``Main.main`` built from copy-graph
+    shapes: copy chains, rings with and without an entry, self-copies
+    (``x = x``), diamonds, ``new`` and load targets that also have one
+    copy inflow, heap stores and loads, and calls whose parameters and
+    returns chain copies through ``Main.pass``, ``Main.relay``,
+    ``Main.spin`` (its return and its call's target form a ring with no
+    entry) and the instance methods of ``C``.
+
+    Uses may precede definitions, so the program parses only with
+    ``validate=False``.  Shapes use the shared variables ``v0``-``v5``
+    or fresh ones, so a ring may have no inflow from outside it; half
+    the heap accesses go through ``hub``, one object allocated first.
+    """
+    counter = iter(range(1, 1_000_000))
+
+    def fresh(prefix):
+        return "%s%d" % (prefix, next(counter))
+
+    def var():
+        if draw(st.integers(0, 3)) == 0:
+            return fresh("w")
+        return draw(st.sampled_from(_COPY_VARS))
+
+    def base():
+        # Half the heap accesses go through the hub, so loads meet
+        # slots that stores filled.
+        if draw(st.booleans()):
+            return "hub"
+        return draw(st.sampled_from(_COPY_VARS))
+
+    def distinct(count):
+        names = []
+        while len(names) < count:
+            name = var()
+            if name not in names:
+                names.append(name)
+        return names
+
+    stmts = []
+    for _ in range(draw(st.integers(1, max_shapes))):
+        kind = draw(st.sampled_from(_COPY_SHAPES))
+        if kind == "new":
+            stmts.append("%s = new C @%s;" % (var(), fresh("s")))
+        elif kind == "box":
+            stmts.append("%s = new Box @%s;" % (var(), fresh("b")))
+        elif kind == "copy":
+            stmts.append("%s = %s;" % (var(), var()))
+        elif kind == "self-copy":
+            name = var()
+            stmts.append("%s = %s;" % (name, name))
+        elif kind == "chain":
+            names = distinct(draw(st.integers(2, 5)))
+            stmts += ["%s = %s;" % (b, a) for a, b in zip(names, names[1:])]
+        elif kind == "ring":
+            names = distinct(draw(st.integers(2, 4)))
+            stmts += [
+                "%s = %s;" % (names[i], names[i - 1])
+                for i in range(len(names))
+            ]
+            if draw(st.booleans()):
+                stmts.append("%s = %s;" % (names[0], var()))
+        elif kind == "diamond":
+            a, b, c, d = distinct(4)
+            stmts += ["%s = %s;" % pair for pair in ((b, a), (c, a), (d, b), (d, c))]
+        elif kind == "new with a copy":
+            target = var()
+            stmts.append("%s = new C @%s;" % (target, fresh("s")))
+            stmts.append("%s = %s;" % (target, var()))
+        elif kind == "load with a copy":
+            target = var()
+            field = draw(st.sampled_from(FIELDS))
+            stmts.append("%s = %s.%s;" % (target, base(), field))
+            stmts.append("%s = %s;" % (target, var()))
+        elif kind == "store":
+            field = draw(st.sampled_from(FIELDS))
+            stmts.append("%s.%s = %s;" % (base(), field, var()))
+        elif kind == "load":
+            field = draw(st.sampled_from(FIELDS))
+            stmts.append("%s = %s.%s;" % (var(), base(), field))
+        else:
+            callee = draw(
+                st.sampled_from(
+                    ("Main.pass", "Main.relay", "Main.spin", "@id", "@self")
+                )
+            )
+            site = fresh("c")
+            if callee == "@id":
+                call = "call %s.id(%s) @%s" % (var(), var(), site)
+            elif callee == "@self":
+                call = "call %s.self() @%s" % (var(), site)
+            else:
+                call = "call %s(%s) @%s" % (callee, var(), site)
+            stmts.append("%s = %s;" % (var(), call))
+    return """
+entry Main.main;
+class Main {
+  static method main() {
+    hub = new Box @hub;
+    %s
+  }%s}
+class C {
+  field f; field g;
+  method id(p) { r = p; return r; }
+  method self() { return this; }
+}
+class Box { field f; field g; }
+""" % ("\n    ".join(stmts), _COPY_HELPERS)

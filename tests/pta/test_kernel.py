@@ -1,10 +1,14 @@
 """Unit suite for the integer-flat points-to kernel.
 
 Covers the kernel-specific machinery the differential tests cannot see
-from the outside: node interning determinism, SCC collapse (plain copy
+from the outside: node interning determinism, offline variable
+substitution (single-inflow variables merge into their source before
+solving, and an entry-less ring of them terminates), SCC collapse (copy
 cycles and cycles threaded through load/store edges share one
 representative bitset) and the mask-table encoding.
 """
+
+import threading
 
 from repro.callgraph.rta import build_rta
 from repro.lang import parse_program
@@ -13,8 +17,8 @@ from repro.pta.kernel import MaskTable, iter_bits, solve_flat
 from repro.pta.pag import PAG, VarNode
 
 
-def _pag(source):
-    program = parse_program(source)
+def _pag(source, validate=True):
+    program = parse_program(source, validate=validate)
     return PAG(program, build_rta(program))
 
 
@@ -53,18 +57,128 @@ class Hub { field f; }
 class Item { }
 """
 
+#: b, c and d form a copy cycle in which every member has a second
+#: inflow from outside it, so substitution merges none of them and only
+#: Tarjan can collapse the cycle.
+_TWO_INFLOW_CYCLE = """
+entry Main.main;
+class Main {
+  static method main() {
+    a = new Item @s1;
+    x = new Item @s2;
+    y = new Item @s3;
+    b = a;
+    c = b;
+    d = c;
+    b = d;
+    c = x;
+    d = y;
+  }
+}
+class Item { }
+"""
+
+#: An entry-less ring of single-inflow variables beside a plain chain;
+#: definite assignment rejects it, so it parses only unvalidated.
+_ENTRYLESS_RING = """
+entry Main.main;
+class Main {
+  static method main() {
+    a = b;
+    b = c;
+    c = a;
+    o = new Item @s1;
+    d = o;
+  }
+}
+class Item { }
+"""
+
+
+def _solve_in_time(pag, seconds=30):
+    """``solve_flat(pag)`` on a daemon thread, failing (not hanging) if
+    it has not finished within ``seconds``."""
+    solved = []
+    worker = threading.Thread(
+        target=lambda: solved.append(solve_flat(pag)), daemon=True
+    )
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), "the solve must finish"
+    (result,) = solved
+    return result
+
+
+class TestSubstitution:
+    def test_entryless_ring_terminates_and_points_nowhere(self):
+        result = _solve_in_time(_pag(_ENTRYLESS_RING, validate=False))
+        for name in "abc":
+            assert result.pts(VarNode("Main.main", name)) == frozenset()
+        assert result.pts(VarNode("Main.main", "d")) == {"s1"}
+
+    def test_entryless_ring_merges_into_one_set(self):
+        pag = _pag(_ENTRYLESS_RING, validate=False)
+        result = _solve_in_time(pag)
+        # a into b and b into c; c's inflow is then internal.  d into o.
+        assert result.stats["substituted"] == 3
+        assert result.stats["sccs_collapsed"] == 0
+        reps = {result._var_reps[_vid(pag, n)] for n in "abc"}
+        assert len(reps) == 1
+
+    def test_new_and_load_targets_are_never_merged(self):
+        """``x`` has one copy inflow but is also assigned by ``new``, and
+        ``y`` has one copy inflow but is also a load target: each keeps
+        its own mask, whose set is more than its copy source's."""
+        source = """
+        entry Main.main;
+        class Main {
+          static method main() {
+            h = new Hub @hub;
+            a = new Item @s1;
+            x = new Item @s2;
+            x = a;
+            b = new Item @s3;
+            h.f = b;
+            y = h.f;
+            y = a;
+          }
+        }
+        class Hub { field f; }
+        class Item { }
+        """
+        pag = _pag(source)
+        result = solve_flat(pag)
+        assert result.stats["substituted"] == 0
+        assert result.pts(VarNode("Main.main", "x")) == {"s1", "s2"}
+        assert result.pts(VarNode("Main.main", "y")) == {"s1", "s3"}
+        reps = {result._var_reps[_vid(pag, n)] for n in ("a", "x", "y")}
+        assert len(reps) == 3
+
 
 class TestSccCollapse:
     def test_copy_cycle_members_share_one_mask(self):
         pag = _pag(_COPY_CYCLE)
         result = solve_flat(pag)
-        assert result.stats["sccs_collapsed"] >= 2  # b, c, d merge
+        # c, d and e each have one inflow, so substitution merges them
+        # into b before the solve and Tarjan finds no cycle left.
+        assert result.stats["substituted"] >= 3
         b, c, d = (VarNode("Main.main", n) for n in "bcd")
         assert result.pts(b) == result.pts(c) == result.pts(d) == {"s1"}
         reps = {result._var_reps[_vid(pag, n)] for n in "bcd"}
         assert len(reps) == 1, "cycle members must share one mask index"
         # ...and the shared frozenset is literally the same object.
         assert result.pts(b) is result.pts(c)
+
+    def test_two_inflow_cycle_collapses_in_tarjan(self):
+        pag = _pag(_TWO_INFLOW_CYCLE)
+        result = solve_flat(pag)
+        assert result.stats["substituted"] == 0
+        assert result.stats["sccs_collapsed"] >= 2  # b, c, d merge
+        b, c, d = (VarNode("Main.main", n) for n in "bcd")
+        assert result.pts(b) == result.pts(c) == result.pts(d)
+        assert result.pts(b) == {"s1", "s2", "s3"}
+        reps = {result._var_reps[_vid(pag, n)] for n in "bcd"}
+        assert len(reps) == 1, "cycle members must share one mask index"
 
     def test_cycle_through_load_store_edges_collapses(self):
         """y = h.f; h.f = y forms slot(hub.f) <-> y: a copy cycle that
@@ -128,7 +242,7 @@ class TestInterning:
         result = solve_flat(_pag(_HEAP_CYCLE))
         for key in (
             "nodes", "slot_nodes", "sites", "copy_edges",
-            "bitset_bytes", "sccs_collapsed", "rounds",
+            "bitset_bytes", "substituted", "sccs_collapsed", "rounds",
         ):
             assert key in result.stats
         assert result.stats["nodes"] > 0

@@ -438,6 +438,7 @@ class TestObservability:
             "kernel_sites",
             "kernel_copy_edges",
             "kernel_bitset_bytes",
+            "kernel_substituted",
             "kernel_sccs_collapsed",
             "kernel_rounds",
         } <= set(gauges)
