@@ -1,8 +1,9 @@
 """Region-inference benchmarks: the cost of the candidate pass.
 
-A cold inference pass reuses the session's cached call graph, so it
-costs one CFG sweep per method.  ``bench_infer_candidates`` measures
-that raw pass on a warmed session for every bench app.
+A cold inference pass reuses the session's call graph, so it costs one
+statement sweep per method plus one walk of each loop-bearing method's
+structured body.  ``bench_infer_candidates`` measures that raw pass on
+a warmed session for every bench app.
 """
 
 import pytest

@@ -73,7 +73,7 @@ def main():
 
     print("=== 2. dynamic growth profile ===")
     schedule = FixedSchedule(trips_map={"PUMP": 8})
-    profile = growth_profile(program, "PUMP", schedule=schedule)
+    profile = growth_profile(program, region.text(), schedule=schedule)
     print("live Job instances per iteration:", profile.live_of("job"))
     assert profile.is_monotone("job")
     assert profile.growth_of("job") == 7
@@ -92,7 +92,7 @@ def main():
     print(diff.format())
     assert diff.is_clean_fix
     fixed_profile = growth_profile(
-        parse_program(FIXED), "PUMP", schedule=schedule
+        parse_program(FIXED), region.text(), schedule=schedule
     )
     print("live Job instances after fix:", fixed_profile.live_of("job"))
     assert fixed_profile.growth_of("job") <= 1

@@ -229,10 +229,12 @@ def _cmd_loops(args):
 
 
 def _cmd_regions(args):
+    from repro.core.infer import infer_candidates
     from repro.core.pipeline import AnalysisSession
 
     program = _load_program(args.file, args.javalib)
-    catalog = AnalysisSession(program, _config_from(args)).infer_catalog()
+    session = AnalysisSession(program, _config_from(args))
+    catalog = infer_candidates(program, session.callgraph)
     if args.json:
         import json
 

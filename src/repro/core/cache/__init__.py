@@ -2,10 +2,10 @@
 
 One whole-program points-to solve is what a cold check pays for; the
 daemon's session pool (:mod:`repro.server.pool`) keeps that solved
-substrate — call graph, flat points-to solution, per-method statement
-and store-edge indexes, library visibility and started-thread
-summaries — as bytes in memory, so a later request for the same text
-hydrates a session instead of solving again:
+substrate — call graph, flat points-to solution, size counts, library
+visibility and started-thread summaries — as bytes in memory, so a
+later request for the same text hydrates a session instead of solving
+again:
 
 * :mod:`~repro.core.cache.digest` — :func:`program_digest`, a hash of
   the canonical pretty-printed IR that responses, the pool and fleet

@@ -25,8 +25,9 @@ from repro.ir.printer import program_to_text
 #: summaries, reused across program versions when the per-method digest
 #: still matches).  v6: no summary payloads, and the flat encoding is
 #: the only Andersen encoding (reports lose the summary counters).
-#: v7: no inference catalog.
-CACHE_SCHEMA_VERSION = 7
+#: v7: no inference catalog.  v8: no per-method statement or
+#: per-store edge indexes.
+CACHE_SCHEMA_VERSION = 8
 
 
 def program_digest(program):

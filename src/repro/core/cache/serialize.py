@@ -21,7 +21,6 @@ import pickle
 
 from repro.callgraph.cha import CallEdge, CallGraph
 from repro.core.cache.digest import CACHE_SCHEMA_VERSION, program_digest
-from repro.core.pipeline.artifacts import StoreEdge
 from repro.core.pipeline.session import SharedArtifacts
 from repro.errors import CacheError
 from repro.pta.kernel import hydrate_flat, snapshot_flat
@@ -67,14 +66,6 @@ def snapshot_shared(shared, program_dig=None):
         },
         # The flat kernel's arrays plus one mask blob.
         "andersen": None if andersen is None else snapshot_flat(andersen),
-        "method_stmts": {
-            sig: [s.uid for s in stmts]
-            for sig, stmts in sorted(shared.method_stmts.items())
-        },
-        "store_edges": {
-            uid: [(e.src_site, e.field, e.base_site) for e in edges]
-            for uid, edges in sorted(shared.stmt_store_edges.items())
-        },
         "visible": None
         if shared._visible is None
         else sorted(shared._visible),
@@ -129,20 +120,6 @@ def hydrate_shared(program, config, snapshot, program_dig=None):
     if snapshot["andersen"] is not None:
         shared.points_to.adopt_andersen(hydrate_flat(snapshot["andersen"]))
 
-    shared.method_stmts.update(
-        (sig, tuple(stmt_by_uid[uid] for uid in uids))
-        for sig, uids in snapshot["method_stmts"].items()
-    )
-    shared.stmt_store_edges.update(
-        (
-            uid,
-            tuple(
-                StoreEdge(src, field, base, stmt_by_uid[uid])
-                for src, field, base in edges
-            ),
-        )
-        for uid, edges in snapshot["store_edges"].items()
-    )
     if snapshot["visible"] is not None:
         shared._visible = {(sig, name) for sig, name in snapshot["visible"]}
     if snapshot["thread_sites"] is not None:

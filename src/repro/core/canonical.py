@@ -1,21 +1,21 @@
 """Canonical (run-independent) views of reports and scan results.
 
 Two detector runs that agree on every *finding* still differ in
-bookkeeping: wall-clock timings, and counters whose value depends on
-what an earlier run, a concurrent worker, or a hydrated substrate
-already computed (a warm store-edge index answers with hits where a
-cold one counts misses).  Canonicalization zeroes the timings and drops
-the cache-dependent counters, leaving exactly the run-independent
-content — the representation under which serial, fanned-out and
-pool-hydrated runs of the same program are byte-identical, and which
-the golden regression corpus (``tests/golden/``) stores.
+bookkeeping: wall-clock timings, and points-to query counters whose
+value depends on what an earlier region or a hydrated substrate already
+answered (a demand-driven query the memo holds counts as a hit, not a
+fresh traversal).  Canonicalization zeroes the timings and drops the
+query counters, leaving exactly the run-independent content — the
+representation under which serial, fanned-out and pool-hydrated runs of
+the same program are byte-identical, and which the golden regression
+corpus (``tests/golden/``) stores.
 """
 
 import json
 
 #: Counters whose values legitimately differ between equivalent runs:
-#: query traffic and cache bookkeeping depend on execution order and on
-#: what is already cached, while the analysis results do not.
+#: query traffic depends on execution order and on what the points-to
+#: facade already answered, while the analysis results do not.
 VOLATILE_COUNTERS = (
     "var_queries",
     "heap_queries",
@@ -24,9 +24,6 @@ VOLATILE_COUNTERS = (
     "budget_exhaustions",
     "deadline_expiries",
     "andersen_fallbacks",
-    "store_edge_cache_hits",
-    "store_edge_cache_misses",
-    "region_cache_hits",
 )
 
 
@@ -62,7 +59,7 @@ def canonical_scan_dict(scan_dict):
     The severity triage and the region-inference counters
     (``infer_*``) are pure functions of the program, deterministic
     across runs, hash seeds, and scan backends — canonicalization keeps
-    them verbatim; only timings and cache-dependent counters go.
+    them verbatim; only timings and query counters go.
     """
     out = dict(scan_dict)
     out["loops"] = [

@@ -26,8 +26,8 @@ treated as an artificial loop), the detector:
 Since the staged-pipeline refactor the work happens in
 :mod:`repro.core.pipeline`: :class:`LeakChecker` is a thin façade over an
 :class:`~repro.core.pipeline.session.AnalysisSession`, which owns the
-program-level artifacts, memoizes them across regions, and reports
-per-stage timings and counters through ``LeakReport.stats``.
+program's substrate, shares it across regions, and reports per-stage
+timings and counters through ``LeakReport.stats``.
 """
 
 from repro.core.config import DetectorConfig

@@ -239,18 +239,16 @@ def _method_candidates(program, callgraph, index):
     return out
 
 
-def infer_candidates(program, callgraph, statements=None):
+def infer_candidates(program, callgraph):
     """Build the scored candidate-region catalog of ``program``.
 
-    ``callgraph`` is the (usually cached) call graph of the analysis
-    session — inference reuses it instead of building its own, so on a
-    warm session the whole pass costs one walk of each loop-bearing
-    method's structured body.  ``statements``
-    optionally supplies a ``sig -> statement tuple`` provider (the
-    session's memoized per-method index), skipping the body walks.
+    ``callgraph`` is the call graph of the analysis session — inference
+    reuses it instead of building its own, so on a warm session the
+    whole pass costs one walk of each loop-bearing method's structured
+    body.
     """
     started = time.perf_counter()
-    index = ProgramIndex(program, callgraph, statements=statements)
+    index = ProgramIndex(program, callgraph)
     profiles = classify_loops(program, callgraph, index=index)
     candidates = [
         CandidateRegion(

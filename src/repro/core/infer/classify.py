@@ -142,12 +142,8 @@ class ProgramIndex:
     and the candidate scorer re-read — direct allocation / store counts,
     the invoke and labelled-loop statements — so the inference pass
     costs one walk of the program on top of a warm session, not one
-    walk per candidate.  ``statements`` lets a session substitute its
-    memoized per-method statement tuples
-    (:meth:`~repro.core.pipeline.session.AnalysisSession.
-    method_statements`) for the recursive body walk; callee adjacency
-    is resolved lazily, only for methods the allocation closures
-    actually reach.
+    walk per candidate.  Callee adjacency is resolved lazily, only for
+    methods the allocation closures actually reach.
     """
 
     __slots__ = (
@@ -162,7 +158,7 @@ class ProgramIndex:
         "reachable_sigs",
     )
 
-    def __init__(self, program, callgraph, statements=None):
+    def __init__(self, program, callgraph):
         self.callgraph = callgraph
         self.direct_allocs = {}
         self.stores = {}
@@ -176,11 +172,7 @@ class ProgramIndex:
             allocs = stores = 0
             invokes = []
             loops = []
-            stmts = (
-                statements(sig) if statements is not None
-                else method.statements()
-            )
-            for stmt in stmts:
+            for stmt in method.statements():
                 if isinstance(stmt, NewStmt):
                     allocs += 1
                 elif isinstance(stmt, StoreStmt):

@@ -6,8 +6,8 @@ Stage modules (one per stage, in execution order):
 ``flows_in`` -> ``postpasses`` (strong updates) -> ``matching`` ->
 ``postpasses`` (pivot)
 
-:mod:`~repro.core.pipeline.session` orchestrates them over memoized
-program-level artifacts; :mod:`~repro.core.pipeline.stats` carries
+:mod:`~repro.core.pipeline.session` orchestrates them over one
+program's substrate; :mod:`~repro.core.pipeline.stats` carries
 per-stage timings and work counters.
 """
 

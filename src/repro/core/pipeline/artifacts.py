@@ -1,9 +1,9 @@
 """Artifact dataclasses flowing between pipeline stages.
 
 Each stage consumes the artifacts of earlier stages and produces exactly
-one artifact; :class:`RegionArtifacts` bundles everything computed for a
-region so the session can memoize a whole run and rebuild reports (or
-answer :meth:`flow_relations`) without re-running stages.
+one artifact; :class:`RegionArtifacts` bundles everything one run
+computed for a region, from which the session builds the report (or
+answers :meth:`flow_relations`).
 """
 
 from dataclasses import dataclass, field
@@ -157,8 +157,8 @@ class ResourceArtifact:
 
 @dataclass
 class RegionArtifacts:
-    """Everything the pipeline computed for one region — the unit the
-    session memoizes.  ``flows_out`` holds the *raw* pairs (what
+    """Everything one pipeline run computed for a region.
+    ``flows_out`` holds the *raw* pairs (what
     :meth:`AnalysisSession.flow_relations` exposes); ``effective_out``
     is after the strong-update post-pass, and feeds matching.
     ``leaking`` is the final (post-pivot) ordered list of site labels.

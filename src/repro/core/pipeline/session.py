@@ -1,14 +1,14 @@
-"""The pipeline orchestrator: program-level artifacts + staged runs.
+"""The pipeline orchestrator: one program's substrate + staged runs.
 
 :class:`AnalysisSession` is the engine behind :class:`repro.core.
-detector.LeakChecker`.  It owns the *program-level* artifacts — call
-graph, points-to facade, class hierarchy slices, per-method statement
-lists, per-statement store-edge resolutions, library-visibility and
-started-thread summaries — and memoizes them across regions, so
+detector.LeakChecker`.  It holds the program's *substrate*
+(:class:`SharedArtifacts`): the call graph, the points-to facade and
+the lazy library-visibility, started-thread and size-count summaries,
+built once and shared by every region the session checks, so
 multi-region workflows (``scan_all_loops``, Table 1, sweeps, component
-harnesses) stop paying per-region rebuild costs.
+harnesses) pay for the whole-program solve once.
 
-Region checks run as an explicit stage pipeline::
+Each region check runs an explicit stage pipeline over that substrate::
 
     contexts -> region_stmts -> store_edges -> flows_out -> flows_in
              -> strong_updates -> matching -> pivot
@@ -16,12 +16,13 @@ Region checks run as an explicit stage pipeline::
 each stage consuming/producing artifact dataclasses
 (:mod:`repro.core.pipeline.artifacts`) and timed/counted into a
 :class:`repro.core.pipeline.stats.PipelineStats` that surfaces through
-``LeakReport.stats["stages"] / ["counters"]``.
+``LeakReport.stats["stages"] / ["counters"]``.  Nothing per region is
+kept: checking a region again runs its stages again.
 
-Sessions are thread-compatible: the shared caches are only ever filled
-with idempotently recomputable values, so concurrent region checks on
-one session (the daemon's request threads) produce reports identical
-to a serial scan.
+Sessions are thread-compatible: the substrate's lazies are only ever
+filled with idempotently recomputable values, under one lock, so
+concurrent region checks on one session produce reports identical to a
+serial scan.
 """
 
 import threading
@@ -36,7 +37,7 @@ from repro.callgraph.reachable import (
 from repro.callgraph.rta import build_rta
 from repro.core.config import DetectorConfig
 from repro.core.libmodel import library_visible_values
-from repro.core.pipeline.artifacts import RegionArtifacts, StoreEdge
+from repro.core.pipeline.artifacts import RegionArtifacts
 from repro.core.pipeline.contexts import enumerate_contexts
 from repro.core.pipeline.flows_in import compute_flows_in
 from repro.core.pipeline.flows_out import compute_flows_out
@@ -50,7 +51,6 @@ from repro.core.pipeline.resources import compute_resources
 from repro.core.pipeline.statements import collect_region_statements
 from repro.core.pipeline.stats import PipelineStats
 from repro.core.pipeline.store_edges import extract_store_edges
-from repro.core.regions import RegionSpec
 from repro.core.report import RESOURCE_LEAK, LeakFinding, LeakReport
 from repro.core.threads import started_thread_sites
 from repro.errors import AnalysisError
@@ -61,12 +61,12 @@ _CALLGRAPH_BUILDERS = {"rta": build_rta, "cha": build_cha, "otf": build_otf}
 
 
 class SharedArtifacts:
-    """Program-level artifacts reusable across regions *and* across
+    """A program's substrate, reusable across regions *and* across
     sessions whose configurations agree on the substrate key
     (callgraph kind, demand-driven mode, query budget).
 
-    All lazily-filled caches hold values that are pure functions of the
-    program + substrate, so concurrent fills are benign (idempotent).
+    The lazy summaries are pure functions of the program + substrate,
+    so concurrent fills are benign (idempotent).
 
     ``callgraph`` lets a caller supply a prebuilt call graph (the
     substrate codec hydrating one from a snapshot) instead of running a
@@ -86,18 +86,11 @@ class SharedArtifacts:
             budget=config.budget,
         )
         self.lock = threading.RLock()
-        #: method sig -> tuple of statements (body walk, cached)
-        self.method_stmts = {}
-        #: store stmt uid -> tuple of resolved StoreEdge
-        self.stmt_store_edges = {}
-        #: lazy caches, each a pure function of program + substrate
+        #: lazy summaries, each a pure function of program + substrate
         self._visible = None
         self._thread_sites = None
         self._thread_subclasses = None
         self._size_counts = None
-        #: region-inference catalog (repro.core.infer), built on demand;
-        #: never part of a snapshot
-        self._infer_catalog = None
 
     def visible_values(self):
         if self._visible is None:
@@ -156,13 +149,9 @@ class AnalysisSession:
         :meth:`fork`, the sweep harness and the daemon's session pool,
         which hydrates it from the substrate bytes it keeps
         (:func:`repro.core.cache.serialize.load_shared`).
-    reuse_artifacts:
-        When ``False``, the per-method/per-statement/per-region caches
-        are bypassed and every region pays full rebuild cost — the
-        seed's behaviour, kept as a baseline for the reuse benchmarks.
     """
 
-    def __init__(self, program, config=None, shared=None, reuse_artifacts=True):
+    def __init__(self, program, config=None, shared=None):
         self.program = program
         self.config = config or DetectorConfig()
         if shared is not None:
@@ -177,11 +166,8 @@ class AnalysisSession:
                     "shared artifacts belong to a different program"
                 )
         self.shared = shared or SharedArtifacts(program, self.config)
-        self.reuse_artifacts = reuse_artifacts
         #: session-lifetime aggregate of every pipeline run
         self.stats = PipelineStats()
-        self._region_cache = {}
-        self._cache_lock = threading.Lock()
 
     # -- shared-artifact accessors ------------------------------------------
 
@@ -194,72 +180,15 @@ class AnalysisSession:
         return self.shared.points_to
 
     def fork(self, config):
-        """A sibling session for ``config``, sharing the substrate (call
-        graph, points-to, per-method indexes) when the new config keeps
-        the same substrate key, rebuilding it otherwise."""
+        """A sibling session for ``config``, sharing the substrate when
+        the new config keeps the same substrate key, rebuilding it
+        otherwise."""
         shared = (
             self.shared
             if config.substrate_key() == self.shared.substrate_key
             else None
         )
-        return AnalysisSession(
-            self.program,
-            config,
-            shared=shared,
-            reuse_artifacts=self.reuse_artifacts,
-        )
-
-    def infer_catalog(self):
-        """The region-inference candidate catalog of this program
-        (:func:`repro.core.infer.infer_candidates`), memoized on the
-        shared substrate: the pass reuses the cached call graph and the
-        per-method statement index, and repeated ``--auto-regions``
-        scans on one session pay for inference once."""
-        shared = self.shared
-        if shared._infer_catalog is None:
-            from repro.core.infer import infer_candidates
-
-            with shared.lock:
-                if shared._infer_catalog is None:
-                    shared._infer_catalog = infer_candidates(
-                        self.program,
-                        self.callgraph,
-                        statements=self.method_statements,
-                    )
-        return shared._infer_catalog
-
-    def method_statements(self, sig):
-        """Cached ``tuple(program.method(sig).statements())``."""
-        if not self.reuse_artifacts:
-            return tuple(self.program.method(sig).statements())
-        cached = self.shared.method_stmts.get(sig)
-        if cached is None:
-            cached = tuple(self.program.method(sig).statements())
-            self.shared.method_stmts[sig] = cached
-        return cached
-
-    def store_edges_for(self, stmt, stats=None):
-        """Points-to-resolved edges of one store statement (cached)."""
-        if self.reuse_artifacts:
-            cached = self.shared.stmt_store_edges.get(stmt.uid)
-            if cached is not None:
-                if stats is not None:
-                    stats.count("store_edge_cache_hits")
-                return cached
-        sig = stmt.method.sig
-        src_sites = self.points_to.pts(sig, stmt.source)
-        base_sites = self.points_to.pts(sig, stmt.base)
-        edges = tuple(
-            StoreEdge(src, stmt.field, base, stmt)
-            for src in src_sites
-            for base in base_sites
-        )
-        if self.reuse_artifacts:
-            if not self.points_to.degraded():
-                self.shared.stmt_store_edges[stmt.uid] = edges
-            if stats is not None:
-                stats.count("store_edge_cache_misses")
-        return edges
+        return AnalysisSession(self.program, config, shared=shared)
 
     def library_visible_values(self):
         return self.shared.visible_values()
@@ -287,19 +216,10 @@ class AnalysisSession:
     # -- the staged pipeline -------------------------------------------------
 
     def artifacts(self, region):
-        """Run (or recall) the pipeline for ``region``; returns the
-        memoized :class:`RegionArtifacts`."""
-        key = _region_key(region)
-        if self.reuse_artifacts:
-            with self._cache_lock:
-                cached = self._region_cache.get(key)
-            if cached is not None:
-                self.stats.count("region_cache_hits")
-                return cached
+        """Run the pipeline for ``region``; returns its
+        :class:`RegionArtifacts` and folds its stats into
+        :attr:`stats`."""
         art = self._run_pipeline(region)
-        if self.reuse_artifacts and not self.points_to.degraded():
-            with self._cache_lock:
-                self._region_cache.setdefault(key, art)
         self.stats.merge(art.stats)
         return art
 
@@ -500,16 +420,3 @@ class AnalysisSession:
             )
         return findings
 
-
-def _region_key(region):
-    """Memoization key for a region spec (value-based, not identity)."""
-    if isinstance(region, RegionSpec):
-        if region.is_loop:
-            return ("loop", region.method_sig, region.loop_label)
-        return ("region", "RegionSpec", region.method_sig)
-    sig = getattr(region, "method_sig", None)
-    if sig is None:
-        return ("identity", id(region))
-    if getattr(region, "loop_label", None) is not None:
-        return ("loop", sig, region.loop_label)
-    return ("region", type(region).__name__, sig)

@@ -6,10 +6,9 @@ Every pipeline run produces one :class:`PipelineStats` carrying
   order (contexts, region_stmts, store_edges, flows_out, flows_in,
   strong_updates, matching, pivot);
 * ``counters`` — monotone work counters: points-to query traffic (CFL
-  queries issued, budget exhaustions, Andersen fallbacks), artifact
+  queries issued, budget exhaustions, Andersen fallbacks) and artifact
   sizes (contexts enumerated, store edges, flow pairs produced and
-  matched), and cache behaviour (per-method index hits/misses, region
-  cache hits).
+  matched).
 
 The object is cheap, mergeable (scan aggregates per-loop stats), and
 serializes into ``LeakReport.stats["stages"] / ["counters"]`` so JSON
@@ -36,14 +35,13 @@ BASE_COUNTERS = (
     "flow_pairs_in",
     "flow_pairs_matched",
     "flow_pairs_unmatched",
-    "region_cache_hits",
 )
 
 #: Region-inference work counters (scan-level bookkeeping, folded into
 #: the scan profile by ``ScanResult.aggregate_stats`` on ``scan
 #: --auto-regions`` runs).  They are pure functions of the program +
 #: call graph — deterministic across runs and backends — so canonical
-#: JSON keeps them, unlike the volatile cache counters.
+#: JSON keeps them, unlike the volatile query counters.
 INFER_COUNTERS = (
     "infer_methods_analyzed",
     "infer_loops_classified",

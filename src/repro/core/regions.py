@@ -141,11 +141,7 @@ def region_text(region):
     a loop, ``Class.method`` for an artificial method region — the
     inverse of :func:`resolve_region` and the key triage, baselines and
     leak diffing use."""
-    if isinstance(region, RegionSpec):
-        return region.text()
-    if getattr(region, "loop_label", None) is not None:
-        return "%s:%s" % (region.method_sig, region.loop_label)
-    return region.method_sig
+    return region.text()
 
 
 def candidate_loops(program):

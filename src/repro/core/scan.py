@@ -8,10 +8,10 @@ per-region semantics of the analysis is unchanged; scanning is a
 convenience layer.
 
 The scan rides on one :class:`~repro.core.pipeline.session.
-AnalysisSession`, so program-level artifacts (call graph, points-to,
-per-method statement and store-edge indexes, library visibility) are
-built once and shared by every region; region inference reuses the same
-cached call graph, so it adds one CFG sweep on top of a warm session.
+AnalysisSession`, so the program's substrate (call graph, points-to,
+library visibility, thread summaries) is built once and shared by every
+region; region inference reuses the session's call graph, so it adds
+one walk of each loop-bearing method's structured body.
 A scan runs in the calling process; spreading programs over worker
 processes is the daemon's job (``POST /analyze-batch`` behind ``repro
 serve --workers N``), and so is keeping a program's substrate warm
@@ -107,10 +107,8 @@ class ScanResult:
             "loops": [
                 {
                     "method": spec.method_sig,
-                    "loop": getattr(spec, "loop_label", None),
-                    "kind": "loop"
-                    if getattr(spec, "loop_label", None) is not None
-                    else "region",
+                    "loop": spec.loop_label,
+                    "kind": "loop" if spec.is_loop else "region",
                     "report": report.as_dict(),
                 }
                 for spec, report in self.entries
@@ -124,7 +122,7 @@ class ScanResult:
     def to_json(self, indent=2, canonical=False):
         """Serialize the scan result to a JSON string (for CI pipelines).
 
-        ``canonical=True`` zeroes timings and drops run-dependent cache
+        ``canonical=True`` zeroes timings and drops run-dependent query
         counters (:mod:`repro.core.canonical`) so equivalent runs —
         serial, on a fleet worker, on a substrate the session pool
         hydrated — produce byte-identical text; the golden regression
@@ -185,7 +183,9 @@ def scan_all_loops(
     if specs is not None:
         specs = list(specs)
     elif auto_regions:
-        catalog = session.infer_catalog()
+        from repro.core.infer import infer_candidates
+
+        catalog = infer_candidates(program, session.callgraph)
         specs = catalog.selected_specs(top)
         infer_counters = dict(catalog.counters)
         infer_counters["infer_candidates_selected"] = len(specs)

@@ -14,14 +14,17 @@ stays flat.  The benchmark models are validated against this profile:
 the statically reported true leaks must be exactly the growing sites.
 """
 
+from repro.core.regions import resolve_region
+from repro.errors import ResolutionError
 from repro.semantics.interp import Interpreter
 
 
 class GrowthProfile:
-    """Live-object counts per iteration of one loop."""
+    """Live-object counts per iteration of one loop, named by its
+    canonical region text ``Class.method:LABEL``."""
 
-    def __init__(self, loop_label, samples):
-        self.loop_label = loop_label
+    def __init__(self, region, samples):
+        self.region = region
         #: list of (iteration, total_live, {site: live_count})
         self.samples = samples
 
@@ -58,18 +61,33 @@ class GrowthProfile:
 
     def __repr__(self):
         return "GrowthProfile(%s, %d samples)" % (
-            self.loop_label,
+            self.region,
             len(self.samples),
         )
 
 
-def growth_profile(program, loop_label, schedule=None, max_steps=500_000):
-    """Execute ``program`` and profile live objects per iteration of
-    ``loop_label``."""
+def growth_profile(program, region, schedule=None, max_steps=500_000):
+    """Execute ``program`` and profile live objects per iteration of the
+    loop ``region`` names.
+
+    ``region`` is the canonical loop text ``Class.method:LABEL``, parsed
+    and resolved as every ``--region`` is; a bare label, a method region
+    or a loop the program lacks raises
+    :class:`~repro.errors.ResolutionError`.  Labels name loops within
+    one method only, so a loop of another method that shares the label
+    is not sampled, and iterations are numbered per loop.
+    """
+    spec = resolve_region(program, region)
+    if not spec.is_loop:
+        raise ResolutionError(
+            "growth profiles need a loop region 'Class.method:LABEL', "
+            "not the method region %r" % spec.text()
+        )
+    target = (spec.method_sig, spec.loop_label)
     samples = []
 
-    def hook(label, iteration, interp):
-        if label != loop_label:
+    def hook(method_sig, label, iteration, interp):
+        if (method_sig, label) != target:
             return
         live = interp.live_objects()
         by_site = {}
@@ -81,4 +99,4 @@ def growth_profile(program, loop_label, schedule=None, max_steps=500_000):
         program, schedule=schedule, max_steps=max_steps, iteration_hook=hook
     )
     interp.run()
-    return GrowthProfile(loop_label, samples)
+    return GrowthProfile(spec.text(), samples)

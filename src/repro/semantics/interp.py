@@ -122,8 +122,10 @@ class Interpreter:
         self.schedule = schedule or FixedSchedule()
         self.max_steps = max_steps
         self.strict = strict
-        #: optional callable(loop_label, iteration, interpreter) invoked
-        #: after each completed loop iteration — used by the GC profiler
+        #: optional callable(method_sig, loop_label, iteration,
+        #: interpreter) invoked after each completed loop iteration, the
+        #: iteration numbered per (method sig, loop label) as
+        #: :meth:`loop_trips` counts it — used by the GC profiler
         self.iteration_hook = iteration_hook
         #: optional callable(stmt, receiver, interpreter) invoked for
         #: every non-static call with a non-null receiver, before
@@ -314,7 +316,7 @@ class Interpreter:
                 self._trips[key] = self._trips.get(key, 0) + 1
                 self._exec_block(stmt.body, env)
                 if self.iteration_hook is not None:
-                    self.iteration_hook(stmt.label, self._nu[stmt.label], self)
+                    self.iteration_hook(*key, self._trips[key], self)
         finally:
             self._active_loops.pop()
 

@@ -532,7 +532,7 @@ class AnalysisServer:
             deadline_ms = self.effective_deadline_ms(
                 _optional_int(payload, "deadline_ms")
             )
-            include_reports = bool(payload.get("include_reports"))
+            include_reports = _optional_bool(payload, "include_reports")
         except (BadRequest, schema.SchemaError) as exc:
             self.metrics.count("client_errors")
             emit("response", self._error_response(400, str(exc)))
@@ -784,12 +784,18 @@ def _program_source(payload, key="program"):
     source = payload.get(key)
     if not isinstance(source, str) or not source.strip():
         raise BadRequest('"%s" must be a non-empty source string' % key)
-    javalib = payload.get("javalib")
-    if javalib is None:
-        javalib = False
-    if not isinstance(javalib, bool):
-        raise BadRequest('"javalib" must be a boolean')
-    return source, javalib
+    return source, _optional_bool(payload, "javalib")
+
+
+def _optional_bool(payload, key):
+    """A JSON boolean field, absent or ``null`` reading as false;
+    :class:`BadRequest` for any other value (``"false"`` is not false)."""
+    value = payload.get(key)
+    if value is None:
+        return False
+    if not isinstance(value, bool):
+        raise BadRequest('"%s" must be a boolean' % key)
+    return value
 
 
 def _region_texts(region):

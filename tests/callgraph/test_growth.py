@@ -17,7 +17,12 @@ region by walking the whole method made the scan quadratic, and
 ``scan_all_loops(auto_regions=True)`` over 300, 600 and 1,200 of them,
 where region inference was quadratic while it climbed a CFG's idom
 chain once per back edge and compared every pair of loops; it now reads
-the loop nest in one walk of the structured body.
+the loop nest in one walk of the structured body.  The thread summaries
+(``started_thread_sites``, the last layer of ``AnalysisSession.warm()``
+under ``model_threads``) run on a prebuilt solve of programs with 150,
+300 and 600 ``Thread`` subclasses, each allocated and started in one
+loop of ``Main.main``: memocache tilings hold no ``Thread`` class, so
+the summaries would return at once on every tiling.
 Each size is timed as the median of five runs with the collector off,
 the sizes interleaved so a slow spell of a shared machine hits all of
 them alike.  The slope of log(time) against log(size) must stay at or
@@ -39,6 +44,8 @@ from repro.core.config import DetectorConfig
 from repro.core.libmodel import library_visible_values
 from repro.core.pipeline.session import AnalysisSession, SharedArtifacts
 from repro.core.scan import scan_all_loops
+from repro.core.threads import started_thread_sites
+from repro.javalib import with_javalib
 from repro.lang import parse_program
 from repro.pta.kernel import solve_flat
 from repro.pta.pag import PAG
@@ -48,6 +55,7 @@ from tests.conftest import sequential_source
 FACTORS = (10, 20, 40)
 LOOP_COUNTS = (150, 300, 600)
 AUTO_LOOP_COUNTS = (300, 600, 1200)
+THREAD_COUNTS = (150, 300, 600)
 RUNS = 5
 MAX_SLOPE = 1.3
 
@@ -168,4 +176,38 @@ def test_auto_regions_slope():
         lambda program: scan_all_loops(program, auto_regions=True),
         programs,
         sizes=AUTO_LOOP_COUNTS,
+    )
+
+
+def _thread_source(threads):
+    """``Main.main`` allocating and starting one object of each of
+    ``threads`` ``Thread`` subclasses in one loop, over the library's
+    ``Thread`` model."""
+    return with_javalib(
+        "entry Main.main;\n"
+        "class Main { static method main() {\nloop L (*) {\n"
+        + "".join(
+            "t{0} = new W{0} @w{0}; call t{0}.start() @s{0};\n".format(n)
+            for n in range(threads)
+        )
+        + "} } }\n"
+        + "".join("class W%d extends Thread { }\n" % n for n in range(threads)),
+        "thread",
+    )
+
+
+def test_thread_summaries_slope():
+    config = DetectorConfig(model_threads=True)
+    solved = []
+    for threads in THREAD_COUNTS:
+        session = AnalysisSession(parse_program(_thread_source(threads)), config)
+        session.points_to.andersen  # the whole-program solve, prebuilt
+        assert len(session.started_thread_sites()) == threads
+        solved.append(session)
+    _assert_slope(
+        lambda session: started_thread_sites(
+            session.program, session.callgraph, session.points_to
+        ),
+        solved,
+        sizes=THREAD_COUNTS,
     )

@@ -13,6 +13,7 @@ from repro.core.cache import (
 )
 from repro.core.cache.serialize import dump_shared, load_shared
 from repro.core.detector import DetectorConfig
+from repro.core.infer import infer_candidates
 from repro.core.pipeline.session import AnalysisSession
 from repro.core.regions import RegionSpec, candidate_loops
 from repro.core.scan import scan_all_loops
@@ -85,23 +86,33 @@ class TestSnapshotRoundTrip:
         # from the bytes re-infers it: same candidates, scores, counters.
         config = DetectorConfig()
         cold = AnalysisSession(_program(), config)
-        computed = cold.infer_catalog()
-        catalog = pooled_session(cold, _program()).infer_catalog()
+        computed = infer_candidates(cold.program, cold.callgraph)
+        hydrated = pooled_session(cold, _program())
+        catalog = infer_candidates(hydrated.program, hydrated.callgraph)
         assert [c.as_dict() for c in catalog.candidates] == [
             c.as_dict() for c in computed.candidates
         ]
         assert catalog.counters == computed.counters
 
     def test_uncomputed_catalog_stays_lazy(self):
-        # Even after inference, no snapshot carries a catalog, and a
-        # session hydrated from the bytes has none until asked.
+        # Even after inference, a snapshot holds the substrate alone (no
+        # catalog, no statement or store-edge index): a session hydrated
+        # from the bytes infers afresh when asked.
         config = DetectorConfig()
         cold = AnalysisSession(_program(), config)
-        cold.infer_catalog()
+        infer_candidates(cold.program, cold.callgraph)
         snapshot = snapshot_shared(cold.shared)
-        assert "infer_catalog" not in snapshot
-        hydrated = pooled_session(cold, _program())
-        assert hydrated.shared._infer_catalog is None
+        assert set(snapshot) == {
+            "schema",
+            "substrate_key",
+            "program_digest",
+            "callgraph",
+            "andersen",
+            "visible",
+            "thread_sites",
+            "thread_subclasses",
+            "size_counts",
+        }
 
     def test_hydrate_rejects_schema_mismatch(self):
         config = DetectorConfig()

@@ -141,45 +141,18 @@ class TestReportStats:
 
 
 class TestSessionCaching:
-    def test_repeat_check_hits_region_cache(self, simple_leak):
+    def test_repeat_check_is_identical(self, simple_leak):
         session = AnalysisSession(simple_leak)
         spec = RegionSpec("Main.main", "L")
         first = session.check(spec)
-        before = session.points_to.totals.get("var_queries", 0)
         second = session.check(spec)
-        after = session.points_to.totals.get("var_queries", 0)
-        assert session.stats.counters["region_cache_hits"] == 1
-        assert after == before  # no points-to work on the cached run
         assert _fingerprint(first) == _fingerprint(second)
 
-    def test_distinct_spec_objects_share_cache_entry(self, simple_leak):
-        session = AnalysisSession(simple_leak)
-        session.check(RegionSpec("Main.main", "L"))
-        session.check(RegionSpec("Main.main", "L"))
-        assert session.stats.counters["region_cache_hits"] == 1
-
-    def test_reuse_off_matches_reuse_on(self, figure1):
-        spec = RegionSpec("Main.main", "L1")
-        cached = AnalysisSession(figure1).check(spec)
-        rebuilt = AnalysisSession(figure1, reuse_artifacts=False).check(spec)
-        assert _fingerprint(cached) == _fingerprint(rebuilt)
-
-    def test_store_edges_resolved_once_across_regions(self, figure1):
-        session = AnalysisSession(figure1)
-        session.check(RegionSpec("Main.main", "L1"))
-        session.check(RegionSpec("Transaction.txInit", "LC"))
-        report = session.check(RegionSpec("Transaction.txInit", "LC"))
-        # cached rerun: edges come from the index, not points-to
-        counters = report.stats["counters"]
-        assert counters.get("store_edge_cache_misses", 0) >= 0
-        assert session.stats.counters["region_cache_hits"] == 1
-
-    def test_flow_relations_uses_cached_artifacts(self, figure1):
+    def test_flow_relations_agree_with_check(self, figure1):
         session = AnalysisSession(figure1)
         spec = RegionSpec("Main.main", "L1")
         report = session.check(spec)
         inside, outs, ins = session.flow_relations(spec)
-        assert session.stats.counters["region_cache_hits"] == 1
         assert {p.site for p in outs} >= set(report.leaking_site_labels)
 
     def test_warm_precomputes_lazies(self, simple_leak):
@@ -285,7 +258,6 @@ class TestFacade:
         b = LeakChecker(simple_leak, session=session)
         spec = RegionSpec("Main.main", "L")
         assert _fingerprint(a.check(spec)) == _fingerprint(b.check(spec))
-        assert session.stats.counters["region_cache_hits"] == 1
 
     def test_scan_accepts_prebuilt_session(self):
         program = parse_program(FIGURE1_SOURCE)
@@ -293,8 +265,8 @@ class TestFacade:
         result = scan_all_loops(program, session=session)
         assert len(result.entries) == 2
         rescan = scan_all_loops(program, session=session)
-        assert session.stats.counters["region_cache_hits"] == len(
-            rescan.entries
+        assert rescan.to_json(canonical=True) == result.to_json(
+            canonical=True
         )
 
 

@@ -1,5 +1,8 @@
 """Tests for heap-growth profiling — the concrete severity signal."""
 
+import pytest
+
+from repro.errors import ResolutionError
 from repro.lang import parse_program
 from repro.semantics.gc import growth_profile
 from repro.semantics.interp import FixedSchedule
@@ -25,10 +28,39 @@ class Node { field next; }
 """
 
 
-def _profile(source, loop="L", trips=6, **kwargs):
+#: Two loops named ``L`` in two methods, and a loop ``K`` between them
+#: that grows a linked list of ``node``s.
+_SAME_LABEL_TWO_METHODS = """
+entry Main.main;
+class Main {
+  static method main() {
+    loop L (*) {
+      x = new Item @a;
+    }
+    call Main.other() @co;
+  }
+  static method other() {
+    q = new Node @head;
+    loop K (*) {
+      z = new Node @node;
+      z.next = q;
+      q = z;
+    }
+    loop L (*) {
+      y = new Item @b;
+    }
+  }
+}
+class Item { }
+class Node { field next; }
+"""
+
+
+def _profile(source, region="Main.main:L", trips=6, **kwargs):
     prog = parse_program(source)
-    schedule = FixedSchedule(trips_map={loop: trips}, default_trips=2)
-    return growth_profile(prog, loop, schedule=schedule, **kwargs)
+    label = region.rpartition(":")[2]
+    schedule = FixedSchedule(trips_map={label: trips}, default_trips=2)
+    return growth_profile(prog, region, schedule=schedule, **kwargs)
 
 
 class TestGrowthProfile:
@@ -68,7 +100,7 @@ class TestGrowthProfile:
         cleaned up."""
         profile = growth_profile(
             figure1,
-            "L1",
+            "Main.main:L1",
             schedule=FixedSchedule(trips_map={"L1": 5, "LC": 1}),
         )
         assert profile.is_monotone("a5")
@@ -76,9 +108,35 @@ class TestGrowthProfile:
         assert "a5" in profile.growing_sites()
 
     def test_unprofiled_loop_yields_no_samples(self):
-        profile = _profile(_CONTAINER_LEAK, loop="GHOST")
+        profile = _profile(_CONTAINER_LEAK, trips=0)
         assert profile.samples == []
         assert profile.growing_sites() == []
+
+    @pytest.mark.parametrize(
+        "region", ["L", "Main.main", "Main.main:GHOST", "Main.ghost:L"]
+    )
+    def test_region_must_name_an_existing_loop(self, region):
+        """A bare label, a method region and a missing loop or method
+        are refused, as every ``--region`` is."""
+        with pytest.raises(ResolutionError):
+            _profile(_CONTAINER_LEAK, region=region)
+
+    def test_same_label_loops_profile_apart(self):
+        """Regression: the profile sampled every loop labelled ``L``,
+        numbered by the label-keyed iteration map, so ``Main.other:L``
+        took ``Main.main:L``'s three samples too and, with them, the
+        ``node`` list that loop ``K`` built in between as growth."""
+        schedule = FixedSchedule(trips_map={"L": 3, "K": 3})
+        program = parse_program(_SAME_LABEL_TWO_METHODS)
+        profile = growth_profile(program, "Main.other:L", schedule=schedule)
+        assert profile.region == "Main.other:L"
+        assert profile.iterations == [1, 2, 3]
+        assert profile.live_of("node") == [3, 3, 3]
+        assert profile.live_of("b") == [1, 1, 1]
+        assert profile.growing_sites() == []
+        first = growth_profile(program, "Main.main:L", schedule=schedule)
+        assert first.iterations == [1, 2, 3]
+        assert first.live_of("node") == [0, 0, 0]
 
     def test_iterations_sequential(self):
         profile = _profile(_CONTAINER_LEAK, trips=4)
@@ -95,7 +153,7 @@ class TestGrowthAgainstStaticTruth:
         app = build()
         profile = growth_profile(
             app.program,
-            "L1",
+            app.region.text(),
             schedule=FixedSchedule(trips_map={"L1": 6}, default_trips=1),
         )
         growing = set(profile.growing_sites())

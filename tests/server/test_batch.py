@@ -533,6 +533,39 @@ class TestBatchRejections:
         assert "deadline_ms" in body["error"]["message"]
         assert server_errors == 0
 
+    @pytest.mark.parametrize(
+        "include_reports", ["false", "no", 0, 1, [], {}],
+        ids=["string-false", "string-no", "zero", "one", "list", "object"],
+    )
+    def test_non_boolean_include_reports_is_400(self, include_reports):
+        """Regression: ``include_reports`` was read with ``bool()``, so
+        ``"false"`` and ``"no"`` streamed a full report in every region
+        record.  Any value but a JSON boolean is a 400 naming the field,
+        before the stream opens."""
+        payload = {
+            "programs": [{"id": "a", "program": LEAK}],
+            "include_reports": include_reports,
+        }
+        with _serving() as server:
+            code, _, body = self._http_error(lambda: _stream(server, payload))
+        assert code == 400
+        schema.validate_error(body)
+        assert body["error"]["code"] == "bad_request"
+        assert "include_reports" in body["error"]["message"]
+
+    @pytest.mark.parametrize("include_reports", [None, False])
+    def test_null_or_false_include_reports_streams_no_report(
+        self, include_reports
+    ):
+        payload = {
+            "programs": [{"id": "a", "program": LEAK}],
+            "include_reports": include_reports,
+        }
+        with _serving() as server:
+            records = _stream(server, payload)
+        (region,) = [r for r in records if r["record"] == "region"]
+        assert "report" not in region
+
     def test_missing_programs_is_400(self):
         with _serving() as server:
             code, _, body = self._http_error(
